@@ -62,10 +62,6 @@ class Basis:
     def dim(self) -> int:
         return len(self.states)
 
-    def position(self, mask: int) -> int:
-        """Index of a configuration; KeyError if not in this basis."""
-        return self.index[mask]
-
 
 def _check_nu(nu: int) -> None:
     if not 1 <= nu <= NU_MAX:

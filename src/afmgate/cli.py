@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=str, default=None, help="JSON protocol config")
     parser.add_argument("--out", type=str, default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1)")
     parser.add_argument("--model", choices=[m.value for m in Model], default=None,
                         help="override the config model")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -416,6 +416,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = None
         if args.command in _NEEDS_CONFIG:
             if args.config is None:

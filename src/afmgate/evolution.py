@@ -1,10 +1,12 @@
 """Time-dependent Schroedinger propagation of the two-pulse protocol.
 
-Fixed-step classical RK4 with midpoint Hamiltonian evaluations.  The drive
-structure, excitation counts and interaction diagonal are cached once per
-run; each evaluation only rescales them with the instantaneous pulse
-values.  Hermitian runs renormalize the state after every step (removing
-the RK4 amplitude artifact, which would otherwise mask real norm errors);
+Fixed-step classical RK4 with midpoint Hamiltonian evaluations, in one
+segment stepper that every propagation goes through: a single state or a
+batch of states held as the columns of one array.  The drive structure,
+excitation counts and interaction diagonal are cached once per segment;
+each evaluation only rescales them with the instantaneous pulse values.
+Hermitian runs renormalize the state after every step (removing the RK4
+amplitude artifact, which would otherwise mask real norm errors);
 non-Hermitian runs keep the physical norm decay.
 """
 
@@ -31,7 +33,7 @@ PHASE_SAMPLE_MARGIN = math.pi / 4.0
 class Trajectory:
     """Sampled state history of one propagation."""
 
-    basis: Optional[Basis]
+    basis: Basis
     times: np.ndarray
     states: np.ndarray  # (n_samples, dim)
     norms: np.ndarray
@@ -79,7 +81,9 @@ class _SegmentEngine:
     """One pulse segment: cached operator structure plus pulse scaling.
 
     ``v_int_fn``, when given, supplies the interaction diagonal as a
-    function of absolute protocol time (thermal motion); otherwise the
+    function of absolute protocol time (thermal motion), one column per
+    trial of a (dim, batch) state; the excitation counts are then kept as
+    a column so the diagonal broadcasts against the batch.  Otherwise the
     static ``v_int`` vector is used.
     """
 
@@ -96,7 +100,8 @@ class _SegmentEngine:
         self.pulse = pulse
         self.gamma = gamma
         self.drive = drive_matrix(basis)
-        self.n_r = excitation_numbers(basis)
+        n_r = excitation_numbers(basis)
+        self.n_r = n_r if v_int_fn is None else n_r[:, None]
         self.v_int = np.zeros(basis.dim) if v_int is None else v_int
         self.v_int_fn = v_int_fn
         self.t_abs_start = t_abs_start
@@ -114,13 +119,6 @@ class _SegmentEngine:
 
     def deriv(self, omega: float, diag: np.ndarray, psi: np.ndarray) -> np.ndarray:
         return -1j * (omega * (self.drive @ psi) + diag * psi)
-
-    def energy(self, t_local: float, psi: np.ndarray) -> float:
-        """<H> of the Hermitian part, normalized by the current norm."""
-        omega, diag = self.coeffs(t_local)
-        val = np.vdot(psi, omega * (self.drive @ psi) + diag.real * psi).real
-        nrm2 = float(np.vdot(psi, psi).real)
-        return val / nrm2 if nrm2 > 0.0 else 0.0
 
     def branch_energy(self, t_local: float, psi: np.ndarray) -> float:
         """Instantaneous eigenvalue of the dominantly occupied branch of the
@@ -142,7 +140,13 @@ def _run_segment(
     stride: int,
     renormalize: bool,
 ) -> Tuple[List[float], List[np.ndarray]]:
-    """RK4 over one segment; returns samples at local times (excluding t=0)."""
+    """RK4 over one segment; returns samples at local times (excluding t=0)
+    every ``stride`` steps and at the segment end.
+
+    ``psi`` is one state (dim,) or a batch of states as columns
+    (dim, batch); renormalization then acts on each column.  Raises
+    PropagationError on non-finite amplitudes at a sample.
+    """
     times: List[float] = []
     states: List[np.ndarray] = []
     half = 0.5 * dt
@@ -158,7 +162,10 @@ def _run_segment(
         k4 = engine.deriv(om_next, diag_next, psi + dt * k3)
         psi = psi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if renormalize:
-            psi = psi / math.sqrt(np.vdot(psi, psi).real)
+            if psi.ndim == 1:
+                psi = psi / math.sqrt(np.vdot(psi, psi).real)
+            else:
+                psi = psi / np.linalg.norm(psi, axis=0, keepdims=True)
         if (step + 1) % stride == 0 or step == n_steps - 1:
             _check_state(psi, t + dt)
             # pin the final sample to the exact pulse end so segment
@@ -174,58 +181,6 @@ def _default_stride(h_scale: float, dt: float, n_steps: int) -> int:
         return max(1, n_steps // 1024)
     stride = int(PHASE_SAMPLE_MARGIN / (h_scale * dt))
     return max(1, min(stride, max(1, n_steps // 8)))
-
-
-def propagate(
-    h_of_t: Callable[[float], np.ndarray],
-    psi0: np.ndarray,
-    t0: float,
-    t1: float,
-    dt: float,
-    sample_stride: Optional[int] = None,
-    renormalize: Optional[bool] = None,
-    basis: Optional[Basis] = None,
-) -> Trajectory:
-    """Generic RK4 propagation of i d/dt psi = H(t) psi.
-
-    ``h_of_t`` returns the (possibly non-Hermitian) matrix at a given time.
-    ``renormalize`` defaults to True when H(t0) is Hermitian.
-    """
-    psi = np.asarray(psi0, dtype=complex).copy()
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
-        raise ValueError("initial state must be normalized")
-    n_steps = _step_count(t0, t1, dt)
-    h0 = np.asarray(h_of_t(t0), dtype=complex)
-    if renormalize is None:
-        renormalize = bool(np.abs(h0 - h0.conj().T).max() <= 1e-12 * max(np.abs(h0).max(), 1.0))
-    if sample_stride is None:
-        h_scale = float(np.abs(h0).sum(axis=1).max())
-        sample_stride = _default_stride(h_scale, dt, n_steps)
-
-    times = [t0]
-    states = [psi.copy()]
-    half = 0.5 * dt
-    h_next = h0
-    for step in range(n_steps):
-        t = t0 + step * dt
-        h1 = h_next
-        h2 = np.asarray(h_of_t(t + half), dtype=complex)
-        h_next = np.asarray(h_of_t(t + dt), dtype=complex)
-        k1 = -1j * (h1 @ psi)
-        k2 = -1j * (h2 @ (psi + half * k1))
-        k3 = -1j * (h2 @ (psi + half * k2))
-        k4 = -1j * (h_next @ (psi + dt * k3))
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if renormalize:
-            psi = psi / math.sqrt(np.vdot(psi, psi).real)
-        if (step + 1) % sample_stride == 0 or step == n_steps - 1:
-            _check_state(psi, t + dt)
-            times.append(t + dt)
-            states.append(psi.copy())
-
-    state_arr = np.array(states)
-    norms = np.linalg.norm(state_arr, axis=1)
-    return Trajectory(basis=basis, times=np.array(times), states=state_arr, norms=norms)
 
 
 def _afm_projectors(basis: Basis, model: Model) -> Dict[str, np.ndarray]:
@@ -314,13 +269,7 @@ def _protocol_segments(
     return basis, (seg1, seg2)
 
 
-def run_protocol(
-    nu: int,
-    cfg: ProtocolConfig,
-    v_int_fn_steps: Optional[Tuple[Callable[[float], np.ndarray], Callable[[float], np.ndarray]]] = None,
-    basis: Optional[Basis] = None,
-    compute_phases: bool = True,
-) -> ProtocolRun:
+def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> ProtocolRun:
     """Two chirped pulses: step I with interaction B, step II with the
     lambda-rescaled pulse and flipped interaction -lambda B (a no-op for
     the PXP model).  The r -> r' swap between steps is modeled as
@@ -332,7 +281,7 @@ def run_protocol(
     """
     if nu < 1:
         raise ValueError(f"nu must be >= 1, got {nu}")
-    basis, (seg1, seg2) = _protocol_segments(nu, cfg, v_int_fn_steps, basis)
+    basis, (seg1, seg2) = _protocol_segments(nu, cfg)
     lam = cfg.interaction.lambda_ratio
 
     psi = np.zeros(basis.dim, dtype=complex)
@@ -342,7 +291,7 @@ def run_protocol(
     dt2 = cfg.dt / lam
     h_scale = float(
         basis.nu * (abs(cfg.pulse.delta0) + abs(cfg.pulse.omega0)) * max(1.0, lam)
-        + (np.abs(seg1.v_int).max() if seg1.v_int_fn is None else abs(cfg.interaction.b_nn))
+        + np.abs(seg1.v_int).max()
     )
     stride = _default_stride(h_scale, cfg.dt, n1)
 
@@ -370,16 +319,14 @@ def run_protocol(
     phases = None
     if compute_phases:
         # The branch energy jumps at the segment boundary (the detuning
-        # resets to -delta0'), so the action integral is accumulated per
-        # segment with both-sided boundary values.
-        i_b = int(np.searchsorted(time_arr, tau1))
-        e1 = np.array([seg1.branch_energy(t, st) for t, st in
-                       zip(time_arr[: i_b + 1], state_arr[: i_b + 1])])
-        e2 = np.array([seg2.branch_energy(t - tau1, st) for t, st in
-                       zip(time_arr[i_b:], state_arr[i_b:])])
-        phi_d1 = cumulative_trapezoid(e1, time_arr[: i_b + 1], initial=0.0)
-        phi_d2 = cumulative_trapezoid(e2, time_arr[i_b:], initial=0.0)
-        phi_dyn = np.concatenate([phi_d1, phi_d1[-1] + phi_d2[1:]])
+        # resets to -delta0'); the boundary sample is evaluated under both
+        # segments.
+        segs, starts = (seg1, seg2), (0.0, tau1)
+        phi_dyn = _dynamical_phase(
+            time_arr,
+            [0, int(np.searchsorted(time_arr, tau1)), len(time_arr) - 1],
+            lambda k, i: segs[k].branch_energy(time_arr[i] - starts[k], state_arr[i]),
+        )
         phases = _phases_from_samples(time_arr, state_arr, phi_dynamical=phi_dyn)
     return ProtocolRun(
         trajectory=traj,
@@ -387,6 +334,24 @@ def run_protocol(
         segments=(seg1, seg2),
         boundaries=(0.0, tau1, tau1 + cfg.pulse.tau / lam),
     )
+
+
+def _dynamical_phase(
+    times: np.ndarray, cuts: Sequence[int], energy: Callable[[int, int], float]
+) -> np.ndarray:
+    """Action integral of the dominantly occupied branch energy along the
+    samples, accumulated per segment between the sample indices ``cuts``
+    (first 0, last the final sample) where H jumps.
+
+    ``energy(k, i)`` is the branch energy of sample i under the Hamiltonian
+    of segment k.  Each segment evaluates its own first sample, so a jump is
+    integrated with both-sided boundary values.
+    """
+    phi = np.zeros(len(times))
+    for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+        e = np.array([energy(k, i) for i in range(lo, hi + 1)])
+        phi[lo : hi + 1] = phi[lo] + cumulative_trapezoid(e, times[lo : hi + 1], initial=0.0)
+    return phi
 
 
 def _phases_from_samples(
@@ -422,31 +387,22 @@ def phase_decomposition(
     pulse handover); the action integral is split there, evaluating the
     right side just past the jump.
     """
-
-    def branch_energy(t: float, psi: np.ndarray) -> float:
-        h = np.asarray(h_of_t(t), dtype=complex)
-        w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-        k = int(np.argmax(np.abs(v.conj().T @ psi)))
-        return float(w[k])
-
-    cut_idx = [0]
+    cuts = [0]
     for b in boundaries:
         i = int(np.searchsorted(traj.times, b))
         if 0 < i < len(traj.times) - 1:
-            cut_idx.append(i)
-    cut_idx.append(len(traj.times) - 1)
+            cuts.append(i)
+    cuts.append(len(traj.times) - 1)
 
-    phi_dyn = np.zeros(len(traj.times))
-    for lo, hi in zip(cut_idx[:-1], cut_idx[1:]):
-        seg_t = traj.times[lo : hi + 1]
-        seg_e = np.empty(len(seg_t))
-        for j, i in enumerate(range(lo, hi + 1)):
-            t = traj.times[i]
-            if j == 0 and lo != 0:
-                t = np.nextafter(t, np.inf)  # right side of the jump
-            seg_e[j] = branch_energy(t, traj.states[i])
-        seg_phi = cumulative_trapezoid(seg_e, seg_t, initial=0.0)
-        phi_dyn[lo : hi + 1] = phi_dyn[lo] + seg_phi
+    def energy(k: int, i: int) -> float:
+        t = traj.times[i]
+        if k > 0 and i == cuts[k]:
+            t = np.nextafter(t, np.inf)  # right side of the jump
+        h = np.asarray(h_of_t(t), dtype=complex)
+        w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+        return float(w[int(np.argmax(np.abs(v.conj().T @ traj.states[i])))])
+
+    phi_dyn = _dynamical_phase(traj.times, cuts, energy)
     return _phases_from_samples(traj.times, traj.states, phi_dynamical=phi_dyn)
 
 

@@ -308,8 +308,8 @@ class ErrorModel:
     e_decay: float
     e_leakage: float
     e_leakage_dominant: float
-    tau_opt: float
-    e_min: float
+    tau_opt: Optional[float]  # None without decay: no finite optimum
+    e_min: Optional[float]
     lambda1: float
     lambda2: float
 
@@ -322,7 +322,8 @@ def build_error_model(
     """Evaluate the full error model at the configured pulse duration.
 
     Fitted constants are used where provided; other chain sizes fall back
-    to gap-derived values.
+    to gap-derived values.  Without decay (mean rate 0) the error falls
+    with tau forever, so ``tau_opt`` and ``e_min`` are None.
     """
     nus = sorted({n_atoms - 2, n_atoms - 1, n_atoms})
     c_table: Dict[int, float] = dict(fitted_c or {})
@@ -331,7 +332,9 @@ def build_error_model(
         c_table.update(kappa_c_table(missing, cfg.pulse))
     gamma = cfg.decay.mean_rate(cfg.pulse.tau, cfg.interaction.lambda_ratio)
     leak = leakage_error(n_atoms, c_table, cfg.pulse)
-    tau_opt, e_min = optimal_tau(n_atoms, c_table[leak.nu_dominant], cfg.pulse, gamma)
+    tau_opt = e_min = None
+    if gamma > 0.0:
+        tau_opt, e_min = optimal_tau(n_atoms, c_table[leak.nu_dominant], cfg.pulse, gamma)
     b = abs(cfg.interaction.b_nn)
     return ErrorModel(
         n_atoms=n_atoms,

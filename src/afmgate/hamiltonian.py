@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .basis import Basis, afm_manifold_masks, rydberg_count
+from .basis import Basis, rydberg_count
 from .config import InteractionConfig
 from .errors import RegimeError
 
@@ -288,11 +288,6 @@ def build_afm_effective(
     return OperatorMatrix(h.astype(complex), None)
 
 
-def afm_basis_masks(nu: int) -> Tuple[int, ...]:
-    """Configuration masks indexing the AFM-manifold builders' rows."""
-    return afm_manifold_masks(nu)
-
-
 def decay_operator(basis: Basis, gamma: float) -> OperatorMatrix:
     """Diagonal decay-rate operator gamma * n_r(s) (the L^2 of the
     non-Hermitian effective Hamiltonian)."""
@@ -307,17 +302,3 @@ def effective_hamiltonian(h: OperatorMatrix, l2: OperatorMatrix) -> OperatorMatr
         raise ValueError(f"shape mismatch: {h.matrix.shape} vs {l2.matrix.shape}")
     return OperatorMatrix(h.matrix - 0.5j * l2.matrix, h.basis)
 
-
-def mirror_counterpart(
-    omega: float, delta: float, interaction: Optional[InteractionConfig]
-) -> Tuple[float, float, Optional[InteractionConfig]]:
-    """Parameters (Omega, -Delta, -B) of the spectrum-mirror partner."""
-    flipped = None
-    if interaction is not None:
-        flipped = InteractionConfig(
-            c6=-interaction.c6,
-            spacing=interaction.spacing,
-            lambda_ratio=interaction.lambda_ratio,
-            range_cutoff=interaction.range_cutoff,
-        )
-    return omega, -delta, flipped

@@ -18,14 +18,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .basis import Basis, apply_inversion, build_blockade_basis, build_full_basis
+from .basis import Basis, afm_manifold_masks, apply_inversion, build_blockade_basis, build_full_basis
 from .config import InteractionConfig, Model, PulseProfile
 from .errors import RegimeError
 from .hamiltonian import (
     AfmManifoldModel,
     AfmMode,
     OperatorMatrix,
-    afm_basis_masks,
     build_corrections,
     build_pxp,
     build_vdw,
@@ -85,18 +84,19 @@ def inversion_matrix(basis: Basis) -> np.ndarray:
     return mat
 
 
-def classify_symmetry(vec: np.ndarray, basis: Basis) -> SymmetryLabel:
-    """Inversion character of a normalized state from <v|I|v>.
-
-    MIXED (possible only at degeneracies) when the expectation value is not
-    within 1e-6 of +-1.
-    """
-    x = float(np.real(np.vdot(vec, inversion_matrix(basis) @ vec)))
+def _symmetry_label(x: float) -> SymmetryLabel:
+    """Label for an inversion expectation value <v|I|v>: MIXED (possible
+    only at degeneracies) unless within SYMMETRY_GATE of +-1."""
     if x >= 1.0 - SYMMETRY_GATE:
         return SymmetryLabel.SYMMETRIC
     if x <= -(1.0 - SYMMETRY_GATE):
         return SymmetryLabel.ANTISYMMETRIC
     return SymmetryLabel.MIXED
+
+
+def classify_symmetry(vec: np.ndarray, basis: Basis) -> SymmetryLabel:
+    """Inversion character of a normalized state from <v|I|v>."""
+    return _symmetry_label(float(np.real(np.vdot(vec, inversion_matrix(basis) @ vec))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,15 +186,7 @@ def scan_spectrum(
                     row[k] = abs(dh_eig[l, k] / gaps[k]) ** 2 * pulse.tau / abs(pulse.delta0)
 
         ix = np.real(np.einsum("ik,ij,jk->k", v.conj(), inv, v))
-        labels = []
-        for x in ix:
-            if x >= 1.0 - SYMMETRY_GATE:
-                labels.append(SymmetryLabel.SYMMETRIC)
-            elif x <= -(1.0 - SYMMETRY_GATE):
-                labels.append(SymmetryLabel.ANTISYMMETRIC)
-            else:
-                labels.append(SymmetryLabel.MIXED)
-        symmetry.append(labels)
+        symmetry.append([_symmetry_label(x) for x in ix])
 
     return SpectrumScan(
         basis=basis,
@@ -306,7 +298,7 @@ def afm_analytic_spectrum(
         raise RegimeError("level shift S diverges at delta = 0")
     nu_r = nu // 2
     m = nu_r + 1
-    masks = afm_basis_masks(nu)
+    masks = afm_manifold_masks(nu)
 
     if mode is AfmMode.PXP:
         s = omega**2 / (4.0 * delta)

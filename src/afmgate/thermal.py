@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .basis import build_full_basis
 from .config import ChainConfig, InteractionConfig, Model, ProtocolConfig
 from .errors import SampleRejected
-from .evolution import run_protocol
+from .evolution import _protocol_segments, _run_segment, _step_count
 from .gate import INPUT_LABELS, active_atoms, fidelity_from_diag
 from .hamiltonian import pair_incidence, pair_sites
 from .units import M_RB87, thermal_velocity
@@ -61,10 +61,6 @@ class KinematicDraw:
     offsets: np.ndarray
     velocities: np.ndarray
 
-    @classmethod
-    def zero(cls, n_atoms: int) -> "KinematicDraw":
-        return cls(np.zeros(n_atoms), np.zeros(n_atoms))
-
 
 def sample_kinematics(tcfg: ThermalConfig, n_atoms: int, trial: int) -> KinematicDraw:
     """Counter-based per-trial draw: reproducible for a (seed, trial) pair
@@ -98,72 +94,6 @@ def _thermal_dt(cfg: ProtocolConfig) -> float:
     return cfg.pulse.tau / DT_STEPS_THERMAL
 
 
-def thermal_branch_amplitude(
-    n_atoms: int,
-    cfg: ProtocolConfig,
-    draw: KinematicDraw,
-    label: str,
-    dt: Optional[float] = None,
-) -> complex:
-    """Final ground-state amplitude of one input branch with moving atoms.
-
-    Positions evolve over absolute protocol time; the sign flip of C6 in
-    step II multiplies every instantaneous pair strength by -lambda.
-    """
-    if cfg.model is not Model.FULL_VDW:
-        raise ValueError("thermal motion requires the full van der Waals model")
-    chain = cfg.chain
-    atoms = active_atoms(n_atoms, label)
-    nu = len(atoms)
-    basis = build_full_basis(nu)
-
-    base = np.array([chain.spacing * i for i in atoms]) + draw.offsets[list(atoms)]
-    vel = draw.velocities[list(atoms)]
-    tau_tot = cfg.tau_total
-    for t_check in (0.0, tau_tot):
-        x = base + vel * t_check
-        if np.any(np.diff(x) <= 0.0):
-            raise SampleRejected(
-                f"atom ordering violated at t = {t_check} for input |{label}> "
-                f"(positions {x})"
-            )
-
-    pairs = pair_sites(nu, cfg.interaction.range_cutoff)
-    inc = pair_incidence(basis, pairs)
-    ia = np.array([p[0] for p in pairs], dtype=int)
-    ib = np.array([p[1] for p in pairs], dtype=int)
-    c6_1 = cfg.interaction.c6
-    c6_2 = -cfg.interaction.lambda_ratio * c6_1
-
-    def v_int_at(t_abs: float, c6: float) -> np.ndarray:
-        x = base + vel * t_abs
-        d = x[ib] - x[ia]
-        return inc @ (c6 / d**6)
-
-    run = run_protocol(
-        nu,
-        replace(cfg, dt=dt if dt is not None else _thermal_dt(cfg)),
-        v_int_fn_steps=(
-            lambda t: v_int_at(t, c6_1),
-            lambda t: v_int_at(t, c6_2),
-        ),
-        basis=basis,
-        compute_phases=False,
-    )
-    return run.ground_amplitude()
-
-
-def run_thermal_trial(
-    n_atoms: int, cfg: ProtocolConfig, draw: KinematicDraw, dt: Optional[float] = None
-) -> np.ndarray:
-    """Gate diagonal (raw projected amplitudes, inputs 00,01,10,11) for one
-    kinematic sample.  The |01> and |10> branches genuinely differ here:
-    they see different subsets of the disordered chain."""
-    return np.array(
-        [thermal_branch_amplitude(n_atoms, cfg, draw, label, dt) for label in INPUT_LABELS]
-    )
-
-
 def _batch_branch_amplitudes(
     n_atoms: int,
     cfg: ProtocolConfig,
@@ -172,25 +102,25 @@ def _batch_branch_amplitudes(
     label: str,
     dt: Optional[float] = None,
 ) -> np.ndarray:
-    """Ground-state amplitudes of one input branch for a whole batch of
-    kinematic samples, propagated column-parallel (one matrix product per
-    RK4 stage serves every trial)."""
+    """Final ground-state amplitudes of one input branch with moving atoms,
+    one per kinematic sample (rows of ``offsets`` / ``velocities``).
+
+    The samples are propagated as the columns of one batched state, so one
+    matrix product per RK4 stage serves every trial.  Positions evolve over
+    absolute protocol time; the sign flip of C6 in step II multiplies every
+    instantaneous pair strength by -lambda.  Decay enters exactly as in
+    ``run_protocol``: with ``cfg.include_decay`` the states keep their
+    physical norm decay, otherwise they are renormalized every step.
+    """
     if cfg.model is not Model.FULL_VDW:
         raise ValueError("thermal motion requires the full van der Waals model")
-    chain = cfg.chain
     atoms = list(active_atoms(n_atoms, label))
     nu = len(atoms)
     basis = build_full_basis(nu)
-    from .hamiltonian import drive_matrix, excitation_numbers
 
-    drive = drive_matrix(basis)
-    n_r = excitation_numbers(basis)
-
-    n_tr = offsets.shape[0]
-    base = chain.spacing * np.array(atoms)[None, :] + offsets[:, atoms]  # (trials, nu)
+    base = cfg.chain.spacing * np.array(atoms)[None, :] + offsets[:, atoms]  # (trials, nu)
     vel = velocities[:, atoms]
-    tau_tot = cfg.tau_total
-    for t_check in (0.0, tau_tot):
+    for t_check in (0.0, cfg.tau_total):
         x = base + vel * t_check
         if np.any(np.diff(x, axis=1) <= 0.0):
             bad = np.where(np.any(np.diff(x, axis=1) <= 0.0, axis=1))[0]
@@ -201,50 +131,27 @@ def _batch_branch_amplitudes(
     ia = np.array([p[0] for p in pairs], dtype=int)
     ib = np.array([p[1] for p in pairs], dtype=int)
 
-    lam = cfg.interaction.lambda_ratio
-    dt1 = dt if dt is not None else _thermal_dt(cfg)
-    pulses = (cfg.pulse, cfg.pulse.rescaled(lam))
-    c6s = (cfg.interaction.c6, -lam * cfg.interaction.c6)
-    dts = (dt1, dt1 / lam)
-    t_offsets = (0.0, cfg.pulse.tau)
-    n_steps = round(cfg.pulse.tau / dt1)
-
-    psi = np.zeros((basis.dim, n_tr), dtype=complex)
-    psi[basis.index[0], :] = 1.0
-    n_r_col = n_r[:, None]
-
-    def diag_at(pulse, c6, t_off, t_local):
-        t = min(max(t_local, 0.0), pulse.tau)
-        if len(pairs):
-            x = base + vel * (t_off + t)
+    def v_int_fn(c6: float) -> Callable[[float], np.ndarray]:
+        def v_int_at(t_abs: float) -> np.ndarray:
+            x = base + vel * t_abs
             d = x[:, ib] - x[:, ia]
-            v_int = inc @ (c6 / d**6).T  # (dim, trials)
-        else:
-            v_int = 0.0
-        return -pulse.delta(t) * n_r_col + v_int
+            return inc @ (c6 / d**6).T  # (dim, trials)
 
-    for pulse, c6, step_dt, t_off in zip(pulses, c6s, dts, t_offsets):
-        half = 0.5 * step_dt
-        om_next = pulse.omega(0.0)
-        dg_next = diag_at(pulse, c6, t_off, 0.0)
-        for step in range(n_steps):
-            t = step * step_dt
-            om1, d1 = om_next, dg_next
-            om2 = pulse.omega(min(t + half, pulse.tau))
-            d2 = diag_at(pulse, c6, t_off, t + half)
-            om_next = pulse.omega(min(t + step_dt, pulse.tau))
-            dg_next = diag_at(pulse, c6, t_off, t + step_dt)
-            k1 = -1j * (om1 * (drive @ psi) + d1 * psi)
-            y = psi + half * k1
-            k2 = -1j * (om2 * (drive @ y) + d2 * y)
-            y = psi + half * k2
-            k3 = -1j * (om2 * (drive @ y) + d2 * y)
-            y = psi + step_dt * k3
-            k4 = -1j * (om_next * (drive @ y) + dg_next * y)
-            psi = psi + (step_dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            psi /= np.linalg.norm(psi, axis=0, keepdims=True)
-        if not np.all(np.isfinite(psi)):
-            raise SampleRejected("non-finite amplitudes in batched propagation")
+        return v_int_at
+
+    lam = cfg.interaction.lambda_ratio
+    c6 = cfg.interaction.c6
+    _, segments = _protocol_segments(
+        nu, cfg, v_int_fn_steps=(v_int_fn(c6), v_int_fn(-lam * c6)), basis=basis
+    )
+    dt1 = dt if dt is not None else _thermal_dt(cfg)
+    n_steps = _step_count(0.0, cfg.pulse.tau, dt1)
+
+    psi = np.zeros((basis.dim, offsets.shape[0]), dtype=complex)
+    psi[basis.index[0], :] = 1.0
+    for seg, seg_dt in zip(segments, (dt1, dt1 / lam)):
+        # stride = n_steps keeps only the segment's final state
+        _, (psi,) = _run_segment(seg, psi, seg_dt, n_steps, n_steps, seg.gamma == 0.0)
     return psi[basis.index[0], :].copy()
 
 

@@ -46,7 +46,7 @@ class TestBlockadeBasis:
         basis = build_blockade_basis(7)
         assert list(basis.states) == sorted(basis.states)
         for k, s in enumerate(basis.states):
-            assert basis.position(s) == k
+            assert basis.index[s] == k
 
     def test_size_guard(self):
         with pytest.raises(ValueError):

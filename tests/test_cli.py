@@ -141,6 +141,22 @@ class TestGateAndSweep:
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert "3" in summary
 
+    def test_decay_free_gate_reports_null_optimum(self, tmp_path):
+        data = json.loads(json.dumps(CONFIG))
+        del data["decay"]
+        data["chain"]["n_atoms"] = 3
+        data["pulse"]["tau_us"] = 0.5
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "gate"]) == EXIT_OK
+        text = (out / "gate.json").read_text()
+        assert "NaN" not in text
+        model = json.loads(text)["error_model"]
+        assert model["tau_opt_us"] is None
+        assert model["e_min"] is None
+        assert model["e_decay"] == 0.0
+
 
 class TestThermalCommand:
     def test_summary_and_per_trial_rows(self, tmp_path):
@@ -224,6 +240,15 @@ class TestErrorHandling:
     def test_unknown_model_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"model": "bogus"})
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "evolve"]) == EXIT_CONFIG
+
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"include_decay": False})
+        out = tmp_path / "out"
+        rc = main(["--config", cfg, "--out", str(out), "--jobs", "0",
+                   "thermal", "--trials", "2", "--tau-us", "0.5"])
+        assert rc == EXIT_CONFIG
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_runtime_failure_exits_3(self, tmp_path):
         from afmgate.cli import EXIT_RUNTIME

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from scipy.integrate import solve_ivp
 from afmgate.config import Model, PulseProfile
 from afmgate.errors import PropagationError
 from afmgate.evolution import (
+    _run_segment,
+    _SegmentEngine,
+    _step_count,
     parity_roundtrip_check,
     phase_decomposition,
-    propagate,
     run_protocol,
 )
 from afmgate.units import mhz
@@ -24,44 +27,70 @@ def wrap_phase(x):
     return (x + math.pi) % (2 * math.pi) - math.pi
 
 
+class ConstantEngine(_SegmentEngine):
+    """Time-independent H = omega * drive + diag on a hand-built structure."""
+
+    def __init__(self, drive, diag, omega=1.0, tau=1.0):
+        self.drive = np.asarray(drive, dtype=complex)
+        self.diag = np.asarray(diag, dtype=complex)
+        self.omega = omega
+        self.pulse = SimpleNamespace(tau=tau)
+
+    def coeffs(self, t_local):
+        return self.omega, self.diag
+
+
+def run_constant(engine, psi0, dt, stride=1, renormalize=True):
+    n = _step_count(0.0, engine.pulse.tau, dt)
+    times, states = _run_segment(engine, np.asarray(psi0, dtype=complex), dt, n, stride, renormalize)
+    return np.array(times), np.array(states)
+
+
 class TestPropagate:
+    """The RK4 segment stepper on hand-built two-level Hamiltonians."""
+
     def test_resonant_rabi_pi_pulse(self):
         om = mhz(4.0)
-        h = np.array([[0.0, om / 2], [om / 2, 0.0]], dtype=complex)
         t_pi = math.pi / om
-        traj = propagate(lambda t: h, np.array([1.0, 0.0]), 0.0, t_pi, t_pi / 4000)
-        final = traj.states[-1]
-        assert abs(final[1]) ** 2 == pytest.approx(1.0, abs=1e-8)
-        assert final[1] == pytest.approx(-1j, abs=1e-6)
+        engine = ConstantEngine([[0.0, 0.5], [0.5, 0.0]], [0.0, 0.0], omega=om, tau=t_pi)
+        times, states = run_constant(engine, [1.0, 0.0], t_pi / 4000, stride=4000)
+        assert times[-1] == t_pi
+        assert abs(states[-1][1]) ** 2 == pytest.approx(1.0, abs=1e-8)
+        assert states[-1][1] == pytest.approx(-1j, abs=1e-6)
 
     def test_excited_state_decay_norm(self):
         gamma = 2.0
-        h = np.array([[-0.5j * gamma]], dtype=complex)
-        traj = propagate(lambda t: h, np.array([1.0]), 0.0, 1.0, 1.0 / 4000)
-        assert traj.norms[-1] ** 2 == pytest.approx(math.exp(-gamma), abs=1e-8)
-        assert np.all(np.diff(traj.norms) <= 1e-10)
+        engine = ConstantEngine([[0.0]], [-0.5j * gamma])
+        _, states = run_constant(engine, [1.0], 1.0 / 4000, renormalize=False)
+        norms = np.linalg.norm(states, axis=1)
+        assert norms[-1] ** 2 == pytest.approx(math.exp(-gamma), abs=1e-8)
+        assert np.all(np.diff(norms) <= 1e-10)
 
     def test_hermitian_norm_pinned_to_one(self):
-        om = mhz(8.0)
-        h = np.array([[0.0, om / 2], [om / 2, -mhz(3.0)]], dtype=complex)
-        traj = propagate(lambda t: h, np.array([1.0, 0.0]), 0.0, 2.0, 1e-3)
-        assert np.abs(traj.norms - 1.0).max() < 1e-12
-
-    def test_unnormalized_initial_state_rejected(self):
-        h = np.zeros((2, 2), dtype=complex)
-        with pytest.raises(ValueError):
-            propagate(lambda t: h, np.array([1.0, 1.0]), 0.0, 1.0, 0.01)
+        engine = ConstantEngine([[0.0, 0.5], [0.5, 0.0]], [0.0, -mhz(3.0)], omega=mhz(8.0), tau=2.0)
+        _, states = run_constant(engine, [1.0, 0.0], 1e-3)
+        assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() < 1e-12
 
     def test_uneven_step_rejected(self):
-        h = np.zeros((2, 2), dtype=complex)
         with pytest.raises(ValueError):
-            propagate(lambda t: h, np.array([1.0, 0.0]), 0.0, 1.0, 0.3)
+            _step_count(0.0, 1.0, 0.3)
 
     def test_numerical_blowup_reported(self):
-        h = np.array([[0.0, 1e8], [1e8, 0.0]], dtype=complex)
+        engine = ConstantEngine([[0.0, 1e8], [1e8, 0.0]], [0.0, 0.0], tau=10.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(PropagationError):
-                propagate(lambda t: h, np.array([1.0, 0.0]), 0.0, 10.0, 0.01, renormalize=False)
+                run_constant(engine, [1.0, 0.0], 0.01, renormalize=False)
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_batch_columns_match_single_states(self, renormalize):
+        diag = np.array([[0.0, 0.0], [-mhz(3.0) - 0.1j, mhz(1.0)]])  # one column per trial
+        engine = ConstantEngine([[0.0, 0.5], [0.5, 0.0]], diag, omega=mhz(8.0))
+        psi0 = np.array([[1.0, 0.6], [0.0, 0.8j]])
+        _, batch = run_constant(engine, psi0, 1e-3, stride=1000, renormalize=renormalize)
+        for col in range(2):
+            single = ConstantEngine(engine.drive, diag[:, col], omega=mhz(8.0))
+            _, states = run_constant(single, psi0[:, col], 1e-3, stride=1000, renormalize=renormalize)
+            assert np.abs(batch[-1][:, col] - states[-1]).max() < 1e-12
 
 
 class TestRunProtocol:

@@ -11,13 +11,11 @@ from afmgate.errors import SampleRejected
 from afmgate.evolution import run_protocol
 from afmgate.gate import INPUT_LABELS, active_atoms, fidelity_from_diag
 from afmgate.thermal import (
-    KinematicDraw,
     ThermalConfig,
+    _batch_branch_amplitudes,
     analytic_dephasing,
     run_thermal_ensemble,
-    run_thermal_trial,
     sample_kinematics,
-    thermal_branch_amplitude,
 )
 from afmgate.units import thermal_velocity
 
@@ -93,10 +91,20 @@ class TestAnalyticDephasing:
         assert est_half.delta_phi / est_a.delta_phi == pytest.approx(2.0, rel=1e-12)
 
 
+def zero_rows(rows, n_atoms):
+    return np.zeros((rows, n_atoms))
+
+
 class TestThermalTrials:
-    def test_zero_draw_reduces_to_static_protocol(self):
-        cfg = reference_config(n_atoms=5, model=Model.FULL_VDW)
-        diag = run_thermal_trial(5, cfg, KinematicDraw.zero(5))
+    @pytest.mark.parametrize("include_decay", [False, True])
+    def test_zero_draw_reduces_to_static_protocol(self, include_decay):
+        cfg = reference_config(n_atoms=5, model=Model.FULL_VDW, include_decay=include_decay)
+        diag = np.array(
+            [
+                _batch_branch_amplitudes(5, cfg, zero_rows(1, 5), zero_rows(1, 5), label)[0]
+                for label in INPUT_LABELS
+            ]
+        )
         static = np.array(
             [
                 run_protocol(
@@ -107,18 +115,19 @@ class TestThermalTrials:
             ]
         )
         assert abs(fidelity_from_diag(5, diag) - fidelity_from_diag(5, static)) < 1e-10
+        assert np.abs(diag - static).max() < 1e-10
 
     def test_thermal_requires_vdw_model(self):
         cfg = reference_config(n_atoms=5, model=Model.PXP)
         with pytest.raises(ValueError):
-            run_thermal_trial(5, cfg, KinematicDraw.zero(5))
+            _batch_branch_amplitudes(5, cfg, zero_rows(1, 5), zero_rows(1, 5), "11")
 
     def test_crossing_atoms_rejected(self):
         cfg = reference_config(n_atoms=5, model=Model.FULL_VDW)
-        vel = np.zeros(5)
-        vel[2] = 10.0  # 10 um/us for 2 us crosses the 4 um spacing
-        with pytest.raises(SampleRejected):
-            run_thermal_trial(5, cfg, KinematicDraw(np.zeros(5), vel))
+        vel = zero_rows(2, 5)
+        vel[1, 2] = 10.0  # 10 um/us for 2 us crosses the 4 um spacing
+        with pytest.raises(SampleRejected, match=r"rows \[1\]"):
+            _batch_branch_amplitudes(5, cfg, zero_rows(2, 5), vel, "11")
 
     def test_bulk_atom_phase_sensitivity_below_edge(self):
         # AFM bulk motion cancels at first order; edges do not
@@ -126,15 +135,12 @@ class TestThermalTrials:
         v = thermal_velocity(1e-6)
 
         def sensitivity(atom):
-            phases = []
-            for sign in (+1.0, -1.0):
-                vel = np.zeros(7)
-                vel[atom] = sign * v
-                amp = thermal_branch_amplitude(7, cfg, KinematicDraw(np.zeros(7), vel), "11")
-                phases.append(np.angle(amp))
-            return (phases[0] - phases[1]) / 2
+            vel = zero_rows(2, 7)
+            vel[:, atom] = (+v, -v)  # one batch row per sign
+            amps = _batch_branch_amplitudes(7, cfg, zero_rows(2, 7), vel, "11")
+            return (np.angle(amps[0]) - np.angle(amps[1])) / 2
 
-    # edge atom 0 vs a bulk atom in the AFM interior
+        # edge atom 0 vs a bulk atom in the AFM interior
         edge = abs(sensitivity(0))
         bulk = abs(sensitivity(3))
         assert bulk < 0.5 * edge
