@@ -48,7 +48,7 @@ def _git_describe() -> str:
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=5,
+            capture_output=True, text=True, timeout=5, cwd=Path(__file__).resolve().parent,
         )
         if out.returncode == 0:
             return out.stdout.strip()
@@ -354,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=str, default=None, help="JSON protocol config")
     parser.add_argument("--out", type=str, default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (>= 1; capped at the CPU count and the task count)")
     parser.add_argument("--model", choices=[m.value for m in Model], default=None,
                         help="override the config model")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -15,6 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
 
+import numpy as np
+
 from .errors import ConfigError
 from .units import Frequency, mhz
 
@@ -140,19 +142,25 @@ class PulseProfile:
         """Chirp rate 2 delta0 / tau (rad/us^2)."""
         return 2.0 * self.delta0 / self.tau
 
-    def _check_time(self, t: float) -> None:
-        if not 0.0 <= t <= self.tau:
+    def _check_time(self, t) -> None:
+        lo, hi = (t.min(), t.max()) if isinstance(t, np.ndarray) else (t, t)
+        if not (0.0 <= lo and hi <= self.tau):
             raise ValueError(f"t = {t} outside the pulse window [0, {self.tau}]")
 
     def _edge_offset(self) -> float:
         return math.exp(-((self.tau / (2.0 * self.sigma)) ** ENVELOPE_EXPONENT))
 
-    def omega(self, t: float) -> Frequency:
-        """Rabi frequency at time t; tiny negative round-off is clamped to 0."""
+    def omega(self, t):
+        """Rabi frequency at time t, a float or an array of times (then an
+        array of values); tiny negative round-off is clamped to 0."""
         self._check_time(t)
         off = self._edge_offset()
-        raw = (math.exp(-(((t - self.tau / 2.0) / self.sigma) ** ENVELOPE_EXPONENT)) - off) / (1.0 - off)
-        return Frequency(self.omega0 * max(raw, 0.0))
+        # numpy's power and exp, so a float and an array of times give
+        # bitwise the same values
+        u = (t - self.tau / 2.0) / self.sigma
+        raw = (np.exp(-np.power(u, ENVELOPE_EXPONENT)) - off) / (1.0 - off)
+        value = self.omega0 * np.maximum(raw, 0.0)
+        return value if isinstance(value, np.ndarray) else Frequency(value)
 
     def omega_dot(self, t: float) -> float:
         """Analytic d Omega/dt, used by the non-adiabatic coupling diagnostics."""
@@ -163,14 +171,16 @@ class PulseProfile:
             -ENVELOPE_EXPONENT * u ** (ENVELOPE_EXPONENT - 1) / self.sigma
         ) / (1.0 - off)
 
-    def delta(self, t: float) -> Frequency:
-        """Detuning at time t.
+    def delta(self, t):
+        """Detuning at time t, a float or an array of times (then an array
+        of values).
 
         Evaluated as delta0 * (2 t / tau - 1) so the endpoint and midpoint
         values -delta0, 0, +delta0 are exact in floating point.
         """
         self._check_time(t)
-        return Frequency(self.delta0 * (2.0 * t / self.tau - 1.0))
+        value = self.delta0 * (2.0 * t / self.tau - 1.0)
+        return value if isinstance(value, np.ndarray) else Frequency(value)
 
     def time_at_delta(self, delta: float) -> float:
         """Inverse of the linear sweep, clipped to the pulse window."""

@@ -2,9 +2,10 @@
 
 Fixed-step classical RK4 with midpoint Hamiltonian evaluations, in one
 segment stepper that every propagation goes through: a single state or a
-batch of states held as the columns of one array.  The drive structure,
-excitation counts and interaction diagonal are cached once per segment;
-each evaluation only rescales them with the instantaneous pulse values.
+batch of states held as the columns of one array.  The drive structure is
+built once per basis, the excitation counts and interaction diagonal once
+per segment, and the pulse is tabulated once per segment; each evaluation
+only rescales them with the tabulated pulse values.
 Hermitian runs renormalize the state after every step (removing the RK4
 amplitude artifact, which would otherwise mask real norm errors);
 non-Hermitian runs keep the physical norm decay.
@@ -80,17 +81,22 @@ def _check_state(psi: np.ndarray, t: float) -> None:
 class _SegmentEngine:
     """One pulse segment: cached operator structure plus pulse scaling.
 
-    ``v_int_fn``, when given, supplies the interaction diagonal as a
-    function of absolute protocol time (thermal motion), one column per
-    trial of a (dim, batch) state; the excitation counts are then kept as
-    a column so the diagonal broadcasts against the batch.  Otherwise the
-    static ``v_int`` vector is used.
+    ``drive`` is the real drive structure of ``basis`` and ``gen`` the
+    complex -i * drive the stepper multiplies with; both are built once per
+    basis and shared by the segments of a protocol.  ``v_int_fn``, when
+    given, supplies the interaction diagonal as a function of absolute
+    protocol time (thermal motion), one column per trial of a (dim, batch)
+    state; the excitation counts are then kept as a column so the diagonal
+    broadcasts against the batch.  Otherwise the static ``v_int`` vector is
+    used.
     """
 
     def __init__(
         self,
         basis: Basis,
         pulse: PulseProfile,
+        drive: np.ndarray,
+        gen: np.ndarray,
         gamma: float = 0.0,
         v_int: Optional[np.ndarray] = None,
         v_int_fn: Optional[Callable[[float], np.ndarray]] = None,
@@ -99,26 +105,48 @@ class _SegmentEngine:
         self.basis = basis
         self.pulse = pulse
         self.gamma = gamma
-        self.drive = drive_matrix(basis)
+        self.drive = drive
+        self.gen = gen
         n_r = excitation_numbers(basis)
-        self.n_r = n_r if v_int_fn is None else n_r[:, None]
+        if v_int_fn is not None:
+            n_r = n_r[:, None]
         self.v_int = np.zeros(basis.dim) if v_int is None else v_int
         self.v_int_fn = v_int_fn
         self.t_abs_start = t_abs_start
-        self._decay = -0.5j * gamma * self.n_r if gamma else None
+        self._decay = -0.5j * gamma * n_r if gamma else None
+        # -iH = Omega * gen + Delta * (i n_r) - i (v_int + decay)
+        self._i_n_r = 1j * n_r
+        self._static = -1j * (self.v_int if self._decay is None else self.v_int + self._decay)
 
     def coeffs(self, t_local: float) -> Tuple[float, np.ndarray]:
         """(Omega, complex diagonal) at local pulse time; endpoint round-off
         is clamped into the pulse window."""
         t = min(max(t_local, 0.0), self.pulse.tau)
-        v = self.v_int_fn(self.t_abs_start + t) if self.v_int_fn is not None else self.v_int
-        diag = -self.pulse.delta(t) * self.n_r + v
-        if self._decay is not None:
-            diag = diag + self._decay
-        return self.pulse.omega(t), diag
+        return self.pulse.omega(t), 1j * self.rate_diagonal(t, self.pulse.delta(t))
 
-    def deriv(self, omega: float, diag: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        return -1j * (omega * (self.drive @ psi) + diag * psi)
+    def tables(self, dt: float, n_steps: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Local times of every RK4 evaluation of the segment, clamped into
+        the pulse window, with Omega and Delta there.
+
+        Entry 2s is the start of step s (the end of step s - 1), entry
+        2s + 1 its midpoint.
+        """
+        t = np.empty(2 * n_steps + 1)
+        t[0] = 0.0
+        starts = np.arange(n_steps) * dt
+        t[1::2] = starts + 0.5 * dt
+        t[2::2] = starts + dt
+        np.clip(t, 0.0, self.pulse.tau, out=t)
+        return t, self.pulse.omega(t), self.pulse.delta(t)
+
+    def rate_diagonal(self, t_local: float, delta: float) -> np.ndarray:
+        """Diagonal of -iH at a tabulated local time and its detuning."""
+        if self.v_int_fn is None:
+            return delta * self._i_n_r + self._static
+        d = delta * self._i_n_r - 1j * self.v_int_fn(self.t_abs_start + t_local)
+        if self._decay is not None:
+            d -= 1j * self._decay
+        return d
 
     def branch_energy(self, t_local: float, psi: np.ndarray) -> float:
         """Instantaneous eigenvalue of the dominantly occupied branch of the
@@ -144,33 +172,61 @@ def _run_segment(
     every ``stride`` steps and at the segment end.
 
     ``psi`` is one state (dim,) or a batch of states as columns
-    (dim, batch); renormalization then acts on each column.  Raises
-    PropagationError on non-finite amplitudes at a sample.
+    (dim, batch); renormalization then acts on each column.  The pulse is
+    tabulated once for the segment and each derivative is the fused
+    Omega * (gen @ y) + d * y with the complex diagonal d of -iH, built
+    once per evaluation time.  Raises PropagationError on non-finite
+    amplitudes at a sample.
     """
     times: List[float] = []
     states: List[np.ndarray] = []
+    gen = engine.gen
+    t_tab, om, dl = engine.tables(dt, n_steps)
     half = 0.5 * dt
-    om_next, diag_next = engine.coeffs(0.0)
+    sixth = dt / 6.0
+    psi = np.array(psi, dtype=complex)
+    k1, k2, k3, k4, y, dy = (np.empty_like(psi) for _ in range(6))
+
+    def deriv(j: int, d: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+        np.dot(gen, y, out=out)
+        out *= om[j]
+        np.multiply(d, y, out=dy)
+        out += dy
+
+    d_end = engine.rate_diagonal(t_tab[0], dl[0])
     for step in range(n_steps):
-        t = step * dt
-        om1, d1 = om_next, diag_next
-        om2, d2 = engine.coeffs(t + half)
-        om_next, diag_next = engine.coeffs(t + dt)
-        k1 = engine.deriv(om1, d1, psi)
-        k2 = engine.deriv(om2, d2, psi + half * k1)
-        k3 = engine.deriv(om2, d2, psi + half * k2)
-        k4 = engine.deriv(om_next, diag_next, psi + dt * k3)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        j = 2 * step
+        d_start = d_end
+        d_mid = engine.rate_diagonal(t_tab[j + 1], dl[j + 1])
+        d_end = engine.rate_diagonal(t_tab[j + 2], dl[j + 2])
+        deriv(j, d_start, psi, k1)
+        np.multiply(k1, half, out=y)
+        y += psi
+        deriv(j + 1, d_mid, y, k2)
+        np.multiply(k2, half, out=y)
+        y += psi
+        deriv(j + 1, d_mid, y, k3)
+        np.multiply(k3, dt, out=y)
+        y += psi
+        deriv(j + 2, d_end, y, k4)
+        # psi += dt/6 (k1 + 2 (k2 + k3) + k4), in the reference order
+        k2 += k3
+        k2 *= 2.0
+        k1 += k2
+        k1 += k4
+        k1 *= sixth
+        psi += k1
         if renormalize:
             if psi.ndim == 1:
-                psi = psi / math.sqrt(np.vdot(psi, psi).real)
+                psi /= math.sqrt(np.vdot(psi, psi).real)
             else:
-                psi = psi / np.linalg.norm(psi, axis=0, keepdims=True)
+                psi /= np.linalg.norm(psi, axis=0, keepdims=True)
         if (step + 1) % stride == 0 or step == n_steps - 1:
-            _check_state(psi, t + dt)
+            t = step * dt + dt
+            _check_state(psi, t)
             # pin the final sample to the exact pulse end so segment
             # boundaries are found exactly downstream
-            times.append(engine.pulse.tau if step == n_steps - 1 else t + dt)
+            times.append(engine.pulse.tau if step == n_steps - 1 else t)
             states.append(psi.copy())
     return times, states
 
@@ -254,18 +310,20 @@ def _protocol_segments(
     gamma_1 = cfg.decay.gamma_r if cfg.include_decay else 0.0
     gamma_2 = cfg.decay.gamma_rp if cfg.include_decay else 0.0
 
+    drive = drive_matrix(basis)
+    gen = -1j * drive
     if v_int_fn_steps is not None:
         fn1, fn2 = v_int_fn_steps
-        seg1 = _SegmentEngine(basis, pulse_1, gamma_1, v_int_fn=fn1, t_abs_start=0.0)
-        seg2 = _SegmentEngine(basis, pulse_2, gamma_2, v_int_fn=fn2, t_abs_start=pulse_1.tau)
+        seg1 = _SegmentEngine(basis, pulse_1, drive, gen, gamma_1, v_int_fn=fn1, t_abs_start=0.0)
+        seg2 = _SegmentEngine(basis, pulse_2, drive, gen, gamma_2, v_int_fn=fn2, t_abs_start=pulse_1.tau)
     else:
         if cfg.model is Model.FULL_VDW:
             v1 = interaction_diagonal(basis, cfg.interaction)
             v2 = interaction_diagonal(basis, cfg.interaction.flipped())
         else:
             v1 = v2 = np.zeros(basis.dim)
-        seg1 = _SegmentEngine(basis, pulse_1, gamma_1, v_int=v1, t_abs_start=0.0)
-        seg2 = _SegmentEngine(basis, pulse_2, gamma_2, v_int=v2, t_abs_start=pulse_1.tau)
+        seg1 = _SegmentEngine(basis, pulse_1, drive, gen, gamma_1, v_int=v1, t_abs_start=0.0)
+        seg2 = _SegmentEngine(basis, pulse_2, drive, gen, gamma_2, v_int=v2, t_abs_start=pulse_1.tau)
     return basis, (seg1, seg2)
 
 

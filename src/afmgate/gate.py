@@ -9,8 +9,10 @@ Decay population is treated as lost, which lower-bounds the fidelity.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -397,9 +399,14 @@ def sweep_tau(
     Grid points are independent; ``jobs`` > 1 runs them in worker
     processes (the result order is fixed by the grid either way)."""
     tasks = [(n_atoms, cfg, float(tau), dict(c_table)) for tau in taus]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    return tuple(map_tasks(_sweep_worker, tasks, jobs))
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return tuple(pool.map(_sweep_worker, tasks))
-    return tuple(_sweep_worker(t) for t in tasks)
+
+def map_tasks(fn: Callable, tasks: Sequence, jobs: int) -> list:
+    """``[fn(t) for t in tasks]``, run in min(jobs, CPU count, task count)
+    worker processes when that is more than one; results keep task order."""
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]

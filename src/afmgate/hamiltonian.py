@@ -110,12 +110,20 @@ def interaction_diagonal(basis: Basis, interaction: InteractionConfig) -> np.nda
     return pair_incidence(basis, pairs) @ strengths
 
 
+def chain_matrix(
+    omega: float, delta: float, drive: np.ndarray, n_r: np.ndarray, v_int: np.ndarray | float = 0.0
+) -> np.ndarray:
+    """Dense complex omega * drive + diag(-delta * n_r + v_int) from the
+    operator structure of a basis (drive structure, excitation numbers,
+    interaction diagonal), so repeated evaluations build it only once."""
+    return (omega * drive + np.diag(-delta * n_r + v_int)).astype(complex)
+
+
 def build_pxp(omega: float, delta: float, basis: Basis) -> OperatorMatrix:
     """PXP Hamiltonian: blockade-projected drive minus delta per excitation."""
     if not basis.constrained:
         raise ValueError("the PXP model requires a blockade-constrained basis")
-    h = omega * drive_matrix(basis) + np.diag(-delta * excitation_numbers(basis))
-    return OperatorMatrix(h.astype(complex), basis)
+    return OperatorMatrix(chain_matrix(omega, delta, drive_matrix(basis), excitation_numbers(basis)), basis)
 
 
 def build_vdw(
@@ -124,9 +132,10 @@ def build_vdw(
     """Full model: unconstrained drive plus the pairwise interaction diagonal."""
     if basis.constrained:
         raise ValueError("the full van der Waals model requires the unconstrained basis")
-    diag = -delta * excitation_numbers(basis) + interaction_diagonal(basis, interaction)
-    h = omega * drive_matrix(basis) + np.diag(diag)
-    return OperatorMatrix(h.astype(complex), basis)
+    h = chain_matrix(
+        omega, delta, drive_matrix(basis), excitation_numbers(basis), interaction_diagonal(basis, interaction)
+    )
+    return OperatorMatrix(h, basis)
 
 
 def level_shifts(omega: float, delta: float, b_nn: float) -> Tuple[float, float]:
@@ -286,19 +295,4 @@ def build_afm_effective(
     for j in range(h.shape[0] - 1):
         h[j, j + 1] = h[j + 1, j] = hop
     return OperatorMatrix(h.astype(complex), None)
-
-
-def decay_operator(basis: Basis, gamma: float) -> OperatorMatrix:
-    """Diagonal decay-rate operator gamma * n_r(s) (the L^2 of the
-    non-Hermitian effective Hamiltonian)."""
-    if gamma < 0.0:
-        raise ValueError(f"decay rate must be >= 0, got {gamma}")
-    return OperatorMatrix(np.diag(gamma * excitation_numbers(basis)).astype(complex), basis)
-
-
-def effective_hamiltonian(h: OperatorMatrix, l2: OperatorMatrix) -> OperatorMatrix:
-    """Non-Hermitian effective Hamiltonian H - (i/2) L^2."""
-    if h.matrix.shape != l2.matrix.shape:
-        raise ValueError(f"shape mismatch: {h.matrix.shape} vs {l2.matrix.shape}")
-    return OperatorMatrix(h.matrix - 0.5j * l2.matrix, h.basis)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -28,8 +28,10 @@ from .hamiltonian import (
     build_corrections,
     build_pxp,
     build_vdw,
+    chain_matrix,
     drive_matrix,
     excitation_numbers,
+    interaction_diagonal,
 )
 
 HERMITICITY_RTOL = 1e-10
@@ -65,6 +67,24 @@ def model_hamiltonian(
     if model is Model.FULL_VDW:
         return build_vdw(omega, delta, interaction, basis)
     return build_corrections(omega, delta, interaction, basis)
+
+
+def _hamiltonian_at(
+    model: Model, basis: Basis, interaction: Optional[InteractionConfig], drive: np.ndarray
+) -> Callable[[float, float], np.ndarray]:
+    """(omega, delta) -> dense H for repeated evaluation on one basis whose
+    drive structure is ``drive``.
+
+    The PXP and vdW models reuse their operator structure.  The corrections
+    model, whose shifts depend on the drive, is rebuilt per call, and so is
+    a vdW model without an interaction, which then fails in
+    ``model_hamiltonian``.
+    """
+    if model is Model.PXP_PLUS_CORRECTIONS or (model is Model.FULL_VDW and interaction is None):
+        return lambda omega, delta: model_hamiltonian(model, omega, delta, basis, interaction).matrix
+    n_r = excitation_numbers(basis)
+    v_int = interaction_diagonal(basis, interaction) if model is Model.FULL_VDW else 0.0
+    return lambda omega, delta: chain_matrix(omega, delta, drive, n_r, v_int)
 
 
 def eig_sorted(h: OperatorMatrix | np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -148,6 +168,7 @@ def scan_spectrum(
     basis = model_basis(model, nu)
     dmat = drive_matrix(basis)
     n_r = excitation_numbers(basis)
+    hamiltonian = _hamiltonian_at(model, basis, interaction, dmat)
     inv = inversion_matrix(basis)
     deg_tol = DEGENERACY_RTOL * abs(pulse.omega0) if pulse.omega0 else DEGENERACY_RTOL
 
@@ -163,9 +184,7 @@ def scan_spectrum(
 
     prev_vecs: Optional[np.ndarray] = None
     for g, (t, delta) in enumerate(zip(times, deltas)):
-        omega = pulse.omega(t)
-        h = model_hamiltonian(model, omega, delta, basis, interaction)
-        w, v = np.linalg.eigh(h.matrix)
+        w, v = np.linalg.eigh(hamiltonian(pulse.omega(t), delta))
         if prev_vecs is not None:
             v = _phase_fix(prev_vecs, v)
         prev_vecs = v
@@ -233,11 +252,10 @@ def min_gap(
     if partner > basis.dim:
         raise ValueError(f"basis of dim {basis.dim} has no branch {partner}")
     k0 = partner - 1
+    hamiltonian = _hamiltonian_at(model, basis, interaction, drive_matrix(basis))
 
     def gap_at(delta: float) -> float:
-        t = pulse.time_at_delta(delta)
-        h = model_hamiltonian(model, pulse.omega(t), delta, basis, interaction)
-        w = np.linalg.eigvalsh(h.matrix)
+        w = np.linalg.eigvalsh(hamiltonian(pulse.omega(pulse.time_at_delta(delta)), delta))
         return float(w[k0] - w[0])
 
     deltas = np.linspace(-abs(pulse.delta0), abs(pulse.delta0), coarse_points)

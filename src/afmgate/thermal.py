@@ -11,7 +11,6 @@ dephasing caused by imperfect cancellation between the two pulses.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -21,7 +20,7 @@ from .basis import build_full_basis
 from .config import ChainConfig, InteractionConfig, Model, ProtocolConfig
 from .errors import SampleRejected
 from .evolution import _protocol_segments, _run_segment, _step_count
-from .gate import INPUT_LABELS, active_atoms, fidelity_from_diag
+from .gate import INPUT_LABELS, active_atoms, fidelity_from_diag, map_tasks
 from .hamiltonian import pair_incidence, pair_sites
 from .units import M_RB87, thermal_velocity
 
@@ -232,12 +231,7 @@ def run_thermal_ensemble(
         (n_atoms, cfg, offsets[i : i + _BATCH_CHUNK], velocities[i : i + _BATCH_CHUNK], dt)
         for i in range(0, n_valid, _BATCH_CHUNK)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_chunk_worker, chunks))
-    else:
-        parts = [_chunk_worker(c) for c in chunks]
-    diags = list(np.concatenate(parts, axis=0))
+    diags = list(np.concatenate(map_tasks(_chunk_worker, chunks, jobs), axis=0))
 
     fids = np.array([fidelity_from_diag(n_atoms, d) for d in diags])
     dphi = np.array([_wrap_phase(float(np.angle(d[3]) - ref_phase)) for d in diags])

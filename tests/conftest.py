@@ -48,3 +48,29 @@ def reference_config(
 @pytest.fixture
 def pulse() -> PulseProfile:
     return reference_pulse()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the worker pool by an in-process stand-in on a 4-CPU machine;
+    returns the list of requested pool sizes.  No process is started."""
+    from afmgate import gate
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(gate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(gate.os, "cpu_count", lambda: 4)
+    return sizes

@@ -1,12 +1,14 @@
 """CLI: artifacts, determinism, exit codes."""
 
 import json
+import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from afmgate.cli import EXIT_CONFIG, EXIT_OK, main
+import afmgate
+from afmgate.cli import EXIT_CONFIG, EXIT_OK, _git_describe, main
 
 CONFIG = {
     "chain": {"n_atoms": 5, "spacing_um": 4.0},
@@ -257,3 +259,15 @@ class TestErrorHandling:
         rc = main(["--config", cfg, "--out", str(tmp_path / "o"),
                    "spectrum", "--nu", "25"])  # beyond the enumeration guard
         assert rc == EXIT_RUNTIME
+
+
+def test_git_describe_ignores_the_callers_repository(tmp_path, monkeypatch):
+    # the manifest names the package's source tree, not the caller's cwd
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    monkeypatch.chdir(tmp_path)
+    package = subprocess.run(
+        ["git", "describe", "--always", "--dirty"],
+        capture_output=True, text=True, cwd=Path(afmgate.__file__).resolve().parent,
+    )
+    expected = package.stdout.strip() if package.returncode == 0 else f"afmgate-{afmgate.__version__}"
+    assert _git_describe() == expected

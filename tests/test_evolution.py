@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from afmgate.basis import build_full_basis
 from afmgate.config import Model, PulseProfile
 from afmgate.errors import PropagationError
 from afmgate.evolution import (
+    _protocol_segments,
     _run_segment,
     _SegmentEngine,
     _step_count,
@@ -18,6 +20,7 @@ from afmgate.evolution import (
     phase_decomposition,
     run_protocol,
 )
+from afmgate.hamiltonian import interaction_diagonal
 from afmgate.units import mhz
 
 from conftest import reference_config
@@ -32,12 +35,17 @@ class ConstantEngine(_SegmentEngine):
 
     def __init__(self, drive, diag, omega=1.0, tau=1.0):
         self.drive = np.asarray(drive, dtype=complex)
+        self.gen = -1j * self.drive
         self.diag = np.asarray(diag, dtype=complex)
         self.omega = omega
         self.pulse = SimpleNamespace(tau=tau)
 
-    def coeffs(self, t_local):
-        return self.omega, self.diag
+    def tables(self, dt, n_steps):
+        t = np.zeros(2 * n_steps + 1)
+        return t, np.full_like(t, self.omega), t
+
+    def rate_diagonal(self, t_local, delta):
+        return -1j * self.diag
 
 
 def run_constant(engine, psi0, dt, stride=1, renormalize=True):
@@ -91,6 +99,77 @@ class TestPropagate:
             single = ConstantEngine(engine.drive, diag[:, col], omega=mhz(8.0))
             _, states = run_constant(single, psi0[:, col], 1e-3, stride=1000, renormalize=renormalize)
             assert np.abs(batch[-1][:, col] - states[-1]).max() < 1e-12
+
+
+def plain_rk4(h_of_t, psi, dt, n_steps, renormalize):
+    """Textbook RK4 on psi' = -i H(t) psi, one matrix per evaluation."""
+    for step in range(n_steps):
+        t = step * dt
+        f = lambda tt, y: -1j * (h_of_t(tt) @ y)
+        k1 = f(t, psi)
+        k2 = f(t + dt / 2, psi + dt / 2 * k1)
+        k3 = f(t + dt / 2, psi + dt / 2 * k2)
+        k4 = f(t + dt, psi + dt * k3)
+        psi = psi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if renormalize:
+            psi = psi / np.linalg.norm(psi)
+    return psi
+
+
+class TestFusedStepper:
+    """The tabulated, fused stepper against a plain RK4 on the engine's own
+    Hamiltonian matrices over one reference segment."""
+
+    def test_single_state_with_decay_matches_plain_rk4(self):
+        cfg = reference_config(model=Model.FULL_VDW, include_decay=True, gamma=mhz(0.05))
+        _, (seg1, _) = _protocol_segments(3, cfg)
+        n = _step_count(0.0, cfg.pulse.tau, cfg.dt)
+        psi0 = np.zeros(seg1.basis.dim, dtype=complex)
+        psi0[0] = 1.0
+        _, (fused,) = _run_segment(seg1, psi0, cfg.dt, n, n, renormalize=False)
+        plain = plain_rk4(seg1.matrix, psi0, cfg.dt, n, renormalize=False)
+        assert np.linalg.norm(plain) < 1.0
+        assert np.abs(fused - plain).max() < 1e-12
+
+    @pytest.mark.parametrize("include_decay", [False, True])
+    def test_batch_with_per_column_diagonal_matches_plain_rk4(self, include_decay):
+        cfg = reference_config(model=Model.FULL_VDW, include_decay=include_decay, gamma=mhz(0.05))
+        basis = build_full_basis(3)
+        v0 = interaction_diagonal(basis, cfg.interaction)
+        rates = np.array([0.0, 0.3, -0.2])
+
+        def v_int_at(t_abs):  # (dim, 3): one drifting interaction per column
+            return v0[:, None] * (1.0 + rates[None, :] * t_abs)
+
+        _, (_, seg2) = _protocol_segments(3, cfg, v_int_fn_steps=(v_int_at, v_int_at), basis=basis)
+        dt = seg2.pulse.tau / 1000
+        psi0 = np.zeros((basis.dim, 3), dtype=complex)
+        psi0[0, :] = 1.0
+        renormalize = not include_decay
+        _, (fused,) = _run_segment(seg2, psi0, dt, 1000, 1000, renormalize)
+        for col in range(3):
+
+            def h_col(t):
+                omega, diag = seg2.coeffs(t)
+                return omega * seg2.drive + np.diag(diag[:, col])
+
+            plain = plain_rk4(h_col, psi0[:, col], dt, 1000, renormalize)
+            assert np.abs(fused[:, col] - plain).max() < 1e-12
+        assert np.abs(fused[:, 1] - fused[:, 0]).max() > 1e-6  # the columns really differ
+
+    def test_tables_equal_scalar_pulse_values(self):
+        cfg = reference_config(model=Model.PXP)
+        _, (seg1, _) = _protocol_segments(3, cfg)
+        pulse = seg1.pulse
+        n = 93  # (n - 1) * dt + dt rounds past tau = 1, so the last end is clamped
+        dt = pulse.tau / n
+        assert (n - 1) * dt + dt > pulse.tau
+        t, om, dl = seg1.tables(dt, n)
+        assert t[-1] == pulse.tau and om[-1] == 0.0 and dl[-1] == pulse.delta0
+        expect_t = [0.0] + [x for s in range(n) for x in (s * dt + 0.5 * dt, min(s * dt + dt, pulse.tau))]
+        assert t.tolist() == expect_t
+        assert om.tolist() == [pulse.omega(x) for x in expect_t]
+        assert dl.tolist() == [pulse.delta(x) for x in expect_t]
 
 
 class TestRunProtocol:

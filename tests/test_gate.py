@@ -7,6 +7,7 @@ import pytest
 
 from afmgate.config import Model, mean_rydberg_number
 from afmgate.errors import ConfigError, FitQualityError, RegimeError
+from afmgate import gate
 from afmgate.gate import (
     CZ_DIAG,
     active_atoms,
@@ -22,8 +23,10 @@ from afmgate.gate import (
     leakage_error,
     leakage_mu_nu,
     lz_probability,
+    map_tasks,
     optimal_tau,
     scaling_emin,
+    sweep_tau,
     transfer_error,
 )
 from afmgate.units import mhz
@@ -247,3 +250,21 @@ class TestFitCnu:
     def test_too_narrow_window_raises_fit_error(self):
         with pytest.raises(FitQualityError):
             fit_c_nu(3, reference_config(n_atoms=3), taus=[0.05, 0.06])
+
+
+class TestWorkerPool:
+    def test_pool_size_clamped_to_cpus_and_tasks(self, pool_sizes):
+        assert map_tasks(abs, [-1, -2, -3], jobs=10**6) == [1, 2, 3]
+        assert map_tasks(abs, list(range(-9, 1)), jobs=10**6) == list(range(9, -1, -1))
+        assert pool_sizes == [3, 4]
+
+    def test_single_worker_runs_in_process(self, pool_sizes):
+        assert map_tasks(abs, [-1, -2], jobs=1) == [1, 2]
+        assert map_tasks(abs, [-5], jobs=10**6) == [5]
+        assert pool_sizes == []
+
+    def test_sweep_tau_clamps_jobs(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(gate, "_sweep_worker", lambda task: task[2])
+        taus = sweep_tau(5, reference_config(), [0.5, 1.0], {}, jobs=10**6)
+        assert taus == (0.5, 1.0)
+        assert pool_sizes == [2]

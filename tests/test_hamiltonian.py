@@ -16,8 +16,6 @@ from afmgate.hamiltonian import (
     build_corrections,
     build_pxp,
     build_vdw,
-    decay_operator,
-    effective_hamiltonian,
     excitation_numbers,
 )
 from afmgate.units import mhz
@@ -189,35 +187,6 @@ class TestAfmEffective:
         inter = interaction(b=30.0, spacing=1.0)
         assert AfmManifoldModel.evaluate(6, 1.0, 10.0, inter).regime is AfmRegime.SPLIT
         assert AfmManifoldModel.evaluate(6, 6.0, 10.0, inter).regime is AfmRegime.DEGENERATE
-
-
-class TestDecayOperators:
-    def test_decay_diagonal_counts_excitations(self):
-        basis = build_blockade_basis(5)
-        gamma = 0.25
-        l2 = decay_operator(basis, gamma)
-        diag = np.diag(l2.matrix).real
-        assert diag[basis.index[0]] == 0.0
-        assert diag[basis.index[0b101]] == pytest.approx(2 * gamma)
-        assert diag[basis.index[0b10101]] == pytest.approx(3 * gamma)
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            decay_operator(build_blockade_basis(2), -0.1)
-
-    def test_effective_hamiltonian_antihermitian_part(self):
-        basis = build_blockade_basis(3)
-        h = build_pxp(1.0, 0.5, basis)
-        l2 = decay_operator(basis, 0.3)
-        heff = effective_hamiltonian(h, l2)
-        anti = 0.5 * (heff.matrix - heff.matrix.conj().T)
-        assert np.abs(anti - (-0.5j) * l2.matrix).max() < 1e-14
-
-    def test_zero_rate_is_identity_on_h(self):
-        basis = build_blockade_basis(3)
-        h = build_pxp(1.0, 0.5, basis)
-        heff = effective_hamiltonian(h, decay_operator(basis, 0.0))
-        assert np.abs(heff.matrix - h.matrix).max() == 0.0
 
 
 def test_operator_matrix_tracks_basis():

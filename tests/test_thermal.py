@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from afmgate import thermal
 from afmgate.config import Model
 from afmgate.errors import SampleRejected
 from afmgate.evolution import run_protocol
@@ -165,6 +166,14 @@ class TestEnsemble:
 
         ratio = sem(small) / sem(big)
         assert 1.0 < ratio < 4.0  # expect ~2 for a 4x trials increase
+
+    def test_jobs_clamped_to_chunk_count(self, pool_sizes, monkeypatch):
+        # 130 trials make three 64-trial chunks, so at most three workers
+        monkeypatch.setattr(thermal, "_chunk_worker", lambda args: np.ones((args[2].shape[0], 4), complex))
+        cfg = reference_config(n_atoms=3, model=Model.FULL_VDW, tau=0.4)
+        rep = run_thermal_ensemble(3, cfg, ThermalConfig(temperature=1e-6, trials=130, seed=2), jobs=10**6)
+        assert rep.trials == 130
+        assert pool_sizes == [3]
 
     def test_report_quantities_well_formed(self):
         cfg = reference_config(n_atoms=3, model=Model.FULL_VDW, tau=0.4)
