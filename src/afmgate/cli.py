@@ -281,7 +281,7 @@ def cmd_thermal(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) ->
     rows.append(("summary", report.delta_phi_rms, float(np.mean(report.fidelity_samples))))
     _write_csv(
         out_dir / "thermal.csv",
-        _resolved_params(cfg, temp_uK=args.temp_uk, trials=report.trials, seed=tcfg.seed),
+        _resolved_params(cfg, dt_us=report.dt, temp_uK=args.temp_uk, trials=report.trials, seed=tcfg.seed),
         ("trial", "delta_phi_rad", "fidelity"),
         rows,
     )
@@ -412,13 +412,31 @@ _HANDLERS = {
 
 _NEEDS_CONFIG = {"spectrum", "evolve", "gate", "sweep", "thermal", "fit-c"}
 
+# (commands or None for every command, argument, flag, smallest legal value)
+_ARG_MINIMA = (
+    (None, "jobs", "--jobs", 1),
+    (("spectrum", "evolve", "basis-dump"), "nu", "--nu", 1),
+    (("spectrum",), "grid", "--grid", 3),
+    (("sweep",), "tau_points", "--tau-points", 1),
+    (("thermal",), "trials", "--trials", 1),
+    (("thermal",), "temp_uk", "--temp-uK", 0.0),
+    (("thermal",), "position_sigma_um", "--position-sigma-um", 0.0),
+)
+
+
+def _check_arg_ranges(args: argparse.Namespace) -> None:
+    """Reject out-of-range numeric flags before anything is written."""
+    for commands, name, flag, minimum in _ARG_MINIMA:
+        value = getattr(args, name) if commands is None or args.command in commands else None
+        if value is not None and not value >= minimum:
+            raise ConfigError(f"{flag} must be >= {minimum}, got {value}")
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        _check_arg_ranges(args)
         cfg = None
         if args.command in _NEEDS_CONFIG:
             if args.config is None:

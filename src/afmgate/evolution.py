@@ -4,8 +4,9 @@ Fixed-step classical RK4 with midpoint Hamiltonian evaluations, in one
 segment stepper that every propagation goes through: a single state or a
 batch of states held as the columns of one array.  The drive structure is
 built once per basis, the excitation counts and interaction diagonal once
-per segment, and the pulse is tabulated once per segment; each evaluation
-only rescales them with the tabulated pulse values.
+per segment, and the pulse is tabulated once per segment.  The diagonal of
+-iH is tabulated for a block of ``DIAG_BLOCK_STEPS`` steps at a time, so
+each evaluation only rescales the drive and reads its diagonal.
 Hermitian runs renormalize the state after every step (removing the RK4
 amplitude artifact, which would otherwise mask real norm errors);
 non-Hermitian runs keep the physical norm decay.
@@ -28,6 +29,10 @@ from .spectra import model_basis
 
 OVERLAP_VALID_MIN = 0.1
 PHASE_SAMPLE_MARGIN = math.pi / 4.0
+# RK4 steps whose -iH diagonals are tabulated together: long enough to
+# amortise the per-call cost, short enough to keep a thermal block of
+# (2 * steps, dim, batch) complex entries small
+DIAG_BLOCK_STEPS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,11 +89,11 @@ class _SegmentEngine:
     ``drive`` is the real drive structure of ``basis`` and ``gen`` the
     complex -i * drive the stepper multiplies with; both are built once per
     basis and shared by the segments of a protocol.  ``v_int_fn``, when
-    given, supplies the interaction diagonal as a function of absolute
-    protocol time (thermal motion), one column per trial of a (dim, batch)
-    state; the excitation counts are then kept as a column so the diagonal
-    broadcasts against the batch.  Otherwise the static ``v_int`` vector is
-    used.
+    given, supplies the interaction diagonal of a (dim, batch) state with
+    moving atoms: called with an array of k absolute protocol times it
+    returns the real (k, dim, batch) diagonals, one column per trial.  The
+    excitation counts are then kept as a column so the diagonal broadcasts
+    against the batch.  Otherwise the static ``v_int`` vector is used.
     """
 
     def __init__(
@@ -99,7 +104,7 @@ class _SegmentEngine:
         gen: np.ndarray,
         gamma: float = 0.0,
         v_int: Optional[np.ndarray] = None,
-        v_int_fn: Optional[Callable[[float], np.ndarray]] = None,
+        v_int_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         t_abs_start: float = 0.0,
     ):
         self.basis = basis
@@ -122,7 +127,8 @@ class _SegmentEngine:
         """(Omega, complex diagonal) at local pulse time; endpoint round-off
         is clamped into the pulse window."""
         t = min(max(t_local, 0.0), self.pulse.tau)
-        return self.pulse.omega(t), 1j * self.rate_diagonal(t, self.pulse.delta(t))
+        diag = self.diagonals(np.array([t]), np.array([self.pulse.delta(t)]))[0]
+        return self.pulse.omega(t), 1j * diag
 
     def tables(self, dt: float, n_steps: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Local times of every RK4 evaluation of the segment, clamped into
@@ -139,14 +145,16 @@ class _SegmentEngine:
         np.clip(t, 0.0, self.pulse.tau, out=t)
         return t, self.pulse.omega(t), self.pulse.delta(t)
 
-    def rate_diagonal(self, t_local: float, delta: float) -> np.ndarray:
-        """Diagonal of -iH at a tabulated local time and its detuning."""
+    def diagonals(self, t_local: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """Diagonals of -iH at an array of tabulated local times and their
+        detunings, stacked on axis 0: (k, dim), or (k, dim, batch) with a
+        per-trial interaction."""
         if self.v_int_fn is None:
-            return delta * self._i_n_r + self._static
-        d = delta * self._i_n_r - 1j * self.v_int_fn(self.t_abs_start + t_local)
-        if self._decay is not None:
-            d -= 1j * self._decay
-        return d
+            rest = self._static
+        else:
+            v = self.v_int_fn(self.t_abs_start + t_local)
+            rest = -1j * (v if self._decay is None else v + self._decay)
+        return delta.reshape((-1,) + (1,) * self._i_n_r.ndim) * self._i_n_r + rest
 
     def branch_energy(self, t_local: float, psi: np.ndarray) -> float:
         """Instantaneous eigenvalue of the dominantly occupied branch of the
@@ -173,9 +181,9 @@ def _run_segment(
 
     ``psi`` is one state (dim,) or a batch of states as columns
     (dim, batch); renormalization then acts on each column.  The pulse is
-    tabulated once for the segment and each derivative is the fused
-    Omega * (gen @ y) + d * y with the complex diagonal d of -iH, built
-    once per evaluation time.  Raises PropagationError on non-finite
+    tabulated once for the segment, the complex diagonal d of -iH once per
+    block of ``DIAG_BLOCK_STEPS`` steps, and each derivative is the fused
+    Omega * (gen @ y) + d * y.  Raises PropagationError on non-finite
     amplitudes at a sample.
     """
     times: List[float] = []
@@ -184,6 +192,7 @@ def _run_segment(
     t_tab, om, dl = engine.tables(dt, n_steps)
     half = 0.5 * dt
     sixth = dt / 6.0
+    block_len = 2 * DIAG_BLOCK_STEPS
     psi = np.array(psi, dtype=complex)
     k1, k2, k3, k4, y, dy = (np.empty_like(psi) for _ in range(6))
 
@@ -193,12 +202,17 @@ def _run_segment(
         np.multiply(d, y, out=dy)
         out += dy
 
-    d_end = engine.rate_diagonal(t_tab[0], dl[0])
+    d_end = engine.diagonals(t_tab[:1], dl[:1])[0]
     for step in range(n_steps):
         j = 2 * step
+        i = j % block_len
+        if i == 0:
+            # midpoints and ends of the next block of steps (the last block
+            # may be shorter)
+            block = engine.diagonals(t_tab[j + 1 : j + 1 + block_len], dl[j + 1 : j + 1 + block_len])
         d_start = d_end
-        d_mid = engine.rate_diagonal(t_tab[j + 1], dl[j + 1])
-        d_end = engine.rate_diagonal(t_tab[j + 2], dl[j + 2])
+        d_mid = block[i]
+        d_end = block[i + 1]
         deriv(j, d_start, psi, k1)
         np.multiply(k1, half, out=y)
         y += psi
@@ -297,7 +311,7 @@ class ProtocolRun:
 def _protocol_segments(
     nu: int,
     cfg: ProtocolConfig,
-    v_int_fn_steps: Optional[Tuple[Callable[[float], np.ndarray], Callable[[float], np.ndarray]]] = None,
+    v_int_fn_steps: Optional[Tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]] = None,
     basis: Optional[Basis] = None,
 ) -> Tuple[Basis, Tuple[_SegmentEngine, _SegmentEngine]]:
     if cfg.model is Model.PXP_PLUS_CORRECTIONS:

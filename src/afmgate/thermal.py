@@ -2,17 +2,21 @@
 
 Atoms move ballistically along the chain axis during the protocol
 (x_i(t) = x_i(0) + v_i t, velocities Gaussian with the 1D thermal scale
-sqrt(k_B T / m)), and every integrator evaluation recomputes the pairwise
-interactions from the instantaneous distances.  The residual |11>-branch
-phase and the fidelity loss against the frozen-chain baseline quantify the
-dephasing caused by imperfect cancellation between the two pulses.
+sqrt(k_B T / m)), so every pair distance is linear in time, d0 + dv t, and
+the pairwise interactions are tabulated from it for a block of integrator
+evaluations at a time.  Each chunk of trials, with the frozen-chain
+baseline as one more row of the first chunk, is propagated once per
+distinct active-chain size: the input branches with equally many
+laser-coupled atoms share one batched state.  The residual |11>-branch
+phase and the fidelity loss against the baseline quantify the dephasing
+caused by imperfect cancellation between the two pulses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,43 +102,52 @@ def _batch_branch_amplitudes(
     cfg: ProtocolConfig,
     offsets: np.ndarray,
     velocities: np.ndarray,
-    label: str,
+    labels: Sequence[str],
     dt: Optional[float] = None,
 ) -> np.ndarray:
-    """Final ground-state amplitudes of one input branch with moving atoms,
-    one per kinematic sample (rows of ``offsets`` / ``velocities``).
+    """Final ground-state amplitudes of input branches that share one
+    active-chain size, with moving atoms: a (trials, len(labels)) array for
+    the kinematic samples in the rows of ``offsets`` / ``velocities``.
 
-    The samples are propagated as the columns of one batched state, so one
-    matrix product per RK4 stage serves every trial.  Positions evolve over
-    absolute protocol time; the sign flip of C6 in step II multiplies every
-    instantaneous pair strength by -lambda.  Decay enters exactly as in
-    ``run_protocol``: with ``cfg.include_decay`` the states keep their
-    physical norm decay, otherwise they are renormalized every step.
+    Every (label, trial) pair is one column of a single batched state, so
+    one matrix product per RK4 stage serves them all.  Positions evolve
+    over absolute protocol time, so each pair distance is d0 + dv t and the
+    interaction diagonal of a block of evaluation times is one batched
+    product with the pair incidence; the sign flip of C6 in step II
+    multiplies every instantaneous pair strength by -lambda.  Decay enters
+    exactly as in ``run_protocol``: with ``cfg.include_decay`` the states
+    keep their physical norm decay, otherwise they are renormalized every
+    step.
     """
     if cfg.model is not Model.FULL_VDW:
         raise ValueError("thermal motion requires the full van der Waals model")
-    atoms = list(active_atoms(n_atoms, label))
-    nu = len(atoms)
+    atom_sets = [list(active_atoms(n_atoms, label)) for label in labels]
+    nu = len(atom_sets[0])
     basis = build_full_basis(nu)
 
-    base = cfg.chain.spacing * np.array(atoms)[None, :] + offsets[:, atoms]  # (trials, nu)
-    vel = velocities[:, atoms]
+    # one row per (label, trial), label-major
+    trials = offsets.shape[0]
+    base = np.concatenate(
+        [cfg.chain.spacing * np.array(atoms)[None, :] + offsets[:, atoms] for atoms in atom_sets]
+    )  # (rows, nu)
+    vel = np.concatenate([velocities[:, atoms] for atoms in atom_sets])
     for t_check in (0.0, cfg.tau_total):
-        x = base + vel * t_check
-        if np.any(np.diff(x, axis=1) <= 0.0):
-            bad = np.where(np.any(np.diff(x, axis=1) <= 0.0, axis=1))[0]
-            raise SampleRejected(f"atom ordering violated for batch rows {bad.tolist()}")
+        bad = np.any(np.diff(base + vel * t_check, axis=1) <= 0.0, axis=1)
+        if np.any(bad):
+            rows = np.unique(np.flatnonzero(bad) % trials)
+            raise SampleRejected(f"atom ordering violated for batch rows {rows.tolist()}")
 
     pairs = pair_sites(nu, cfg.interaction.range_cutoff)
     inc = pair_incidence(basis, pairs)
-    ia = np.array([p[0] for p in pairs], dtype=int)
-    ib = np.array([p[1] for p in pairs], dtype=int)
+    ia = [p[0] for p in pairs]
+    ib = [p[1] for p in pairs]
+    d0 = (base[:, ib] - base[:, ia]).T  # (pairs, rows)
+    dv = (vel[:, ib] - vel[:, ia]).T
 
-    def v_int_fn(c6: float) -> Callable[[float], np.ndarray]:
-        def v_int_at(t_abs: float) -> np.ndarray:
-            x = base + vel * t_abs
-            d = x[:, ib] - x[:, ia]
-            return inc @ (c6 / d**6).T  # (dim, trials)
+    def v_int_fn(c6: float) -> Callable[[np.ndarray], np.ndarray]:
+        def v_int_at(t_abs: np.ndarray) -> np.ndarray:
+            d = d0 + dv * t_abs[:, None, None]  # (times, pairs, rows)
+            return inc @ (c6 / d**6)  # (times, dim, rows)
 
         return v_int_at
 
@@ -146,12 +159,12 @@ def _batch_branch_amplitudes(
     dt1 = dt if dt is not None else _thermal_dt(cfg)
     n_steps = _step_count(0.0, cfg.pulse.tau, dt1)
 
-    psi = np.zeros((basis.dim, offsets.shape[0]), dtype=complex)
+    psi = np.zeros((basis.dim, base.shape[0]), dtype=complex)
     psi[basis.index[0], :] = 1.0
     for seg, seg_dt in zip(segments, (dt1, dt1 / lam)):
         # stride = n_steps keeps only the segment's final state
         _, (psi,) = _run_segment(seg, psi, seg_dt, n_steps, n_steps, seg.gamma == 0.0)
-    return psi[basis.index[0], :].copy()
+    return psi[basis.index[0], :].reshape(len(labels), trials).T.copy()
 
 
 def _wrap_phase(x: float) -> float:
@@ -165,13 +178,15 @@ class ThermalReport:
     ``fidelity_loss`` is the mean infidelity 1 - F over trials;
     ``thermal_excess_loss`` subtracts the frozen-chain baseline run at the
     identical discretization and isolates the motional contribution (the
-    quantity with the tau^4 scaling).
+    quantity with the tau^4 scaling).  ``dt`` is the integrator step of
+    the first pulse.
     """
 
     n_atoms: int
     trials: int
     seed: int
     rejected: int
+    dt: float
     delta_phi_samples: np.ndarray
     delta_phi_rms: float
     fidelity_samples: np.ndarray
@@ -184,15 +199,17 @@ class ThermalReport:
 _BATCH_CHUNK = 64  # fixed so results do not depend on the worker count
 
 
-def _chunk_worker(args: Tuple[int, ProtocolConfig, np.ndarray, np.ndarray, Optional[float]]) -> np.ndarray:
+def _chunk_worker(args: Tuple[int, ProtocolConfig, np.ndarray, np.ndarray, float]) -> np.ndarray:
+    """(trials, 4) input-branch amplitudes of one chunk of kinematic samples:
+    one batched propagation per distinct active-chain size."""
     n_atoms, cfg, offsets, velocities, dt = args
-    return np.stack(
-        [
-            _batch_branch_amplitudes(n_atoms, cfg, offsets, velocities, label, dt)
-            for label in INPUT_LABELS
-        ],
-        axis=1,
-    )  # (trials, 4)
+    by_size: Dict[int, List[str]] = {}
+    for label in INPUT_LABELS:
+        by_size.setdefault(len(active_atoms(n_atoms, label)), []).append(label)
+    amps: Dict[str, np.ndarray] = {}
+    for labels in by_size.values():
+        amps.update(zip(labels, _batch_branch_amplitudes(n_atoms, cfg, offsets, velocities, labels, dt).T))
+    return np.stack([amps[label] for label in INPUT_LABELS], axis=1)
 
 
 def run_thermal_ensemble(
@@ -206,12 +223,10 @@ def run_thermal_ensemble(
 
     Trials are propagated in fixed-size column batches, so results are
     bitwise reproducible for a given (seed, trials) regardless of ``jobs``.
-    The baseline is the zero-draw run through the identical code path.
+    The baseline is the zero-draw run through the identical code path: one
+    more row at the head of the first batch.
     """
-    baseline = _chunk_worker((n_atoms, cfg, np.zeros((1, n_atoms)), np.zeros((1, n_atoms)), dt))[0]
-    f_base = fidelity_from_diag(n_atoms, baseline)
-    ref_phase = np.angle(baseline[3])
-
+    dt = dt if dt is not None else _thermal_dt(cfg)
     draws = [sample_kinematics(tcfg, n_atoms, trial) for trial in range(tcfg.trials)]
     offsets = np.stack([d.offsets for d in draws])
     velocities = np.stack([d.velocities for d in draws])
@@ -224,14 +239,17 @@ def run_thermal_ensemble(
     rejected = int(np.sum(~ok))
     if not np.any(ok):
         raise SampleRejected("all thermal samples were rejected")
-    offsets, velocities = offsets[ok], velocities[ok]
 
-    n_valid = offsets.shape[0]
-    chunks = [
-        (n_atoms, cfg, offsets[i : i + _BATCH_CHUNK], velocities[i : i + _BATCH_CHUNK], dt)
-        for i in range(0, n_valid, _BATCH_CHUNK)
-    ]
-    diags = list(np.concatenate(map_tasks(_chunk_worker, chunks, jobs), axis=0))
+    zero = np.zeros((1, n_atoms))
+    offsets = np.concatenate([zero, offsets[ok]])
+    velocities = np.concatenate([zero, velocities[ok]])
+    # chunk k holds trials [64 k, 64 (k + 1)); the first also the baseline row
+    rows = offsets.shape[0]
+    bounds = [0, *range(_BATCH_CHUNK + 1, rows, _BATCH_CHUNK), rows]
+    chunks = [(n_atoms, cfg, offsets[a:b], velocities[a:b], dt) for a, b in zip(bounds[:-1], bounds[1:])]
+    baseline, *diags = np.concatenate(map_tasks(_chunk_worker, chunks, jobs), axis=0)
+    f_base = fidelity_from_diag(n_atoms, baseline)
+    ref_phase = np.angle(baseline[3])
 
     fids = np.array([fidelity_from_diag(n_atoms, d) for d in diags])
     dphi = np.array([_wrap_phase(float(np.angle(d[3]) - ref_phase)) for d in diags])
@@ -240,6 +258,7 @@ def run_thermal_ensemble(
         trials=len(diags),
         seed=tcfg.seed,
         rejected=rejected,
+        dt=dt,
         delta_phi_samples=dphi,
         delta_phi_rms=float(np.sqrt(np.mean(dphi**2))),
         fidelity_samples=fids,

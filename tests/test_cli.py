@@ -174,6 +174,18 @@ class TestThermalCommand:
         assert summary["trials"] == 8
         assert summary["analytic_delta_phi_rad"] > 0
 
+    def test_header_records_the_thermal_step(self, tmp_path):
+        cfg = write_config(tmp_path, {"include_decay": False})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "thermal", "--trials", "2",
+                     "--tau-us", "0.5"]) == EXIT_OK
+        header = dict(
+            line[2:].split(" = ", 1)
+            for line in (out / "thermal.csv").read_text().splitlines()
+            if line.startswith("# ")
+        )
+        assert float(header["dt_us"]) == 0.5 / 1500
+
     def test_same_seed_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, {"include_decay": False})
         blobs = []
@@ -250,6 +262,26 @@ class TestErrorHandling:
                    "thermal", "--trials", "2", "--tau-us", "0.5"])
         assert rc == EXIT_CONFIG
         assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["thermal", "--trials", "0"], "--trials"),
+            (["thermal", "--temp-uK", "-1"], "--temp-uK"),
+            (["thermal", "--position-sigma-um", "-1"], "--position-sigma-um"),
+            (["sweep", "--tau-points", "0"], "--tau-points"),
+            (["evolve", "--nu", "0"], "--nu"),
+            (["spectrum", "--nu", "0"], "--nu"),
+            (["basis-dump", "--nu", "0"], "--nu"),
+            (["spectrum", "--grid", "1"], "--grid"),
+        ],
+    )
+    def test_out_of_range_flag_exits_2(self, tmp_path, capsys, argv, flag):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), *argv]) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
     def test_runtime_failure_exits_3(self, tmp_path):

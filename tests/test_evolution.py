@@ -12,6 +12,7 @@ from afmgate.basis import build_full_basis
 from afmgate.config import Model, PulseProfile
 from afmgate.errors import PropagationError
 from afmgate.evolution import (
+    DIAG_BLOCK_STEPS,
     _protocol_segments,
     _run_segment,
     _SegmentEngine,
@@ -20,7 +21,7 @@ from afmgate.evolution import (
     phase_decomposition,
     run_protocol,
 )
-from afmgate.hamiltonian import interaction_diagonal
+from afmgate.hamiltonian import excitation_numbers, interaction_diagonal
 from afmgate.units import mhz
 
 from conftest import reference_config
@@ -44,8 +45,8 @@ class ConstantEngine(_SegmentEngine):
         t = np.zeros(2 * n_steps + 1)
         return t, np.full_like(t, self.omega), t
 
-    def rate_diagonal(self, t_local, delta):
-        return -1j * self.diag
+    def diagonals(self, t_local, delta):
+        return np.broadcast_to(-1j * self.diag, (len(t_local),) + self.diag.shape)
 
 
 def run_constant(engine, psi0, dt, stride=1, renormalize=True):
@@ -138,8 +139,8 @@ class TestFusedStepper:
         v0 = interaction_diagonal(basis, cfg.interaction)
         rates = np.array([0.0, 0.3, -0.2])
 
-        def v_int_at(t_abs):  # (dim, 3): one drifting interaction per column
-            return v0[:, None] * (1.0 + rates[None, :] * t_abs)
+        def v_int_at(t_abs):  # (times, dim, 3): one drifting interaction per column
+            return v0[None, :, None] * (1.0 + rates[None, None, :] * t_abs[:, None, None])
 
         _, (_, seg2) = _protocol_segments(3, cfg, v_int_fn_steps=(v_int_at, v_int_at), basis=basis)
         dt = seg2.pulse.tau / 1000
@@ -170,6 +171,95 @@ class TestFusedStepper:
         assert t.tolist() == expect_t
         assert om.tolist() == [pulse.omega(x) for x in expect_t]
         assert dl.tolist() == [pulse.delta(x) for x in expect_t]
+
+
+def record_diagonals(engine, monkeypatch):
+    """Wrap ``engine.diagonals``; returns the list of (t_local, delta, result)
+    of every call."""
+    calls = []
+    real = engine.diagonals
+
+    def recording(t_local, delta):
+        out = real(t_local, delta)
+        calls.append((t_local.copy(), delta.copy(), out))
+        return out
+
+    monkeypatch.setattr(engine, "diagonals", recording)
+    return calls
+
+
+def check_block_coverage(calls, t_tab, n_steps):
+    """The stepper asked for the diagonal at every evaluation time once, in
+    order: entry 0, then blocks of DIAG_BLOCK_STEPS steps and a short last one."""
+    sizes = [len(c[0]) for c in calls]
+    assert sizes == [1] + [2 * DIAG_BLOCK_STEPS] * (n_steps // DIAG_BLOCK_STEPS) + [2 * (n_steps % DIAG_BLOCK_STEPS)]
+    assert np.concatenate([c[0] for c in calls]).tolist() == t_tab.tolist()
+
+
+class TestBlockDiagonal:
+    """The block-tabulated -iH diagonal against the per-evaluation formula
+    Delta * i n_r - i (v_int + decay), over a segment whose step count is not
+    a multiple of the block."""
+
+    N_STEPS = 3 * DIAG_BLOCK_STEPS + 5
+
+    @pytest.mark.parametrize("include_decay", [False, True])
+    def test_static_blocks_equal_scalar_formula_bitwise(self, include_decay, monkeypatch):
+        cfg = reference_config(model=Model.FULL_VDW, include_decay=include_decay, gamma=mhz(0.05))
+        basis, (_, seg2) = _protocol_segments(4, cfg)
+        dt = seg2.pulse.tau / self.N_STEPS
+        calls = record_diagonals(seg2, monkeypatch)
+        psi0 = np.zeros(basis.dim, dtype=complex)
+        psi0[0] = 1.0
+        _run_segment(seg2, psi0, dt, self.N_STEPS, self.N_STEPS, not include_decay)
+        t_tab, _, dl = seg2.tables(dt, self.N_STEPS)
+        check_block_coverage(calls, t_tab, self.N_STEPS)
+
+        n_r = excitation_numbers(basis)
+        v = interaction_diagonal(basis, cfg.interaction.flipped())
+        if include_decay:
+            v = v - 0.5j * cfg.decay.gamma_rp * n_r
+        for delta, d in zip(dl, np.concatenate([c[2] for c in calls])):
+            assert np.array_equal(d, delta * (1j * n_r) + -1j * v)
+
+    @pytest.mark.parametrize("include_decay", [False, True])
+    def test_per_column_blocks_match_scalar_formula(self, include_decay, monkeypatch):
+        cfg = reference_config(model=Model.FULL_VDW, include_decay=include_decay, gamma=mhz(0.05))
+        basis = build_full_basis(3)
+        v0 = interaction_diagonal(basis, cfg.interaction)
+        rates = np.array([0.0, 0.3, -0.2])
+
+        def v_at(t_abs):  # scalar time -> (dim, 3)
+            return v0[:, None] * (1.0 + rates[None, :] * t_abs)
+
+        def v_int_at(t_abs):  # array of times -> (times, dim, 3)
+            return np.stack([v_at(t) for t in t_abs])
+
+        _, (_, seg2) = _protocol_segments(3, cfg, v_int_fn_steps=(v_int_at, v_int_at), basis=basis)
+        dt = seg2.pulse.tau / self.N_STEPS
+        calls = record_diagonals(seg2, monkeypatch)
+        psi0 = np.zeros((basis.dim, 3), dtype=complex)
+        psi0[0, :] = 1.0
+        _run_segment(seg2, psi0, dt, self.N_STEPS, self.N_STEPS, not include_decay)
+        t_tab, _, dl = seg2.tables(dt, self.N_STEPS)
+        check_block_coverage(calls, t_tab, self.N_STEPS)
+
+        n_r = excitation_numbers(basis)[:, None]
+        decay = -0.5j * cfg.decay.gamma_rp * n_r if include_decay else 0.0
+        for t, delta, d in zip(t_tab, dl, np.concatenate([c[2] for c in calls])):
+            scalar = delta * (1j * n_r) - 1j * v_at(seg2.t_abs_start + t) - 1j * decay
+            assert d.shape == (basis.dim, 3)
+            assert np.abs(d - scalar).max() < 1e-12
+
+    def test_coeffs_use_the_block_formula(self):
+        cfg = reference_config(model=Model.FULL_VDW, include_decay=True, gamma=mhz(0.05))
+        basis, (seg1, _) = _protocol_segments(4, cfg)
+        n_r = excitation_numbers(basis)
+        v = interaction_diagonal(basis, cfg.interaction) - 0.5j * cfg.decay.gamma_r * n_r
+        for t in (0.0, 0.37, seg1.pulse.tau):
+            omega, diag = seg1.coeffs(t)
+            assert omega == seg1.pulse.omega(t)
+            assert np.array_equal(diag, 1j * (seg1.pulse.delta(t) * (1j * n_r) + -1j * v))
 
 
 class TestRunProtocol:

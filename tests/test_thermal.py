@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from afmgate import thermal
+from afmgate import gate, thermal
 from afmgate.config import Model
 from afmgate.errors import SampleRejected
 from afmgate.evolution import run_protocol
@@ -14,6 +14,7 @@ from afmgate.gate import INPUT_LABELS, active_atoms, fidelity_from_diag
 from afmgate.thermal import (
     ThermalConfig,
     _batch_branch_amplitudes,
+    _chunk_worker,
     analytic_dephasing,
     run_thermal_ensemble,
     sample_kinematics,
@@ -102,7 +103,7 @@ class TestThermalTrials:
         cfg = reference_config(n_atoms=5, model=Model.FULL_VDW, include_decay=include_decay)
         diag = np.array(
             [
-                _batch_branch_amplitudes(5, cfg, zero_rows(1, 5), zero_rows(1, 5), label)[0]
+                _batch_branch_amplitudes(5, cfg, zero_rows(1, 5), zero_rows(1, 5), (label,))[0, 0]
                 for label in INPUT_LABELS
             ]
         )
@@ -121,14 +122,14 @@ class TestThermalTrials:
     def test_thermal_requires_vdw_model(self):
         cfg = reference_config(n_atoms=5, model=Model.PXP)
         with pytest.raises(ValueError):
-            _batch_branch_amplitudes(5, cfg, zero_rows(1, 5), zero_rows(1, 5), "11")
+            _batch_branch_amplitudes(5, cfg, zero_rows(1, 5), zero_rows(1, 5), ("11",))
 
     def test_crossing_atoms_rejected(self):
         cfg = reference_config(n_atoms=5, model=Model.FULL_VDW)
         vel = zero_rows(2, 5)
         vel[1, 2] = 10.0  # 10 um/us for 2 us crosses the 4 um spacing
         with pytest.raises(SampleRejected, match=r"rows \[1\]"):
-            _batch_branch_amplitudes(5, cfg, zero_rows(2, 5), vel, "11")
+            _batch_branch_amplitudes(5, cfg, zero_rows(2, 5), vel, ("11",))
 
     def test_bulk_atom_phase_sensitivity_below_edge(self):
         # AFM bulk motion cancels at first order; edges do not
@@ -138,13 +139,74 @@ class TestThermalTrials:
         def sensitivity(atom):
             vel = zero_rows(2, 7)
             vel[:, atom] = (+v, -v)  # one batch row per sign
-            amps = _batch_branch_amplitudes(7, cfg, zero_rows(2, 7), vel, "11")
+            amps = _batch_branch_amplitudes(7, cfg, zero_rows(2, 7), vel, ("11",))[:, 0]
             return (np.angle(amps[0]) - np.angle(amps[1])) / 2
 
         # edge atom 0 vs a bulk atom in the AFM interior
         edge = abs(sensitivity(0))
         bulk = abs(sensitivity(3))
         assert bulk < 0.5 * edge
+
+
+def thermal_draws(tcfg, n_atoms):
+    draws = [sample_kinematics(tcfg, n_atoms, k) for k in range(tcfg.trials)]
+    return np.stack([d.offsets for d in draws]), np.stack([d.velocities for d in draws])
+
+
+class TestBatchedEnsemble:
+    """The grouped, baseline-carrying batches against separate runs."""
+
+    def test_grouped_labels_match_single_label_batches(self):
+        cfg = reference_config(n_atoms=5, model=Model.FULL_VDW, tau=0.4)
+        offsets, velocities = thermal_draws(ThermalConfig(temperature=4e-6, position_sigma=0.02, trials=3, seed=8), 5)
+        grouped = _batch_branch_amplitudes(5, cfg, offsets, velocities, ("01", "10"))
+        assert grouped.shape == (3, 2)
+        for k, label in enumerate(("01", "10")):
+            single = _batch_branch_amplitudes(5, cfg, offsets, velocities, (label,))[:, 0]
+            assert np.abs(grouped[:, k] - single).max() < 1e-12
+        assert np.abs(grouped[:, 0] - grouped[:, 1]).max() > 1e-9  # the labels really differ
+
+    def test_ordering_message_names_trial_rows_of_a_group(self):
+        cfg = reference_config(n_atoms=5, model=Model.FULL_VDW)
+        vel = zero_rows(3, 5)
+        vel[2, 4] = -10.0  # atom 4 crosses atom 3; of the two labels only "01" drives it
+        with pytest.raises(SampleRejected, match=r"rows \[2\]"):
+            _batch_branch_amplitudes(5, cfg, zero_rows(3, 5), vel, ("10", "01"))
+
+    def test_baseline_in_first_chunk_matches_separate_zero_draw(self, monkeypatch):
+        cfg = reference_config(n_atoms=3, model=Model.FULL_VDW, tau=0.4)
+        tcfg = ThermalConfig(temperature=1e-6, trials=5, seed=4)
+        chunks = []
+
+        def recording(args):
+            out = _chunk_worker(args)
+            chunks.append((args, out))
+            return out
+
+        monkeypatch.setattr(thermal, "_chunk_worker", recording)
+        rep = run_thermal_ensemble(3, cfg, tcfg)
+        (args, out), = chunks
+        assert out.shape == (6, 4)  # baseline row + 5 trials
+        assert np.all(args[2][0] == 0.0) and np.all(args[3][0] == 0.0)
+        separate = _chunk_worker((3, cfg, zero_rows(1, 3), zero_rows(1, 3), rep.dt))[0]
+        assert np.abs(out[0] - separate).max() < 1e-12
+        assert abs(rep.baseline_fidelity - fidelity_from_diag(3, separate)) < 1e-12
+
+    def test_one_propagation_per_chain_size(self, monkeypatch):
+        cfg = reference_config(n_atoms=5, model=Model.FULL_VDW, tau=0.4)
+        widths = []
+        real = thermal._run_segment
+
+        def counting(engine, psi, *args):
+            widths.append((engine.basis.nu, psi.shape[1]))
+            return real(engine, psi, *args)
+
+        monkeypatch.setattr(thermal, "_run_segment", counting)
+        rep = run_thermal_ensemble(5, cfg, ThermalConfig(temperature=1e-6, trials=16, seed=1))
+        assert rep.trials == 16
+        # two segments each for nu = 3 ("00"), 4 ("01" + "10") and 5 ("11"),
+        # every batch carrying the baseline row
+        assert widths == [(3, 17), (3, 17), (4, 34), (4, 34), (5, 17), (5, 17)]
 
 
 class TestEnsemble:
@@ -174,6 +236,28 @@ class TestEnsemble:
         rep = run_thermal_ensemble(3, cfg, ThermalConfig(temperature=1e-6, trials=130, seed=2), jobs=10**6)
         assert rep.trials == 130
         assert pool_sizes == [3]
+
+    def test_samples_bitwise_independent_of_jobs(self, monkeypatch):
+        # 70 trials make two chunks, the first also carrying the baseline;
+        # jobs=2 runs them on a real two-worker process pool
+        sizes = []
+
+        class RecordingPool(gate.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(gate, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(gate.os, "cpu_count", lambda: 2)
+        cfg = reference_config(n_atoms=3, model=Model.FULL_VDW, tau=0.4)
+        tcfg = ThermalConfig(temperature=1e-6, trials=70, seed=6)
+        one = run_thermal_ensemble(3, cfg, tcfg, jobs=1)
+        two = run_thermal_ensemble(3, cfg, tcfg, jobs=2)
+        assert sizes == [2]
+        assert one.trials == two.trials == 70
+        assert np.array_equal(one.delta_phi_samples, two.delta_phi_samples)
+        assert np.array_equal(one.fidelity_samples, two.fidelity_samples)
+        assert one.baseline_fidelity == two.baseline_fidelity
 
     def test_report_quantities_well_formed(self):
         cfg = reference_config(n_atoms=3, model=Model.FULL_VDW, tau=0.4)
