@@ -34,6 +34,7 @@ from .gate import (
     sweep_tau,
     transfer_error,
 )
+from .hamiltonian import ChainHamiltonian, model_basis
 from .spectra import scan_spectrum
 from .thermal import ThermalConfig, run_thermal_ensemble
 from .units import mhz, to_mhz
@@ -117,13 +118,10 @@ def cmd_spectrum(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -
     scan = scan_spectrum(nu, cfg.pulse, cfg.model, interaction, grid_size=args.grid)
     if args.dump_hamiltonian:
         # mid-sweep matrix as (row, col, re, im) for cross-implementation diffs
-        from .spectra import model_basis, model_hamiltonian
-
         t_mid = cfg.pulse.tau / 2.0
-        h = model_hamiltonian(
-            cfg.model, cfg.pulse.omega(t_mid), cfg.pulse.delta(t_mid),
-            model_basis(cfg.model, nu), interaction,
-        ).matrix
+        h = ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), interaction).matrix(
+            cfg.pulse.omega(t_mid), cfg.pulse.delta(t_mid)
+        )
         rows = [
             (i, j, h[i, j].real, h[i, j].imag)
             for i in range(h.shape[0])

@@ -2,9 +2,9 @@
 
 Fixed-step classical RK4 with midpoint Hamiltonian evaluations, in one
 segment stepper that every propagation goes through: a single state or a
-batch of states held as the columns of one array.  The drive structure is
-built once per basis, the excitation counts and interaction diagonal once
-per segment, and the pulse is tabulated once per segment.  The diagonal of
+batch of states held as the columns of one array.  The operator
+structures come from one ``ChainHamiltonian`` per protocol, shared by both
+segments, and the pulse is tabulated once per segment.  The diagonal of
 -iH is tabulated for a block of ``DIAG_BLOCK_STEPS`` steps at a time, so
 each evaluation only rescales the drive and reads its diagonal.
 Hermitian runs renormalize the state after every step (removing the RK4
@@ -24,8 +24,7 @@ from scipy.integrate import cumulative_trapezoid
 from .basis import Basis, afm_manifold_masks, ordered_afm_masks
 from .config import Model, ProtocolConfig, PulseProfile
 from .errors import PropagationError
-from .hamiltonian import drive_matrix, excitation_numbers, interaction_diagonal
-from .spectra import model_basis
+from .hamiltonian import ChainHamiltonian, model_basis
 
 OVERLAP_VALID_MIN = 0.1
 PHASE_SAMPLE_MARGIN = math.pi / 4.0
@@ -84,44 +83,39 @@ def _check_state(psi: np.ndarray, t: float) -> None:
 
 
 class _SegmentEngine:
-    """One pulse segment: cached operator structure plus pulse scaling.
+    """One pulse segment: the chain Hamiltonian of its interaction plus the
+    pulse scaling.
 
-    ``drive`` is the real drive structure of ``basis`` and ``gen`` the
-    complex -i * drive the stepper multiplies with; both are built once per
-    basis and shared by the segments of a protocol.  ``v_int_fn``, when
-    given, supplies the interaction diagonal of a (dim, batch) state with
-    moving atoms: called with an array of k absolute protocol times it
+    ``gen`` is the complex -i * drive the stepper multiplies with, built
+    once per basis and shared by the segments of a protocol.  ``v_int_fn``,
+    when given, supplies the interaction diagonal of a (dim, batch) state
+    with moving atoms: called with an array of k absolute protocol times it
     returns the real (k, dim, batch) diagonals, one column per trial.  The
     excitation counts are then kept as a column so the diagonal broadcasts
-    against the batch.  Otherwise the static ``v_int`` vector is used.
+    against the batch.  Otherwise the static diagonal of ``hamiltonian``
+    is used.
     """
 
     def __init__(
         self,
-        basis: Basis,
+        hamiltonian: ChainHamiltonian,
         pulse: PulseProfile,
-        drive: np.ndarray,
         gen: np.ndarray,
         gamma: float = 0.0,
-        v_int: Optional[np.ndarray] = None,
         v_int_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         t_abs_start: float = 0.0,
     ):
-        self.basis = basis
+        self.hamiltonian = hamiltonian
+        self.basis = hamiltonian.basis
+        self.drive = hamiltonian.drive
         self.pulse = pulse
-        self.gamma = gamma
-        self.drive = drive
         self.gen = gen
-        n_r = excitation_numbers(basis)
-        if v_int_fn is not None:
-            n_r = n_r[:, None]
-        self.v_int = np.zeros(basis.dim) if v_int is None else v_int
+        self.gamma = gamma
         self.v_int_fn = v_int_fn
         self.t_abs_start = t_abs_start
-        self._decay = -0.5j * gamma * n_r if gamma else None
-        # -iH = Omega * gen + Delta * (i n_r) - i (v_int + decay)
-        self._i_n_r = 1j * n_r
-        self._static = -1j * (self.v_int if self._decay is None else self.v_int + self._decay)
+        self._n_r = hamiltonian.n_r if v_int_fn is None else hamiltonian.n_r[:, None]
+        # -iH = Omega * gen - (Gamma / 2) n_r + i (Delta n_r - v)
+        self._decay_rate = -0.5 * gamma * self._n_r if gamma else 0.0
 
     def coeffs(self, t_local: float) -> Tuple[float, np.ndarray]:
         """(Omega, complex diagonal) at local pulse time; endpoint round-off
@@ -148,19 +142,20 @@ class _SegmentEngine:
     def diagonals(self, t_local: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """Diagonals of -iH at an array of tabulated local times and their
         detunings, stacked on axis 0: (k, dim), or (k, dim, batch) with a
-        per-trial interaction."""
-        if self.v_int_fn is None:
-            rest = self._static
-        else:
-            v = self.v_int_fn(self.t_abs_start + t_local)
-            rest = -1j * (v if self._decay is None else v + self._decay)
-        return delta.reshape((-1,) + (1,) * self._i_n_r.ndim) * self._i_n_r + rest
+        per-trial interaction.  Real and imaginary parts are written into
+        one complex buffer."""
+        v = self.hamiltonian.v if self.v_int_fn is None else self.v_int_fn(self.t_abs_start + t_local)
+        delta_n_r = delta.reshape((-1,) + (1,) * self._n_r.ndim) * self._n_r
+        out = np.empty(np.broadcast_shapes(delta_n_r.shape, v.shape), dtype=complex)
+        out.real = self._decay_rate
+        np.subtract(delta_n_r, v, out=out.imag)
+        return out
 
     def branch_energy(self, t_local: float, psi: np.ndarray) -> float:
         """Instantaneous eigenvalue of the dominantly occupied branch of the
         Hermitian part (maximal overlap with the state)."""
-        omega, diag = self.coeffs(t_local)
-        w, v = np.linalg.eigh(omega * self.drive + np.diag(diag.real))
+        t = min(max(t_local, 0.0), self.pulse.tau)
+        w, v = np.linalg.eigh(self.hamiltonian.matrix(self.pulse.omega(t), self.pulse.delta(t)).real)
         return float(w[int(np.argmax(np.abs(v.conj().T @ psi)))])
 
     def matrix(self, t_local: float) -> np.ndarray:
@@ -309,36 +304,25 @@ class ProtocolRun:
 
 
 def _protocol_segments(
-    nu: int,
+    hamiltonian: ChainHamiltonian,
     cfg: ProtocolConfig,
     v_int_fn_steps: Optional[Tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]] = None,
-    basis: Optional[Basis] = None,
-) -> Tuple[Basis, Tuple[_SegmentEngine, _SegmentEngine]]:
-    if cfg.model is Model.PXP_PLUS_CORRECTIONS:
+) -> Tuple[_SegmentEngine, _SegmentEngine]:
+    """Engines of the two pulses: step II runs the lambda-rescaled pulse
+    under the flipped interaction on the same operator structures."""
+    if hamiltonian.model is Model.PXP_PLUS_CORRECTIONS:
         raise ValueError("time propagation supports the PXP and full vdW models only")
-    if basis is None:
-        basis = model_basis(cfg.model, nu)
     lam = cfg.interaction.lambda_ratio
     pulse_1 = cfg.pulse
     pulse_2 = cfg.pulse.rescaled(lam)
     gamma_1 = cfg.decay.gamma_r if cfg.include_decay else 0.0
     gamma_2 = cfg.decay.gamma_rp if cfg.include_decay else 0.0
-
-    drive = drive_matrix(basis)
-    gen = -1j * drive
-    if v_int_fn_steps is not None:
-        fn1, fn2 = v_int_fn_steps
-        seg1 = _SegmentEngine(basis, pulse_1, drive, gen, gamma_1, v_int_fn=fn1, t_abs_start=0.0)
-        seg2 = _SegmentEngine(basis, pulse_2, drive, gen, gamma_2, v_int_fn=fn2, t_abs_start=pulse_1.tau)
-    else:
-        if cfg.model is Model.FULL_VDW:
-            v1 = interaction_diagonal(basis, cfg.interaction)
-            v2 = interaction_diagonal(basis, cfg.interaction.flipped())
-        else:
-            v1 = v2 = np.zeros(basis.dim)
-        seg1 = _SegmentEngine(basis, pulse_1, drive, gen, gamma_1, v_int=v1, t_abs_start=0.0)
-        seg2 = _SegmentEngine(basis, pulse_2, drive, gen, gamma_2, v_int=v2, t_abs_start=pulse_1.tau)
-    return basis, (seg1, seg2)
+    fn1, fn2 = v_int_fn_steps if v_int_fn_steps is not None else (None, None)
+    gen = -1j * hamiltonian.drive
+    seg1 = _SegmentEngine(hamiltonian, pulse_1, gen, gamma_1, fn1, t_abs_start=0.0)
+    flipped = hamiltonian.with_interaction(cfg.interaction.flipped())
+    seg2 = _SegmentEngine(flipped, pulse_2, gen, gamma_2, fn2, t_abs_start=pulse_1.tau)
+    return seg1, seg2
 
 
 def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> ProtocolRun:
@@ -353,7 +337,9 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
     """
     if nu < 1:
         raise ValueError(f"nu must be >= 1, got {nu}")
-    basis, (seg1, seg2) = _protocol_segments(nu, cfg)
+    ham = ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction)
+    seg1, seg2 = _protocol_segments(ham, cfg)
+    basis = ham.basis
     lam = cfg.interaction.lambda_ratio
 
     psi = np.zeros(basis.dim, dtype=complex)
@@ -363,7 +349,7 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
     dt2 = cfg.dt / lam
     h_scale = float(
         basis.nu * (abs(cfg.pulse.delta0) + abs(cfg.pulse.omega0)) * max(1.0, lam)
-        + np.abs(seg1.v_int).max()
+        + np.abs(ham.v).max()
     )
     stride = _default_stride(h_scale, cfg.dt, n1)
 
@@ -442,40 +428,6 @@ def _phases_from_samples(
         phi_geometric=phi_total - phi_dynamical,
         valid=valid,
     )
-
-
-def phase_decomposition(
-    traj: Trajectory,
-    h_of_t: Callable[[float], np.ndarray],
-    boundaries: Sequence[float] = (),
-) -> PhaseRecord:
-    """Phase bookkeeping for an arbitrary trajectory.
-
-    ``h_of_t`` must return the (possibly non-Hermitian) Hamiltonian matrix
-    at a sample time.  The dynamical phase integrates the energy of the
-    dominantly occupied adiabatic branch (maximal overlap with the state),
-    which reduces to <H> under perfect adiabatic following but stays clean
-    under leakage.  ``boundaries`` lists times where H jumps (e.g. the
-    pulse handover); the action integral is split there, evaluating the
-    right side just past the jump.
-    """
-    cuts = [0]
-    for b in boundaries:
-        i = int(np.searchsorted(traj.times, b))
-        if 0 < i < len(traj.times) - 1:
-            cuts.append(i)
-    cuts.append(len(traj.times) - 1)
-
-    def energy(k: int, i: int) -> float:
-        t = traj.times[i]
-        if k > 0 and i == cuts[k]:
-            t = np.nextafter(t, np.inf)  # right side of the jump
-        h = np.asarray(h_of_t(t), dtype=complex)
-        w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
-        return float(w[int(np.argmax(np.abs(v.conj().T @ traj.states[i])))])
-
-    phi_dyn = _dynamical_phase(traj.times, cuts, energy)
-    return _phases_from_samples(traj.times, traj.states, phi_dynamical=phi_dyn)
 
 
 def parity_roundtrip_check(nu: int, cfg: ProtocolConfig) -> complex:

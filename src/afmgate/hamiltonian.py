@@ -1,10 +1,13 @@
-"""Dense Hamiltonian builders for the driven Rydberg chain.
+"""Dense Hamiltonians of the driven Rydberg chain.
 
+One ``ChainHamiltonian`` per (model, basis, interaction) holds the fixed
+operator structures, and ``matrix(omega, delta)`` scales them by the pulse
+values: the drive, the excitation numbers, a static interaction diagonal
+and, for the corrections model, the level-shift structures M1 and M2.
 Variants: the blockade-constrained PXP model, the full van der Waals model
-on the unconstrained basis, the PXP model plus next-nearest-neighbour and
-second-order (Schrieffer-Wolff) corrections, and the tridiagonal effective
-Hamiltonians of the even-nu AFM manifold.  All builders are pure functions
-returning immutable dense matrices.
+on the unconstrained basis, and the PXP model plus next-nearest-neighbour
+and second-order (Schrieffer-Wolff) corrections.  The tridiagonal
+effective Hamiltonians of the even-nu AFM manifold are built separately.
 
 Index conventions are 0-based with open boundaries: projectors P outside
 the chain count as 1 and Rydberg projectors Q outside as 0.
@@ -12,41 +15,19 @@ the chain count as 1 and Rydberg projectors Q outside as 0.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .basis import Basis, rydberg_count
-from .config import InteractionConfig
+from .basis import Basis, build_blockade_basis, build_full_basis, rydberg_count
+from .config import InteractionConfig, Model
 from .errors import RegimeError
 
 DIM_MAX = 1024
 SHIFT_SINGULARITY_RTOL = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """Dense operator with a reference to the basis it was built on.
-
-    ``basis`` is None for operators living on a reduced configuration space
-    (the AFM-manifold builders).
-    """
-
-    matrix: np.ndarray
-    basis: Optional[Basis] = None
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def hermiticity_defect(self) -> float:
-        """max |H - H^dag| relative to max |H| (0 for the zero matrix)."""
-        scale = np.abs(self.matrix).max()
-        if scale == 0.0:
-            return 0.0
-        return float(np.abs(self.matrix - self.matrix.conj().T).max() / scale)
 
 
 def _check_dim(dim: int) -> None:
@@ -54,9 +35,13 @@ def _check_dim(dim: int) -> None:
         raise ValueError(f"dense matrix dimension {dim} exceeds the supported {DIM_MAX}")
 
 
+def _bit_counts(masks) -> np.ndarray:
+    return np.array([rydberg_count(int(m)) for m in masks], dtype=float)
+
+
 def excitation_numbers(basis: Basis) -> np.ndarray:
     """Rydberg excitation count per basis state."""
-    return np.array([rydberg_count(s) for s in basis.states], dtype=float)
+    return _bit_counts(basis.states)
 
 
 def drive_matrix(basis: Basis) -> np.ndarray:
@@ -103,41 +88,6 @@ def pair_incidence(basis: Basis, pairs: Sequence[Tuple[int, int]]) -> np.ndarray
     return inc
 
 
-def interaction_diagonal(basis: Basis, interaction: InteractionConfig) -> np.ndarray:
-    """Diagonal of the pairwise interaction sum_{i>j} B_ij Q_i Q_j."""
-    pairs = pair_sites(basis.nu, interaction.range_cutoff)
-    strengths = np.array([interaction.pair_strength(i, j) for i, j in pairs])
-    return pair_incidence(basis, pairs) @ strengths
-
-
-def chain_matrix(
-    omega: float, delta: float, drive: np.ndarray, n_r: np.ndarray, v_int: np.ndarray | float = 0.0
-) -> np.ndarray:
-    """Dense complex omega * drive + diag(-delta * n_r + v_int) from the
-    operator structure of a basis (drive structure, excitation numbers,
-    interaction diagonal), so repeated evaluations build it only once."""
-    return (omega * drive + np.diag(-delta * n_r + v_int)).astype(complex)
-
-
-def build_pxp(omega: float, delta: float, basis: Basis) -> OperatorMatrix:
-    """PXP Hamiltonian: blockade-projected drive minus delta per excitation."""
-    if not basis.constrained:
-        raise ValueError("the PXP model requires a blockade-constrained basis")
-    return OperatorMatrix(chain_matrix(omega, delta, drive_matrix(basis), excitation_numbers(basis)), basis)
-
-
-def build_vdw(
-    omega: float, delta: float, interaction: InteractionConfig, basis: Basis
-) -> OperatorMatrix:
-    """Full model: unconstrained drive plus the pairwise interaction diagonal."""
-    if basis.constrained:
-        raise ValueError("the full van der Waals model requires the unconstrained basis")
-    h = chain_matrix(
-        omega, delta, drive_matrix(basis), excitation_numbers(basis), interaction_diagonal(basis, interaction)
-    )
-    return OperatorMatrix(h, basis)
-
-
 def level_shifts(omega: float, delta: float, b_nn: float) -> Tuple[float, float]:
     """Second-order shifts S_B and S_2B of a ground atom next to one or two
     Rydberg atoms.  Raises near the shift singularities Delta = B, 2B."""
@@ -151,53 +101,107 @@ def level_shifts(omega: float, delta: float, b_nn: float) -> Tuple[float, float]
     return s_b, s_2b
 
 
-def build_corrections(
-    omega: float, delta: float, interaction: InteractionConfig, basis: Basis
-) -> OperatorMatrix:
-    """PXP plus the leading finite-blockade corrections.
+def _shift_structures(basis: Basis) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M1 (dense), the diagonal of M2 and the next-nearest-neighbour pair
+    counts of the corrections model on a blockade basis.
 
-    Adds to the PXP model the next-nearest-neighbour interaction B2 Q_i Q_{i+2},
-    the second-order level shifts -S_B (one Rydberg neighbour) and -S_2B
-    (two Rydberg neighbours) of ground atoms, and the -S_B projected hopping
-    of a Rydberg excitation between adjacent sites.  Static analysis only:
-    the shifts use the instantaneous detuning and are singular at Delta = B, 2B.
+    M1 counts the ground atoms with exactly one Rydberg neighbour on its
+    diagonal and couples the two configurations of each hop of an
+    excitation from site i to i + 1 under empty flanks; M2 counts the
+    ground atoms with two Rydberg neighbours.
     """
-    if not basis.constrained:
-        raise ValueError("the corrections model requires a blockade-constrained basis")
-    nu = basis.nu
-    b2 = interaction.b_nnn
-    s_b, s_2b = level_shifts(omega, delta, interaction.b_nn)
+    s = np.array(basis.states, dtype=np.int64)
+    full = (1 << basis.nu) - 1
+    ground = ~s & full
+    left, right = (s << 1) & full, s >> 1  # bit i: atom i - 1 / i + 1 excited
+    m1 = np.diag(_bit_counts(ground & (left ^ right)))
+    m2 = _bit_counts(ground & left & right)
+    # hop sources: atom i < nu - 1 excited and atom i + 2 empty (atoms
+    # i - 1 and i + 1 are empty by the blockade); states are ascending
+    hops = s & ~(s >> 2) & (full >> 1)
+    for i in range(basis.nu - 1):
+        k = np.flatnonzero(hops >> i & 1)
+        kt = np.searchsorted(s, s[k] ^ (3 << i))
+        m1[k, kt] = m1[kt, k] = 1.0
+    return m1, m2, _bit_counts(s & (s >> 2))
 
-    h = omega * drive_matrix(basis) + np.diag(-delta * excitation_numbers(basis))
 
-    def q(s: int, i: int) -> bool:
-        return 0 <= i < nu and bool((s >> i) & 1)
+def model_basis(model: Model, nu: int) -> Basis:
+    """Basis appropriate for a Hamiltonian variant."""
+    if model is Model.FULL_VDW:
+        return build_full_basis(nu)
+    return build_blockade_basis(nu)
 
-    def p(s: int, i: int) -> bool:
-        return not (0 <= i < nu) or not (s >> i) & 1
 
-    for k, s in enumerate(basis.states):
-        shift = 0.0
-        for i in range(nu - 2):
-            if q(s, i) and q(s, i + 2):
-                shift += b2
-        for i in range(nu):
-            if not p(s, i):
-                continue
-            left, right = q(s, i - 1), q(s, i + 1)
-            if left and right:
-                shift -= s_2b
-            elif left or right:
-                shift -= s_b
-        h[k, k] += shift
-        # excitation hop between sites i, i+1 under empty flanks; each
-        # unordered pair is visited once, so set both matrix elements
-        for i in range(nu - 1):
-            if q(s, i) and p(s, i + 1) and p(s, i - 1) and p(s, i + 2):
-                kt = basis.index[s ^ (1 << i) ^ (1 << (i + 1))]
-                h[k, kt] += -s_b
-                h[kt, k] += -s_b
-    return OperatorMatrix(h.astype(complex), basis)
+class ChainHamiltonian:
+    """H(omega, delta) of one chain model on one basis: fixed structures
+    times scalar pulse profiles.
+
+    PXP and vdW: omega * drive + diag(-delta * n_r + v), with the static
+    interaction diagonal v (zero for PXP; ``incidence @ pair strengths``
+    for vdW, whose ``pairs`` and ``incidence`` also serve moving atoms).
+    Corrections: v is the next-nearest-neighbour term B2 Q_i Q_{i+2}, and
+    H gains -S_B(omega, delta) M1 - S_2B(omega, delta) M2, the second-order
+    level shifts of ground atoms and the -S_B excitation hop.  These shifts
+    use the instantaneous detuning and are singular at Delta = B, 2B.
+    """
+
+    def __init__(self, model: Model, basis: Basis, interaction: Optional[InteractionConfig] = None):
+        if basis.constrained == (model is Model.FULL_VDW):
+            kind = "unconstrained" if model is Model.FULL_VDW else "blockade-constrained"
+            raise ValueError(f"the {model.value} model requires the {kind} basis")
+        if interaction is None and model is not Model.PXP:
+            raise ValueError(f"model {model.value} needs an InteractionConfig")
+        self.model = model
+        self.basis = basis
+        self.drive = drive_matrix(basis)
+        self.n_r = excitation_numbers(basis)
+        self.pairs = self.incidence = self.m1 = self.m2 = self._nnn_counts = None
+        if model is Model.FULL_VDW:
+            self.pairs = pair_sites(basis.nu, interaction.range_cutoff)
+            self.incidence = pair_incidence(basis, self.pairs)
+        elif model is Model.PXP_PLUS_CORRECTIONS:
+            self.m1, self.m2, self._nnn_counts = _shift_structures(basis)
+        self._set_interaction(interaction)
+
+    def _set_interaction(self, interaction: Optional[InteractionConfig]) -> None:
+        self.interaction = interaction
+        if self.model is Model.FULL_VDW:
+            self.v = self.incidence @ np.array([interaction.pair_strength(i, j) for i, j in self.pairs])
+        elif self.model is Model.PXP_PLUS_CORRECTIONS:
+            self.v = interaction.b_nnn * self._nnn_counts
+        else:
+            self.v = np.zeros(self.basis.dim)
+
+    def with_interaction(self, interaction: InteractionConfig) -> "ChainHamiltonian":
+        """The same model and structures under another interaction (the
+        flipped one of the second pulse) with the same range cutoff."""
+        if self.pairs is not None and interaction.range_cutoff != self.interaction.range_cutoff:
+            raise ValueError("the pair structure was built for another range cutoff")
+        out = copy.copy(self)
+        out._set_interaction(interaction)
+        return out
+
+    def matrix(self, omega: float, delta: float) -> np.ndarray:
+        """Dense complex H at Rabi frequency omega and detuning delta."""
+        h = omega * self.drive + np.diag(-delta * self.n_r + self.v)
+        if self.m1 is not None:
+            s_b, s_2b = level_shifts(omega, delta, self.interaction.b_nn)
+            h -= s_b * self.m1 + np.diag(s_2b * self.m2)
+        return h.astype(complex)
+
+    def time_derivative(self, omega: float, omega_dot: float, delta: float, delta_dot: float) -> np.ndarray:
+        """Real dH/dt along a pulse at (omega, delta) moving at rates
+        (omega_dot, delta_dot)."""
+        dh = omega_dot * self.drive - delta_dot * np.diag(self.n_r)
+        if self.m1 is not None:
+            # d/dt omega^2 / 4 (b - delta) for S_B (b = B) and S_2B (b = 2B)
+            ds_b, ds_2b = (
+                omega * (2.0 * omega_dot * (b - delta) + omega * delta_dot) / (4.0 * (b - delta) ** 2)
+                for b in (self.interaction.b_nn, 2.0 * self.interaction.b_nn)
+            )
+            dh -= ds_b * self.m1 + np.diag(ds_2b * self.m2)
+        return dh
 
 
 class AfmMode(Enum):
@@ -258,7 +262,7 @@ def build_afm_effective(
     delta: float,
     interaction: Optional[InteractionConfig],
     mode: AfmMode,
-) -> OperatorMatrix:
+) -> np.ndarray:
     """Tridiagonal defect-hopping Hamiltonian over the AFM configurations.
 
     PXP mode: uniform diagonal -nu_r (delta + S), hopping -S, over all
@@ -294,5 +298,5 @@ def build_afm_effective(
             h = np.diag(np.full(dim, model.e_defect))
     for j in range(h.shape[0] - 1):
         h[j, j + 1] = h[j + 1, j] = hop
-    return OperatorMatrix(h.astype(complex), None)
+    return h.astype(complex)
 

@@ -13,26 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .basis import Basis, afm_manifold_masks, apply_inversion, build_blockade_basis, build_full_basis
+from .basis import Basis, afm_manifold_masks, apply_inversion
 from .config import InteractionConfig, Model, PulseProfile
 from .errors import RegimeError
-from .hamiltonian import (
-    AfmManifoldModel,
-    AfmMode,
-    OperatorMatrix,
-    build_corrections,
-    build_pxp,
-    build_vdw,
-    chain_matrix,
-    drive_matrix,
-    excitation_numbers,
-    interaction_diagonal,
-)
+from .hamiltonian import AfmManifoldModel, AfmMode, ChainHamiltonian, model_basis
 
 HERMITICITY_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-9  # in units of Omega0, for flagging undefined eta
@@ -45,55 +34,14 @@ class SymmetryLabel(Enum):
     MIXED = "M"
 
 
-def model_basis(model: Model, nu: int) -> Basis:
-    """Basis appropriate for a Hamiltonian variant."""
-    if model is Model.FULL_VDW:
-        return build_full_basis(nu)
-    return build_blockade_basis(nu)
-
-
-def model_hamiltonian(
-    model: Model,
-    omega: float,
-    delta: float,
-    basis: Basis,
-    interaction: Optional[InteractionConfig] = None,
-) -> OperatorMatrix:
-    """Dispatch to the matching builder."""
-    if model is Model.PXP:
-        return build_pxp(omega, delta, basis)
-    if interaction is None:
-        raise ValueError(f"model {model.value} needs an InteractionConfig")
-    if model is Model.FULL_VDW:
-        return build_vdw(omega, delta, interaction, basis)
-    return build_corrections(omega, delta, interaction, basis)
-
-
-def _hamiltonian_at(
-    model: Model, basis: Basis, interaction: Optional[InteractionConfig], drive: np.ndarray
-) -> Callable[[float, float], np.ndarray]:
-    """(omega, delta) -> dense H for repeated evaluation on one basis whose
-    drive structure is ``drive``.
-
-    The PXP and vdW models reuse their operator structure.  The corrections
-    model, whose shifts depend on the drive, is rebuilt per call, and so is
-    a vdW model without an interaction, which then fails in
-    ``model_hamiltonian``.
-    """
-    if model is Model.PXP_PLUS_CORRECTIONS or (model is Model.FULL_VDW and interaction is None):
-        return lambda omega, delta: model_hamiltonian(model, omega, delta, basis, interaction).matrix
-    n_r = excitation_numbers(basis)
-    v_int = interaction_diagonal(basis, interaction) if model is Model.FULL_VDW else 0.0
-    return lambda omega, delta: chain_matrix(omega, delta, drive, n_r, v_int)
-
-
-def eig_sorted(h: OperatorMatrix | np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def eig_sorted(h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a
-    Hermitian operator.  Raises on non-Hermitian input."""
-    op = h if isinstance(h, OperatorMatrix) else OperatorMatrix(np.asarray(h, dtype=complex))
-    if op.hermiticity_defect() > HERMITICITY_RTOL:
+    Hermitian matrix.  Raises on non-Hermitian input (defect max |H - H^dag|
+    above HERMITICITY_RTOL relative to max |H|)."""
+    h = np.asarray(h, dtype=complex)
+    if np.abs(h - h.conj().T).max() > HERMITICITY_RTOL * np.abs(h).max():
         raise ValueError("eig_sorted requires a Hermitian matrix")
-    return np.linalg.eigh(op.matrix)
+    return np.linalg.eigh(h)
 
 
 def inversion_matrix(basis: Basis) -> np.ndarray:
@@ -165,10 +113,8 @@ def scan_spectrum(
     """Eigensystem, symmetry labels and eta couplings over the sweep."""
     if grid_size < 3:
         raise ValueError(f"grid size must be >= 3, got {grid_size}")
-    basis = model_basis(model, nu)
-    dmat = drive_matrix(basis)
-    n_r = excitation_numbers(basis)
-    hamiltonian = _hamiltonian_at(model, basis, interaction, dmat)
+    ham = ChainHamiltonian(model, model_basis(model, nu), interaction)
+    basis = ham.basis
     inv = inversion_matrix(basis)
     deg_tol = DEGENERACY_RTOL * abs(pulse.omega0) if pulse.omega0 else DEGENERACY_RTOL
 
@@ -184,7 +130,8 @@ def scan_spectrum(
 
     prev_vecs: Optional[np.ndarray] = None
     for g, (t, delta) in enumerate(zip(times, deltas)):
-        w, v = np.linalg.eigh(hamiltonian(pulse.omega(t), delta))
+        omega = pulse.omega(t)
+        w, v = np.linalg.eigh(ham.matrix(omega, delta))
         if prev_vecs is not None:
             v = _phase_fix(prev_vecs, v)
         prev_vecs = v
@@ -192,7 +139,7 @@ def scan_spectrum(
         eigenvectors[g] = v
 
         # analytic dH/dt in the eigenbasis (Hellmann-Feynman numerators)
-        dh = pulse.omega_dot(t) * dmat - pulse.beta * np.diag(n_r)
+        dh = ham.time_derivative(omega, pulse.omega_dot(t), delta, pulse.beta)
         dh_eig = v.conj().T @ dh @ v
         for row, l in ((eta_low[g], 0), (eta_high[g], dim - 1)):
             gaps = w - w[l]
@@ -247,15 +194,14 @@ def min_gap(
     golden-section refinement."""
     if nu < 1:
         raise ValueError(f"nu must be >= 1, got {nu}")
-    basis = model_basis(model, nu)
+    ham = ChainHamiltonian(model, model_basis(model, nu), interaction)
     partner = wrong_parity_partner(nu)
-    if partner > basis.dim:
-        raise ValueError(f"basis of dim {basis.dim} has no branch {partner}")
+    if partner > ham.basis.dim:
+        raise ValueError(f"basis of dim {ham.basis.dim} has no branch {partner}")
     k0 = partner - 1
-    hamiltonian = _hamiltonian_at(model, basis, interaction, drive_matrix(basis))
 
     def gap_at(delta: float) -> float:
-        w = np.linalg.eigvalsh(hamiltonian(pulse.omega(pulse.time_at_delta(delta)), delta))
+        w = np.linalg.eigvalsh(ham.matrix(pulse.omega(pulse.time_at_delta(delta)), delta))
         return float(w[k0] - w[0])
 
     deltas = np.linspace(-abs(pulse.delta0), abs(pulse.delta0), coarse_points)

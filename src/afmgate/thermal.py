@@ -25,7 +25,7 @@ from .config import ChainConfig, InteractionConfig, Model, ProtocolConfig
 from .errors import SampleRejected
 from .evolution import _protocol_segments, _run_segment, _step_count
 from .gate import INPUT_LABELS, active_atoms, fidelity_from_diag, map_tasks
-from .hamiltonian import pair_incidence, pair_sites
+from .hamiltonian import ChainHamiltonian
 from .units import M_RB87, thermal_velocity
 
 DT_STEPS_THERMAL = 1500
@@ -122,8 +122,8 @@ def _batch_branch_amplitudes(
     if cfg.model is not Model.FULL_VDW:
         raise ValueError("thermal motion requires the full van der Waals model")
     atom_sets = [list(active_atoms(n_atoms, label)) for label in labels]
-    nu = len(atom_sets[0])
-    basis = build_full_basis(nu)
+    ham = ChainHamiltonian(cfg.model, build_full_basis(len(atom_sets[0])), cfg.interaction)
+    basis = ham.basis
 
     # one row per (label, trial), label-major
     trials = offsets.shape[0]
@@ -137,10 +137,9 @@ def _batch_branch_amplitudes(
             rows = np.unique(np.flatnonzero(bad) % trials)
             raise SampleRejected(f"atom ordering violated for batch rows {rows.tolist()}")
 
-    pairs = pair_sites(nu, cfg.interaction.range_cutoff)
-    inc = pair_incidence(basis, pairs)
-    ia = [p[0] for p in pairs]
-    ib = [p[1] for p in pairs]
+    inc = ham.incidence
+    ia = [p[0] for p in ham.pairs]
+    ib = [p[1] for p in ham.pairs]
     d0 = (base[:, ib] - base[:, ia]).T  # (pairs, rows)
     dv = (vel[:, ib] - vel[:, ia]).T
 
@@ -153,9 +152,7 @@ def _batch_branch_amplitudes(
 
     lam = cfg.interaction.lambda_ratio
     c6 = cfg.interaction.c6
-    _, segments = _protocol_segments(
-        nu, cfg, v_int_fn_steps=(v_int_fn(c6), v_int_fn(-lam * c6)), basis=basis
-    )
+    segments = _protocol_segments(ham, cfg, v_int_fn_steps=(v_int_fn(c6), v_int_fn(-lam * c6)))
     dt1 = dt if dt is not None else _thermal_dt(cfg)
     n_steps = _step_count(0.0, cfg.pulse.tau, dt1)
 

@@ -26,7 +26,7 @@ from afmgate.gate import (
     pulse_with_tau,
     sweep_tau,
 )
-from afmgate.hamiltonian import AfmMode, build_afm_effective, build_pxp, build_vdw
+from afmgate.hamiltonian import AfmMode, ChainHamiltonian, build_afm_effective
 from afmgate.spectra import afm_analytic_spectrum, min_gap
 from afmgate.thermal import ThermalConfig, run_thermal_ensemble
 
@@ -95,13 +95,13 @@ def test_c02_spectrum_mirror_symmetry():
         b = rng.choice([-1, 1]) * rng.uniform(30, 320)
         inter = InteractionConfig.from_nn_strength(b, SPACING)
         inter_m = InteractionConfig.from_nn_strength(-b, SPACING)
-        full = build_full_basis(nu)
-        w1 = np.linalg.eigvalsh(build_vdw(om, de, inter, full).matrix)
-        w2 = np.linalg.eigvalsh(build_vdw(om, -de, inter_m, full).matrix)
+        vdw = ChainHamiltonian(Model.FULL_VDW, build_full_basis(nu), inter)
+        w1 = np.linalg.eigvalsh(vdw.matrix(om, de))
+        w2 = np.linalg.eigvalsh(vdw.with_interaction(inter_m).matrix(om, -de))
         worst_vdw = max(worst_vdw, float(np.abs(w1 + w2[::-1]).max()))
-        con = build_blockade_basis(nu)
-        p1 = np.linalg.eigvalsh(build_pxp(om, de, con).matrix)
-        p2 = np.linalg.eigvalsh(build_pxp(om, -de, con).matrix)
+        pxp = ChainHamiltonian(Model.PXP, build_blockade_basis(nu))
+        p1 = np.linalg.eigvalsh(pxp.matrix(om, de))
+        p2 = np.linalg.eigvalsh(pxp.matrix(om, -de))
         worst_pxp = max(worst_pxp, float(np.abs(p1 + p2[::-1]).max()))
     elapsed = time.perf_counter() - t0
     ok = worst_vdw < 1e-10 and worst_pxp < 1e-10 and elapsed < 10.0
@@ -118,19 +118,20 @@ def test_c03_afm_analytic_oracle():
     for nu in (4, 6, 8):
         # closed-form bands diagonalize their ladders exactly
         spec_pxp = afm_analytic_spectrum(nu, om, de, None, AfmMode.PXP)
-        w_pxp = np.linalg.eigvalsh(build_afm_effective(nu, om, de, None, AfmMode.PXP).matrix)
+        w_pxp = np.linalg.eigvalsh(build_afm_effective(nu, om, de, None, AfmMode.PXP))
         worst_exact = max(worst_exact, float(np.abs(np.sort(spec_pxp.energies) - w_pxp).max()))
 
         spec_split = afm_analytic_spectrum(nu, om, de, inter, AfmMode.VDW_SPLIT)
         n_bulk = nu // 2 - 1
-        w_split = np.linalg.eigvalsh(build_afm_effective(nu, om, de, inter, AfmMode.VDW_SPLIT).matrix)
+        w_split = np.linalg.eigvalsh(build_afm_effective(nu, om, de, inter, AfmMode.VDW_SPLIT))
         worst_exact = max(
             worst_exact, float(np.abs(np.sort(spec_split.energies[:n_bulk]) - w_split).max())
         )
 
         # full vdW manifold within 2% of its bandwidth
         m = nu // 2 + 1
-        w_full = np.sort(np.linalg.eigvalsh(build_vdw(om, de, inter, build_full_basis(nu)).matrix))[:m]
+        full = ChainHamiltonian(Model.FULL_VDW, build_full_basis(nu), inter)
+        w_full = np.sort(np.linalg.eigvalsh(full.matrix(om, de)))[:m]
         bw = w_full.max() - w_full.min()
         worst_manifold = max(
             worst_manifold, float(np.abs(np.sort(spec_split.energies) - w_full).max() / bw)

@@ -13,15 +13,16 @@ from afmgate.config import Model, PulseProfile
 from afmgate.errors import PropagationError
 from afmgate.evolution import (
     DIAG_BLOCK_STEPS,
+    _dynamical_phase,
+    _phases_from_samples,
     _protocol_segments,
     _run_segment,
     _SegmentEngine,
     _step_count,
     parity_roundtrip_check,
-    phase_decomposition,
     run_protocol,
 )
-from afmgate.hamiltonian import excitation_numbers, interaction_diagonal
+from afmgate.hamiltonian import ChainHamiltonian, excitation_numbers, model_basis
 from afmgate.units import mhz
 
 from conftest import reference_config
@@ -29,6 +30,15 @@ from conftest import reference_config
 
 def wrap_phase(x):
     return (x + math.pi) % (2 * math.pi) - math.pi
+
+
+def segments(nu, cfg):
+    """The two segment engines of a protocol on the model's own basis."""
+    return _protocol_segments(ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction), cfg)
+
+
+def vdw_diagonal(basis, interaction):
+    return ChainHamiltonian(Model.FULL_VDW, basis, interaction).v
 
 
 class ConstantEngine(_SegmentEngine):
@@ -123,7 +133,7 @@ class TestFusedStepper:
 
     def test_single_state_with_decay_matches_plain_rk4(self):
         cfg = reference_config(model=Model.FULL_VDW, include_decay=True, gamma=mhz(0.05))
-        _, (seg1, _) = _protocol_segments(3, cfg)
+        seg1, _ = segments(3, cfg)
         n = _step_count(0.0, cfg.pulse.tau, cfg.dt)
         psi0 = np.zeros(seg1.basis.dim, dtype=complex)
         psi0[0] = 1.0
@@ -135,14 +145,14 @@ class TestFusedStepper:
     @pytest.mark.parametrize("include_decay", [False, True])
     def test_batch_with_per_column_diagonal_matches_plain_rk4(self, include_decay):
         cfg = reference_config(model=Model.FULL_VDW, include_decay=include_decay, gamma=mhz(0.05))
-        basis = build_full_basis(3)
-        v0 = interaction_diagonal(basis, cfg.interaction)
+        ham = ChainHamiltonian(Model.FULL_VDW, build_full_basis(3), cfg.interaction)
+        basis, v0 = ham.basis, ham.v
         rates = np.array([0.0, 0.3, -0.2])
 
         def v_int_at(t_abs):  # (times, dim, 3): one drifting interaction per column
             return v0[None, :, None] * (1.0 + rates[None, None, :] * t_abs[:, None, None])
 
-        _, (_, seg2) = _protocol_segments(3, cfg, v_int_fn_steps=(v_int_at, v_int_at), basis=basis)
+        _, seg2 = _protocol_segments(ham, cfg, (v_int_at, v_int_at))
         dt = seg2.pulse.tau / 1000
         psi0 = np.zeros((basis.dim, 3), dtype=complex)
         psi0[0, :] = 1.0
@@ -160,7 +170,7 @@ class TestFusedStepper:
 
     def test_tables_equal_scalar_pulse_values(self):
         cfg = reference_config(model=Model.PXP)
-        _, (seg1, _) = _protocol_segments(3, cfg)
+        seg1, _ = segments(3, cfg)
         pulse = seg1.pulse
         n = 93  # (n - 1) * dt + dt rounds past tau = 1, so the last end is clamped
         dt = pulse.tau / n
@@ -206,7 +216,8 @@ class TestBlockDiagonal:
     @pytest.mark.parametrize("include_decay", [False, True])
     def test_static_blocks_equal_scalar_formula_bitwise(self, include_decay, monkeypatch):
         cfg = reference_config(model=Model.FULL_VDW, include_decay=include_decay, gamma=mhz(0.05))
-        basis, (_, seg2) = _protocol_segments(4, cfg)
+        _, seg2 = segments(4, cfg)
+        basis = seg2.basis
         dt = seg2.pulse.tau / self.N_STEPS
         calls = record_diagonals(seg2, monkeypatch)
         psi0 = np.zeros(basis.dim, dtype=complex)
@@ -216,7 +227,7 @@ class TestBlockDiagonal:
         check_block_coverage(calls, t_tab, self.N_STEPS)
 
         n_r = excitation_numbers(basis)
-        v = interaction_diagonal(basis, cfg.interaction.flipped())
+        v = vdw_diagonal(basis, cfg.interaction.flipped())
         if include_decay:
             v = v - 0.5j * cfg.decay.gamma_rp * n_r
         for delta, d in zip(dl, np.concatenate([c[2] for c in calls])):
@@ -225,8 +236,8 @@ class TestBlockDiagonal:
     @pytest.mark.parametrize("include_decay", [False, True])
     def test_per_column_blocks_match_scalar_formula(self, include_decay, monkeypatch):
         cfg = reference_config(model=Model.FULL_VDW, include_decay=include_decay, gamma=mhz(0.05))
-        basis = build_full_basis(3)
-        v0 = interaction_diagonal(basis, cfg.interaction)
+        ham = ChainHamiltonian(Model.FULL_VDW, build_full_basis(3), cfg.interaction)
+        basis, v0 = ham.basis, ham.v
         rates = np.array([0.0, 0.3, -0.2])
 
         def v_at(t_abs):  # scalar time -> (dim, 3)
@@ -235,7 +246,7 @@ class TestBlockDiagonal:
         def v_int_at(t_abs):  # array of times -> (times, dim, 3)
             return np.stack([v_at(t) for t in t_abs])
 
-        _, (_, seg2) = _protocol_segments(3, cfg, v_int_fn_steps=(v_int_at, v_int_at), basis=basis)
+        _, seg2 = _protocol_segments(ham, cfg, (v_int_at, v_int_at))
         dt = seg2.pulse.tau / self.N_STEPS
         calls = record_diagonals(seg2, monkeypatch)
         psi0 = np.zeros((basis.dim, 3), dtype=complex)
@@ -253,9 +264,10 @@ class TestBlockDiagonal:
 
     def test_coeffs_use_the_block_formula(self):
         cfg = reference_config(model=Model.FULL_VDW, include_decay=True, gamma=mhz(0.05))
-        basis, (seg1, _) = _protocol_segments(4, cfg)
+        seg1, _ = segments(4, cfg)
+        basis = seg1.basis
         n_r = excitation_numbers(basis)
-        v = interaction_diagonal(basis, cfg.interaction) - 0.5j * cfg.decay.gamma_r * n_r
+        v = vdw_diagonal(basis, cfg.interaction) - 0.5j * cfg.decay.gamma_r * n_r
         for t in (0.0, 0.37, seg1.pulse.tau):
             omega, diag = seg1.coeffs(t)
             assert omega == seg1.pulse.omega(t)
@@ -299,6 +311,37 @@ class TestRunProtocol:
     def test_hermitian_norm_within_1e8(self):
         run = run_protocol(4, reference_config(model=Model.FULL_VDW), compute_phases=False)
         assert np.abs(run.trajectory.norms - 1.0).max() < 1e-8
+
+
+def phase_decomposition(traj, h_of_t, boundaries=()):
+    """Phase bookkeeping for an arbitrary trajectory, the reference for
+    the record ``run_protocol`` keeps.
+
+    ``h_of_t`` must return the (possibly non-Hermitian) Hamiltonian matrix
+    at a sample time.  The dynamical phase integrates the energy of the
+    dominantly occupied adiabatic branch (maximal overlap with the state),
+    which reduces to <H> under perfect adiabatic following but stays clean
+    under leakage.  ``boundaries`` lists times where H jumps (e.g. the
+    pulse handover); the action integral is split there, evaluating the
+    right side just past the jump.
+    """
+    cuts = [0]
+    for b in boundaries:
+        i = int(np.searchsorted(traj.times, b))
+        if 0 < i < len(traj.times) - 1:
+            cuts.append(i)
+    cuts.append(len(traj.times) - 1)
+
+    def energy(k, i):
+        t = traj.times[i]
+        if k > 0 and i == cuts[k]:
+            t = np.nextafter(t, np.inf)  # right side of the jump
+        h = np.asarray(h_of_t(t), dtype=complex)
+        w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+        return float(w[int(np.argmax(np.abs(v.conj().T @ traj.states[i])))])
+
+    phi_dyn = _dynamical_phase(traj.times, cuts, energy)
+    return _phases_from_samples(traj.times, traj.states, phi_dynamical=phi_dyn)
 
 
 class TestPhases:

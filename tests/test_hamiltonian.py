@@ -1,4 +1,5 @@
-"""Hamiltonian builders: matrix elements, symmetries and limits."""
+"""Chain Hamiltonians and AFM-manifold builders: matrix elements,
+symmetries and limits."""
 
 import math
 
@@ -6,17 +7,18 @@ import numpy as np
 import pytest
 
 from afmgate.basis import build_blockade_basis, build_full_basis
-from afmgate.config import InteractionConfig
+from afmgate.config import InteractionConfig, Model
 from afmgate.errors import RegimeError
 from afmgate.hamiltonian import (
     AfmManifoldModel,
     AfmMode,
     AfmRegime,
+    ChainHamiltonian,
     build_afm_effective,
-    build_corrections,
-    build_pxp,
-    build_vdw,
+    drive_matrix,
     excitation_numbers,
+    level_shifts,
+    model_basis,
 )
 from afmgate.units import mhz
 
@@ -27,32 +29,73 @@ def interaction(b=mhz(45), cutoff=None, spacing=SPACING):
     return InteractionConfig.from_nn_strength(b, spacing, range_cutoff=cutoff)
 
 
+def build_pxp(omega, delta, basis):
+    return ChainHamiltonian(Model.PXP, basis).matrix(omega, delta)
+
+
+def build_vdw(omega, delta, inter, basis):
+    return ChainHamiltonian(Model.FULL_VDW, basis, inter).matrix(omega, delta)
+
+
+def build_corrections(omega, delta, inter, basis):
+    return ChainHamiltonian(Model.PXP_PLUS_CORRECTIONS, basis, inter).matrix(omega, delta)
+
+
+def hermiticity_defect(h):
+    return np.abs(h - h.conj().T).max() / np.abs(h).max()
+
+
+def reference_corrections(omega, delta, inter, basis):
+    """Site-by-site loop over the configurations: PXP plus B2 Q_i Q_{i+2},
+    -S_B / -S_2B per ground atom with one / two Rydberg neighbours and the
+    -S_B hop of an excitation between adjacent sites under empty flanks."""
+    nu = basis.nu
+    s_b, s_2b = level_shifts(omega, delta, inter.b_nn)
+    h = omega * drive_matrix(basis) + np.diag(-delta * excitation_numbers(basis))
+
+    def q(s, i):
+        return 0 <= i < nu and bool((s >> i) & 1)
+
+    for k, s in enumerate(basis.states):
+        shift = sum(inter.b_nnn for i in range(nu - 2) if q(s, i) and q(s, i + 2))
+        for i in range(nu):
+            if not q(s, i):
+                n = q(s, i - 1) + q(s, i + 1)
+                shift -= (0.0, s_b, s_2b)[n]
+        h[k, k] += shift
+        for i in range(nu - 1):
+            if q(s, i) and not q(s, i + 1) and not q(s, i - 1) and not q(s, i + 2):
+                kt = basis.index[s ^ (1 << i) ^ (1 << (i + 1))]
+                h[k, kt] = h[kt, k] = -s_b
+    return h
+
+
 class TestPxp:
     def test_single_atom_gap_is_omega(self):
         h = build_pxp(2.5, 0.0, build_blockade_basis(1))
-        assert np.linalg.eigvalsh(h.matrix) == pytest.approx([-1.25, 1.25])
+        assert np.linalg.eigvalsh(h) == pytest.approx([-1.25, 1.25])
 
     def test_diagonal_limit(self):
         h = build_pxp(0.0, 3.0, build_blockade_basis(3))
-        w = np.linalg.eigvalsh(h.matrix)
+        w = np.linalg.eigvalsh(h)
         assert w[0] == pytest.approx(-6.0)  # |r1r> at -2 delta
-        assert np.abs(h.matrix - np.diag(np.diag(h.matrix))).max() == 0.0
+        assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
 
     def test_requires_constrained_basis(self):
         with pytest.raises(ValueError):
-            build_pxp(1.0, 0.0, build_full_basis(3))
+            ChainHamiltonian(Model.PXP, build_full_basis(3))
 
     def test_hermitian(self):
         h = build_pxp(1.3, -0.7, build_blockade_basis(6))
-        assert h.hermiticity_defect() < 1e-12
+        assert hermiticity_defect(h) < 1e-12
 
     def test_mirror_symmetry_in_detuning(self):
         rng = np.random.default_rng(3)
         basis = build_blockade_basis(5)
         for _ in range(10):
             om, de = rng.uniform(0.2, 3.0, 2)
-            w_plus = np.linalg.eigvalsh(build_pxp(om, de, basis).matrix)
-            w_minus = np.linalg.eigvalsh(build_pxp(om, -de, basis).matrix)
+            w_plus = np.linalg.eigvalsh(build_pxp(om, de, basis))
+            w_minus = np.linalg.eigvalsh(build_pxp(om, -de, basis))
             assert np.abs(w_plus + w_minus[::-1]).max() < 1e-10
 
 
@@ -60,25 +103,25 @@ class TestVdw:
     def test_pair_energy(self):
         basis = build_full_basis(2)
         h = build_vdw(0.0, 1.5, interaction(b=7.0, spacing=1.0), basis)
-        assert h.matrix[3, 3].real == pytest.approx(-2 * 1.5 + 7.0)
+        assert h[3, 3].real == pytest.approx(-2 * 1.5 + 7.0)
 
     def test_next_nearest_energy(self):
         basis = build_full_basis(3)
         h = build_vdw(0.0, 0.0, interaction(b=64.0, spacing=1.0), basis)
         i = basis.index[0b101]
-        assert h.matrix[i, i].real == pytest.approx(1.0)
+        assert h[i, i].real == pytest.approx(1.0)
 
     def test_requires_full_basis(self):
         with pytest.raises(ValueError):
-            build_vdw(1.0, 0.0, interaction(), build_blockade_basis(3))
+            ChainHamiltonian(Model.FULL_VDW, build_blockade_basis(3), interaction())
 
     def test_mirror_symmetry_needs_interaction_flip(self):
         rng = np.random.default_rng(5)
         basis = build_full_basis(4)
         for _ in range(10):
             om, de, b = rng.uniform(0.2, 3.0, 3)
-            w1 = np.linalg.eigvalsh(build_vdw(om, de, interaction(b=b, spacing=1.0), basis).matrix)
-            w2 = np.linalg.eigvalsh(build_vdw(om, -de, interaction(b=-b, spacing=1.0), basis).matrix)
+            w1 = np.linalg.eigvalsh(build_vdw(om, de, interaction(b=b, spacing=1.0), basis))
+            w2 = np.linalg.eigvalsh(build_vdw(om, -de, interaction(b=-b, spacing=1.0), basis))
             assert np.abs(w1 + w2[::-1]).max() < 1e-10
 
     def test_blockade_limit_recovers_pxp_spectrum(self):
@@ -88,9 +131,9 @@ class TestVdw:
         for nu in range(2, 7):
             b = 100.0 * max(om, de)
             w_vdw = np.linalg.eigvalsh(
-                build_vdw(om, de, interaction(b=b, cutoff=1, spacing=1.0), build_full_basis(nu)).matrix
+                build_vdw(om, de, interaction(b=b, cutoff=1, spacing=1.0), build_full_basis(nu))
             )
-            w_pxp = np.linalg.eigvalsh(build_pxp(om, de, build_blockade_basis(nu)).matrix)
+            w_pxp = np.linalg.eigvalsh(build_pxp(om, de, build_blockade_basis(nu)))
             m = len(w_pxp)
             assert np.abs(w_vdw[:m] - w_pxp).max() < 5 * om**2 / (4 * b)
 
@@ -102,7 +145,7 @@ class TestCorrections:
         s_b = om**2 / (4 * (b - de))
         h = build_corrections(om, de, interaction(b=b), basis)
         i = basis.index[0b1001]
-        assert h.matrix[i, i].real == pytest.approx(-2 * de - 2 * s_b, rel=1e-12)
+        assert h[i, i].real == pytest.approx(-2 * de - 2 * s_b, rel=1e-12)
 
     def test_r1r1_diagonal_has_b2_and_double_neighbour_shift(self):
         basis = build_blockade_basis(4)
@@ -111,14 +154,14 @@ class TestCorrections:
         s_2b = om**2 / (4 * (2 * b - de))
         h = build_corrections(om, de, interaction(b=b), basis)
         i = basis.index[0b0101]
-        assert h.matrix[i, i].real == pytest.approx(-2 * de + b / 64 - s_2b - s_b, rel=1e-12)
+        assert h[i, i].real == pytest.approx(-2 * de + b / 64 - s_2b - s_b, rel=1e-12)
 
     def test_zero_drive_reduces_to_pxp_plus_b2(self):
         basis = build_blockade_basis(5)
         de, b = 3.0, 40.0
-        extra = build_corrections(0.0, de, interaction(b=b, spacing=1.0), basis).matrix - build_pxp(
+        extra = build_corrections(0.0, de, interaction(b=b, spacing=1.0), basis) - build_pxp(
             0.0, de, basis
-        ).matrix
+        )
         assert np.abs(extra - np.diag(np.diag(extra))).max() == 0.0
         diag = np.diag(extra).real
         for k, s in enumerate(basis.states):
@@ -132,7 +175,7 @@ class TestCorrections:
 
     def test_hermitian(self):
         h = build_corrections(1.1, 3.0, interaction(), build_blockade_basis(6))
-        assert h.hermiticity_defect() < 1e-12
+        assert hermiticity_defect(h) < 1e-12
 
     @pytest.mark.parametrize("nu", [4, 6])
     def test_afm_manifold_tracks_full_model(self, nu):
@@ -141,9 +184,9 @@ class TestCorrections:
         om, de = 1.0, 10.0
         inter = interaction(b=3 * de, cutoff=2, spacing=1.0)
         m = nu // 2 + 1
-        w_full = np.sort(np.linalg.eigvalsh(build_vdw(om, de, inter, build_full_basis(nu)).matrix))[:m]
+        w_full = np.sort(np.linalg.eigvalsh(build_vdw(om, de, inter, build_full_basis(nu))))[:m]
         w_corr = np.sort(
-            np.linalg.eigvalsh(build_corrections(om, de, inter, build_blockade_basis(nu)).matrix)
+            np.linalg.eigvalsh(build_corrections(om, de, inter, build_blockade_basis(nu)))
         )[:m]
         bandwidth = w_full.max() - w_full.min()
         assert np.abs(w_full - w_corr).max() < 0.02 * bandwidth
@@ -153,21 +196,21 @@ class TestAfmEffective:
     def test_nu4_pxp_band(self):
         om, de = 1.0, 10.0
         s = om**2 / (4 * de)
-        w = np.linalg.eigvalsh(build_afm_effective(4, om, de, None, AfmMode.PXP).matrix)
+        w = np.linalg.eigvalsh(build_afm_effective(4, om, de, None, AfmMode.PXP))
         expect = np.sort([-2 * (de + s) - math.sqrt(2) * s, -2 * (de + s), -2 * (de + s) + math.sqrt(2) * s])
         assert w == pytest.approx(expect, rel=1e-12)
 
     def test_nu6_pxp_matches_cosine_band(self):
         om, de = 1.0, 10.0
         s = om**2 / (4 * de)
-        w = np.sort(np.linalg.eigvalsh(build_afm_effective(6, om, de, None, AfmMode.PXP).matrix))
+        w = np.sort(np.linalg.eigvalsh(build_afm_effective(6, om, de, None, AfmMode.PXP)))
         ks = np.arange(1, 5)
         expect = np.sort(-3 * (de + s) - 2 * s * np.cos(ks * np.pi / 5))
         assert w == pytest.approx(expect, rel=1e-12)
 
     def test_zero_drive_splits_ordered_from_defect_by_b2(self):
         de, b = 10.0, 30.0
-        h = build_afm_effective(4, 0.0, de, interaction(b=b, spacing=1.0), AfmMode.VDW_DEGENERATE).matrix
+        h = build_afm_effective(4, 0.0, de, interaction(b=b, spacing=1.0), AfmMode.VDW_DEGENERATE)
         assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
         d = np.diag(h).real
         assert d[0] == pytest.approx(d[2], rel=1e-14)
@@ -191,7 +234,40 @@ class TestAfmEffective:
 
 def test_operator_matrix_tracks_basis():
     basis = build_blockade_basis(4)
-    h = build_pxp(1.0, 0.0, basis)
-    assert h.basis is basis
-    assert h.dim == basis.dim
+    ham = ChainHamiltonian(Model.PXP, basis)
+    assert ham.basis is basis
+    assert ham.matrix(1.0, 0.0).shape == (basis.dim, basis.dim)
     assert excitation_numbers(basis).max() == 2
+
+
+class TestChainHamiltonian:
+    """The structures-times-profiles object against independent builds."""
+
+    POINTS = ((mhz(8), mhz(-20)), (mhz(3.1), mhz(7.7)), (mhz(8), mhz(0.3)), (mhz(1.2), mhz(60)))
+
+    @pytest.mark.parametrize("nu", range(1, 11))
+    def test_corrections_structures_match_site_loop(self, nu):
+        basis = build_blockade_basis(nu)
+        inter = interaction()
+        for om, de in self.POINTS:
+            h = build_corrections(om, de, inter, basis)
+            ref = reference_corrections(om, de, inter, basis)
+            assert np.abs(h - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW, Model.PXP_PLUS_CORRECTIONS])
+    def test_flipped_interaction_shares_structures(self, model):
+        ham = ChainHamiltonian(model, model_basis(model, 4), interaction())
+        flipped = ham.with_interaction(interaction(b=-mhz(45)))
+        fresh = ChainHamiltonian(model, ham.basis, interaction(b=-mhz(45)))
+        assert flipped.drive is ham.drive and flipped.m1 is ham.m1
+        assert np.array_equal(flipped.v, fresh.v)
+        assert np.array_equal(flipped.matrix(1.3, 0.4), fresh.matrix(1.3, 0.4))
+        assert np.array_equal(ham.matrix(1.3, 0.4), ChainHamiltonian(model, ham.basis, interaction()).matrix(1.3, 0.4))
+        if model is Model.FULL_VDW:
+            with pytest.raises(ValueError):
+                ham.with_interaction(interaction(cutoff=1))
+
+    @pytest.mark.parametrize("model", [Model.FULL_VDW, Model.PXP_PLUS_CORRECTIONS])
+    def test_missing_interaction_rejected(self, model):
+        with pytest.raises(ValueError):
+            ChainHamiltonian(model, model_basis(model, 3))

@@ -7,7 +7,7 @@ import pytest
 
 from afmgate.basis import build_blockade_basis
 from afmgate.config import InteractionConfig, Model, PulseProfile
-from afmgate.hamiltonian import AfmMode, build_afm_effective, build_pxp
+from afmgate.hamiltonian import AfmMode, ChainHamiltonian, build_afm_effective, model_basis
 from afmgate.spectra import (
     SymmetryLabel,
     afm_analytic_spectrum,
@@ -20,10 +20,16 @@ from afmgate.spectra import (
 )
 from conftest import B_NN, DELTA0, OMEGA0, SPACING
 
+INTERACTING_MODELS = (Model.FULL_VDW, Model.PXP_PLUS_CORRECTIONS)
+
+
+def pxp(omega, delta, nu):
+    return ChainHamiltonian(Model.PXP, build_blockade_basis(nu)).matrix(omega, delta)
+
 
 class TestEigSorted:
     def test_two_level_at_zero_detuning(self):
-        w, v = eig_sorted(build_pxp(1.0, 0.0, build_blockade_basis(1)))
+        w, v = eig_sorted(pxp(1.0, 0.0, 1))
         assert w == pytest.approx([-0.5, 0.5])
 
     def test_diagonal_matrix_returns_sorted_diagonal(self):
@@ -32,11 +38,11 @@ class TestEigSorted:
         assert w == pytest.approx([-1.0, 2.0, 3.0])
 
     def test_residuals_and_orthonormality(self):
-        h = build_pxp(1.2, 0.4, build_blockade_basis(5))
+        h = pxp(1.2, 0.4, 5)
         w, v = eig_sorted(h)
-        scale = np.linalg.norm(h.matrix)
+        scale = np.linalg.norm(h)
         for k in range(len(w)):
-            assert np.linalg.norm(h.matrix @ v[:, k] - w[k] * v[:, k]) < 1e-10 * scale
+            assert np.linalg.norm(h @ v[:, k] - w[k] * v[:, k]) < 1e-10 * scale
         assert np.abs(v.conj().T @ v - np.eye(len(w))).max() < 1e-10
 
     def test_pxp_nu3_spectrum_symmetric_about_zero(self):
@@ -48,7 +54,7 @@ class TestEigSorted:
         h[1, 4] = h[3, 4] = om / 2
         h = h + h.T
         w = np.linalg.eigvalsh(h)
-        mine, _ = eig_sorted(build_pxp(om, 0.0, build_blockade_basis(3)))
+        mine, _ = eig_sorted(pxp(om, 0.0, 3))
         assert mine == pytest.approx(w, abs=1e-12)
         assert mine == pytest.approx(-mine[::-1], abs=1e-12)
 
@@ -155,6 +161,34 @@ class TestScanSpectrum:
         with pytest.raises(ValueError):
             scan_spectrum(3, pulse, Model.PXP, grid_size=2)
 
+    @pytest.mark.parametrize("model", INTERACTING_MODELS)
+    def test_missing_interaction_rejected(self, pulse, model):
+        with pytest.raises(ValueError):
+            scan_spectrum(3, pulse, model, grid_size=5)
+
+    @pytest.mark.parametrize("model", [Model.PXP, *INTERACTING_MODELS])
+    def test_eta_matches_finite_difference_of_h(self, pulse, model):
+        # eta from a central difference of H(t) = matrix(Omega(t), Delta(t)),
+        # which includes the drift of the corrections model's level shifts
+        inter = InteractionConfig.from_nn_strength(B_NN, SPACING)
+        scan = scan_spectrum(4, pulse, model, inter, grid_size=21)
+        ham = ChainHamiltonian(model, model_basis(model, 4), inter)
+
+        def h_at(t):
+            return ham.matrix(pulse.omega(t), pulse.delta(t))
+
+        step = 1e-5 * pulse.tau
+        for g in range(1, 20):
+            t = scan.times[g]
+            dh = (h_at(t + step) - h_at(t - step)) / (2 * step)
+            w, v = scan.eigenvalues[g], scan.eigenvectors[g]
+            dh_eig = v.conj().T @ dh @ v
+            for eta, l in ((scan.eta_low[g], 0), (scan.eta_high[g], scan.dim - 1)):
+                finite = ~np.isnan(eta)
+                finite[l] = False
+                fd = np.abs(dh_eig[l, finite] / (w[finite] - w[l])) ** 2 * pulse.tau / abs(pulse.delta0)
+                assert np.abs(fd - eta[finite]).max() <= 1e-6 * eta[finite].max()
+
 
 class TestMinGap:
     def test_single_atom_gap_is_omega0_at_zero_detuning(self, pulse):
@@ -185,6 +219,11 @@ class TestMinGap:
         g_pxp = min_gap(5, pulse).gap
         g_vdw = min_gap(5, pulse, Model.FULL_VDW, inter).gap
         assert abs(g_vdw - g_pxp) / g_pxp < 0.2
+
+    @pytest.mark.parametrize("model", INTERACTING_MODELS)
+    def test_missing_interaction_rejected(self, pulse, model):
+        with pytest.raises(ValueError):
+            min_gap(3, pulse, model)
 
     def test_boundary_softened_power_law(self, pulse):
         # kappa_nu ~ nu^-p with 0 < p < 1 for the accessible odd sizes
@@ -217,7 +256,7 @@ class TestAfmAnalyticSpectrum:
     def test_pxp_band_diagonalizes_the_effective_hamiltonian(self, nu):
         om, de = 1.0, 10.0
         spec = afm_analytic_spectrum(nu, om, de, None, AfmMode.PXP)
-        w = np.linalg.eigvalsh(build_afm_effective(nu, om, de, None, AfmMode.PXP).matrix)
+        w = np.linalg.eigvalsh(build_afm_effective(nu, om, de, None, AfmMode.PXP))
         assert np.sort(spec.energies) == pytest.approx(w, rel=1e-12)
 
     @pytest.mark.parametrize("nu", [4, 6, 8])
@@ -226,7 +265,7 @@ class TestAfmAnalyticSpectrum:
         inter = InteractionConfig.from_nn_strength(3 * de, 1.0)
         spec = afm_analytic_spectrum(nu, om, de, inter, AfmMode.VDW_SPLIT)
         n_bulk = nu // 2 - 1
-        w = np.linalg.eigvalsh(build_afm_effective(nu, om, de, inter, AfmMode.VDW_SPLIT).matrix)
+        w = np.linalg.eigvalsh(build_afm_effective(nu, om, de, inter, AfmMode.VDW_SPLIT))
         assert np.sort(spec.energies[:n_bulk]) == pytest.approx(w, rel=1e-12)
 
     def test_degenerate_band_matches_uniform_ladder(self):
