@@ -8,8 +8,11 @@ its size is the Fibonacci number F_{nu+2}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
+
+import numpy as np
 
 NU_MAX = 24  # enumeration guard; dense-matrix builders impose their own limits
 
@@ -79,6 +82,35 @@ def build_full_basis(nu: int) -> Basis:
     """All 2^nu masks, ascending."""
     _check_nu(nu)
     return Basis(nu=nu, states=tuple(range(1 << nu)), constrained=False)
+
+
+def inversion_permutation(basis: Basis) -> np.ndarray:
+    """Index of the mirror image of every basis state: ``perm[k]`` is the
+    index of ``apply_inversion(basis.states[k], nu)``.  An involution.
+
+    The bit reversal runs over all masks at once; the lookup relies on the
+    states being ascending, as both builders produce them.
+    """
+    s = np.array(basis.states, dtype=np.int64)
+    rev = np.zeros_like(s)
+    for i in range(basis.nu):
+        rev |= (s >> i & 1) << (basis.nu - 1 - i)
+    return np.searchsorted(s, rev)
+
+
+def even_isometry(basis: Basis) -> np.ndarray:
+    """Real (dim, d_even) matrix U whose orthonormal columns span the
+    inversion-even sector: e_s for a mirror-symmetric mask s, and
+    (e_s + e_Is) / sqrt(2) for each mirror pair s < Is, in ascending order
+    of the lower index."""
+    perm = inversion_permutation(basis)
+    reps = np.flatnonzero(np.arange(basis.dim) <= perm)
+    paired = perm[reps] != reps
+    cols = np.arange(len(reps))
+    u = np.zeros((basis.dim, len(reps)))
+    u[reps, cols] = np.where(paired, math.sqrt(0.5), 1.0)
+    u[perm[reps[paired]], cols[paired]] = math.sqrt(0.5)
+    return u
 
 
 def ordered_afm_masks(nu: int) -> Tuple[int, ...]:

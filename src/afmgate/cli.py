@@ -76,13 +76,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_lines(path: Path, header_params: Dict[str, object], columns: Sequence[str],
+                 lines: Iterable[str]) -> None:
+    header = [f"# {key} = {_fmt(val)}" for key, val in header_params.items()]
+    header.append(",".join(columns))
+    path.write_text("\n".join([*header, *lines]) + "\n")
+
+
 def _write_csv(path: Path, header_params: Dict[str, object], columns: Sequence[str],
                rows: Iterable[Sequence[object]]) -> None:
-    lines = [f"# {key} = {_fmt(val)}" for key, val in header_params.items()]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_lines(path, header_params, columns, (",".join(_fmt(v) for v in row) for row in rows))
+
+
+def _column_lines(*columns) -> List[str]:
+    """CSV rows from whole columns: a numeric array is written as the repr
+    of its Python values (as ``_fmt`` writes each value), a list of
+    strings as it is."""
+    text = [col if isinstance(col, list) else list(map(repr, col.tolist())) for col in columns]
+    return [",".join(row) for row in zip(*text)]
 
 
 def _resolved_params(cfg: ProtocolConfig, **extra) -> Dict[str, object]:
@@ -134,24 +145,20 @@ def cmd_spectrum(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -
             ("row", "col", "re", "im"),
             rows,
         )
-    rows = []
-    for g in range(len(scan.delta_grid)):
-        for k in range(scan.dim):
-            rows.append(
-                (
-                    scan.delta_grid[g],
-                    k + 1,
-                    scan.eigenvalues[g, k],
-                    scan.symmetry[g][k].value,
-                    scan.eta_low[g, k],
-                    scan.eta_high[g, k],
-                )
-            )
-    _write_csv(
+    n_grid, dim = scan.eigenvalues.shape
+    lines = _column_lines(
+        np.repeat(scan.delta_grid, dim),
+        np.tile(np.arange(1, dim + 1), n_grid),
+        scan.eigenvalues.ravel(),
+        [label.value for labels in scan.symmetry for label in labels],
+        scan.eta_low.ravel(),
+        scan.eta_high.ravel(),
+    )
+    _write_lines(
         out_dir / "spectrum.csv",
         _resolved_params(cfg, nu=nu, grid=args.grid),
         ("delta_rad_us", "k", "energy_rad_us", "symmetry", "eta_low", "eta_high"),
-        rows,
+        lines,
     )
 
 
@@ -161,23 +168,13 @@ def cmd_evolve(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> 
     traj, phases = run.trajectory, run.phases
     pops = traj.populations
     columns = ["t_us", "norm", "p_ground", "p_afm"]
-    extra = "afm_excited" in pops
-    if extra:
+    values = [traj.times, traj.norms, pops["ground"], pops["afm"]]
+    if "afm_excited" in pops:
         columns.append("p_afm_excited")
+        values.append(pops["afm_excited"])
     columns += ["phi_total", "phi_dynamical", "phi_geometric", "phi_valid"]
-    rows = []
-    for i in range(len(traj.times)):
-        row = [traj.times[i], traj.norms[i], pops["ground"][i], pops["afm"][i]]
-        if extra:
-            row.append(pops["afm_excited"][i])
-        row += [
-            phases.phi_total[i],
-            phases.phi_dynamical[i],
-            phases.phi_geometric[i],
-            int(phases.valid[i]),
-        ]
-        rows.append(row)
-    _write_csv(out_dir / "evolve.csv", _resolved_params(cfg, nu=nu), columns, rows)
+    values += [phases.phi_total, phases.phi_dynamical, phases.phi_geometric, phases.valid.astype(int)]
+    _write_lines(out_dir / "evolve.csv", _resolved_params(cfg, nu=nu), columns, _column_lines(*values))
 
 
 def cmd_gate(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> None:

@@ -10,6 +10,16 @@ each evaluation only rescales the drive and reads its diagonal.
 Hermitian runs renormalize the state after every step (removing the RK4
 amplitude artifact, which would otherwise mask real norm errors);
 non-Hermitian runs keep the physical norm decay.
+
+Phase bookkeeping.  The dynamical phase integrates the energy of the
+branch that holds the state, read from an eigensolve of the Hermitian
+part of H at every stored sample.  A static chain is mirror-symmetric and
+the protocol starts in the even ground state, so that eigensolve runs on
+the inversion-even sector (``basis.even_isometry``; 20 of 32 states at
+vdW nu = 5, 72 of 128 at nu = 7): once per segment the drive, n_r and v
+are projected, then each chunk of samples is one stacked real ``eigh``.
+A Hamiltonian that breaks the mirror, or a state that leaves the sector,
+raises instead of being followed.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .basis import Basis, afm_manifold_masks, ordered_afm_masks
+from .basis import Basis, afm_manifold_masks, even_isometry, inversion_permutation, ordered_afm_masks
 from .config import Model, ProtocolConfig, PulseProfile
 from .errors import PropagationError
 from .hamiltonian import ChainHamiltonian, model_basis
@@ -32,6 +42,17 @@ PHASE_SAMPLE_MARGIN = math.pi / 4.0
 # amortise the per-call cost, short enough to keep a thermal block of
 # (2 * steps, dim, batch) complex entries small
 DIAG_BLOCK_STEPS = 16
+# Branch energies: matrix entries of one stacked even-sector eigenproblem
+# (samples per chunk times d_even^2).  The peak RSS of a vdW nu = 5 evolve
+# grows with it: +4.7 MB over a per-sample eigensolve at 2^17 entries,
+# +2 MB at 2^15, which takes about 5 % longer than 2^17
+PHASE_CHUNK_ENTRIES = 1 << 15
+# A state's odd weight, relative to its squared norm, above which it has
+# left the inversion-even sector
+ODD_WEIGHT_MAX = 1e-10
+# Tolerated asymmetry of the interaction diagonal under inversion, relative
+# to its largest entry (pair sums in another order)
+SYMMETRY_V_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,12 +172,57 @@ class _SegmentEngine:
         np.subtract(delta_n_r, v, out=out.imag)
         return out
 
-    def branch_energy(self, t_local: float, psi: np.ndarray) -> float:
+    def branch_energies(self, t_local: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Instantaneous eigenvalue of the dominantly occupied branch of the
-        Hermitian part (maximal overlap with the state)."""
-        t = min(max(t_local, 0.0), self.pulse.tau)
-        w, v = np.linalg.eigh(self.hamiltonian.matrix(self.pulse.omega(t), self.pulse.delta(t)).real)
-        return float(w[int(np.argmax(np.abs(v.conj().T @ psi)))])
+        Hermitian part (maximal overlap with the state) for each state row
+        at its local time, on the inversion-even sector.
+
+        Raises ValueError if the Hamiltonian does not commute with the
+        inversion and PropagationError at the first state with odd weight
+        above ``ODD_WEIGHT_MAX`` of its squared norm.
+        """
+        ham = self.hamiltonian
+        perm = inversion_permutation(self.basis)
+        tol = SYMMETRY_V_RTOL * np.abs(ham.v).max()
+        if not (
+            np.array_equal(ham.drive[np.ix_(perm, perm)], ham.drive)
+            and np.array_equal(ham.n_r[perm], ham.n_r)
+            and np.abs(ham.v[perm] - ham.v).max() <= tol
+        ):
+            raise ValueError("the Hamiltonian does not commute with the spatial inversion")
+        u = even_isometry(self.basis)
+        reps = u.argmax(axis=0)  # lower index of each column's mirror orbit
+        drive_even = u.T @ ham.drive @ u
+        n_even = ham.n_r[reps]
+        v_even = 0.5 * (ham.v[reps] + ham.v[perm[reps]])
+        t = np.clip(t_local, 0.0, self.pulse.tau)
+        omega, delta = self.pulse.omega(t), self.pulse.delta(t)
+
+        d_even = u.shape[1]
+        chunk = max(1, PHASE_CHUNK_ENTRIES // d_even**2)
+        diag = np.arange(d_even)
+        energies = np.empty(len(t))
+        for lo in range(0, len(t), chunk):
+            hi = min(lo + chunk, len(t))
+            psi = states[lo:hi]
+            phi = psi @ u
+            odd_weight = np.sum(np.abs(0.5 * (psi - psi[:, perm])) ** 2, axis=1)
+            norm2 = np.sum(np.abs(psi) ** 2, axis=1)
+            bad = np.flatnonzero(odd_weight > ODD_WEIGHT_MAX * norm2)
+            if bad.size:
+                i = int(bad[0])
+                raise PropagationError(
+                    f"state at t = {t_local[lo + i]} left the inversion-even sector: "
+                    f"odd weight {odd_weight[i]:.3e} of {norm2[i]:.3e}"
+                )
+            h = omega[lo:hi, None, None] * drive_even
+            h[:, diag, diag] += v_even - delta[lo:hi, None] * n_even
+            w, vecs = np.linalg.eigh(h)
+            # |<v_k|phi>|^2 from real products: no complex copy of vecs
+            re = np.matmul(phi.real[:, None, :], vecs)[:, 0, :]
+            im = np.matmul(phi.imag[:, None, :], vecs)[:, 0, :]
+            energies[lo:hi] = w[np.arange(hi - lo), np.argmax(re * re + im * im, axis=1)]
+        return energies
 
     def matrix(self, t_local: float) -> np.ndarray:
         omega, diag = self.coeffs(t_local)
@@ -383,7 +449,9 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
         phi_dyn = _dynamical_phase(
             time_arr,
             [0, int(np.searchsorted(time_arr, tau1)), len(time_arr) - 1],
-            lambda k, i: segs[k].branch_energy(time_arr[i] - starts[k], state_arr[i]),
+            lambda k, lo, hi: segs[k].branch_energies(
+                time_arr[lo : hi + 1] - starts[k], state_arr[lo : hi + 1]
+            ),
         )
         phases = _phases_from_samples(time_arr, state_arr, phi_dynamical=phi_dyn)
     return ProtocolRun(
@@ -395,19 +463,20 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
 
 
 def _dynamical_phase(
-    times: np.ndarray, cuts: Sequence[int], energy: Callable[[int, int], float]
+    times: np.ndarray, cuts: Sequence[int], energy: Callable[[int, int, int], np.ndarray]
 ) -> np.ndarray:
     """Action integral of the dominantly occupied branch energy along the
     samples, accumulated per segment between the sample indices ``cuts``
     (first 0, last the final sample) where H jumps.
 
-    ``energy(k, i)`` is the branch energy of sample i under the Hamiltonian
-    of segment k.  Each segment evaluates its own first sample, so a jump is
-    integrated with both-sided boundary values.
+    ``energy(k, lo, hi)`` returns the branch energies of samples lo..hi
+    (inclusive) under the Hamiltonian of segment k.  Each segment evaluates
+    its own first sample, so a jump is integrated with both-sided boundary
+    values.
     """
     phi = np.zeros(len(times))
     for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-        e = np.array([energy(k, i) for i in range(lo, hi + 1)])
+        e = energy(k, lo, hi)
         phi[lo : hi + 1] = phi[lo] + cumulative_trapezoid(e, times[lo : hi + 1], initial=0.0)
     return phi
 

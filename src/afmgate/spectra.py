@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .basis import Basis, afm_manifold_masks, apply_inversion
+from .basis import Basis, afm_manifold_masks, inversion_permutation
 from .config import InteractionConfig, Model, PulseProfile
 from .errors import RegimeError
 from .hamiltonian import AfmManifoldModel, AfmMode, ChainHamiltonian, model_basis
@@ -44,14 +44,6 @@ def eig_sorted(h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(h)
 
 
-def inversion_matrix(basis: Basis) -> np.ndarray:
-    """Permutation matrix of the spatial inversion on this basis."""
-    mat = np.zeros((basis.dim, basis.dim))
-    for k, s in enumerate(basis.states):
-        mat[basis.index[apply_inversion(s, basis.nu)], k] = 1.0
-    return mat
-
-
 def _symmetry_label(x: float) -> SymmetryLabel:
     """Label for an inversion expectation value <v|I|v>: MIXED (possible
     only at degeneracies) unless within SYMMETRY_GATE of +-1."""
@@ -64,7 +56,7 @@ def _symmetry_label(x: float) -> SymmetryLabel:
 
 def classify_symmetry(vec: np.ndarray, basis: Basis) -> SymmetryLabel:
     """Inversion character of a normalized state from <v|I|v>."""
-    return _symmetry_label(float(np.real(np.vdot(vec, inversion_matrix(basis) @ vec))))
+    return _symmetry_label(float(np.real(np.vdot(vec, vec[inversion_permutation(basis)]))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +107,7 @@ def scan_spectrum(
         raise ValueError(f"grid size must be >= 3, got {grid_size}")
     ham = ChainHamiltonian(model, model_basis(model, nu), interaction)
     basis = ham.basis
-    inv = inversion_matrix(basis)
+    perm = inversion_permutation(basis)
     deg_tol = DEGENERACY_RTOL * abs(pulse.omega0) if pulse.omega0 else DEGENERACY_RTOL
 
     times = np.linspace(0.0, pulse.tau, grid_size)
@@ -151,7 +143,8 @@ def scan_spectrum(
                 else:
                     row[k] = abs(dh_eig[l, k] / gaps[k]) ** 2 * pulse.tau / abs(pulse.delta0)
 
-        ix = np.real(np.einsum("ik,ij,jk->k", v.conj(), inv, v))
+        # <v_k|I|v_k> = Re sum_i conj(v[i, k]) v[perm[i], k]
+        ix = np.real(np.sum(v.conj() * v[perm], axis=0))
         symmetry.append([_symmetry_label(x) for x in ix])
 
     return SpectrumScan(

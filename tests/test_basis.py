@@ -1,5 +1,8 @@
 """Configuration bases, blockade constraint, parity and inversion."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +13,8 @@ from afmgate.basis import (
     blockade_allowed,
     build_blockade_basis,
     build_full_basis,
+    even_isometry,
+    inversion_permutation,
     ordered_afm_masks,
     parity_sign,
     rydberg_count,
@@ -89,6 +94,39 @@ class TestStateOperations:
         assert rydberg_count(inv) == rydberg_count(mask)
         assert blockade_allowed(inv) == blockade_allowed(mask)
         assert parity_sign(mask) * parity_sign(inv) == 1
+
+
+BASES = [build(nu) for build in (build_full_basis, build_blockade_basis) for nu in range(1, 11)]
+
+
+class TestInversionSector:
+    def test_inversion_permutation_is_an_involution(self):
+        for basis in BASES:
+            perm = inversion_permutation(basis)
+            assert np.array_equal(perm[perm], np.arange(basis.dim))
+
+    def test_inversion_permutation_matches_apply_inversion(self):
+        for basis in BASES:
+            perm = inversion_permutation(basis)
+            for k, s in enumerate(basis.states):
+                assert basis.states[perm[k]] == apply_inversion(s, basis.nu)
+
+    @pytest.mark.parametrize(
+        "basis,d_even",
+        [(build_full_basis(5), 20), (build_blockade_basis(7), 21), (build_full_basis(7), 72)],
+    )
+    def test_even_sector_dimension(self, basis, d_even):
+        assert even_isometry(basis).shape == (basis.dim, d_even)
+
+    def test_even_isometry_spans_the_even_sector(self):
+        for basis in BASES:
+            u = even_isometry(basis)
+            perm = inversion_permutation(basis)
+            n_fixed = int(np.sum(perm == np.arange(basis.dim)))
+            assert u.shape[1] == n_fixed + (basis.dim - n_fixed) // 2
+            assert np.abs(u.T @ u - np.eye(u.shape[1])).max() < 1e-15
+            assert np.array_equal(u[perm], u)  # every column is mirror-even
+            assert set(np.unique(u)) <= {0.0, 1.0, math.sqrt(0.5)}
 
 
 class TestAfmConfigurations:

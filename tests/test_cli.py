@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import afmgate
-from afmgate.cli import EXIT_CONFIG, EXIT_OK, _git_describe, main
+from afmgate.cli import EXIT_CONFIG, EXIT_OK, _column_lines, _fmt, _git_describe, main
 
 CONFIG = {
     "chain": {"n_atoms": 5, "spacing_um": 4.0},
@@ -303,3 +303,13 @@ def test_git_describe_ignores_the_callers_repository(tmp_path, monkeypatch):
     )
     expected = package.stdout.strip() if package.returncode == 0 else f"afmgate-{afmgate.__version__}"
     assert _git_describe() == expected
+
+
+def test_column_lines_match_per_value_format():
+    # the per-row loop that cmd_evolve and cmd_spectrum used to run
+    floats = np.array([0.0, -0.0, 5e-324, 1.0 / 3.0, -2.5e17, 6.283185307179586, np.nan, -np.inf])
+    ints = np.arange(-3, len(floats) - 3)
+    flags = (floats > 0).astype(int)
+    labels = ["S", "A", "M", "S", "A", "S", "M", "A"]
+    expect = [",".join(_fmt(v) for v in row) for row in zip(floats, ints, labels, floats[::-1], flags)]
+    assert _column_lines(floats, ints, labels, floats[::-1], flags) == expect

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from afmgate import evolution
 from afmgate.basis import build_full_basis
 from afmgate.config import Model, PulseProfile
 from afmgate.errors import PropagationError
@@ -332,13 +333,16 @@ def phase_decomposition(traj, h_of_t, boundaries=()):
             cuts.append(i)
     cuts.append(len(traj.times) - 1)
 
-    def energy(k, i):
+    def energy_at(k, i):
         t = traj.times[i]
         if k > 0 and i == cuts[k]:
             t = np.nextafter(t, np.inf)  # right side of the jump
         h = np.asarray(h_of_t(t), dtype=complex)
         w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
         return float(w[int(np.argmax(np.abs(v.conj().T @ traj.states[i])))])
+
+    def energy(k, lo, hi):
+        return np.array([energy_at(k, i) for i in range(lo, hi + 1)])
 
     phi_dyn = _dynamical_phase(traj.times, cuts, energy)
     return _phases_from_samples(traj.times, traj.states, phi_dynamical=phi_dyn)
@@ -383,6 +387,102 @@ class TestPhases:
         rec = phase_decomposition(run.trajectory, h_of_t, boundaries=[tau])
         assert rec.final_dynamical() == pytest.approx(run.phases.final_dynamical(), abs=2e-3)
         assert rec.final_total() == pytest.approx(run.phases.final_total(), abs=1e-9)
+
+
+def full_space_branch_energy(seg, t_local, psi):
+    """The full-space formula the even-sector path replaced: eigh of the
+    whole real H and the eigenvalue of maximal overlap with the state."""
+    t = min(max(t_local, 0.0), seg.pulse.tau)
+    w, v = np.linalg.eigh(seg.hamiltonian.matrix(seg.pulse.omega(t), seg.pulse.delta(t)).real)
+    return float(w[int(np.argmax(np.abs(v.conj().T @ psi)))])
+
+
+def segment_samples(run):
+    """(segment engine, first and last sample index, segment start time) of
+    both pulses; the boundary sample belongs to both."""
+    times = run.trajectory.times
+    cut = int(np.searchsorted(times, run.boundaries[1]))
+    seg1, seg2 = run.segments
+    return ((seg1, 0, cut, 0.0), (seg2, cut, len(times) - 1, run.boundaries[1]))
+
+
+class TestEvenSectorBranchEnergies:
+    """Branch energies on the inversion-even sector against the full-space
+    formula.  Every sample is compared up to dim 34 (with the dynamical
+    phase); larger bases compare every 8th sample, which still spans many
+    eigensolve chunks."""
+
+    CASES = [(Model.FULL_VDW, nu) for nu in range(1, 8)] + [(Model.PXP, nu) for nu in range(1, 10)]
+
+    @pytest.mark.parametrize("include_decay", [False, True])
+    @pytest.mark.parametrize("model,nu", CASES)
+    def test_energies_match_full_space_eigh(self, model, nu, include_decay):
+        cfg = reference_config(model=model, include_decay=include_decay, gamma=mhz(0.05))
+        every = 1 if model_basis(model, nu).dim <= 34 else 8
+        run = run_protocol(nu, cfg, compute_phases=every == 1)
+        traj = run.trajectory
+        reference = []
+        for seg, lo, hi, start in segment_samples(run):
+            idx = np.arange(lo, hi + 1, every)
+            energies = seg.branch_energies(traj.times[idx] - start, traj.states[idx])
+            ref = np.array([full_space_branch_energy(seg, traj.times[i] - start, traj.states[i]) for i in idx])
+            assert np.abs(energies - ref).max() <= 1e-12 * np.abs(ref).max()
+            reference.append(ref)
+        if every == 1:
+            cuts = [0, segment_samples(run)[1][1], len(traj.times) - 1]
+            phi = _dynamical_phase(traj.times, cuts, lambda k, lo, hi: reference[k])
+            assert np.abs(run.phases.phi_dynamical - phi).max() <= 1e-11
+
+    def test_energies_independent_of_chunk_size(self, monkeypatch):
+        run = run_protocol(5, reference_config(model=Model.FULL_VDW), compute_phases=False)
+        traj = run.trajectory
+        seg, lo, hi, start = segment_samples(run)[0]
+        idx = np.arange(lo, hi + 1, 13)
+        whole = seg.branch_energies(traj.times[idx] - start, traj.states[idx])
+        monkeypatch.setattr(evolution, "PHASE_CHUNK_ENTRIES", 3 * 20**2)  # 3 samples per chunk
+        assert len(idx) % 3 != 0
+        chunked = seg.branch_energies(traj.times[idx] - start, traj.states[idx])
+        assert np.array_equal(chunked, whole)
+
+    def test_odd_state_raises_at_its_sample(self):
+        cfg = reference_config(model=Model.FULL_VDW)
+        seg1, _ = segments(3, cfg)
+        basis = seg1.basis
+        ground = np.zeros(basis.dim, dtype=complex)
+        ground[basis.index[0]] = 1.0
+        odd = ground.copy()
+        odd[basis.index[0b001]] = 1e-4
+        odd[basis.index[0b100]] = -1e-4
+        states = np.array([ground, ground, odd, odd])
+        assert np.isfinite(seg1.branch_energies(np.array([0.1, 0.2]), states[:2])).all()
+        with pytest.raises(PropagationError, match="t = 0.3"):
+            seg1.branch_energies(np.array([0.1, 0.2, 0.3, 0.4]), states)
+
+    @pytest.mark.parametrize("shift,raises", [(1e-13, False), (1e-9, True)])
+    def test_interaction_must_be_mirror_symmetric(self, shift, raises):
+        cfg = reference_config(model=Model.FULL_VDW)
+        seg1, _ = segments(4, cfg)
+        ham = seg1.hamiltonian
+        ham.v = ham.v.copy()
+        ham.v[ham.basis.index[0b0011]] += shift * np.abs(ham.v).max()
+        psi = np.zeros((1, ham.basis.dim), dtype=complex)
+        psi[0, 0] = 1.0
+        if raises:
+            with pytest.raises(ValueError, match="inversion"):
+                seg1.branch_energies(np.array([0.5]), psi)
+        else:
+            seg1.branch_energies(np.array([0.5]), psi)
+
+    def test_broken_drive_symmetry_raises(self):
+        cfg = reference_config(model=Model.PXP)
+        seg1, _ = segments(3, cfg)
+        ham = seg1.hamiltonian
+        ham.drive = ham.drive.copy()
+        ham.drive[0, ham.basis.index[0b001]] *= 1.0 + 1e-15
+        psi = np.zeros((1, ham.basis.dim), dtype=complex)
+        psi[0, 0] = 1.0
+        with pytest.raises(ValueError, match="inversion"):
+            seg1.branch_energies(np.array([0.5]), psi)
 
 
 class TestParityRoundtrip:

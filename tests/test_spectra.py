@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from afmgate.basis import build_blockade_basis
+from afmgate.basis import apply_inversion, build_blockade_basis
 from afmgate.config import InteractionConfig, Model, PulseProfile
 from afmgate.hamiltonian import AfmMode, ChainHamiltonian, build_afm_effective, model_basis
 from afmgate.spectra import (
     SymmetryLabel,
     afm_analytic_spectrum,
+    _symmetry_label,
     classify_symmetry,
     eig_sorted,
-    inversion_matrix,
     min_gap,
     scan_spectrum,
     wrong_parity_partner,
@@ -84,13 +84,28 @@ class TestClassifySymmetry:
         vec[basis.index[0b0101]] = -1 / math.sqrt(2)  # |r1r1>
         assert classify_symmetry(vec, basis) is SymmetryLabel.ANTISYMMETRIC
 
-    def test_inversion_matrix_is_an_involution(self):
-        basis = build_blockade_basis(5)
-        inv = inversion_matrix(basis)
-        assert np.abs(inv @ inv - np.eye(basis.dim)).max() == 0.0
+
+def dense_inversion(basis):
+    """Permutation matrix of the spatial inversion, one mask at a time."""
+    inv = np.zeros((basis.dim, basis.dim))
+    for k, s in enumerate(basis.states):
+        inv[basis.index[apply_inversion(s, basis.nu)], k] = 1.0
+    return inv
 
 
 class TestScanSpectrum:
+    @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
+    @pytest.mark.parametrize("nu", [3, 4, 5, 6, 7])
+    def test_labels_equal_dense_inversion_expectation(self, model, nu, pulse):
+        interaction = None if model is Model.PXP else InteractionConfig.from_nn_strength(B_NN, SPACING)
+        scan = scan_spectrum(nu, pulse, model, interaction, grid_size=21)
+        inv = dense_inversion(scan.basis)
+        for g, v in enumerate(scan.eigenvectors):
+            ix = np.real(np.einsum("ik,ij,jk->k", v.conj(), inv, v))
+            assert scan.symmetry[g] == [_symmetry_label(x) for x in ix]
+        seen = {label for labels in scan.symmetry for label in labels}
+        assert {SymmetryLabel.SYMMETRIC, SymmetryLabel.ANTISYMMETRIC} <= seen
+
     def test_lowest_branch_endpoints(self, pulse):
         scan = scan_spectrum(3, pulse, Model.PXP, grid_size=101)
         assert scan.eigenvalues[0, 0] == pytest.approx(0.0, abs=1e-9)
