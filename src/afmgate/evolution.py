@@ -6,7 +6,11 @@ batch of states held as the columns of one array.  The operator
 structures come from one ``ChainHamiltonian`` per protocol, shared by both
 segments, and the pulse is tabulated once per segment.  The diagonal of
 -iH is tabulated for a block of ``DIAG_BLOCK_STEPS`` steps at a time, so
-each evaluation only rescales the drive and reads its diagonal.
+each evaluation only rescales the drive and reads its diagonal.  The
+stage states, the scaling by Omega and the RK4 combination are level-1
+BLAS calls (``zaxpy``, ``zdscal``) on the flat rows of one preallocated
+array, and non-finite amplitudes are looked for once per segment, over
+the array of its stored samples.
 Hermitian runs renormalize the state after every step (removing the RK4
 amplitude artifact, which would otherwise mask real norm errors);
 non-Hermitian runs keep the physical norm decay.
@@ -26,10 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+from scipy.linalg.blas import dznrm2, zaxpy, zdscal
 
 from .basis import Basis, afm_manifold_masks, even_isometry, inversion_permutation, ordered_afm_masks
 from .config import Model, ProtocolConfig, PulseProfile
@@ -96,11 +101,6 @@ def _step_count(t0: float, t1: float, dt: float) -> int:
     if n < 1 or abs(n * dt - span) > 1e-9 * max(span, dt):
         raise ValueError(f"dt = {dt} does not evenly divide the interval {span}")
     return n
-
-
-def _check_state(psi: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(psi)):
-        raise PropagationError(f"non-finite amplitudes at t = {t}")
 
 
 class _SegmentEngine:
@@ -231,39 +231,54 @@ class _SegmentEngine:
 
 def _run_segment(
     engine: _SegmentEngine,
-    psi: np.ndarray,
+    psi0: np.ndarray,
     dt: float,
     n_steps: int,
     stride: int,
     renormalize: bool,
-) -> Tuple[List[float], List[np.ndarray]]:
-    """RK4 over one segment; returns samples at local times (excluding t=0)
-    every ``stride`` steps and at the segment end.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """RK4 over one segment; returns the local times (excluding t=0) and
+    the states of the samples taken every ``stride`` steps and at the
+    segment end, as arrays (n_samples,) and (n_samples, *psi0.shape).
 
-    ``psi`` is one state (dim,) or a batch of states as columns
+    ``psi0`` is one state (dim,) or a batch of states as columns
     (dim, batch); renormalization then acts on each column.  The pulse is
     tabulated once for the segment, the complex diagonal d of -iH once per
     block of ``DIAG_BLOCK_STEPS`` steps, and each derivative is the fused
-    Omega * (gen @ y) + d * y.  Raises PropagationError on non-finite
-    amplitudes at a sample.
+    Omega * (gen @ y) + d * y.  Raises PropagationError naming the time of
+    the first sample that holds non-finite amplitudes.
     """
-    times: List[float] = []
-    states: List[np.ndarray] = []
     gen = engine.gen
     t_tab, om, dl = engine.tables(dt, n_steps)
+    om = om.tolist()  # Python floats: no numpy scalar boxed per BLAS call
     half = 0.5 * dt
     sixth = dt / 6.0
     block_len = 2 * DIAG_BLOCK_STEPS
-    psi = np.array(psi, dtype=complex)
-    k1, k2, k3, k4, y, dy = (np.empty_like(psi) for _ in range(6))
+    shape = np.shape(psi0)
+    # psi, k1..k4, y and dy are the rows of one C-contiguous array; the
+    # BLAS wrappers get those flat rows, which alias the shaped views (a
+    # non-contiguous argument would be copied and the update lost)
+    rows = np.empty((7, math.prod(shape)), dtype=complex)
+    psi, k1, k2, k3, k4, y, dy = (row.reshape(shape) for row in rows)
+    psi_r, k1_r, k2_r, k3_r, k4_r, y_r, dy_r = rows
+    psi[...] = psi0
 
-    def deriv(j: int, d: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    # samples after every stride-th step and after the last one
+    sample_steps = np.minimum(np.arange(stride, n_steps + stride, stride), n_steps) - 1
+    times = sample_steps * dt + dt
+    # pin the final sample to the exact pulse end so segment boundaries
+    # are found exactly downstream
+    times[-1] = engine.pulse.tau
+    samples = np.empty((len(times),) + shape, dtype=complex)
+
+    def deriv(j: int, d: np.ndarray, y: np.ndarray, out: np.ndarray, out_r: np.ndarray) -> None:
         np.dot(gen, y, out=out)
-        out *= om[j]
+        zdscal(om[j], out_r, overwrite_x=1)
         np.multiply(d, y, out=dy)
-        out += dy
+        zaxpy(dy_r, out_r)
 
     d_end = engine.diagonals(t_tab[:1], dl[:1])[0]
+    s = 0
     for step in range(n_steps):
         j = 2 * step
         i = j % block_len
@@ -274,36 +289,36 @@ def _run_segment(
         d_start = d_end
         d_mid = block[i]
         d_end = block[i + 1]
-        deriv(j, d_start, psi, k1)
-        np.multiply(k1, half, out=y)
-        y += psi
-        deriv(j + 1, d_mid, y, k2)
-        np.multiply(k2, half, out=y)
-        y += psi
-        deriv(j + 1, d_mid, y, k3)
-        np.multiply(k3, dt, out=y)
-        y += psi
-        deriv(j + 2, d_end, y, k4)
+        deriv(j, d_start, psi, k1, k1_r)
+        np.copyto(y, psi)
+        zaxpy(k1_r, y_r, a=half)
+        deriv(j + 1, d_mid, y, k2, k2_r)
+        np.copyto(y, psi)
+        zaxpy(k2_r, y_r, a=half)
+        deriv(j + 1, d_mid, y, k3, k3_r)
+        np.copyto(y, psi)
+        zaxpy(k3_r, y_r, a=dt)
+        deriv(j + 2, d_end, y, k4, k4_r)
         # psi += dt/6 (k1 + 2 (k2 + k3) + k4), in the reference order
-        k2 += k3
-        k2 *= 2.0
-        k1 += k2
-        k1 += k4
-        k1 *= sixth
-        psi += k1
+        zaxpy(k3_r, k2_r)
+        zdscal(2.0, k2_r, overwrite_x=1)
+        zaxpy(k2_r, k1_r)
+        zaxpy(k4_r, k1_r)
+        zdscal(sixth, k1_r, overwrite_x=1)
+        zaxpy(k1_r, psi_r)
         if renormalize:
             if psi.ndim == 1:
-                psi /= math.sqrt(np.vdot(psi, psi).real)
+                zdscal(1.0 / dznrm2(psi_r), psi_r, overwrite_x=1)
             else:
                 psi /= np.linalg.norm(psi, axis=0, keepdims=True)
         if (step + 1) % stride == 0 or step == n_steps - 1:
-            t = step * dt + dt
-            _check_state(psi, t)
-            # pin the final sample to the exact pulse end so segment
-            # boundaries are found exactly downstream
-            times.append(engine.pulse.tau if step == n_steps - 1 else t)
-            states.append(psi.copy())
-    return times, states
+            samples[s] = psi
+            s += 1
+
+    finite = np.isfinite(samples).reshape(len(samples), -1).all(axis=1)
+    if not finite.all():
+        raise PropagationError(f"non-finite amplitudes at t = {times[np.argmin(finite)]}")
+    return times, samples
 
 
 def _default_stride(h_scale: float, dt: float, n_steps: int) -> int:
@@ -419,18 +434,10 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
     )
     stride = _default_stride(h_scale, cfg.dt, n1)
 
-    times = [0.0]
-    states = [psi.copy()]
     t1, s1 = _run_segment(seg1, psi, cfg.dt, n1, stride, seg1.gamma == 0.0)
-    times.extend(t1)
-    states.extend(s1)
-    psi = s1[-1]
-    t2, s2 = _run_segment(seg2, psi, dt2, n1, stride, seg2.gamma == 0.0)
-    times.extend(cfg.pulse.tau + t for t in t2)
-    states.extend(s2)
-
-    state_arr = np.array(states)
-    time_arr = np.array(times)
+    t2, s2 = _run_segment(seg2, s1[-1], dt2, n1, stride, seg2.gamma == 0.0)
+    state_arr = np.concatenate([psi[None], s1, s2])
+    time_arr = np.concatenate([[0.0], t1, cfg.pulse.tau + t2])
     norms = np.linalg.norm(state_arr, axis=1)
 
     populations = {}

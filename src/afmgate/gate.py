@@ -102,8 +102,6 @@ def assemble_gate(n_atoms: int, cfg: ProtocolConfig) -> GateReport:
         if nu not in amp_by_nu:
             amp_by_nu[nu] = run_protocol(nu, cfg, compute_phases=False).ground_amplitude()
         per_input[label] = amp_by_nu[nu]
-    if abs(per_input["01"] - per_input["10"]) > 1e-8:
-        raise RuntimeError("inversion symmetry violated between the |01> and |10> runs")
 
     raw = np.array([per_input[label] for label in INPUT_LABELS])
     factor = ideal_phase_factor(n_atoms)

@@ -2,7 +2,7 @@
 
 A scan sweeps the detuning over the pulse window (the drive amplitude
 follows the pulse envelope), records the sorted eigensystem with a
-continuous phase gauge, classifies each eigenstate under spatial inversion
+continuous sign gauge, classifies each eigenstate under spatial inversion
 and evaluates the dimensionless non-adiabatic couplings
 eta_lk = |<l| dH/dt |k> / (E_k - E_l)|^2 tau / Delta0 from the extremal
 (adiabatically followed) branches l.
@@ -64,7 +64,7 @@ class SpectrumScan:
     """Eigensystem of the scanned Hamiltonian across the detuning sweep.
 
     ``eigenvalues[g, k]`` are ascending in k at every grid point g;
-    ``eigenvectors[g]`` holds the matching gauge-fixed columns.  ``eta_low``
+    ``eigenvectors[g]`` holds the matching real, sign-fixed columns.  ``eta_low``
     / ``eta_high`` are the couplings from the lowest / highest branch; NaN
     entries mark points where the level pair is degenerate (eta undefined).
     """
@@ -84,15 +84,10 @@ class SpectrumScan:
 
 
 def _phase_fix(prev: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Phase each column so its overlap with the previous column is real
-    and positive (columns with negligible overlap are left untouched)."""
-    out = vecs.copy()
-    for k in range(vecs.shape[1]):
-        ov = np.vdot(prev[:, k], vecs[:, k])
-        mag = abs(ov)
-        if mag > 1e-12:
-            out[:, k] *= ov.conjugate() / mag
-    return out
+    """Sign each real column so its overlap with the previous column is
+    positive (columns with negligible overlap are left untouched)."""
+    overlaps = np.sum(prev * vecs, axis=0)
+    return vecs * np.where(overlaps < -1e-12, -1.0, 1.0)
 
 
 def scan_spectrum(
@@ -115,7 +110,7 @@ def scan_spectrum(
     dim = basis.dim
 
     eigenvalues = np.empty((grid_size, dim))
-    eigenvectors = np.empty((grid_size, dim, dim), dtype=complex)
+    eigenvectors = np.empty((grid_size, dim, dim))
     eta_low = np.zeros((grid_size, dim))
     eta_high = np.zeros((grid_size, dim))
     symmetry: List[List[SymmetryLabel]] = []
@@ -123,7 +118,8 @@ def scan_spectrum(
     prev_vecs: Optional[np.ndarray] = None
     for g, (t, delta) in enumerate(zip(times, deltas)):
         omega = pulse.omega(t)
-        w, v = np.linalg.eigh(ham.matrix(omega, delta))
+        # H is real symmetric for every model: a real eigensolve
+        w, v = np.linalg.eigh(ham.matrix(omega, delta).real)
         if prev_vecs is not None:
             v = _phase_fix(prev_vecs, v)
         prev_vecs = v
@@ -132,7 +128,7 @@ def scan_spectrum(
 
         # analytic dH/dt in the eigenbasis (Hellmann-Feynman numerators)
         dh = ham.time_derivative(omega, pulse.omega_dot(t), delta, pulse.beta)
-        dh_eig = v.conj().T @ dh @ v
+        dh_eig = v.T @ dh @ v
         for row, l in ((eta_low[g], 0), (eta_high[g], dim - 1)):
             gaps = w - w[l]
             for k in range(dim):
@@ -143,8 +139,8 @@ def scan_spectrum(
                 else:
                     row[k] = abs(dh_eig[l, k] / gaps[k]) ** 2 * pulse.tau / abs(pulse.delta0)
 
-        # <v_k|I|v_k> = Re sum_i conj(v[i, k]) v[perm[i], k]
-        ix = np.real(np.sum(v.conj() * v[perm], axis=0))
+        # <v_k|I|v_k> = sum_i v[i, k] v[perm[i], k]
+        ix = np.sum(v * v[perm], axis=0)
         symmetry.append([_symmetry_label(x) for x in ix])
 
     return SpectrumScan(

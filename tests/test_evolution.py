@@ -1,6 +1,7 @@
 """Propagator correctness and the two-pulse protocol dynamics."""
 
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -60,6 +61,24 @@ class ConstantEngine(_SegmentEngine):
         return np.broadcast_to(-1j * self.diag, (len(t_local),) + self.diag.shape)
 
 
+class PoisonedEngine(ConstantEngine):
+    """ConstantEngine on real evaluation times whose diagonal turns NaN from
+    local time ``bad_from`` on, in the last column of a batch."""
+
+    def __init__(self, drive, diag, bad_from, **kwargs):
+        super().__init__(drive, diag, **kwargs)
+        self.bad_from = bad_from
+
+    def tables(self, dt, n_steps):
+        t = np.arange(2 * n_steps + 1) * (0.5 * dt)
+        return t, np.full_like(t, self.omega), t
+
+    def diagonals(self, t_local, delta):
+        d = np.array(super().diagonals(t_local, delta))
+        d[t_local >= self.bad_from, ..., -1] = np.nan
+        return d
+
+
 def run_constant(engine, psi0, dt, stride=1, renormalize=True):
     n = _step_count(0.0, engine.pulse.tau, dt)
     times, states = _run_segment(engine, np.asarray(psi0, dtype=complex), dt, n, stride, renormalize)
@@ -100,6 +119,17 @@ class TestPropagate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(PropagationError):
                 run_constant(engine, [1.0, 0.0], 0.01, renormalize=False)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_first_non_finite_sample_time_reported(self, batch):
+        # amplitudes turn NaN in the step ending at 0.42; with stride 5 the
+        # first sample holding them is the one after step 44
+        dt, bad_from = 0.01, 0.4153
+        diag = np.array([[0.0, 0.0], [-mhz(3.0), mhz(1.0)]]) if batch else np.array([0.0, -mhz(3.0)])
+        engine = PoisonedEngine([[0.0, 0.5], [0.5, 0.0]], diag, bad_from, omega=mhz(8.0))
+        psi0 = np.array([[1.0, 0.6], [0.0, 0.8]]) if batch else np.array([1.0, 0.0])
+        with pytest.raises(PropagationError, match=re.escape(f"t = {44 * dt + dt}")):
+            run_constant(engine, psi0, dt, stride=5, renormalize=False)
 
     @pytest.mark.parametrize("renormalize", [False, True])
     def test_batch_columns_match_single_states(self, renormalize):
@@ -143,6 +173,18 @@ class TestFusedStepper:
         assert np.linalg.norm(plain) < 1.0
         assert np.abs(fused - plain).max() < 1e-12
 
+    @pytest.mark.parametrize("nu", [3, 5])
+    def test_single_hermitian_state_matches_renormalized_plain_rk4(self, nu):
+        cfg = reference_config(model=Model.FULL_VDW)
+        seg1, _ = segments(nu, cfg)
+        n = _step_count(0.0, cfg.pulse.tau, cfg.dt)
+        psi0 = np.zeros(seg1.basis.dim, dtype=complex)
+        psi0[0] = 1.0
+        _, (fused,) = _run_segment(seg1, psi0, cfg.dt, n, n, renormalize=True)
+        plain = plain_rk4(seg1.matrix, psi0, cfg.dt, n, renormalize=True)
+        assert abs(np.linalg.norm(fused) - 1.0) < 1e-14
+        assert np.abs(fused - plain).max() < 1e-12
+
     @pytest.mark.parametrize("include_decay", [False, True])
     def test_batch_with_per_column_diagonal_matches_plain_rk4(self, include_decay):
         cfg = reference_config(model=Model.FULL_VDW, include_decay=include_decay, gamma=mhz(0.05))
@@ -168,6 +210,44 @@ class TestFusedStepper:
             plain = plain_rk4(h_col, psi0[:, col], dt, 1000, renormalize)
             assert np.abs(fused[:, col] - plain).max() < 1e-12
         assert np.abs(fused[:, 1] - fused[:, 0]).max() > 1e-6  # the columns really differ
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_non_contiguous_initial_state_gives_same_states(self, renormalize):
+        cfg = reference_config(model=Model.FULL_VDW)
+        ham = ChainHamiltonian(Model.FULL_VDW, build_full_basis(3), cfg.interaction)
+        v0 = ham.v
+        rates = np.array([0.0, 0.3, -0.2])
+
+        def v_int_at(t_abs):  # (times, dim, 3): one drifting interaction per column
+            return v0[None, :, None] * (1.0 + rates[None, None, :] * t_abs[:, None, None])
+
+        batch_seg, _ = _protocol_segments(ham, cfg, (v_int_at, v_int_at))
+        single_seg, _ = _protocol_segments(ham, cfg)
+        rng = np.random.default_rng(5)
+        wide = rng.normal(size=(ham.basis.dim, 6)) + 1j * rng.normal(size=(ham.basis.dim, 6))
+        wide /= np.linalg.norm(wide, axis=0)
+        batch = np.ascontiguousarray(wide[:, ::2])
+        _, ref_batch = _run_segment(batch_seg, batch, cfg.dt, 200, 50, renormalize)
+        _, ref_single = _run_segment(single_seg, wide[:, 0].copy(), cfg.dt, 200, 50, renormalize)
+        for psi0 in (np.asfortranarray(batch), wide[:, ::2]):
+            assert not psi0.flags.c_contiguous
+            _, states = _run_segment(batch_seg, psi0, cfg.dt, 200, 50, renormalize)
+            assert np.array_equal(states, ref_batch)
+        _, states = _run_segment(single_seg, wide[:, 0], cfg.dt, 200, 50, renormalize)  # strided column
+        assert np.array_equal(states, ref_single)
+
+    def test_samples_are_distinct_rows_at_their_steps(self):
+        cfg = reference_config(model=Model.FULL_VDW, include_decay=True, gamma=mhz(0.05))
+        seg1, _ = segments(3, cfg)
+        psi0 = np.zeros(seg1.basis.dim, dtype=complex)
+        psi0[0] = 1.0
+        times, every = _run_segment(seg1, psi0, cfg.dt, 45, 1, renormalize=False)
+        assert every.shape == (45, seg1.basis.dim) and times.shape == (45,)
+        assert len({row.tobytes() for row in every}) == 45
+        times7, strided = _run_segment(seg1, psi0, cfg.dt, 45, 7, renormalize=False)
+        # steps 7, 14, ..., 42 and the last one
+        assert np.array_equal(strided, every[[6, 13, 20, 27, 34, 41, 44]])
+        assert np.array_equal(times7[:-1], times[[6, 13, 20, 27, 34, 41]])
 
     def test_tables_equal_scalar_pulse_values(self):
         cfg = reference_config(model=Model.PXP)
