@@ -19,7 +19,7 @@ from .config import (
     load_config,
     mean_rydberg_number,
 )
-from .evolution import PhaseRecord, Trajectory, parity_roundtrip_check, run_protocol
+from .evolution import PhaseRecord, Trajectory, ground_amplitudes, parity_roundtrip_check, run_protocol
 from .gate import GateReport, assemble_gate, average_fidelity, fit_c_nu, optimal_tau
 from .spectra import GapReport, SpectrumScan, eig_sorted, min_gap, scan_spectrum
 from .thermal import ThermalConfig, ThermalReport, run_thermal_ensemble
@@ -45,6 +45,7 @@ __all__ = [
     "build_full_basis",
     "eig_sorted",
     "fit_c_nu",
+    "ground_amplitudes",
     "load_config",
     "mean_rydberg_number",
     "min_gap",

@@ -2,8 +2,9 @@
 
 Fixed-step classical RK4 with midpoint Hamiltonian evaluations, in one
 segment stepper that every propagation goes through: a single state or a
-batch of states held as the columns of one array.  The operator
-structures come from one ``ChainHamiltonian`` per protocol, shared by both
+batch of states held as the columns of one array, over one chain or over
+the direct sum of several chains driven by the same pulse.  The operator
+structures come from one ``ChainHamiltonian`` per chain, shared by both
 segments, and the pulse is tabulated once per segment.  The diagonal of
 -iH is tabulated for a block of ``DIAG_BLOCK_STEPS`` steps at a time, so
 each evaluation only rescales the drive and reads its diagonal.  The
@@ -11,9 +12,18 @@ stage states, the scaling by Omega and the RK4 combination are level-1
 BLAS calls (``zaxpy``, ``zdscal``) on the flat rows of one preallocated
 array, and non-finite amplitudes are looked for once per segment, over
 the array of its stored samples.
-Hermitian runs renormalize the state after every step (removing the RK4
-amplitude artifact, which would otherwise mask real norm errors);
-non-Hermitian runs keep the physical norm decay.
+Hermitian runs renormalize each chain's block of the state after every
+step (removing the RK4 amplitude artifact, which would otherwise mask
+real norm errors); non-Hermitian runs keep the physical norm decay.
+
+One driver serves ``run_protocol`` (one chain, with its sampled
+trajectory) and ``ground_amplitudes`` (final amplitudes only).  The
+chains of a gate (nu = N-2, N-1, N) share the pulse, the step and the
+step count, so ``ground_amplitudes`` propagates them as one concatenated
+state: the diagonal of -iH is one array over all blocks and only the
+drive product is made block by block, which removes the per-step
+interpreter cost of two of the three runs.  Each block agrees with its
+own run to round-off.
 
 Phase bookkeeping.  The dynamical phase integrates the energy of the
 branch that holds the state, read from an eigensolve of the Hermitian
@@ -30,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -104,39 +115,60 @@ def _step_count(t0: float, t1: float, dt: float) -> int:
 
 
 class _SegmentEngine:
-    """One pulse segment: the chain Hamiltonian of its interaction plus the
-    pulse scaling.
+    """One pulse segment over one chain, or over the direct sum of several
+    chains driven by the same pulse: the chain Hamiltonians of its
+    interaction plus the pulse scaling.
 
-    ``gen`` is the complex -i * drive the stepper multiplies with, built
-    once per basis and shared by the segments of a protocol.  ``v_int_fn``,
-    when given, supplies the interaction diagonal of a (dim, batch) state
-    with moving atoms: called with an array of k absolute protocol times it
-    returns the real (k, dim, batch) diagonals, one column per trial.  The
-    excitation counts are then kept as a column so the diagonal broadcasts
-    against the batch.  Otherwise the static diagonal of ``hamiltonian``
-    is used.
+    The state is the concatenation of one block per chain (``chains`` gives
+    their row ranges).  ``gens`` holds each chain's complex -i * drive, the
+    products the stepper makes block by block, built once per basis and
+    shared by the segments of a protocol; the excitation counts and the
+    interaction diagonal are concatenated, so the diagonal of -iH is one
+    array for the whole state.  ``v_int_fn``, when given, supplies the
+    interaction diagonal of a (dim, batch) state with moving atoms: called
+    with an array of k absolute protocol times it returns the real
+    (k, dim, batch) diagonals, one column per trial.  The excitation counts
+    are then kept as a column so the diagonal broadcasts against the batch.
+    Otherwise the static diagonals of ``hamiltonians`` are used.
     """
 
     def __init__(
         self,
-        hamiltonian: ChainHamiltonian,
+        hamiltonians: Sequence[ChainHamiltonian],
         pulse: PulseProfile,
-        gen: np.ndarray,
+        gens: Sequence[np.ndarray],
         gamma: float = 0.0,
         v_int_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         t_abs_start: float = 0.0,
     ):
-        self.hamiltonian = hamiltonian
-        self.basis = hamiltonian.basis
-        self.drive = hamiltonian.drive
+        self.hamiltonians = tuple(hamiltonians)
         self.pulse = pulse
-        self.gen = gen
+        self.gens = tuple(gens)
         self.gamma = gamma
         self.v_int_fn = v_int_fn
         self.t_abs_start = t_abs_start
-        self._n_r = hamiltonian.n_r if v_int_fn is None else hamiltonian.n_r[:, None]
+        self.v = np.concatenate([h.v for h in self.hamiltonians])
+        n_r = np.concatenate([h.n_r for h in self.hamiltonians])
+        self._n_r = n_r if v_int_fn is None else n_r[:, None]
         # -iH = Omega * gen - (Gamma / 2) n_r + i (Delta n_r - v)
         self._decay_rate = -0.5 * gamma * self._n_r if gamma else 0.0
+
+    @property
+    def chains(self) -> Tuple[slice, ...]:
+        """Row range of each chain in the direct-sum state."""
+        ends = np.cumsum([g.shape[0] for g in self.gens]).tolist()
+        return tuple(slice(a, b) for a, b in zip([0] + ends[:-1], ends))
+
+    @property
+    def hamiltonian(self) -> ChainHamiltonian:
+        """The chain Hamiltonian of a one-chain engine."""
+        if len(self.hamiltonians) != 1:
+            raise ValueError(f"an engine over {len(self.hamiltonians)} chains has no single Hamiltonian")
+        return self.hamiltonians[0]
+
+    @property
+    def basis(self) -> Basis:
+        return self.hamiltonian.basis
 
     def coeffs(self, t_local: float) -> Tuple[float, np.ndarray]:
         """(Omega, complex diagonal) at local pulse time; endpoint round-off
@@ -165,7 +197,7 @@ class _SegmentEngine:
         detunings, stacked on axis 0: (k, dim), or (k, dim, batch) with a
         per-trial interaction.  Real and imaginary parts are written into
         one complex buffer."""
-        v = self.hamiltonian.v if self.v_int_fn is None else self.v_int_fn(self.t_abs_start + t_local)
+        v = self.v if self.v_int_fn is None else self.v_int_fn(self.t_abs_start + t_local)
         delta_n_r = delta.reshape((-1,) + (1,) * self._n_r.ndim) * self._n_r
         out = np.empty(np.broadcast_shapes(delta_n_r.shape, v.shape), dtype=complex)
         out.real = self._decay_rate
@@ -177,12 +209,13 @@ class _SegmentEngine:
         Hermitian part (maximal overlap with the state) for each state row
         at its local time, on the inversion-even sector.
 
-        Raises ValueError if the Hamiltonian does not commute with the
-        inversion and PropagationError at the first state with odd weight
-        above ``ODD_WEIGHT_MAX`` of its squared norm.
+        Raises ValueError for an engine over several chains or if the
+        Hamiltonian does not commute with the inversion, and PropagationError
+        at the first state with odd weight above ``ODD_WEIGHT_MAX`` of its
+        squared norm.
         """
         ham = self.hamiltonian
-        perm = inversion_permutation(self.basis)
+        perm = inversion_permutation(ham.basis)
         tol = SYMMETRY_V_RTOL * np.abs(ham.v).max()
         if not (
             np.array_equal(ham.drive[np.ix_(perm, perm)], ham.drive)
@@ -190,7 +223,7 @@ class _SegmentEngine:
             and np.abs(ham.v[perm] - ham.v).max() <= tol
         ):
             raise ValueError("the Hamiltonian does not commute with the spatial inversion")
-        u = even_isometry(self.basis)
+        u = even_isometry(ham.basis)
         reps = u.argmax(axis=0)  # lower index of each column's mirror orbit
         drive_even = u.T @ ham.drive @ u
         n_even = ham.n_r[reps]
@@ -226,7 +259,7 @@ class _SegmentEngine:
 
     def matrix(self, t_local: float) -> np.ndarray:
         omega, diag = self.coeffs(t_local)
-        return omega * self.drive + np.diag(diag)
+        return omega * self.hamiltonian.drive + np.diag(diag)
 
 
 def _run_segment(
@@ -242,13 +275,14 @@ def _run_segment(
     segment end, as arrays (n_samples,) and (n_samples, *psi0.shape).
 
     ``psi0`` is one state (dim,) or a batch of states as columns
-    (dim, batch); renormalization then acts on each column.  The pulse is
-    tabulated once for the segment, the complex diagonal d of -iH once per
-    block of ``DIAG_BLOCK_STEPS`` steps, and each derivative is the fused
-    Omega * (gen @ y) + d * y.  Raises PropagationError naming the time of
+    (dim, batch), over one chain or the direct sum of the engine's chains.
+    The pulse is tabulated once for the segment, the complex diagonal d of
+    -iH once per block of ``DIAG_BLOCK_STEPS`` steps, and each derivative
+    is the fused Omega * (gen @ y) + d * y, with one drive product per
+    chain block.  Renormalization acts on each chain block, and within it
+    on each column of a batch.  Raises PropagationError naming the time of
     the first sample that holds non-finite amplitudes.
     """
-    gen = engine.gen
     t_tab, om, dl = engine.tables(dt, n_steps)
     om = om.tolist()  # Python floats: no numpy scalar boxed per BLAS call
     half = 0.5 * dt
@@ -262,6 +296,15 @@ def _run_segment(
     psi, k1, k2, k3, k4, y, dy = (row.reshape(shape) for row in rows)
     psi_r, k1_r, k2_r, k3_r, k4_r, y_r, dy_r = rows
     psi[...] = psi0
+    chains = engine.chains
+    psi_chains = [psi[c] for c in chains]
+
+    def products(src: np.ndarray, dst: np.ndarray) -> list:
+        # gen @ src into dst for each chain block, bound once so that each
+        # product is one call with no argument parsing in the loop
+        return [partial(np.dot, g, src[c], dst[c]) for g, c in zip(engine.gens, chains)]
+
+    drive_1, drive_2, drive_3, drive_4 = (products(psi, k1), products(y, k2), products(y, k3), products(y, k4))
 
     # samples after every stride-th step and after the last one
     sample_steps = np.minimum(np.arange(stride, n_steps + stride, stride), n_steps) - 1
@@ -271,8 +314,9 @@ def _run_segment(
     times[-1] = engine.pulse.tau
     samples = np.empty((len(times),) + shape, dtype=complex)
 
-    def deriv(j: int, d: np.ndarray, y: np.ndarray, out: np.ndarray, out_r: np.ndarray) -> None:
-        np.dot(gen, y, out=out)
+    def deriv(j: int, d: np.ndarray, y: np.ndarray, drive: list, out_r: np.ndarray) -> None:
+        for product in drive:
+            product()
         zdscal(om[j], out_r, overwrite_x=1)
         np.multiply(d, y, out=dy)
         zaxpy(dy_r, out_r)
@@ -289,16 +333,16 @@ def _run_segment(
         d_start = d_end
         d_mid = block[i]
         d_end = block[i + 1]
-        deriv(j, d_start, psi, k1, k1_r)
+        deriv(j, d_start, psi, drive_1, k1_r)
         np.copyto(y, psi)
         zaxpy(k1_r, y_r, a=half)
-        deriv(j + 1, d_mid, y, k2, k2_r)
+        deriv(j + 1, d_mid, y, drive_2, k2_r)
         np.copyto(y, psi)
         zaxpy(k2_r, y_r, a=half)
-        deriv(j + 1, d_mid, y, k3, k3_r)
+        deriv(j + 1, d_mid, y, drive_3, k3_r)
         np.copyto(y, psi)
         zaxpy(k3_r, y_r, a=dt)
-        deriv(j + 2, d_end, y, k4, k4_r)
+        deriv(j + 2, d_end, y, drive_4, k4_r)
         # psi += dt/6 (k1 + 2 (k2 + k3) + k4), in the reference order
         zaxpy(k3_r, k2_r)
         zdscal(2.0, k2_r, overwrite_x=1)
@@ -308,9 +352,11 @@ def _run_segment(
         zaxpy(k1_r, psi_r)
         if renormalize:
             if psi.ndim == 1:
-                zdscal(1.0 / dznrm2(psi_r), psi_r, overwrite_x=1)
+                for p in psi_chains:  # contiguous views: BLAS scales them in place
+                    zdscal(1.0 / dznrm2(p), p, overwrite_x=1)
             else:
-                psi /= np.linalg.norm(psi, axis=0, keepdims=True)
+                for p in psi_chains:
+                    p /= np.linalg.norm(p, axis=0, keepdims=True)
         if (step + 1) % stride == 0 or step == n_steps - 1:
             samples[s] = psi
             s += 1
@@ -385,13 +431,14 @@ class ProtocolRun:
 
 
 def _protocol_segments(
-    hamiltonian: ChainHamiltonian,
+    hamiltonians: Sequence[ChainHamiltonian],
     cfg: ProtocolConfig,
     v_int_fn_steps: Optional[Tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]] = None,
 ) -> Tuple[_SegmentEngine, _SegmentEngine]:
-    """Engines of the two pulses: step II runs the lambda-rescaled pulse
-    under the flipped interaction on the same operator structures."""
-    if hamiltonian.model is Model.PXP_PLUS_CORRECTIONS:
+    """Engines of the two pulses over the direct sum of ``hamiltonians``:
+    step II runs the lambda-rescaled pulse under the flipped interaction on
+    the same operator structures."""
+    if any(h.model is Model.PXP_PLUS_CORRECTIONS for h in hamiltonians):
         raise ValueError("time propagation supports the PXP and full vdW models only")
     lam = cfg.interaction.lambda_ratio
     pulse_1 = cfg.pulse
@@ -399,11 +446,47 @@ def _protocol_segments(
     gamma_1 = cfg.decay.gamma_r if cfg.include_decay else 0.0
     gamma_2 = cfg.decay.gamma_rp if cfg.include_decay else 0.0
     fn1, fn2 = v_int_fn_steps if v_int_fn_steps is not None else (None, None)
-    gen = -1j * hamiltonian.drive
-    seg1 = _SegmentEngine(hamiltonian, pulse_1, gen, gamma_1, fn1, t_abs_start=0.0)
-    flipped = hamiltonian.with_interaction(cfg.interaction.flipped())
-    seg2 = _SegmentEngine(flipped, pulse_2, gen, gamma_2, fn2, t_abs_start=pulse_1.tau)
+    gens = [-1j * h.drive for h in hamiltonians]
+    seg1 = _SegmentEngine(hamiltonians, pulse_1, gens, gamma_1, fn1, t_abs_start=0.0)
+    flipped = [h.with_interaction(cfg.interaction.flipped()) for h in hamiltonians]
+    seg2 = _SegmentEngine(flipped, pulse_2, gens, gamma_2, fn2, t_abs_start=pulse_1.tau)
     return seg1, seg2
+
+
+def _propagate_protocol(
+    nus: Sequence[int], cfg: ProtocolConfig, sampled: bool
+) -> Tuple[_SegmentEngine, _SegmentEngine, np.ndarray, Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    """Both pulses on the chains ``nus`` held as one direct-sum state, each
+    block starting from its collective ground state.
+
+    Returns the two engines, the initial state and the (local times,
+    states) of each segment's samples.  ``sampled`` stores samples at the
+    stride that keeps per-sample phase increments small; otherwise only
+    each segment's final state is kept.
+    """
+    if any(nu < 1 for nu in nus):
+        raise ValueError(f"nu must be >= 1, got {min(nus)}")
+    if len(set(nus)) != len(nus):
+        raise ValueError(f"chain sizes must be distinct, got {list(nus)}")
+    hams = [ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction) for nu in nus]
+    seg1, seg2 = _protocol_segments(hams, cfg)
+    lam = cfg.interaction.lambda_ratio
+
+    psi = np.zeros(sum(h.basis.dim for h in hams), dtype=complex)
+    for h, chain in zip(hams, seg1.chains):
+        psi[chain.start + h.basis.index[0]] = 1.0
+
+    n1 = _step_count(0.0, cfg.pulse.tau, cfg.dt)
+    stride = n1
+    if sampled:
+        h_scale = max(
+            float(h.basis.nu * (abs(cfg.pulse.delta0) + abs(cfg.pulse.omega0)) * max(1.0, lam) + np.abs(h.v).max())
+            for h in hams
+        )
+        stride = _default_stride(h_scale, cfg.dt, n1)
+    t1, s1 = _run_segment(seg1, psi, cfg.dt, n1, stride, seg1.gamma == 0.0)
+    t2, s2 = _run_segment(seg2, s1[-1], cfg.dt / lam, n1, stride, seg2.gamma == 0.0)
+    return seg1, seg2, psi, (t1, s1), (t2, s2)
 
 
 def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> ProtocolRun:
@@ -416,26 +499,8 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
     adiabatic branch (the lowest branch during step I and the highest
     during step II when the transfer works as designed).
     """
-    if nu < 1:
-        raise ValueError(f"nu must be >= 1, got {nu}")
-    ham = ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction)
-    seg1, seg2 = _protocol_segments(ham, cfg)
-    basis = ham.basis
-    lam = cfg.interaction.lambda_ratio
-
-    psi = np.zeros(basis.dim, dtype=complex)
-    psi[basis.index[0]] = 1.0
-
-    n1 = _step_count(0.0, cfg.pulse.tau, cfg.dt)
-    dt2 = cfg.dt / lam
-    h_scale = float(
-        basis.nu * (abs(cfg.pulse.delta0) + abs(cfg.pulse.omega0)) * max(1.0, lam)
-        + np.abs(ham.v).max()
-    )
-    stride = _default_stride(h_scale, cfg.dt, n1)
-
-    t1, s1 = _run_segment(seg1, psi, cfg.dt, n1, stride, seg1.gamma == 0.0)
-    t2, s2 = _run_segment(seg2, s1[-1], dt2, n1, stride, seg2.gamma == 0.0)
+    seg1, seg2, psi, (t1, s1), (t2, s2) = _propagate_protocol([nu], cfg, sampled=True)
+    basis = seg1.basis
     state_arr = np.concatenate([psi[None], s1, s2])
     time_arr = np.concatenate([[0.0], t1, cfg.pulse.tau + t2])
     norms = np.linalg.norm(state_arr, axis=1)
@@ -465,8 +530,25 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
         trajectory=traj,
         phases=phases,
         segments=(seg1, seg2),
-        boundaries=(0.0, tau1, tau1 + cfg.pulse.tau / lam),
+        boundaries=(0.0, tau1, tau1 + cfg.pulse.tau / cfg.interaction.lambda_ratio),
     )
+
+
+def ground_amplitudes(nus: Sequence[int], cfg: ProtocolConfig) -> Dict[int, complex]:
+    """Signed overlap <G_nu|Psi(tau_tot)> after the two-pulse protocol for
+    each distinct chain size in ``nus``.
+
+    The chains share the pulse, the step and the step count, so they are
+    propagated together as one direct-sum state, and only each segment's
+    final state is kept.  Each block matches its own ``run_protocol`` to
+    round-off (bitwise for a single chain).
+    """
+    seg1, _, _, _, (_, states) = _propagate_protocol(nus, cfg, sampled=False)
+    final = states[-1]
+    return {
+        nu: complex(final[chain.start + h.basis.index[0]])
+        for nu, h, chain in zip(nus, seg1.hamiltonians, seg1.chains)
+    }
 
 
 def _dynamical_phase(
@@ -510,5 +592,4 @@ def parity_roundtrip_check(nu: int, cfg: ProtocolConfig) -> complex:
     """Signed overlap <G_nu|Psi(tau_tot)> after the two-pulse protocol
     without decay; its phase is nu_r pi mod 2pi, its squared magnitude
     1 - leakage."""
-    run = run_protocol(nu, replace(cfg, include_decay=False), compute_phases=False)
-    return run.ground_amplitude()
+    return ground_amplitudes([nu], replace(cfg, include_decay=False))[nu]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import InteractionConfig, Model, ProtocolConfig, PulseProfile, mean_rydberg_number
 from .errors import ConfigError, FitQualityError, RegimeError
-from .evolution import run_protocol
+from .evolution import ground_amplitudes
 from .spectra import min_gap
 
 INPUT_LABELS = ("00", "01", "10", "11")
@@ -91,17 +91,15 @@ def assemble_gate(n_atoms: int, cfg: ProtocolConfig) -> GateReport:
 
     On the uniform static chain the |01> and |10> placements are mirror
     images with identical Hamiltonians, so each distinct active-chain size
-    is propagated once.
+    (N-2, N-1, N) is propagated once, and the three share one pulse, step
+    and step count: they run as one direct-sum state through one
+    ``ground_amplitudes`` call.
     """
     if n_atoms != cfg.chain.n_atoms:
         raise ValueError(f"n_atoms = {n_atoms} disagrees with the config chain ({cfg.chain.n_atoms})")
-    amp_by_nu: Dict[int, complex] = {}
-    per_input: Dict[str, complex] = {}
-    for label in INPUT_LABELS:
-        nu = len(active_atoms(n_atoms, label))
-        if nu not in amp_by_nu:
-            amp_by_nu[nu] = run_protocol(nu, cfg, compute_phases=False).ground_amplitude()
-        per_input[label] = amp_by_nu[nu]
+    nu_by_label = {label: len(active_atoms(n_atoms, label)) for label in INPUT_LABELS}
+    amp_by_nu = ground_amplitudes(sorted(set(nu_by_label.values())), cfg)
+    per_input = {label: amp_by_nu[nu] for label, nu in nu_by_label.items()}
 
     raw = np.array([per_input[label] for label in INPUT_LABELS])
     factor = ideal_phase_factor(n_atoms)
@@ -214,7 +212,7 @@ def fit_c_nu(
     pts = []
     for tau in taus:
         run_cfg = replace(base, pulse=pulse_with_tau(cfg.pulse, float(tau)), dt=None)
-        amp = run_protocol(nu, run_cfg, compute_phases=False).ground_amplitude()
+        amp = ground_amplitudes([nu], run_cfg)[nu]
         e_leak = 1.0 - abs(amp) ** 2
         if e_bounds[0] < e_leak < e_bounds[1]:
             pts.append((float(tau), e_leak))

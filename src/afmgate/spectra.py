@@ -190,7 +190,7 @@ def min_gap(
     k0 = partner - 1
 
     def gap_at(delta: float) -> float:
-        w = np.linalg.eigvalsh(ham.matrix(pulse.omega(pulse.time_at_delta(delta)), delta))
+        w = np.linalg.eigvalsh(ham.matrix(pulse.omega(pulse.time_at_delta(delta)), delta).real)
         return float(w[k0] - w[0])
 
     deltas = np.linspace(-abs(pulse.delta0), abs(pulse.delta0), coarse_points)

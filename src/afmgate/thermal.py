@@ -152,7 +152,7 @@ def _batch_branch_amplitudes(
 
     lam = cfg.interaction.lambda_ratio
     c6 = cfg.interaction.c6
-    segments = _protocol_segments(ham, cfg, v_int_fn_steps=(v_int_fn(c6), v_int_fn(-lam * c6)))
+    segments = _protocol_segments([ham], cfg, v_int_fn_steps=(v_int_fn(c6), v_int_fn(-lam * c6)))
     dt1 = dt if dt is not None else _thermal_dt(cfg)
     n_steps = _step_count(0.0, cfg.pulse.tau, dt1)
 

@@ -17,10 +17,12 @@ from afmgate.evolution import (
     DIAG_BLOCK_STEPS,
     _dynamical_phase,
     _phases_from_samples,
+    _propagate_protocol,
     _protocol_segments,
     _run_segment,
     _SegmentEngine,
     _step_count,
+    ground_amplitudes,
     parity_roundtrip_check,
     run_protocol,
 )
@@ -36,7 +38,7 @@ def wrap_phase(x):
 
 def segments(nu, cfg):
     """The two segment engines of a protocol on the model's own basis."""
-    return _protocol_segments(ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction), cfg)
+    return _protocol_segments([ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction)], cfg)
 
 
 def vdw_diagonal(basis, interaction):
@@ -48,7 +50,7 @@ class ConstantEngine(_SegmentEngine):
 
     def __init__(self, drive, diag, omega=1.0, tau=1.0):
         self.drive = np.asarray(drive, dtype=complex)
-        self.gen = -1j * self.drive
+        self.gens = (-1j * self.drive,)
         self.diag = np.asarray(diag, dtype=complex)
         self.omega = omega
         self.pulse = SimpleNamespace(tau=tau)
@@ -195,7 +197,7 @@ class TestFusedStepper:
         def v_int_at(t_abs):  # (times, dim, 3): one drifting interaction per column
             return v0[None, :, None] * (1.0 + rates[None, None, :] * t_abs[:, None, None])
 
-        _, seg2 = _protocol_segments(ham, cfg, (v_int_at, v_int_at))
+        _, seg2 = _protocol_segments([ham], cfg, (v_int_at, v_int_at))
         dt = seg2.pulse.tau / 1000
         psi0 = np.zeros((basis.dim, 3), dtype=complex)
         psi0[0, :] = 1.0
@@ -205,7 +207,7 @@ class TestFusedStepper:
 
             def h_col(t):
                 omega, diag = seg2.coeffs(t)
-                return omega * seg2.drive + np.diag(diag[:, col])
+                return omega * seg2.hamiltonian.drive + np.diag(diag[:, col])
 
             plain = plain_rk4(h_col, psi0[:, col], dt, 1000, renormalize)
             assert np.abs(fused[:, col] - plain).max() < 1e-12
@@ -221,8 +223,8 @@ class TestFusedStepper:
         def v_int_at(t_abs):  # (times, dim, 3): one drifting interaction per column
             return v0[None, :, None] * (1.0 + rates[None, None, :] * t_abs[:, None, None])
 
-        batch_seg, _ = _protocol_segments(ham, cfg, (v_int_at, v_int_at))
-        single_seg, _ = _protocol_segments(ham, cfg)
+        batch_seg, _ = _protocol_segments([ham], cfg, (v_int_at, v_int_at))
+        single_seg, _ = _protocol_segments([ham], cfg)
         rng = np.random.default_rng(5)
         wide = rng.normal(size=(ham.basis.dim, 6)) + 1j * rng.normal(size=(ham.basis.dim, 6))
         wide /= np.linalg.norm(wide, axis=0)
@@ -327,7 +329,7 @@ class TestBlockDiagonal:
         def v_int_at(t_abs):  # array of times -> (times, dim, 3)
             return np.stack([v_at(t) for t in t_abs])
 
-        _, seg2 = _protocol_segments(ham, cfg, (v_int_at, v_int_at))
+        _, seg2 = _protocol_segments([ham], cfg, (v_int_at, v_int_at))
         dt = seg2.pulse.tau / self.N_STEPS
         calls = record_diagonals(seg2, monkeypatch)
         psi0 = np.zeros((basis.dim, 3), dtype=complex)
@@ -562,6 +564,51 @@ class TestEvenSectorBranchEnergies:
         psi = np.zeros((1, ham.basis.dim), dtype=complex)
         psi[0, 0] = 1.0
         with pytest.raises(ValueError, match="inversion"):
+            seg1.branch_energies(np.array([0.5]), psi)
+
+
+class TestGroundAmplitudes:
+    """A gate's chains propagated as one direct-sum state against one
+    ``run_protocol`` per chain."""
+
+    @pytest.mark.parametrize("include_decay", [False, True])
+    @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
+    @pytest.mark.parametrize("n_atoms", [3, 4, 5, 6, 7])
+    def test_direct_sum_matches_per_chain_runs(self, n_atoms, model, include_decay):
+        cfg = reference_config(n_atoms=n_atoms, model=model, include_decay=include_decay, gamma=mhz(0.05))
+        nus = [n_atoms - 2, n_atoms - 1, n_atoms]
+        amps = ground_amplitudes(nus, cfg)
+        assert list(amps) == nus
+        for nu in nus:
+            ref = run_protocol(nu, cfg, compute_phases=False).ground_amplitude()
+            assert abs(amps[nu] - ref) < 1e-13
+
+    @pytest.mark.parametrize("include_decay", [False, True])
+    @pytest.mark.parametrize("model,nu", [(Model.PXP, 5), (Model.FULL_VDW, 4)])
+    def test_single_chain_bitwise_equal_to_run_protocol(self, model, nu, include_decay):
+        cfg = reference_config(model=model, include_decay=include_decay, gamma=mhz(0.05))
+        amp = ground_amplitudes([nu], cfg)[nu]
+        assert amp == run_protocol(nu, cfg, compute_phases=False).ground_amplitude()
+
+    @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
+    def test_hermitian_blocks_each_keep_unit_norm(self, model):
+        seg1, _, _, _, (_, states) = _propagate_protocol([3, 4, 5], reference_config(model=model), sampled=False)
+        final = states[-1]
+        assert len(seg1.chains) == 3 and seg1.chains[-1].stop == len(final)
+        for chain in seg1.chains:
+            assert abs(np.linalg.norm(final[chain]) - 1.0) < 1e-13
+
+    @pytest.mark.parametrize("nus", [[0, 1], [3, 3], [2, 3, 2]])
+    def test_bad_chain_sizes_rejected(self, nus):
+        with pytest.raises(ValueError):
+            ground_amplitudes(nus, reference_config(model=Model.PXP))
+
+    def test_branch_energies_refuse_a_direct_sum(self):
+        cfg = reference_config(model=Model.PXP)
+        seg1, _ = _protocol_segments([ChainHamiltonian(Model.PXP, model_basis(Model.PXP, nu)) for nu in (2, 3)], cfg)
+        psi = np.zeros((1, seg1.chains[-1].stop), dtype=complex)
+        psi[0, 0] = 1.0
+        with pytest.raises(ValueError, match="2 chains"):
             seg1.branch_energies(np.array([0.5]), psi)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from afmgate.config import Model, mean_rydberg_number
 from afmgate.errors import ConfigError, FitQualityError, RegimeError
-from afmgate import gate
+from afmgate import evolution, gate
 from afmgate.gate import (
     CZ_DIAG,
     active_atoms,
@@ -29,6 +29,7 @@ from afmgate.gate import (
     sweep_tau,
     transfer_error,
 )
+from afmgate.hamiltonian import model_basis
 from afmgate.units import mhz
 
 from conftest import GAMMA, reference_config, reference_pulse
@@ -118,6 +119,21 @@ class TestAssembleGate:
         gamma = cfg.decay.mean_rate(cfg.pulse.tau, 1.0)
         model = decay_error(5, gamma, cfg.tau_total) + leakage_error(5, c_table, cfg.pulse).full
         assert 0.5 * model < report.infidelity < 2.0 * model
+
+    def test_chains_propagate_as_one_direct_sum(self, monkeypatch):
+        calls = []
+        real = evolution._run_segment
+
+        def counting(engine, psi, *args):
+            calls.append(psi.shape)
+            return real(engine, psi, *args)
+
+        monkeypatch.setattr(evolution, "_run_segment", counting)
+        report = assemble_gate(5, reference_config(n_atoms=5, model=Model.PXP))
+        # both pulses of nu = 3, 4 and 5 in one state
+        dim = sum(model_basis(Model.PXP, nu).dim for nu in (3, 4, 5))
+        assert calls == [(dim,), (dim,)]
+        assert report.per_input["01"] == report.per_input["10"]
 
 
 class TestErrorFormulas:
