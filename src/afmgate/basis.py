@@ -14,6 +14,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from .errors import ConfigError
+
 NU_MAX = 24  # enumeration guard; dense-matrix builders impose their own limits
 
 
@@ -58,9 +60,6 @@ class Basis:
     def __post_init__(self) -> None:
         object.__setattr__(self, "index", {s: k for k, s in enumerate(self.states)})
 
-    def __len__(self) -> int:
-        return len(self.states)
-
     @property
     def dim(self) -> int:
         return len(self.states)
@@ -68,7 +67,7 @@ class Basis:
 
 def _check_nu(nu: int) -> None:
     if not 1 <= nu <= NU_MAX:
-        raise ValueError(f"atom count {nu} outside supported range [1, {NU_MAX}]")
+        raise ConfigError(f"atom count {nu} outside supported range [1, {NU_MAX}]")
 
 
 def build_blockade_basis(nu: int) -> Basis:

@@ -133,12 +133,7 @@ def cmd_spectrum(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -
         h = ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), interaction).matrix(
             cfg.pulse.omega(t_mid), cfg.pulse.delta(t_mid)
         )
-        rows = [
-            (i, j, h[i, j].real, h[i, j].imag)
-            for i in range(h.shape[0])
-            for j in range(h.shape[1])
-            if h[i, j] != 0.0
-        ]
+        rows = [(i, j, h[i, j].real, h[i, j].imag) for i, j in zip(*np.nonzero(h))]
         _write_csv(
             out_dir / "hamiltonian.csv",
             _resolved_params(cfg, nu=nu, t_us=t_mid),
@@ -230,7 +225,7 @@ def _c_table_for(n_list: Sequence[int], cfg: ProtocolConfig,
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> None:
-    n_list = [int(x) for x in args.n_list.split(",")]
+    n_list = args.n_list  # parsed by _check_arg_ranges
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_points)
     c_table = _c_table_for(n_list, cfg, _load_c_file(args.c_file))
     rows: List[Sequence[object]] = []
@@ -251,7 +246,8 @@ def cmd_sweep(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> N
         }
     _write_csv(
         out_dir / "sweep.csv",
-        _resolved_params(cfg, n_list=args.n_list, c_table=json.dumps({str(k): v for k, v in sorted(c_table.items())})),
+        _resolved_params(cfg, n_list=",".join(map(str, n_list)),
+                         c_table=json.dumps({str(k): v for k, v in sorted(c_table.items())})),
         ("n_atoms", "tau_us", "e_numeric", "e_decay", "e_leakage", "e_model", "fidelity"),
         rows,
     )
@@ -295,7 +291,7 @@ def cmd_thermal(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) ->
 
 
 def cmd_fit_c(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> None:
-    nus = [int(x) for x in args.nu_list.split(",")]
+    nus = args.nu_list  # parsed by _check_arg_ranges
     result: Dict[str, Dict[str, float]] = {}
     rows = []
     for nu in nus:
@@ -306,7 +302,7 @@ def cmd_fit_c(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> N
     (out_dir / "fit_c.json").write_text(json.dumps(result, indent=2) + "\n")
     _write_csv(
         out_dir / "fit_c.csv",
-        _resolved_params(cfg, nu_list=args.nu_list),
+        _resolved_params(cfg, nu_list=",".join(map(str, nus))),
         ("nu", "tau_us", "e_leakage"),
         rows,
     )
@@ -417,19 +413,36 @@ _ARG_MINIMA = (
     (("thermal",), "temp_uk", "--temp-uK", 0.0),
     (("thermal",), "position_sigma_um", "--position-sigma-um", 0.0),
 )
+# (command, comma-separated integer list argument, flag, smallest legal
+# entry, whether entries must be odd); parsed into a list of ints
+_LIST_ARGS = (
+    ("sweep", "n_list", "--n-list", 3, False),
+    ("fit-c", "nu_list", "--nu-list", 3, True),
+)
 
 
 def _check_arg_ranges(args: argparse.Namespace) -> None:
-    """Reject out-of-range numeric flags before anything is written."""
+    """Parse the integer lists and reject out-of-range flags before anything is written."""
     for commands, name, flag, minimum in _ARG_MINIMA:
         value = getattr(args, name) if commands is None or args.command in commands else None
         if value is not None and not value >= minimum:
             raise ConfigError(f"{flag} must be >= {minimum}, got {value}")
+    for command, name, flag, minimum, odd in _LIST_ARGS:
+        if args.command == command:
+            try:
+                values = [int(x) for x in getattr(args, name).split(",")]
+            except ValueError:
+                raise ConfigError(f"{flag} must be comma-separated integers, got {getattr(args, name)!r}") from None
+            bad = [v for v in values if v < minimum or (odd and v % 2 == 0)]
+            if bad:
+                raise ConfigError(f"{flag} entries must be {'odd and ' if odd else ''}>= {minimum}, got {bad[0]}")
+            setattr(args, name, values)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out_dir = Path(args.out)
+    fresh = not out_dir.exists()
     try:
         _check_arg_ranges(args)
         cfg = None
@@ -438,7 +451,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ConfigError(f"command '{args.command}' requires --config")
             cfg = load_config(args.config)
             cfg = _apply_model_override(cfg, args.model)
-        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _HANDLERS[args.command](args, cfg, out_dir)
         _write_manifest(args, out_dir)
@@ -452,6 +464,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        if fresh and out_dir.is_dir() and not any(out_dir.iterdir()):
+            out_dir.rmdir()  # a failed run leaves no empty output directory behind
 
 
 if __name__ == "__main__":

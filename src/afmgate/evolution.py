@@ -3,37 +3,32 @@
 Fixed-step classical RK4 with midpoint Hamiltonian evaluations, in one
 segment stepper that every propagation goes through: a single state or a
 batch of states held as the columns of one array, over one chain or over
-the direct sum of several chains driven by the same pulse.  The operator
-structures come from one ``ChainHamiltonian`` per chain, shared by both
-segments, and the pulse is tabulated once per segment.  The diagonal of
--iH is tabulated for a block of ``DIAG_BLOCK_STEPS`` steps at a time, so
-each evaluation only rescales the drive and reads its diagonal.  The
-stage states, the scaling by Omega and the RK4 combination are level-1
-BLAS calls (``zaxpy``, ``zdscal``) on the flat rows of one preallocated
-array, and non-finite amplitudes are looked for once per segment, over
-the array of its stored samples.
-Hermitian runs renormalize each chain's block of the state after every
-step (removing the RK4 amplitude artifact, which would otherwise mask
-real norm errors); non-Hermitian runs keep the physical norm decay.
+the direct sum of several chains driven by the same pulse.  The pulse is
+tabulated once per segment and the diagonal of -iH once per block of
+``DIAG_BLOCK_STEPS`` steps.  The drive is real: each drive product is one
+real matrix product on the float64 view (rows, 2 * batch) of a state,
+scaled by -i Omega afterwards.  That scaling, the stage states and the RK4
+combination are level-1 BLAS calls (``zscal``, ``zaxpy``) on the flat rows
+of one preallocated array; non-finite amplitudes are looked for once per
+segment, over its stored samples.  Hermitian runs renormalize each chain's
+block of the state after every step (removing the RK4 amplitude artifact,
+which would otherwise mask real norm errors); non-Hermitian runs keep the
+physical norm decay.
 
 One driver serves ``run_protocol`` (one chain, with its sampled
-trajectory) and ``ground_amplitudes`` (final amplitudes only).  The
-chains of a gate (nu = N-2, N-1, N) share the pulse, the step and the
-step count, so ``ground_amplitudes`` propagates them as one concatenated
-state: the diagonal of -iH is one array over all blocks and only the
-drive product is made block by block, which removes the per-step
-interpreter cost of two of the three runs.  Each block agrees with its
-own run to round-off.
+trajectory) and ``ground_amplitudes`` (final amplitudes only), which
+propagates the chains of a gate (nu = N-2, N-1, N: one pulse, step and
+step count) as one concatenated state.  A static chain is mirror-symmetric
+and starts in |0...0>, so both run on the inversion-even sectors
+(``basis.even_isometry`` U; 20 of 32 states at vdW nu = 5, 72 of 128 at
+nu = 7): each chain's drive, n_r and v are projected once per pulse, a
+Hamiltonian that breaks the mirror raises there, and ``run_protocol`` maps
+its samples back to the full basis.  Moving atoms break the mirror, so the
+thermal batches keep the full basis.
 
-Phase bookkeeping.  The dynamical phase integrates the energy of the
-branch that holds the state, read from an eigensolve of the Hermitian
-part of H at every stored sample.  A static chain is mirror-symmetric and
-the protocol starts in the even ground state, so that eigensolve runs on
-the inversion-even sector (``basis.even_isometry``; 20 of 32 states at
-vdW nu = 5, 72 of 128 at nu = 7): once per segment the drive, n_r and v
-are projected, then each chunk of samples is one stacked real ``eigh``.
-A Hamiltonian that breaks the mirror, or a state that leaves the sector,
-raises instead of being followed.
+The dynamical phase integrates the energy of the branch that holds the
+state, from one stacked real ``eigh`` of the Hermitian part of H on the
+sector per chunk of stored samples.
 """
 
 from __future__ import annotations
@@ -41,11 +36,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.linalg.blas import dznrm2, zaxpy, zdscal
+from scipy.linalg.blas import dznrm2, zaxpy, zdscal, zscal
 
 from .basis import Basis, afm_manifold_masks, even_isometry, inversion_permutation, ordered_afm_masks
 from .config import Model, ProtocolConfig, PulseProfile
@@ -63,9 +58,6 @@ DIAG_BLOCK_STEPS = 16
 # grows with it: +4.7 MB over a per-sample eigensolve at 2^17 entries,
 # +2 MB at 2^15, which takes about 5 % longer than 2^17
 PHASE_CHUNK_ENTRIES = 1 << 15
-# A state's odd weight, relative to its squared norm, above which it has
-# left the inversion-even sector
-ODD_WEIGHT_MAX = 1e-10
 # Tolerated asymmetry of the interaction diagonal under inversion, relative
 # to its largest entry (pair sums in another order)
 SYMMETRY_V_RTOL = 1e-12
@@ -114,54 +106,84 @@ def _step_count(t0: float, t1: float, dt: float) -> int:
     return n
 
 
+@dataclass(frozen=True, eq=False)
+class _EvenSector:
+    """A mirror-symmetric chain Hamiltonian on its inversion-even sector:
+    the operators U^T drive U, n_r and the mirror-averaged v on the columns
+    of the isometry U, which stand in for the chain's own in an engine."""
+
+    full: ChainHamiltonian
+    u: np.ndarray  # (dim, d_even)
+    drive: np.ndarray
+    n_r: np.ndarray
+    v: np.ndarray
+    ground: int  # sector index of |0...0>, its own mirror image
+
+    @classmethod
+    def of(cls, ham: ChainHamiltonian) -> "_EvenSector":
+        """Raises ValueError if ``ham`` does not commute with the inversion."""
+        perm = inversion_permutation(ham.basis)
+        tol = SYMMETRY_V_RTOL * np.abs(ham.v).max()
+        if not (
+            np.array_equal(ham.drive[np.ix_(perm, perm)], ham.drive)
+            and np.array_equal(ham.n_r[perm], ham.n_r)
+            and np.abs(ham.v[perm] - ham.v).max() <= tol
+        ):
+            raise ValueError("the Hamiltonian does not commute with the spatial inversion")
+        u = even_isometry(ham.basis)
+        reps = u.argmax(axis=0)  # lower index of each column's mirror orbit
+        v = 0.5 * (ham.v[reps] + ham.v[perm[reps]])
+        return cls(ham, u, u.T @ ham.drive @ u, ham.n_r[reps], v, int(u[ham.basis.index[0]].argmax()))
+
+    @property
+    def basis(self) -> Basis:
+        return self.full.basis
+
+
 class _SegmentEngine:
     """One pulse segment over one chain, or over the direct sum of several
-    chains driven by the same pulse: the chain Hamiltonians of its
-    interaction plus the pulse scaling.
+    chains driven by the same pulse: the operators of each chain (its
+    ``ChainHamiltonian`` or ``_EvenSector``) plus the pulse scaling.
 
     The state is the concatenation of one block per chain (``chains`` gives
-    their row ranges).  ``gens`` holds each chain's complex -i * drive, the
-    products the stepper makes block by block, built once per basis and
-    shared by the segments of a protocol; the excitation counts and the
-    interaction diagonal are concatenated, so the diagonal of -iH is one
-    array for the whole state.  ``v_int_fn``, when given, supplies the
-    interaction diagonal of a (dim, batch) state with moving atoms: called
-    with an array of k absolute protocol times it returns the real
-    (k, dim, batch) diagonals, one column per trial.  The excitation counts
-    are then kept as a column so the diagonal broadcasts against the batch.
-    Otherwise the static diagonals of ``hamiltonians`` are used.
+    their row ranges); the excitation counts and the interaction diagonal
+    are concatenated, so the diagonal of -iH is one array for the whole
+    state and only the drive products are made block by block.
+    ``v_int_fn``, when given, supplies the interaction diagonal of a
+    (dim, batch) state with moving atoms (otherwise the static ``v`` is
+    used): called with an array of k absolute protocol times it returns the
+    real (k, dim, batch) diagonals, one column per trial, and the excitation
+    counts are kept as a column to broadcast against the batch.
     """
 
     def __init__(
         self,
-        hamiltonians: Sequence[ChainHamiltonian],
+        hamiltonians: Sequence[Union[ChainHamiltonian, _EvenSector]],
         pulse: PulseProfile,
-        gens: Sequence[np.ndarray],
         gamma: float = 0.0,
         v_int_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         t_abs_start: float = 0.0,
     ):
         self.hamiltonians = tuple(hamiltonians)
         self.pulse = pulse
-        self.gens = tuple(gens)
         self.gamma = gamma
         self.v_int_fn = v_int_fn
         self.t_abs_start = t_abs_start
         self.v = np.concatenate([h.v for h in self.hamiltonians])
         n_r = np.concatenate([h.n_r for h in self.hamiltonians])
         self._n_r = n_r if v_int_fn is None else n_r[:, None]
-        # -iH = Omega * gen - (Gamma / 2) n_r + i (Delta n_r - v)
+        # -iH = -i Omega drive - (Gamma / 2) n_r + i (Delta n_r - v)
         self._decay_rate = -0.5 * gamma * self._n_r if gamma else 0.0
 
     @property
     def chains(self) -> Tuple[slice, ...]:
         """Row range of each chain in the direct-sum state."""
-        ends = np.cumsum([g.shape[0] for g in self.gens]).tolist()
+        ends = np.cumsum([h.drive.shape[0] for h in self.hamiltonians]).tolist()
         return tuple(slice(a, b) for a, b in zip([0] + ends[:-1], ends))
 
     @property
-    def hamiltonian(self) -> ChainHamiltonian:
-        """The chain Hamiltonian of a one-chain engine."""
+    def hamiltonian(self) -> Union[ChainHamiltonian, _EvenSector]:
+        """The chain operators of a one-chain engine."""
         if len(self.hamiltonians) != 1:
             raise ValueError(f"an engine over {len(self.hamiltonians)} chains has no single Hamiltonian")
         return self.hamiltonians[0]
@@ -169,13 +191,6 @@ class _SegmentEngine:
     @property
     def basis(self) -> Basis:
         return self.hamiltonian.basis
-
-    def coeffs(self, t_local: float) -> Tuple[float, np.ndarray]:
-        """(Omega, complex diagonal) at local pulse time; endpoint round-off
-        is clamped into the pulse window."""
-        t = min(max(t_local, 0.0), self.pulse.tau)
-        diag = self.diagonals(np.array([t]), np.array([self.pulse.delta(t)]))[0]
-        return self.pulse.omega(t), 1j * diag
 
     def tables(self, dt: float, n_steps: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Local times of every RK4 evaluation of the segment, clamped into
@@ -207,49 +222,21 @@ class _SegmentEngine:
     def branch_energies(self, t_local: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Instantaneous eigenvalue of the dominantly occupied branch of the
         Hermitian part (maximal overlap with the state) for each state row
-        at its local time, on the inversion-even sector.
-
-        Raises ValueError for an engine over several chains or if the
-        Hamiltonian does not commute with the inversion, and PropagationError
-        at the first state with odd weight above ``ODD_WEIGHT_MAX`` of its
-        squared norm.
+        at its local time, in the space the engine propagates (the even
+        sector of a static chain).  Raises ValueError for an engine over
+        several chains.
         """
         ham = self.hamiltonian
-        perm = inversion_permutation(ham.basis)
-        tol = SYMMETRY_V_RTOL * np.abs(ham.v).max()
-        if not (
-            np.array_equal(ham.drive[np.ix_(perm, perm)], ham.drive)
-            and np.array_equal(ham.n_r[perm], ham.n_r)
-            and np.abs(ham.v[perm] - ham.v).max() <= tol
-        ):
-            raise ValueError("the Hamiltonian does not commute with the spatial inversion")
-        u = even_isometry(ham.basis)
-        reps = u.argmax(axis=0)  # lower index of each column's mirror orbit
-        drive_even = u.T @ ham.drive @ u
-        n_even = ham.n_r[reps]
-        v_even = 0.5 * (ham.v[reps] + ham.v[perm[reps]])
         t = np.clip(t_local, 0.0, self.pulse.tau)
         omega, delta = self.pulse.omega(t), self.pulse.delta(t)
-
-        d_even = u.shape[1]
-        chunk = max(1, PHASE_CHUNK_ENTRIES // d_even**2)
-        diag = np.arange(d_even)
+        diag = np.arange(len(ham.n_r))
+        chunk = max(1, PHASE_CHUNK_ENTRIES // len(diag) ** 2)
         energies = np.empty(len(t))
         for lo in range(0, len(t), chunk):
             hi = min(lo + chunk, len(t))
-            psi = states[lo:hi]
-            phi = psi @ u
-            odd_weight = np.sum(np.abs(0.5 * (psi - psi[:, perm])) ** 2, axis=1)
-            norm2 = np.sum(np.abs(psi) ** 2, axis=1)
-            bad = np.flatnonzero(odd_weight > ODD_WEIGHT_MAX * norm2)
-            if bad.size:
-                i = int(bad[0])
-                raise PropagationError(
-                    f"state at t = {t_local[lo + i]} left the inversion-even sector: "
-                    f"odd weight {odd_weight[i]:.3e} of {norm2[i]:.3e}"
-                )
-            h = omega[lo:hi, None, None] * drive_even
-            h[:, diag, diag] += v_even - delta[lo:hi, None] * n_even
+            phi = states[lo:hi]
+            h = omega[lo:hi, None, None] * ham.drive
+            h[:, diag, diag] += ham.v - delta[lo:hi, None] * ham.n_r
             w, vecs = np.linalg.eigh(h)
             # |<v_k|phi>|^2 from real products: no complex copy of vecs
             re = np.matmul(phi.real[:, None, :], vecs)[:, 0, :]
@@ -257,9 +244,11 @@ class _SegmentEngine:
             energies[lo:hi] = w[np.arange(hi - lo), np.argmax(re * re + im * im, axis=1)]
         return energies
 
-    def matrix(self, t_local: float) -> np.ndarray:
-        omega, diag = self.coeffs(t_local)
-        return omega * self.hamiltonian.drive + np.diag(diag)
+
+def _real(rows: np.ndarray) -> np.ndarray:
+    """The float64 view (rows, 2 * batch) of a C-contiguous complex state
+    block, one state (rows,) being a batch of one."""
+    return rows.view(np.float64).reshape(len(rows), -1)
 
 
 def _run_segment(
@@ -278,13 +267,14 @@ def _run_segment(
     (dim, batch), over one chain or the direct sum of the engine's chains.
     The pulse is tabulated once for the segment, the complex diagonal d of
     -iH once per block of ``DIAG_BLOCK_STEPS`` steps, and each derivative
-    is the fused Omega * (gen @ y) + d * y, with one drive product per
-    chain block.  Renormalization acts on each chain block, and within it
+    is the fused -i Omega * (drive @ y) + d * y, with one real drive
+    product per chain block on the float64 views of y and of its
+    destination.  Renormalization acts on each chain block, and within it
     on each column of a batch.  Raises PropagationError naming the time of
     the first sample that holds non-finite amplitudes.
     """
     t_tab, om, dl = engine.tables(dt, n_steps)
-    om = om.tolist()  # Python floats: no numpy scalar boxed per BLAS call
+    scale = (-1j * om).tolist()  # Python complex: no numpy scalar boxed per BLAS call
     half = 0.5 * dt
     sixth = dt / 6.0
     block_len = 2 * DIAG_BLOCK_STEPS
@@ -300,9 +290,10 @@ def _run_segment(
     psi_chains = [psi[c] for c in chains]
 
     def products(src: np.ndarray, dst: np.ndarray) -> list:
-        # gen @ src into dst for each chain block, bound once so that each
-        # product is one call with no argument parsing in the loop
-        return [partial(np.dot, g, src[c], dst[c]) for g, c in zip(engine.gens, chains)]
+        # drive @ src into dst for each chain block on the real views, bound
+        # once so that each product is one call with no argument parsing and
+        # no array-function dispatch in the loop
+        return [partial(h.drive.dot, _real(src[c]), _real(dst[c])) for h, c in zip(engine.hamiltonians, chains)]
 
     drive_1, drive_2, drive_3, drive_4 = (products(psi, k1), products(y, k2), products(y, k3), products(y, k4))
 
@@ -317,7 +308,7 @@ def _run_segment(
     def deriv(j: int, d: np.ndarray, y: np.ndarray, drive: list, out_r: np.ndarray) -> None:
         for product in drive:
             product()
-        zdscal(om[j], out_r, overwrite_x=1)
+        zscal(scale[j], out_r)
         np.multiply(d, y, out=dy)
         zaxpy(dy_r, out_r)
 
@@ -437,7 +428,9 @@ def _protocol_segments(
 ) -> Tuple[_SegmentEngine, _SegmentEngine]:
     """Engines of the two pulses over the direct sum of ``hamiltonians``:
     step II runs the lambda-rescaled pulse under the flipped interaction on
-    the same operator structures."""
+    the same operator structures.  Static chains run on their even sectors;
+    with the per-trial interactions ``v_int_fn_steps`` of moving atoms the
+    chains keep their full basis."""
     if any(h.model is Model.PXP_PLUS_CORRECTIONS for h in hamiltonians):
         raise ValueError("time propagation supports the PXP and full vdW models only")
     lam = cfg.interaction.lambda_ratio
@@ -446,23 +439,25 @@ def _protocol_segments(
     gamma_1 = cfg.decay.gamma_r if cfg.include_decay else 0.0
     gamma_2 = cfg.decay.gamma_rp if cfg.include_decay else 0.0
     fn1, fn2 = v_int_fn_steps if v_int_fn_steps is not None else (None, None)
-    gens = [-1j * h.drive for h in hamiltonians]
-    seg1 = _SegmentEngine(hamiltonians, pulse_1, gens, gamma_1, fn1, t_abs_start=0.0)
     flipped = [h.with_interaction(cfg.interaction.flipped()) for h in hamiltonians]
-    seg2 = _SegmentEngine(flipped, pulse_2, gens, gamma_2, fn2, t_abs_start=pulse_1.tau)
+    if v_int_fn_steps is None:
+        hamiltonians, flipped = ([_EvenSector.of(h) for h in hs] for hs in (hamiltonians, flipped))
+    seg1 = _SegmentEngine(hamiltonians, pulse_1, gamma_1, fn1, t_abs_start=0.0)
+    seg2 = _SegmentEngine(flipped, pulse_2, gamma_2, fn2, t_abs_start=pulse_1.tau)
     return seg1, seg2
 
 
 def _propagate_protocol(
     nus: Sequence[int], cfg: ProtocolConfig, sampled: bool
 ) -> Tuple[_SegmentEngine, _SegmentEngine, np.ndarray, Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    """Both pulses on the chains ``nus`` held as one direct-sum state, each
-    block starting from its collective ground state.
+    """Both pulses on the even sectors of the chains ``nus`` held as one
+    direct-sum state, each block starting from its collective ground state.
 
     Returns the two engines, the initial state and the (local times,
-    states) of each segment's samples.  ``sampled`` stores samples at the
-    stride that keeps per-sample phase increments small; otherwise only
-    each segment's final state is kept.
+    states) of each segment's samples, all on the sectors.  ``sampled``
+    stores samples at the stride that keeps per-sample phase increments
+    small (set by the full chain Hamiltonians); otherwise only each
+    segment's final state is kept.
     """
     if any(nu < 1 for nu in nus):
         raise ValueError(f"nu must be >= 1, got {min(nus)}")
@@ -472,9 +467,9 @@ def _propagate_protocol(
     seg1, seg2 = _protocol_segments(hams, cfg)
     lam = cfg.interaction.lambda_ratio
 
-    psi = np.zeros(sum(h.basis.dim for h in hams), dtype=complex)
-    for h, chain in zip(hams, seg1.chains):
-        psi[chain.start + h.basis.index[0]] = 1.0
+    psi = np.zeros(seg1.chains[-1].stop, dtype=complex)
+    for h, chain in zip(seg1.hamiltonians, seg1.chains):
+        psi[chain.start + h.ground] = 1.0
 
     n1 = _step_count(0.0, cfg.pulse.tau, cfg.dt)
     stride = n1
@@ -501,7 +496,8 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
     """
     seg1, seg2, psi, (t1, s1), (t2, s2) = _propagate_protocol([nu], cfg, sampled=True)
     basis = seg1.basis
-    state_arr = np.concatenate([psi[None], s1, s2])
+    sector_arr = np.concatenate([psi[None], s1, s2])
+    state_arr = sector_arr @ seg1.hamiltonian.u.T
     time_arr = np.concatenate([[0.0], t1, cfg.pulse.tau + t2])
     norms = np.linalg.norm(state_arr, axis=1)
 
@@ -522,7 +518,7 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
             time_arr,
             [0, int(np.searchsorted(time_arr, tau1)), len(time_arr) - 1],
             lambda k, lo, hi: segs[k].branch_energies(
-                time_arr[lo : hi + 1] - starts[k], state_arr[lo : hi + 1]
+                time_arr[lo : hi + 1] - starts[k], sector_arr[lo : hi + 1]
             ),
         )
         phases = _phases_from_samples(time_arr, state_arr, phi_dynamical=phi_dyn)
@@ -540,15 +536,13 @@ def ground_amplitudes(nus: Sequence[int], cfg: ProtocolConfig) -> Dict[int, comp
 
     The chains share the pulse, the step and the step count, so they are
     propagated together as one direct-sum state, and only each segment's
-    final state is kept.  Each block matches its own ``run_protocol`` to
-    round-off (bitwise for a single chain).
+    final state is kept.  |0...0> is a unit vector of each even sector, so
+    the amplitude is read there.  Each block matches its own
+    ``run_protocol`` to round-off (bitwise for a single chain).
     """
     seg1, _, _, _, (_, states) = _propagate_protocol(nus, cfg, sampled=False)
     final = states[-1]
-    return {
-        nu: complex(final[chain.start + h.basis.index[0]])
-        for nu, h, chain in zip(nus, seg1.hamiltonians, seg1.chains)
-    }
+    return {nu: complex(final[chain.start + h.ground]) for nu, h, chain in zip(nus, seg1.hamiltonians, seg1.chains)}
 
 
 def _dynamical_phase(

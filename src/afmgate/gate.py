@@ -81,10 +81,6 @@ class GateReport:
     per_input: Dict[str, complex]
     global_phase_removed: float
 
-    @property
-    def u_matrix(self) -> np.ndarray:
-        return np.diag(self.u_diag)
-
 
 def assemble_gate(n_atoms: int, cfg: ProtocolConfig) -> GateReport:
     """Run the protocol for the four inputs and assemble the diagonal gate.

@@ -24,7 +24,7 @@ import numpy as np
 
 from .basis import Basis, build_blockade_basis, build_full_basis, rydberg_count
 from .config import InteractionConfig, Model
-from .errors import RegimeError
+from .errors import ConfigError, RegimeError
 
 DIM_MAX = 1024
 SHIFT_SINGULARITY_RTOL = 1e-6
@@ -32,7 +32,7 @@ SHIFT_SINGULARITY_RTOL = 1e-6
 
 def _check_dim(dim: int) -> None:
     if dim > DIM_MAX:
-        raise ValueError(f"dense matrix dimension {dim} exceeds the supported {DIM_MAX}")
+        raise ConfigError(f"dense matrix dimension {dim} exceeds the supported {DIM_MAX}")
 
 
 def _bit_counts(masks) -> np.ndarray:

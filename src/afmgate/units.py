@@ -41,10 +41,6 @@ def mhz(value_mhz: float) -> float:
     return TWO_PI * value_mhz
 
 
-def khz(value_khz: float) -> float:
-    return TWO_PI * 1e-3 * value_khz
-
-
 def to_mhz(omega: float) -> float:
     """Inverse of :func:`mhz`."""
     return omega / TWO_PI

@@ -284,12 +284,44 @@ class TestErrorHandling:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
-    def test_runtime_failure_exits_3(self, tmp_path):
-        from afmgate.cli import EXIT_RUNTIME
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "--n-list", "2"], "--n-list entries must be >= 3, got 2"),
+            (["sweep", "--n-list", "abc"], "--n-list must be comma-separated integers"),
+            (["sweep", "--n-list", "3,,5"], "--n-list must be comma-separated integers"),
+            (["fit-c", "--nu-list", "x"], "--nu-list must be comma-separated integers"),
+            (["fit-c", "--nu-list", "2"], "--nu-list entries must be odd and >= 3, got 2"),
+            (["evolve", "--nu", "11"], "dense matrix dimension 2048 exceeds"),
+            (["spectrum", "--nu", "11"], "dense matrix dimension 2048 exceeds"),
+            (["basis-dump", "--nu", "40"], "atom count 40 outside"),
+        ],
+    )
+    def test_bad_input_exits_2_without_output_directory(self, tmp_path, capsys, argv, message):
+        cfg = write_config(tmp_path)  # the vdW model
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), *argv]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
+    def test_failed_run_keeps_an_existing_output_directory(self, tmp_path):
         cfg = write_config(tmp_path)
-        rc = main(["--config", cfg, "--out", str(tmp_path / "o"),
-                   "spectrum", "--nu", "25"])  # beyond the enumeration guard
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["--config", cfg, "--out", str(out), "evolve", "--nu", "11"]) == EXIT_CONFIG
+        assert out.is_dir()
+
+    def test_runtime_failure_exits_3(self, tmp_path, monkeypatch):
+        from afmgate import cli
+        from afmgate.cli import EXIT_RUNTIME
+        from afmgate.errors import PropagationError
+
+        def failing(*args, **kwargs):
+            raise PropagationError("non-finite amplitudes at t = 0.5")
+
+        monkeypatch.setattr(cli, "run_protocol", failing)
+        cfg = write_config(tmp_path)
+        rc = main(["--config", cfg, "--out", str(tmp_path / "o"), "evolve", "--nu", "3"])
         assert rc == EXIT_RUNTIME
 
 

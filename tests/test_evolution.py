@@ -15,7 +15,9 @@ from afmgate.config import Model, PulseProfile
 from afmgate.errors import PropagationError
 from afmgate.evolution import (
     DIAG_BLOCK_STEPS,
+    _default_stride,
     _dynamical_phase,
+    _EvenSector,
     _phases_from_samples,
     _propagate_protocol,
     _protocol_segments,
@@ -37,8 +39,47 @@ def wrap_phase(x):
 
 
 def segments(nu, cfg):
-    """The two segment engines of a protocol on the model's own basis."""
+    """The two segment engines of a protocol on the even sector of the
+    model's own basis."""
     return _protocol_segments([ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction)], cfg)
+
+
+def full_segments(nu, cfg):
+    """The two segment engines of a protocol on the model's full basis: the
+    path the even-sector propagation replaced."""
+    ham = ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction)
+    gamma_1, gamma_2 = (cfg.decay.gamma_r, cfg.decay.gamma_rp) if cfg.include_decay else (0.0, 0.0)
+    pulse_2 = cfg.pulse.rescaled(cfg.interaction.lambda_ratio)
+    return (
+        _SegmentEngine([ham], cfg.pulse, gamma_1),
+        _SegmentEngine([ham.with_interaction(cfg.interaction.flipped())], pulse_2, gamma_2, t_abs_start=cfg.pulse.tau),
+    )
+
+
+def full_space_h(seg):
+    """H at local time t of a one-chain engine's pulse, from
+    ``ChainHamiltonian.matrix`` on the chain's full basis plus the decay
+    -i (Gamma / 2) n_r; t is clamped into the pulse window."""
+    ham = seg.hamiltonian.full if isinstance(seg.hamiltonian, _EvenSector) else seg.hamiltonian
+    pulse = seg.pulse
+
+    def h_of_t(t):
+        t = min(max(t, 0.0), pulse.tau)
+        return ham.matrix(pulse.omega(t), pulse.delta(t)) - 0.5j * seg.gamma * np.diag(ham.n_r)
+
+    return h_of_t
+
+
+def full_ground(basis):
+    psi = np.zeros(basis.dim, dtype=complex)
+    psi[basis.index[0]] = 1.0
+    return psi
+
+
+def sector_ground(sector):
+    psi = np.zeros(len(sector.n_r), dtype=complex)
+    psi[sector.ground] = 1.0
+    return psi
 
 
 def vdw_diagonal(basis, interaction):
@@ -49,8 +90,8 @@ class ConstantEngine(_SegmentEngine):
     """Time-independent H = omega * drive + diag on a hand-built structure."""
 
     def __init__(self, drive, diag, omega=1.0, tau=1.0):
-        self.drive = np.asarray(drive, dtype=complex)
-        self.gens = (-1j * self.drive,)
+        self.drive = np.asarray(drive, dtype=float)
+        self.hamiltonians = (SimpleNamespace(drive=self.drive),)
         self.diag = np.asarray(diag, dtype=complex)
         self.omega = omega
         self.pulse = SimpleNamespace(tau=tau)
@@ -161,31 +202,29 @@ def plain_rk4(h_of_t, psi, dt, n_steps, renormalize):
 
 
 class TestFusedStepper:
-    """The tabulated, fused stepper against a plain RK4 on the engine's own
-    Hamiltonian matrices over one reference segment."""
+    """The tabulated, fused stepper over one reference segment against a
+    plain RK4 on the chain's full-space Hamiltonian matrices."""
 
     def test_single_state_with_decay_matches_plain_rk4(self):
         cfg = reference_config(model=Model.FULL_VDW, include_decay=True, gamma=mhz(0.05))
         seg1, _ = segments(3, cfg)
+        sector = seg1.hamiltonian
         n = _step_count(0.0, cfg.pulse.tau, cfg.dt)
-        psi0 = np.zeros(seg1.basis.dim, dtype=complex)
-        psi0[0] = 1.0
-        _, (fused,) = _run_segment(seg1, psi0, cfg.dt, n, n, renormalize=False)
-        plain = plain_rk4(seg1.matrix, psi0, cfg.dt, n, renormalize=False)
+        _, (fused,) = _run_segment(seg1, sector_ground(sector), cfg.dt, n, n, renormalize=False)
+        plain = plain_rk4(full_space_h(seg1), full_ground(seg1.basis), cfg.dt, n, renormalize=False)
         assert np.linalg.norm(plain) < 1.0
-        assert np.abs(fused - plain).max() < 1e-12
+        assert np.abs(sector.u @ fused - plain).max() < 1e-12
 
     @pytest.mark.parametrize("nu", [3, 5])
     def test_single_hermitian_state_matches_renormalized_plain_rk4(self, nu):
         cfg = reference_config(model=Model.FULL_VDW)
         seg1, _ = segments(nu, cfg)
+        sector = seg1.hamiltonian
         n = _step_count(0.0, cfg.pulse.tau, cfg.dt)
-        psi0 = np.zeros(seg1.basis.dim, dtype=complex)
-        psi0[0] = 1.0
-        _, (fused,) = _run_segment(seg1, psi0, cfg.dt, n, n, renormalize=True)
-        plain = plain_rk4(seg1.matrix, psi0, cfg.dt, n, renormalize=True)
+        _, (fused,) = _run_segment(seg1, sector_ground(sector), cfg.dt, n, n, renormalize=True)
+        plain = plain_rk4(full_space_h(seg1), full_ground(seg1.basis), cfg.dt, n, renormalize=True)
         assert abs(np.linalg.norm(fused) - 1.0) < 1e-14
-        assert np.abs(fused - plain).max() < 1e-12
+        assert np.abs(sector.u @ fused - plain).max() < 1e-12
 
     @pytest.mark.parametrize("include_decay", [False, True])
     def test_batch_with_per_column_diagonal_matches_plain_rk4(self, include_decay):
@@ -206,8 +245,11 @@ class TestFusedStepper:
         for col in range(3):
 
             def h_col(t):
-                omega, diag = seg2.coeffs(t)
-                return omega * seg2.hamiltonian.drive + np.diag(diag[:, col])
+                t = min(max(t, 0.0), seg2.pulse.tau)
+                v_col = v_int_at(np.array([seg2.t_abs_start + t]))[0, :, col]
+                return ham.matrix(seg2.pulse.omega(t), seg2.pulse.delta(t)) + np.diag(
+                    v_col - ham.v - 0.5j * seg2.gamma * ham.n_r
+                )
 
             plain = plain_rk4(h_col, psi0[:, col], dt, 1000, renormalize)
             assert np.abs(fused[:, col] - plain).max() < 1e-12
@@ -224,7 +266,7 @@ class TestFusedStepper:
             return v0[None, :, None] * (1.0 + rates[None, None, :] * t_abs[:, None, None])
 
         batch_seg, _ = _protocol_segments([ham], cfg, (v_int_at, v_int_at))
-        single_seg, _ = _protocol_segments([ham], cfg)
+        single_seg = _SegmentEngine([ham], cfg.pulse)
         rng = np.random.default_rng(5)
         wide = rng.normal(size=(ham.basis.dim, 6)) + 1j * rng.normal(size=(ham.basis.dim, 6))
         wide /= np.linalg.norm(wide, axis=0)
@@ -241,10 +283,9 @@ class TestFusedStepper:
     def test_samples_are_distinct_rows_at_their_steps(self):
         cfg = reference_config(model=Model.FULL_VDW, include_decay=True, gamma=mhz(0.05))
         seg1, _ = segments(3, cfg)
-        psi0 = np.zeros(seg1.basis.dim, dtype=complex)
-        psi0[0] = 1.0
+        psi0 = sector_ground(seg1.hamiltonian)
         times, every = _run_segment(seg1, psi0, cfg.dt, 45, 1, renormalize=False)
-        assert every.shape == (45, seg1.basis.dim) and times.shape == (45,)
+        assert every.shape == (45, len(psi0)) and times.shape == (45,)
         assert len({row.tobytes() for row in every}) == 45
         times7, strided = _run_segment(seg1, psi0, cfg.dt, 45, 7, renormalize=False)
         # steps 7, 14, ..., 42 and the last one
@@ -299,7 +340,7 @@ class TestBlockDiagonal:
     @pytest.mark.parametrize("include_decay", [False, True])
     def test_static_blocks_equal_scalar_formula_bitwise(self, include_decay, monkeypatch):
         cfg = reference_config(model=Model.FULL_VDW, include_decay=include_decay, gamma=mhz(0.05))
-        _, seg2 = segments(4, cfg)
+        _, seg2 = full_segments(4, cfg)
         basis = seg2.basis
         dt = seg2.pulse.tau / self.N_STEPS
         calls = record_diagonals(seg2, monkeypatch)
@@ -344,17 +385,6 @@ class TestBlockDiagonal:
             scalar = delta * (1j * n_r) - 1j * v_at(seg2.t_abs_start + t) - 1j * decay
             assert d.shape == (basis.dim, 3)
             assert np.abs(d - scalar).max() < 1e-12
-
-    def test_coeffs_use_the_block_formula(self):
-        cfg = reference_config(model=Model.FULL_VDW, include_decay=True, gamma=mhz(0.05))
-        seg1, _ = segments(4, cfg)
-        basis = seg1.basis
-        n_r = excitation_numbers(basis)
-        v = vdw_diagonal(basis, cfg.interaction) - 0.5j * cfg.decay.gamma_r * n_r
-        for t in (0.0, 0.37, seg1.pulse.tau):
-            omega, diag = seg1.coeffs(t)
-            assert omega == seg1.pulse.omega(t)
-            assert np.array_equal(diag, 1j * (seg1.pulse.delta(t) * (1j * n_r) + -1j * v))
 
 
 class TestRunProtocol:
@@ -458,13 +488,11 @@ class TestPhases:
     def test_phase_decomposition_matches_protocol_record(self):
         cfg = reference_config(model=Model.PXP)
         run = run_protocol(3, cfg)
-        seg1, seg2 = run.segments
+        h1, h2 = (full_space_h(seg) for seg in run.segments)
         tau = cfg.pulse.tau
 
         def h_of_t(t):
-            if t <= tau:
-                return seg1.matrix(t)
-            return seg2.matrix(min(t - tau, seg2.pulse.tau))
+            return h1(t) if t <= tau else h2(t - tau)
 
         rec = phase_decomposition(run.trajectory, h_of_t, boundaries=[tau])
         assert rec.final_dynamical() == pytest.approx(run.phases.final_dynamical(), abs=2e-3)
@@ -475,7 +503,7 @@ def full_space_branch_energy(seg, t_local, psi):
     """The full-space formula the even-sector path replaced: eigh of the
     whole real H and the eigenvalue of maximal overlap with the state."""
     t = min(max(t_local, 0.0), seg.pulse.tau)
-    w, v = np.linalg.eigh(seg.hamiltonian.matrix(seg.pulse.omega(t), seg.pulse.delta(t)).real)
+    w, v = np.linalg.eigh(seg.hamiltonian.full.matrix(seg.pulse.omega(t), seg.pulse.delta(t)).real)
     return float(w[int(np.argmax(np.abs(v.conj().T @ psi)))])
 
 
@@ -506,7 +534,7 @@ class TestEvenSectorBranchEnergies:
         reference = []
         for seg, lo, hi, start in segment_samples(run):
             idx = np.arange(lo, hi + 1, every)
-            energies = seg.branch_energies(traj.times[idx] - start, traj.states[idx])
+            energies = seg.branch_energies(traj.times[idx] - start, traj.states[idx] @ seg.hamiltonian.u)
             ref = np.array([full_space_branch_energy(seg, traj.times[i] - start, traj.states[i]) for i in idx])
             assert np.abs(energies - ref).max() <= 1e-12 * np.abs(ref).max()
             reference.append(ref)
@@ -520,51 +548,33 @@ class TestEvenSectorBranchEnergies:
         traj = run.trajectory
         seg, lo, hi, start = segment_samples(run)[0]
         idx = np.arange(lo, hi + 1, 13)
-        whole = seg.branch_energies(traj.times[idx] - start, traj.states[idx])
+        states = traj.states[idx] @ seg.hamiltonian.u
+        whole = seg.branch_energies(traj.times[idx] - start, states)
         monkeypatch.setattr(evolution, "PHASE_CHUNK_ENTRIES", 3 * 20**2)  # 3 samples per chunk
         assert len(idx) % 3 != 0
-        chunked = seg.branch_energies(traj.times[idx] - start, traj.states[idx])
+        chunked = seg.branch_energies(traj.times[idx] - start, states)
         assert np.array_equal(chunked, whole)
-
-    def test_odd_state_raises_at_its_sample(self):
-        cfg = reference_config(model=Model.FULL_VDW)
-        seg1, _ = segments(3, cfg)
-        basis = seg1.basis
-        ground = np.zeros(basis.dim, dtype=complex)
-        ground[basis.index[0]] = 1.0
-        odd = ground.copy()
-        odd[basis.index[0b001]] = 1e-4
-        odd[basis.index[0b100]] = -1e-4
-        states = np.array([ground, ground, odd, odd])
-        assert np.isfinite(seg1.branch_energies(np.array([0.1, 0.2]), states[:2])).all()
-        with pytest.raises(PropagationError, match="t = 0.3"):
-            seg1.branch_energies(np.array([0.1, 0.2, 0.3, 0.4]), states)
 
     @pytest.mark.parametrize("shift,raises", [(1e-13, False), (1e-9, True)])
     def test_interaction_must_be_mirror_symmetric(self, shift, raises):
+        # sector operators are built from a hand-made asymmetric v
         cfg = reference_config(model=Model.FULL_VDW)
-        seg1, _ = segments(4, cfg)
-        ham = seg1.hamiltonian
+        ham = ChainHamiltonian(Model.FULL_VDW, model_basis(Model.FULL_VDW, 4), cfg.interaction)
         ham.v = ham.v.copy()
         ham.v[ham.basis.index[0b0011]] += shift * np.abs(ham.v).max()
-        psi = np.zeros((1, ham.basis.dim), dtype=complex)
-        psi[0, 0] = 1.0
         if raises:
             with pytest.raises(ValueError, match="inversion"):
-                seg1.branch_energies(np.array([0.5]), psi)
+                _protocol_segments([ham], cfg)
         else:
-            seg1.branch_energies(np.array([0.5]), psi)
+            _protocol_segments([ham], cfg)
 
     def test_broken_drive_symmetry_raises(self):
         cfg = reference_config(model=Model.PXP)
-        seg1, _ = segments(3, cfg)
-        ham = seg1.hamiltonian
+        ham = ChainHamiltonian(Model.PXP, model_basis(Model.PXP, 3))
         ham.drive = ham.drive.copy()
         ham.drive[0, ham.basis.index[0b001]] *= 1.0 + 1e-15
-        psi = np.zeros((1, ham.basis.dim), dtype=complex)
-        psi[0, 0] = 1.0
         with pytest.raises(ValueError, match="inversion"):
-            seg1.branch_energies(np.array([0.5]), psi)
+            _EvenSector.of(ham)
 
 
 class TestGroundAmplitudes:
@@ -612,6 +622,62 @@ class TestGroundAmplitudes:
             seg1.branch_energies(np.array([0.5]), psi)
 
 
+class TestSectorPropagation:
+    """Static chains propagated on the even sector against the same
+    ``_run_segment`` on full-space engines, the path the sector replaced."""
+
+    CASES = [(Model.PXP, nu) for nu in range(1, 10)] + [(Model.FULL_VDW, nu) for nu in range(1, 8)]
+
+    @pytest.mark.parametrize("lam", [1.0, 1.7])
+    @pytest.mark.parametrize("include_decay", [False, True])
+    @pytest.mark.parametrize("model,nu", CASES)
+    def test_sector_matches_full_space_path(self, model, nu, include_decay, lam):
+        cfg = reference_config(model=model, include_decay=include_decay, gamma=mhz(0.05), lambda_ratio=lam)
+        run = run_protocol(nu, cfg, compute_phases=False)
+        seg1, seg2 = full_segments(nu, cfg)
+        n = _step_count(0.0, cfg.pulse.tau, cfg.dt)
+        pulse = cfg.pulse
+        h_scale = nu * (abs(pulse.delta0) + abs(pulse.omega0)) * max(1.0, lam) + np.abs(seg1.hamiltonian.v).max()
+        stride = _default_stride(h_scale, cfg.dt, n)
+        t1, s1 = _run_segment(seg1, full_ground(seg1.basis), cfg.dt, n, stride, not include_decay)
+        t2, s2 = _run_segment(seg2, s1[-1], cfg.dt / lam, n, stride, not include_decay)
+        assert np.array_equal(run.trajectory.times, np.concatenate([[0.0], t1, pulse.tau + t2]))
+        assert np.abs(run.final_state() - s2[-1]).max() < 1e-13
+
+    @pytest.mark.parametrize("kind", ["1-D", "strided 1-D", "column batch", "Fortran batch", "strided batch"])
+    def test_real_views_share_memory_with_the_state_rows(self, kind, monkeypatch):
+        cfg = reference_config(model=Model.FULL_VDW)
+        ham = ChainHamiltonian(Model.FULL_VDW, build_full_basis(3), cfg.interaction)
+        rng = np.random.default_rng(3)
+        wide = rng.normal(size=(ham.basis.dim, 6)) + 1j * rng.normal(size=(ham.basis.dim, 6))
+        psi0 = {
+            "1-D": wide[:, 0].copy(),
+            "strided 1-D": wide[:, 0],
+            "column batch": np.ascontiguousarray(wide[:, :3]),
+            "Fortran batch": np.asfortranarray(wide[:, :3]),
+            "strided batch": wide[:, ::2],
+        }[kind]
+
+        def v_int_at(t_abs):  # (times, dim, 3): the static interaction per column
+            return np.broadcast_to(ham.v[:, None], (len(t_abs), ham.basis.dim, 3))
+
+        engine = _SegmentEngine([ham], cfg.pulse, v_int_fn=v_int_at if psi0.ndim == 2 else None)
+        views = []
+        real = evolution._real
+
+        def recording(rows):
+            out = real(rows)
+            views.append((rows, out))
+            return out
+
+        monkeypatch.setattr(evolution, "_real", recording)
+        _run_segment(engine, psi0, cfg.dt, 20, 20, renormalize=True)
+        assert len(views) == 8  # source and destination of the four stage products
+        for rows, out in views:
+            assert np.shares_memory(out, rows)
+            assert out.dtype == np.float64 and out.shape == (len(rows), 2 * (rows.size // len(rows)))
+
+
 class TestParityRoundtrip:
     @pytest.mark.parametrize("nu,sign", [(3, 1.0), (4, 1.0), (5, -1.0)])
     def test_overlap_phase_follows_excitation_parity(self, nu, sign):
@@ -639,11 +705,11 @@ class TestConvergence:
         # ground-state return (~0.968) and the parity phase pi.
         run = run_protocol(5, reference_config(model=Model.PXP), compute_phases=False)
         basis = run.trajectory.basis
-        psi = np.zeros(basis.dim, dtype=complex)
-        psi[basis.index[0]] = 1.0
+        psi = full_ground(basis)
         for seg in run.segments:
+            h_of_t = full_space_h(seg)
             sol = solve_ivp(
-                lambda t, y: -1j * (seg.matrix(t) @ y),
+                lambda t, y: -1j * (h_of_t(t) @ y),
                 (0.0, seg.pulse.tau), psi, method="DOP853", rtol=1e-10, atol=1e-12,
             )
             assert sol.success
