@@ -97,18 +97,19 @@ def inversion_permutation(basis: Basis) -> np.ndarray:
     return np.searchsorted(s, rev)
 
 
-def even_isometry(basis: Basis) -> np.ndarray:
-    """Real (dim, d_even) matrix U whose orthonormal columns span the
-    inversion-even sector: e_s for a mirror-symmetric mask s, and
-    (e_s + e_Is) / sqrt(2) for each mirror pair s < Is, in ascending order
-    of the lower index."""
+def sector_isometry(basis: Basis, odd: bool = False) -> np.ndarray:
+    """Real (dim, d) matrix U whose orthonormal columns span the
+    inversion-even (odd) sector: e_s for a mirror-symmetric mask s (even
+    sector only), and (e_s +- e_Is) / sqrt(2) for each mirror pair s < Is,
+    in ascending order of the lower index."""
     perm = inversion_permutation(basis)
-    reps = np.flatnonzero(np.arange(basis.dim) <= perm)
+    idx = np.arange(basis.dim)
+    reps = np.flatnonzero(idx < perm if odd else idx <= perm)
     paired = perm[reps] != reps
     cols = np.arange(len(reps))
     u = np.zeros((basis.dim, len(reps)))
     u[reps, cols] = np.where(paired, math.sqrt(0.5), 1.0)
-    u[perm[reps[paired]], cols[paired]] = math.sqrt(0.5)
+    u[perm[reps[paired]], cols[paired]] = -math.sqrt(0.5) if odd else math.sqrt(0.5)
     return u
 
 

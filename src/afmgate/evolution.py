@@ -20,8 +20,8 @@ trajectory) and ``ground_amplitudes`` (final amplitudes only), which
 propagates the chains of a gate (nu = N-2, N-1, N: one pulse, step and
 step count) as one concatenated state.  A static chain is mirror-symmetric
 and starts in |0...0>, so both run on the inversion-even sectors
-(``basis.even_isometry`` U; 20 of 32 states at vdW nu = 5, 72 of 128 at
-nu = 7): each chain's drive, n_r and v are projected once per pulse, a
+(``ChainHamiltonian.sector``; 20 of 32 states at vdW nu = 5, 72 of 128 at
+nu = 7): each chain's operators are projected once per pulse, a
 Hamiltonian that breaks the mirror raises there, and ``run_protocol`` maps
 its samples back to the full basis.  Moving atoms break the mirror, so the
 thermal batches keep the full basis.
@@ -36,13 +36,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg.blas import dznrm2, zaxpy, zdscal, zscal
 
-from .basis import Basis, afm_manifold_masks, even_isometry, inversion_permutation, ordered_afm_masks
+from .basis import Basis, afm_manifold_masks, ordered_afm_masks
 from .config import Model, ProtocolConfig, PulseProfile
 from .errors import PropagationError
 from .hamiltonian import ChainHamiltonian, model_basis
@@ -58,9 +57,6 @@ DIAG_BLOCK_STEPS = 16
 # grows with it: +4.7 MB over a per-sample eigensolve at 2^17 entries,
 # +2 MB at 2^15, which takes about 5 % longer than 2^17
 PHASE_CHUNK_ENTRIES = 1 << 15
-# Tolerated asymmetry of the interaction diagonal under inversion, relative
-# to its largest entry (pair sums in another order)
-SYMMETRY_V_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,44 +102,10 @@ def _step_count(t0: float, t1: float, dt: float) -> int:
     return n
 
 
-@dataclass(frozen=True, eq=False)
-class _EvenSector:
-    """A mirror-symmetric chain Hamiltonian on its inversion-even sector:
-    the operators U^T drive U, n_r and the mirror-averaged v on the columns
-    of the isometry U, which stand in for the chain's own in an engine."""
-
-    full: ChainHamiltonian
-    u: np.ndarray  # (dim, d_even)
-    drive: np.ndarray
-    n_r: np.ndarray
-    v: np.ndarray
-    ground: int  # sector index of |0...0>, its own mirror image
-
-    @classmethod
-    def of(cls, ham: ChainHamiltonian) -> "_EvenSector":
-        """Raises ValueError if ``ham`` does not commute with the inversion."""
-        perm = inversion_permutation(ham.basis)
-        tol = SYMMETRY_V_RTOL * np.abs(ham.v).max()
-        if not (
-            np.array_equal(ham.drive[np.ix_(perm, perm)], ham.drive)
-            and np.array_equal(ham.n_r[perm], ham.n_r)
-            and np.abs(ham.v[perm] - ham.v).max() <= tol
-        ):
-            raise ValueError("the Hamiltonian does not commute with the spatial inversion")
-        u = even_isometry(ham.basis)
-        reps = u.argmax(axis=0)  # lower index of each column's mirror orbit
-        v = 0.5 * (ham.v[reps] + ham.v[perm[reps]])
-        return cls(ham, u, u.T @ ham.drive @ u, ham.n_r[reps], v, int(u[ham.basis.index[0]].argmax()))
-
-    @property
-    def basis(self) -> Basis:
-        return self.full.basis
-
-
 class _SegmentEngine:
     """One pulse segment over one chain, or over the direct sum of several
     chains driven by the same pulse: the operators of each chain (its
-    ``ChainHamiltonian`` or ``_EvenSector``) plus the pulse scaling.
+    ``ChainHamiltonian`` or its even-sector copy) plus the pulse scaling.
 
     The state is the concatenation of one block per chain (``chains`` gives
     their row ranges); the excitation counts and the interaction diagonal
@@ -158,7 +120,7 @@ class _SegmentEngine:
 
     def __init__(
         self,
-        hamiltonians: Sequence[Union[ChainHamiltonian, _EvenSector]],
+        hamiltonians: Sequence[ChainHamiltonian],
         pulse: PulseProfile,
         gamma: float = 0.0,
         v_int_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
@@ -182,7 +144,7 @@ class _SegmentEngine:
         return tuple(slice(a, b) for a, b in zip([0] + ends[:-1], ends))
 
     @property
-    def hamiltonian(self) -> Union[ChainHamiltonian, _EvenSector]:
+    def hamiltonian(self) -> ChainHamiltonian:
         """The chain operators of a one-chain engine."""
         if len(self.hamiltonians) != 1:
             raise ValueError(f"an engine over {len(self.hamiltonians)} chains has no single Hamiltonian")
@@ -441,7 +403,7 @@ def _protocol_segments(
     fn1, fn2 = v_int_fn_steps if v_int_fn_steps is not None else (None, None)
     flipped = [h.with_interaction(cfg.interaction.flipped()) for h in hamiltonians]
     if v_int_fn_steps is None:
-        hamiltonians, flipped = ([_EvenSector.of(h) for h in hs] for hs in (hamiltonians, flipped))
+        hamiltonians, flipped = ([h.sector() for h in hs] for hs in (hamiltonians, flipped))
     seg1 = _SegmentEngine(hamiltonians, pulse_1, gamma_1, fn1, t_abs_start=0.0)
     seg2 = _SegmentEngine(flipped, pulse_2, gamma_2, fn2, t_abs_start=pulse_1.tau)
     return seg1, seg2
@@ -467,9 +429,9 @@ def _propagate_protocol(
     seg1, seg2 = _protocol_segments(hams, cfg)
     lam = cfg.interaction.lambda_ratio
 
+    # |0...0> (basis state 0, its own mirror image) is each even sector's first column
     psi = np.zeros(seg1.chains[-1].stop, dtype=complex)
-    for h, chain in zip(seg1.hamiltonians, seg1.chains):
-        psi[chain.start + h.ground] = 1.0
+    psi[[chain.start for chain in seg1.chains]] = 1.0
 
     n1 = _step_count(0.0, cfg.pulse.tau, cfg.dt)
     stride = n1
@@ -536,13 +498,13 @@ def ground_amplitudes(nus: Sequence[int], cfg: ProtocolConfig) -> Dict[int, comp
 
     The chains share the pulse, the step and the step count, so they are
     propagated together as one direct-sum state, and only each segment's
-    final state is kept.  |0...0> is a unit vector of each even sector, so
-    the amplitude is read there.  Each block matches its own
+    final state is kept.  |0...0> is the first column of each even sector,
+    so the amplitude is read there.  Each block matches its own
     ``run_protocol`` to round-off (bitwise for a single chain).
     """
     seg1, _, _, _, (_, states) = _propagate_protocol(nus, cfg, sampled=False)
     final = states[-1]
-    return {nu: complex(final[chain.start + h.ground]) for nu, h, chain in zip(nus, seg1.hamiltonians, seg1.chains)}
+    return {nu: complex(final[chain.start]) for nu, chain in zip(nus, seg1.chains)}
 
 
 def _dynamical_phase(
@@ -560,7 +522,9 @@ def _dynamical_phase(
     phi = np.zeros(len(times))
     for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
         e = energy(k, lo, hi)
-        phi[lo : hi + 1] = phi[lo] + cumulative_trapezoid(e, times[lo : hi + 1], initial=0.0)
+        # the trapezoid rule as scipy.integrate.cumulative_trapezoid forms it
+        steps = np.diff(times[lo : hi + 1]) * (e[1:] + e[:-1]) / 2.0
+        phi[lo : hi + 1] = phi[lo] + np.concatenate([[0.0], np.cumsum(steps)])
     return phi
 
 
@@ -569,10 +533,17 @@ def _phases_from_samples(
     states: np.ndarray,
     phi_dynamical: np.ndarray,
 ) -> PhaseRecord:
+    """Total phase unwrapped over the valid samples only (the first one is
+    the initial state): an invalid sample's overlap is round-off, so its angle
+    is taken within pi of the total phase of the last valid sample before it."""
     psi0 = states[0]
     overlaps = states @ psi0.conj()
     valid = np.abs(overlaps) > OVERLAP_VALID_MIN
-    phi_total = np.unwrap(np.angle(overlaps))
+    angle = np.angle(overlaps)
+    phi_total = np.zeros_like(angle)
+    phi_total[valid] = np.unwrap(angle[valid])
+    ref = phi_total[np.maximum.accumulate(np.where(valid, np.arange(len(angle)), 0))]
+    phi_total[~valid] = ref[~valid] + (angle[~valid] - ref[~valid] + math.pi) % (2.0 * math.pi) - math.pi
     return PhaseRecord(
         times=times,
         phi_total=phi_total,

@@ -4,6 +4,8 @@ One ``ChainHamiltonian`` per (model, basis, interaction) holds the fixed
 operator structures, and ``matrix(omega, delta)`` scales them by the pulse
 values: the drive, the excitation numbers, a static interaction diagonal
 and, for the corrections model, the level-shift structures M1 and M2.
+``ChainHamiltonian.sector`` checks the mirror symmetry once and returns a
+copy whose structures act on the inversion-even or -odd sector.
 Variants: the blockade-constrained PXP model, the full van der Waals model
 on the unconstrained basis, and the PXP model plus next-nearest-neighbour
 and second-order (Schrieffer-Wolff) corrections.  The tridiagonal
@@ -22,12 +24,15 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .basis import Basis, build_blockade_basis, build_full_basis, rydberg_count
+from .basis import Basis, build_blockade_basis, build_full_basis, inversion_permutation, rydberg_count, sector_isometry
 from .config import InteractionConfig, Model
 from .errors import ConfigError, RegimeError
 
 DIM_MAX = 1024
 SHIFT_SINGULARITY_RTOL = 1e-6
+# Tolerated asymmetry of the interaction diagonal under inversion, relative
+# to its largest entry (pair sums in another order)
+SYMMETRY_V_RTOL = 1e-12
 
 
 def _check_dim(dim: int) -> None:
@@ -144,6 +149,9 @@ class ChainHamiltonian:
     H gains -S_B(omega, delta) M1 - S_2B(omega, delta) M2, the second-order
     level shifts of ground atoms and the -S_B excitation hop.  These shifts
     use the instantaneous detuning and are singular at Delta = B, 2B.
+
+    A ``sector`` copy holds its structures on the columns of the isometry
+    ``u`` (None on the full basis); its ``basis`` stays the chain's.
     """
 
     def __init__(self, model: Model, basis: Basis, interaction: Optional[InteractionConfig] = None):
@@ -156,7 +164,7 @@ class ChainHamiltonian:
         self.basis = basis
         self.drive = drive_matrix(basis)
         self.n_r = excitation_numbers(basis)
-        self.pairs = self.incidence = self.m1 = self.m2 = self._nnn_counts = None
+        self.pairs = self.incidence = self.m1 = self.m2 = self._nnn_counts = self.u = None
         if model is Model.FULL_VDW:
             self.pairs = pair_sites(basis.nu, interaction.range_cutoff)
             self.incidence = pair_incidence(basis, self.pairs)
@@ -174,8 +182,9 @@ class ChainHamiltonian:
             self.v = np.zeros(self.basis.dim)
 
     def with_interaction(self, interaction: InteractionConfig) -> "ChainHamiltonian":
-        """The same model and structures under another interaction (the
-        flipped one of the second pulse) with the same range cutoff."""
+        """The same model and structures of a full-basis chain under another
+        interaction (the flipped one of the second pulse) with the same range
+        cutoff."""
         if self.pairs is not None and interaction.range_cutoff != self.interaction.range_cutoff:
             raise ValueError("the pair structure was built for another range cutoff")
         out = copy.copy(self)
@@ -183,12 +192,12 @@ class ChainHamiltonian:
         return out
 
     def matrix(self, omega: float, delta: float) -> np.ndarray:
-        """Dense complex H at Rabi frequency omega and detuning delta."""
+        """Dense real symmetric H at Rabi frequency omega and detuning delta."""
         h = omega * self.drive + np.diag(-delta * self.n_r + self.v)
         if self.m1 is not None:
             s_b, s_2b = level_shifts(omega, delta, self.interaction.b_nn)
             h -= s_b * self.m1 + np.diag(s_2b * self.m2)
-        return h.astype(complex)
+        return h
 
     def time_derivative(self, omega: float, omega_dot: float, delta: float, delta_dot: float) -> np.ndarray:
         """Real dH/dt along a pulse at (omega, delta) moving at rates
@@ -202,6 +211,34 @@ class ChainHamiltonian:
             )
             dh -= ds_b * self.m1 + np.diag(ds_2b * self.m2)
         return dh
+
+    def sector(self, odd: bool = False) -> "ChainHamiltonian":
+        """This H on the inversion-even (odd) sector of a full-basis chain
+        (``basis.sector_isometry`` U): U^T drive U and U^T M1 U, n_r and the
+        M2 diagonal at each column's lower orbit index, and the
+        mirror-averaged v.  Raises ValueError if H does not commute with the
+        inversion."""
+        perm = inversion_permutation(self.basis)
+        mirrored = np.ix_(perm, perm)
+        tol = SYMMETRY_V_RTOL * np.abs(self.v).max()
+        if not (
+            np.array_equal(self.drive[mirrored], self.drive)
+            and np.array_equal(self.n_r[perm], self.n_r)
+            and np.abs(self.v[perm] - self.v).max() <= tol
+            and (
+                self.m1 is None
+                or np.array_equal(self.m1[mirrored], self.m1) and np.array_equal(self.m2[perm], self.m2)
+            )
+        ):
+            raise ValueError("the Hamiltonian does not commute with the spatial inversion")
+        u = sector_isometry(self.basis, odd)
+        reps = u.argmax(axis=0)  # lower index of each column's mirror orbit
+        out = copy.copy(self)
+        out.u, out.drive, out.n_r = u, u.T @ self.drive @ u, self.n_r[reps]
+        out.v = 0.5 * (self.v[reps] + self.v[perm[reps]])
+        if self.m1 is not None:
+            out.m1, out.m2 = u.T @ self.m1 @ u, self.m2[reps]
+        return out
 
 
 class AfmMode(Enum):

@@ -2,10 +2,11 @@
 
 A scan sweeps the detuning over the pulse window (the drive amplitude
 follows the pulse envelope), records the sorted eigensystem with a
-continuous sign gauge, classifies each eigenstate under spatial inversion
-and evaluates the dimensionless non-adiabatic couplings
-eta_lk = |<l| dH/dt |k> / (E_k - E_l)|^2 tau / Delta0 from the extremal
-(adiabatically followed) branches l.
+continuous sign gauge and evaluates the dimensionless non-adiabatic
+couplings eta_lk = |<l| dH/dt |k> / (E_k - E_l)|^2 tau / Delta0 from the
+extremal (adiabatically followed) branches l.  The chain is mirror-symmetric:
+a level's inversion label is the sector it is solved in, and dH/dt couples
+no two levels of different sectors.
 """
 
 from __future__ import annotations
@@ -16,22 +17,20 @@ from enum import Enum
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.linalg import block_diag
 
-from .basis import Basis, afm_manifold_masks, inversion_permutation
+from .basis import Basis, afm_manifold_masks
 from .config import InteractionConfig, Model, PulseProfile
 from .errors import RegimeError
 from .hamiltonian import AfmManifoldModel, AfmMode, ChainHamiltonian, model_basis
 
 HERMITICITY_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-9  # in units of Omega0, for flagging undefined eta
-SYMMETRY_GATE = 1e-6
 
 
 class SymmetryLabel(Enum):
     SYMMETRIC = "S"
     ANTISYMMETRIC = "A"
-    MIXED = "M"
 
 
 def eig_sorted(h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -42,21 +41,6 @@ def eig_sorted(h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if np.abs(h - h.conj().T).max() > HERMITICITY_RTOL * np.abs(h).max():
         raise ValueError("eig_sorted requires a Hermitian matrix")
     return np.linalg.eigh(h)
-
-
-def _symmetry_label(x: float) -> SymmetryLabel:
-    """Label for an inversion expectation value <v|I|v>: MIXED (possible
-    only at degeneracies) unless within SYMMETRY_GATE of +-1."""
-    if x >= 1.0 - SYMMETRY_GATE:
-        return SymmetryLabel.SYMMETRIC
-    if x <= -(1.0 - SYMMETRY_GATE):
-        return SymmetryLabel.ANTISYMMETRIC
-    return SymmetryLabel.MIXED
-
-
-def classify_symmetry(vec: np.ndarray, basis: Basis) -> SymmetryLabel:
-    """Inversion character of a normalized state from <v|I|v>."""
-    return _symmetry_label(float(np.real(np.vdot(vec, vec[inversion_permutation(basis)]))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,17 +81,19 @@ def scan_spectrum(
     interaction: Optional[InteractionConfig] = None,
     grid_size: int = 201,
 ) -> SpectrumScan:
-    """Eigensystem, symmetry labels and eta couplings over the sweep."""
+    """Eigensystem, symmetry labels and eta couplings over the sweep: each
+    grid point solves the even and odd sectors apart and merges their levels
+    by a stable ascending sort (even first at an exact tie)."""
     if grid_size < 3:
         raise ValueError(f"grid size must be >= 3, got {grid_size}")
     ham = ChainHamiltonian(model, model_basis(model, nu), interaction)
-    basis = ham.basis
-    perm = inversion_permutation(basis)
+    sectors = (ham.sector(), ham.sector(odd=True))
+    labels = [SymmetryLabel.SYMMETRIC] * len(sectors[0].n_r) + [SymmetryLabel.ANTISYMMETRIC] * len(sectors[1].n_r)
     deg_tol = DEGENERACY_RTOL * abs(pulse.omega0) if pulse.omega0 else DEGENERACY_RTOL
 
     times = np.linspace(0.0, pulse.tau, grid_size)
     deltas = np.array([pulse.delta(t) for t in times])
-    dim = basis.dim
+    dim = ham.basis.dim
 
     eigenvalues = np.empty((grid_size, dim))
     eigenvectors = np.empty((grid_size, dim, dim))
@@ -118,33 +104,32 @@ def scan_spectrum(
     prev_vecs: Optional[np.ndarray] = None
     for g, (t, delta) in enumerate(zip(times, deltas)):
         omega = pulse.omega(t)
-        # H is real symmetric for every model: a real eigensolve
-        w, v = np.linalg.eigh(ham.matrix(omega, delta).real)
+        w_s, v_s = zip(*(np.linalg.eigh(sector.matrix(omega, delta)) for sector in sectors))
+        w = np.concatenate(w_s)
+        order = np.argsort(w, kind="stable")
+        w = w[order]
+        v = np.hstack([sector.u @ vs for sector, vs in zip(sectors, v_s)])[:, order]
         if prev_vecs is not None:
             v = _phase_fix(prev_vecs, v)
         prev_vecs = v
         eigenvalues[g] = w
         eigenvectors[g] = v
+        symmetry.append([labels[k] for k in order])
 
-        # analytic dH/dt in the eigenbasis (Hellmann-Feynman numerators)
-        dh = ham.time_derivative(omega, pulse.omega_dot(t), delta, pulse.beta)
-        dh_eig = v.T @ dh @ v
-        for row, l in ((eta_low[g], 0), (eta_high[g], dim - 1)):
+        # analytic dH/dt in each sector's eigenbasis (Hellmann-Feynman
+        # numerators; zero across sectors), rows of the extremal branches
+        dh_rows = block_diag(
+            *(vs.T @ sector.time_derivative(omega, pulse.omega_dot(t), delta, pulse.beta) @ vs
+              for sector, vs in zip(sectors, v_s))
+        )[np.ix_(order[[0, -1]], order)]
+        for row, l, dh_l in ((eta_low[g], 0, dh_rows[0]), (eta_high[g], dim - 1, dh_rows[1])):
             gaps = w - w[l]
-            for k in range(dim):
-                if k == l:
-                    row[k] = 0.0
-                elif abs(gaps[k]) < deg_tol:
-                    row[k] = math.nan
-                else:
-                    row[k] = abs(dh_eig[l, k] / gaps[k]) ** 2 * pulse.tau / abs(pulse.delta0)
-
-        # <v_k|I|v_k> = sum_i v[i, k] v[perm[i], k]
-        ix = np.sum(v * v[perm], axis=0)
-        symmetry.append([_symmetry_label(x) for x in ix])
+            ratio = np.divide(dh_l, gaps, out=np.full(dim, math.nan), where=np.abs(gaps) >= deg_tol)
+            row[:] = ratio**2 * pulse.tau / abs(pulse.delta0)
+            row[l] = 0.0
 
     return SpectrumScan(
-        basis=basis,
+        basis=ham.basis,
         delta_grid=deltas,
         times=times,
         eigenvalues=eigenvalues,
@@ -181,6 +166,8 @@ def min_gap(
 ) -> GapReport:
     """Minimum over the sweep of the avoided-crossing gap, coarse grid plus
     golden-section refinement."""
+    from scipy.optimize import minimize_scalar  # deferred: only this function needs it
+
     if nu < 1:
         raise ValueError(f"nu must be >= 1, got {nu}")
     ham = ChainHamiltonian(model, model_basis(model, nu), interaction)
@@ -190,7 +177,7 @@ def min_gap(
     k0 = partner - 1
 
     def gap_at(delta: float) -> float:
-        w = np.linalg.eigvalsh(ham.matrix(pulse.omega(pulse.time_at_delta(delta)), delta).real)
+        w = np.linalg.eigvalsh(ham.matrix(pulse.omega(pulse.time_at_delta(delta)), delta))
         return float(w[k0] - w[0])
 
     deltas = np.linspace(-abs(pulse.delta0), abs(pulse.delta0), coarse_points)

@@ -1,7 +1,9 @@
 """CLI: artifacts, determinism, exit codes."""
 
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +69,18 @@ class TestSpectrum:
         assert ks == {1, 2, 3, 4, 5}
         assert len(rows) == 21 * 5
 
+    @pytest.mark.parametrize("nu,n_even,n_odd", [(1, 2, 0), (2, 3, 1)])
+    def test_labels_count_the_inversion_sectors(self, tmp_path, nu, n_even, n_odd):
+        # vdW nu = 1: |0>, |r>, both mirror images of themselves (no odd
+        # sector); nu = 2: |00>, |rr> and (|r0> + |0r>) even, |r0> - |0r> odd
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "spectrum", "--nu", str(nu), "--grid", "11"]) == EXIT_OK
+        header, rows = read_csv_rows(out / "spectrum.csv")
+        labels = [r[header.index("symmetry")] for r in rows]
+        assert len(rows) == 11 * (n_even + n_odd)
+        assert labels.count("S") == 11 * n_even and labels.count("A") == 11 * n_odd
+
     def test_corrections_model_scan(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -85,6 +99,15 @@ class TestSpectrum:
                          "spectrum", "--nu", "3", "--grid", "21"]) == EXIT_OK
             blobs.append((out / "spectrum.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def test_cli_import_loads_no_integrate_or_optimize():
+    # both are slow to import and only min_gap needs scipy.optimize
+    code = "import sys, afmgate.cli; print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+    src = str(Path(afmgate.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.strip() == "[]"
 
 
 class TestEvolve:

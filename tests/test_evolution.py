@@ -17,7 +17,6 @@ from afmgate.evolution import (
     DIAG_BLOCK_STEPS,
     _default_stride,
     _dynamical_phase,
-    _EvenSector,
     _phases_from_samples,
     _propagate_protocol,
     _protocol_segments,
@@ -56,11 +55,16 @@ def full_segments(nu, cfg):
     )
 
 
+def full_hamiltonian(ham):
+    """The full-basis Hamiltonian of a chain or of its sector copy."""
+    return ChainHamiltonian(ham.model, ham.basis, ham.interaction)
+
+
 def full_space_h(seg):
     """H at local time t of a one-chain engine's pulse, from
     ``ChainHamiltonian.matrix`` on the chain's full basis plus the decay
     -i (Gamma / 2) n_r; t is clamped into the pulse window."""
-    ham = seg.hamiltonian.full if isinstance(seg.hamiltonian, _EvenSector) else seg.hamiltonian
+    ham = full_hamiltonian(seg.hamiltonian)
     pulse = seg.pulse
 
     def h_of_t(t):
@@ -77,8 +81,9 @@ def full_ground(basis):
 
 
 def sector_ground(sector):
+    """|0...0> on an even sector: its first column."""
     psi = np.zeros(len(sector.n_r), dtype=complex)
-    psi[sector.ground] = 1.0
+    psi[0] = 1.0
     return psi
 
 
@@ -485,6 +490,45 @@ class TestPhases:
         assert not run.phases.valid.all()
         assert run.phases.valid[0] and run.phases.valid[-1]
 
+    def test_total_phase_unwraps_over_valid_samples_only(self):
+        # valid samples at angles 0, 0.1, 0.2, 0.3; the round-off overlaps of
+        # the three invalid samples between them wind once around the circle
+        angles = np.array([0.0, 0.1, 2.0, -2.18, 0.15, 0.2, 0.3])
+        magnitudes = np.array([1.0, 1.0, 1e-12, 1e-12, 1e-12, 1.0, 1.0])
+        overlaps = magnitudes * np.exp(1j * angles)
+        states = np.stack([overlaps, np.sqrt(1.0 - magnitudes**2)], axis=1)
+        assert np.unwrap(angles)[-1] == pytest.approx(0.3 + 2.0 * math.pi)  # through every sample
+        rec = _phases_from_samples(np.arange(7.0), states, phi_dynamical=np.zeros(7))
+        assert rec.valid.tolist() == [True, True, False, False, False, True, True]
+        assert np.abs(rec.phi_total[rec.valid] - [0.0, 0.1, 0.2, 0.3]).max() < 1e-15
+        # invalid samples: their own angle, within pi of the last valid total
+        assert np.abs(rec.phi_total[2:5] - angles[2:5]).max() < 1e-15
+        assert np.abs(rec.phi_total[2:5] - rec.phi_total[1]).max() <= math.pi
+        assert np.array_equal(rec.phi_geometric, rec.phi_total)
+
+    def test_invalid_sample_angle_taken_within_pi_of_last_valid_total(self):
+        # the last valid sample sits at 2 pi + 0.2 after unwrapping; the
+        # invalid one after it, at angle -3, is placed at 4 pi - 3
+        angles = np.array([0.0, 2.0, -2.5, 0.2, -3.0])
+        magnitudes = np.array([1.0, 1.0, 1.0, 1.0, 1e-9])
+        states = (magnitudes * np.exp(1j * angles))[:, None]
+        rec = _phases_from_samples(np.arange(5.0), states, phi_dynamical=np.zeros(5))
+        assert rec.phi_total[3] == pytest.approx(0.2 + 2.0 * math.pi, abs=1e-14)
+        assert rec.phi_total[4] == pytest.approx(4.0 * math.pi - 3.0, abs=1e-14)
+
+    def test_dynamical_phase_equals_scipy_cumulative_trapezoid_bitwise(self):
+        from scipy.integrate import cumulative_trapezoid
+
+        rng = np.random.default_rng(11)
+        times = np.cumsum(rng.uniform(0.5, 1.5, 40))
+        cuts = [0, 17, 39]
+        energies = [rng.normal(size=18) * 1e3, rng.normal(size=23) * 1e3]
+        phi = _dynamical_phase(times, cuts, lambda k, lo, hi: energies[k])
+        ref = np.zeros(len(times))
+        for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+            ref[lo : hi + 1] = ref[lo] + cumulative_trapezoid(energies[k], times[lo : hi + 1], initial=0.0)
+        assert np.array_equal(phi, ref)
+
     def test_phase_decomposition_matches_protocol_record(self):
         cfg = reference_config(model=Model.PXP)
         run = run_protocol(3, cfg)
@@ -503,7 +547,7 @@ def full_space_branch_energy(seg, t_local, psi):
     """The full-space formula the even-sector path replaced: eigh of the
     whole real H and the eigenvalue of maximal overlap with the state."""
     t = min(max(t_local, 0.0), seg.pulse.tau)
-    w, v = np.linalg.eigh(seg.hamiltonian.full.matrix(seg.pulse.omega(t), seg.pulse.delta(t)).real)
+    w, v = np.linalg.eigh(full_hamiltonian(seg.hamiltonian).matrix(seg.pulse.omega(t), seg.pulse.delta(t)))
     return float(w[int(np.argmax(np.abs(v.conj().T @ psi)))])
 
 
@@ -574,7 +618,7 @@ class TestEvenSectorBranchEnergies:
         ham.drive = ham.drive.copy()
         ham.drive[0, ham.basis.index[0b001]] *= 1.0 + 1e-15
         with pytest.raises(ValueError, match="inversion"):
-            _EvenSector.of(ham)
+            ham.sector()
 
 
 class TestGroundAmplitudes:

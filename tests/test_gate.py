@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from afmgate.basis import even_isometry
+from afmgate.basis import sector_isometry
 from afmgate.config import Model, mean_rydberg_number
 from afmgate.errors import ConfigError, FitQualityError, RegimeError
 from afmgate import evolution, gate
@@ -132,7 +132,7 @@ class TestAssembleGate:
         monkeypatch.setattr(evolution, "_run_segment", counting)
         report = assemble_gate(5, reference_config(n_atoms=5, model=Model.PXP))
         # both pulses of nu = 3, 4 and 5 in one state on their even sectors
-        dim = sum(even_isometry(model_basis(Model.PXP, nu)).shape[1] for nu in (3, 4, 5))
+        dim = sum(sector_isometry(model_basis(Model.PXP, nu)).shape[1] for nu in (3, 4, 5))
         assert calls == [(dim,), (dim,)]
         assert report.per_input["01"] == report.per_input["10"]
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from afmgate.basis import build_blockade_basis, build_full_basis
+from afmgate.basis import apply_inversion, build_blockade_basis, build_full_basis
 from afmgate.config import InteractionConfig, Model
 from afmgate.errors import RegimeError
 from afmgate.hamiltonian import (
@@ -271,3 +271,72 @@ class TestChainHamiltonian:
     def test_missing_interaction_rejected(self, model):
         with pytest.raises(ValueError):
             ChainHamiltonian(model, model_basis(model, 3))
+
+
+def former_even_sector(ham):
+    """Isometry and even-sector drive, n_r and v by the formulas of the
+    former propagation-side projection, with the isometry built orbit by
+    orbit from ``apply_inversion``."""
+    basis = ham.basis
+    orbits = [
+        (k, basis.index[apply_inversion(s, basis.nu)])
+        for k, s in enumerate(basis.states)
+        if k <= basis.index[apply_inversion(s, basis.nu)]
+    ]
+    u = np.zeros((basis.dim, len(orbits)))
+    for col, (k, m) in enumerate(orbits):
+        u[k, col] = u[m, col] = 1.0 if k == m else math.sqrt(0.5)
+    reps, mirrors = (np.array(side) for side in zip(*orbits))
+    return u, u.T @ ham.drive @ u, ham.n_r[reps], 0.5 * (ham.v[reps] + ham.v[mirrors])
+
+
+class TestSectors:
+    """``ChainHamiltonian.sector``: the one inversion split that propagation
+    and spectrum scans share."""
+
+    CASES = [(Model.PXP, nu) for nu in range(1, 10)] + [(Model.FULL_VDW, nu) for nu in range(1, 8)]
+
+    @pytest.mark.parametrize("model,nu", CASES)
+    def test_even_sector_equals_former_projection_bitwise(self, model, nu):
+        ham = ChainHamiltonian(model, model_basis(model, nu), interaction())
+        for h in (ham, ham.with_interaction(interaction(b=-mhz(45)))):
+            sector = h.sector()
+            u, drive, n_r, v = former_even_sector(h)
+            assert np.array_equal(sector.u, u)
+            assert np.array_equal(sector.drive, drive)
+            assert np.array_equal(sector.n_r, n_r)
+            assert np.array_equal(sector.v, v)
+            assert sector.m1 is None and sector.m2 is None
+            assert sector.u[h.basis.index[0], 0] == 1.0  # |0...0> is the first column
+
+    @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW, Model.PXP_PLUS_CORRECTIONS])
+    @pytest.mark.parametrize("nu", [1, 2, 4, 5, 7])
+    def test_sectors_block_diagonalise_h_and_its_derivative(self, model, nu):
+        ham = ChainHamiltonian(model, model_basis(model, nu), interaction())
+        even, odd = ham.sector(), ham.sector(odd=True)
+        d = len(even.n_r)
+        u = np.hstack([even.u, odd.u])
+        assert u.shape == (ham.basis.dim, ham.basis.dim)
+        for om, de in TestChainHamiltonian.POINTS:
+            for full, blocks in (
+                (ham.matrix(om, de), [s.matrix(om, de) for s in (even, odd)]),
+                (ham.time_derivative(om, 0.7, de, -2.1), [s.time_derivative(om, 0.7, de, -2.1) for s in (even, odd)]),
+            ):
+                rotated = u.T @ full @ u
+                scale = np.abs(full).max()
+                assert np.abs(rotated[:d, :d] - blocks[0]).max() <= 1e-14 * scale
+                assert np.abs(rotated[d:, d:] - blocks[1]).max(initial=0.0) <= 1e-14 * scale
+                assert np.abs(rotated[:d, d:]).max(initial=0.0) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("field", ["m1", "m2"])
+    def test_broken_level_shift_symmetry_raises(self, field):
+        ham = ChainHamiltonian(Model.PXP_PLUS_CORRECTIONS, model_basis(Model.PXP_PLUS_CORRECTIONS, 3), interaction())
+        k = ham.basis.index[0b001]
+        setattr(ham, field, getattr(ham, field).copy())
+        if field == "m1":
+            ham.m1[k, k] += 1.0
+        else:
+            ham.m2[k] += 1.0
+        for odd in (False, True):
+            with pytest.raises(ValueError, match="inversion"):
+                ham.sector(odd)

@@ -5,14 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from afmgate.basis import apply_inversion, build_blockade_basis
+from afmgate.basis import apply_inversion, build_blockade_basis, sector_isometry
 from afmgate.config import InteractionConfig, Model, PulseProfile
 from afmgate.hamiltonian import AfmMode, ChainHamiltonian, build_afm_effective, model_basis
 from afmgate.spectra import (
     SymmetryLabel,
     afm_analytic_spectrum,
-    _symmetry_label,
-    classify_symmetry,
     eig_sorted,
     min_gap,
     scan_spectrum,
@@ -63,26 +61,34 @@ class TestEigSorted:
             eig_sorted(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
+def in_sector_span(vec, basis, odd):
+    """True if the state lies in the span of the even (odd) isometry."""
+    u = sector_isometry(basis, odd)
+    return np.abs(u @ (u.T @ vec) - vec).max() < 1e-15
+
+
 class TestClassifySymmetry:
+    """The inversion character of a state is the sector whose span holds it."""
+
     def test_antisymmetric_combination(self):
         basis = build_blockade_basis(3)
-        vec = np.zeros(5, dtype=complex)
+        vec = np.zeros(5)
         vec[basis.index[0b100]] = 1 / math.sqrt(2)
         vec[basis.index[0b001]] = -1 / math.sqrt(2)
-        assert classify_symmetry(vec, basis) is SymmetryLabel.ANTISYMMETRIC
+        assert in_sector_span(vec, basis, odd=True) and not in_sector_span(vec, basis, odd=False)
 
     def test_symmetric_single_configuration(self):
         basis = build_blockade_basis(3)
-        vec = np.zeros(5, dtype=complex)
+        vec = np.zeros(5)
         vec[basis.index[0b010]] = 1.0
-        assert classify_symmetry(vec, basis) is SymmetryLabel.SYMMETRIC
+        assert in_sector_span(vec, basis, odd=False) and not in_sector_span(vec, basis, odd=True)
 
     def test_dark_afm_combination_is_antisymmetric(self):
         basis = build_blockade_basis(4)
-        vec = np.zeros(basis.dim, dtype=complex)
+        vec = np.zeros(basis.dim)
         vec[basis.index[0b1010]] = 1 / math.sqrt(2)   # |1r1r>
         vec[basis.index[0b0101]] = -1 / math.sqrt(2)  # |r1r1>
-        assert classify_symmetry(vec, basis) is SymmetryLabel.ANTISYMMETRIC
+        assert in_sector_span(vec, basis, odd=True) and not in_sector_span(vec, basis, odd=False)
 
 
 def dense_inversion(basis):
@@ -100,11 +106,26 @@ class TestScanSpectrum:
         interaction = None if model is Model.PXP else InteractionConfig.from_nn_strength(B_NN, SPACING)
         scan = scan_spectrum(nu, pulse, model, interaction, grid_size=21)
         inv = dense_inversion(scan.basis)
+        sign = {SymmetryLabel.SYMMETRIC: 1.0, SymmetryLabel.ANTISYMMETRIC: -1.0}
         for g, v in enumerate(scan.eigenvectors):
             ix = np.real(np.einsum("ik,ij,jk->k", v.conj(), inv, v))
-            assert scan.symmetry[g] == [_symmetry_label(x) for x in ix]
+            assert np.abs(ix - [sign[label] for label in scan.symmetry[g]]).max() < 1e-12
         seen = {label for labels in scan.symmetry for label in labels}
-        assert {SymmetryLabel.SYMMETRIC, SymmetryLabel.ANTISYMMETRIC} <= seen
+        assert seen == {SymmetryLabel.SYMMETRIC, SymmetryLabel.ANTISYMMETRIC}
+
+    @pytest.mark.parametrize("model", [Model.PXP, *INTERACTING_MODELS])
+    @pytest.mark.parametrize("nu", [1, 2, 5, 6])
+    def test_merged_sectors_match_full_eigensolve(self, model, nu, pulse):
+        inter = InteractionConfig.from_nn_strength(B_NN, SPACING)
+        scan = scan_spectrum(nu, pulse, model, inter, grid_size=11)
+        ham = ChainHamiltonian(model, model_basis(model, nu), inter)
+        for g, t in enumerate(scan.times):
+            h = ham.matrix(pulse.omega(t), pulse.delta(t))
+            w, v = scan.eigenvalues[g], scan.eigenvectors[g]
+            scale = np.abs(h).max()
+            assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-12 * scale
+            assert np.abs(h @ v - v * w).max() <= 1e-12 * scale
+            assert np.abs(v.T @ v - np.eye(scan.dim)).max() < 1e-13
 
     def test_lowest_branch_endpoints(self, pulse):
         scan = scan_spectrum(3, pulse, Model.PXP, grid_size=101)
@@ -128,7 +149,7 @@ class TestScanSpectrum:
                 if label is SymmetryLabel.ANTISYMMETRIC:
                     for eta in (scan.eta_low[g, k], scan.eta_high[g, k]):
                         if not math.isnan(eta):
-                            assert eta < 1e-10
+                            assert eta == 0.0
 
     def test_defined_couplings_nonnegative(self, pulse):
         scan = scan_spectrum(4, pulse, Model.PXP, grid_size=31)
