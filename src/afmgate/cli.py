@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 import time
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .basis import bitstring, build_blockade_basis, build_full_basis, parity_sign, rydberg_count
-from .config import Model, ProtocolConfig, load_config
+from .config import Model, ProtocolConfig, load_config, pulse_with_tau
 from .errors import ConfigError, FitQualityError
 from .evolution import run_protocol
 from .gate import (
@@ -30,7 +31,6 @@ from .gate import (
     compensating_detuning,
     fit_c_nu,
     kappa_c_table,
-    pulse_with_tau,
     sweep_tau,
     transfer_error,
 )
@@ -403,15 +403,22 @@ _HANDLERS = {
 
 _NEEDS_CONFIG = {"spectrum", "evolve", "gate", "sweep", "thermal", "fit-c"}
 
-# (commands or None for every command, argument, flag, smallest legal value)
-_ARG_MINIMA = (
+# (commands or None for every command, argument, flag, smallest legal value
+# or None); every float flag is listed, since it must also be finite
+_ARG_RANGES = (
     (None, "jobs", "--jobs", 1),
     (("spectrum", "evolve", "basis-dump"), "nu", "--nu", 1),
     (("spectrum",), "grid", "--grid", 3),
     (("sweep",), "tau_points", "--tau-points", 1),
+    (("sweep",), "tau_min", "--tau-min", None),
+    (("sweep",), "tau_max", "--tau-max", None),
     (("thermal",), "trials", "--trials", 1),
     (("thermal",), "temp_uk", "--temp-uK", 0.0),
     (("thermal",), "position_sigma_um", "--position-sigma-um", 0.0),
+    (("thermal",), "tau_us", "--tau-us", None),
+    (("transfer-error",), "b_mhz", "--b-mhz", None),
+    (("transfer-error",), "b_prime_mhz", "--b-prime-mhz", None),
+    (("transfer-error",), "omega_sd_mhz", "--omega-sd-mhz", None),
 )
 # (command, comma-separated integer list argument, flag, smallest legal
 # entry, whether entries must be odd); parsed into a list of ints
@@ -423,9 +430,11 @@ _LIST_ARGS = (
 
 def _check_arg_ranges(args: argparse.Namespace) -> None:
     """Parse the integer lists and reject out-of-range flags before anything is written."""
-    for commands, name, flag, minimum in _ARG_MINIMA:
+    for commands, name, flag, minimum in _ARG_RANGES:
         value = getattr(args, name) if commands is None or args.command in commands else None
-        if value is not None and not value >= minimum:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
+        if value is not None and minimum is not None and not value >= minimum:
             raise ConfigError(f"{flag} must be >= {minimum}, got {value}")
     for command, name, flag, minimum, odd in _LIST_ARGS:
         if args.command == command:

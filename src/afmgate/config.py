@@ -46,8 +46,8 @@ class ChainConfig:
     def __post_init__(self) -> None:
         if self.n_atoms < 3:
             raise ConfigError(f"need at least 3 atoms (two qubits + bus), got {self.n_atoms}")
-        if self.spacing <= 0.0:
-            raise ConfigError(f"lattice spacing must be > 0, got {self.spacing}")
+        if not 0.0 < self.spacing < math.inf:
+            raise ConfigError(f"lattice spacing must be finite and > 0, got {self.spacing}")
 
     @property
     def qubit_separation(self) -> float:
@@ -70,10 +70,12 @@ class InteractionConfig:
     range_cutoff: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.spacing <= 0.0:
-            raise ConfigError(f"lattice spacing must be > 0, got {self.spacing}")
-        if self.lambda_ratio <= 0.0:
-            raise ConfigError(f"lambda must be > 0, got {self.lambda_ratio}")
+        if not 0.0 < self.spacing < math.inf:
+            raise ConfigError(f"lattice spacing must be finite and > 0, got {self.spacing}")
+        if not 0.0 < self.lambda_ratio < math.inf:
+            raise ConfigError(f"lambda must be finite and > 0, got {self.lambda_ratio}")
+        if not math.isfinite(self.c6):
+            raise ConfigError(f"C6 must be finite, got {self.c6}")
         if self.range_cutoff is not None and self.range_cutoff < 1:
             raise ConfigError(f"range cutoff must be >= 1, got {self.range_cutoff}")
 
@@ -130,12 +132,14 @@ class PulseProfile:
     sigma: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.tau <= 0.0:
-            raise ConfigError(f"pulse duration must be > 0, got {self.tau}")
+        if not (math.isfinite(self.omega0) and math.isfinite(self.delta0)):
+            raise ConfigError(f"pulse amplitudes must be finite, got {self.omega0}, {self.delta0}")
+        if not 0.0 < self.tau < math.inf:
+            raise ConfigError(f"pulse duration must be finite and > 0, got {self.tau}")
         if self.sigma is None:
             object.__setattr__(self, "sigma", SIGMA_RATIO_DEFAULT * self.tau)
-        if self.sigma <= 0.0:
-            raise ConfigError(f"envelope width must be > 0, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ConfigError(f"envelope width must be finite and > 0, got {self.sigma}")
 
     @property
     def beta(self) -> float:
@@ -190,9 +194,14 @@ class PulseProfile:
     def rescaled(self, lam: float) -> "PulseProfile":
         """Second-step pulse for B' = -lambda B: amplitudes scaled up by
         lambda, duration (and width) down by lambda."""
-        if lam <= 0.0:
-            raise ConfigError(f"lambda must be > 0, got {lam}")
+        if not 0.0 < lam < math.inf:
+            raise ConfigError(f"lambda must be finite and > 0, got {lam}")
         return PulseProfile(lam * self.omega0, lam * self.delta0, self.tau / lam, self.sigma / lam)
+
+
+def pulse_with_tau(pulse: PulseProfile, tau: float) -> PulseProfile:
+    """Same amplitudes, new duration; the envelope width keeps the default ratio."""
+    return PulseProfile(pulse.omega0, pulse.delta0, tau)
 
 
 @dataclass(frozen=True)
@@ -203,8 +212,8 @@ class DecayConfig:
     gamma_rp: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.gamma_r < 0.0 or self.gamma_rp < 0.0:
-            raise ConfigError(f"decay rates must be >= 0, got {self.gamma_r}, {self.gamma_rp}")
+        if not (0.0 <= self.gamma_r < math.inf and 0.0 <= self.gamma_rp < math.inf):
+            raise ConfigError(f"decay rates must be finite and >= 0, got {self.gamma_r}, {self.gamma_rp}")
 
     def mean_rate(self, tau: float, lambda_ratio: float = 1.0) -> float:
         """Duration-weighted mean rate (Gamma_r tau + Gamma_r' tau') / tau_tot
@@ -228,8 +237,8 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.dt is None:
             object.__setattr__(self, "dt", self.pulse.tau / DT_STEPS_DEFAULT)
-        if self.dt <= 0.0:
-            raise ConfigError(f"integrator step must be > 0, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ConfigError(f"integrator step must be finite and > 0, got {self.dt}")
         if self.dt > self.pulse.tau / DT_STEPS_MIN:
             raise ConfigError(
                 f"integrator step {self.dt} too coarse: need dt <= tau/{DT_STEPS_MIN} = "
@@ -264,62 +273,99 @@ def _section(data: dict, name: str) -> dict:
     return value
 
 
-def _get(section: dict, name: str, where: str) -> Any:
-    try:
+_REQUIRED = object()
+
+
+def _get(section: dict, name: str, where: str, default: Any = _REQUIRED) -> Any:
+    if name in section:
         return section[name]
-    except KeyError:
-        raise ConfigError(f"missing key '{name}' in config section '{where}'") from None
+    if default is _REQUIRED:
+        raise ConfigError(f"missing key '{name}' in config section '{where}'")
+    return default
+
+
+def _field(where: str, name: str) -> str:
+    return f"{where}.{name}" if where else name
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(section: dict, name: str, where: str, default: Any = _REQUIRED) -> Optional[float]:
+    """A finite JSON number; null only where the default is None."""
+    value = _get(section, name, where, default)
+    if value is None and default is None:
+        return None
+    try:
+        number = float(value) if _is_number(value) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"config field '{_field(where, name)}' must be a finite number, got {value!r}")
+    return number
+
+
+def _integer(section: dict, name: str, where: str, default: Any = _REQUIRED) -> Optional[int]:
+    """An integral JSON number (5 or 5.0, not 5.7 or "5"); null only where
+    the default is None."""
+    value = _get(section, name, where, default)
+    if value is None and default is None:
+        return None
+    if not (_is_number(value) and (isinstance(value, int) or value.is_integer())):
+        raise ConfigError(f"config field '{_field(where, name)}' must be an integer, got {value!r}")
+    return int(value)
 
 
 def protocol_from_dict(data: dict) -> ProtocolConfig:
     """Build a ProtocolConfig from a parsed config mapping.
 
     Schema (user units): frequencies MHz, times us, lengths um.  See the
-    README for the documented layout.
+    README for the documented layout.  Numbers must be finite JSON
+    numbers, counts integral and ``include_decay`` a JSON boolean.
     """
     chain_d = _section(data, "chain")
     chain = ChainConfig(
-        n_atoms=int(_get(chain_d, "n_atoms", "chain")),
-        spacing=float(_get(chain_d, "spacing_um", "chain")),
+        n_atoms=_integer(chain_d, "n_atoms", "chain"),
+        spacing=_number(chain_d, "spacing_um", "chain"),
     )
 
     inter_d = _section(data, "interaction")
-    lam = float(inter_d.get("lambda", 1.0))
-    cutoff = inter_d.get("range_cutoff")
+    lam = _number(inter_d, "lambda", "interaction", 1.0)
+    cutoff = _integer(inter_d, "range_cutoff", "interaction", None)
     if "c6_mhz_um6" in inter_d and "b_mhz" in inter_d:
         raise ConfigError("give either interaction.c6_mhz_um6 or interaction.b_mhz, not both")
     if "c6_mhz_um6" in inter_d:
         interaction = InteractionConfig(
-            c6=mhz(float(inter_d["c6_mhz_um6"])),
+            c6=mhz(_number(inter_d, "c6_mhz_um6", "interaction")),
             spacing=chain.spacing,
             lambda_ratio=lam,
-            range_cutoff=None if cutoff is None else int(cutoff),
+            range_cutoff=cutoff,
         )
     elif "b_mhz" in inter_d:
         interaction = InteractionConfig.from_nn_strength(
-            b_nn=mhz(float(inter_d["b_mhz"])),
+            b_nn=mhz(_number(inter_d, "b_mhz", "interaction")),
             spacing=chain.spacing,
             lambda_ratio=lam,
-            range_cutoff=None if cutoff is None else int(cutoff),
+            range_cutoff=cutoff,
         )
     else:
         raise ConfigError("config section 'interaction' needs c6_mhz_um6 or b_mhz")
 
     pulse_d = _section(data, "pulse")
-    sigma_us = pulse_d.get("sigma_us")
     pulse = PulseProfile(
-        omega0=mhz(float(_get(pulse_d, "omega0_mhz", "pulse"))),
-        delta0=mhz(float(_get(pulse_d, "delta0_mhz", "pulse"))),
-        tau=float(_get(pulse_d, "tau_us", "pulse")),
-        sigma=None if sigma_us is None else float(sigma_us),
+        omega0=mhz(_number(pulse_d, "omega0_mhz", "pulse")),
+        delta0=mhz(_number(pulse_d, "delta0_mhz", "pulse")),
+        tau=_number(pulse_d, "tau_us", "pulse"),
+        sigma=_number(pulse_d, "sigma_us", "pulse", None),
     )
 
     decay_d = data.get("decay", {})
     if not isinstance(decay_d, dict):
         raise ConfigError("config section 'decay' must be a mapping")
     decay = DecayConfig(
-        gamma_r=mhz(float(decay_d.get("gamma_r_mhz", 0.0))),
-        gamma_rp=mhz(float(decay_d.get("gamma_rp_mhz", 0.0))),
+        gamma_r=mhz(_number(decay_d, "gamma_r_mhz", "decay", 0.0)),
+        gamma_rp=mhz(_number(decay_d, "gamma_rp_mhz", "decay", 0.0)),
     )
 
     model_name = str(data.get("model", "vdw"))
@@ -330,7 +376,9 @@ def protocol_from_dict(data: dict) -> ProtocolConfig:
             f"unknown model '{model_name}' (choose from {[m.value for m in Model]})"
         ) from None
 
-    dt_us = data.get("dt_us")
+    include_decay = data.get("include_decay", False)
+    if not isinstance(include_decay, bool):
+        raise ConfigError(f"config field 'include_decay' must be true or false, got {include_decay!r}")
     try:
         return ProtocolConfig(
             chain=chain,
@@ -338,8 +386,8 @@ def protocol_from_dict(data: dict) -> ProtocolConfig:
             pulse=pulse,
             decay=decay,
             model=model,
-            dt=None if dt_us is None else float(dt_us),
-            include_decay=bool(data.get("include_decay", False)),
+            dt=_number(data, "dt_us", "", None),
+            include_decay=include_decay,
         )
     except ConfigError:
         raise

@@ -3,28 +3,34 @@
 Fixed-step classical RK4 with midpoint Hamiltonian evaluations, in one
 segment stepper that every propagation goes through: a single state or a
 batch of states held as the columns of one array, over one chain or over
-the direct sum of several chains driven by the same pulse.  The pulse is
-tabulated once per segment and the diagonal of -iH once per block of
-``DIAG_BLOCK_STEPS`` steps.  The drive is real: each drive product is one
-real matrix product on the float64 view (rows, 2 * batch) of a state,
-scaled by -i Omega afterwards.  That scaling, the stage states and the RK4
-combination are level-1 BLAS calls (``zscal``, ``zaxpy``) on the flat rows
-of one preallocated array; non-finite amplitudes are looked for once per
-segment, over its stored samples.  Hermitian runs renormalize each chain's
-block of the state after every step (removing the RK4 amplitude artifact,
-which would otherwise mask real norm errors); non-Hermitian runs keep the
-physical norm decay.
+the direct sum of several chain blocks driven by the same pulse.  The
+pulse is tabulated once per segment and the diagonal of -iH once per block
+of ``DIAG_BLOCK_STEPS`` steps.  The drive is real, so each RK4 stage makes
+one real matrix product on the float64 view (rows, 2 * batch) of the state
+per entry of ``_SegmentEngine.drives``: consecutive chain blocks share one
+block-diagonal drive while it has at most ``MERGED_DRIVE_ROWS`` rows (a
+gate's three chains up to N = 5 make one product, N = 6 and 7 two), and a
+one-chain engine keeps its own drive.  The -i Omega scaling, the stage states and the
+update psi += dt/6 k1 + dt/3 k2 + dt/3 k3 + dt/6 k4 are level-1 BLAS calls
+(``zaxpy``, ``zcopy``) on the flat rows of one preallocated array;
+non-finite amplitudes are looked for once per segment, over its stored
+samples.  Hermitian runs renormalize each chain block of the state after
+every step (removing the RK4 amplitude artifact, which would otherwise
+mask real norm errors); non-Hermitian runs keep the physical norm decay.
 
 One driver serves ``run_protocol`` (one chain, with its sampled
-trajectory) and ``ground_amplitudes`` (final amplitudes only), which
+trajectory), ``ground_amplitudes`` (final amplitudes only), which
 propagates the chains of a gate (nu = N-2, N-1, N: one pulse, step and
-step count) as one concatenated state.  A static chain is mirror-symmetric
-and starts in |0...0>, so both run on the inversion-even sectors
-(``ChainHamiltonian.sector``; 20 of 32 states at vdW nu = 5, 72 of 128 at
-nu = 7): each chain's operators are projected once per pulse, a
-Hamiltonian that breaks the mirror raises there, and ``run_protocol`` maps
-its samples back to the full basis.  Moving atoms break the mirror, so the
-thermal batches keep the full basis.
+step count) as one concatenated state, and ``tau_batch_amplitudes``,
+which adds one copy of those blocks per pulse duration: the pulse is a
+function of t / tau, so each copy runs on the step grid of the first
+duration with its H scaled by tau / tau_ref.  A static chain is
+mirror-symmetric and starts in |0...0>, so all of these run on the
+inversion-even sectors (``ChainHamiltonian.sector``; 20 of 32 states at
+vdW nu = 5, 72 of 128 at nu = 7): each chain's operators are projected
+once per pulse, a Hamiltonian that breaks the mirror raises there, and
+``run_protocol`` maps its samples back to the full basis.  Moving atoms
+break the mirror, so the thermal batches keep the full basis.
 
 The dynamical phase integrates the energy of the branch that holds the
 state, from one stacked real ``eigh`` of the Hermitian part of H on the
@@ -39,10 +45,11 @@ from functools import partial
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.blas import dznrm2, zaxpy, zdscal, zscal
+from scipy.linalg import block_diag
+from scipy.linalg.blas import dznrm2, zaxpy, zcopy, zdscal
 
 from .basis import Basis, afm_manifold_masks, ordered_afm_masks
-from .config import Model, ProtocolConfig, PulseProfile
+from .config import Model, ProtocolConfig, PulseProfile, pulse_with_tau
 from .errors import PropagationError
 from .hamiltonian import ChainHamiltonian, model_basis
 
@@ -52,6 +59,16 @@ PHASE_SAMPLE_MARGIN = math.pi / 4.0
 # amortise the per-call cost, short enough to keep a thermal block of
 # (2 * steps, dim, batch) complex entries small
 DIAG_BLOCK_STEPS = 16
+# Rows of the largest block-diagonal drive that merges consecutive chain
+# blocks of a direct sum into one product per RK4 stage.  Merging saves a
+# call (about 0.6 us) but multiplies the zero blocks (about 0.2 ns per
+# entry), so it pays for small blocks only.  Measured RK4 steps on the even
+# sectors (one BLAS thread, 2.1 GHz Xeon): the vdW gate at N = 7
+# (20 + 36 + 72 rows) takes 19.8 us in three products, 19.3 us as 56 + 72
+# and 22.0 us as one product of 128 rows; at N = 8 (36 + 72 + 136) it takes
+# 35.6 us apart, 36.2 us as 108 + 136; six nu = 5 blocks of 20 rows take
+# 37.9 us apart, 30.1 us in products of 60 and 31.0 us in one of 120
+MERGED_DRIVE_ROWS = 64
 # Branch energies: matrix entries of one stacked even-sector eigenproblem
 # (samples per chunk times d_even^2).  The peak RSS of a vdW nu = 5 evolve
 # grows with it: +4.7 MB over a per-sample eigensolve at 2^17 entries,
@@ -116,6 +133,9 @@ class _SegmentEngine:
     used): called with an array of k absolute protocol times it returns the
     real (k, dim, batch) diagonals, one column per trial, and the excitation
     counts are kept as a column to broadcast against the batch.
+    ``scales`` (one per chain block, default 1) multiplies a block's drive,
+    n_r and v, and so its decay: a protocol of duration tau run on the
+    time grid of duration tau_ref has H scaled by tau / tau_ref.
     """
 
     def __init__(
@@ -125,14 +145,16 @@ class _SegmentEngine:
         gamma: float = 0.0,
         v_int_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         t_abs_start: float = 0.0,
+        scales: Optional[Sequence[float]] = None,
     ):
         self.hamiltonians = tuple(hamiltonians)
+        self.scales = (1.0,) * len(self.hamiltonians) if scales is None else tuple(scales)
         self.pulse = pulse
         self.gamma = gamma
         self.v_int_fn = v_int_fn
         self.t_abs_start = t_abs_start
-        self.v = np.concatenate([h.v for h in self.hamiltonians])
-        n_r = np.concatenate([h.n_r for h in self.hamiltonians])
+        self.v = np.concatenate([s * h.v for h, s in zip(self.hamiltonians, self.scales)])
+        n_r = np.concatenate([s * h.n_r for h, s in zip(self.hamiltonians, self.scales)])
         self._n_r = n_r if v_int_fn is None else n_r[:, None]
         # -iH = -i Omega drive - (Gamma / 2) n_r + i (Delta n_r - v)
         self._decay_rate = -0.5 * gamma * self._n_r if gamma else 0.0
@@ -142,6 +164,27 @@ class _SegmentEngine:
         """Row range of each chain in the direct-sum state."""
         ends = np.cumsum([h.drive.shape[0] for h in self.hamiltonians]).tolist()
         return tuple(slice(a, b) for a, b in zip([0] + ends[:-1], ends))
+
+    @property
+    def drives(self) -> Tuple[Tuple[slice, np.ndarray], ...]:
+        """The real drive products of one RK4 stage, as (row range, matrix).
+
+        Consecutive chain blocks share one block-diagonal matrix, each block
+        times its scale, while their rows fit in ``MERGED_DRIVE_ROWS``; a
+        block alone at scale 1 keeps its own drive.
+        """
+        chains = self.chains
+        groups: list = []  # chain indices per product
+        for k, chain in enumerate(chains):
+            if groups and chain.stop - chains[groups[-1][0]].start <= MERGED_DRIVE_ROWS:
+                groups[-1].append(k)
+            else:
+                groups.append([k])
+        scaled = [h.drive if s == 1.0 else s * h.drive for h, s in zip(self.hamiltonians, self.scales)]
+        return tuple(
+            (slice(chains[g[0]].start, chains[g[-1]].stop), scaled[g[0]] if len(g) == 1 else block_diag(*(scaled[k] for k in g)))
+            for g in groups
+        )
 
     @property
     def hamiltonian(self) -> ChainHamiltonian:
@@ -229,16 +272,17 @@ def _run_segment(
     (dim, batch), over one chain or the direct sum of the engine's chains.
     The pulse is tabulated once for the segment, the complex diagonal d of
     -iH once per block of ``DIAG_BLOCK_STEPS`` steps, and each derivative
-    is the fused -i Omega * (drive @ y) + d * y, with one real drive
-    product per chain block on the float64 views of y and of its
-    destination.  Renormalization acts on each chain block, and within it
-    on each column of a batch.  Raises PropagationError naming the time of
-    the first sample that holds non-finite amplitudes.
+    is d * y - i Omega * (drive @ y), with one real product per entry of
+    ``engine.drives`` on the float64 views of y and of a scratch row.
+    Renormalization acts on each chain block, and within it on each column
+    of a batch.  Raises PropagationError naming the time of the first
+    sample that holds non-finite amplitudes.
     """
     t_tab, om, dl = engine.tables(dt, n_steps)
     scale = (-1j * om).tolist()  # Python complex: no numpy scalar boxed per BLAS call
     half = 0.5 * dt
     sixth = dt / 6.0
+    third = dt / 3.0
     block_len = 2 * DIAG_BLOCK_STEPS
     shape = np.shape(psi0)
     # psi, k1..k4, y and dy are the rows of one C-contiguous array; the
@@ -248,16 +292,16 @@ def _run_segment(
     psi, k1, k2, k3, k4, y, dy = (row.reshape(shape) for row in rows)
     psi_r, k1_r, k2_r, k3_r, k4_r, y_r, dy_r = rows
     psi[...] = psi0
-    chains = engine.chains
-    psi_chains = [psi[c] for c in chains]
+    size = rows.shape[1]
+    psi_chains = [(psi[c], c.stop - c.start) for c in engine.chains]
 
-    def products(src: np.ndarray, dst: np.ndarray) -> list:
-        # drive @ src into dst for each chain block on the real views, bound
-        # once so that each product is one call with no argument parsing and
-        # no array-function dispatch in the loop
-        return [partial(h.drive.dot, _real(src[c]), _real(dst[c])) for h, c in zip(engine.hamiltonians, chains)]
+    def products(src: np.ndarray) -> list:
+        # drive @ src into dy on the real views, bound once so that each
+        # product is one call with no argument parsing and no
+        # array-function dispatch in the loop
+        return [partial(m.dot, _real(src[c]), _real(dy[c])) for c, m in engine.drives]
 
-    drive_1, drive_2, drive_3, drive_4 = (products(psi, k1), products(y, k2), products(y, k3), products(y, k4))
+    drive_psi, drive_y = products(psi), products(y)
 
     # samples after every stride-th step and after the last one
     sample_steps = np.minimum(np.arange(stride, n_steps + stride, stride), n_steps) - 1
@@ -266,13 +310,6 @@ def _run_segment(
     # are found exactly downstream
     times[-1] = engine.pulse.tau
     samples = np.empty((len(times),) + shape, dtype=complex)
-
-    def deriv(j: int, d: np.ndarray, y: np.ndarray, drive: list, out_r: np.ndarray) -> None:
-        for product in drive:
-            product()
-        zscal(scale[j], out_r)
-        np.multiply(d, y, out=dy)
-        zaxpy(dy_r, out_r)
 
     d_end = engine.diagonals(t_tab[:1], dl[:1])[0]
     s = 0
@@ -286,29 +323,43 @@ def _run_segment(
         d_start = d_end
         d_mid = block[i]
         d_end = block[i + 1]
-        deriv(j, d_start, psi, drive_1, k1_r)
-        np.copyto(y, psi)
-        zaxpy(k1_r, y_r, a=half)
-        deriv(j + 1, d_mid, y, drive_2, k2_r)
-        np.copyto(y, psi)
-        zaxpy(k2_r, y_r, a=half)
-        deriv(j + 1, d_mid, y, drive_3, k3_r)
-        np.copyto(y, psi)
-        zaxpy(k3_r, y_r, a=dt)
-        deriv(j + 2, d_end, y, drive_4, k4_r)
-        # psi += dt/6 (k1 + 2 (k2 + k3) + k4), in the reference order
-        zaxpy(k3_r, k2_r)
-        zdscal(2.0, k2_r, overwrite_x=1)
-        zaxpy(k2_r, k1_r)
-        zaxpy(k4_r, k1_r)
-        zdscal(sixth, k1_r, overwrite_x=1)
-        zaxpy(k1_r, psi_r)
+        # k = d * y - i Omega (drive @ y) for y = psi, psi + dt/2 k1,
+        # psi + dt/2 k2 and psi + dt k3; the BLAS calls and ufuncs take
+        # positional arguments (out is the third of np.multiply), since
+        # parsing a keyword costs more than a short call
+        np.multiply(d_start, psi, k1)
+        for product in drive_psi:
+            product()
+        zaxpy(dy_r, k1_r, size, scale[j])
+        zcopy(psi_r, y_r)
+        zaxpy(k1_r, y_r, size, half)
+        np.multiply(d_mid, y, k2)
+        for product in drive_y:
+            product()
+        zaxpy(dy_r, k2_r, size, scale[j + 1])
+        zcopy(psi_r, y_r)
+        zaxpy(k2_r, y_r, size, half)
+        np.multiply(d_mid, y, k3)
+        for product in drive_y:
+            product()
+        zaxpy(dy_r, k3_r, size, scale[j + 1])
+        zcopy(psi_r, y_r)
+        zaxpy(k3_r, y_r, size, dt)
+        np.multiply(d_end, y, k4)
+        for product in drive_y:
+            product()
+        zaxpy(dy_r, k4_r, size, scale[j + 2])
+        # psi += dt/6 k1 + dt/3 k2 + dt/3 k3 + dt/6 k4
+        zaxpy(k1_r, psi_r, size, sixth)
+        zaxpy(k2_r, psi_r, size, third)
+        zaxpy(k3_r, psi_r, size, third)
+        zaxpy(k4_r, psi_r, size, sixth)
         if renormalize:
             if psi.ndim == 1:
-                for p in psi_chains:  # contiguous views: BLAS scales them in place
-                    zdscal(1.0 / dznrm2(p), p, overwrite_x=1)
+                for p, n in psi_chains:  # contiguous views: BLAS scales them in place
+                    zdscal(1.0 / dznrm2(p), p, n, 0, 1, 1)
             else:
-                for p in psi_chains:
+                for p, _ in psi_chains:
                     p /= np.linalg.norm(p, axis=0, keepdims=True)
         if (step + 1) % stride == 0 or step == n_steps - 1:
             samples[s] = psi
@@ -387,12 +438,15 @@ def _protocol_segments(
     hamiltonians: Sequence[ChainHamiltonian],
     cfg: ProtocolConfig,
     v_int_fn_steps: Optional[Tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]] = None,
+    scales: Sequence[float] = (1.0,),
 ) -> Tuple[_SegmentEngine, _SegmentEngine]:
     """Engines of the two pulses over the direct sum of ``hamiltonians``:
     step II runs the lambda-rescaled pulse under the flipped interaction on
     the same operator structures.  Static chains run on their even sectors;
     with the per-trial interactions ``v_int_fn_steps`` of moving atoms the
-    chains keep their full basis."""
+    chains keep their full basis.  The chains are repeated once per entry
+    of ``scales``, each copy with its H times that scale (a batch of pulse
+    durations, see ``tau_batch_amplitudes``)."""
     if any(h.model is Model.PXP_PLUS_CORRECTIONS for h in hamiltonians):
         raise ValueError("time propagation supports the PXP and full vdW models only")
     lam = cfg.interaction.lambda_ratio
@@ -404,16 +458,19 @@ def _protocol_segments(
     flipped = [h.with_interaction(cfg.interaction.flipped()) for h in hamiltonians]
     if v_int_fn_steps is None:
         hamiltonians, flipped = ([h.sector() for h in hs] for hs in (hamiltonians, flipped))
-    seg1 = _SegmentEngine(hamiltonians, pulse_1, gamma_1, fn1, t_abs_start=0.0)
-    seg2 = _SegmentEngine(flipped, pulse_2, gamma_2, fn2, t_abs_start=pulse_1.tau)
+    block_scales = [s for s in scales for _ in hamiltonians]
+    seg1 = _SegmentEngine(list(hamiltonians) * len(scales), pulse_1, gamma_1, fn1, 0.0, block_scales)
+    seg2 = _SegmentEngine(list(flipped) * len(scales), pulse_2, gamma_2, fn2, pulse_1.tau, block_scales)
     return seg1, seg2
 
 
 def _propagate_protocol(
-    nus: Sequence[int], cfg: ProtocolConfig, sampled: bool
+    nus: Sequence[int], cfg: ProtocolConfig, sampled: bool, scales: Sequence[float] = (1.0,)
 ) -> Tuple[_SegmentEngine, _SegmentEngine, np.ndarray, Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
     """Both pulses on the even sectors of the chains ``nus`` held as one
-    direct-sum state, each block starting from its collective ground state.
+    direct-sum state (repeated once per entry of ``scales``, as in
+    ``_protocol_segments``), each block starting from its collective ground
+    state.
 
     Returns the two engines, the initial state and the (local times,
     states) of each segment's samples, all on the sectors.  ``sampled``
@@ -426,7 +483,7 @@ def _propagate_protocol(
     if len(set(nus)) != len(nus):
         raise ValueError(f"chain sizes must be distinct, got {list(nus)}")
     hams = [ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction) for nu in nus]
-    seg1, seg2 = _protocol_segments(hams, cfg)
+    seg1, seg2 = _protocol_segments(hams, cfg, scales=scales)
     lam = cfg.interaction.lambda_ratio
 
     # |0...0> (basis state 0, its own mirror image) is each even sector's first column
@@ -505,6 +562,24 @@ def ground_amplitudes(nus: Sequence[int], cfg: ProtocolConfig) -> Dict[int, comp
     seg1, _, _, _, (_, states) = _propagate_protocol(nus, cfg, sampled=False)
     final = states[-1]
     return {nu: complex(final[chain.start]) for nu, chain in zip(nus, seg1.chains)}
+
+
+def tau_batch_amplitudes(nus: Sequence[int], cfg: ProtocolConfig, taus: Sequence[float]) -> np.ndarray:
+    """``ground_amplitudes`` of the chains ``nus`` at each pulse duration in
+    ``taus``, as a (len(taus), len(nus)) array; each duration runs the pulse
+    ``pulse_with_tau(cfg.pulse, tau)`` at the default step tau /
+    ``DT_STEPS_DEFAULT`` (``cfg.dt`` is not used).
+
+    The pulse is a function of t / tau, so a protocol of duration tau is
+    the protocol of tau_ref = taus[0] with H scaled by tau / tau_ref, on
+    the step grid of tau_ref.  Every (tau, nu) pair is one block of a
+    single direct-sum state, propagated in one RK4 loop: the same RK4 as
+    one ``ground_amplitudes`` call per duration, up to round-off.
+    """
+    taus = [float(tau) for tau in taus]
+    ref = replace(cfg, pulse=pulse_with_tau(cfg.pulse, taus[0]), dt=None)
+    seg1, _, _, _, (_, states) = _propagate_protocol(nus, ref, sampled=False, scales=[t / taus[0] for t in taus])
+    return states[-1][[chain.start for chain in seg1.chains]].reshape(len(taus), len(nus))
 
 
 def _dynamical_phase(

@@ -11,6 +11,7 @@ import pytest
 
 import afmgate
 from afmgate.cli import EXIT_CONFIG, EXIT_OK, _column_lines, _fmt, _git_describe, main
+from afmgate.config import protocol_from_dict
 
 CONFIG = {
     "chain": {"n_atoms": 5, "spacing_um": 4.0},
@@ -326,6 +327,71 @@ class TestErrorHandling:
         assert main(["--config", cfg, "--out", str(out), *argv]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "--tau-min", "nan"], "--tau-min must be finite, got nan"),
+            (["sweep", "--tau-min", "inf", "--tau-max", "inf"], "--tau-min must be finite, got inf"),
+            (["sweep", "--tau-max=-inf"], "--tau-max must be finite, got -inf"),
+            (["thermal", "--tau-us", "nan"], "--tau-us must be finite, got nan"),
+            (["thermal", "--temp-uK", "inf"], "--temp-uK must be finite, got inf"),
+            (["thermal", "--position-sigma-um", "nan"], "--position-sigma-um must be finite, got nan"),
+            (["transfer-error", "--b-mhz", "nan", "--b-prime-mhz", "-45", "--omega-sd-mhz", "50"],
+             "--b-mhz must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_flag_exits_2(self, tmp_path, capsys, argv, message):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), *argv]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section,key,value,message",
+        [
+            ("pulse", "tau_us", float("nan"), "'pulse.tau_us' must be a finite number, got nan"),
+            ("pulse", "omega0_mhz", float("nan"), "'pulse.omega0_mhz' must be a finite number, got nan"),
+            ("pulse", "delta0_mhz", float("inf"), "'pulse.delta0_mhz' must be a finite number, got inf"),
+            ("pulse", "sigma_us", float("nan"), "'pulse.sigma_us' must be a finite number, got nan"),
+            ("decay", "gamma_r_mhz", float("nan"), "'decay.gamma_r_mhz' must be a finite number, got nan"),
+            ("interaction", "b_mhz", float("nan"), "'interaction.b_mhz' must be a finite number, got nan"),
+            ("interaction", "lambda", float("-inf"), "'interaction.lambda' must be a finite number, got -inf"),
+            ("chain", "spacing_um", float("nan"), "'chain.spacing_um' must be a finite number, got nan"),
+            ("chain", "spacing_um", 10**400, "'chain.spacing_um' must be a finite number, got 1000"),
+            (None, "dt_us", float("nan"), "'dt_us' must be a finite number, got nan"),
+            ("pulse", "tau_us", "1.0", "'pulse.tau_us' must be a finite number, got '1.0'"),
+            ("pulse", "tau_us", None, "'pulse.tau_us' must be a finite number, got None"),
+            ("chain", "n_atoms", 5.7, "'chain.n_atoms' must be an integer, got 5.7"),
+            ("chain", "n_atoms", "5", "'chain.n_atoms' must be an integer, got '5'"),
+            ("chain", "n_atoms", True, "'chain.n_atoms' must be an integer, got True"),
+            ("interaction", "range_cutoff", 1.5, "'interaction.range_cutoff' must be an integer, got 1.5"),
+            (None, "include_decay", "false", "'include_decay' must be true or false, got 'false'"),
+            (None, "include_decay", 0, "'include_decay' must be true or false, got 0"),
+        ],
+    )
+    def test_bad_config_value_exits_2_naming_the_field(self, tmp_path, capsys, section, key, value, message):
+        data = json.loads(json.dumps(CONFIG))
+        (data if section is None else data[section])[key] = value
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(data))  # NaN and Infinity as JSON extensions
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "gate"]) == EXIT_CONFIG
+        assert f"config error: config field {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_numbers_and_booleans_are_read_exactly(self):
+        data = json.loads(json.dumps(CONFIG))
+        data["chain"]["n_atoms"] = 5.0
+        data["interaction"]["range_cutoff"] = 2.0
+        data["include_decay"] = False
+        cfg = protocol_from_dict(data)
+        assert cfg.chain.n_atoms == 5 and isinstance(cfg.chain.n_atoms, int)
+        assert cfg.interaction.range_cutoff == 2 and isinstance(cfg.interaction.range_cutoff, int)
+        assert cfg.include_decay is False
+        data["interaction"]["range_cutoff"] = None  # null: no cutoff
+        assert protocol_from_dict(data).interaction.range_cutoff is None
 
     def test_failed_run_keeps_an_existing_output_directory(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -159,6 +159,30 @@ class TestProtocolConfig:
         assert cfg.tau_total == pytest.approx(1.5, rel=1e-12)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ChainConfig(n_atoms=5, spacing=NAN),
+        lambda: InteractionConfig(c6=NAN, spacing=4.0),
+        lambda: InteractionConfig(c6=1.0, spacing=4.0, lambda_ratio=INF),
+        lambda: PulseProfile(NAN, mhz(20), 1.0),
+        lambda: PulseProfile(mhz(8), INF, 1.0),
+        lambda: PulseProfile(mhz(8), mhz(20), NAN),
+        lambda: PulseProfile(mhz(8), mhz(20), 1.0, sigma=NAN),
+        lambda: PulseProfile(mhz(8), mhz(20), 1.0).rescaled(NAN),
+        lambda: DecayConfig(gamma_r=NAN),
+        lambda: DecayConfig(gamma_rp=INF),
+        lambda: reference_config(dt=NAN),
+    ],
+)
+def test_non_finite_values_rejected(build):
+    with pytest.raises(ConfigError, match="finite"):
+        build()
+
+
 class TestMeanRydbergNumber:
     @pytest.mark.parametrize("n,expect", [(5, Fraction(9, 4)), (4, Fraction(7, 4)), (8, Fraction(15, 4))])
     def test_examples(self, n, expect):

@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 
 from afmgate import evolution
 from afmgate.basis import build_full_basis
-from afmgate.config import Model, PulseProfile
+from afmgate.config import Model, PulseProfile, pulse_with_tau
 from afmgate.errors import PropagationError
 from afmgate.evolution import (
     DIAG_BLOCK_STEPS,
@@ -22,10 +22,12 @@ from afmgate.evolution import (
     _protocol_segments,
     _run_segment,
     _SegmentEngine,
+    MERGED_DRIVE_ROWS,
     _step_count,
     ground_amplitudes,
     parity_roundtrip_check,
     run_protocol,
+    tau_batch_amplitudes,
 )
 from afmgate.hamiltonian import ChainHamiltonian, excitation_numbers, model_basis
 from afmgate.units import mhz
@@ -97,6 +99,7 @@ class ConstantEngine(_SegmentEngine):
     def __init__(self, drive, diag, omega=1.0, tau=1.0):
         self.drive = np.asarray(drive, dtype=float)
         self.hamiltonians = (SimpleNamespace(drive=self.drive),)
+        self.scales = (1.0,)
         self.diag = np.asarray(diag, dtype=complex)
         self.omega = omega
         self.pulse = SimpleNamespace(tau=tau)
@@ -627,7 +630,7 @@ class TestGroundAmplitudes:
 
     @pytest.mark.parametrize("include_decay", [False, True])
     @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
-    @pytest.mark.parametrize("n_atoms", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("n_atoms", [3, 4, 5, 6, 7, 8])
     def test_direct_sum_matches_per_chain_runs(self, n_atoms, model, include_decay):
         cfg = reference_config(n_atoms=n_atoms, model=model, include_decay=include_decay, gamma=mhz(0.05))
         nus = [n_atoms - 2, n_atoms - 1, n_atoms]
@@ -652,6 +655,28 @@ class TestGroundAmplitudes:
         for chain in seg1.chains:
             assert abs(np.linalg.norm(final[chain]) - 1.0) < 1e-13
 
+    @pytest.mark.parametrize("n_atoms,rows", [(3, [11]), (5, [36]), (6, [30, 36]), (7, [56, 72]), (8, [36, 72, 136])])
+    def test_drive_products_merge_blocks_up_to_the_row_limit(self, n_atoms, rows):
+        # vdW even sectors: 2 + 3 + 6 rows at N = 3, 6 + 10 + 20 at N = 5,
+        # 10 + 20 + 36 at N = 6, 20 + 36 + 72 at N = 7, 36 + 72 + 136 at N = 8
+        assert MERGED_DRIVE_ROWS == 64
+        cfg = reference_config(model=Model.FULL_VDW)
+        hams = [ChainHamiltonian(Model.FULL_VDW, build_full_basis(nu), cfg.interaction) for nu in range(n_atoms - 2, n_atoms + 1)]
+        for seg in _protocol_segments(hams, cfg):
+            assert [m.shape[0] for _, m in seg.drives] == rows
+            merged = np.zeros((seg.chains[-1].stop,) * 2)
+            for c, m in seg.drives:
+                merged[c, c] = m
+            for chain, h in zip(seg.chains, seg.hamiltonians):
+                assert np.array_equal(merged[chain, chain], h.drive)
+                merged[chain, chain] = 0.0
+            assert not merged.any()  # nothing off the chain blocks
+
+    def test_one_chain_engine_keeps_its_own_drive(self):
+        seg1, _ = segments(5, reference_config(model=Model.FULL_VDW))
+        ((rows, drive),) = seg1.drives
+        assert drive is seg1.hamiltonian.drive and rows == seg1.chains[0]
+
     @pytest.mark.parametrize("nus", [[0, 1], [3, 3], [2, 3, 2]])
     def test_bad_chain_sizes_rejected(self, nus):
         with pytest.raises(ValueError):
@@ -664,6 +689,40 @@ class TestGroundAmplitudes:
         psi[0, 0] = 1.0
         with pytest.raises(ValueError, match="2 chains"):
             seg1.branch_energies(np.array([0.5]), psi)
+
+
+class TestTauBatch:
+    """Pulse durations propagated as blocks of one direct-sum state on the
+    step grid of the first, against one ``ground_amplitudes`` call per
+    duration."""
+
+    TAUS = [0.6, 1.3, 0.6, 2.1]  # the first duration again, as a scaled block
+
+    @pytest.mark.parametrize("lam", [1.0, 1.7])
+    @pytest.mark.parametrize("include_decay", [False, True])
+    @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
+    def test_batch_matches_one_call_per_tau(self, model, include_decay, lam):
+        cfg = reference_config(model=model, include_decay=include_decay, gamma=mhz(0.05), lambda_ratio=lam)
+        nus = [3, 4, 5]
+        amps = tau_batch_amplitudes(nus, cfg, self.TAUS)
+        assert amps.shape == (len(self.TAUS), len(nus))
+        for tau, row in zip(self.TAUS, amps):
+            ref = ground_amplitudes(nus, replace(cfg, pulse=pulse_with_tau(cfg.pulse, tau), dt=None))
+            assert np.abs(row - [ref[nu] for nu in nus]).max() < 1e-12
+
+    def test_hermitian_blocks_each_keep_unit_norm(self):
+        seg1, _, _, _, (_, states) = _propagate_protocol([1, 2, 3], reference_config(model=Model.PXP), False, [1.0, 2.2, 0.7])
+        assert len(seg1.chains) == 9
+        for chain in seg1.chains:
+            assert abs(np.linalg.norm(states[-1][chain]) - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("include_decay", [False, True])
+    @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
+    def test_one_tau_batch_bitwise_equal_to_ground_amplitudes(self, model, include_decay):
+        cfg = reference_config(model=model, include_decay=include_decay, gamma=mhz(0.05), tau=0.8)
+        amps = tau_batch_amplitudes([3, 4, 5], cfg, [0.8])
+        ref = ground_amplitudes([3, 4, 5], cfg)
+        assert amps[0].tolist() == [ref[nu] for nu in (3, 4, 5)]
 
 
 class TestSectorPropagation:
@@ -716,7 +775,7 @@ class TestSectorPropagation:
 
         monkeypatch.setattr(evolution, "_real", recording)
         _run_segment(engine, psi0, cfg.dt, 20, 20, renormalize=True)
-        assert len(views) == 8  # source and destination of the four stage products
+        assert len(views) == 4  # psi and y as sources, dy as destination, bound once per segment
         for rows, out in views:
             assert np.shares_memory(out, rows)
             assert out.dtype == np.float64 and out.shape == (len(rows), 2 * (rows.size // len(rows)))

@@ -1,6 +1,7 @@
 """Gate assembly, average fidelity and the analytic error model."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from afmgate.errors import ConfigError, FitQualityError, RegimeError
 from afmgate import evolution, gate
 from afmgate.gate import (
     CZ_DIAG,
+    FIT_E_BOUNDS,
     active_atoms,
     assemble_gate,
     average_fidelity,
@@ -26,6 +28,7 @@ from afmgate.gate import (
     lz_probability,
     map_tasks,
     optimal_tau,
+    pulse_with_tau,
     scaling_emin,
     sweep_tau,
     transfer_error,
@@ -264,9 +267,44 @@ class TestFitCnu:
         assert fit.r_squared > 0.95
         assert abs(fit.c - 0.43) / 0.43 < 0.15
 
+    def test_batched_fit_matches_a_fit_of_per_tau_runs(self):
+        cfg = reference_config(n_atoms=3)
+        fit = fit_c_nu(3, cfg)
+        taus, leakages = [], []
+        for tau in np.geomspace(0.25, 3.2, 12):
+            run_cfg = replace(cfg, pulse=pulse_with_tau(cfg.pulse, tau), dt=None)
+            e_leak = 1.0 - abs(evolution.ground_amplitudes([3], run_cfg)[3]) ** 2
+            if FIT_E_BOUNDS[0] < e_leak < FIT_E_BOUNDS[1]:
+                taus.append(tau)
+                leakages.append(e_leak)
+        x = cfg.pulse.omega0**2 / abs(cfg.pulse.delta0) * np.array(taus)
+        slope, _ = np.polyfit(x, np.log(leakages), 1)
+        assert len(taus) >= 4 and fit.taus.tolist() == taus
+        assert abs(fit.c + slope) <= 1e-10 * abs(slope)
+
     def test_too_narrow_window_raises_fit_error(self):
         with pytest.raises(FitQualityError):
             fit_c_nu(3, reference_config(n_atoms=3), taus=[0.05, 0.06])
+
+
+class TestSweepTau:
+    C_TABLE = {1: 0.78, 2: 0.6, 3: 0.48}
+
+    def test_points_match_one_gate_per_tau(self):
+        cfg = reference_config(n_atoms=3, include_decay=True)
+        taus = [0.7, 1.9, 1.2]
+        points = sweep_tau(3, cfg, taus, self.C_TABLE)
+        assert [p.tau for p in points] == taus
+        for p in points:
+            report = assemble_gate(3, replace(cfg, pulse=pulse_with_tau(cfg.pulse, p.tau), dt=None))
+            assert abs(p.fidelity - report.fidelity) < 1e-12
+            assert p.e_numeric == 1.0 - p.fidelity
+
+    def test_same_points_at_one_and_two_jobs(self):
+        # two chunks, run in two worker processes
+        cfg = reference_config(n_atoms=3, include_decay=True)
+        taus = np.linspace(0.5, 2.9, gate.TAU_CHUNK + 1)
+        assert sweep_tau(3, cfg, taus, self.C_TABLE, jobs=2) == sweep_tau(3, cfg, taus, self.C_TABLE, jobs=1)
 
 
 class TestWorkerPool:
@@ -281,7 +319,9 @@ class TestWorkerPool:
         assert pool_sizes == []
 
     def test_sweep_tau_clamps_jobs(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(gate, "_sweep_worker", lambda task: task[2])
-        taus = sweep_tau(5, reference_config(), [0.5, 1.0], {}, jobs=10**6)
-        assert taus == (0.5, 1.0)
+        # one task per chunk of TAU_CHUNK durations; the worker returns its taus
+        monkeypatch.setattr(gate, "_sweep_chunk", lambda task: task[2])
+        grid = [0.5 + 0.1 * k for k in range(gate.TAU_CHUNK + 1)]
+        taus = sweep_tau(5, reference_config(), grid, {}, jobs=10**6)
+        assert taus == tuple(grid)
         assert pool_sizes == [2]
