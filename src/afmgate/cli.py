@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .basis import bitstring, build_blockade_basis, build_full_basis, parity_sign, rydberg_count
-from .config import Model, ProtocolConfig, load_config, pulse_with_tau
+from .config import Model, ProtocolConfig, json_float, load_config, pulse_with_tau
 from .errors import ConfigError, FitQualityError
 from .evolution import run_protocol
 from .gate import (
@@ -174,8 +175,9 @@ def cmd_evolve(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> 
 
 def cmd_gate(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> None:
     n = cfg.chain.n_atoms
+    fitted_c = _load_c_file(args.c_file)
     report = assemble_gate(n, cfg)
-    model = build_error_model(n, cfg, fitted_c=_load_c_file(args.c_file))
+    model = build_error_model(n, cfg, fitted_c=fitted_c)
     summary = {
         "n_atoms": n,
         "u_diag": [[z.real, z.imag] for z in report.u_diag],
@@ -200,13 +202,27 @@ def cmd_gate(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> No
 
 
 def _load_c_file(path: Optional[str]) -> Optional[Dict[int, float]]:
+    """Landau-Zener constants by chain size from a JSON object, {"3": 0.47}
+    or the ``fit-c`` form {"3": {"c": 0.47, ...}}: each key a chain size
+    >= 1, each constant a finite JSON number > 0."""
     if path is None:
         return None
     try:
         data = json.loads(Path(path).read_text())
-        return {int(k): float(v["c"] if isinstance(v, dict) else v) for k, v in data.items()}
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ConfigError(f"cannot parse c-constants file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"c-constants file {path} must hold a JSON object, got {type(data).__name__}")
+    table: Dict[int, float] = {}
+    for key, entry in data.items():
+        if not re.fullmatch(r"[1-9][0-9]*", key):
+            raise ConfigError(f"c-constants file {path}: key {key!r} must be a chain size >= 1")
+        value = entry.get("c") if isinstance(entry, dict) else entry
+        c = json_float(value)
+        if not 0.0 < c < math.inf:
+            raise ConfigError(f"c-constants file {path}: entry {key!r} must be a finite number > 0, got {value!r}")
+        table[int(key)] = c
+    return table
 
 
 def _c_table_for(n_list: Sequence[int], cfg: ProtocolConfig,

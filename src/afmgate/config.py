@@ -292,15 +292,21 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def json_float(value: Any) -> float:
+    """A parsed JSON number as a float: NaN for anything else (a bool, a
+    string, null), inf for an integer beyond the float range."""
+    try:
+        return float(value) if _is_number(value) else math.nan
+    except OverflowError:
+        return math.inf
+
+
 def _number(section: dict, name: str, where: str, default: Any = _REQUIRED) -> Optional[float]:
     """A finite JSON number; null only where the default is None."""
     value = _get(section, name, where, default)
     if value is None and default is None:
         return None
-    try:
-        number = float(value) if _is_number(value) else math.nan
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
+    number = json_float(value)
     if not math.isfinite(number):
         raise ConfigError(f"config field '{_field(where, name)}' must be a finite number, got {value!r}")
     return number

@@ -33,8 +33,11 @@ once per pulse, a Hamiltonian that breaks the mirror raises there, and
 break the mirror, so the thermal batches keep the full basis.
 
 The dynamical phase integrates the energy of the branch that holds the
-state, from one stacked real ``eigh`` of the Hermitian part of H on the
-sector per chunk of stored samples.
+state.  Each chunk of stored samples runs one stacked real ``eigvalsh`` of
+the Hermitian part of H on the sector, and a residual bound proves which
+eigenvalue holds more than half of each state; only the samples it cannot
+settle (near-degenerate partners, such as the even-nu vdW AFM doublet)
+take eigenvectors.
 """
 
 from __future__ import annotations
@@ -70,9 +73,11 @@ DIAG_BLOCK_STEPS = 16
 # 37.9 us apart, 30.1 us in products of 60 and 31.0 us in one of 120
 MERGED_DRIVE_ROWS = 64
 # Branch energies: matrix entries of one stacked even-sector eigenproblem
-# (samples per chunk times d_even^2).  The peak RSS of a vdW nu = 5 evolve
-# grows with it: +4.7 MB over a per-sample eigensolve at 2^17 entries,
-# +2 MB at 2^15, which takes about 5 % longer than 2^17
+# (samples per chunk times d_even^2), 256 KB of float64 at 2^15.  With no
+# eigenvectors the peak RSS of a vdW nu = 5 evolve does not move with it
+# (73.7 MB at 2^12 and 2^15, 73.9 MB at 2^17); below 2^14 the per-chunk
+# calls cost time (the phase record of its first pulse takes 0.18 s at
+# 2^12 against 0.12-0.13 s from 2^14 to 2^17)
 PHASE_CHUNK_ENTRIES = 1 << 15
 
 
@@ -230,6 +235,16 @@ class _SegmentEngine:
         at its local time, in the space the engine propagates (the even
         sector of a static chain).  Raises ValueError for an engine over
         several chains.
+
+        Each chunk of samples runs one stacked ``eigvalsh`` and no
+        eigenvectors.  For the normalised state phi, with Rayleigh quotient
+        r = <phi|H|phi> and residual sigma^2 = ||(H - r) phi||^2, the branch
+        weights p_j obey sum_j p_j (w_j - r)^2 = sigma^2, so 1 - p_k <=
+        sigma^2 / g^2 for the eigenvalue w_k nearest r and the distance g
+        from r to the next-nearest one.  sigma^2 < g^2 / 2 proves p_k > 1/2:
+        w_k is the branch of maximal overlap.  The samples this cannot
+        settle (near-degenerate partners sharing the state) take the
+        eigenvectors through ``_max_overlap_energies``.
         """
         ham = self.hamiltonian
         t = np.clip(t_local, 0.0, self.pulse.tau)
@@ -240,14 +255,42 @@ class _SegmentEngine:
         for lo in range(0, len(t), chunk):
             hi = min(lo + chunk, len(t))
             phi = states[lo:hi]
+            h_diag = ham.v - delta[lo:hi, None] * ham.n_r
             h = omega[lo:hi, None, None] * ham.drive
-            h[:, diag, diag] += ham.v - delta[lo:hi, None] * ham.n_r
-            w, vecs = np.linalg.eigh(h)
-            # |<v_k|phi>|^2 from real products: no complex copy of vecs
-            re = np.matmul(phi.real[:, None, :], vecs)[:, 0, :]
-            im = np.matmul(phi.imag[:, None, :], vecs)[:, 0, :]
-            energies[lo:hi] = w[np.arange(hi - lo), np.argmax(re * re + im * im, axis=1)]
+            h[:, diag, diag] += h_diag
+            w = np.linalg.eigvalsh(h)
+            # H acts on the real and imaginary parts apart: one real product
+            # of the (symmetric) drive for both
+            x = np.stack([phi.real, phi.imag], axis=1)
+            hx = (x.reshape(-1, len(diag)) @ ham.drive).reshape(x.shape)
+            hx *= omega[lo:hi, None, None]
+            hx += h_diag[:, None, :] * x
+            norm2 = np.einsum("ijk,ijk->i", x, x)
+            r = np.einsum("ijk,ijk->i", x, hx) / norm2
+            hx -= r[:, None, None] * x
+            sigma2 = np.einsum("ijk,ijk->i", hx, hx) / norm2
+            rows = np.arange(hi - lo)
+            dist = np.abs(w - r[:, None])
+            k = np.argmin(dist, axis=1)
+            nearest = w[rows, k]
+            dist[rows, k] = np.inf  # one level alone: g = inf, always settled
+            g = np.min(dist, axis=1)
+            unsettled = ~(2.0 * sigma2 < g * g)  # a NaN (zero state) is unsettled
+            if unsettled.any():
+                nearest[unsettled] = _max_overlap_energies(h[unsettled], phi[unsettled])
+            energies[lo:hi] = nearest
         return energies
+
+
+def _max_overlap_energies(h: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Eigenvalue of maximal overlap |<v_k|phi>|^2 for each stacked real
+    symmetric matrix h (m, d, d) and state row phi (m, d), from one stacked
+    ``eigh``."""
+    w, vecs = np.linalg.eigh(h)
+    # |<v_k|phi>|^2 from real products: no complex copy of vecs
+    re = np.matmul(phi.real[:, None, :], vecs)[:, 0, :]
+    im = np.matmul(phi.imag[:, None, :], vecs)[:, 0, :]
+    return w[np.arange(len(w)), np.argmax(re * re + im * im, axis=1)]
 
 
 def _real(rows: np.ndarray) -> np.ndarray:

@@ -129,6 +129,27 @@ class TestEvolve:
         header, _ = read_csv_rows(out / "evolve.csv")
         assert "p_afm_excited" in header
 
+    def test_byte_identical_between_runs(self, tmp_path, monkeypatch):
+        # vdW nu = 4: part of the phase record takes the eigenvector fallback
+        from afmgate import evolution
+
+        fallback_rows = []
+        dense = evolution._max_overlap_energies
+
+        def counting(h, phi):
+            fallback_rows.append(len(h))
+            return dense(h, phi)
+
+        monkeypatch.setattr(evolution, "_max_overlap_energies", counting)
+        cfg = write_config(tmp_path)
+        blobs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["--config", cfg, "--out", str(out), "evolve", "--nu", "4"]) == EXIT_OK
+            blobs.append((out / "evolve.csv").read_bytes())
+        assert sum(fallback_rows) > 0
+        assert blobs[0] == blobs[1]
+
     def test_decay_makes_norm_non_increasing(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -379,6 +400,34 @@ class TestErrorHandling:
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), "gate"]) == EXIT_CONFIG
         assert f"config error: config field {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"1": NaN, "3": "0.47"}', "entry '1' must be a finite number > 0, got nan"),
+            ('{"3": Infinity}', "entry '3' must be a finite number > 0, got inf"),
+            ('{"3": "0.47"}', "entry '3' must be a finite number > 0, got '0.47'"),
+            ('{"3": true}', "entry '3' must be a finite number > 0, got True"),
+            ('{"3": 0}', "entry '3' must be a finite number > 0, got 0"),
+            ('{"1": -0.3}', "entry '1' must be a finite number > 0, got -0.3"),
+            ('{"3": {"c": NaN}}', "entry '3' must be a finite number > 0, got nan"),
+            ('{"3": {"tau_us": 1.0}}', "entry '3' must be a finite number > 0, got None"),
+            ('{"3.5": 0.47}', "key '3.5' must be a chain size >= 1"),
+            ('{"0": 0.47}', "key '0' must be a chain size >= 1"),
+            ('{"-3": 0.47}', "key '-3' must be a chain size >= 1"),
+            ('{"x": 0.47}', "key 'x' must be a chain size >= 1"),
+            ("[0.47]", "must hold a JSON object, got list"),
+            ("{", "cannot parse c-constants file"),
+        ],
+    )
+    def test_bad_c_file_exits_2_naming_the_entry(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path)
+        cfile = tmp_path / "c.json"
+        cfile.write_text(text)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "gate", "--c-file", str(cfile)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_integral_numbers_and_booleans_are_read_exactly(self):

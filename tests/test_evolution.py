@@ -554,6 +554,19 @@ def full_space_branch_energy(seg, t_local, psi):
     return float(w[int(np.argmax(np.abs(v.conj().T @ psi)))])
 
 
+def record_fallback(monkeypatch):
+    """Rows of each call to the eigenvector fallback of ``branch_energies``."""
+    rows = []
+    dense = evolution._max_overlap_energies
+
+    def counting(h, phi):
+        rows.append(len(h))
+        return dense(h, phi)
+
+    monkeypatch.setattr(evolution, "_max_overlap_energies", counting)
+    return rows
+
+
 def segment_samples(run):
     """(segment engine, first and last sample index, segment start time) of
     both pulses; the boundary sample belongs to both."""
@@ -601,6 +614,37 @@ class TestEvenSectorBranchEnergies:
         assert len(idx) % 3 != 0
         chunked = seg.branch_energies(traj.times[idx] - start, states)
         assert np.array_equal(chunked, whole)
+
+    def test_equal_mix_of_two_branches_falls_back_to_dense(self, monkeypatch):
+        seg, _ = segments(5, reference_config(model=Model.FULL_VDW))
+        t = 0.4 * seg.pulse.tau
+        h = seg.hamiltonian.matrix(seg.pulse.omega(t), seg.pulse.delta(t))
+        w, v = np.linalg.eigh(h)
+        mix = (v[:, 2] + np.exp(0.7j) * v[:, 3]) / math.sqrt(2.0)
+        dense = evolution._max_overlap_energies(h[None], mix[None])[0]
+        rows = record_fallback(monkeypatch)
+        energies = seg.branch_energies(np.array([t, t]), np.array([np.exp(0.3j) * v[:, 2], mix]))
+        assert rows == [1]  # the eigenvector is settled by the bound, the mix is not
+        assert energies[0] == pytest.approx(w[2], rel=1e-12)
+        assert energies[1] == dense
+
+    @pytest.mark.parametrize("include_decay", [False, True])
+    def test_vdw_nu4_fallback_rows_match_dense_argmax(self, monkeypatch, include_decay):
+        cfg = reference_config(model=Model.FULL_VDW, include_decay=include_decay, gamma=mhz(0.05))
+        run = run_protocol(4, cfg, compute_phases=False)
+        traj = run.trajectory
+        dense_energies = evolution._max_overlap_energies
+        rows = record_fallback(monkeypatch)
+        for seg, lo, hi, start in segment_samples(run):
+            t = traj.times[lo : hi + 1] - start
+            states = traj.states[lo : hi + 1] @ seg.hamiltonian.u
+            energies = seg.branch_energies(t, states)
+            tc = np.clip(t, 0.0, seg.pulse.tau)
+            h = np.array([seg.hamiltonian.matrix(o, d) for o, d in zip(seg.pulse.omega(tc), seg.pulse.delta(tc))])
+            dense = dense_energies(h, states)
+            assert np.abs(energies - dense).max() <= 1e-12 * np.abs(dense).max()
+        # the even-nu AFM doublet: some rows, not all, need the eigenvectors
+        assert 0 < sum(rows) < len(traj.times) // 2
 
     @pytest.mark.parametrize("shift,raises", [(1e-13, False), (1e-9, True)])
     def test_interaction_must_be_mirror_symmetric(self, shift, raises):
