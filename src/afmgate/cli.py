@@ -244,16 +244,12 @@ def cmd_sweep(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> N
     n_list = args.n_list  # parsed by _check_arg_ranges
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_points)
     c_table = _c_table_for(n_list, cfg, _load_c_file(args.c_file))
-    rows: List[Sequence[object]] = []
+    points = sweep_tau(n_list, cfg, taus, c_table, jobs=args.jobs)
+    rows = [(p.n_atoms, p.tau, p.e_numeric, p.e_decay, p.e_leakage, p.e_model, p.fidelity) for p in points]
     summary: Dict[str, Dict[str, float]] = {}
     for n in n_list:
-        chain = replace(cfg.chain, n_atoms=n)
-        cfg_n = replace(cfg, chain=chain)
-        points = sweep_tau(n, cfg_n, taus, c_table, jobs=args.jobs)
-        for p in points:
-            rows.append((n, p.tau, p.e_numeric, p.e_decay, p.e_leakage, p.e_model, p.fidelity))
-        best = min(points, key=lambda p: p.e_numeric)
-        model = build_error_model(n, cfg_n, fitted_c=c_table)
+        best = min((p for p in points if p.n_atoms == n), key=lambda p: p.e_numeric)
+        model = build_error_model(n, replace(cfg, chain=replace(cfg.chain, n_atoms=n)), fitted_c=c_table)
         summary[str(n)] = {
             "tau_best_numeric_us": best.tau,
             "e_best_numeric": best.e_numeric,

@@ -15,7 +15,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -358,6 +358,7 @@ def build_error_model(
 
 @dataclass(frozen=True)
 class SweepPoint:
+    n_atoms: int
     tau: float
     e_numeric: float
     fidelity: float
@@ -384,6 +385,7 @@ def _sweep_chunk(args) -> list:
         e_dec = decay_error(n_atoms, gamma, run_cfg.tau_total)
         e_leak = leakage_error(n_atoms, c_table, run_cfg.pulse).full
         points.append(SweepPoint(
+            n_atoms=n_atoms,
             tau=tau,
             e_numeric=report.infidelity,
             fidelity=report.fidelity,
@@ -395,7 +397,7 @@ def _sweep_chunk(args) -> list:
 
 
 def sweep_tau(
-    n_atoms: int,
+    n_atoms: Union[int, Sequence[int]],
     cfg: ProtocolConfig,
     taus: Sequence[float],
     c_table: Mapping[int, float],
@@ -403,13 +405,27 @@ def sweep_tau(
 ) -> Tuple[SweepPoint, ...]:
     """Numeric infidelity versus pulse duration, alongside the analytic
     decay + leakage model (the data behind the error-vs-tau curves).
-    Each pulse duration runs at the default step tau / 4000.  The grid is
-    cut into fixed chunks of ``TAU_CHUNK`` durations, each propagated as
-    one state (``tau_batch_amplitudes``); ``jobs`` > 1 runs the chunks in
-    worker processes, with the same results in the same order."""
-    if n_atoms != cfg.chain.n_atoms:
-        raise ValueError(f"n_atoms = {n_atoms} disagrees with the config chain ({cfg.chain.n_atoms})")
-    tasks = [(n_atoms, cfg, chunk, dict(c_table)) for chunk in _tau_chunks([float(tau) for tau in taus])]
+
+    ``n_atoms`` is one chain length, which must agree with the config
+    chain, or a list of lengths, each run on the config with its chain
+    set to that length.  Each pulse duration runs at the default step
+    tau / 4000.  The grid is cut into fixed chunks of ``TAU_CHUNK``
+    durations, each propagated as one state (``tau_batch_amplitudes``);
+    every (length, chunk) pair is one task, and ``jobs`` > 1 runs the tasks
+    in worker processes, with the same results in the same order: length
+    by length, each in the order of ``taus``."""
+    if np.ndim(n_atoms) == 0:
+        if n_atoms != cfg.chain.n_atoms:
+            raise ValueError(f"n_atoms = {n_atoms} disagrees with the config chain ({cfg.chain.n_atoms})")
+        sizes = [n_atoms]
+    else:
+        sizes = list(n_atoms)
+    chunks = _tau_chunks([float(tau) for tau in taus])
+    tasks = [
+        (n, replace(cfg, chain=replace(cfg.chain, n_atoms=n)), chunk, dict(c_table))
+        for n in sizes
+        for chunk in chunks
+    ]
     return tuple(point for points in map_tasks(_sweep_chunk, tasks, jobs) for point in points)
 
 

@@ -5,20 +5,22 @@ Atoms move ballistically along the chain axis during the protocol
 sqrt(k_B T / m)), so every pair distance is linear in time, d0 + dv t, and
 the pairwise interactions are tabulated from it for a block of integrator
 evaluations at a time.  Each chunk of trials, with the frozen-chain
-baseline as one more row of the first chunk, is propagated once per
-distinct active-chain size: the input branches with equally many
-laser-coupled atoms share one batched state.  The residual |11>-branch
-phase and the fidelity loss against the baseline quantify the dephasing
-caused by imperfect cancellation between the two pulses.
+baseline as one more row of the first chunk, is propagated once: the
+active chains of the four input branches (nu = N-2, N-1, N-1, N) are the
+blocks of one direct-sum state, and each trial is one column.  The
+residual |11>-branch phase and the fidelity loss against the baseline
+quantify the dephasing caused by imperfect cancellation between the two
+pulses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .basis import build_full_basis
 from .config import ChainConfig, InteractionConfig, Model, ProtocolConfig
@@ -105,63 +107,62 @@ def _batch_branch_amplitudes(
     labels: Sequence[str],
     dt: Optional[float] = None,
 ) -> np.ndarray:
-    """Final ground-state amplitudes of input branches that share one
-    active-chain size, with moving atoms: a (trials, len(labels)) array for
-    the kinematic samples in the rows of ``offsets`` / ``velocities``.
+    """Final ground-state amplitudes of input branches with moving atoms: a
+    (trials, len(labels)) array for the kinematic samples in the rows of
+    ``offsets`` / ``velocities``.
 
-    Every (label, trial) pair is one column of a single batched state, so
-    one matrix product per RK4 stage serves them all.  Positions evolve
-    over absolute protocol time, so each pair distance is d0 + dv t and the
-    interaction diagonal of a block of evaluation times is one batched
-    product with the pair incidence; the sign flip of C6 in step II
-    multiplies every instantaneous pair strength by -lambda.  Decay enters
-    exactly as in ``run_protocol``: with ``cfg.include_decay`` the states
-    keep their physical norm decay, otherwise they are renormalized every
-    step.
+    The active chain of each label is one block of a single direct-sum
+    state (full basis: moving atoms break the mirror) and each trial one
+    column, so one propagation serves every (label, trial) pair.  Positions
+    evolve over absolute protocol time, so each pair distance is d0 + dv t
+    and the interaction diagonal of a block of evaluation times is one
+    product of the block-diagonal pair incidence with the pair strengths of
+    all blocks; the sign flip of C6 in step II multiplies every
+    instantaneous pair strength by -lambda.  Decay enters exactly as in
+    ``run_protocol``: with ``cfg.include_decay`` the states keep their
+    physical norm decay, otherwise they are normalised.
     """
     if cfg.model is not Model.FULL_VDW:
         raise ValueError("thermal motion requires the full van der Waals model")
-    atom_sets = [list(active_atoms(n_atoms, label)) for label in labels]
-    ham = ChainHamiltonian(cfg.model, build_full_basis(len(atom_sets[0])), cfg.interaction)
-    basis = ham.basis
+    atom_sets = [np.array(active_atoms(n_atoms, label)) for label in labels]
+    hams = [ChainHamiltonian(cfg.model, build_full_basis(len(atoms)), cfg.interaction) for atoms in atom_sets]
 
-    # one row per (label, trial), label-major
     trials = offsets.shape[0]
-    base = np.concatenate(
-        [cfg.chain.spacing * np.array(atoms)[None, :] + offsets[:, atoms] for atoms in atom_sets]
-    )  # (rows, nu)
-    vel = np.concatenate([velocities[:, atoms] for atoms in atom_sets])
-    for t_check in (0.0, cfg.tau_total):
-        bad = np.any(np.diff(base + vel * t_check, axis=1) <= 0.0, axis=1)
-        if np.any(bad):
-            rows = np.unique(np.flatnonzero(bad) % trials)
-            raise SampleRejected(f"atom ordering violated for batch rows {rows.tolist()}")
+    base = cfg.chain.spacing * np.arange(n_atoms)[None, :] + offsets  # (trials, n_atoms)
+    bad = np.zeros(trials, dtype=bool)
+    for atoms in atom_sets:
+        for t_check in (0.0, cfg.tau_total):
+            bad |= np.any(np.diff(base[:, atoms] + velocities[:, atoms] * t_check, axis=1) <= 0.0, axis=1)
+    if np.any(bad):
+        raise SampleRejected(f"atom ordering violated for batch rows {np.flatnonzero(bad).tolist()}")
 
-    inc = ham.incidence
-    ia = [p[0] for p in ham.pairs]
-    ib = [p[1] for p in ham.pairs]
-    d0 = (base[:, ib] - base[:, ia]).T  # (pairs, rows)
-    dv = (vel[:, ib] - vel[:, ia]).T
+    # the atoms of every block's pairs, concatenated; distances (pairs, trials)
+    pairs = [atoms[np.array(h.pairs, dtype=int).reshape(-1, 2)] for atoms, h in zip(atom_sets, hams)]
+    ia, ib = np.concatenate(pairs).T
+    d0 = (base[:, ib] - base[:, ia]).T
+    dv = (velocities[:, ib] - velocities[:, ia]).T
+    inc = block_diag(*(h.incidence for h in hams))  # (dim, pairs)
 
     def v_int_fn(c6: float) -> Callable[[np.ndarray], np.ndarray]:
         def v_int_at(t_abs: np.ndarray) -> np.ndarray:
-            d = d0 + dv * t_abs[:, None, None]  # (times, pairs, rows)
-            return inc @ (c6 / d**6)  # (times, dim, rows)
+            d = d0 + dv * t_abs[:, None, None]  # (times, pairs, trials)
+            return inc @ (c6 / d**6)  # (times, dim, trials)
 
         return v_int_at
 
     lam = cfg.interaction.lambda_ratio
     c6 = cfg.interaction.c6
-    segments = _protocol_segments([ham], cfg, v_int_fn_steps=(v_int_fn(c6), v_int_fn(-lam * c6)))
+    segments = _protocol_segments(hams, cfg, v_int_fn_steps=(v_int_fn(c6), v_int_fn(-lam * c6)))
     dt1 = dt if dt is not None else _thermal_dt(cfg)
     n_steps = _step_count(0.0, cfg.pulse.tau, dt1)
 
-    psi = np.zeros((basis.dim, base.shape[0]), dtype=complex)
-    psi[basis.index[0], :] = 1.0
+    ground = [chain.start + h.basis.index[0] for chain, h in zip(segments[0].chains, hams)]
+    psi = np.zeros((segments[0].chains[-1].stop, trials), dtype=complex)
+    psi[ground, :] = 1.0
     for seg, seg_dt in zip(segments, (dt1, dt1 / lam)):
         # stride = n_steps keeps only the segment's final state
         _, (psi,) = _run_segment(seg, psi, seg_dt, n_steps, n_steps, seg.gamma == 0.0)
-    return psi[basis.index[0], :].reshape(len(labels), trials).T.copy()
+    return psi[ground, :].T.copy()
 
 
 def _wrap_phase(x: float) -> float:
@@ -197,16 +198,10 @@ _BATCH_CHUNK = 64  # fixed so results do not depend on the worker count
 
 
 def _chunk_worker(args: Tuple[int, ProtocolConfig, np.ndarray, np.ndarray, float]) -> np.ndarray:
-    """(trials, 4) input-branch amplitudes of one chunk of kinematic samples:
-    one batched propagation per distinct active-chain size."""
+    """(trials, 4) input-branch amplitudes of one chunk of kinematic samples,
+    from one propagation."""
     n_atoms, cfg, offsets, velocities, dt = args
-    by_size: Dict[int, List[str]] = {}
-    for label in INPUT_LABELS:
-        by_size.setdefault(len(active_atoms(n_atoms, label)), []).append(label)
-    amps: Dict[str, np.ndarray] = {}
-    for labels in by_size.values():
-        amps.update(zip(labels, _batch_branch_amplitudes(n_atoms, cfg, offsets, velocities, labels, dt).T))
-    return np.stack([amps[label] for label in INPUT_LABELS], axis=1)
+    return _batch_branch_amplitudes(n_atoms, cfg, offsets, velocities, INPUT_LABELS, dt)
 
 
 def run_thermal_ensemble(

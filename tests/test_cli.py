@@ -188,6 +188,23 @@ class TestGateAndSweep:
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert "3" in summary
 
+    def test_sweep_runs_all_chain_sizes_in_one_pool(self, tmp_path, pool_sizes):
+        # one (N, chunk) task per chain size, mapped together
+        cfg = write_config(tmp_path)
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps(C_TABLE))
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out{jobs}"
+            rc = main(["--config", cfg, "--out", str(out), "--jobs", jobs, "sweep", "--n-list", "3,4",
+                       "--tau-points", "2", "--c-file", str(cfile)])
+            assert rc == EXIT_OK
+            outputs.append([(out / name).read_bytes() for name in ("sweep.csv", "sweep_summary.json")])
+        assert pool_sizes == [2]
+        assert outputs[0] == outputs[1]
+        _, rows = read_csv_rows(tmp_path / "out1" / "sweep.csv")
+        assert [row[0] for row in rows] == ["3", "3", "4", "4"]
+
     def test_decay_free_gate_reports_null_optimum(self, tmp_path):
         data = json.loads(json.dumps(CONFIG))
         del data["decay"]

@@ -263,6 +263,40 @@ class TestFusedStepper:
             assert np.abs(fused[:, col] - plain).max() < 1e-12
         assert np.abs(fused[:, 1] - fused[:, 0]).max() > 1e-6  # the columns really differ
 
+    def test_hermitian_samples_normalised_per_block_and_column(self):
+        # two chain blocks x 3 columns, each column with its own drifting
+        # interaction, sampled every 150 of 1000 steps: the running state
+        # is never rescaled, the samples are
+        cfg = reference_config(model=Model.FULL_VDW)
+        hams = [ChainHamiltonian(Model.FULL_VDW, build_full_basis(nu), cfg.interaction) for nu in (2, 3)]
+        v0 = np.concatenate([h.v for h in hams])
+        rates = np.array([0.0, 0.3, -0.2])
+
+        def v_int_at(t_abs):  # (times, dim, 3)
+            return v0[None, :, None] * (1.0 + rates[None, None, :] * t_abs[:, None, None])
+
+        seg, _ = _protocol_segments(hams, cfg, (v_int_at, v_int_at))
+        dt = cfg.pulse.tau / 1000
+        psi0 = np.zeros((seg.chains[-1].stop, 3), dtype=complex)
+        psi0[[c.start for c in seg.chains], :] = 1.0
+        _, samples = _run_segment(seg, psi0, dt, 1000, 150, renormalize=True)
+        steps = [150, 300, 450, 600, 750, 900, 1000]
+        assert len(samples) == len(steps)
+        for c, ham in zip(seg.chains, hams):
+            assert np.abs(np.linalg.norm(samples[:, c], axis=1) - 1.0).max() < 1e-14
+            for col in range(3):
+
+                def h_col(t):
+                    t = min(max(t, 0.0), seg.pulse.tau)
+                    v_col = v_int_at(np.array([t]))[0, c, col]
+                    return ham.matrix(seg.pulse.omega(t), seg.pulse.delta(t)) + np.diag(v_col - ham.v)
+
+                plain, done = psi0[c, col], 0
+                for sample, step in zip(samples, steps):
+                    plain = plain_rk4(lambda t, t0=done * dt: h_col(t0 + t), plain, dt, step - done, True)
+                    done = step
+                    assert np.abs(sample[c, col] - plain).max() < 1e-12
+
     @pytest.mark.parametrize("renormalize", [False, True])
     def test_non_contiguous_initial_state_gives_same_states(self, renormalize):
         cfg = reference_config(model=Model.FULL_VDW)

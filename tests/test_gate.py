@@ -325,3 +325,12 @@ class TestWorkerPool:
         taus = sweep_tau(5, reference_config(), grid, {}, jobs=10**6)
         assert taus == tuple(grid)
         assert pool_sizes == [2]
+
+    def test_sweep_tau_maps_every_size_and_chunk_in_one_pool(self, pool_sizes, monkeypatch):
+        # two chain sizes of two chunks each: four tasks, each on the config
+        # with its own chain length, results length by length
+        monkeypatch.setattr(gate, "_sweep_chunk", lambda task: [(task[0], task[1].chain.n_atoms, t) for t in task[2]])
+        grid = [0.5 + 0.1 * k for k in range(gate.TAU_CHUNK + 1)]
+        points = sweep_tau([5, 3], reference_config(), grid, {}, jobs=10**6)
+        assert points == tuple((n, n, tau) for n in (5, 3) for tau in grid)
+        assert pool_sizes == [4]

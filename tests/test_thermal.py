@@ -154,7 +154,7 @@ def thermal_draws(tcfg, n_atoms):
 
 
 class TestBatchedEnsemble:
-    """The grouped, baseline-carrying batches against separate runs."""
+    """The direct-sum, baseline-carrying chunks against separate runs."""
 
     def test_grouped_labels_match_single_label_batches(self):
         cfg = reference_config(n_atoms=5, model=Model.FULL_VDW, tau=0.4)
@@ -192,21 +192,36 @@ class TestBatchedEnsemble:
         assert np.abs(out[0] - separate).max() < 1e-12
         assert abs(rep.baseline_fidelity - fidelity_from_diag(3, separate)) < 1e-12
 
-    def test_one_propagation_per_chain_size(self, monkeypatch):
+    def test_one_propagation_per_chunk(self, monkeypatch):
         cfg = reference_config(n_atoms=5, model=Model.FULL_VDW, tau=0.4)
-        widths = []
+        calls = []
         real = thermal._run_segment
 
         def counting(engine, psi, *args):
-            widths.append((engine.basis.nu, psi.shape[1]))
+            calls.append(([h.basis.nu for h in engine.hamiltonians], psi.shape[1]))
             return real(engine, psi, *args)
 
         monkeypatch.setattr(thermal, "_run_segment", counting)
         rep = run_thermal_ensemble(5, cfg, ThermalConfig(temperature=1e-6, trials=16, seed=1))
         assert rep.trials == 16
-        # two segments each for nu = 3 ("00"), 4 ("01" + "10") and 5 ("11"),
-        # every batch carrying the baseline row
-        assert widths == [(3, 17), (3, 17), (4, 34), (4, 34), (5, 17), (5, 17)]
+        # one call per pulse: the chains of "00", "01", "10" and "11" are
+        # the blocks, the baseline and the 16 trials the columns
+        assert calls == [([3, 4, 4, 5], 17)] * 2
+
+    @pytest.mark.parametrize("n_atoms", [5, 6])
+    def test_direct_sum_chunk_matches_one_call_per_label(self, n_atoms):
+        cfg = reference_config(n_atoms=n_atoms, model=Model.FULL_VDW, tau=0.4)
+        offsets, velocities = thermal_draws(
+            ThermalConfig(temperature=4e-6, position_sigma=0.02, trials=3, seed=8), n_atoms
+        )
+        # the baseline as the first column, as in the first chunk of an ensemble
+        offsets, velocities = (np.concatenate([zero_rows(1, n_atoms), a]) for a in (offsets, velocities))
+        chunk = _chunk_worker((n_atoms, cfg, offsets, velocities, thermal._thermal_dt(cfg)))
+        assert chunk.shape == (4, 4)
+        for k, label in enumerate(INPUT_LABELS):
+            single = _batch_branch_amplitudes(n_atoms, cfg, offsets, velocities, (label,))[:, 0]
+            assert np.abs(chunk[:, k] - single).max() < 1e-12
+        assert np.abs(chunk[1:, 3] - chunk[0, 3]).min() > 1e-9  # the draws really move the atoms
 
 
 class TestEnsemble:
