@@ -186,10 +186,11 @@ class PulseProfile:
         value = self.delta0 * (2.0 * t / self.tau - 1.0)
         return value if isinstance(value, np.ndarray) else Frequency(value)
 
-    def time_at_delta(self, delta: float) -> float:
-        """Inverse of the linear sweep, clipped to the pulse window."""
+    def time_at_delta(self, delta):
+        """Inverse of the linear sweep, clipped to the pulse window, at a
+        float or an array of detunings (then an array of times)."""
         t = (delta / self.delta0 + 1.0) * self.tau / 2.0
-        return min(max(t, 0.0), self.tau)
+        return np.clip(t, 0.0, self.tau)
 
     def rescaled(self, lam: float) -> "PulseProfile":
         """Second-step pulse for B' = -lambda B: amplitudes scaled up by

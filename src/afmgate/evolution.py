@@ -3,14 +3,16 @@
 Fixed-step classical RK4 with midpoint Hamiltonian evaluations, in one
 segment stepper that every propagation goes through: a single state or a
 batch of states held as the columns of one array, over one chain or over
-the direct sum of several chain blocks driven by the same pulse.  The
-pulse is tabulated once per segment and the diagonal of -iH once per block
-of ``DIAG_BLOCK_STEPS`` steps.  The drive is real, so each RK4 stage makes
-one real matrix product on the float64 view (rows, 2 * batch) of the state
-per entry of ``_SegmentEngine.drives``: consecutive chain blocks share one
-block-diagonal drive while it has at most ``MERGED_DRIVE_ROWS`` rows (a
-gate's three chains up to N = 5 make one product, N = 6 and 7 two), and a
-one-chain engine keeps its own drive.  The -i Omega scaling, the stage states and the
+the direct sum of several chain blocks driven by the same pulse, or over
+the row-wise stack of two such engines with their own pulses and a shared
+step.  Each pulse is tabulated once per segment and the diagonal of -iH
+once per block of ``DIAG_BLOCK_STEPS`` steps.  The drive is real, so each
+RK4 stage makes one real matrix product on the float64 view
+(rows, 2 * batch) of the state per entry of ``_SegmentEngine.drives``:
+consecutive chain blocks share one block-diagonal drive while it has at
+most ``MERGED_DRIVE_ROWS`` rows (a gate's three chains up to N = 5 make
+one product, N = 6 and 7 two), and a one-chain engine keeps its own
+drive.  The -i Omega scaling (one per engine), the stage states and the
 update psi += dt/6 k1 + dt/3 k2 + dt/3 k3 + dt/6 k4 are level-1 BLAS calls
 (``zaxpy``, ``zcopy``) on the flat rows of one preallocated array;
 non-finite amplitudes are looked for once per segment, over its stored
@@ -26,7 +28,15 @@ propagates the chains of a gate (nu = N-2, N-1, N: one pulse, step and
 step count) as one concatenated state, and ``tau_batch_amplitudes``,
 which adds one copy of those blocks per pulse duration: the pulse is a
 function of t / tau, so each copy runs on the step grid of the first
-duration with its H scaled by tau / tau_ref.  A static chain is
+duration with its H scaled by tau / tau_ref.  These two need only
+<0...0| M_II M_I |0...0> for the RK4 matrices of the pulses.  -iH(t) is
+complex symmetric (a real symmetric drive, the rest diagonal), so the
+transpose of an RK4 step is the same step with its stages in reverse time
+order, and the amplitude is (M_II^T |0...0>)^T (M_I |0...0>): while pulse
+II keeps its norm decay, it runs from its end back to its start as more
+blocks of pulse I's state, in one loop of half the steps.  A renormalised
+(decay-free) pulse II needs the state after pulse I and runs after it,
+bitwise as ``run_protocol`` does.  A static chain is
 mirror-symmetric and starts in |0...0>, so all of these run on the
 inversion-even sectors (``ChainHamiltonian.sector``; 20 of 32 states at
 vdW nu = 5, 72 of 128 at nu = 7): each chain's operators are projected
@@ -56,7 +66,7 @@ from scipy.linalg.blas import zaxpy, zcopy
 
 from .basis import Basis, afm_manifold_masks, ordered_afm_masks
 from .config import Model, ProtocolConfig, PulseProfile, pulse_with_tau
-from .errors import PropagationError
+from .errors import ConfigError, PropagationError
 from .hamiltonian import ChainHamiltonian, model_basis
 
 OVERLAP_VALID_MIN = 0.1
@@ -144,6 +154,14 @@ class _SegmentEngine:
     ``scales`` (one per chain block, default 1) multiplies a block's drive,
     n_r and v, and so its decay: a protocol of duration tau run on the
     time grid of duration tau_ref has H scaled by tau / tau_ref.
+    ``rate`` is the pulse time that passes per unit of the stepper's time:
+    the engine tabulates its pulse at steps rate * dt and scales every block
+    by rate, so an engine can share the step of another one.  ``reverse``
+    takes the evaluations from the pulse end back to its start: -iH(t) is
+    complex symmetric (a real symmetric drive, the rest diagonal), so each
+    RK4 step of the reversed run is the transpose of the matching step of
+    the forward run, and the reversed run from |x> gives M^T |x> for the
+    forward run's matrix M.
     """
 
     def __init__(
@@ -154,9 +172,14 @@ class _SegmentEngine:
         v_int_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         t_abs_start: float = 0.0,
         scales: Optional[Sequence[float]] = None,
+        rate: float = 1.0,
+        reverse: bool = False,
     ):
         self.hamiltonians = tuple(hamiltonians)
-        self.scales = (1.0,) * len(self.hamiltonians) if scales is None else tuple(scales)
+        scales = (1.0,) * len(self.hamiltonians) if scales is None else scales
+        self.scales = tuple(rate * s for s in scales)
+        self.rate = rate
+        self.reverse = reverse
         self.pulse = pulse
         self.gamma = gamma
         self.v_int_fn = v_int_fn
@@ -206,19 +229,23 @@ class _SegmentEngine:
         return self.hamiltonian.basis
 
     def tables(self, dt: float, n_steps: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Local times of every RK4 evaluation of the segment, clamped into
-        the pulse window, with Omega and Delta there.
+        """Local times of every RK4 evaluation of the segment, at pulse
+        steps rate * dt and clamped into the pulse window, with Omega and
+        Delta there.
 
         Entry 2s is the start of step s (the end of step s - 1), entry
-        2s + 1 its midpoint.
+        2s + 1 its midpoint; a reversed engine lists the same entries from
+        the last one back.
         """
+        dt = dt * self.rate
         t = np.empty(2 * n_steps + 1)
         t[0] = 0.0
         starts = np.arange(n_steps) * dt
         t[1::2] = starts + 0.5 * dt
         t[2::2] = starts + dt
         np.clip(t, 0.0, self.pulse.tau, out=t)
-        return t, self.pulse.omega(t), self.pulse.delta(t)
+        tabs = t, self.pulse.omega(t), self.pulse.delta(t)
+        return tuple(a[::-1] for a in tabs) if self.reverse else tabs
 
     def diagonals(self, t_local: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """Diagonals of -iH at an array of tabulated local times and their
@@ -303,32 +330,41 @@ def _real(rows: np.ndarray) -> np.ndarray:
 
 
 def _run_segment(
-    engine: _SegmentEngine,
+    engines: _SegmentEngine | Tuple[_SegmentEngine, ...],
     psi0: np.ndarray,
     dt: float,
     n_steps: int,
     stride: int,
-    renormalize: bool,
+    renormalize: bool | Tuple[bool, ...],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """RK4 over one segment; returns the local times (excluding t=0) and
     the states of the samples taken every ``stride`` steps and at the
     segment end, as arrays (n_samples,) and (n_samples, *psi0.shape).
 
-    ``psi0`` is one state (dim,) or a batch of states as columns
-    (dim, batch), over one chain or the direct sum of the engine's chains.
-    The pulse is tabulated once for the segment, the complex diagonal d of
-    -iH once per block of ``DIAG_BLOCK_STEPS`` steps, and each derivative
-    is d * y - i Omega * (drive @ y), with one real product per entry of
-    ``engine.drives`` on the float64 views of y and of a scratch row.
-    ``renormalize`` normalises the stored samples, each chain block and
+    ``engines`` is one engine or a tuple of engines whose states are
+    stacked row-wise, each over one chain or the direct sum of its chains;
+    they share the step dt and the step count, and each has its own pulse
+    table, drive products and rows of the -iH diagonal (the sample times
+    are those of the first).  ``psi0`` is one state (rows,) or a batch of
+    states as columns (rows, batch).  Each pulse is tabulated once for the
+    segment, the complex diagonal d of -iH once per block of
+    ``DIAG_BLOCK_STEPS`` steps, and each derivative is
+    d * y - i Omega * (drive @ y), with one real product per entry of an
+    engine's ``drives`` on the float64 views of y and of a scratch row, and
+    one ``zaxpy`` per engine for its Omega.  ``renormalize`` (one flag, or
+    one per engine) normalises the stored samples, each chain block and
     within it each column of a batch; the running state is never rescaled
     (its norm drifts by 1.7e-4 over a 1500-step thermal pulse at N = 5 and
     9e-4 at N = 7), so the samples do not depend on the stride.  Raises
     PropagationError naming the time of the first sample that holds
     non-finite amplitudes.
     """
-    t_tab, om, dl = engine.tables(dt, n_steps)
-    scale = (-1j * om).tolist()  # Python complex: no numpy scalar boxed per BLAS call
+    engines = engines if isinstance(engines, tuple) else (engines,)
+    if not isinstance(renormalize, tuple):
+        renormalize = (renormalize,) * len(engines)
+    ends = np.cumsum([e.chains[-1].stop for e in engines]).tolist()
+    offsets = [0] + ends[:-1]
+    tabs = [e.tables(dt, n_steps) for e in engines]
     half = 0.5 * dt
     sixth = dt / 6.0
     third = dt / 3.0
@@ -342,24 +378,42 @@ def _run_segment(
     psi_r, k1_r, k2_r, k3_r, k4_r, y_r, dy_r = rows
     psi[...] = psi0
     size = rows.shape[1]
+    width = size // shape[0]  # flat entries per state row
 
     def products(src: np.ndarray) -> list:
         # drive @ src into dy on the real views, bound once so that each
         # product is one call with no argument parsing and no
         # array-function dispatch in the loop
-        return [partial(m.dot, _real(src[c]), _real(dy[c])) for c, m in engine.drives]
+        return [
+            partial(m.dot, _real(src[off + c.start : off + c.stop]), _real(dy[off + c.start : off + c.stop]))
+            for e, off in zip(engines, offsets)
+            for c, m in e.drives
+        ]
 
     drive_psi, drive_y = products(psi), products(y)
+    # the flat rows of each engine and its -i Omega at every evaluation, as
+    # Python complex: no numpy scalar boxed per BLAS call
+    spans = [(width * a, width * b, (-1j * om).tolist()) for a, b, (_, om, _) in zip(offsets, ends, tabs)]
+
+    def omega_terms(k_r: np.ndarray) -> list:
+        # k += -i Omega (drive @ y), one zaxpy per engine on its flat rows
+        return [(dy_r[a:b], k_r[a:b], b - a, scale) for a, b, scale in spans]
+
+    omega_k1, omega_k2, omega_k3, omega_k4 = (omega_terms(k) for k in (k1_r, k2_r, k3_r, k4_r))
+
+    def diagonals(lo: int, hi: int) -> np.ndarray:
+        parts = [e.diagonals(t[lo:hi], dl[lo:hi]) for e, (t, _, dl) in zip(engines, tabs)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     # samples after every stride-th step and after the last one
     sample_steps = np.minimum(np.arange(stride, n_steps + stride, stride), n_steps) - 1
     times = sample_steps * dt + dt
     # pin the final sample to the exact pulse end so segment boundaries
     # are found exactly downstream
-    times[-1] = engine.pulse.tau
+    times[-1] = engines[0].pulse.tau
     samples = np.empty((len(times),) + shape, dtype=complex)
 
-    d_end = engine.diagonals(t_tab[:1], dl[:1])[0]
+    d_end = diagonals(0, 1)[0]
     s = 0
     for step in range(n_steps):
         j = 2 * step
@@ -367,7 +421,7 @@ def _run_segment(
         if i == 0:
             # midpoints and ends of the next block of steps (the last block
             # may be shorter)
-            block = engine.diagonals(t_tab[j + 1 : j + 1 + block_len], dl[j + 1 : j + 1 + block_len])
+            block = diagonals(j + 1, j + 1 + block_len)
         d_start = d_end
         d_mid = block[i]
         d_end = block[i + 1]
@@ -378,25 +432,29 @@ def _run_segment(
         np.multiply(d_start, psi, k1)
         for product in drive_psi:
             product()
-        zaxpy(dy_r, k1_r, size, scale[j])
+        for dy_e, k_e, n_e, scale in omega_k1:
+            zaxpy(dy_e, k_e, n_e, scale[j])
         zcopy(psi_r, y_r)
         zaxpy(k1_r, y_r, size, half)
         np.multiply(d_mid, y, k2)
         for product in drive_y:
             product()
-        zaxpy(dy_r, k2_r, size, scale[j + 1])
+        for dy_e, k_e, n_e, scale in omega_k2:
+            zaxpy(dy_e, k_e, n_e, scale[j + 1])
         zcopy(psi_r, y_r)
         zaxpy(k2_r, y_r, size, half)
         np.multiply(d_mid, y, k3)
         for product in drive_y:
             product()
-        zaxpy(dy_r, k3_r, size, scale[j + 1])
+        for dy_e, k_e, n_e, scale in omega_k3:
+            zaxpy(dy_e, k_e, n_e, scale[j + 1])
         zcopy(psi_r, y_r)
         zaxpy(k3_r, y_r, size, dt)
         np.multiply(d_end, y, k4)
         for product in drive_y:
             product()
-        zaxpy(dy_r, k4_r, size, scale[j + 2])
+        for dy_e, k_e, n_e, scale in omega_k4:
+            zaxpy(dy_e, k_e, n_e, scale[j + 2])
         # psi += dt/6 k1 + dt/3 k2 + dt/3 k3 + dt/6 k4
         zaxpy(k1_r, psi_r, size, sixth)
         zaxpy(k2_r, psi_r, size, third)
@@ -406,17 +464,17 @@ def _run_segment(
             samples[s] = psi
             s += 1
 
-    if renormalize:
-        # RK4 on psi' = -iH psi is linear and block-diagonal over the chain
-        # blocks and the columns, so scaling a block's column commutes with
-        # every later step: normalising the samples gives the states of a
-        # run renormalised after every step, up to round-off.  Dividing by
-        # the largest amplitude first keeps the norm finite when a step too
-        # coarse for RK4 has grown the state past 1e154; a non-finite
-        # sample stays non-finite
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for c in engine.chains:
-                block = samples[:, c]
+    # RK4 on psi' = -iH psi is linear and block-diagonal over the chain
+    # blocks and the columns, so scaling a block's column commutes with
+    # every later step: normalising the samples gives the states of a run
+    # renormalised after every step, up to round-off.  Dividing by the
+    # largest amplitude first keeps the norm finite when a step too coarse
+    # for RK4 has grown the state past 1e154; a non-finite sample stays
+    # non-finite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for e, off, norm in zip(engines, offsets, renormalize):
+            for c in e.chains if norm else ():
+                block = samples[:, off + c.start : off + c.stop]
                 block /= np.abs(block).max(axis=1, keepdims=True)
                 block /= np.linalg.norm(block, axis=1, keepdims=True)
     finite = np.isfinite(samples).reshape(len(samples), -1).all(axis=1)
@@ -502,7 +560,7 @@ def _protocol_segments(
     of ``scales``, each copy with its H times that scale (a batch of pulse
     durations, see ``tau_batch_amplitudes``)."""
     if any(h.model is Model.PXP_PLUS_CORRECTIONS for h in hamiltonians):
-        raise ValueError("time propagation supports the PXP and full vdW models only")
+        raise ConfigError("time propagation supports the PXP and full vdW models only")
     lam = cfg.interaction.lambda_ratio
     pulse_1 = cfg.pulse
     pulse_2 = cfg.pulse.rescaled(lam)
@@ -518,13 +576,30 @@ def _protocol_segments(
     return seg1, seg2
 
 
+def _protocol_start(
+    nus: Sequence[int], cfg: ProtocolConfig, scales: Sequence[float]
+) -> Tuple[list, _SegmentEngine, _SegmentEngine, np.ndarray, int]:
+    """The full chain Hamiltonians of ``nus``, the engines of both pulses
+    over the even sectors of their direct sum (repeated once per entry of
+    ``scales``, as in ``_protocol_segments``), the initial state with each
+    block in its collective ground state, and the step count of a pulse."""
+    if any(nu < 1 for nu in nus):
+        raise ValueError(f"nu must be >= 1, got {min(nus)}")
+    if len(set(nus)) != len(nus):
+        raise ValueError(f"chain sizes must be distinct, got {list(nus)}")
+    hams = [ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction) for nu in nus]
+    seg1, seg2 = _protocol_segments(hams, cfg, scales=scales)
+    # |0...0> (basis state 0, its own mirror image) is each even sector's first column
+    psi = np.zeros(seg1.chains[-1].stop, dtype=complex)
+    psi[[chain.start for chain in seg1.chains]] = 1.0
+    return hams, seg1, seg2, psi, _step_count(0.0, cfg.pulse.tau, cfg.dt)
+
+
 def _propagate_protocol(
     nus: Sequence[int], cfg: ProtocolConfig, sampled: bool, scales: Sequence[float] = (1.0,)
 ) -> Tuple[_SegmentEngine, _SegmentEngine, np.ndarray, Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    """Both pulses on the even sectors of the chains ``nus`` held as one
-    direct-sum state (repeated once per entry of ``scales``, as in
-    ``_protocol_segments``), each block starting from its collective ground
-    state.
+    """Both pulses, one after the other, on the even sectors of the chains
+    ``nus`` held as one direct-sum state (see ``_protocol_start``).
 
     Returns the two engines, the initial state and the (local times,
     states) of each segment's samples, all on the sectors.  ``sampled``
@@ -532,19 +607,8 @@ def _propagate_protocol(
     small (set by the full chain Hamiltonians); otherwise only each
     segment's final state is kept.
     """
-    if any(nu < 1 for nu in nus):
-        raise ValueError(f"nu must be >= 1, got {min(nus)}")
-    if len(set(nus)) != len(nus):
-        raise ValueError(f"chain sizes must be distinct, got {list(nus)}")
-    hams = [ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction) for nu in nus]
-    seg1, seg2 = _protocol_segments(hams, cfg, scales=scales)
+    hams, seg1, seg2, psi, n1 = _protocol_start(nus, cfg, scales)
     lam = cfg.interaction.lambda_ratio
-
-    # |0...0> (basis state 0, its own mirror image) is each even sector's first column
-    psi = np.zeros(seg1.chains[-1].stop, dtype=complex)
-    psi[[chain.start for chain in seg1.chains]] = 1.0
-
-    n1 = _step_count(0.0, cfg.pulse.tau, cfg.dt)
     stride = n1
     if sampled:
         h_scale = max(
@@ -555,6 +619,32 @@ def _propagate_protocol(
     t1, s1 = _run_segment(seg1, psi, cfg.dt, n1, stride, seg1.gamma == 0.0)
     t2, s2 = _run_segment(seg2, s1[-1], cfg.dt / lam, n1, stride, seg2.gamma == 0.0)
     return seg1, seg2, psi, (t1, s1), (t2, s2)
+
+
+def _final_amplitudes(nus: Sequence[int], cfg: ProtocolConfig, scales: Sequence[float] = (1.0,)) -> np.ndarray:
+    """<0...0| M_II M_I |0...0> of each block of the direct sum of
+    ``_protocol_start``, in block order, for the RK4 matrices M_I and M_II
+    of the two pulses on the block's even sector.
+
+    While pulse II keeps its norm decay, the amplitude is
+    (M_II^T |0...0>)^T (M_I |0...0>), with no complex conjugate: pulse I
+    runs forward and pulse II transposed (``_SegmentEngine`` with
+    ``reverse``) as the blocks of one state in one loop of n steps, pulse
+    II at ``rate`` 1 / lambda so that both share the step of pulse I.  A
+    renormalised pulse II must start from the state after pulse I, so a
+    decay-free pulse II runs after it.
+    """
+    if not (cfg.include_decay and cfg.decay.gamma_rp > 0.0):
+        seg1, _, _, _, (_, states) = _propagate_protocol(nus, cfg, sampled=False, scales=scales)
+        return states[-1][[chain.start for chain in seg1.chains]]
+    _, seg1, seg2, psi, n1 = _protocol_start(nus, cfg, scales)
+    transposed = _SegmentEngine(
+        seg2.hamiltonians, seg2.pulse, seg2.gamma, t_abs_start=seg2.t_abs_start, scales=seg2.scales,
+        rate=1.0 / cfg.interaction.lambda_ratio, reverse=True,
+    )
+    renormalize = (seg1.gamma == 0.0, False)
+    _, (final,) = _run_segment((seg1, transposed), np.concatenate([psi, psi]), cfg.dt, n1, n1, renormalize)
+    return np.add.reduceat(final[: len(psi)] * final[len(psi) :], [chain.start for chain in seg1.chains])
 
 
 def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> ProtocolRun:
@@ -609,13 +699,12 @@ def ground_amplitudes(nus: Sequence[int], cfg: ProtocolConfig) -> Dict[int, comp
 
     The chains share the pulse, the step and the step count, so they are
     propagated together as one direct-sum state, and only each segment's
-    final state is kept.  |0...0> is the first column of each even sector,
-    so the amplitude is read there.  Each block matches its own
-    ``run_protocol`` to round-off (bitwise for a single chain).
+    final state is kept; with the norm decay of pulse II, pulse II runs
+    transposed in the loop of pulse I (``_final_amplitudes``).  Each block
+    matches its own ``run_protocol`` to round-off (bitwise for a single
+    decay-free chain).
     """
-    seg1, _, _, _, (_, states) = _propagate_protocol(nus, cfg, sampled=False)
-    final = states[-1]
-    return {nu: complex(final[chain.start]) for nu, chain in zip(nus, seg1.chains)}
+    return dict(zip(nus, _final_amplitudes(nus, cfg).tolist()))
 
 
 def tau_batch_amplitudes(nus: Sequence[int], cfg: ProtocolConfig, taus: Sequence[float]) -> np.ndarray:
@@ -632,8 +721,7 @@ def tau_batch_amplitudes(nus: Sequence[int], cfg: ProtocolConfig, taus: Sequence
     """
     taus = [float(tau) for tau in taus]
     ref = replace(cfg, pulse=pulse_with_tau(cfg.pulse, taus[0]), dt=None)
-    seg1, _, _, _, (_, states) = _propagate_protocol(nus, ref, sampled=False, scales=[t / taus[0] for t in taus])
-    return states[-1][[chain.start for chain in seg1.chains]].reshape(len(taus), len(nus))
+    return _final_amplitudes(nus, ref, [t / taus[0] for t in taus]).reshape(len(taus), len(nus))
 
 
 def _dynamical_phase(

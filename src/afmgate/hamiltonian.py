@@ -93,13 +93,14 @@ def pair_incidence(basis: Basis, pairs: Sequence[Tuple[int, int]]) -> np.ndarray
     return inc
 
 
-def level_shifts(omega: float, delta: float, b_nn: float) -> Tuple[float, float]:
+def level_shifts(omega, delta, b_nn: float) -> Tuple[float, float]:
     """Second-order shifts S_B and S_2B of a ground atom next to one or two
-    Rydberg atoms.  Raises near the shift singularities Delta = B, 2B."""
+    Rydberg atoms, at floats or at arrays of omega and delta (then arrays
+    of shifts).  Raises near the shift singularities Delta = B, 2B."""
     scale = abs(b_nn)
-    if abs(b_nn - delta) <= SHIFT_SINGULARITY_RTOL * scale or abs(
-        2.0 * b_nn - delta
-    ) <= SHIFT_SINGULARITY_RTOL * scale:
+    if np.any(np.abs(b_nn - delta) <= SHIFT_SINGULARITY_RTOL * scale) or np.any(
+        np.abs(2.0 * b_nn - delta) <= SHIFT_SINGULARITY_RTOL * scale
+    ):
         raise RegimeError(f"level shift singular at delta = {delta} for B = {b_nn}")
     s_b = omega**2 / (4.0 * (b_nn - delta))
     s_2b = omega**2 / (4.0 * (2.0 * b_nn - delta))
@@ -191,12 +192,18 @@ class ChainHamiltonian:
         out._set_interaction(interaction)
         return out
 
-    def matrix(self, omega: float, delta: float) -> np.ndarray:
-        """Dense real symmetric H at Rabi frequency omega and detuning delta."""
-        h = omega * self.drive + np.diag(-delta * self.n_r + self.v)
+    def matrix(self, omega, delta) -> np.ndarray:
+        """Dense real symmetric H at Rabi frequency omega and detuning
+        delta; arrays of k values of each give the stack (k, dim, dim)."""
+        omega, delta = np.asarray(omega), np.asarray(delta)
+        diag = np.arange(len(self.n_r))
+        h = omega[..., None, None] * self.drive
+        h[..., diag, diag] += -delta[..., None] * self.n_r + self.v
         if self.m1 is not None:
             s_b, s_2b = level_shifts(omega, delta, self.interaction.b_nn)
-            h -= s_b * self.m1 + np.diag(s_2b * self.m2)
+            shift = s_b[..., None, None] * self.m1
+            shift[..., diag, diag] += s_2b[..., None] * self.m2
+            h -= shift
         return h
 
     def time_derivative(self, omega: float, omega_dot: float, delta: float, delta_dot: float) -> np.ndarray:

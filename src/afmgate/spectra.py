@@ -26,6 +26,10 @@ from .hamiltonian import AfmManifoldModel, AfmMode, ChainHamiltonian, model_basi
 
 HERMITICITY_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-9  # in units of Omega0, for flagging undefined eta
+# Matrix entries of one stacked coarse-grid eigenproblem of ``min_gap``
+# (grid points per chunk times dim^2), 1 MB of float64: the 101-point grid
+# of a PXP chain up to nu = 7 (dim 34) is one chunk
+GAP_CHUNK_ENTRIES = 1 << 17
 
 
 class SymmetryLabel(Enum):
@@ -176,17 +180,19 @@ def min_gap(
         raise ValueError(f"basis of dim {ham.basis.dim} has no branch {partner}")
     k0 = partner - 1
 
-    def gap_at(delta: float) -> float:
+    def gaps_at(delta):
+        # a float, or an array of detunings solved as one stacked eigvalsh
         w = np.linalg.eigvalsh(ham.matrix(pulse.omega(pulse.time_at_delta(delta)), delta))
-        return float(w[k0] - w[0])
+        return w[..., k0] - w[..., 0]
 
     deltas = np.linspace(-abs(pulse.delta0), abs(pulse.delta0), coarse_points)
-    gaps = np.array([gap_at(d) for d in deltas])
+    chunk = max(1, GAP_CHUNK_ENTRIES // ham.basis.dim**2)
+    gaps = np.concatenate([gaps_at(deltas[lo : lo + chunk]) for lo in range(0, coarse_points, chunk)])
     i = int(np.argmin(gaps))
     if 0 < i < coarse_points - 1:
         res = minimize_scalar(
-            gap_at, bracket=(deltas[i - 1], deltas[i], deltas[i + 1]), method="golden",
-            options={"xtol": 1e-10},
+            lambda delta: float(gaps_at(delta)),
+            bracket=(deltas[i - 1], deltas[i], deltas[i + 1]), method="golden", options={"xtol": 1e-10},
         )
         d_min, g_min = float(res.x), float(res.fun)
     else:

@@ -357,6 +357,8 @@ class TestErrorHandling:
             (["evolve", "--nu", "11"], "dense matrix dimension 2048 exceeds"),
             (["spectrum", "--nu", "11"], "dense matrix dimension 2048 exceeds"),
             (["basis-dump", "--nu", "40"], "atom count 40 outside"),
+            (["--model", "corrections", "gate"], "time propagation supports the PXP and full vdW models"),
+            (["--model", "corrections", "evolve", "--nu", "3"], "time propagation supports the PXP and full vdW"),
         ],
     )
     def test_bad_input_exits_2_without_output_directory(self, tmp_path, capsys, argv, message):

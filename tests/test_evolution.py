@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 
 from afmgate import evolution
 from afmgate.basis import build_full_basis
-from afmgate.config import Model, PulseProfile, pulse_with_tau
+from afmgate.config import DecayConfig, Model, PulseProfile, pulse_with_tau
 from afmgate.errors import PropagationError
 from afmgate.evolution import (
     DIAG_BLOCK_STEPS,
@@ -721,9 +721,15 @@ class TestGroundAmplitudes:
     @pytest.mark.parametrize("include_decay", [False, True])
     @pytest.mark.parametrize("model,nu", [(Model.PXP, 5), (Model.FULL_VDW, 4)])
     def test_single_chain_bitwise_equal_to_run_protocol(self, model, nu, include_decay):
+        # bitwise while pulse II runs after pulse I (decay-free); with decay
+        # pulse II runs transposed, which reorders the round-off
         cfg = reference_config(model=model, include_decay=include_decay, gamma=mhz(0.05))
         amp = ground_amplitudes([nu], cfg)[nu]
-        assert amp == run_protocol(nu, cfg, compute_phases=False).ground_amplitude()
+        ref = run_protocol(nu, cfg, compute_phases=False).ground_amplitude()
+        if include_decay:
+            assert abs(amp - ref) < 1e-13
+        else:
+            assert amp == ref
 
     @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
     def test_hermitian_blocks_each_keep_unit_norm(self, model):
@@ -767,6 +773,129 @@ class TestGroundAmplitudes:
         psi[0, 0] = 1.0
         with pytest.raises(ValueError, match="2 chains"):
             seg1.branch_energies(np.array([0.5]), psi)
+
+
+def record_runs(monkeypatch):
+    """Record (engines, renormalize) of every ``_run_segment`` call, with a
+    single engine as a tuple of one."""
+    runs = []
+    real = evolution._run_segment
+
+    def recording(engines, psi0, dt, n_steps, stride, renormalize):
+        runs.append((engines if isinstance(engines, tuple) else (engines,), renormalize))
+        return real(engines, psi0, dt, n_steps, stride, renormalize)
+
+    monkeypatch.setattr(evolution, "_run_segment", recording)
+    return runs
+
+
+def decay_config(gamma_r, gamma_rp, **kwargs):
+    cfg = reference_config(include_decay=True, **kwargs)
+    return replace(cfg, decay=DecayConfig(gamma_r=gamma_r, gamma_rp=gamma_rp))
+
+
+class TestTransposedPulse:
+    """Pulse II run transposed, from its end, in the loop of pulse I: the
+    transpose of an RK4 step of -iH (complex symmetric) is the same step
+    with its stages in reverse time order."""
+
+    DIM = 6
+
+    def engine(self, reverse, rate=1.0):
+        """A one-chain engine on a random real symmetric drive, with the
+        decay and a time-dependent interaction in every column of a batch."""
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(self.DIM, self.DIM))
+        ham = SimpleNamespace(drive=a + a.T, n_r=rng.uniform(0.0, 2.0, self.DIM), v=rng.normal(size=self.DIM))
+        drift = rng.normal(size=self.DIM)
+
+        def v_int_at(t_abs):  # (times, dim, batch)
+            v = ham.v + 40.0 * drift * np.sin(3.0 * t_abs[:, None])
+            return np.repeat(v[:, :, None], self.DIM, axis=2)
+
+        pulse = PulseProfile(mhz(8.0), mhz(20.0), 0.4)
+        return _SegmentEngine(
+            [ham], pulse, gamma=mhz(1.0), v_int_fn=v_int_at, t_abs_start=0.3, rate=rate, reverse=reverse
+        )
+
+    @pytest.mark.parametrize("rate", [1.0, 0.6])
+    def test_reversed_run_matrix_is_the_transpose(self, rate):
+        fwd, rev = self.engine(False, rate), self.engine(True, rate)
+        n = 400
+        dt = fwd.pulse.tau / (rate * n)
+        eye = np.eye(self.DIM, dtype=complex)
+        # both runs as the stacked blocks of one state; each column of the
+        # batch starts from a basis vector, so each block ends as its run's
+        # matrix
+        _, (final,) = _run_segment((fwd, rev), np.vstack([eye, eye]), dt, n, n, (False, False))
+        m, m_rev = final[: self.DIM], final[self.DIM :]
+        assert np.abs(m).max() > 0.1 and np.abs(m - np.eye(self.DIM)).max() > 0.1  # not the identity
+        assert np.abs(m_rev - m.T).max() < 1e-13
+        assert np.abs(m_rev - m).max() > 1e-3  # the test has a non-symmetric M to tell apart
+        _, (alone,) = _run_segment(fwd, eye, dt, n, n, False)
+        assert np.abs(m - alone).max() < 1e-14
+
+    def test_reversed_tables_list_the_forward_evaluations_backwards(self):
+        fwd, rev = self.engine(False, 0.6), self.engine(True, 0.6)
+        for a, b in zip(fwd.tables(0.001, 50), rev.tables(0.001, 50)):
+            assert np.array_equal(a[::-1], b)
+        assert fwd.scales == (0.6,)
+
+    @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
+    @pytest.mark.parametrize("n_atoms", [3, 4, 5, 6, 7, 8])
+    def test_decay_on_gate_matches_per_chain_runs(self, n_atoms, model, monkeypatch):
+        # lambda = 1 is TestGroundAmplitudes::test_direct_sum_matches_per_chain_runs
+        lam = 1.7
+        cfg = reference_config(n_atoms=n_atoms, model=model, include_decay=True, gamma=mhz(0.05), lambda_ratio=lam)
+        nus = [n_atoms - 2, n_atoms - 1, n_atoms]
+        runs = record_runs(monkeypatch)
+        amps = ground_amplitudes(nus, cfg)
+        (engines, renormalize), = runs
+        assert [e.reverse for e in engines] == [False, True] and renormalize == (False, False)
+        assert engines[1].rate == 1.0 / lam
+        for nu in nus:
+            ref = run_protocol(nu, cfg, compute_phases=False).ground_amplitude()
+            assert abs(amps[nu] - ref) < 1e-13
+
+    @pytest.mark.parametrize("model,nu", [(Model.PXP, 5), (Model.FULL_VDW, 4)])
+    def test_decay_free_pulse_one_is_normalised_in_the_joint_run(self, model, nu, monkeypatch):
+        cfg = decay_config(0.0, mhz(0.05), model=model, lambda_ratio=1.7)
+        runs = record_runs(monkeypatch)
+        amps = ground_amplitudes([nu, nu + 1], cfg)
+        (engines, renormalize), = runs
+        assert len(engines) == 2 and renormalize == (True, False)
+        for k in (nu, nu + 1):
+            ref = run_protocol(k, cfg, compute_phases=False).ground_amplitude()
+            assert abs(amps[k] - ref) < 1e-13
+        # pulse II's decay is the only loss
+        assert 0.0 < 1.0 - abs(amps[nu]) < 0.2
+
+    @pytest.mark.parametrize("model,nu", [(Model.PXP, 5), (Model.FULL_VDW, 4)])
+    def test_decay_free_pulse_two_runs_after_pulse_one(self, model, nu, monkeypatch):
+        cfg = decay_config(mhz(0.05), 0.0, model=model)
+        runs = record_runs(monkeypatch)
+        amp = ground_amplitudes([nu], cfg)[nu]
+        assert [(len(engines), norm) for engines, norm in runs] == [(1, False), (1, True)]
+        assert amp == run_protocol(nu, cfg, compute_phases=False).ground_amplitude()
+
+    @pytest.mark.parametrize("lam", [1.0, 1.7])
+    @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
+    def test_decay_on_tau_batch_matches_per_tau_runs(self, model, lam):
+        cfg = reference_config(model=model, include_decay=True, gamma=mhz(0.05), lambda_ratio=lam)
+        nus = [3, 4, 5]
+        taus = [0.6, 1.3, 2.1]
+        amps = tau_batch_amplitudes(nus, cfg, taus)
+        for tau, row in zip(taus, amps):
+            run_cfg = replace(cfg, pulse=pulse_with_tau(cfg.pulse, tau), dt=None)
+            ref = [run_protocol(nu, run_cfg, compute_phases=False).ground_amplitude() for nu in nus]
+            assert np.abs(row - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("gamma_r,gamma_rp", [(1e6, mhz(0.05)), (0.0, 1e6)])
+    def test_blow_up_in_either_half_raises(self, gamma_r, gamma_rp):
+        # a decay rate far beyond RK4's stability bound at the default step
+        cfg = decay_config(gamma_r, gamma_rp, model=Model.PXP)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(PropagationError, match="non-finite"):
+            ground_amplitudes([3, 4], cfg)
 
 
 class TestTauBatch:

@@ -9,6 +9,7 @@ from afmgate.basis import apply_inversion, build_blockade_basis, sector_isometry
 from afmgate.config import InteractionConfig, Model, PulseProfile
 from afmgate.hamiltonian import AfmMode, ChainHamiltonian, build_afm_effective, model_basis
 from afmgate.spectra import (
+    GapReport,
     SymmetryLabel,
     afm_analytic_spectrum,
     eig_sorted,
@@ -267,6 +268,55 @@ class TestMinGap:
         kappas = np.array([min_gap(int(nu), pulse).kappa for nu in nus])
         p = -np.polyfit(np.log(nus), np.log(kappas), 1)[0]
         assert 0.0 < p < 1.0
+
+
+def per_point_min_gap(nu, pulse, model, interaction, coarse_points=101):
+    """``min_gap`` with one ``eigvalsh`` per coarse grid point: the path the
+    stacked coarse grid replaced."""
+    from scipy.optimize import minimize_scalar
+
+    ham = ChainHamiltonian(model, model_basis(model, nu), interaction)
+    partner = wrong_parity_partner(nu)
+
+    def gap_at(delta):
+        w = np.linalg.eigvalsh(ham.matrix(pulse.omega(pulse.time_at_delta(delta)), delta))
+        return float(w[partner - 1] - w[0])
+
+    deltas = np.linspace(-abs(pulse.delta0), abs(pulse.delta0), coarse_points)
+    gaps = np.array([gap_at(d) for d in deltas])
+    i = int(np.argmin(gaps))
+    if 0 < i < coarse_points - 1:
+        res = minimize_scalar(gap_at, bracket=(deltas[i - 1], deltas[i], deltas[i + 1]), method="golden",
+                              options={"xtol": 1e-10})
+        d_min, g_min = float(res.x), float(res.fun)
+    else:
+        d_min, g_min = float(deltas[i]), float(gaps[i])
+    return GapReport(nu=nu, delta_at_min=d_min, gap=g_min, kappa=g_min / abs(pulse.omega0), partner_index=partner)
+
+
+class TestStackedGapGrid:
+    """``min_gap`` solves its coarse grid as stacked eigenproblems, in
+    chunks of ``GAP_CHUNK_ENTRIES`` matrix entries."""
+
+    # vdW nu = 7 (dim 128) takes 8 grid points per chunk
+    CASES = ([(Model.PXP, nu) for nu in (1, 3, 4, 6, 7)] + [(Model.FULL_VDW, nu) for nu in (3, 4, 5, 7)]
+             + [(Model.PXP_PLUS_CORRECTIONS, nu) for nu in (3, 5, 6)])
+
+    @pytest.mark.parametrize("model,nu", CASES)
+    def test_report_bitwise_equal_to_per_point_path(self, pulse, model, nu):
+        inter = InteractionConfig.from_nn_strength(B_NN, SPACING)
+        assert min_gap(nu, pulse, model, inter) == per_point_min_gap(nu, pulse, model, inter)
+
+    def test_stacked_matrices_equal_per_point_matrices(self, pulse):
+        inter = InteractionConfig.from_nn_strength(B_NN, SPACING)
+        deltas = np.linspace(-DELTA0, DELTA0, 7)
+        omegas = pulse.omega(pulse.time_at_delta(deltas))
+        for model in Model:
+            ham = ChainHamiltonian(model, model_basis(model, 4), inter)
+            stack = ham.matrix(omegas, deltas)
+            assert stack.shape == (7, ham.basis.dim, ham.basis.dim)
+            for h, om, de in zip(stack, omegas, deltas):
+                assert np.array_equal(h, ham.matrix(float(om), float(de)))
 
 
 class TestAfmAnalyticSpectrum:
