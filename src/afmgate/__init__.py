@@ -21,7 +21,7 @@ from .config import (
 )
 from .evolution import PhaseRecord, Trajectory, ground_amplitudes, parity_roundtrip_check, run_protocol
 from .gate import GateReport, assemble_gate, average_fidelity, fit_c_nu, optimal_tau
-from .spectra import GapReport, SpectrumScan, eig_sorted, min_gap, scan_spectrum
+from .spectra import GapReport, SpectrumScan, min_gap, scan_spectrum
 from .thermal import ThermalConfig, ThermalReport, run_thermal_ensemble
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "average_fidelity",
     "build_blockade_basis",
     "build_full_basis",
-    "eig_sorted",
     "fit_c_nu",
     "ground_amplitudes",
     "load_config",

@@ -118,12 +118,6 @@ def _resolved_params(cfg: ProtocolConfig, **extra) -> Dict[str, object]:
     return params
 
 
-def _apply_model_override(cfg: ProtocolConfig, model: Optional[str]) -> ProtocolConfig:
-    if model is None:
-        return cfg
-    return replace(cfg, model=Model(model))
-
-
 def cmd_spectrum(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> None:
     nu = args.nu if args.nu is not None else cfg.chain.n_atoms
     interaction = None if cfg.model is Model.PXP else cfg.interaction
@@ -269,7 +263,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> N
 def cmd_thermal(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> None:
     if args.tau_us is not None:
         cfg = replace(cfg, pulse=pulse_with_tau(cfg.pulse, args.tau_us), dt=None)
-    cfg = replace(cfg, model=Model.FULL_VDW, include_decay=False)
+    cfg = replace(cfg, include_decay=False)
     tcfg = ThermalConfig(
         temperature=args.temp_uk * 1e-6,
         position_sigma=args.position_sigma_um,
@@ -471,7 +465,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.config is None:
                 raise ConfigError(f"command '{args.command}' requires --config")
             cfg = load_config(args.config)
-            cfg = _apply_model_override(cfg, args.model)
+            if args.model is not None:  # the one place a command's model is set
+                cfg = replace(cfg, model=Model(args.model))
         out_dir.mkdir(parents=True, exist_ok=True)
         _HANDLERS[args.command](args, cfg, out_dir)
         _write_manifest(args, out_dir)

@@ -22,28 +22,32 @@ real norm errors): the step is linear and block-diagonal, so this equals
 renormalising after every step up to round-off, with no norm in the
 loop.  Non-Hermitian runs keep the physical norm decay.
 
-One driver serves ``run_protocol`` (one chain, with its sampled
-trajectory), ``ground_amplitudes`` (final amplitudes only), which
-propagates the chains of a gate (nu = N-2, N-1, N: one pulse, step and
-step count) as one concatenated state, and ``tau_batch_amplitudes``,
-which adds one copy of those blocks per pulse duration: the pulse is a
+One protocol driver serves ``run_protocol`` (one chain, with its sampled
+trajectory) and ``final_amplitudes``, the one place that runs the two
+pulses for final amplitudes only.  That serves ``ground_amplitudes``,
+which propagates the chains of a gate (nu = N-2, N-1, N: one pulse, step
+and step count) as one concatenated state, ``tau_batch_amplitudes``,
+which adds one copy of those blocks per pulse duration (the pulse is a
 function of t / tau, so each copy runs on the step grid of the first
-duration with its H scaled by tau / tau_ref.  These two need only
-<0...0| M_II M_I |0...0> for the RK4 matrices of the pulses.  -iH(t) is
-complex symmetric (a real symmetric drive, the rest diagonal), so the
-transpose of an RK4 step is the same step with its stages in reverse time
-order, and the amplitude is (M_II^T |0...0>)^T (M_I |0...0>): while pulse
-II keeps its norm decay, it runs from its end back to its start as more
-blocks of pulse I's state, in one loop of half the steps.  A renormalised
-(decay-free) pulse II needs the state after pulse I and runs after it,
-bitwise as ``run_protocol`` does.  A static chain is
-mirror-symmetric and starts in |0...0>, so all of these run on the
-inversion-even sectors (``ChainHamiltonian.sector``; 20 of 32 states at
-vdW nu = 5, 72 of 128 at nu = 7): each chain's operators are projected
-once per pulse, a Hamiltonian that breaks the mirror raises there, and
-``run_protocol`` maps its samples back to the full basis.  Moving atoms
-break the mirror, so a thermal chunk keeps the full basis: the chains of
-its input branches as the blocks of one direct sum, one column per trial.
+duration with its H scaled by tau / tau_ref), and the thermal chunks of
+``thermal``, whose chains take a per-trial interaction, one column per
+trial.  These need only <0...0| M_II M_I |0...0> for the RK4 matrices of
+the pulses.  -iH(t) is complex symmetric (a real symmetric drive, the
+rest diagonal), so the transpose of an RK4 step is the same step with its
+stages in reverse time order, and the amplitude is
+(M_II^T |0...0>)^T (M_I |0...0>): while pulse II keeps its norm decay, it
+runs from its end back to its start as more blocks of pulse I's state, in
+one loop of half the steps.  A renormalised (decay-free) pulse II needs
+the state after pulse I and runs after it, bitwise as ``run_protocol``
+does.  A static chain is mirror-symmetric and starts in |0...0>, so
+static chains run on the inversion-even sectors
+(``ChainHamiltonian.sector``; 20 of 32 states at vdW nu = 5, 72 of 128 at
+nu = 7): each chain's operators are projected once per pulse, a
+Hamiltonian that breaks the mirror raises there, and ``run_protocol``
+maps its samples back to the full basis.  Moving atoms break the mirror,
+so a thermal chunk keeps the full basis; its per-trial interaction is
+diagonal, so -iH stays complex symmetric and, with decay, pulse II runs
+transposed as in a gate.
 
 The dynamical phase integrates the energy of the branch that holds the
 state.  Each chunk of stored samples runs one stacked real ``eigvalsh`` of
@@ -92,6 +96,8 @@ MERGED_DRIVE_ROWS = 64
 # calls cost time (the phase record of its first pulse takes 0.18 s at
 # 2^12 against 0.12-0.13 s from 2^14 to 2^17)
 PHASE_CHUNK_ENTRIES = 1 << 15
+# Per-trial interaction diagonals at an array of absolute protocol times
+VIntFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +158,9 @@ class _SegmentEngine:
     real (k, dim, batch) diagonals, one column per trial, and the excitation
     counts are kept as a column to broadcast against the batch.
     ``scales`` (one per chain block, default 1) multiplies a block's drive,
-    n_r and v, and so its decay: a protocol of duration tau run on the
-    time grid of duration tau_ref has H scaled by tau / tau_ref.
+    n_r and v (or its per-trial interaction), and so its decay: a protocol
+    of duration tau run on the time grid of duration tau_ref has H scaled
+    by tau / tau_ref.
     ``rate`` is the pulse time that passes per unit of the stepper's time:
     the engine tabulates its pulse at steps rate * dt and scales every block
     by rate, so an engine can share the step of another one.  ``reverse``
@@ -187,6 +194,9 @@ class _SegmentEngine:
         self.v = np.concatenate([s * h.v for h, s in zip(self.hamiltonians, self.scales)])
         n_r = np.concatenate([s * h.n_r for h, s in zip(self.hamiltonians, self.scales)])
         self._n_r = n_r if v_int_fn is None else n_r[:, None]
+        # a per-trial interaction takes the block scales row by row
+        scaled = v_int_fn is not None and any(s != 1.0 for s in self.scales)
+        self._v_int_scale = np.repeat(self.scales, [len(h.n_r) for h in self.hamiltonians])[:, None] if scaled else None
         # -iH = -i Omega drive - (Gamma / 2) n_r + i (Delta n_r - v)
         self._decay_rate = -0.5 * gamma * self._n_r if gamma else 0.0
 
@@ -253,6 +263,8 @@ class _SegmentEngine:
         per-trial interaction.  Real and imaginary parts are written into
         one complex buffer."""
         v = self.v if self.v_int_fn is None else self.v_int_fn(self.t_abs_start + t_local)
+        if self._v_int_scale is not None:
+            v = v * self._v_int_scale
         delta_n_r = delta.reshape((-1,) + (1,) * self._n_r.ndim) * self._n_r
         out = np.empty(np.broadcast_shapes(delta_n_r.shape, v.shape), dtype=complex)
         out.real = self._decay_rate
@@ -549,7 +561,7 @@ class ProtocolRun:
 def _protocol_segments(
     hamiltonians: Sequence[ChainHamiltonian],
     cfg: ProtocolConfig,
-    v_int_fn_steps: Optional[Tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]] = None,
+    v_int_fn_steps: Optional[Tuple[VIntFn, VIntFn]] = None,
     scales: Sequence[float] = (1.0,),
 ) -> Tuple[_SegmentEngine, _SegmentEngine]:
     """Engines of the two pulses over the direct sum of ``hamiltonians``:
@@ -576,55 +588,61 @@ def _protocol_segments(
     return seg1, seg2
 
 
-def _protocol_start(
-    nus: Sequence[int], cfg: ProtocolConfig, scales: Sequence[float]
-) -> Tuple[list, _SegmentEngine, _SegmentEngine, np.ndarray, int]:
-    """The full chain Hamiltonians of ``nus``, the engines of both pulses
-    over the even sectors of their direct sum (repeated once per entry of
-    ``scales``, as in ``_protocol_segments``), the initial state with each
-    block in its collective ground state, and the step count of a pulse."""
-    if any(nu < 1 for nu in nus):
-        raise ValueError(f"nu must be >= 1, got {min(nus)}")
+def _chain_hamiltonians(nus: Sequence[int], cfg: ProtocolConfig) -> list:
+    """The full chain Hamiltonians of the distinct chain sizes ``nus``, in
+    the model and interaction of ``cfg``; the basis builders refuse nu < 1."""
     if len(set(nus)) != len(nus):
         raise ValueError(f"chain sizes must be distinct, got {list(nus)}")
-    hams = [ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction) for nu in nus]
-    seg1, seg2 = _protocol_segments(hams, cfg, scales=scales)
-    # |0...0> (basis state 0, its own mirror image) is each even sector's first column
-    psi = np.zeros(seg1.chains[-1].stop, dtype=complex)
+    return [ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction) for nu in nus]
+
+
+def _protocol_start(
+    hamiltonians: Sequence[ChainHamiltonian], cfg: ProtocolConfig, scales: Sequence[float] = (1.0,),
+    v_int_fn_steps: Optional[Tuple[VIntFn, VIntFn]] = None, columns: Optional[int] = None,
+) -> Tuple[_SegmentEngine, _SegmentEngine, np.ndarray, int]:
+    """The engines of both pulses over the direct sum of ``hamiltonians``
+    (see ``_protocol_segments``), the initial state with each block in its
+    collective ground state, as one state or as ``columns`` equal columns,
+    and the step count of a pulse."""
+    seg1, seg2 = _protocol_segments(hamiltonians, cfg, v_int_fn_steps, scales)
+    # |0...0> (basis state 0, its own mirror image) is the first row of an
+    # even sector and of a full basis alike
+    rows = seg1.chains[-1].stop
+    psi = np.zeros(rows if columns is None else (rows, columns), dtype=complex)
     psi[[chain.start for chain in seg1.chains]] = 1.0
-    return hams, seg1, seg2, psi, _step_count(0.0, cfg.pulse.tau, cfg.dt)
+    return seg1, seg2, psi, _step_count(0.0, cfg.pulse.tau, cfg.dt)
 
 
 def _propagate_protocol(
-    nus: Sequence[int], cfg: ProtocolConfig, sampled: bool, scales: Sequence[float] = (1.0,)
+    hamiltonians: Sequence[ChainHamiltonian], cfg: ProtocolConfig, stride: Optional[int] = None,
+    scales: Sequence[float] = (1.0,), v_int_fn_steps: Optional[Tuple[VIntFn, VIntFn]] = None,
+    columns: Optional[int] = None,
 ) -> Tuple[_SegmentEngine, _SegmentEngine, np.ndarray, Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    """Both pulses, one after the other, on the even sectors of the chains
-    ``nus`` held as one direct-sum state (see ``_protocol_start``).
+    """Both pulses, one after the other, over the direct sum of
+    ``hamiltonians`` held as one state (see ``_protocol_start``).
 
     Returns the two engines, the initial state and the (local times,
-    states) of each segment's samples, all on the sectors.  ``sampled``
-    stores samples at the stride that keeps per-sample phase increments
-    small (set by the full chain Hamiltonians); otherwise only each
-    segment's final state is kept.
+    states) of each segment's samples, in the space the engines propagate.
+    Samples are stored every ``stride`` steps and at the segment end; with
+    no stride only each segment's final state is kept.
     """
-    hams, seg1, seg2, psi, n1 = _protocol_start(nus, cfg, scales)
-    lam = cfg.interaction.lambda_ratio
-    stride = n1
-    if sampled:
-        h_scale = max(
-            float(h.basis.nu * (abs(cfg.pulse.delta0) + abs(cfg.pulse.omega0)) * max(1.0, lam) + np.abs(h.v).max())
-            for h in hams
-        )
-        stride = _default_stride(h_scale, cfg.dt, n1)
+    seg1, seg2, psi, n1 = _protocol_start(hamiltonians, cfg, scales, v_int_fn_steps, columns)
+    stride = n1 if stride is None else stride
     t1, s1 = _run_segment(seg1, psi, cfg.dt, n1, stride, seg1.gamma == 0.0)
-    t2, s2 = _run_segment(seg2, s1[-1], cfg.dt / lam, n1, stride, seg2.gamma == 0.0)
+    t2, s2 = _run_segment(seg2, s1[-1], cfg.dt / cfg.interaction.lambda_ratio, n1, stride, seg2.gamma == 0.0)
     return seg1, seg2, psi, (t1, s1), (t2, s2)
 
 
-def _final_amplitudes(nus: Sequence[int], cfg: ProtocolConfig, scales: Sequence[float] = (1.0,)) -> np.ndarray:
+def final_amplitudes(
+    hamiltonians: Sequence[ChainHamiltonian], cfg: ProtocolConfig, scales: Sequence[float] = (1.0,),
+    v_int_fn_steps: Optional[Tuple[VIntFn, VIntFn]] = None, columns: Optional[int] = None,
+) -> np.ndarray:
     """<0...0| M_II M_I |0...0> of each block of the direct sum of
     ``_protocol_start``, in block order, for the RK4 matrices M_I and M_II
-    of the two pulses on the block's even sector.
+    of the two pulses on the block's space: one entry per block, or a
+    (blocks, columns) array with ``columns`` and the per-trial
+    interactions ``v_int_fn_steps`` of moving atoms.  The one driver of
+    final amplitudes: gates, pulse-duration batches and thermal chunks.
 
     While pulse II keeps its norm decay, the amplitude is
     (M_II^T |0...0>)^T (M_I |0...0>), with no complex conjugate: pulse I
@@ -635,11 +653,11 @@ def _final_amplitudes(nus: Sequence[int], cfg: ProtocolConfig, scales: Sequence[
     decay-free pulse II runs after it.
     """
     if not (cfg.include_decay and cfg.decay.gamma_rp > 0.0):
-        seg1, _, _, _, (_, states) = _propagate_protocol(nus, cfg, sampled=False, scales=scales)
+        seg1, _, _, _, (_, states) = _propagate_protocol(hamiltonians, cfg, None, scales, v_int_fn_steps, columns)
         return states[-1][[chain.start for chain in seg1.chains]]
-    _, seg1, seg2, psi, n1 = _protocol_start(nus, cfg, scales)
+    seg1, seg2, psi, n1 = _protocol_start(hamiltonians, cfg, scales, v_int_fn_steps, columns)
     transposed = _SegmentEngine(
-        seg2.hamiltonians, seg2.pulse, seg2.gamma, t_abs_start=seg2.t_abs_start, scales=seg2.scales,
+        seg2.hamiltonians, seg2.pulse, seg2.gamma, seg2.v_int_fn, seg2.t_abs_start, seg2.scales,
         rate=1.0 / cfg.interaction.lambda_ratio, reverse=True,
     )
     renormalize = (seg1.gamma == 0.0, False)
@@ -657,7 +675,11 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
     adiabatic branch (the lowest branch during step I and the highest
     during step II when the transfer works as designed).
     """
-    seg1, seg2, psi, (t1, s1), (t2, s2) = _propagate_protocol([nu], cfg, sampled=True)
+    (ham,) = hams = _chain_hamiltonians([nu], cfg)
+    lam = cfg.interaction.lambda_ratio
+    h_scale = float(nu * (abs(cfg.pulse.delta0) + abs(cfg.pulse.omega0)) * max(1.0, lam) + np.abs(ham.v).max())
+    stride = _default_stride(h_scale, cfg.dt, _step_count(0.0, cfg.pulse.tau, cfg.dt))
+    seg1, seg2, psi, (t1, s1), (t2, s2) = _propagate_protocol(hams, cfg, stride)
     basis = seg1.basis
     sector_arr = np.concatenate([psi[None], s1, s2])
     state_arr = sector_arr @ seg1.hamiltonian.u.T
@@ -689,7 +711,7 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
         trajectory=traj,
         phases=phases,
         segments=(seg1, seg2),
-        boundaries=(0.0, tau1, tau1 + cfg.pulse.tau / cfg.interaction.lambda_ratio),
+        boundaries=(0.0, tau1, tau1 + cfg.pulse.tau / lam),
     )
 
 
@@ -700,11 +722,11 @@ def ground_amplitudes(nus: Sequence[int], cfg: ProtocolConfig) -> Dict[int, comp
     The chains share the pulse, the step and the step count, so they are
     propagated together as one direct-sum state, and only each segment's
     final state is kept; with the norm decay of pulse II, pulse II runs
-    transposed in the loop of pulse I (``_final_amplitudes``).  Each block
+    transposed in the loop of pulse I (``final_amplitudes``).  Each block
     matches its own ``run_protocol`` to round-off (bitwise for a single
     decay-free chain).
     """
-    return dict(zip(nus, _final_amplitudes(nus, cfg).tolist()))
+    return dict(zip(nus, final_amplitudes(_chain_hamiltonians(nus, cfg), cfg).tolist()))
 
 
 def tau_batch_amplitudes(nus: Sequence[int], cfg: ProtocolConfig, taus: Sequence[float]) -> np.ndarray:
@@ -721,7 +743,8 @@ def tau_batch_amplitudes(nus: Sequence[int], cfg: ProtocolConfig, taus: Sequence
     """
     taus = [float(tau) for tau in taus]
     ref = replace(cfg, pulse=pulse_with_tau(cfg.pulse, taus[0]), dt=None)
-    return _final_amplitudes(nus, ref, [t / taus[0] for t in taus]).reshape(len(taus), len(nus))
+    scales = [t / taus[0] for t in taus]
+    return final_amplitudes(_chain_hamiltonians(nus, ref), ref, scales).reshape(len(taus), len(nus))
 
 
 def _dynamical_phase(

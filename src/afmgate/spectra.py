@@ -24,7 +24,6 @@ from .config import InteractionConfig, Model, PulseProfile
 from .errors import RegimeError
 from .hamiltonian import AfmManifoldModel, AfmMode, ChainHamiltonian, model_basis
 
-HERMITICITY_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-9  # in units of Omega0, for flagging undefined eta
 # Matrix entries of one stacked coarse-grid eigenproblem of ``min_gap``
 # (grid points per chunk times dim^2), 1 MB of float64: the 101-point grid
@@ -35,16 +34,6 @@ GAP_CHUNK_ENTRIES = 1 << 17
 class SymmetryLabel(Enum):
     SYMMETRIC = "S"
     ANTISYMMETRIC = "A"
-
-
-def eig_sorted(h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a
-    Hermitian matrix.  Raises on non-Hermitian input (defect max |H - H^dag|
-    above HERMITICITY_RTOL relative to max |H|)."""
-    h = np.asarray(h, dtype=complex)
-    if np.abs(h - h.conj().T).max() > HERMITICITY_RTOL * np.abs(h).max():
-        raise ValueError("eig_sorted requires a Hermitian matrix")
-    return np.linalg.eigh(h)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,9 +5,11 @@ Atoms move ballistically along the chain axis during the protocol
 sqrt(k_B T / m)), so every pair distance is linear in time, d0 + dv t, and
 the pairwise interactions are tabulated from it for a block of integrator
 evaluations at a time.  Each chunk of trials, with the frozen-chain
-baseline as one more row of the first chunk, is propagated once: the
+baseline as one more row of the first chunk, is propagated once by
+``evolution.final_amplitudes``, the two-pulse driver of the gates: the
 active chains of the four input branches (nu = N-2, N-1, N-1, N) are the
-blocks of one direct-sum state, and each trial is one column.  The
+blocks of one direct-sum state, and each trial is one column.  With decay
+on, pulse II runs transposed in the loop of pulse I, as in a gate.  The
 residual |11>-branch phase and the fidelity loss against the baseline
 quantify the dephasing caused by imperfect cancellation between the two
 pulses.
@@ -16,16 +18,17 @@ pulses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import block_diag
 
 from .basis import build_full_basis
 from .config import ChainConfig, InteractionConfig, Model, ProtocolConfig
-from .errors import SampleRejected
-from .evolution import _protocol_segments, _run_segment, _step_count
+from .errors import ConfigError, SampleRejected
+from .evolution import final_amplitudes
 from .gate import INPUT_LABELS, active_atoms, fidelity_from_diag, map_tasks
 from .hamiltonian import ChainHamiltonian
 from .units import M_RB87, thermal_velocity
@@ -99,6 +102,13 @@ def _thermal_dt(cfg: ProtocolConfig) -> float:
     return cfg.pulse.tau / DT_STEPS_THERMAL
 
 
+def _stays_ordered(x0: np.ndarray, velocities: np.ndarray, t_end: float) -> np.ndarray:
+    """Whether each row's ballistic positions x0 + v t (um, um/us) increase
+    along the row over 0 <= t <= t_end: the distances are linear in t, so
+    both ends decide."""
+    return np.all([np.diff(x0 + velocities * t, axis=1) > 0.0 for t in (0.0, t_end)], axis=(0, 2))
+
+
 def _batch_branch_amplitudes(
     n_atoms: int,
     cfg: ProtocolConfig,
@@ -113,28 +123,26 @@ def _batch_branch_amplitudes(
 
     The active chain of each label is one block of a single direct-sum
     state (full basis: moving atoms break the mirror) and each trial one
-    column, so one propagation serves every (label, trial) pair.  Positions
-    evolve over absolute protocol time, so each pair distance is d0 + dv t
-    and the interaction diagonal of a block of evaluation times is one
-    product of the block-diagonal pair incidence with the pair strengths of
-    all blocks; the sign flip of C6 in step II multiplies every
-    instantaneous pair strength by -lambda.  Decay enters exactly as in
-    ``run_protocol``: with ``cfg.include_decay`` the states keep their
-    physical norm decay, otherwise they are normalised.
+    column, propagated by ``evolution.final_amplitudes``, so one call
+    serves every (label, trial) pair.  Positions evolve over absolute
+    protocol time, so each pair distance is d0 + dv t and the interaction
+    diagonal of a block of evaluation times is one product of the
+    block-diagonal pair incidence with the pair strengths of all blocks;
+    the sign flip of C6 in step II multiplies every instantaneous pair
+    strength by -lambda.  Decay enters exactly as in ``run_protocol``: with
+    ``cfg.include_decay`` the states keep their physical norm decay (and
+    pulse II runs transposed in the loop of pulse I), otherwise they are
+    normalised.  Raises ConfigError for a model other than full vdW.
     """
     if cfg.model is not Model.FULL_VDW:
-        raise ValueError("thermal motion requires the full van der Waals model")
+        raise ConfigError("thermal motion requires the full van der Waals model")
     atom_sets = [np.array(active_atoms(n_atoms, label)) for label in labels]
     hams = [ChainHamiltonian(cfg.model, build_full_basis(len(atoms)), cfg.interaction) for atoms in atom_sets]
 
-    trials = offsets.shape[0]
     base = cfg.chain.spacing * np.arange(n_atoms)[None, :] + offsets  # (trials, n_atoms)
-    bad = np.zeros(trials, dtype=bool)
-    for atoms in atom_sets:
-        for t_check in (0.0, cfg.tau_total):
-            bad |= np.any(np.diff(base[:, atoms] + velocities[:, atoms] * t_check, axis=1) <= 0.0, axis=1)
-    if np.any(bad):
-        raise SampleRejected(f"atom ordering violated for batch rows {np.flatnonzero(bad).tolist()}")
+    ok = np.all([_stays_ordered(base[:, atoms], velocities[:, atoms], cfg.tau_total) for atoms in atom_sets], axis=0)
+    if not np.all(ok):
+        raise SampleRejected(f"atom ordering violated for batch rows {np.flatnonzero(~ok).tolist()}")
 
     # the atoms of every block's pairs, concatenated; distances (pairs, trials)
     pairs = [atoms[np.array(h.pairs, dtype=int).reshape(-1, 2)] for atoms, h in zip(atom_sets, hams)]
@@ -143,26 +151,14 @@ def _batch_branch_amplitudes(
     dv = (velocities[:, ib] - velocities[:, ia]).T
     inc = block_diag(*(h.incidence for h in hams))  # (dim, pairs)
 
-    def v_int_fn(c6: float) -> Callable[[np.ndarray], np.ndarray]:
-        def v_int_at(t_abs: np.ndarray) -> np.ndarray:
-            d = d0 + dv * t_abs[:, None, None]  # (times, pairs, trials)
-            return inc @ (c6 / d**6)  # (times, dim, trials)
+    def v_int_at(c6: float, t_abs: np.ndarray) -> np.ndarray:
+        d = d0 + dv * t_abs[:, None, None]  # (times, pairs, trials)
+        return inc @ (c6 / d**6)  # (times, dim, trials)
 
-        return v_int_at
-
-    lam = cfg.interaction.lambda_ratio
     c6 = cfg.interaction.c6
-    segments = _protocol_segments(hams, cfg, v_int_fn_steps=(v_int_fn(c6), v_int_fn(-lam * c6)))
+    v_int_fn_steps = (partial(v_int_at, c6), partial(v_int_at, -cfg.interaction.lambda_ratio * c6))
     dt1 = dt if dt is not None else _thermal_dt(cfg)
-    n_steps = _step_count(0.0, cfg.pulse.tau, dt1)
-
-    ground = [chain.start + h.basis.index[0] for chain, h in zip(segments[0].chains, hams)]
-    psi = np.zeros((segments[0].chains[-1].stop, trials), dtype=complex)
-    psi[ground, :] = 1.0
-    for seg, seg_dt in zip(segments, (dt1, dt1 / lam)):
-        # stride = n_steps keeps only the segment's final state
-        _, (psi,) = _run_segment(seg, psi, seg_dt, n_steps, n_steps, seg.gamma == 0.0)
-    return psi[ground, :].T.copy()
+    return final_amplitudes(hams, replace(cfg, dt=dt1), v_int_fn_steps=v_int_fn_steps, columns=len(offsets)).T
 
 
 def _wrap_phase(x: float) -> float:
@@ -224,10 +220,7 @@ def run_thermal_ensemble(
     velocities = np.stack([d.velocities for d in draws])
 
     # ballistic trajectories must keep the chain ordered over the protocol
-    ok = np.ones(tcfg.trials, dtype=bool)
-    for t_check in (0.0, cfg.tau_total):
-        x = cfg.chain.spacing * np.arange(n_atoms)[None, :] + offsets + velocities * t_check
-        ok &= np.all(np.diff(x, axis=1) > 0.0, axis=1)
+    ok = _stays_ordered(cfg.chain.spacing * np.arange(n_atoms)[None, :] + offsets, velocities, cfg.tau_total)
     rejected = int(np.sum(~ok))
     if not np.any(ok):
         raise SampleRejected("all thermal samples were rejected")

@@ -359,6 +359,8 @@ class TestErrorHandling:
             (["basis-dump", "--nu", "40"], "atom count 40 outside"),
             (["--model", "corrections", "gate"], "time propagation supports the PXP and full vdW models"),
             (["--model", "corrections", "evolve", "--nu", "3"], "time propagation supports the PXP and full vdW"),
+            (["--model", "pxp", "thermal"], "thermal motion requires the full van der Waals model"),
+            (["--model", "corrections", "thermal"], "thermal motion requires the full van der Waals model"),
         ],
     )
     def test_bad_input_exits_2_without_output_directory(self, tmp_path, capsys, argv, message):

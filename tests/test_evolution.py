@@ -23,6 +23,7 @@ from afmgate.evolution import (
     _run_segment,
     _SegmentEngine,
     MERGED_DRIVE_ROWS,
+    _chain_hamiltonians,
     _step_count,
     ground_amplitudes,
     parity_roundtrip_check,
@@ -733,7 +734,8 @@ class TestGroundAmplitudes:
 
     @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
     def test_hermitian_blocks_each_keep_unit_norm(self, model):
-        seg1, _, _, _, (_, states) = _propagate_protocol([3, 4, 5], reference_config(model=model), sampled=False)
+        cfg = reference_config(model=model)
+        seg1, _, _, _, (_, states) = _propagate_protocol(_chain_hamiltonians([3, 4, 5], cfg), cfg)
         final = states[-1]
         assert len(seg1.chains) == 3 and seg1.chains[-1].stop == len(final)
         for chain in seg1.chains:
@@ -918,7 +920,8 @@ class TestTauBatch:
             assert np.abs(row - [ref[nu] for nu in nus]).max() < 1e-12
 
     def test_hermitian_blocks_each_keep_unit_norm(self):
-        seg1, _, _, _, (_, states) = _propagate_protocol([1, 2, 3], reference_config(model=Model.PXP), False, [1.0, 2.2, 0.7])
+        cfg = reference_config(model=Model.PXP)
+        seg1, _, _, _, (_, states) = _propagate_protocol(_chain_hamiltonians([1, 2, 3], cfg), cfg, None, [1.0, 2.2, 0.7])
         assert len(seg1.chains) == 9
         for chain in seg1.chains:
             assert abs(np.linalg.norm(states[-1][chain]) - 1.0) < 1e-14

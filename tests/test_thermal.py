@@ -6,10 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from afmgate import gate, thermal
-from afmgate.config import Model
+from afmgate import evolution, gate, thermal
+from afmgate.config import DecayConfig, Model
 from afmgate.errors import SampleRejected
-from afmgate.evolution import run_protocol
+from afmgate.evolution import _protocol_segments, _run_segment, _step_count, run_protocol
 from afmgate.gate import INPUT_LABELS, active_atoms, fidelity_from_diag
 from afmgate.thermal import (
     ThermalConfig,
@@ -19,7 +19,7 @@ from afmgate.thermal import (
     run_thermal_ensemble,
     sample_kinematics,
 )
-from afmgate.units import thermal_velocity
+from afmgate.units import mhz, thermal_velocity
 
 from conftest import reference_config
 
@@ -195,18 +195,33 @@ class TestBatchedEnsemble:
     def test_one_propagation_per_chunk(self, monkeypatch):
         cfg = reference_config(n_atoms=5, model=Model.FULL_VDW, tau=0.4)
         calls = []
-        real = thermal._run_segment
+        real = evolution._run_segment
 
         def counting(engine, psi, *args):
             calls.append(([h.basis.nu for h in engine.hamiltonians], psi.shape[1]))
             return real(engine, psi, *args)
 
-        monkeypatch.setattr(thermal, "_run_segment", counting)
+        monkeypatch.setattr(evolution, "_run_segment", counting)
         rep = run_thermal_ensemble(5, cfg, ThermalConfig(temperature=1e-6, trials=16, seed=1))
         assert rep.trials == 16
         # one call per pulse: the chains of "00", "01", "10" and "11" are
         # the blocks, the baseline and the 16 trials the columns
         assert calls == [([3, 4, 4, 5], 17)] * 2
+
+    def test_one_joint_propagation_per_chunk_with_decay(self, monkeypatch):
+        cfg = reference_config(n_atoms=5, model=Model.FULL_VDW, tau=0.4, include_decay=True)
+        calls = []
+        real = evolution._run_segment
+
+        def counting(engines, psi, *args):
+            calls.append(([([h.basis.nu for h in e.hamiltonians], e.reverse) for e in engines], psi.shape[1]))
+            return real(engines, psi, *args)
+
+        monkeypatch.setattr(evolution, "_run_segment", counting)
+        rep = run_thermal_ensemble(5, cfg, ThermalConfig(temperature=1e-6, trials=16, seed=1))
+        assert rep.trials == 16
+        # one call for both pulses: pulse I forward, pulse II transposed
+        assert calls == [([([3, 4, 4, 5], False), ([3, 4, 4, 5], True)], 17)]
 
     @pytest.mark.parametrize("n_atoms", [5, 6])
     def test_direct_sum_chunk_matches_one_call_per_label(self, n_atoms):
@@ -222,6 +237,65 @@ class TestBatchedEnsemble:
             single = _batch_branch_amplitudes(n_atoms, cfg, offsets, velocities, (label,))[:, 0]
             assert np.abs(chunk[:, k] - single).max() < 1e-12
         assert np.abs(chunk[1:, 3] - chunk[0, 3]).min() > 1e-9  # the draws really move the atoms
+
+
+def sequential_amplitudes(hams, cfg, v_int_fn_steps, columns):
+    """(columns, blocks) final ground amplitudes of a thermal chunk with
+    both pulses run one after the other, as two ``_run_segment`` calls on
+    the full bases."""
+    seg1, seg2 = _protocol_segments(hams, cfg, v_int_fn_steps)
+    n = _step_count(0.0, cfg.pulse.tau, cfg.dt)
+    ground = [chain.start + h.basis.index[0] for chain, h in zip(seg1.chains, hams)]
+    psi = np.zeros((seg1.chains[-1].stop, columns), dtype=complex)
+    psi[ground, :] = 1.0
+    for seg, dt in zip((seg1, seg2), (cfg.dt, cfg.dt / cfg.interaction.lambda_ratio)):
+        _, (psi,) = _run_segment(seg, psi, dt, n, n, seg.gamma == 0.0)
+    return psi[ground, :].T
+
+
+class TestDriverPath:
+    """Thermal chunks through ``evolution.final_amplitudes`` against both
+    pulses run in sequence on the same chains and moving atoms."""
+
+    def chunk(self, n_atoms, cfg, monkeypatch):
+        """The amplitudes of one chunk of three moving-atom trials and their
+        sequential reference."""
+        tcfg = ThermalConfig(temperature=4e-6, position_sigma=0.02, trials=3, seed=8)
+        offsets, velocities = thermal_draws(tcfg, n_atoms)
+        calls = []
+        real = thermal.final_amplitudes
+
+        def recording(hams, run_cfg, **kwargs):
+            calls.append((hams, run_cfg, kwargs))
+            return real(hams, run_cfg, **kwargs)
+
+        monkeypatch.setattr(thermal, "final_amplitudes", recording)
+        amps = _batch_branch_amplitudes(n_atoms, cfg, offsets, velocities, INPUT_LABELS)
+        (hams, run_cfg, kwargs), = calls
+        ref = sequential_amplitudes(hams, run_cfg, kwargs["v_int_fn_steps"], kwargs["columns"])
+        assert amps.shape == ref.shape == (3, 4)
+        return amps, ref
+
+    @pytest.mark.parametrize("lam", [1.0, 1.7])
+    @pytest.mark.parametrize("n_atoms", [3, 5, 7])
+    def test_decay_on_matches_sequential_pulses(self, n_atoms, lam, monkeypatch):
+        cfg = reference_config(n_atoms=n_atoms, tau=0.4, include_decay=True, gamma=mhz(0.05), lambda_ratio=lam)
+        amps, ref = self.chunk(n_atoms, cfg, monkeypatch)
+        assert np.abs(amps - ref).max() < 1e-13
+        assert np.abs(amps).max() < 1.0 - 1e-3  # the decay shows
+
+    @pytest.mark.parametrize("n_atoms", [3, 5, 7])
+    def test_decay_in_pulse_two_only_matches_sequential_pulses(self, n_atoms, monkeypatch):
+        cfg = reference_config(n_atoms=n_atoms, tau=0.4, include_decay=True, lambda_ratio=1.7)
+        cfg = replace(cfg, decay=DecayConfig(gamma_r=0.0, gamma_rp=mhz(0.05)))
+        amps, ref = self.chunk(n_atoms, cfg, monkeypatch)
+        assert np.abs(amps - ref).max() < 1e-13
+        assert np.abs(amps).max() < 1.0 - 1e-3
+
+    @pytest.mark.parametrize("n_atoms", [3, 5, 7])
+    def test_decay_free_bitwise_equal_to_sequential_pulses(self, n_atoms, monkeypatch):
+        amps, ref = self.chunk(n_atoms, reference_config(n_atoms=n_atoms, tau=0.4), monkeypatch)
+        assert np.array_equal(amps, ref)
 
 
 class TestEnsemble:
