@@ -3,7 +3,9 @@
 A basis state is a plain int bitmask over the ``nu`` active atoms: bit i set
 means atom i is in the Rydberg state |r>.  Bit 0 is the leftmost atom.  The
 blockade-constrained basis keeps only masks with no two adjacent bits set;
-its size is the Fibonacci number F_{nu+2}.
+its size is the Fibonacci number F_{nu+2}.  Operators on a basis are built
+from its ascending mask array, so the blockade rule lives only here: a flip
+couples two states exactly when both masks are in the basis.
 """
 
 from __future__ import annotations
@@ -50,15 +52,18 @@ def blockade_allowed(mask: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """Ordered set of configurations with an index lookup table."""
+    """Ordered set of configurations with an index lookup table and the
+    states as an int64 array ``masks``."""
 
     nu: int
     states: Tuple[int, ...]
     constrained: bool
     index: Dict[int, int] = field(init=False, repr=False)
+    masks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "index", {s: k for k, s in enumerate(self.states)})
+        object.__setattr__(self, "masks", np.array(self.states, dtype=np.int64))
 
     @property
     def dim(self) -> int:
@@ -83,6 +88,16 @@ def build_full_basis(nu: int) -> Basis:
     return Basis(nu=nu, states=tuple(range(1 << nu)), constrained=False)
 
 
+def flip_pairs(masks: np.ndarray, pattern: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Index pairs (k, kt) with ``masks[kt] == masks[k] ^ pattern`` in an
+    ascending mask array: every flip of the bits in ``pattern`` that stays
+    in the basis, each pair in both orders."""
+    flipped = masks ^ pattern
+    kt = np.minimum(np.searchsorted(masks, flipped), len(masks) - 1)
+    k = np.flatnonzero(masks[kt] == flipped)
+    return k, kt[k]
+
+
 def inversion_permutation(basis: Basis) -> np.ndarray:
     """Index of the mirror image of every basis state: ``perm[k]`` is the
     index of ``apply_inversion(basis.states[k], nu)``.  An involution.
@@ -90,7 +105,7 @@ def inversion_permutation(basis: Basis) -> np.ndarray:
     The bit reversal runs over all masks at once; the lookup relies on the
     states being ascending, as both builders produce them.
     """
-    s = np.array(basis.states, dtype=np.int64)
+    s = basis.masks
     rev = np.zeros_like(s)
     for i in range(basis.nu):
         rev |= (s >> i & 1) << (basis.nu - 1 - i)

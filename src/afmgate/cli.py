@@ -426,6 +426,9 @@ _ARG_RANGES = (
     (("transfer-error",), "b_prime_mhz", "--b-prime-mhz", None),
     (("transfer-error",), "omega_sd_mhz", "--omega-sd-mhz", None),
 )
+# pulse durations, which must be > 0 (refused here, before a sweep fits
+# any constant)
+_DURATION_FLAGS = {"--tau-min", "--tau-max", "--tau-us"}
 # (command, comma-separated integer list argument, flag, smallest legal
 # entry, whether entries must be odd); parsed into a list of ints
 _LIST_ARGS = (
@@ -442,6 +445,8 @@ def _check_arg_ranges(args: argparse.Namespace) -> None:
             raise ConfigError(f"{flag} must be finite, got {value}")
         if value is not None and minimum is not None and not value >= minimum:
             raise ConfigError(f"{flag} must be >= {minimum}, got {value}")
+        if value is not None and flag in _DURATION_FLAGS and not value > 0.0:
+            raise ConfigError(f"{flag} must be > 0, got {value}")
     for command, name, flag, minimum, odd in _LIST_ARGS:
         if args.command == command:
             try:

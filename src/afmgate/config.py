@@ -18,7 +18,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .units import Frequency, mhz
+from .units import mhz
 
 # Flat-top envelope: hard-coded eighth-power super-Gaussian with the
 # documented default width ratio sigma = 0.385 tau.
@@ -91,16 +91,16 @@ class InteractionConfig:
         return cls(b_nn * spacing**6, spacing, lambda_ratio, range_cutoff)
 
     @property
-    def b_nn(self) -> Frequency:
+    def b_nn(self) -> float:
         """Nearest-neighbour interaction B = C6 / a^6."""
-        return Frequency(self.c6 / self.spacing**6)
+        return self.c6 / self.spacing**6
 
     @property
-    def b_nnn(self) -> Frequency:
+    def b_nnn(self) -> float:
         """Next-nearest-neighbour interaction B2 = B / 2^6."""
-        return Frequency(self.b_nn / 64.0)
+        return self.b_nn / 64.0
 
-    def pair_strength(self, i: int, j: int) -> Frequency:
+    def pair_strength(self, i: int, j: int) -> float:
         """Interaction of sites ``i`` and ``j``: B / |i-j|^6, 0 beyond cutoff."""
         if i == j:
             raise ValueError(f"self-interaction is undefined (i = j = {i})")
@@ -108,8 +108,8 @@ class InteractionConfig:
             raise ValueError(f"site indices must be non-negative, got ({i}, {j})")
         d = abs(i - j)
         if self.range_cutoff is not None and d > self.range_cutoff:
-            return Frequency(0.0)
-        return Frequency(self.b_nn / d**6)
+            return 0.0
+        return self.b_nn / d**6
 
     def flipped(self) -> "InteractionConfig":
         """Second-step interaction C6' = -lambda * C6."""
@@ -164,7 +164,7 @@ class PulseProfile:
         u = (t - self.tau / 2.0) / self.sigma
         raw = (np.exp(-np.power(u, ENVELOPE_EXPONENT)) - off) / (1.0 - off)
         value = self.omega0 * np.maximum(raw, 0.0)
-        return value if isinstance(value, np.ndarray) else Frequency(value)
+        return value if isinstance(value, np.ndarray) else float(value)
 
     def omega_dot(self, t: float) -> float:
         """Analytic d Omega/dt, used by the non-adiabatic coupling diagnostics."""
@@ -184,7 +184,7 @@ class PulseProfile:
         """
         self._check_time(t)
         value = self.delta0 * (2.0 * t / self.tau - 1.0)
-        return value if isinstance(value, np.ndarray) else Frequency(value)
+        return value if isinstance(value, np.ndarray) else float(value)
 
     def time_at_delta(self, delta):
         """Inverse of the linear sweep, clipped to the pulse window, at a

@@ -71,7 +71,7 @@ from scipy.linalg.blas import zaxpy, zcopy
 from .basis import Basis, afm_manifold_masks, ordered_afm_masks
 from .config import Model, ProtocolConfig, PulseProfile, pulse_with_tau
 from .errors import ConfigError, PropagationError
-from .hamiltonian import ChainHamiltonian, model_basis
+from .hamiltonian import ChainHamiltonian, ladder_modes, model_basis
 
 OVERLAP_VALID_MIN = 0.1
 PHASE_SAMPLE_MARGIN = math.pi / 4.0
@@ -506,39 +506,25 @@ def _default_stride(h_scale: float, dt: float, n_steps: int) -> int:
 def _afm_projectors(basis: Basis, model: Model) -> Dict[str, np.ndarray]:
     """Named projection vectors: ground, AFM-like target and (even nu, vdW)
     the bright ordered combination."""
-    nu = basis.nu
-    dim = basis.dim
-    ground = np.zeros(dim, dtype=complex)
-    ground[basis.index[0]] = 1.0
-    out = {"ground": ground}
-
+    nu, dim = basis.nu, basis.dim
+    out = {name: np.zeros(dim, dtype=complex) for name in ("ground", "afm")}
+    out["ground"][basis.index[0]] = 1.0
+    afm = out["afm"]
     if nu % 2 == 1:
-        afm = np.zeros(dim, dtype=complex)
         afm[basis.index[ordered_afm_masks(nu)[0]]] = 1.0
-        out["afm"] = afm
         return out
 
-    masks = afm_manifold_masks(nu)
-    m = len(masks)
+    idx = [basis.index[mask] for mask in afm_manifold_masks(nu)]
     if model is Model.PXP:
         # uniform-ladder ground state: sine profile over all configurations
-        afm = np.zeros(dim, dtype=complex)
-        for j, mask in enumerate(masks, start=1):
-            afm[basis.index[mask]] = math.sqrt(2.0 / (m + 1)) * math.sin(j * math.pi / (m + 1))
-        out["afm"] = afm
-    else:
-        # split-regime ground (bulk-defect band head) and the bright ordered combo
-        afm = np.zeros(dim, dtype=complex)
-        n_bulk = m - 2
-        for j in range(2, m):
-            afm[basis.index[masks[j - 1]]] = math.sqrt(2.0 / (n_bulk + 1)) * math.sin(
-                (j - 1) * math.pi / (n_bulk + 1)
-            )
-        out["afm"] = afm
-        bright = np.zeros(dim, dtype=complex)
-        bright[basis.index[masks[0]]] = 1.0 / math.sqrt(2.0)
-        bright[basis.index[masks[-1]]] = 1.0 / math.sqrt(2.0)
-        out["afm_excited"] = bright
+        afm[idx] = ladder_modes(len(idx))[0]
+        return out
+    # split-regime ground (bulk-defect band head; nu = 2 has no bulk) and
+    # the bright ordered combo
+    if len(idx) > 2:
+        afm[idx[1:-1]] = ladder_modes(len(idx) - 2)[0]
+    out["afm_excited"] = np.zeros(dim, dtype=complex)
+    out["afm_excited"][[idx[0], idx[-1]]] = 1.0 / math.sqrt(2.0)
     return out
 
 

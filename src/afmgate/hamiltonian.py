@@ -8,8 +8,11 @@ and, for the corrections model, the level-shift structures M1 and M2.
 copy whose structures act on the inversion-even or -odd sector.
 Variants: the blockade-constrained PXP model, the full van der Waals model
 on the unconstrained basis, and the PXP model plus next-nearest-neighbour
-and second-order (Schrieffer-Wolff) corrections.  The tridiagonal
-effective Hamiltonians of the even-nu AFM manifold are built separately.
+and second-order (Schrieffer-Wolff) corrections.  The structures are bit
+operations on the basis' mask array: a flip or hop couples two states
+exactly when both masks are in the basis, so the blockade rule lives only
+in the basis.  The tridiagonal effective Hamiltonians of the even-nu AFM
+manifold are built separately, PXP as the vdW ladder without level shifts.
 
 Index conventions are 0-based with open boundaries: projectors P outside
 the chain count as 1 and Rydberg projectors Q outside as 0.
@@ -18,13 +21,14 @@ the chain count as 1 and Rydberg projectors Q outside as 0.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .basis import Basis, build_blockade_basis, build_full_basis, inversion_permutation, rydberg_count, sector_isometry
+from .basis import Basis, build_blockade_basis, build_full_basis, flip_pairs, inversion_permutation, sector_isometry
 from .config import InteractionConfig, Model
 from .errors import ConfigError, RegimeError
 
@@ -40,36 +44,28 @@ def _check_dim(dim: int) -> None:
         raise ConfigError(f"dense matrix dimension {dim} exceeds the supported {DIM_MAX}")
 
 
-def _bit_counts(masks) -> np.ndarray:
-    return np.array([rydberg_count(int(m)) for m in masks], dtype=float)
+def _bit_counts(masks: np.ndarray, nu: int) -> np.ndarray:
+    """Set bits among the lowest ``nu`` of each mask, as floats."""
+    return (masks[:, None] >> np.arange(nu) & 1).sum(axis=1).astype(float)
 
 
 def excitation_numbers(basis: Basis) -> np.ndarray:
     """Rydberg excitation count per basis state."""
-    return _bit_counts(basis.states)
+    return _bit_counts(basis.masks, basis.nu)
 
 
 def drive_matrix(basis: Basis) -> np.ndarray:
     """Drive structure per unit Rabi frequency: entries 1/2 between masks
     differing by one spin flip.
 
-    On a constrained basis the flip additionally requires both neighbours
-    unexcited (the PXP projectors); on a full basis every flip couples.
+    The flipped mask is looked up in the basis, so on a constrained basis
+    a flip couples only if both neighbours are unexcited (the PXP
+    projectors, applied by the basis); on a full basis every flip couples.
     """
     _check_dim(basis.dim)
     d = np.zeros((basis.dim, basis.dim))
-    nu = basis.nu
-    for k, s in enumerate(basis.states):
-        for i in range(nu):
-            if basis.constrained:
-                left = i > 0 and (s >> (i - 1)) & 1
-                right = i < nu - 1 and (s >> (i + 1)) & 1
-                if left or right:
-                    continue
-            t = s ^ (1 << i)
-            kt = basis.index.get(t)
-            if kt is not None:
-                d[k, kt] = 0.5
+    for i in range(basis.nu):
+        d[flip_pairs(basis.masks, 1 << i)] = 0.5
     return d
 
 
@@ -85,12 +81,9 @@ def pair_incidence(basis: Basis, pairs: Sequence[Tuple[int, int]]) -> np.ndarray
     The interaction diagonal is then ``incidence @ strengths``, which lets
     time-dependent pair strengths be folded in cheaply.
     """
-    inc = np.zeros((basis.dim, len(pairs)))
-    for k, s in enumerate(basis.states):
-        for p, (i, j) in enumerate(pairs):
-            if (s >> i) & 1 and (s >> j) & 1:
-                inc[k, p] = 1.0
-    return inc
+    i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    m = basis.masks[:, None]
+    return (m >> i & m >> j & 1).astype(float)
 
 
 def level_shifts(omega, delta, b_nn: float) -> Tuple[float, float]:
@@ -116,20 +109,17 @@ def _shift_structures(basis: Basis) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     excitation from site i to i + 1 under empty flanks; M2 counts the
     ground atoms with two Rydberg neighbours.
     """
-    s = np.array(basis.states, dtype=np.int64)
-    full = (1 << basis.nu) - 1
+    s, nu = basis.masks, basis.nu
+    full = (1 << nu) - 1
     ground = ~s & full
     left, right = (s << 1) & full, s >> 1  # bit i: atom i - 1 / i + 1 excited
-    m1 = np.diag(_bit_counts(ground & (left ^ right)))
-    m2 = _bit_counts(ground & left & right)
-    # hop sources: atom i < nu - 1 excited and atom i + 2 empty (atoms
-    # i - 1 and i + 1 are empty by the blockade); states are ascending
-    hops = s & ~(s >> 2) & (full >> 1)
-    for i in range(basis.nu - 1):
-        k = np.flatnonzero(hops >> i & 1)
-        kt = np.searchsorted(s, s[k] ^ (3 << i))
-        m1[k, kt] = m1[kt, k] = 1.0
-    return m1, m2, _bit_counts(s & (s >> 2))
+    m1 = np.diag(_bit_counts(ground & (left ^ right), nu))
+    m2 = _bit_counts(ground & left & right, nu)
+    # the hop i <-> i + 1 leaves the blockade basis unless atoms i - 1 and
+    # i + 2 are empty
+    for i in range(nu - 1):
+        m1[flip_pairs(s, 3 << i)] = 1.0
+    return m1, m2, _bit_counts(s & (s >> 2), nu)
 
 
 def model_basis(model: Model, nu: int) -> Basis:
@@ -282,22 +272,48 @@ class AfmManifoldModel:
 
     @classmethod
     def evaluate(
-        cls, nu: int, omega: float, delta: float, interaction: InteractionConfig
+        cls, nu: int, omega: float, delta: float, interaction: Optional[InteractionConfig] = None
     ) -> "AfmManifoldModel":
+        """The parameters under a vdW interaction; None is the PXP model, a
+        perfect blockade with S_B = S_2B = B2 = 0, whose ladder is uniform:
+        e_ordered = e_defect = -nu_r (delta + S) and J = S."""
         if nu % 2 != 0:
-            raise ValueError(f"the AFM manifold model needs even nu, got {nu}")
+            raise ValueError(f"the AFM manifold is defined for even nu, got {nu}")
         if delta == 0.0:
             raise RegimeError("level shift S diverges at delta = 0")
         nu_r = nu // 2
         s = omega**2 / (4.0 * delta)
+        base = -nu_r * (delta + s)
+        if interaction is None:
+            return cls(nu, s, 0.0, 0.0, s, base, base, AfmRegime.DEGENERATE)
         s_b, s_2b = level_shifts(omega, delta, interaction.b_nn)
         b2 = interaction.b_nnn
-        e_ordered = -nu_r * (delta + s) + (nu_r - 1) * (b2 - s_2b) - s_b
-        e_defect = -nu_r * (delta + s) + (nu_r - 2) * (b2 - s_2b) - 2.0 * s_b
+        e_ordered = base + (nu_r - 1) * (b2 - s_2b) - s_b
+        e_defect = base + (nu_r - 2) * (b2 - s_2b) - 2.0 * s_b
         j_hop = s + s_b
         split = e_ordered - e_defect
         regime = AfmRegime.DEGENERATE if abs(j_hop) >= abs(split) else AfmRegime.SPLIT
         return cls(nu, s, s_b, s_2b, j_hop, e_ordered, e_defect, regime)
+
+    @classmethod
+    def of_mode(
+        cls, nu: int, omega: float, delta: float, interaction: Optional[InteractionConfig], mode: AfmMode
+    ) -> "AfmManifoldModel":
+        """``evaluate`` for an ``AfmMode``: PXP ignores the interaction, the
+        vdW modes need one."""
+        model = cls.evaluate(nu, omega, delta, None if mode is AfmMode.PXP else interaction)
+        if interaction is None and mode is not AfmMode.PXP:
+            raise ValueError("vdW AFM modes need an InteractionConfig")
+        return model
+
+
+def ladder_modes(m: int) -> np.ndarray:
+    """Eigenvectors of the uniform m-site tridiagonal ladder: row k - 1 is
+    sqrt(2 / (m + 1)) sin(k j pi / (m + 1)) over j = 1..m."""
+    return np.array(
+        [[math.sqrt(2.0 / (m + 1)) * math.sin(k * j * math.pi / (m + 1)) for j in range(1, m + 1)]
+         for k in range(1, m + 1)]
+    )
 
 
 def build_afm_effective(
@@ -309,38 +325,22 @@ def build_afm_effective(
 ) -> np.ndarray:
     """Tridiagonal defect-hopping Hamiltonian over the AFM configurations.
 
-    PXP mode: uniform diagonal -nu_r (delta + S), hopping -S, over all
-    nu/2 + 1 configurations.  VDW_DEGENERATE: the same ladder with the
-    ordered/defect diagonal energies resolved and hopping -J.  VDW_SPLIT:
-    the bulk-defect subspace only (nu/2 - 1 configurations, the ordered
-    pair decouples), uniform diagonal, hopping -J.
+    PXP and VDW_DEGENERATE: the nu/2 + 1 configurations, ordered/defect
+    diagonal energies and hopping -J (PXP: uniform diagonal
+    -nu_r (delta + S), hopping -S).  VDW_SPLIT: the bulk-defect subspace
+    only (nu/2 - 1 configurations, the ordered pair decouples), uniform
+    diagonal, hopping -J.
     """
-    if nu % 2 != 0:
-        raise ValueError(f"the AFM manifold is defined for even nu, got {nu}")
-    if delta == 0.0:
-        raise RegimeError("level shift S diverges at delta = 0")
+    model = AfmManifoldModel.of_mode(nu, omega, delta, interaction, mode)
     nu_r = nu // 2
-    if mode is AfmMode.PXP:
-        dim = nu_r + 1
-        s = omega**2 / (4.0 * delta)
-        h = np.diag(np.full(dim, -nu_r * (delta + s)))
-        hop = -s
+    if mode is AfmMode.VDW_SPLIT:
+        if nu_r < 2:
+            raise ValueError(f"no bulk-defect subspace for nu = {nu}")
+        diag = np.full(nu_r - 1, model.e_defect)
     else:
-        if interaction is None:
-            raise ValueError("vdW AFM modes need an InteractionConfig")
-        model = AfmManifoldModel.evaluate(nu, omega, delta, interaction)
-        hop = -model.j_hop
-        if mode is AfmMode.VDW_DEGENERATE:
-            dim = nu_r + 1
-            diag = np.full(dim, model.e_defect)
-            diag[0] = diag[-1] = model.e_ordered
-            h = np.diag(diag)
-        else:
-            dim = nu_r - 1
-            if dim < 1:
-                raise ValueError(f"no bulk-defect subspace for nu = {nu}")
-            h = np.diag(np.full(dim, model.e_defect))
+        diag = np.full(nu_r + 1, model.e_defect)
+        diag[0] = diag[-1] = model.e_ordered
+    h = np.diag(diag)
     for j in range(h.shape[0] - 1):
-        h[j, j + 1] = h[j + 1, j] = hop
+        h[j, j + 1] = h[j + 1, j] = -model.j_hop
     return h.astype(complex)
-

@@ -22,7 +22,7 @@ from scipy.linalg import block_diag
 from .basis import Basis, afm_manifold_masks
 from .config import InteractionConfig, Model, PulseProfile
 from .errors import RegimeError
-from .hamiltonian import AfmManifoldModel, AfmMode, ChainHamiltonian, model_basis
+from .hamiltonian import AfmManifoldModel, AfmMode, ChainHamiltonian, ladder_modes, model_basis
 
 DEGENERACY_RTOL = 1e-9  # in units of Omega0, for flagging undefined eta
 # Matrix entries of one stacked coarse-grid eigenproblem of ``min_gap``
@@ -227,41 +227,15 @@ def afm_analytic_spectrum(
     bulk-defect band plus the two decoupled ordered combinations
     (|a_1> +- |a_last>)/sqrt(2) at the ordered energy.
     """
-    if nu % 2 != 0:
-        raise ValueError(f"the AFM manifold is defined for even nu, got {nu}")
-    if delta == 0.0:
-        raise RegimeError("level shift S diverges at delta = 0")
+    model = AfmManifoldModel.of_mode(nu, omega, delta, interaction, mode)
     nu_r = nu // 2
     m = nu_r + 1
     masks = afm_manifold_masks(nu)
 
-    if mode is AfmMode.PXP:
-        s = omega**2 / (4.0 * delta)
-        base, hop = -nu_r * (delta + s), s
-        ks = np.arange(1, m + 1)
-        energies = base - 2.0 * hop * np.cos(ks * math.pi / (m + 1))
-        vectors = np.array(
-            [
-                [math.sqrt(2.0 / (m + 1)) * math.sin(k * j * math.pi / (m + 1)) for j in range(1, m + 1)]
-                for k in ks
-            ]
-        )
-        return AfmSpectrum(nu, mode, energies, vectors, masks)
-
-    if interaction is None:
-        raise ValueError("vdW AFM modes need an InteractionConfig")
-    model = AfmManifoldModel.evaluate(nu, omega, delta, interaction)
-
-    if mode is AfmMode.VDW_DEGENERATE:
+    if mode is not AfmMode.VDW_SPLIT:
         ks = np.arange(1, m + 1)
         energies = model.e_defect - 2.0 * model.j_hop * np.cos(ks * math.pi / (m + 1))
-        vectors = np.array(
-            [
-                [math.sqrt(2.0 / (m + 1)) * math.sin(k * j * math.pi / (m + 1)) for j in range(1, m + 1)]
-                for k in ks
-            ]
-        )
-        return AfmSpectrum(nu, mode, energies, vectors, masks)
+        return AfmSpectrum(nu, mode, energies, ladder_modes(m), masks)
 
     # split regime: bulk band over a_2 ... a_{nu/2} plus the ordered pair
     n_bulk = nu_r - 1
@@ -269,8 +243,7 @@ def afm_analytic_spectrum(
     vectors = np.zeros((m, m))
     for k in range(1, n_bulk + 1):
         energies[k - 1] = model.e_defect - 2.0 * model.j_hop * math.cos(k * math.pi / nu_r)
-        for j in range(2, nu_r + 1):
-            vectors[k - 1, j - 1] = math.sqrt(2.0 / nu_r) * math.sin(k * (j - 1) * math.pi / nu_r)
+    vectors[:n_bulk, 1:nu_r] = ladder_modes(n_bulk)
     for sign, row in ((1.0, n_bulk), (-1.0, n_bulk + 1)):
         energies[row] = model.e_ordered
         vectors[row, 0] = 1.0 / math.sqrt(2.0)

@@ -18,24 +18,6 @@ K_B = 1.380649e-23
 M_RB87 = 1.4431609e-25
 
 
-class Frequency(float):
-    """Angular frequency in rad/us that remembers its MHz face value.
-
-    Behaves as a plain float in arithmetic; `from_mhz`/`mhz` round-trip
-    to a relative accuracy much better than 1e-12.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def from_mhz(cls, value_mhz: float) -> "Frequency":
-        return cls(TWO_PI * value_mhz)
-
-    @property
-    def mhz(self) -> float:
-        return float(self) / TWO_PI
-
-
 def mhz(value_mhz: float) -> float:
     """Angular frequency in rad/us for a frequency quoted in MHz."""
     return TWO_PI * value_mhz

@@ -16,3 +16,22 @@ LAYER_FUNCTIONS = runpy.run_path(str(TRACING))["LAYER_FUNCTIONS"]
 )
 def test_traced_name_resolves_to_a_callable(layer, name):
     assert callable(getattr(importlib.import_module(f"afmgate.{layer}"), name, None))
+
+
+def test_one_vdw_chain_builds_each_traced_structure_once(monkeypatch):
+    """The tracer counts ``hamiltonian.drive_matrix`` and ``pair_incidence``
+    calls by wrapping the module attributes, so a vdW ``ChainHamiltonian``
+    must build each structure once through the module name."""
+    from afmgate import hamiltonian
+    from afmgate.config import InteractionConfig, Model
+
+    calls = {}
+    for name in ("drive_matrix", "pair_incidence"):
+        def counted(*args, _fn=getattr(hamiltonian, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(hamiltonian, name, counted)
+    basis = hamiltonian.model_basis(Model.FULL_VDW, 5)
+    hamiltonian.ChainHamiltonian(Model.FULL_VDW, basis, InteractionConfig.from_nn_strength(1.0, 4.0))
+    assert calls == {"drive_matrix": 1, "pair_incidence": 1}

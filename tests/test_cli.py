@@ -337,6 +337,7 @@ class TestErrorHandling:
             (["spectrum", "--nu", "0"], "--nu"),
             (["basis-dump", "--nu", "0"], "--nu"),
             (["spectrum", "--grid", "1"], "--grid"),
+            (["thermal", "--trials", "2", "--tau-us", "0"], "--tau-us must be > 0"),
         ],
     )
     def test_out_of_range_flag_exits_2(self, tmp_path, capsys, argv, flag):
@@ -469,6 +470,26 @@ class TestErrorHandling:
         out.mkdir()
         assert main(["--config", cfg, "--out", str(out), "evolve", "--nu", "11"]) == EXIT_CONFIG
         assert out.is_dir()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "--n-list", "5", "--tau-min", "-1"], "--tau-min must be > 0, got -1.0"),
+            (["sweep", "--n-list", "5", "--tau-max", "0"], "--tau-max must be > 0, got 0.0"),
+        ],
+    )
+    def test_non_positive_sweep_duration_exits_2_before_fitting(self, tmp_path, capsys, monkeypatch, argv, message):
+        from afmgate import cli
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_c_nu ran before the duration check")
+
+        monkeypatch.setattr(cli, "fit_c_nu", no_fit)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), *argv]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_runtime_failure_exits_3(self, tmp_path, monkeypatch):
         from afmgate import cli

@@ -16,14 +16,13 @@ from afmgate.config import (
     mean_rydberg_number,
 )
 from afmgate.errors import ConfigError
-from afmgate.units import Frequency, mhz, to_mhz
+from afmgate.units import mhz, to_mhz
 
 from conftest import OMEGA0, DELTA0, reference_config
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6))
 def test_frequency_mhz_round_trip(value):
-    assert math.isclose(Frequency.from_mhz(value).mhz, value, rel_tol=1e-12)
     assert math.isclose(to_mhz(mhz(value)), value, rel_tol=1e-12)
 
 

@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from afmgate import evolution
-from afmgate.basis import build_full_basis
+from afmgate.basis import afm_manifold_masks, build_full_basis
 from afmgate.config import DecayConfig, Model, PulseProfile, pulse_with_tau
 from afmgate.errors import PropagationError
 from afmgate.evolution import (
@@ -30,7 +30,8 @@ from afmgate.evolution import (
     run_protocol,
     tau_batch_amplitudes,
 )
-from afmgate.hamiltonian import ChainHamiltonian, excitation_numbers, model_basis
+from afmgate.hamiltonian import AfmMode, ChainHamiltonian, excitation_numbers, model_basis
+from afmgate.spectra import afm_analytic_spectrum
 from afmgate.units import mhz
 
 from conftest import reference_config
@@ -452,6 +453,28 @@ class TestRunProtocol:
         assert p_sum > 0.95
         assert traj.populations["ground"][-1] > 0.98
         assert abs(wrap_phase(run.phases.final_total())) < 0.05
+
+    @pytest.mark.parametrize("model,nu", [(Model.PXP, 4), (Model.PXP, 6), (Model.FULL_VDW, 4), (Model.FULL_VDW, 6)])
+    def test_afm_populations_project_on_the_analytic_vectors(self, model, nu):
+        """PXP "afm" is the ladder ground; vdW "afm" is the split regime's
+        bulk-band head and "afm_excited" its bright ordered pair, each placed
+        from ``afm_analytic_spectrum`` on ``afm_manifold_masks``."""
+        cfg = reference_config(model=model)
+        traj = run_protocol(nu, cfg, compute_phases=False).trajectory
+        mode = AfmMode.PXP if model is Model.PXP else AfmMode.VDW_SPLIT
+        spec = afm_analytic_spectrum(nu, 1.0, 10.0, cfg.interaction, mode)
+        rows = {"afm": 0} if model is Model.PXP else {"afm": 0, "afm_excited": nu // 2 - 1}
+        assert set(traj.populations) == {"ground", *rows}
+        idx = [traj.basis.index[mask] for mask in afm_manifold_masks(nu)]
+        for name, row in rows.items():
+            v = np.zeros(traj.basis.dim, dtype=complex)
+            v[idx] = spec.vectors[row]
+            assert np.array_equal(traj.populations[name], np.abs(traj.states @ v.conj()) ** 2)
+
+    def test_vdw_nu2_has_no_bulk_afm_population(self):
+        traj = run_protocol(2, reference_config(model=Model.FULL_VDW), compute_phases=False).trajectory
+        assert not traj.populations["afm"].any()
+        assert traj.populations["afm_excited"].max() > 0.5
 
     def test_corrections_model_not_propagatable(self):
         with pytest.raises(ValueError):

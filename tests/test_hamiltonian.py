@@ -19,6 +19,8 @@ from afmgate.hamiltonian import (
     excitation_numbers,
     level_shifts,
     model_basis,
+    pair_incidence,
+    pair_sites,
 )
 from afmgate.units import mhz
 
@@ -68,6 +70,38 @@ def reference_corrections(omega, delta, inter, basis):
                 kt = basis.index[s ^ (1 << i) ^ (1 << (i + 1))]
                 h[k, kt] = h[kt, k] = -s_b
     return h
+
+
+def reference_drive(basis):
+    """Per-state drive: flip each site, skipping excited neighbours on a
+    constrained basis (the PXP projectors), and look the result up."""
+    nu = basis.nu
+    d = np.zeros((basis.dim, basis.dim))
+    for k, s in enumerate(basis.states):
+        for i in range(nu):
+            left = i > 0 and (s >> (i - 1)) & 1
+            right = i < nu - 1 and (s >> (i + 1)) & 1
+            if basis.constrained and (left or right):
+                continue
+            d[k, basis.index[s ^ (1 << i)]] = 0.5
+    return d
+
+
+STRUCTURE_BASES = [("blockade", nu) for nu in range(1, 15)] + [("full", nu) for nu in range(1, 11)]
+
+
+@pytest.mark.parametrize("kind,nu", STRUCTURE_BASES)
+def test_structures_match_per_state_oracle(kind, nu):
+    """The bit-operation builders equal a per-state construction bitwise;
+    the oracle spells out the blockade rule that the builders leave to the
+    basis."""
+    basis = (build_blockade_basis if kind == "blockade" else build_full_basis)(nu)
+    assert np.array_equal(drive_matrix(basis), reference_drive(basis))
+    n_r = [float(sum((s >> i) & 1 for i in range(nu))) for s in basis.states]
+    assert np.array_equal(excitation_numbers(basis), n_r)
+    pairs = pair_sites(nu)
+    inc = [[float((s >> i) & 1 and (s >> j) & 1) for i, j in pairs] for s in basis.states]
+    assert np.array_equal(pair_incidence(basis, pairs), np.reshape(inc, (basis.dim, len(pairs))))
 
 
 class TestPxp:
