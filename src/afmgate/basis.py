@@ -3,32 +3,24 @@
 A basis state is a plain int bitmask over the ``nu`` active atoms: bit i set
 means atom i is in the Rydberg state |r>.  Bit 0 is the leftmost atom.  The
 blockade-constrained basis keeps only masks with no two adjacent bits set;
-its size is the Fibonacci number F_{nu+2}.  Operators on a basis are built
-from its ascending mask array, so the blockade rule lives only here: a flip
-couples two states exactly when both masks are in the basis.
+its size is the Fibonacci number F_{nu+2}.  A basis is only its ascending
+int64 mask array, and every structure on it is built with one lookup
+(``lookup``: searchsorted, then compare) and one popcount (``bit_counts``).
+So the blockade rule lives only here: a flip couples two states exactly
+when both masks are in the basis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from .errors import ConfigError
 
 NU_MAX = 24  # enumeration guard; dense-matrix builders impose their own limits
-
-
-def rydberg_count(mask: int) -> int:
-    """Number of Rydberg excitations (set bits) in the configuration."""
-    return mask.bit_count()
-
-
-def parity_sign(mask: int) -> int:
-    """Eigenvalue of the parity operator prod_i (|1><1| - |r><r|): (-1)^n_r."""
-    return -1 if mask.bit_count() & 1 else 1
 
 
 def apply_inversion(mask: int, nu: int) -> int:
@@ -45,29 +37,38 @@ def bitstring(mask: int, nu: int) -> str:
     return "".join("1" if mask >> i & 1 else "0" for i in range(nu))
 
 
-def blockade_allowed(mask: int) -> bool:
-    """True if no two adjacent atoms are both excited."""
-    return mask & (mask >> 1) == 0
+def bit_counts(masks: np.ndarray, nu: int) -> np.ndarray:
+    """Set bits among the lowest ``nu`` of each mask (the Rydberg
+    excitation count of a configuration), as int64."""
+    return (masks[:, None] >> np.arange(nu) & 1).sum(axis=1)
+
+
+def lookup(masks: np.ndarray, targets) -> Tuple[np.ndarray, np.ndarray]:
+    """Position of each target in the ascending mask array ``masks`` and
+    whether it is there (searchsorted, then compare)."""
+    k = np.minimum(np.searchsorted(masks, targets), len(masks) - 1)
+    return k, masks[k] == targets
 
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """Ordered set of configurations with an index lookup table and the
-    states as an int64 array ``masks``."""
+    """Ordered set of configurations: the ascending int64 array ``masks``."""
 
     nu: int
-    states: Tuple[int, ...]
+    masks: np.ndarray
     constrained: bool
-    index: Dict[int, int] = field(init=False, repr=False)
-    masks: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "index", {s: k for k, s in enumerate(self.states)})
-        object.__setattr__(self, "masks", np.array(self.states, dtype=np.int64))
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.masks)
+
+    def index(self, targets):
+        """Index of a mask (int) or of each mask in an array of them; raises
+        KeyError for a mask not in the basis."""
+        k, found = lookup(self.masks, targets)
+        if not np.all(found):
+            raise KeyError(f"masks {np.asarray(targets)[~found].tolist()} are not in the basis")
+        return k if np.ndim(k) else int(k)
 
 
 def _check_nu(nu: int) -> None:
@@ -76,40 +77,41 @@ def _check_nu(nu: int) -> None:
 
 
 def build_blockade_basis(nu: int) -> Basis:
-    """All masks with no adjacent excitations, ascending; size F_{nu+2}."""
+    """All masks with no adjacent excitations, ascending; size F_{nu+2}:
+    B(n) = B(n - 1), then B(n - 2) | 1 << (n - 1) (atom n - 1 excited)."""
     _check_nu(nu)
-    states = tuple(m for m in range(1 << nu) if blockade_allowed(m))
-    return Basis(nu=nu, states=states, constrained=True)
+    prev, masks = np.zeros(1, dtype=np.int64), np.array([0, 1], dtype=np.int64)
+    for n in range(2, nu + 1):
+        prev, masks = masks, np.concatenate([masks, prev | 1 << (n - 1)])
+    return Basis(nu=nu, masks=masks, constrained=True)
 
 
 def build_full_basis(nu: int) -> Basis:
     """All 2^nu masks, ascending."""
     _check_nu(nu)
-    return Basis(nu=nu, states=tuple(range(1 << nu)), constrained=False)
+    return Basis(nu=nu, masks=np.arange(1 << nu, dtype=np.int64), constrained=False)
 
 
 def flip_pairs(masks: np.ndarray, pattern: int) -> Tuple[np.ndarray, np.ndarray]:
     """Index pairs (k, kt) with ``masks[kt] == masks[k] ^ pattern`` in an
     ascending mask array: every flip of the bits in ``pattern`` that stays
     in the basis, each pair in both orders."""
-    flipped = masks ^ pattern
-    kt = np.minimum(np.searchsorted(masks, flipped), len(masks) - 1)
-    k = np.flatnonzero(masks[kt] == flipped)
+    kt, found = lookup(masks, masks ^ pattern)
+    k = np.flatnonzero(found)
     return k, kt[k]
 
 
 def inversion_permutation(basis: Basis) -> np.ndarray:
     """Index of the mirror image of every basis state: ``perm[k]`` is the
-    index of ``apply_inversion(basis.states[k], nu)``.  An involution.
+    index of ``apply_inversion(basis.masks[k], nu)``.  An involution.
 
-    The bit reversal runs over all masks at once; the lookup relies on the
-    states being ascending, as both builders produce them.
+    The bit reversal runs over all masks at once.
     """
     s = basis.masks
     rev = np.zeros_like(s)
     for i in range(basis.nu):
         rev |= (s >> i & 1) << (basis.nu - 1 - i)
-    return np.searchsorted(s, rev)
+    return basis.index(rev)
 
 
 def sector_isometry(basis: Basis, odd: bool = False) -> np.ndarray:

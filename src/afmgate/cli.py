@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .basis import bitstring, build_blockade_basis, build_full_basis, parity_sign, rydberg_count
+from .basis import bit_counts, bitstring, build_blockade_basis, build_full_basis
 from .config import Model, ProtocolConfig, json_float, load_config, pulse_with_tau
 from .errors import ConfigError, FitQualityError
 from .evolution import run_protocol
@@ -316,15 +316,15 @@ def cmd_fit_c(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> N
 
 def cmd_basis_dump(args: argparse.Namespace, cfg: Optional[ProtocolConfig], out_dir: Path) -> None:
     basis = build_full_basis(args.nu) if args.full else build_blockade_basis(args.nu)
-    rows = [
-        (k, bitstring(s, args.nu), rydberg_count(s), parity_sign(s))
-        for k, s in enumerate(basis.states)
-    ]
-    _write_csv(
+    n_r = bit_counts(basis.masks, args.nu)
+    lines = _column_lines(
+        np.arange(basis.dim), [bitstring(s, args.nu) for s in basis.masks.tolist()], n_r, 1 - 2 * (n_r & 1)
+    )
+    _write_lines(
         out_dir / "basis.csv",
         {"nu": args.nu, "constrained": not args.full, "size": basis.dim},
         ("index", "bitstring", "n_rydberg", "parity"),
-        rows,
+        lines,
     )
 
 

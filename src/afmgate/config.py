@@ -201,8 +201,10 @@ class PulseProfile:
 
 
 def pulse_with_tau(pulse: PulseProfile, tau: float) -> PulseProfile:
-    """Same amplitudes, new duration; the envelope width keeps the default ratio."""
-    return PulseProfile(pulse.omega0, pulse.delta0, tau)
+    """Same amplitudes and width ratio sigma / tau (a function of t / tau),
+    new duration; the default ratio gives sigma = SIGMA_RATIO_DEFAULT * tau."""
+    default = pulse.sigma == SIGMA_RATIO_DEFAULT * pulse.tau
+    return PulseProfile(pulse.omega0, pulse.delta0, tau, None if default else pulse.sigma / pulse.tau * tau)
 
 
 @dataclass(frozen=True)

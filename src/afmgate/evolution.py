@@ -39,15 +39,15 @@ stages in reverse time order, and the amplitude is
 runs from its end back to its start as more blocks of pulse I's state, in
 one loop of half the steps.  A renormalised (decay-free) pulse II needs
 the state after pulse I and runs after it, bitwise as ``run_protocol``
-does.  A static chain is mirror-symmetric and starts in |0...0>, so
-static chains run on the inversion-even sectors
-(``ChainHamiltonian.sector``; 20 of 32 states at vdW nu = 5, 72 of 128 at
-nu = 7): each chain's operators are projected once per pulse, a
-Hamiltonian that breaks the mirror raises there, and ``run_protocol``
-maps its samples back to the full basis.  Moving atoms break the mirror,
-so a thermal chunk keeps the full basis; its per-trial interaction is
-diagonal, so -iH stays complex symmetric and, with decay, pulse II runs
-transposed as in a gate.
+does; in both orders pulse II runs at rate 1 / lambda on pulse I's step.
+A static chain is mirror-symmetric and starts in |0...0>, so static
+chains run on the inversion-even sectors (``ChainHamiltonian.sector``;
+20 of 32 states at vdW nu = 5, 72 of 128 at nu = 7): each chain's
+operators are projected once per pulse, a Hamiltonian that breaks the
+mirror raises there, and ``run_protocol`` maps its samples back to the
+full basis.  Moving atoms break the mirror, so a thermal chunk keeps the
+full basis; its per-trial interaction is diagonal, so -iH stays complex
+symmetric and, with decay, pulse II runs transposed as in a gate.
 
 The dynamical phase integrates the energy of the branch that holds the
 state.  Each chunk of stored samples runs one stacked real ``eigvalsh`` of
@@ -349,8 +349,8 @@ def _run_segment(
     stride: int,
     renormalize: bool | Tuple[bool, ...],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """RK4 over one segment; returns the local times (excluding t=0) and
-    the states of the samples taken every ``stride`` steps and at the
+    """RK4 over one segment; returns the pulse-local times (excluding t=0)
+    and the states of the samples taken every ``stride`` steps and at the
     segment end, as arrays (n_samples,) and (n_samples, *psi0.shape).
 
     ``engines`` is one engine or a tuple of engines whose states are
@@ -419,7 +419,7 @@ def _run_segment(
 
     # samples after every stride-th step and after the last one
     sample_steps = np.minimum(np.arange(stride, n_steps + stride, stride), n_steps) - 1
-    times = sample_steps * dt + dt
+    times = (sample_steps * dt + dt) * engines[0].rate
     # pin the final sample to the exact pulse end so segment boundaries
     # are found exactly downstream
     times[-1] = engines[0].pulse.tau
@@ -508,13 +508,13 @@ def _afm_projectors(basis: Basis, model: Model) -> Dict[str, np.ndarray]:
     the bright ordered combination."""
     nu, dim = basis.nu, basis.dim
     out = {name: np.zeros(dim, dtype=complex) for name in ("ground", "afm")}
-    out["ground"][basis.index[0]] = 1.0
+    out["ground"][basis.index(0)] = 1.0
     afm = out["afm"]
     if nu % 2 == 1:
-        afm[basis.index[ordered_afm_masks(nu)[0]]] = 1.0
+        afm[basis.index(ordered_afm_masks(nu)[0])] = 1.0
         return out
 
-    idx = [basis.index[mask] for mask in afm_manifold_masks(nu)]
+    idx = basis.index(afm_manifold_masks(nu))
     if model is Model.PXP:
         # uniform-ladder ground state: sine profile over all configurations
         afm[idx] = ladder_modes(len(idx))[0]
@@ -530,18 +530,13 @@ def _afm_projectors(basis: Basis, model: Model) -> Dict[str, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolRun:
-    """Full two-pulse result: trajectory, phases and the segment engines."""
+    """Full two-pulse result: trajectory and phases."""
 
     trajectory: Trajectory
     phases: Optional[PhaseRecord]
-    segments: Tuple[_SegmentEngine, ...]
-    boundaries: Tuple[float, ...]
-
-    def final_state(self) -> np.ndarray:
-        return self.trajectory.states[-1]
 
     def ground_amplitude(self) -> complex:
-        return complex(self.trajectory.states[-1][self.trajectory.basis.index[0]])
+        return complex(self.trajectory.states[-1][self.trajectory.basis.index(0)])
 
 
 def _protocol_segments(
@@ -549,10 +544,13 @@ def _protocol_segments(
     cfg: ProtocolConfig,
     v_int_fn_steps: Optional[Tuple[VIntFn, VIntFn]] = None,
     scales: Sequence[float] = (1.0,),
+    reverse: bool = False,
 ) -> Tuple[_SegmentEngine, _SegmentEngine]:
     """Engines of the two pulses over the direct sum of ``hamiltonians``:
     step II runs the lambda-rescaled pulse under the flipped interaction on
-    the same operator structures.  Static chains run on their even sectors;
+    the same operator structures, at ``rate`` 1 / lambda so that it shares
+    the step of pulse I, and from its end back to its start with
+    ``reverse``.  Static chains run on their even sectors;
     with the per-trial interactions ``v_int_fn_steps`` of moving atoms the
     chains keep their full basis.  The chains are repeated once per entry
     of ``scales``, each copy with its H times that scale (a batch of pulse
@@ -570,7 +568,7 @@ def _protocol_segments(
         hamiltonians, flipped = ([h.sector() for h in hs] for hs in (hamiltonians, flipped))
     block_scales = [s for s in scales for _ in hamiltonians]
     seg1 = _SegmentEngine(list(hamiltonians) * len(scales), pulse_1, gamma_1, fn1, 0.0, block_scales)
-    seg2 = _SegmentEngine(list(flipped) * len(scales), pulse_2, gamma_2, fn2, pulse_1.tau, block_scales)
+    seg2 = _SegmentEngine(list(flipped) * len(scales), pulse_2, gamma_2, fn2, pulse_1.tau, block_scales, 1 / lam, reverse)
     return seg1, seg2
 
 
@@ -585,12 +583,13 @@ def _chain_hamiltonians(nus: Sequence[int], cfg: ProtocolConfig) -> list:
 def _protocol_start(
     hamiltonians: Sequence[ChainHamiltonian], cfg: ProtocolConfig, scales: Sequence[float] = (1.0,),
     v_int_fn_steps: Optional[Tuple[VIntFn, VIntFn]] = None, columns: Optional[int] = None,
+    reverse: bool = False,
 ) -> Tuple[_SegmentEngine, _SegmentEngine, np.ndarray, int]:
     """The engines of both pulses over the direct sum of ``hamiltonians``
     (see ``_protocol_segments``), the initial state with each block in its
     collective ground state, as one state or as ``columns`` equal columns,
     and the step count of a pulse."""
-    seg1, seg2 = _protocol_segments(hamiltonians, cfg, v_int_fn_steps, scales)
+    seg1, seg2 = _protocol_segments(hamiltonians, cfg, v_int_fn_steps, scales, reverse)
     # |0...0> (basis state 0, its own mirror image) is the first row of an
     # even sector and of a full basis alike
     rows = seg1.chains[-1].stop
@@ -615,7 +614,7 @@ def _propagate_protocol(
     seg1, seg2, psi, n1 = _protocol_start(hamiltonians, cfg, scales, v_int_fn_steps, columns)
     stride = n1 if stride is None else stride
     t1, s1 = _run_segment(seg1, psi, cfg.dt, n1, stride, seg1.gamma == 0.0)
-    t2, s2 = _run_segment(seg2, s1[-1], cfg.dt / cfg.interaction.lambda_ratio, n1, stride, seg2.gamma == 0.0)
+    t2, s2 = _run_segment(seg2, s1[-1], cfg.dt, n1, stride, seg2.gamma == 0.0)
     return seg1, seg2, psi, (t1, s1), (t2, s2)
 
 
@@ -633,21 +632,16 @@ def final_amplitudes(
     While pulse II keeps its norm decay, the amplitude is
     (M_II^T |0...0>)^T (M_I |0...0>), with no complex conjugate: pulse I
     runs forward and pulse II transposed (``_SegmentEngine`` with
-    ``reverse``) as the blocks of one state in one loop of n steps, pulse
-    II at ``rate`` 1 / lambda so that both share the step of pulse I.  A
+    ``reverse``) as the blocks of one state in one loop of n steps.  A
     renormalised pulse II must start from the state after pulse I, so a
     decay-free pulse II runs after it.
     """
     if not (cfg.include_decay and cfg.decay.gamma_rp > 0.0):
         seg1, _, _, _, (_, states) = _propagate_protocol(hamiltonians, cfg, None, scales, v_int_fn_steps, columns)
         return states[-1][[chain.start for chain in seg1.chains]]
-    seg1, seg2, psi, n1 = _protocol_start(hamiltonians, cfg, scales, v_int_fn_steps, columns)
-    transposed = _SegmentEngine(
-        seg2.hamiltonians, seg2.pulse, seg2.gamma, seg2.v_int_fn, seg2.t_abs_start, seg2.scales,
-        rate=1.0 / cfg.interaction.lambda_ratio, reverse=True,
-    )
+    seg1, seg2, psi, n1 = _protocol_start(hamiltonians, cfg, scales, v_int_fn_steps, columns, reverse=True)
     renormalize = (seg1.gamma == 0.0, False)
-    _, (final,) = _run_segment((seg1, transposed), np.concatenate([psi, psi]), cfg.dt, n1, n1, renormalize)
+    _, (final,) = _run_segment((seg1, seg2), np.concatenate([psi, psi]), cfg.dt, n1, n1, renormalize)
     return np.add.reduceat(final[: len(psi)] * final[len(psi) :], [chain.start for chain in seg1.chains])
 
 
@@ -693,12 +687,7 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
             ),
         )
         phases = _phases_from_samples(time_arr, state_arr, phi_dynamical=phi_dyn)
-    return ProtocolRun(
-        trajectory=traj,
-        phases=phases,
-        segments=(seg1, seg2),
-        boundaries=(0.0, tau1, tau1 + cfg.pulse.tau / lam),
-    )
+    return ProtocolRun(trajectory=traj, phases=phases)
 
 
 def ground_amplitudes(nus: Sequence[int], cfg: ProtocolConfig) -> Dict[int, complex]:

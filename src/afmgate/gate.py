@@ -19,7 +19,7 @@ from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .config import InteractionConfig, Model, ProtocolConfig, PulseProfile, mean_rydberg_number, pulse_with_tau
+from .config import ProtocolConfig, PulseProfile, mean_rydberg_number, pulse_with_tau
 from .errors import ConfigError, FitQualityError, RegimeError
 from .evolution import ground_amplitudes, tau_batch_amplitudes
 from .spectra import min_gap
@@ -175,16 +175,9 @@ def leakage_error(n_atoms: int, c_table: Mapping[int, float], pulse: PulseProfil
     return LeakageEstimate(full=full, dominant=mu * p(nu_dom), mu=mu, nu_dominant=nu_dom)
 
 
-def kappa_c_table(
-    nus: Sequence[int],
-    pulse: PulseProfile,
-    model: Model = Model.PXP,
-    interaction: Optional[InteractionConfig] = None,
-) -> Dict[int, float]:
-    """Gap-derived constants c_nu = pi kappa_nu^2 / 4 from spectrum scans."""
-    return {
-        nu: math.pi * min_gap(nu, pulse, model, interaction).kappa ** 2 / 4.0 for nu in nus
-    }
+def kappa_c_table(nus: Sequence[int], pulse: PulseProfile) -> Dict[int, float]:
+    """Gap-derived constants c_nu = pi kappa_nu^2 / 4 from PXP spectrum scans."""
+    return {nu: math.pi * min_gap(nu, pulse).kappa ** 2 / 4.0 for nu in nus}
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,12 +196,11 @@ def fit_c_nu(
     nu: int,
     cfg: ProtocolConfig,
     taus: Optional[Sequence[float]] = None,
-    e_bounds: Tuple[float, float] = FIT_E_BOUNDS,
 ) -> CnuFit:
     """Fit ln E_leak = intercept - c * (Omega0^2/Delta0) tau on a tau grid.
 
     E_leak(tau) = 1 - |<G_nu|Psi(tau_tot)>|^2 from decay-free protocol runs.
-    Grid points outside the leakage window ``e_bounds`` (noise floor below,
+    Grid points outside the leakage window ``FIT_E_BOUNDS`` (noise floor below,
     breakdown of the single-crossing picture above) are discarded.
     """
     if nu % 2 != 1:
@@ -221,11 +213,11 @@ def fit_c_nu(
     pts = [
         (tau, e_leak)
         for tau, e_leak in zip(taus, 1.0 - np.abs(amps) ** 2)
-        if e_bounds[0] < e_leak < e_bounds[1]
+        if FIT_E_BOUNDS[0] < e_leak < FIT_E_BOUNDS[1]
     ]
     if len(pts) < 4:
         raise FitQualityError(
-            f"only {len(pts)} tau points fall in the leakage window {e_bounds} for nu = {nu}"
+            f"only {len(pts)} tau points fall in the leakage window {FIT_E_BOUNDS} for nu = {nu}"
         )
     t_arr = np.array([p[0] for p in pts])
     e_arr = np.array([p[1] for p in pts])

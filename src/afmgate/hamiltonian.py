@@ -28,7 +28,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .basis import Basis, build_blockade_basis, build_full_basis, flip_pairs, inversion_permutation, sector_isometry
+from .basis import (Basis, bit_counts, build_blockade_basis, build_full_basis, flip_pairs, inversion_permutation,
+                    sector_isometry)
 from .config import InteractionConfig, Model
 from .errors import ConfigError, RegimeError
 
@@ -44,14 +45,9 @@ def _check_dim(dim: int) -> None:
         raise ConfigError(f"dense matrix dimension {dim} exceeds the supported {DIM_MAX}")
 
 
-def _bit_counts(masks: np.ndarray, nu: int) -> np.ndarray:
-    """Set bits among the lowest ``nu`` of each mask, as floats."""
-    return (masks[:, None] >> np.arange(nu) & 1).sum(axis=1).astype(float)
-
-
 def excitation_numbers(basis: Basis) -> np.ndarray:
     """Rydberg excitation count per basis state."""
-    return _bit_counts(basis.masks, basis.nu)
+    return bit_counts(basis.masks, basis.nu).astype(float)
 
 
 def drive_matrix(basis: Basis) -> np.ndarray:
@@ -75,14 +71,15 @@ def pair_sites(nu: int, range_cutoff: Optional[int] = None) -> Tuple[Tuple[int, 
     return tuple((i, j) for i in range(nu) for j in range(i + 1, nu) if j - i <= cutoff)
 
 
-def pair_incidence(basis: Basis, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
-    """0/1 matrix: entry (state, pair) = 1 if both pair sites are excited.
+def pair_incidence(masks: np.ndarray, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """0/1 matrix over an array of masks: entry (state, pair) = 1 if both
+    pair sites are excited.
 
     The interaction diagonal is then ``incidence @ strengths``, which lets
     time-dependent pair strengths be folded in cheaply.
     """
     i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    m = basis.masks[:, None]
+    m = masks[:, None]
     return (m >> i & m >> j & 1).astype(float)
 
 
@@ -113,13 +110,13 @@ def _shift_structures(basis: Basis) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     full = (1 << nu) - 1
     ground = ~s & full
     left, right = (s << 1) & full, s >> 1  # bit i: atom i - 1 / i + 1 excited
-    m1 = np.diag(_bit_counts(ground & (left ^ right), nu))
-    m2 = _bit_counts(ground & left & right, nu)
+    m1 = np.diag(bit_counts(ground & (left ^ right), nu).astype(float))
+    m2 = bit_counts(ground & left & right, nu).astype(float)
     # the hop i <-> i + 1 leaves the blockade basis unless atoms i - 1 and
     # i + 2 are empty
     for i in range(nu - 1):
         m1[flip_pairs(s, 3 << i)] = 1.0
-    return m1, m2, _bit_counts(s & (s >> 2), nu)
+    return m1, m2, bit_counts(s & (s >> 2), nu).astype(float)
 
 
 def model_basis(model: Model, nu: int) -> Basis:
@@ -158,7 +155,7 @@ class ChainHamiltonian:
         self.pairs = self.incidence = self.m1 = self.m2 = self._nnn_counts = self.u = None
         if model is Model.FULL_VDW:
             self.pairs = pair_sites(basis.nu, interaction.range_cutoff)
-            self.incidence = pair_incidence(basis, self.pairs)
+            self.incidence = pair_incidence(basis.masks, self.pairs)
         elif model is Model.PXP_PLUS_CORRECTIONS:
             self.m1, self.m2, self._nnn_counts = _shift_structures(basis)
         self._set_interaction(interaction)

@@ -25,6 +25,8 @@ from .errors import RegimeError
 from .hamiltonian import AfmManifoldModel, AfmMode, ChainHamiltonian, ladder_modes, model_basis
 
 DEGENERACY_RTOL = 1e-9  # in units of Omega0, for flagging undefined eta
+# Detunings of the coarse grid of ``min_gap``
+GAP_COARSE_POINTS = 101
 # Matrix entries of one stacked coarse-grid eigenproblem of ``min_gap``
 # (grid points per chunk times dim^2), 1 MB of float64: the 101-point grid
 # of a PXP chain up to nu = 7 (dim 34) is one chunk
@@ -155,10 +157,9 @@ def min_gap(
     pulse: PulseProfile,
     model: Model = Model.PXP,
     interaction: Optional[InteractionConfig] = None,
-    coarse_points: int = 101,
 ) -> GapReport:
-    """Minimum over the sweep of the avoided-crossing gap, coarse grid plus
-    golden-section refinement."""
+    """Minimum over the sweep of the avoided-crossing gap, a coarse grid of
+    ``GAP_COARSE_POINTS`` detunings plus golden-section refinement."""
     from scipy.optimize import minimize_scalar  # deferred: only this function needs it
 
     if nu < 1:
@@ -174,11 +175,11 @@ def min_gap(
         w = np.linalg.eigvalsh(ham.matrix(pulse.omega(pulse.time_at_delta(delta)), delta))
         return w[..., k0] - w[..., 0]
 
-    deltas = np.linspace(-abs(pulse.delta0), abs(pulse.delta0), coarse_points)
+    deltas = np.linspace(-abs(pulse.delta0), abs(pulse.delta0), GAP_COARSE_POINTS)
     chunk = max(1, GAP_CHUNK_ENTRIES // ham.basis.dim**2)
-    gaps = np.concatenate([gaps_at(deltas[lo : lo + chunk]) for lo in range(0, coarse_points, chunk)])
+    gaps = np.concatenate([gaps_at(deltas[lo : lo + chunk]) for lo in range(0, GAP_COARSE_POINTS, chunk)])
     i = int(np.argmin(gaps))
-    if 0 < i < coarse_points - 1:
+    if 0 < i < GAP_COARSE_POINTS - 1:
         res = minimize_scalar(
             lambda delta: float(gaps_at(delta)),
             bracket=(deltas[i - 1], deltas[i], deltas[i + 1]), method="golden", options={"xtol": 1e-10},

@@ -8,7 +8,8 @@ evaluations at a time.  Each chunk of trials, with the frozen-chain
 baseline as one more row of the first chunk, is propagated once by
 ``evolution.final_amplitudes``, the two-pulse driver of the gates: the
 active chains of the four input branches (nu = N-2, N-1, N-1, N) are the
-blocks of one direct-sum state, and each trial is one column.  With decay
+blocks of one direct-sum state, each trial is one column, and their
+interaction is one chain-pair incidence of all their states.  With decay
 on, pulse II runs transposed in the loop of pulse I, as in a gate.  The
 residual |11>-branch phase and the fidelity loss against the baseline
 quantify the dephasing caused by imperfect cancellation between the two
@@ -23,14 +24,13 @@ from functools import partial
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .basis import build_full_basis
 from .config import ChainConfig, InteractionConfig, Model, ProtocolConfig
 from .errors import ConfigError, SampleRejected
 from .evolution import final_amplitudes
 from .gate import INPUT_LABELS, active_atoms, fidelity_from_diag, map_tasks
-from .hamiltonian import ChainHamiltonian
+from .hamiltonian import ChainHamiltonian, pair_incidence, pair_sites
 from .units import M_RB87, thermal_velocity
 
 DT_STEPS_THERMAL = 1500
@@ -125,11 +125,13 @@ def _batch_branch_amplitudes(
     state (full basis: moving atoms break the mirror) and each trial one
     column, propagated by ``evolution.final_amplitudes``, so one call
     serves every (label, trial) pair.  Positions evolve over absolute
-    protocol time, so each pair distance is d0 + dv t and the interaction
-    diagonal of a block of evaluation times is one product of the
-    block-diagonal pair incidence with the pair strengths of all blocks;
-    the sign flip of C6 in step II multiplies every instantaneous pair
-    strength by -lambda.  Decay enters exactly as in ``run_protocol``: with
+    protocol time, so each pair distance is d0 + dv t.  A block is a run of
+    the chain, so its states are its masks shifted to its first atom, and
+    the interaction diagonal of a block of evaluation times is one product
+    of their incidence on the pairs of the atoms the blocks cover (no atom
+    outside a block) with the pair strengths; the sign flip of C6 in step
+    II multiplies every pair strength by -lambda.  Decay enters exactly as
+    in ``run_protocol``: with
     ``cfg.include_decay`` the states keep their physical norm decay (and
     pulse II runs transposed in the loop of pulse I), otherwise they are
     normalised.  Raises ConfigError for a model other than full vdW.
@@ -144,12 +146,14 @@ def _batch_branch_amplitudes(
     if not np.all(ok):
         raise SampleRejected(f"atom ordering violated for batch rows {np.flatnonzero(~ok).tolist()}")
 
-    # the atoms of every block's pairs, concatenated; distances (pairs, trials)
-    pairs = [atoms[np.array(h.pairs, dtype=int).reshape(-1, 2)] for atoms, h in zip(atom_sets, hams)]
-    ia, ib = np.concatenate(pairs).T
+    # the pairs of the run of atoms the blocks cover; distances (pairs, trials)
+    lo, hi = min(atoms[0] for atoms in atom_sets), max(atoms[-1] for atoms in atom_sets)
+    pairs = lo + np.array(pair_sites(hi + 1 - lo, cfg.interaction.range_cutoff), dtype=int).reshape(-1, 2)
+    ia, ib = pairs.T
     d0 = (base[:, ib] - base[:, ia]).T
     dv = (velocities[:, ib] - velocities[:, ia]).T
-    inc = block_diag(*(h.incidence for h in hams))  # (dim, pairs)
+    masks = np.concatenate([h.basis.masks << atoms[0] for atoms, h in zip(atom_sets, hams)])
+    inc = pair_incidence(masks, pairs)  # (dim, pairs)
 
     def v_int_at(c6: float, t_abs: np.ndarray) -> np.ndarray:
         d = d0 + dv * t_abs[:, None, None]  # (times, pairs, trials)

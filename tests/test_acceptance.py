@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from afmgate.basis import build_blockade_basis, build_full_basis, parity_sign, ordered_afm_masks
+from afmgate.basis import build_blockade_basis, build_full_basis, ordered_afm_masks
 from afmgate.cli import main as cli_main
 from afmgate.config import InteractionConfig, Model
 from afmgate.evolution import run_protocol
@@ -271,7 +271,7 @@ def test_c07_wrong_parity_leakage_identity():
     worst = 0.0
     checked = 0
     for nu, tau_list in ((3, (0.6, 1.0)), (5, (0.6, 1.0, 1.4))):
-        target_parity = parity_sign(ordered_afm_masks(nu)[0])
+        target_parity = ordered_afm_masks(nu)[0].bit_count() % 2
         for tau in tau_list:
             cfg = replace(
                 reference_config(n_atoms=max(nu, 3), model=Model.PXP),
@@ -284,8 +284,8 @@ def test_c07_wrong_parity_leakage_identity():
             psi_tau = traj.states[i_tau]
             b2 = sum(
                 abs(psi_tau[k]) ** 2
-                for k, s in enumerate(traj.basis.states)
-                if parity_sign(s) != target_parity
+                for k, s in enumerate(traj.basis.masks.tolist())
+                if s.bit_count() % 2 != target_parity
             )
             e2 = 1.0 - abs(run.ground_amplitude()) ** 2
             if e2 > 1e-4:
@@ -358,7 +358,7 @@ def test_c10_numerical_hygiene(tmp_path):
     for steps in (2000, 4000, 8000, 16000):
         res[steps] = run_protocol(
             3, replace(cfg, dt=cfg.pulse.tau / steps), compute_phases=False
-        ).final_state()
+        ).trajectory.states[-1]
     halving = float(np.abs(res[8000] - res[16000]).max())
     ratio = float(
         np.linalg.norm(res[2000] - res[4000]) / np.linalg.norm(res[4000] - res[8000])

@@ -9,14 +9,13 @@ from hypothesis import given, strategies as st
 from afmgate.basis import (
     afm_manifold_masks,
     apply_inversion,
+    bit_counts,
     bitstring,
-    blockade_allowed,
     build_blockade_basis,
     build_full_basis,
     inversion_permutation,
+    lookup,
     ordered_afm_masks,
-    parity_sign,
-    rydberg_count,
     sector_isometry,
 )
 
@@ -31,7 +30,7 @@ def fibonacci(n: int) -> int:
 class TestBlockadeBasis:
     def test_nu3_states_enumerated_exactly(self):
         basis = build_blockade_basis(3)
-        assert [bitstring(s, 3) for s in basis.states] == ["000", "100", "010", "001", "101"]
+        assert [bitstring(s, 3) for s in basis.masks.tolist()] == ["000", "100", "010", "001", "101"]
         assert basis.dim == 5
 
     def test_single_atom_has_two_states(self):
@@ -40,7 +39,7 @@ class TestBlockadeBasis:
     def test_nu8_matches_brute_force_filter(self):
         brute = [m for m in range(256) if not any(m >> i & 1 and m >> (i + 1) & 1 for i in range(7))]
         basis = build_blockade_basis(8)
-        assert list(basis.states) == brute
+        assert basis.masks.tolist() == brute
         assert basis.dim == 55
 
     @pytest.mark.parametrize("nu", range(1, 13))
@@ -49,9 +48,27 @@ class TestBlockadeBasis:
 
     def test_states_sorted_ascending_and_indexed(self):
         basis = build_blockade_basis(7)
-        assert list(basis.states) == sorted(basis.states)
-        for k, s in enumerate(basis.states):
-            assert basis.index[s] == k
+        assert basis.masks.tolist() == sorted(basis.masks.tolist())
+        for k, s in enumerate(basis.masks.tolist()):
+            assert basis.index(s) == k
+
+    @pytest.mark.parametrize("nu", range(1, 21))
+    def test_bitwise_equal_to_brute_force_enumeration(self, nu):
+        every = np.arange(1 << nu, dtype=np.int64)
+        masks = build_blockade_basis(nu).masks
+        assert masks.dtype == np.int64
+        assert np.array_equal(masks, every[every & (every >> 1) == 0])
+
+    def test_lookup_of_a_mask_outside_the_basis_raises(self):
+        basis = build_blockade_basis(4)
+        with pytest.raises(KeyError):
+            basis.index(0b0011)
+        with pytest.raises(KeyError):
+            basis.index([0b0101, 0b0110])
+        assert basis.index([0b0101, 0b1001]).tolist() == [basis.index(0b0101), basis.index(0b1001)]
+        k, found = lookup(basis.masks, np.array([0b0011, 0b1010, 0b1111]))
+        assert found.tolist() == [False, True, False]
+        assert basis.masks[k[1]] == 0b1010
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
@@ -65,17 +82,22 @@ class TestFullBasis:
     def test_sizes(self, nu, size):
         assert build_full_basis(nu).dim == size
 
+    @pytest.mark.parametrize("nu", range(1, 17))
+    def test_bitwise_equal_to_brute_force_enumeration(self, nu):
+        masks = build_full_basis(nu).masks
+        assert masks.dtype == np.int64
+        assert masks.tolist() == list(range(1 << nu))
+
 
 class TestStateOperations:
     def test_rydberg_count(self):
-        assert rydberg_count(0b101) == 2
-        assert rydberg_count(0) == 0
-        assert rydberg_count(0b10101) == 3
+        assert bit_counts(np.array([0b101, 0, 0b10101]), 5).tolist() == [2, 0, 3]
+        assert bit_counts(np.array([0b1101]), 3).tolist() == [2]  # the lowest nu bits only
 
     def test_parity_sign(self):
-        assert parity_sign(0) == 1
-        assert parity_sign(0b101) == 1
-        assert parity_sign(0b10101) == -1
+        # (-1)^n_r, the parity column of ``basis-dump``
+        n_r = bit_counts(np.array([0, 0b101, 0b10101]), 5)
+        assert (1 - 2 * (n_r & 1)).tolist() == [1, 1, -1]
 
     def test_inversion_examples(self):
         # atom strings read left to right: "100" -> "001"
@@ -91,9 +113,9 @@ class TestStateOperations:
         mask = data.draw(st.integers(min_value=0, max_value=(1 << nu) - 1))
         inv = apply_inversion(mask, nu)
         assert apply_inversion(inv, nu) == mask
-        assert rydberg_count(inv) == rydberg_count(mask)
-        assert blockade_allowed(inv) == blockade_allowed(mask)
-        assert parity_sign(mask) * parity_sign(inv) == 1
+        assert inv.bit_count() == mask.bit_count()
+        assert (inv & inv >> 1 == 0) == (mask & mask >> 1 == 0)
+        assert (-1) ** mask.bit_count() * (-1) ** inv.bit_count() == 1
 
 
 BASES = [build(nu) for build in (build_full_basis, build_blockade_basis) for nu in range(1, 11)]
@@ -108,8 +130,8 @@ class TestInversionSector:
     def test_inversion_permutation_matches_apply_inversion(self):
         for basis in BASES:
             perm = inversion_permutation(basis)
-            for k, s in enumerate(basis.states):
-                assert basis.states[perm[k]] == apply_inversion(s, basis.nu)
+            for k, s in enumerate(basis.masks.tolist()):
+                assert basis.masks[perm[k]] == apply_inversion(s, basis.nu)
 
     @pytest.mark.parametrize(
         "basis,d_even",
@@ -148,8 +170,8 @@ class TestAfmConfigurations:
         masks = afm_manifold_masks(6)
         assert [bitstring(m, 6) for m in masks] == ["010101", "100101", "101001", "101010"]
         for m in masks:
-            assert blockade_allowed(m)
-            assert rydberg_count(m) == 3
+            assert m & m >> 1 == 0
+            assert m.bit_count() == 3
 
     def test_manifold_requires_even_nu(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
-"""The benchmark tracer wraps afmgate functions by name; every name it
-lists must still exist, or ``bench/run.py --trace 1`` breaks."""
+"""The benchmark tracer wraps afmgate functions by name and reads some of
+their arguments by name; every name it lists and every argument it reads
+must still exist, or ``bench/run.py --trace 1`` breaks."""
 
 import importlib
+import inspect
 import runpy
 from pathlib import Path
 
@@ -16,6 +18,23 @@ LAYER_FUNCTIONS = runpy.run_path(str(TRACING))["LAYER_FUNCTIONS"]
 )
 def test_traced_name_resolves_to_a_callable(layer, name):
     assert callable(getattr(importlib.import_module(f"afmgate.{layer}"), name, None))
+
+
+# the arguments the tracer reads from the wrapped calls, by name, and the
+# one it sets when it reruns ``run_protocol`` without phases
+TRACED_ARGUMENTS = [
+    ("evolution", "run_protocol", "cfg"),
+    ("evolution", "run_protocol", "compute_phases"),
+    ("spectra", "scan_spectrum", "grid_size"),
+    ("thermal", "run_thermal_ensemble", "tcfg"),
+]
+
+
+@pytest.mark.parametrize("layer,name,argument", TRACED_ARGUMENTS)
+def test_traced_argument_is_in_the_signature(layer, name, argument):
+    assert name in LAYER_FUNCTIONS[layer]
+    fn = getattr(importlib.import_module(f"afmgate.{layer}"), name)
+    assert argument in inspect.signature(fn).parameters
 
 
 def test_one_vdw_chain_builds_each_traced_structure_once(monkeypatch):

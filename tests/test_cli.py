@@ -205,6 +205,24 @@ class TestGateAndSweep:
         _, rows = read_csv_rows(tmp_path / "out1" / "sweep.csv")
         assert [row[0] for row in rows] == ["3", "3", "4", "4"]
 
+    def test_sweep_keeps_the_configured_envelope_width(self, tmp_path):
+        data = json.loads(json.dumps(CONFIG))
+        data["chain"]["n_atoms"] = 3
+        data["pulse"]["sigma_us"] = 0.3
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(data))
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps(C_TABLE))
+        gate_out, sweep_out = tmp_path / "gate", tmp_path / "sweep"
+        assert main(["--config", str(cfg), "--out", str(gate_out), "gate", "--c-file", str(cfile)]) == EXIT_OK
+        assert main(["--config", str(cfg), "--out", str(sweep_out), "sweep", "--n-list", "3", "--tau-min", "1",
+                     "--tau-max", "1", "--tau-points", "1", "--c-file", str(cfile)]) == EXIT_OK
+        infidelity = json.loads((gate_out / "gate.json").read_text())["infidelity"]
+        header, rows = read_csv_rows(sweep_out / "sweep.csv")
+        (row,) = rows
+        assert float(row[header.index("tau_us")]) == 1.0
+        assert abs(float(row[header.index("e_numeric")]) - infidelity) < 1e-12
+
     def test_decay_free_gate_reports_null_optimum(self, tmp_path):
         data = json.loads(json.dumps(CONFIG))
         del data["decay"]

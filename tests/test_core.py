@@ -14,6 +14,7 @@ from afmgate.config import (
     ProtocolConfig,
     PulseProfile,
     mean_rydberg_number,
+    pulse_with_tau,
 )
 from afmgate.errors import ConfigError
 from afmgate.units import mhz, to_mhz
@@ -67,6 +68,13 @@ class TestPulseProfile:
     def test_sigma_defaults_to_0385_tau(self):
         p = PulseProfile(1.0, 2.0, 2.0)
         assert p.sigma == pytest.approx(0.385 * 2.0, rel=1e-15)
+
+    def test_new_duration_keeps_the_width_ratio(self):
+        default = pulse_with_tau(PulseProfile(1.0, 2.0, 1.0), 3.0)
+        assert default.sigma == 0.385 * 3.0  # as a pulse built at that duration
+        p = pulse_with_tau(PulseProfile(1.0, 2.0, 1.0, sigma=0.3), 2.5)
+        assert (p.omega0, p.delta0, p.tau) == (1.0, 2.0, 2.5)
+        assert p.sigma == pytest.approx(0.75, rel=1e-15)
 
     def test_rescaled_pulse_is_time_compressed_and_amplified(self, pulse):
         lam = 2.0

@@ -49,13 +49,18 @@ def segments(nu, cfg):
 
 def full_segments(nu, cfg):
     """The two segment engines of a protocol on the model's full basis: the
-    path the even-sector propagation replaced."""
+    path the even-sector propagation replaced.  Pulse II runs at rate
+    1 / lambda on the step of pulse I."""
     ham = ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction)
     gamma_1, gamma_2 = (cfg.decay.gamma_r, cfg.decay.gamma_rp) if cfg.include_decay else (0.0, 0.0)
-    pulse_2 = cfg.pulse.rescaled(cfg.interaction.lambda_ratio)
+    lam = cfg.interaction.lambda_ratio
+    pulse_2 = cfg.pulse.rescaled(lam)
     return (
         _SegmentEngine([ham], cfg.pulse, gamma_1),
-        _SegmentEngine([ham.with_interaction(cfg.interaction.flipped())], pulse_2, gamma_2, t_abs_start=cfg.pulse.tau),
+        _SegmentEngine(
+            [ham.with_interaction(cfg.interaction.flipped())], pulse_2, gamma_2, t_abs_start=cfg.pulse.tau,
+            rate=1.0 / lam,
+        ),
     )
 
 
@@ -80,7 +85,7 @@ def full_space_h(seg):
 
 def full_ground(basis):
     psi = np.zeros(basis.dim, dtype=complex)
-    psi[basis.index[0]] = 1.0
+    psi[basis.index(0)] = 1.0
     return psi
 
 
@@ -102,6 +107,7 @@ class ConstantEngine(_SegmentEngine):
         self.drive = np.asarray(drive, dtype=float)
         self.hamiltonians = (SimpleNamespace(drive=self.drive),)
         self.scales = (1.0,)
+        self.rate = 1.0
         self.diag = np.asarray(diag, dtype=complex)
         self.omega = omega
         self.pulse = SimpleNamespace(tau=tau)
@@ -465,7 +471,7 @@ class TestRunProtocol:
         spec = afm_analytic_spectrum(nu, 1.0, 10.0, cfg.interaction, mode)
         rows = {"afm": 0} if model is Model.PXP else {"afm": 0, "afm_excited": nu // 2 - 1}
         assert set(traj.populations) == {"ground", *rows}
-        idx = [traj.basis.index[mask] for mask in afm_manifold_masks(nu)]
+        idx = [traj.basis.index(mask) for mask in afm_manifold_masks(nu)]
         for name, row in rows.items():
             v = np.zeros(traj.basis.dim, dtype=complex)
             v[idx] = spec.vectors[row]
@@ -593,7 +599,7 @@ class TestPhases:
     def test_phase_decomposition_matches_protocol_record(self):
         cfg = reference_config(model=Model.PXP)
         run = run_protocol(3, cfg)
-        h1, h2 = (full_space_h(seg) for seg in run.segments)
+        h1, h2 = (full_space_h(seg) for seg in segments(3, cfg))
         tau = cfg.pulse.tau
 
         def h_of_t(t):
@@ -625,13 +631,15 @@ def record_fallback(monkeypatch):
     return rows
 
 
-def segment_samples(run):
+def segment_samples(run, nu, cfg):
     """(segment engine, first and last sample index, segment start time) of
-    both pulses; the boundary sample belongs to both."""
+    both pulses of ``run_protocol(nu, cfg)``; the boundary sample belongs to
+    both."""
     times = run.trajectory.times
-    cut = int(np.searchsorted(times, run.boundaries[1]))
-    seg1, seg2 = run.segments
-    return ((seg1, 0, cut, 0.0), (seg2, cut, len(times) - 1, run.boundaries[1]))
+    tau = cfg.pulse.tau
+    cut = int(np.searchsorted(times, tau))
+    seg1, seg2 = segments(nu, cfg)
+    return ((seg1, 0, cut, 0.0), (seg2, cut, len(times) - 1, tau))
 
 
 class TestEvenSectorBranchEnergies:
@@ -650,21 +658,22 @@ class TestEvenSectorBranchEnergies:
         run = run_protocol(nu, cfg, compute_phases=every == 1)
         traj = run.trajectory
         reference = []
-        for seg, lo, hi, start in segment_samples(run):
+        for seg, lo, hi, start in segment_samples(run, nu, cfg):
             idx = np.arange(lo, hi + 1, every)
             energies = seg.branch_energies(traj.times[idx] - start, traj.states[idx] @ seg.hamiltonian.u)
             ref = np.array([full_space_branch_energy(seg, traj.times[i] - start, traj.states[i]) for i in idx])
             assert np.abs(energies - ref).max() <= 1e-12 * np.abs(ref).max()
             reference.append(ref)
         if every == 1:
-            cuts = [0, segment_samples(run)[1][1], len(traj.times) - 1]
+            cuts = [0, segment_samples(run, nu, cfg)[1][1], len(traj.times) - 1]
             phi = _dynamical_phase(traj.times, cuts, lambda k, lo, hi: reference[k])
             assert np.abs(run.phases.phi_dynamical - phi).max() <= 1e-11
 
     def test_energies_independent_of_chunk_size(self, monkeypatch):
-        run = run_protocol(5, reference_config(model=Model.FULL_VDW), compute_phases=False)
+        cfg = reference_config(model=Model.FULL_VDW)
+        run = run_protocol(5, cfg, compute_phases=False)
         traj = run.trajectory
-        seg, lo, hi, start = segment_samples(run)[0]
+        seg, lo, hi, start = segment_samples(run, 5, cfg)[0]
         idx = np.arange(lo, hi + 1, 13)
         states = traj.states[idx] @ seg.hamiltonian.u
         whole = seg.branch_energies(traj.times[idx] - start, states)
@@ -693,7 +702,7 @@ class TestEvenSectorBranchEnergies:
         traj = run.trajectory
         dense_energies = evolution._max_overlap_energies
         rows = record_fallback(monkeypatch)
-        for seg, lo, hi, start in segment_samples(run):
+        for seg, lo, hi, start in segment_samples(run, 4, cfg):
             t = traj.times[lo : hi + 1] - start
             states = traj.states[lo : hi + 1] @ seg.hamiltonian.u
             energies = seg.branch_energies(t, states)
@@ -710,7 +719,7 @@ class TestEvenSectorBranchEnergies:
         cfg = reference_config(model=Model.FULL_VDW)
         ham = ChainHamiltonian(Model.FULL_VDW, model_basis(Model.FULL_VDW, 4), cfg.interaction)
         ham.v = ham.v.copy()
-        ham.v[ham.basis.index[0b0011]] += shift * np.abs(ham.v).max()
+        ham.v[ham.basis.index(0b0011)] += shift * np.abs(ham.v).max()
         if raises:
             with pytest.raises(ValueError, match="inversion"):
                 _protocol_segments([ham], cfg)
@@ -721,7 +730,7 @@ class TestEvenSectorBranchEnergies:
         cfg = reference_config(model=Model.PXP)
         ham = ChainHamiltonian(Model.PXP, model_basis(Model.PXP, 3))
         ham.drive = ham.drive.copy()
-        ham.drive[0, ham.basis.index[0b001]] *= 1.0 + 1e-15
+        ham.drive[0, ham.basis.index(0b001)] *= 1.0 + 1e-15
         with pytest.raises(ValueError, match="inversion"):
             ham.sector()
 
@@ -976,9 +985,9 @@ class TestSectorPropagation:
         h_scale = nu * (abs(pulse.delta0) + abs(pulse.omega0)) * max(1.0, lam) + np.abs(seg1.hamiltonian.v).max()
         stride = _default_stride(h_scale, cfg.dt, n)
         t1, s1 = _run_segment(seg1, full_ground(seg1.basis), cfg.dt, n, stride, not include_decay)
-        t2, s2 = _run_segment(seg2, s1[-1], cfg.dt / lam, n, stride, not include_decay)
+        t2, s2 = _run_segment(seg2, s1[-1], cfg.dt, n, stride, not include_decay)
         assert np.array_equal(run.trajectory.times, np.concatenate([[0.0], t1, pulse.tau + t2]))
-        assert np.abs(run.final_state() - s2[-1]).max() < 1e-13
+        assert np.abs(run.trajectory.states[-1] - s2[-1]).max() < 1e-13
 
     @pytest.mark.parametrize("kind", ["1-D", "strided 1-D", "column batch", "Fortran batch", "strided batch"])
     def test_real_views_share_memory_with_the_state_rows(self, kind, monkeypatch):
@@ -1030,7 +1039,7 @@ class TestConvergence:
         runs = {}
         for steps in (2000, 4000, 8000):
             c = replace(cfg, dt=cfg.pulse.tau / steps)
-            runs[steps] = run_protocol(3, c, compute_phases=False).final_state()
+            runs[steps] = run_protocol(3, c, compute_phases=False).trajectory.states[-1]
         err_coarse = np.linalg.norm(runs[2000] - runs[4000])
         err_fine = np.linalg.norm(runs[4000] - runs[8000])
         assert 8.0 < err_coarse / err_fine < 32.0
@@ -1039,10 +1048,11 @@ class TestConvergence:
         # Independent check of the fixed-step RK4: an adaptive 8th-order
         # integrator on the same segment Hamiltonians must give the same
         # ground-state return (~0.968) and the parity phase pi.
-        run = run_protocol(5, reference_config(model=Model.PXP), compute_phases=False)
+        cfg = reference_config(model=Model.PXP)
+        run = run_protocol(5, cfg, compute_phases=False)
         basis = run.trajectory.basis
         psi = full_ground(basis)
-        for seg in run.segments:
+        for seg in segments(5, cfg):
             h_of_t = full_space_h(seg)
             sol = solve_ivp(
                 lambda t, y: -1j * (h_of_t(t) @ y),
@@ -1050,7 +1060,7 @@ class TestConvergence:
             )
             assert sol.success
             psi = sol.y[:, -1]
-        amp = psi[basis.index[0]]
+        amp = psi[basis.index(0)]
         assert abs(abs(amp) ** 2 - abs(run.ground_amplitude()) ** 2) < 1e-6
         assert abs(wrap_phase(np.angle(amp) - math.pi)) < 0.05
 

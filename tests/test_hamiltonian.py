@@ -58,7 +58,7 @@ def reference_corrections(omega, delta, inter, basis):
     def q(s, i):
         return 0 <= i < nu and bool((s >> i) & 1)
 
-    for k, s in enumerate(basis.states):
+    for k, s in enumerate(basis.masks.tolist()):
         shift = sum(inter.b_nnn for i in range(nu - 2) if q(s, i) and q(s, i + 2))
         for i in range(nu):
             if not q(s, i):
@@ -67,7 +67,7 @@ def reference_corrections(omega, delta, inter, basis):
         h[k, k] += shift
         for i in range(nu - 1):
             if q(s, i) and not q(s, i + 1) and not q(s, i - 1) and not q(s, i + 2):
-                kt = basis.index[s ^ (1 << i) ^ (1 << (i + 1))]
+                kt = basis.index(s ^ (1 << i) ^ (1 << (i + 1)))
                 h[k, kt] = h[kt, k] = -s_b
     return h
 
@@ -77,13 +77,13 @@ def reference_drive(basis):
     constrained basis (the PXP projectors), and look the result up."""
     nu = basis.nu
     d = np.zeros((basis.dim, basis.dim))
-    for k, s in enumerate(basis.states):
+    for k, s in enumerate(basis.masks.tolist()):
         for i in range(nu):
             left = i > 0 and (s >> (i - 1)) & 1
             right = i < nu - 1 and (s >> (i + 1)) & 1
             if basis.constrained and (left or right):
                 continue
-            d[k, basis.index[s ^ (1 << i)]] = 0.5
+            d[k, basis.index(s ^ (1 << i))] = 0.5
     return d
 
 
@@ -97,11 +97,11 @@ def test_structures_match_per_state_oracle(kind, nu):
     basis."""
     basis = (build_blockade_basis if kind == "blockade" else build_full_basis)(nu)
     assert np.array_equal(drive_matrix(basis), reference_drive(basis))
-    n_r = [float(sum((s >> i) & 1 for i in range(nu))) for s in basis.states]
+    n_r = [float(sum((s >> i) & 1 for i in range(nu))) for s in basis.masks.tolist()]
     assert np.array_equal(excitation_numbers(basis), n_r)
     pairs = pair_sites(nu)
-    inc = [[float((s >> i) & 1 and (s >> j) & 1) for i, j in pairs] for s in basis.states]
-    assert np.array_equal(pair_incidence(basis, pairs), np.reshape(inc, (basis.dim, len(pairs))))
+    inc = [[float((s >> i) & 1 and (s >> j) & 1) for i, j in pairs] for s in basis.masks.tolist()]
+    assert np.array_equal(pair_incidence(basis.masks, pairs), np.reshape(inc, (basis.dim, len(pairs))))
 
 
 class TestPxp:
@@ -142,7 +142,7 @@ class TestVdw:
     def test_next_nearest_energy(self):
         basis = build_full_basis(3)
         h = build_vdw(0.0, 0.0, interaction(b=64.0, spacing=1.0), basis)
-        i = basis.index[0b101]
+        i = basis.index(0b101)
         assert h[i, i].real == pytest.approx(1.0)
 
     def test_requires_full_basis(self):
@@ -178,7 +178,7 @@ class TestCorrections:
         om, de, b = 2.0, 7.0, mhz(45)
         s_b = om**2 / (4 * (b - de))
         h = build_corrections(om, de, interaction(b=b), basis)
-        i = basis.index[0b1001]
+        i = basis.index(0b1001)
         assert h[i, i].real == pytest.approx(-2 * de - 2 * s_b, rel=1e-12)
 
     def test_r1r1_diagonal_has_b2_and_double_neighbour_shift(self):
@@ -187,7 +187,7 @@ class TestCorrections:
         s_b = om**2 / (4 * (b - de))
         s_2b = om**2 / (4 * (2 * b - de))
         h = build_corrections(om, de, interaction(b=b), basis)
-        i = basis.index[0b0101]
+        i = basis.index(0b0101)
         assert h[i, i].real == pytest.approx(-2 * de + b / 64 - s_2b - s_b, rel=1e-12)
 
     def test_zero_drive_reduces_to_pxp_plus_b2(self):
@@ -198,7 +198,7 @@ class TestCorrections:
         )
         assert np.abs(extra - np.diag(np.diag(extra))).max() == 0.0
         diag = np.diag(extra).real
-        for k, s in enumerate(basis.states):
+        for k, s in enumerate(basis.masks.tolist()):
             pairs = sum(1 for i in range(3) if s >> i & 1 and s >> (i + 2) & 1)
             assert diag[k] == pytest.approx(pairs * b / 64, rel=1e-12, abs=1e-12)
 
@@ -313,9 +313,9 @@ def former_even_sector(ham):
     orbit from ``apply_inversion``."""
     basis = ham.basis
     orbits = [
-        (k, basis.index[apply_inversion(s, basis.nu)])
-        for k, s in enumerate(basis.states)
-        if k <= basis.index[apply_inversion(s, basis.nu)]
+        (k, basis.index(apply_inversion(s, basis.nu)))
+        for k, s in enumerate(basis.masks.tolist())
+        if k <= basis.index(apply_inversion(s, basis.nu))
     ]
     u = np.zeros((basis.dim, len(orbits)))
     for col, (k, m) in enumerate(orbits):
@@ -341,7 +341,7 @@ class TestSectors:
             assert np.array_equal(sector.n_r, n_r)
             assert np.array_equal(sector.v, v)
             assert sector.m1 is None and sector.m2 is None
-            assert sector.u[h.basis.index[0], 0] == 1.0  # |0...0> is the first column
+            assert sector.u[h.basis.index(0), 0] == 1.0  # |0...0> is the first column
 
     @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW, Model.PXP_PLUS_CORRECTIONS])
     @pytest.mark.parametrize("nu", [1, 2, 4, 5, 7])
@@ -365,7 +365,7 @@ class TestSectors:
     @pytest.mark.parametrize("field", ["m1", "m2"])
     def test_broken_level_shift_symmetry_raises(self, field):
         ham = ChainHamiltonian(Model.PXP_PLUS_CORRECTIONS, model_basis(Model.PXP_PLUS_CORRECTIONS, 3), interaction())
-        k = ham.basis.index[0b001]
+        k = ham.basis.index(0b001)
         setattr(ham, field, getattr(ham, field).copy())
         if field == "m1":
             ham.m1[k, k] += 1.0

@@ -67,29 +67,29 @@ class TestClassifySymmetry:
     def test_antisymmetric_combination(self):
         basis = build_blockade_basis(3)
         vec = np.zeros(5)
-        vec[basis.index[0b100]] = 1 / math.sqrt(2)
-        vec[basis.index[0b001]] = -1 / math.sqrt(2)
+        vec[basis.index(0b100)] = 1 / math.sqrt(2)
+        vec[basis.index(0b001)] = -1 / math.sqrt(2)
         assert in_sector_span(vec, basis, odd=True) and not in_sector_span(vec, basis, odd=False)
 
     def test_symmetric_single_configuration(self):
         basis = build_blockade_basis(3)
         vec = np.zeros(5)
-        vec[basis.index[0b010]] = 1.0
+        vec[basis.index(0b010)] = 1.0
         assert in_sector_span(vec, basis, odd=False) and not in_sector_span(vec, basis, odd=True)
 
     def test_dark_afm_combination_is_antisymmetric(self):
         basis = build_blockade_basis(4)
         vec = np.zeros(basis.dim)
-        vec[basis.index[0b1010]] = 1 / math.sqrt(2)   # |1r1r>
-        vec[basis.index[0b0101]] = -1 / math.sqrt(2)  # |r1r1>
+        vec[basis.index(0b1010)] = 1 / math.sqrt(2)   # |1r1r>
+        vec[basis.index(0b0101)] = -1 / math.sqrt(2)  # |r1r1>
         assert in_sector_span(vec, basis, odd=True) and not in_sector_span(vec, basis, odd=False)
 
 
 def dense_inversion(basis):
     """Permutation matrix of the spatial inversion, one mask at a time."""
     inv = np.zeros((basis.dim, basis.dim))
-    for k, s in enumerate(basis.states):
-        inv[basis.index[apply_inversion(s, basis.nu)], k] = 1.0
+    for k, s in enumerate(basis.masks.tolist()):
+        inv[basis.index(apply_inversion(s, basis.nu)), k] = 1.0
     return inv
 
 

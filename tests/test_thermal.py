@@ -131,6 +131,32 @@ class TestThermalTrials:
         with pytest.raises(SampleRejected, match=r"rows \[1\]"):
             _batch_branch_amplitudes(5, cfg, zero_rows(2, 5), vel, ("11",))
 
+    def test_inactive_atom_crossing_its_neighbour_leaves_the_branch_alone(self):
+        # atom 0 is in no block of label "00": it may cross atom 1, and it
+        # has no pair in the interaction
+        cfg = reference_config(n_atoms=4, model=Model.FULL_VDW, tau=0.4)
+        moving, still = zero_rows(2, 4), zero_rows(2, 4)
+        moving[:, 0] = 10.0  # 10 um/us for 0.8 us crosses the 4 um spacing
+        moving[1, 2] = still[1, 2] = 0.3
+        amps = _batch_branch_amplitudes(4, cfg, zero_rows(2, 4), moving, ("00",))
+        assert np.all(np.isfinite(amps))
+        assert np.array_equal(amps, _batch_branch_amplitudes(4, cfg, zero_rows(2, 4), still, ("00",)))
+        assert abs(amps[1, 0] - amps[0, 0]) > 1e-9  # the active atom's motion shows
+
+    @pytest.mark.parametrize("labels,rows,pairs", [(INPUT_LABELS, 72, 10), (("00",), 8, 3), (("01", "11"), 48, 10)])
+    def test_one_incidence_over_the_pairs_of_the_covered_atoms(self, labels, rows, pairs, monkeypatch):
+        cfg = reference_config(n_atoms=5, model=Model.FULL_VDW, tau=0.4)
+        shapes = []
+        real = thermal.pair_incidence
+
+        def recording(masks, atom_pairs):
+            shapes.append(real(masks, atom_pairs).shape)
+            return real(masks, atom_pairs)
+
+        monkeypatch.setattr(thermal, "pair_incidence", recording)
+        _batch_branch_amplitudes(5, cfg, zero_rows(1, 5), zero_rows(1, 5), labels)
+        assert shapes == [(rows, pairs)]
+
     def test_bulk_atom_phase_sensitivity_below_edge(self):
         # AFM bulk motion cancels at first order; edges do not
         cfg = reference_config(n_atoms=7, model=Model.FULL_VDW)
@@ -245,11 +271,11 @@ def sequential_amplitudes(hams, cfg, v_int_fn_steps, columns):
     the full bases."""
     seg1, seg2 = _protocol_segments(hams, cfg, v_int_fn_steps)
     n = _step_count(0.0, cfg.pulse.tau, cfg.dt)
-    ground = [chain.start + h.basis.index[0] for chain, h in zip(seg1.chains, hams)]
+    ground = [chain.start + h.basis.index(0) for chain, h in zip(seg1.chains, hams)]
     psi = np.zeros((seg1.chains[-1].stop, columns), dtype=complex)
     psi[ground, :] = 1.0
-    for seg, dt in zip((seg1, seg2), (cfg.dt, cfg.dt / cfg.interaction.lambda_ratio)):
-        _, (psi,) = _run_segment(seg, psi, dt, n, n, seg.gamma == 0.0)
+    for seg in (seg1, seg2):
+        _, (psi,) = _run_segment(seg, psi, cfg.dt, n, n, seg.gamma == 0.0)
     return psi[ground, :].T
 
 
