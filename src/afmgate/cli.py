@@ -37,7 +37,7 @@ from .gate import (
 )
 from .hamiltonian import ChainHamiltonian, model_basis
 from .spectra import scan_spectrum
-from .thermal import ThermalConfig, run_thermal_ensemble
+from .thermal import SEED_LIMIT, ThermalConfig, run_thermal_ensemble
 from .units import mhz, to_mhz
 
 EXIT_OK = 0
@@ -447,6 +447,8 @@ def _check_arg_ranges(args: argparse.Namespace) -> None:
             raise ConfigError(f"{flag} must be >= {minimum}, got {value}")
         if value is not None and flag in _DURATION_FLAGS and not value > 0.0:
             raise ConfigError(f"{flag} must be > 0, got {value}")
+    if args.command == "thermal" and not 0 <= args.seed < SEED_LIMIT:
+        raise ConfigError(f"--seed must be in [0, 2^64) for thermal, got {args.seed}")
     for command, name, flag, minimum, odd in _LIST_ARGS:
         if args.command == command:
             try:

@@ -22,9 +22,11 @@ real norm errors): the step is linear and block-diagonal, so this equals
 renormalising after every step up to round-off, with no norm in the
 loop.  Non-Hermitian runs keep the physical norm decay.
 
-One protocol driver serves ``run_protocol`` (one chain, with its sampled
-trajectory) and ``final_amplitudes``, the one place that runs the two
-pulses for final amplitudes only.  That serves ``ground_amplitudes``,
+One setup, ``_protocol_start``, builds the two pulse engines, the
+initial state and the step count for both callers of the stepper:
+``run_protocol`` (one chain, with its sampled trajectory) and
+``final_amplitudes``, the one place that runs the two pulses for final
+amplitudes only.  That serves ``ground_amplitudes``,
 which propagates the chains of a gate (nu = N-2, N-1, N: one pulse, step
 and step count) as one concatenated state, ``tau_batch_amplitudes``,
 which adds one copy of those blocks per pulse duration (the pulse is a
@@ -46,12 +48,15 @@ chains run on the inversion-even sectors (``ChainHamiltonian.sector``;
 operators are projected once per pulse, a Hamiltonian that breaks the
 mirror raises there, and ``run_protocol`` maps its samples back to the
 full basis.  Moving atoms break the mirror, so a thermal chunk keeps the
-full basis; its per-trial interaction is diagonal, so -iH stays complex
-symmetric and, with decay, pulse II runs transposed as in a gate.
+full basis and both engines take its chains as they are, each pulse's
+interaction being its per-trial function; that interaction is diagonal,
+so -iH stays complex symmetric and, with decay, pulse II runs transposed
+as in a gate.
 
 The dynamical phase integrates the energy of the branch that holds the
-state.  Each chunk of stored samples runs one stacked real ``eigvalsh`` of
-the Hermitian part of H on the sector, and a residual bound proves which
+state (``_branch_energies``).  Each chunk of stored samples runs one
+stacked real ``eigvalsh`` of the Hermitian part of H on the sector, built
+by ``ChainHamiltonian.matrix``, and a residual bound proves which
 eigenvalue holds more than half of each state; only the samples it cannot
 settle (near-degenerate partners, such as the even-nu vdW AFM doublet)
 take eigenvectors.
@@ -153,10 +158,12 @@ class _SegmentEngine:
     are concatenated, so the diagonal of -iH is one array for the whole
     state and only the drive products are made block by block.
     ``v_int_fn``, when given, supplies the interaction diagonal of a
-    (dim, batch) state with moving atoms (otherwise the static ``v`` is
-    used): called with an array of k absolute protocol times it returns the
-    real (k, dim, batch) diagonals, one column per trial, and the excitation
-    counts are kept as a column to broadcast against the batch.
+    (dim, batch) state with moving atoms in place of the static ``v``
+    (then None): called with an array of k absolute protocol times it
+    returns the real (k, dim, batch) diagonals, one column per trial, and
+    the excitation counts are kept as a column to broadcast against the
+    batch.  The engine only steps: the branch energies of its samples are
+    ``_branch_energies`` of a chain.
     ``scales`` (one per chain block, default 1) multiplies a block's drive,
     n_r and v (or its per-trial interaction), and so its decay: a protocol
     of duration tau run on the time grid of duration tau_ref has H scaled
@@ -191,7 +198,9 @@ class _SegmentEngine:
         self.gamma = gamma
         self.v_int_fn = v_int_fn
         self.t_abs_start = t_abs_start
-        self.v = np.concatenate([s * h.v for h, s in zip(self.hamiltonians, self.scales)])
+        self.v = (
+            np.concatenate([s * h.v for h, s in zip(self.hamiltonians, self.scales)]) if v_int_fn is None else None
+        )
         n_r = np.concatenate([s * h.n_r for h, s in zip(self.hamiltonians, self.scales)])
         self._n_r = n_r if v_int_fn is None else n_r[:, None]
         # a per-trial interaction takes the block scales row by row
@@ -227,17 +236,6 @@ class _SegmentEngine:
             for g in groups
         )
 
-    @property
-    def hamiltonian(self) -> ChainHamiltonian:
-        """The chain operators of a one-chain engine."""
-        if len(self.hamiltonians) != 1:
-            raise ValueError(f"an engine over {len(self.hamiltonians)} chains has no single Hamiltonian")
-        return self.hamiltonians[0]
-
-    @property
-    def basis(self) -> Basis:
-        return self.hamiltonian.basis
-
     def tables(self, dt: float, n_steps: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Local times of every RK4 evaluation of the segment, at pulse
         steps rate * dt and clamped into the pulse window, with Omega and
@@ -271,57 +269,57 @@ class _SegmentEngine:
         np.subtract(delta_n_r, v, out=out.imag)
         return out
 
-    def branch_energies(self, t_local: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """Instantaneous eigenvalue of the dominantly occupied branch of the
-        Hermitian part (maximal overlap with the state) for each state row
-        at its local time, in the space the engine propagates (the even
-        sector of a static chain).  Raises ValueError for an engine over
-        several chains.
 
-        Each chunk of samples runs one stacked ``eigvalsh`` and no
-        eigenvectors.  For the normalised state phi, with Rayleigh quotient
-        r = <phi|H|phi> and residual sigma^2 = ||(H - r) phi||^2, the branch
-        weights p_j obey sum_j p_j (w_j - r)^2 = sigma^2, so 1 - p_k <=
-        sigma^2 / g^2 for the eigenvalue w_k nearest r and the distance g
-        from r to the next-nearest one.  sigma^2 < g^2 / 2 proves p_k > 1/2:
-        w_k is the branch of maximal overlap.  The samples this cannot
-        settle (near-degenerate partners sharing the state) take the
-        eigenvectors through ``_max_overlap_energies``.
-        """
-        ham = self.hamiltonian
-        t = np.clip(t_local, 0.0, self.pulse.tau)
-        omega, delta = self.pulse.omega(t), self.pulse.delta(t)
-        diag = np.arange(len(ham.n_r))
-        chunk = max(1, PHASE_CHUNK_ENTRIES // len(diag) ** 2)
-        energies = np.empty(len(t))
-        for lo in range(0, len(t), chunk):
-            hi = min(lo + chunk, len(t))
-            phi = states[lo:hi]
-            h_diag = ham.v - delta[lo:hi, None] * ham.n_r
-            h = omega[lo:hi, None, None] * ham.drive
-            h[:, diag, diag] += h_diag
-            w = np.linalg.eigvalsh(h)
-            # H acts on the real and imaginary parts apart: one real product
-            # of the (symmetric) drive for both
-            x = np.stack([phi.real, phi.imag], axis=1)
-            hx = (x.reshape(-1, len(diag)) @ ham.drive).reshape(x.shape)
-            hx *= omega[lo:hi, None, None]
-            hx += h_diag[:, None, :] * x
-            norm2 = np.einsum("ijk,ijk->i", x, x)
-            r = np.einsum("ijk,ijk->i", x, hx) / norm2
-            hx -= r[:, None, None] * x
-            sigma2 = np.einsum("ijk,ijk->i", hx, hx) / norm2
-            rows = np.arange(hi - lo)
-            dist = np.abs(w - r[:, None])
-            k = np.argmin(dist, axis=1)
-            nearest = w[rows, k]
-            dist[rows, k] = np.inf  # one level alone: g = inf, always settled
-            g = np.min(dist, axis=1)
-            unsettled = ~(2.0 * sigma2 < g * g)  # a NaN (zero state) is unsettled
-            if unsettled.any():
-                nearest[unsettled] = _max_overlap_energies(h[unsettled], phi[unsettled])
-            energies[lo:hi] = nearest
-        return energies
+def _branch_energies(
+    ham: ChainHamiltonian, pulse: PulseProfile, t_local: np.ndarray, states: np.ndarray
+) -> np.ndarray:
+    """Instantaneous eigenvalue of the dominantly occupied branch of the
+    Hermitian part of ``ham`` (maximal overlap with the state) for each
+    state row at its local time of ``pulse``, in the space of ``ham`` (the
+    even sector of a static chain).
+
+    Each chunk of samples stacks its matrices with ``ChainHamiltonian.matrix``
+    and runs one stacked ``eigvalsh`` and no eigenvectors.  For the
+    normalised state phi, with Rayleigh quotient r = <phi|H|phi> and
+    residual sigma^2 = ||(H - r) phi||^2, the branch weights p_j obey
+    sum_j p_j (w_j - r)^2 = sigma^2, so 1 - p_k <= sigma^2 / g^2 for the
+    eigenvalue w_k nearest r and the distance g from r to the next-nearest
+    one.  sigma^2 < g^2 / 2 proves p_k > 1/2: w_k is the branch of maximal
+    overlap.  The samples this cannot settle (near-degenerate partners
+    sharing the state) take the eigenvectors through
+    ``_max_overlap_energies``.
+    """
+    t = np.clip(t_local, 0.0, pulse.tau)
+    omega, delta = pulse.omega(t), pulse.delta(t)
+    diag = np.arange(len(ham.n_r))
+    chunk = max(1, PHASE_CHUNK_ENTRIES // len(diag) ** 2)
+    energies = np.empty(len(t))
+    for lo in range(0, len(t), chunk):
+        hi = min(lo + chunk, len(t))
+        phi = states[lo:hi]
+        h = ham.matrix(omega[lo:hi], delta[lo:hi])
+        w = np.linalg.eigvalsh(h)
+        # H acts on the real and imaginary parts apart: one real product
+        # of the (symmetric, zero-diagonal) drive for both, plus H's diagonal
+        x = np.stack([phi.real, phi.imag], axis=1)
+        hx = (x.reshape(-1, len(diag)) @ ham.drive).reshape(x.shape)
+        hx *= omega[lo:hi, None, None]
+        hx += h[:, diag, diag][:, None, :] * x
+        norm2 = np.einsum("ijk,ijk->i", x, x)
+        r = np.einsum("ijk,ijk->i", x, hx) / norm2
+        hx -= r[:, None, None] * x
+        sigma2 = np.einsum("ijk,ijk->i", hx, hx) / norm2
+        rows = np.arange(hi - lo)
+        dist = np.abs(w - r[:, None])
+        k = np.argmin(dist, axis=1)
+        nearest = w[rows, k]
+        dist[rows, k] = np.inf  # one level alone: g = inf, always settled
+        g = np.min(dist, axis=1)
+        unsettled = ~(2.0 * sigma2 < g * g)  # a NaN (zero state) is unsettled
+        if unsettled.any():
+            nearest[unsettled] = _max_overlap_energies(h[unsettled], phi[unsettled])
+        energies[lo:hi] = nearest
+    return energies
 
 
 def _max_overlap_energies(h: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -392,14 +390,16 @@ def _run_segment(
     size = rows.shape[1]
     width = size // shape[0]  # flat entries per state row
 
+    drives = [(off, e.drives) for e, off in zip(engines, offsets)]
+
     def products(src: np.ndarray) -> list:
         # drive @ src into dy on the real views, bound once so that each
         # product is one call with no argument parsing and no
         # array-function dispatch in the loop
         return [
             partial(m.dot, _real(src[off + c.start : off + c.stop]), _real(dy[off + c.start : off + c.stop]))
-            for e, off in zip(engines, offsets)
-            for c, m in e.drives
+            for off, engine_drives in drives
+            for c, m in engine_drives
         ]
 
     drive_psi, drive_y = products(psi), products(y)
@@ -539,39 +539,6 @@ class ProtocolRun:
         return complex(self.trajectory.states[-1][self.trajectory.basis.index(0)])
 
 
-def _protocol_segments(
-    hamiltonians: Sequence[ChainHamiltonian],
-    cfg: ProtocolConfig,
-    v_int_fn_steps: Optional[Tuple[VIntFn, VIntFn]] = None,
-    scales: Sequence[float] = (1.0,),
-    reverse: bool = False,
-) -> Tuple[_SegmentEngine, _SegmentEngine]:
-    """Engines of the two pulses over the direct sum of ``hamiltonians``:
-    step II runs the lambda-rescaled pulse under the flipped interaction on
-    the same operator structures, at ``rate`` 1 / lambda so that it shares
-    the step of pulse I, and from its end back to its start with
-    ``reverse``.  Static chains run on their even sectors;
-    with the per-trial interactions ``v_int_fn_steps`` of moving atoms the
-    chains keep their full basis.  The chains are repeated once per entry
-    of ``scales``, each copy with its H times that scale (a batch of pulse
-    durations, see ``tau_batch_amplitudes``)."""
-    if any(h.model is Model.PXP_PLUS_CORRECTIONS for h in hamiltonians):
-        raise ConfigError("time propagation supports the PXP and full vdW models only")
-    lam = cfg.interaction.lambda_ratio
-    pulse_1 = cfg.pulse
-    pulse_2 = cfg.pulse.rescaled(lam)
-    gamma_1 = cfg.decay.gamma_r if cfg.include_decay else 0.0
-    gamma_2 = cfg.decay.gamma_rp if cfg.include_decay else 0.0
-    fn1, fn2 = v_int_fn_steps if v_int_fn_steps is not None else (None, None)
-    flipped = [h.with_interaction(cfg.interaction.flipped()) for h in hamiltonians]
-    if v_int_fn_steps is None:
-        hamiltonians, flipped = ([h.sector() for h in hs] for hs in (hamiltonians, flipped))
-    block_scales = [s for s in scales for _ in hamiltonians]
-    seg1 = _SegmentEngine(list(hamiltonians) * len(scales), pulse_1, gamma_1, fn1, 0.0, block_scales)
-    seg2 = _SegmentEngine(list(flipped) * len(scales), pulse_2, gamma_2, fn2, pulse_1.tau, block_scales, 1 / lam, reverse)
-    return seg1, seg2
-
-
 def _chain_hamiltonians(nus: Sequence[int], cfg: ProtocolConfig) -> list:
     """The full chain Hamiltonians of the distinct chain sizes ``nus``, in
     the model and interaction of ``cfg``; the basis builders refuse nu < 1."""
@@ -585,37 +552,41 @@ def _protocol_start(
     v_int_fn_steps: Optional[Tuple[VIntFn, VIntFn]] = None, columns: Optional[int] = None,
     reverse: bool = False,
 ) -> Tuple[_SegmentEngine, _SegmentEngine, np.ndarray, int]:
-    """The engines of both pulses over the direct sum of ``hamiltonians``
-    (see ``_protocol_segments``), the initial state with each block in its
-    collective ground state, as one state or as ``columns`` equal columns,
-    and the step count of a pulse."""
-    seg1, seg2 = _protocol_segments(hamiltonians, cfg, v_int_fn_steps, scales, reverse)
+    """The one setup of the two-pulse protocol over the direct sum of
+    ``hamiltonians``: the engines of both pulses, the initial state with
+    each block in its collective ground state, as one state or as
+    ``columns`` equal columns, and the step count of a pulse.
+
+    Pulse II runs the lambda-rescaled pulse under the flipped interaction on
+    the same operator structures, at ``rate`` 1 / lambda so that it shares
+    the step of pulse I, and from its end back to its start with
+    ``reverse``.  Static chains run on their even sectors; with the
+    per-trial interactions ``v_int_fn_steps`` of moving atoms the chains
+    keep their full basis and both engines take them as they are (each
+    pulse's interaction is its function).  The chains are repeated once per
+    entry of ``scales``, each copy with its H times that scale (a batch of
+    pulse durations, see ``tau_batch_amplitudes``)."""
+    if any(h.model is Model.PXP_PLUS_CORRECTIONS for h in hamiltonians):
+        raise ConfigError("time propagation supports the PXP and full vdW models only")
+    lam = cfg.interaction.lambda_ratio
+    gamma_1, gamma_2 = (cfg.decay.gamma_r, cfg.decay.gamma_rp) if cfg.include_decay else (0.0, 0.0)
+    fn1, fn2 = v_int_fn_steps or (None, None)
+    flipped = hamiltonians
+    if v_int_fn_steps is None:
+        flipped = [h.with_interaction(cfg.interaction.flipped()).sector() for h in hamiltonians]
+        hamiltonians = [h.sector() for h in hamiltonians]
+    block_scales = [s for s in scales for _ in hamiltonians]
+    seg1 = _SegmentEngine(list(hamiltonians) * len(scales), cfg.pulse, gamma_1, fn1, 0.0, block_scales)
+    seg2 = _SegmentEngine(
+        list(flipped) * len(scales), cfg.pulse.rescaled(lam), gamma_2, fn2, cfg.pulse.tau, block_scales, 1 / lam,
+        reverse,
+    )
     # |0...0> (basis state 0, its own mirror image) is the first row of an
     # even sector and of a full basis alike
     rows = seg1.chains[-1].stop
     psi = np.zeros(rows if columns is None else (rows, columns), dtype=complex)
     psi[[chain.start for chain in seg1.chains]] = 1.0
     return seg1, seg2, psi, _step_count(0.0, cfg.pulse.tau, cfg.dt)
-
-
-def _propagate_protocol(
-    hamiltonians: Sequence[ChainHamiltonian], cfg: ProtocolConfig, stride: Optional[int] = None,
-    scales: Sequence[float] = (1.0,), v_int_fn_steps: Optional[Tuple[VIntFn, VIntFn]] = None,
-    columns: Optional[int] = None,
-) -> Tuple[_SegmentEngine, _SegmentEngine, np.ndarray, Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    """Both pulses, one after the other, over the direct sum of
-    ``hamiltonians`` held as one state (see ``_protocol_start``).
-
-    Returns the two engines, the initial state and the (local times,
-    states) of each segment's samples, in the space the engines propagate.
-    Samples are stored every ``stride`` steps and at the segment end; with
-    no stride only each segment's final state is kept.
-    """
-    seg1, seg2, psi, n1 = _protocol_start(hamiltonians, cfg, scales, v_int_fn_steps, columns)
-    stride = n1 if stride is None else stride
-    t1, s1 = _run_segment(seg1, psi, cfg.dt, n1, stride, seg1.gamma == 0.0)
-    t2, s2 = _run_segment(seg2, s1[-1], cfg.dt, n1, stride, seg2.gamma == 0.0)
-    return seg1, seg2, psi, (t1, s1), (t2, s2)
 
 
 def final_amplitudes(
@@ -636,13 +607,15 @@ def final_amplitudes(
     renormalised pulse II must start from the state after pulse I, so a
     decay-free pulse II runs after it.
     """
-    if not (cfg.include_decay and cfg.decay.gamma_rp > 0.0):
-        seg1, _, _, _, (_, states) = _propagate_protocol(hamiltonians, cfg, None, scales, v_int_fn_steps, columns)
-        return states[-1][[chain.start for chain in seg1.chains]]
-    seg1, seg2, psi, n1 = _protocol_start(hamiltonians, cfg, scales, v_int_fn_steps, columns, reverse=True)
-    renormalize = (seg1.gamma == 0.0, False)
-    _, (final,) = _run_segment((seg1, seg2), np.concatenate([psi, psi]), cfg.dt, n1, n1, renormalize)
-    return np.add.reduceat(final[: len(psi)] * final[len(psi) :], [chain.start for chain in seg1.chains])
+    joint = cfg.include_decay and cfg.decay.gamma_rp > 0.0
+    seg1, seg2, psi, n1 = _protocol_start(hamiltonians, cfg, scales, v_int_fn_steps, columns, reverse=joint)
+    ground = [chain.start for chain in seg1.chains]
+    if not joint:
+        _, (psi1,) = _run_segment(seg1, psi, cfg.dt, n1, n1, seg1.gamma == 0.0)
+        _, (final,) = _run_segment(seg2, psi1, cfg.dt, n1, n1, seg2.gamma == 0.0)
+        return final[ground]
+    _, (final,) = _run_segment((seg1, seg2), np.concatenate([psi, psi]), cfg.dt, n1, n1, (seg1.gamma == 0.0, False))
+    return np.add.reduceat(final[: len(psi)] * final[len(psi) :], ground)
 
 
 def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> ProtocolRun:
@@ -658,11 +631,13 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
     (ham,) = hams = _chain_hamiltonians([nu], cfg)
     lam = cfg.interaction.lambda_ratio
     h_scale = float(nu * (abs(cfg.pulse.delta0) + abs(cfg.pulse.omega0)) * max(1.0, lam) + np.abs(ham.v).max())
-    stride = _default_stride(h_scale, cfg.dt, _step_count(0.0, cfg.pulse.tau, cfg.dt))
-    seg1, seg2, psi, (t1, s1), (t2, s2) = _propagate_protocol(hams, cfg, stride)
-    basis = seg1.basis
+    seg1, seg2, psi, n1 = _protocol_start(hams, cfg)
+    stride = _default_stride(h_scale, cfg.dt, n1)
+    t1, s1 = _run_segment(seg1, psi, cfg.dt, n1, stride, seg1.gamma == 0.0)
+    t2, s2 = _run_segment(seg2, s1[-1], cfg.dt, n1, stride, seg2.gamma == 0.0)
+    basis = ham.basis
     sector_arr = np.concatenate([psi[None], s1, s2])
-    state_arr = sector_arr @ seg1.hamiltonian.u.T
+    state_arr = sector_arr @ seg1.hamiltonians[0].u.T
     time_arr = np.concatenate([[0.0], t1, cfg.pulse.tau + t2])
     norms = np.linalg.norm(state_arr, axis=1)
 
@@ -682,8 +657,8 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
         phi_dyn = _dynamical_phase(
             time_arr,
             [0, int(np.searchsorted(time_arr, tau1)), len(time_arr) - 1],
-            lambda k, lo, hi: segs[k].branch_energies(
-                time_arr[lo : hi + 1] - starts[k], sector_arr[lo : hi + 1]
+            lambda k, lo, hi: _branch_energies(
+                segs[k].hamiltonians[0], segs[k].pulse, time_arr[lo : hi + 1] - starts[k], sector_arr[lo : hi + 1]
             ),
         )
         phases = _phases_from_samples(time_arr, state_arr, phi_dynamical=phi_dyn)

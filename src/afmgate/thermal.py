@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +34,8 @@ from .hamiltonian import ChainHamiltonian, pair_incidence, pair_sites
 from .units import M_RB87, thermal_velocity
 
 DT_STEPS_THERMAL = 1500
+# a trial's Philox key holds the seed as one uint64 word
+SEED_LIMIT = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,8 @@ class ThermalConfig:
             raise ValueError("temperature and position spread must be >= 0")
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
     @property
     def v_th(self) -> float:
@@ -115,7 +119,6 @@ def _batch_branch_amplitudes(
     offsets: np.ndarray,
     velocities: np.ndarray,
     labels: Sequence[str],
-    dt: Optional[float] = None,
 ) -> np.ndarray:
     """Final ground-state amplitudes of input branches with moving atoms: a
     (trials, len(labels)) array for the kinematic samples in the rows of
@@ -161,8 +164,8 @@ def _batch_branch_amplitudes(
 
     c6 = cfg.interaction.c6
     v_int_fn_steps = (partial(v_int_at, c6), partial(v_int_at, -cfg.interaction.lambda_ratio * c6))
-    dt1 = dt if dt is not None else _thermal_dt(cfg)
-    return final_amplitudes(hams, replace(cfg, dt=dt1), v_int_fn_steps=v_int_fn_steps, columns=len(offsets)).T
+    run_cfg = replace(cfg, dt=_thermal_dt(cfg))
+    return final_amplitudes(hams, run_cfg, v_int_fn_steps=v_int_fn_steps, columns=len(offsets)).T
 
 
 def _wrap_phase(x: float) -> float:
@@ -197,18 +200,16 @@ class ThermalReport:
 _BATCH_CHUNK = 64  # fixed so results do not depend on the worker count
 
 
-def _chunk_worker(args: Tuple[int, ProtocolConfig, np.ndarray, np.ndarray, float]) -> np.ndarray:
+def _chunk_worker(args: Tuple[int, ProtocolConfig, np.ndarray, np.ndarray]) -> np.ndarray:
     """(trials, 4) input-branch amplitudes of one chunk of kinematic samples,
     from one propagation."""
-    n_atoms, cfg, offsets, velocities, dt = args
-    return _batch_branch_amplitudes(n_atoms, cfg, offsets, velocities, INPUT_LABELS, dt)
+    return _batch_branch_amplitudes(*args, INPUT_LABELS)
 
 
 def run_thermal_ensemble(
     n_atoms: int,
     cfg: ProtocolConfig,
     tcfg: ThermalConfig,
-    dt: Optional[float] = None,
     jobs: int = 1,
 ) -> ThermalReport:
     """Monte Carlo over kinematic draws against the frozen-chain baseline.
@@ -218,7 +219,6 @@ def run_thermal_ensemble(
     The baseline is the zero-draw run through the identical code path: one
     more row at the head of the first batch.
     """
-    dt = dt if dt is not None else _thermal_dt(cfg)
     draws = [sample_kinematics(tcfg, n_atoms, trial) for trial in range(tcfg.trials)]
     offsets = np.stack([d.offsets for d in draws])
     velocities = np.stack([d.velocities for d in draws])
@@ -235,7 +235,7 @@ def run_thermal_ensemble(
     # chunk k holds trials [64 k, 64 (k + 1)); the first also the baseline row
     rows = offsets.shape[0]
     bounds = [0, *range(_BATCH_CHUNK + 1, rows, _BATCH_CHUNK), rows]
-    chunks = [(n_atoms, cfg, offsets[a:b], velocities[a:b], dt) for a, b in zip(bounds[:-1], bounds[1:])]
+    chunks = [(n_atoms, cfg, offsets[a:b], velocities[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
     baseline, *diags = np.concatenate(map_tasks(_chunk_worker, chunks, jobs), axis=0)
     f_base = fidelity_from_diag(n_atoms, baseline)
     ref_phase = np.angle(baseline[3])
@@ -247,7 +247,7 @@ def run_thermal_ensemble(
         trials=len(diags),
         seed=tcfg.seed,
         rejected=rejected,
-        dt=dt,
+        dt=_thermal_dt(cfg),
         delta_phi_samples=dphi,
         delta_phi_rms=float(np.sqrt(np.mean(dphi**2))),
         fidelity_samples=fids,

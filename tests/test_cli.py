@@ -356,6 +356,8 @@ class TestErrorHandling:
             (["basis-dump", "--nu", "0"], "--nu"),
             (["spectrum", "--grid", "1"], "--grid"),
             (["thermal", "--trials", "2", "--tau-us", "0"], "--tau-us must be > 0"),
+            (["--seed", "-1", "thermal", "--trials", "2"], "--seed"),
+            (["--seed", "18446744073709551616", "thermal", "--trials", "2"], "--seed"),
         ],
     )
     def test_out_of_range_flag_exits_2(self, tmp_path, capsys, argv, flag):

@@ -18,8 +18,8 @@ from afmgate.evolution import (
     _default_stride,
     _dynamical_phase,
     _phases_from_samples,
-    _propagate_protocol,
-    _protocol_segments,
+    _branch_energies,
+    _protocol_start,
     _run_segment,
     _SegmentEngine,
     MERGED_DRIVE_ROWS,
@@ -44,7 +44,16 @@ def wrap_phase(x):
 def segments(nu, cfg):
     """The two segment engines of a protocol on the even sector of the
     model's own basis."""
-    return _protocol_segments([ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction)], cfg)
+    return _protocol_start([ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction)], cfg)[:2]
+
+
+def protocol_final_state(hams, cfg, scales=(1.0,)):
+    """Pulse I's engine of ``_protocol_start`` and the state after both
+    pulses, run one after the other."""
+    seg1, seg2, psi, n = _protocol_start(hams, cfg, scales)
+    for seg in (seg1, seg2):
+        _, (psi,) = _run_segment(seg, psi, cfg.dt, n, n, seg.gamma == 0.0)
+    return seg1, psi
 
 
 def full_segments(nu, cfg):
@@ -73,7 +82,7 @@ def full_space_h(seg):
     """H at local time t of a one-chain engine's pulse, from
     ``ChainHamiltonian.matrix`` on the chain's full basis plus the decay
     -i (Gamma / 2) n_r; t is clamped into the pulse window."""
-    ham = full_hamiltonian(seg.hamiltonian)
+    ham = full_hamiltonian(seg.hamiltonians[0])
     pulse = seg.pulse
 
     def h_of_t(t):
@@ -224,10 +233,10 @@ class TestFusedStepper:
     def test_single_state_with_decay_matches_plain_rk4(self):
         cfg = reference_config(model=Model.FULL_VDW, include_decay=True, gamma=mhz(0.05))
         seg1, _ = segments(3, cfg)
-        sector = seg1.hamiltonian
+        sector = seg1.hamiltonians[0]
         n = _step_count(0.0, cfg.pulse.tau, cfg.dt)
         _, (fused,) = _run_segment(seg1, sector_ground(sector), cfg.dt, n, n, renormalize=False)
-        plain = plain_rk4(full_space_h(seg1), full_ground(seg1.basis), cfg.dt, n, renormalize=False)
+        plain = plain_rk4(full_space_h(seg1), full_ground(seg1.hamiltonians[0].basis), cfg.dt, n, renormalize=False)
         assert np.linalg.norm(plain) < 1.0
         assert np.abs(sector.u @ fused - plain).max() < 1e-12
 
@@ -235,10 +244,10 @@ class TestFusedStepper:
     def test_single_hermitian_state_matches_renormalized_plain_rk4(self, nu):
         cfg = reference_config(model=Model.FULL_VDW)
         seg1, _ = segments(nu, cfg)
-        sector = seg1.hamiltonian
+        sector = seg1.hamiltonians[0]
         n = _step_count(0.0, cfg.pulse.tau, cfg.dt)
         _, (fused,) = _run_segment(seg1, sector_ground(sector), cfg.dt, n, n, renormalize=True)
-        plain = plain_rk4(full_space_h(seg1), full_ground(seg1.basis), cfg.dt, n, renormalize=True)
+        plain = plain_rk4(full_space_h(seg1), full_ground(seg1.hamiltonians[0].basis), cfg.dt, n, renormalize=True)
         assert abs(np.linalg.norm(fused) - 1.0) < 1e-14
         assert np.abs(sector.u @ fused - plain).max() < 1e-12
 
@@ -252,7 +261,7 @@ class TestFusedStepper:
         def v_int_at(t_abs):  # (times, dim, 3): one drifting interaction per column
             return v0[None, :, None] * (1.0 + rates[None, None, :] * t_abs[:, None, None])
 
-        _, seg2 = _protocol_segments([ham], cfg, (v_int_at, v_int_at))
+        _, seg2 = _protocol_start([ham], cfg, v_int_fn_steps=(v_int_at, v_int_at))[:2]
         dt = seg2.pulse.tau / 1000
         psi0 = np.zeros((basis.dim, 3), dtype=complex)
         psi0[0, :] = 1.0
@@ -283,7 +292,7 @@ class TestFusedStepper:
         def v_int_at(t_abs):  # (times, dim, 3)
             return v0[None, :, None] * (1.0 + rates[None, None, :] * t_abs[:, None, None])
 
-        seg, _ = _protocol_segments(hams, cfg, (v_int_at, v_int_at))
+        seg, _ = _protocol_start(hams, cfg, v_int_fn_steps=(v_int_at, v_int_at))[:2]
         dt = cfg.pulse.tau / 1000
         psi0 = np.zeros((seg.chains[-1].stop, 3), dtype=complex)
         psi0[[c.start for c in seg.chains], :] = 1.0
@@ -315,7 +324,7 @@ class TestFusedStepper:
         def v_int_at(t_abs):  # (times, dim, 3): one drifting interaction per column
             return v0[None, :, None] * (1.0 + rates[None, None, :] * t_abs[:, None, None])
 
-        batch_seg, _ = _protocol_segments([ham], cfg, (v_int_at, v_int_at))
+        batch_seg, _ = _protocol_start([ham], cfg, v_int_fn_steps=(v_int_at, v_int_at))[:2]
         single_seg = _SegmentEngine([ham], cfg.pulse)
         rng = np.random.default_rng(5)
         wide = rng.normal(size=(ham.basis.dim, 6)) + 1j * rng.normal(size=(ham.basis.dim, 6))
@@ -333,7 +342,7 @@ class TestFusedStepper:
     def test_samples_are_distinct_rows_at_their_steps(self):
         cfg = reference_config(model=Model.FULL_VDW, include_decay=True, gamma=mhz(0.05))
         seg1, _ = segments(3, cfg)
-        psi0 = sector_ground(seg1.hamiltonian)
+        psi0 = sector_ground(seg1.hamiltonians[0])
         times, every = _run_segment(seg1, psi0, cfg.dt, 45, 1, renormalize=False)
         assert every.shape == (45, len(psi0)) and times.shape == (45,)
         assert len({row.tobytes() for row in every}) == 45
@@ -391,7 +400,7 @@ class TestBlockDiagonal:
     def test_static_blocks_equal_scalar_formula_bitwise(self, include_decay, monkeypatch):
         cfg = reference_config(model=Model.FULL_VDW, include_decay=include_decay, gamma=mhz(0.05))
         _, seg2 = full_segments(4, cfg)
-        basis = seg2.basis
+        basis = seg2.hamiltonians[0].basis
         dt = seg2.pulse.tau / self.N_STEPS
         calls = record_diagonals(seg2, monkeypatch)
         psi0 = np.zeros(basis.dim, dtype=complex)
@@ -420,7 +429,7 @@ class TestBlockDiagonal:
         def v_int_at(t_abs):  # array of times -> (times, dim, 3)
             return np.stack([v_at(t) for t in t_abs])
 
-        _, seg2 = _protocol_segments([ham], cfg, (v_int_at, v_int_at))
+        _, seg2 = _protocol_start([ham], cfg, v_int_fn_steps=(v_int_at, v_int_at))[:2]
         dt = seg2.pulse.tau / self.N_STEPS
         calls = record_diagonals(seg2, monkeypatch)
         psi0 = np.zeros((basis.dim, 3), dtype=complex)
@@ -614,7 +623,7 @@ def full_space_branch_energy(seg, t_local, psi):
     """The full-space formula the even-sector path replaced: eigh of the
     whole real H and the eigenvalue of maximal overlap with the state."""
     t = min(max(t_local, 0.0), seg.pulse.tau)
-    w, v = np.linalg.eigh(full_hamiltonian(seg.hamiltonian).matrix(seg.pulse.omega(t), seg.pulse.delta(t)))
+    w, v = np.linalg.eigh(full_hamiltonian(seg.hamiltonians[0]).matrix(seg.pulse.omega(t), seg.pulse.delta(t)))
     return float(w[int(np.argmax(np.abs(v.conj().T @ psi)))])
 
 
@@ -660,7 +669,8 @@ class TestEvenSectorBranchEnergies:
         reference = []
         for seg, lo, hi, start in segment_samples(run, nu, cfg):
             idx = np.arange(lo, hi + 1, every)
-            energies = seg.branch_energies(traj.times[idx] - start, traj.states[idx] @ seg.hamiltonian.u)
+            states = traj.states[idx] @ seg.hamiltonians[0].u
+            energies = _branch_energies(seg.hamiltonians[0], seg.pulse, traj.times[idx] - start, states)
             ref = np.array([full_space_branch_energy(seg, traj.times[i] - start, traj.states[i]) for i in idx])
             assert np.abs(energies - ref).max() <= 1e-12 * np.abs(ref).max()
             reference.append(ref)
@@ -675,22 +685,23 @@ class TestEvenSectorBranchEnergies:
         traj = run.trajectory
         seg, lo, hi, start = segment_samples(run, 5, cfg)[0]
         idx = np.arange(lo, hi + 1, 13)
-        states = traj.states[idx] @ seg.hamiltonian.u
-        whole = seg.branch_energies(traj.times[idx] - start, states)
+        states = traj.states[idx] @ seg.hamiltonians[0].u
+        whole = _branch_energies(seg.hamiltonians[0], seg.pulse, traj.times[idx] - start, states)
         monkeypatch.setattr(evolution, "PHASE_CHUNK_ENTRIES", 3 * 20**2)  # 3 samples per chunk
         assert len(idx) % 3 != 0
-        chunked = seg.branch_energies(traj.times[idx] - start, states)
+        chunked = _branch_energies(seg.hamiltonians[0], seg.pulse, traj.times[idx] - start, states)
         assert np.array_equal(chunked, whole)
 
     def test_equal_mix_of_two_branches_falls_back_to_dense(self, monkeypatch):
         seg, _ = segments(5, reference_config(model=Model.FULL_VDW))
         t = 0.4 * seg.pulse.tau
-        h = seg.hamiltonian.matrix(seg.pulse.omega(t), seg.pulse.delta(t))
+        h = seg.hamiltonians[0].matrix(seg.pulse.omega(t), seg.pulse.delta(t))
         w, v = np.linalg.eigh(h)
         mix = (v[:, 2] + np.exp(0.7j) * v[:, 3]) / math.sqrt(2.0)
         dense = evolution._max_overlap_energies(h[None], mix[None])[0]
         rows = record_fallback(monkeypatch)
-        energies = seg.branch_energies(np.array([t, t]), np.array([np.exp(0.3j) * v[:, 2], mix]))
+        states = np.array([np.exp(0.3j) * v[:, 2], mix])
+        energies = _branch_energies(seg.hamiltonians[0], seg.pulse, np.array([t, t]), states)
         assert rows == [1]  # the eigenvector is settled by the bound, the mix is not
         assert energies[0] == pytest.approx(w[2], rel=1e-12)
         assert energies[1] == dense
@@ -704,10 +715,10 @@ class TestEvenSectorBranchEnergies:
         rows = record_fallback(monkeypatch)
         for seg, lo, hi, start in segment_samples(run, 4, cfg):
             t = traj.times[lo : hi + 1] - start
-            states = traj.states[lo : hi + 1] @ seg.hamiltonian.u
-            energies = seg.branch_energies(t, states)
+            states = traj.states[lo : hi + 1] @ seg.hamiltonians[0].u
+            energies = _branch_energies(seg.hamiltonians[0], seg.pulse, t, states)
             tc = np.clip(t, 0.0, seg.pulse.tau)
-            h = np.array([seg.hamiltonian.matrix(o, d) for o, d in zip(seg.pulse.omega(tc), seg.pulse.delta(tc))])
+            h = np.array([seg.hamiltonians[0].matrix(o, d) for o, d in zip(seg.pulse.omega(tc), seg.pulse.delta(tc))])
             dense = dense_energies(h, states)
             assert np.abs(energies - dense).max() <= 1e-12 * np.abs(dense).max()
         # the even-nu AFM doublet: some rows, not all, need the eigenvectors
@@ -722,9 +733,9 @@ class TestEvenSectorBranchEnergies:
         ham.v[ham.basis.index(0b0011)] += shift * np.abs(ham.v).max()
         if raises:
             with pytest.raises(ValueError, match="inversion"):
-                _protocol_segments([ham], cfg)
+                _protocol_start([ham], cfg)
         else:
-            _protocol_segments([ham], cfg)
+            _protocol_start([ham], cfg)
 
     def test_broken_drive_symmetry_raises(self):
         cfg = reference_config(model=Model.PXP)
@@ -767,8 +778,7 @@ class TestGroundAmplitudes:
     @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
     def test_hermitian_blocks_each_keep_unit_norm(self, model):
         cfg = reference_config(model=model)
-        seg1, _, _, _, (_, states) = _propagate_protocol(_chain_hamiltonians([3, 4, 5], cfg), cfg)
-        final = states[-1]
+        seg1, final = protocol_final_state(_chain_hamiltonians([3, 4, 5], cfg), cfg)
         assert len(seg1.chains) == 3 and seg1.chains[-1].stop == len(final)
         for chain in seg1.chains:
             assert abs(np.linalg.norm(final[chain]) - 1.0) < 1e-13
@@ -780,7 +790,7 @@ class TestGroundAmplitudes:
         assert MERGED_DRIVE_ROWS == 64
         cfg = reference_config(model=Model.FULL_VDW)
         hams = [ChainHamiltonian(Model.FULL_VDW, build_full_basis(nu), cfg.interaction) for nu in range(n_atoms - 2, n_atoms + 1)]
-        for seg in _protocol_segments(hams, cfg):
+        for seg in _protocol_start(hams, cfg)[:2]:
             assert [m.shape[0] for _, m in seg.drives] == rows
             merged = np.zeros((seg.chains[-1].stop,) * 2)
             for c, m in seg.drives:
@@ -793,20 +803,12 @@ class TestGroundAmplitudes:
     def test_one_chain_engine_keeps_its_own_drive(self):
         seg1, _ = segments(5, reference_config(model=Model.FULL_VDW))
         ((rows, drive),) = seg1.drives
-        assert drive is seg1.hamiltonian.drive and rows == seg1.chains[0]
+        assert drive is seg1.hamiltonians[0].drive and rows == seg1.chains[0]
 
     @pytest.mark.parametrize("nus", [[0, 1], [3, 3], [2, 3, 2]])
     def test_bad_chain_sizes_rejected(self, nus):
         with pytest.raises(ValueError):
             ground_amplitudes(nus, reference_config(model=Model.PXP))
-
-    def test_branch_energies_refuse_a_direct_sum(self):
-        cfg = reference_config(model=Model.PXP)
-        seg1, _ = _protocol_segments([ChainHamiltonian(Model.PXP, model_basis(Model.PXP, nu)) for nu in (2, 3)], cfg)
-        psi = np.zeros((1, seg1.chains[-1].stop), dtype=complex)
-        psi[0, 0] = 1.0
-        with pytest.raises(ValueError, match="2 chains"):
-            seg1.branch_energies(np.array([0.5]), psi)
 
 
 def record_runs(monkeypatch):
@@ -953,10 +955,10 @@ class TestTauBatch:
 
     def test_hermitian_blocks_each_keep_unit_norm(self):
         cfg = reference_config(model=Model.PXP)
-        seg1, _, _, _, (_, states) = _propagate_protocol(_chain_hamiltonians([1, 2, 3], cfg), cfg, None, [1.0, 2.2, 0.7])
+        seg1, final = protocol_final_state(_chain_hamiltonians([1, 2, 3], cfg), cfg, [1.0, 2.2, 0.7])
         assert len(seg1.chains) == 9
         for chain in seg1.chains:
-            assert abs(np.linalg.norm(states[-1][chain]) - 1.0) < 1e-14
+            assert abs(np.linalg.norm(final[chain]) - 1.0) < 1e-14
 
     @pytest.mark.parametrize("include_decay", [False, True])
     @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
@@ -982,9 +984,9 @@ class TestSectorPropagation:
         seg1, seg2 = full_segments(nu, cfg)
         n = _step_count(0.0, cfg.pulse.tau, cfg.dt)
         pulse = cfg.pulse
-        h_scale = nu * (abs(pulse.delta0) + abs(pulse.omega0)) * max(1.0, lam) + np.abs(seg1.hamiltonian.v).max()
+        h_scale = nu * (abs(pulse.delta0) + abs(pulse.omega0)) * max(1.0, lam) + np.abs(seg1.hamiltonians[0].v).max()
         stride = _default_stride(h_scale, cfg.dt, n)
-        t1, s1 = _run_segment(seg1, full_ground(seg1.basis), cfg.dt, n, stride, not include_decay)
+        t1, s1 = _run_segment(seg1, full_ground(seg1.hamiltonians[0].basis), cfg.dt, n, stride, not include_decay)
         t2, s2 = _run_segment(seg2, s1[-1], cfg.dt, n, stride, not include_decay)
         assert np.array_equal(run.trajectory.times, np.concatenate([[0.0], t1, pulse.tau + t2]))
         assert np.abs(run.trajectory.states[-1] - s2[-1]).max() < 1e-13

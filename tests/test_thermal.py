@@ -9,8 +9,9 @@ import pytest
 from afmgate import evolution, gate, thermal
 from afmgate.config import DecayConfig, Model
 from afmgate.errors import SampleRejected
-from afmgate.evolution import _protocol_segments, _run_segment, _step_count, run_protocol
+from afmgate.evolution import _protocol_start, _run_segment, _step_count, run_protocol
 from afmgate.gate import INPUT_LABELS, active_atoms, fidelity_from_diag
+from afmgate.hamiltonian import ChainHamiltonian
 from afmgate.thermal import (
     ThermalConfig,
     _batch_branch_amplitudes,
@@ -61,6 +62,9 @@ class TestKinematics:
             ThermalConfig(temperature=-1e-6)
         with pytest.raises(ValueError):
             ThermalConfig(temperature=1e-6, trials=0)
+        for seed in (-1, 1 << 64):  # the seed is one uint64 word of a trial's Philox key
+            with pytest.raises(ValueError, match="seed"):
+                ThermalConfig(temperature=1e-6, seed=seed)
 
 
 class TestAnalyticDephasing:
@@ -214,7 +218,7 @@ class TestBatchedEnsemble:
         (args, out), = chunks
         assert out.shape == (6, 4)  # baseline row + 5 trials
         assert np.all(args[2][0] == 0.0) and np.all(args[3][0] == 0.0)
-        separate = _chunk_worker((3, cfg, zero_rows(1, 3), zero_rows(1, 3), rep.dt))[0]
+        separate = _chunk_worker((3, cfg, zero_rows(1, 3), zero_rows(1, 3)))[0]
         assert np.abs(out[0] - separate).max() < 1e-12
         assert abs(rep.baseline_fidelity - fidelity_from_diag(3, separate)) < 1e-12
 
@@ -249,6 +253,28 @@ class TestBatchedEnsemble:
         # one call for both pulses: pulse I forward, pulse II transposed
         assert calls == [([([3, 4, 4, 5], False), ([3, 4, 4, 5], True)], 17)]
 
+    def test_both_pulses_share_the_chains_and_keep_no_static_interaction(self, monkeypatch):
+        # each pulse's interaction is its per-trial function: no flipped copy
+        # of a chain, and no static diagonal in either engine
+        cfg = reference_config(n_atoms=5, model=Model.FULL_VDW, tau=0.4)
+        engines = []
+        real = evolution._run_segment
+
+        def recording(engine, *args):
+            engines.append(engine)
+            return real(engine, *args)
+
+        def refuse(self, interaction):
+            raise AssertionError("a thermal chunk copied a chain under another interaction")
+
+        monkeypatch.setattr(evolution, "_run_segment", recording)
+        monkeypatch.setattr(ChainHamiltonian, "with_interaction", refuse)
+        _batch_branch_amplitudes(5, cfg, zero_rows(2, 5), zero_rows(2, 5), INPUT_LABELS)
+        seg1, seg2 = engines
+        assert len(seg1.hamiltonians) == 4
+        assert all(a is b for a, b in zip(seg1.hamiltonians, seg2.hamiltonians, strict=True))
+        assert seg1.v is None and seg2.v is None
+
     @pytest.mark.parametrize("n_atoms", [5, 6])
     def test_direct_sum_chunk_matches_one_call_per_label(self, n_atoms):
         cfg = reference_config(n_atoms=n_atoms, model=Model.FULL_VDW, tau=0.4)
@@ -257,7 +283,7 @@ class TestBatchedEnsemble:
         )
         # the baseline as the first column, as in the first chunk of an ensemble
         offsets, velocities = (np.concatenate([zero_rows(1, n_atoms), a]) for a in (offsets, velocities))
-        chunk = _chunk_worker((n_atoms, cfg, offsets, velocities, thermal._thermal_dt(cfg)))
+        chunk = _chunk_worker((n_atoms, cfg, offsets, velocities))
         assert chunk.shape == (4, 4)
         for k, label in enumerate(INPUT_LABELS):
             single = _batch_branch_amplitudes(n_atoms, cfg, offsets, velocities, (label,))[:, 0]
@@ -269,7 +295,7 @@ def sequential_amplitudes(hams, cfg, v_int_fn_steps, columns):
     """(columns, blocks) final ground amplitudes of a thermal chunk with
     both pulses run one after the other, as two ``_run_segment`` calls on
     the full bases."""
-    seg1, seg2 = _protocol_segments(hams, cfg, v_int_fn_steps)
+    seg1, seg2, _, _ = _protocol_start(hams, cfg, v_int_fn_steps=v_int_fn_steps)
     n = _step_count(0.0, cfg.pulse.tau, cfg.dt)
     ground = [chain.start + h.basis.index(0) for chain, h in zip(seg1.chains, hams)]
     psi = np.zeros((seg1.chains[-1].stop, columns), dtype=complex)
