@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .basis import bit_counts, bitstring, build_blockade_basis, build_full_basis
-from .config import Model, ProtocolConfig, json_float, load_config, pulse_with_tau
+from .config import DT_STEPS_DEFAULT, Model, ProtocolConfig, json_float, load_config, pulse_with_tau
 from .errors import ConfigError, FitQualityError
 from .evolution import run_protocol
 from .gate import (
@@ -116,6 +116,16 @@ def _resolved_params(cfg: ProtocolConfig, **extra) -> Dict[str, object]:
     }
     params.update(extra)
     return params
+
+
+def _per_pulse_step_params(cfg: ProtocolConfig, **extra) -> Dict[str, object]:
+    """``_resolved_params`` of a command that runs each pulse duration at
+    tau / ``DT_STEPS_DEFAULT`` (``sweep``, ``fit-c``): that step count
+    stands in place of the config's ``dt_us``, which these runs ignore."""
+    return dict(
+        ("steps_per_pulse", DT_STEPS_DEFAULT) if key == "dt_us" else (key, value)
+        for key, value in _resolved_params(cfg, **extra).items()
+    )
 
 
 def cmd_spectrum(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> None:
@@ -252,8 +262,8 @@ def cmd_sweep(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> N
         }
     _write_csv(
         out_dir / "sweep.csv",
-        _resolved_params(cfg, n_list=",".join(map(str, n_list)),
-                         c_table=json.dumps({str(k): v for k, v in sorted(c_table.items())})),
+        _per_pulse_step_params(cfg, n_list=",".join(map(str, n_list)),
+                               c_table=json.dumps({str(k): v for k, v in sorted(c_table.items())})),
         ("n_atoms", "tau_us", "e_numeric", "e_decay", "e_leakage", "e_model", "fidelity"),
         rows,
     )
@@ -308,7 +318,7 @@ def cmd_fit_c(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> N
     (out_dir / "fit_c.json").write_text(json.dumps(result, indent=2) + "\n")
     _write_csv(
         out_dir / "fit_c.csv",
-        _resolved_params(cfg, nu_list=",".join(map(str, nus))),
+        _per_pulse_step_params(cfg, nu_list=",".join(map(str, nus))),
         ("nu", "tau_us", "e_leakage"),
         rows,
     )

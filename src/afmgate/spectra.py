@@ -1,12 +1,14 @@
 """Adiabatic spectrum scans and analytic AFM-manifold spectra.
 
 A scan sweeps the detuning over the pulse window (the drive amplitude
-follows the pulse envelope), records the sorted eigensystem with a
-continuous sign gauge and evaluates the dimensionless non-adiabatic
-couplings eta_lk = |<l| dH/dt |k> / (E_k - E_l)|^2 tau / Delta0 from the
-extremal (adiabatically followed) branches l.  The chain is mirror-symmetric:
-a level's inversion label is the sector it is solved in, and dH/dt couples
-no two levels of different sectors.
+follows the pulse envelope), records the sorted eigenvalues and evaluates
+the dimensionless non-adiabatic couplings
+eta_lk = |<l| dH/dt |k> / (E_k - E_l)|^2 tau / Delta0 from the extremal
+(adiabatically followed) branches l.  The chain is mirror-symmetric: a
+level's inversion label is the sector it is solved in, and dH/dt couples no
+two levels of different sectors, so each row of eta needs only the followed
+branch's own sector.  No eigenvectors are kept: a scan's memory is
+O(grid * dim).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from enum import Enum
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .basis import Basis, afm_manifold_masks
 from .config import InteractionConfig, Model, PulseProfile
@@ -40,11 +41,11 @@ class SymmetryLabel(Enum):
 
 @dataclass(frozen=True, eq=False)
 class SpectrumScan:
-    """Eigensystem of the scanned Hamiltonian across the detuning sweep.
+    """Spectrum of the scanned Hamiltonian across the detuning sweep.
 
-    ``eigenvalues[g, k]`` are ascending in k at every grid point g;
-    ``eigenvectors[g]`` holds the matching real, sign-fixed columns.  ``eta_low``
-    / ``eta_high`` are the couplings from the lowest / highest branch; NaN
+    ``eigenvalues[g, k]`` are ascending in k at every grid point g, and
+    ``symmetry[g][k]`` is level k's inversion label.  ``eta_low`` /
+    ``eta_high`` are the couplings from the lowest / highest branch; NaN
     entries mark points where the level pair is degenerate (eta undefined).
     """
 
@@ -52,7 +53,6 @@ class SpectrumScan:
     delta_grid: np.ndarray
     times: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     eta_low: np.ndarray
     eta_high: np.ndarray
     symmetry: List[List[SymmetryLabel]]
@@ -62,13 +62,6 @@ class SpectrumScan:
         return self.eigenvalues.shape[1]
 
 
-def _phase_fix(prev: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Sign each real column so its overlap with the previous column is
-    positive (columns with negligible overlap are left untouched)."""
-    overlaps = np.sum(prev * vecs, axis=0)
-    return vecs * np.where(overlaps < -1e-12, -1.0, 1.0)
-
-
 def scan_spectrum(
     nu: int,
     pulse: PulseProfile,
@@ -76,50 +69,47 @@ def scan_spectrum(
     interaction: Optional[InteractionConfig] = None,
     grid_size: int = 201,
 ) -> SpectrumScan:
-    """Eigensystem, symmetry labels and eta couplings over the sweep: each
+    """Eigenvalues, symmetry labels and eta couplings over the sweep: each
     grid point solves the even and odd sectors apart and merges their levels
     by a stable ascending sort (even first at an exact tie)."""
     if grid_size < 3:
         raise ValueError(f"grid size must be >= 3, got {grid_size}")
     ham = ChainHamiltonian(model, model_basis(model, nu), interaction)
     sectors = (ham.sector(), ham.sector(odd=True))
-    labels = [SymmetryLabel.SYMMETRIC] * len(sectors[0].n_r) + [SymmetryLabel.ANTISYMMETRIC] * len(sectors[1].n_r)
+    offsets = (0, len(sectors[0].n_r))
+    labels = [SymmetryLabel.SYMMETRIC] * offsets[1] + [SymmetryLabel.ANTISYMMETRIC] * len(sectors[1].n_r)
     deg_tol = DEGENERACY_RTOL * abs(pulse.omega0) if pulse.omega0 else DEGENERACY_RTOL
 
     times = np.linspace(0.0, pulse.tau, grid_size)
-    deltas = np.array([pulse.delta(t) for t in times])
+    omegas, deltas = pulse.omega(times), pulse.delta(times)
     dim = ham.basis.dim
 
     eigenvalues = np.empty((grid_size, dim))
-    eigenvectors = np.empty((grid_size, dim, dim))
     eta_low = np.zeros((grid_size, dim))
     eta_high = np.zeros((grid_size, dim))
     symmetry: List[List[SymmetryLabel]] = []
 
-    prev_vecs: Optional[np.ndarray] = None
-    for g, (t, delta) in enumerate(zip(times, deltas)):
-        omega = pulse.omega(t)
+    for g, (t, omega, delta) in enumerate(zip(times, omegas, deltas)):
         w_s, v_s = zip(*(np.linalg.eigh(sector.matrix(omega, delta)) for sector in sectors))
         w = np.concatenate(w_s)
         order = np.argsort(w, kind="stable")
         w = w[order]
-        v = np.hstack([sector.u @ vs for sector, vs in zip(sectors, v_s)])[:, order]
-        if prev_vecs is not None:
-            v = _phase_fix(prev_vecs, v)
-        prev_vecs = v
         eigenvalues[g] = w
-        eigenvectors[g] = v
         symmetry.append([labels[k] for k in order])
 
-        # analytic dH/dt in each sector's eigenbasis (Hellmann-Feynman
-        # numerators; zero across sectors), rows of the extremal branches
-        dh_rows = block_diag(
-            *(vs.T @ sector.time_derivative(omega, pulse.omega_dot(t), delta, pulse.beta) @ vs
-              for sector, vs in zip(sectors, v_s))
-        )[np.ix_(order[[0, -1]], order)]
-        for row, l, dh_l in ((eta_low[g], 0, dh_rows[0]), (eta_high[g], dim - 1, dh_rows[1])):
+        omega_dot = pulse.omega_dot(t)
+        for row, l in ((eta_low[g], 0), (eta_high[g], dim - 1)):
+            # the followed branch's row of the analytic dH/dt in its own
+            # sector's eigenbasis (Hellmann-Feynman numerators), zero in the
+            # other sector
+            s = int(order[l] >= offsets[1])
+            vs = v_s[s]
+            dh_l = np.zeros(dim)
+            dh_l[offsets[s] : offsets[s] + vs.shape[1]] = (
+                vs[:, order[l] - offsets[s]] @ sectors[s].time_derivative(omega, omega_dot, delta, pulse.beta) @ vs
+            )
             gaps = w - w[l]
-            ratio = np.divide(dh_l, gaps, out=np.full(dim, math.nan), where=np.abs(gaps) >= deg_tol)
+            ratio = np.divide(dh_l[order], gaps, out=np.full(dim, math.nan), where=np.abs(gaps) >= deg_tol)
             row[:] = ratio**2 * pulse.tau / abs(pulse.delta0)
             row[l] = 0.0
 
@@ -128,7 +118,6 @@ def scan_spectrum(
         delta_grid=deltas,
         times=times,
         eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
         eta_low=eta_low,
         eta_high=eta_high,
         symmetry=symmetry,

@@ -205,6 +205,25 @@ class TestGateAndSweep:
         _, rows = read_csv_rows(tmp_path / "out1" / "sweep.csv")
         assert [row[0] for row in rows] == ["3", "3", "4", "4"]
 
+    def test_sweep_and_fit_c_headers_record_the_step_count_they_run(self, tmp_path):
+        # both run every duration at tau / 4000, whatever the config's dt_us
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps(C_TABLE))
+        sweeps = []
+        for name, overrides in (("default", {}), ("fine", {"dt_us": 0.0005})):
+            (tmp_path / name).mkdir()
+            cfg = write_config(tmp_path / name, overrides)
+            out = tmp_path / name / "out"
+            assert main(["--config", cfg, "--out", str(out), "sweep", "--n-list", "3", "--tau-points", "1",
+                         "--c-file", str(cfile)]) == EXIT_OK
+            sweeps.append((out / "sweep.csv").read_bytes())
+        assert sweeps[0] == sweeps[1]
+        out = tmp_path / "fit"
+        assert main(["--config", cfg, "--out", str(out), "fit-c", "--nu-list", "3"]) == EXIT_OK
+        for path in (tmp_path / "fine" / "out" / "sweep.csv", out / "fit_c.csv"):
+            header = dict(line[2:].split(" = ", 1) for line in path.read_text().splitlines() if line.startswith("# "))
+            assert header["steps_per_pulse"] == "4000" and "dt_us" not in header
+
     def test_sweep_keeps_the_configured_envelope_width(self, tmp_path):
         data = json.loads(json.dumps(CONFIG))
         data["chain"]["n_atoms"] = 3
