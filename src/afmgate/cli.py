@@ -23,9 +23,9 @@ import numpy as np
 
 from . import __version__
 from .basis import bit_counts, bitstring, build_blockade_basis, build_full_basis
-from .config import DT_STEPS_DEFAULT, Model, ProtocolConfig, json_float, load_config, pulse_with_tau
+from .config import Model, ProtocolConfig, json_float, load_config, pulse_with_tau
 from .errors import ConfigError, FitQualityError
-from .evolution import run_protocol
+from .evolution import STEPS_PER_PULSE, run_protocol
 from .gate import (
     assemble_gate,
     build_error_model,
@@ -79,9 +79,14 @@ def _fmt(value) -> str:
 
 def _write_lines(path: Path, header_params: Dict[str, object], columns: Sequence[str],
                  lines: Iterable[str]) -> None:
-    header = [f"# {key} = {_fmt(val)}" for key, val in header_params.items()]
-    header.append(",".join(columns))
-    path.write_text("\n".join([*header, *lines]) + "\n")
+    """The commented header, the column names and then each item of
+    ``lines`` (one or more CSV rows) as it comes, each ending in a newline."""
+    with path.open("w") as fh:
+        for key, val in header_params.items():
+            fh.write(f"# {key} = {_fmt(val)}\n")
+        fh.write(",".join(columns) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _write_csv(path: Path, header_params: Dict[str, object], columns: Sequence[str],
@@ -120,10 +125,10 @@ def _resolved_params(cfg: ProtocolConfig, **extra) -> Dict[str, object]:
 
 def _per_pulse_step_params(cfg: ProtocolConfig, **extra) -> Dict[str, object]:
     """``_resolved_params`` of a command that runs each pulse duration at
-    tau / ``DT_STEPS_DEFAULT`` (``sweep``, ``fit-c``): that step count
+    tau / ``STEPS_PER_PULSE`` (``sweep``, ``fit-c``): that step count
     stands in place of the config's ``dt_us``, which these runs ignore."""
     return dict(
-        ("steps_per_pulse", DT_STEPS_DEFAULT) if key == "dt_us" else (key, value)
+        ("steps_per_pulse", STEPS_PER_PULSE) if key == "dt_us" else (key, value)
         for key, value in _resolved_params(cfg, **extra).items()
     )
 
@@ -145,14 +150,14 @@ def cmd_spectrum(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -
             ("row", "col", "re", "im"),
             rows,
         )
-    n_grid, dim = scan.eigenvalues.shape
-    lines = _column_lines(
-        np.repeat(scan.delta_grid, dim),
-        np.tile(np.arange(1, dim + 1), n_grid),
-        scan.eigenvalues.ravel(),
-        [label.value for labels in scan.symmetry for label in labels],
-        scan.eta_low.ravel(),
-        scan.eta_high.ravel(),
+    dim = scan.eigenvalues.shape[1]
+    # one block of rows per grid point, written as it is formatted
+    lines = (
+        "\n".join(_column_lines(np.full(dim, delta), np.arange(1, dim + 1), energies,
+                                [label.value for label in labels], eta_low, eta_high))
+        for delta, energies, labels, eta_low, eta_high in zip(
+            scan.delta_grid, scan.eigenvalues, scan.symmetry, scan.eta_low, scan.eta_high
+        )
     )
     _write_lines(
         out_dir / "spectrum.csv",

@@ -24,6 +24,9 @@ from .units import mhz
 # documented default width ratio sigma = 0.385 tau.
 ENVELOPE_EXPONENT = 8
 SIGMA_RATIO_DEFAULT = 0.385
+# RK4 steps per pulse of a sampled trajectory (``evolve``) by default, and
+# the fewest a config's ``dt_us`` may give; the final amplitudes of gates
+# take ``evolution.STEPS_PER_PULSE`` split steps whatever ``dt_us`` says
 DT_STEPS_DEFAULT = 4000
 DT_STEPS_MIN = 1000
 

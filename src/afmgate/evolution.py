@@ -1,57 +1,72 @@
 """Time-dependent Schroedinger propagation of the two-pulse protocol.
 
-Fixed-step classical RK4 with midpoint Hamiltonian evaluations, in one
-segment stepper that every propagation goes through: a single state or a
-batch of states held as the columns of one array, over one chain or over
-the direct sum of several chain blocks driven by the same pulse, or over
-the row-wise stack of two such engines with their own pulses and a shared
-step.  Each pulse is tabulated once per segment and the diagonal of -iH
-once per block of ``DIAG_BLOCK_STEPS`` steps.  The drive is real, so each
-RK4 stage makes one real matrix product on the float64 view
-(rows, 2 * batch) of the state per entry of ``_SegmentEngine.drives``:
-consecutive chain blocks share one block-diagonal drive while it has at
-most ``MERGED_DRIVE_ROWS`` rows (a gate's three chains up to N = 5 make
-one product, N = 6 and 7 two), and a one-chain engine keeps its own
-drive.  The -i Omega scaling (one per engine), the stage states and the
-update psi += dt/6 k1 + dt/3 k2 + dt/3 k3 + dt/6 k4 are level-1 BLAS calls
-(``zaxpy``, ``zcopy``) on the flat rows of one preallocated array;
-non-finite amplitudes are looked for once per segment, over its stored
-samples.  Hermitian runs normalise each chain block of every stored
-sample (removing the RK4 amplitude artifact, which would otherwise mask
-real norm errors): the step is linear and block-diagonal, so this equals
-renormalising after every step up to round-off, with no norm in the
-loop.  Non-Hermitian runs keep the physical norm decay.
+H(t) = Omega(t) drive + diag(-Delta(t) n_r + v) - i (Gamma / 2) n_r is a
+fixed real symmetric drive times a scalar plus a diagonal.  The final
+amplitudes of static chains (gates, pulse-duration batches) come from a
+fourth-order splitting, ``_run_split``: Blanes & Moan's six-stage S6
+(J. Comput. Appl. Math. 142, 313 (2002)), the palindrome
+exp(a1 h A) exp(b1 h B) exp(a2 h A) ... exp(b1 h B) exp(a1 h A) of the
+diagonal A and the drive B (``SPLIT_A``, ``SPLIT_B``).  The diagonal flow
+carries the time, so each drive exponential takes Omega where the
+diagonal factors before it end (``STEP_NODES``), and a step's last
+diagonal factor merges with the next step's first: six drive and six
+diagonal exponentials per step.  The diagonal is exponentiated exactly:
+Delta is linear in t, so its midpoint value times the span is its
+integral, and v is constant.  The drive is diagonalised once per chain,
+s, W = eigh(drive), and exp(-i theta drive) = W diag(exp(-i theta s)) W^T
+is two real products on the float64 view of the state.  A decay-free
+step is unitary, so the norm holds to round-off without renormalisation,
+and no step size blows up.  After one pulse the split at 500 steps errs
+8e-6 at vdW nu = 3, about as much as RK4 at 3000 steps; the two
+mirror-image pulses of a static protocol cancel most of that, so the
+final amplitudes at 500 steps per pulse err 300-2000 times less than RK4
+at 4000 (``STEPS_PER_PULSE``).
 
-One setup, ``_protocol_start``, builds the two pulse engines, the
-initial state and the step count for both callers of the stepper:
-``run_protocol`` (one chain, with its sampled trajectory) and
-``final_amplitudes``, the one place that runs the two pulses for final
-amplitudes only.  That serves ``ground_amplitudes``,
-which propagates the chains of a gate (nu = N-2, N-1, N: one pulse, step
-and step count) as one concatenated state, ``tau_batch_amplitudes``,
-which adds one copy of those blocks per pulse duration (the pulse is a
-function of t / tau, so each copy runs on the step grid of the first
-duration with its H scaled by tau / tau_ref), and the thermal chunks of
-``thermal``, whose chains take a per-trial interaction, one column per
-trial.  These need only <0...0| M_II M_I |0...0> for the RK4 matrices of
-the pulses.  -iH(t) is complex symmetric (a real symmetric drive, the
-rest diagonal), so the transpose of an RK4 step is the same step with its
-stages in reverse time order, and the amplitude is
-(M_II^T |0...0>)^T (M_I |0...0>): while pulse II keeps its norm decay, it
-runs from its end back to its start as more blocks of pulse I's state, in
-one loop of half the steps.  A renormalised (decay-free) pulse II needs
-the state after pulse I and runs after it, bitwise as ``run_protocol``
-does; in both orders pulse II runs at rate 1 / lambda on pulse I's step.
-A static chain is mirror-symmetric and starts in |0...0>, so static
-chains run on the inversion-even sectors (``ChainHamiltonian.sector``;
-20 of 32 states at vdW nu = 5, 72 of 128 at nu = 7): each chain's
-operators are projected once per pulse, a Hamiltonian that breaks the
-mirror raises there, and ``run_protocol`` maps its samples back to the
-full basis.  Moving atoms break the mirror, so a thermal chunk keeps the
-full basis and both engines take its chains as they are, each pulse's
-interaction being its per-trial function; that interaction is diagonal,
-so -iH stays complex symmetric and, with decay, pulse II runs transposed
-as in a gate.
+Trajectories (``run_protocol``, sampled every few steps and read between
+the pulses) and moving atoms (thermal chunks, whose motion breaks the
+mirror and whose per-trial diagonal would need one complex exponential per
+row and trial in every factor) keep fixed-step classical RK4 with
+midpoint evaluations, ``_run_segment``: one real matrix product per stage
+on the float64 view (rows, 2 * batch) of the state per entry of
+``_SegmentEngine.drives`` (consecutive chain blocks share one
+block-diagonal drive while it has at most ``MERGED_DRIVE_ROWS`` rows), and
+level-1 BLAS calls (``zaxpy``, ``zcopy``) for the -i Omega scaling, the
+stage states and the update on the flat rows of one preallocated array.
+Hermitian RK4 runs normalise each chain block of every stored sample
+(removing the RK4 amplitude artifact): the step is linear and
+block-diagonal, so this equals renormalising after every step up to
+round-off.
+
+Both steppers tabulate the pulse once per segment and the diagonal once
+per block of ``DIAG_BLOCK_STEPS`` steps, and look for non-finite
+amplitudes once per segment, over its stored samples.  One setup,
+``_protocol_start``, builds the two pulse engines, the initial state and
+the step count for both callers: ``run_protocol`` (one chain at the
+config's step, with its sampled trajectory) and ``final_amplitudes``, the
+one place that runs the two pulses for final amplitudes only, with the
+split for static chains and RK4 for moving atoms.  That
+serves ``ground_amplitudes``, which propagates the chains of a gate
+(nu = N-2, N-1, N) as one direct sum at tau / ``STEPS_PER_PULSE``,
+``tau_batch_amplitudes``, which adds one column group per pulse duration
+(the pulse is a function of t / tau, so each duration runs on the step
+grid of the first with its H scaled by tau / tau_ref), and the thermal
+chunks of ``thermal``, whose chains take a per-trial interaction, one
+column per trial.  These need only <0...0| M_II M_I |0...0> for the
+propagators of the pulses.  Every factor of a split step and every RK4
+step of -iH is complex symmetric (a real symmetric drive, the rest
+diagonal), so the transpose of a step is its factors or stages in
+reverse order, and the amplitude is (M_II^T |0...0>)^T (M_I |0...0>):
+pulse II runs from its end back to its start in the loop of pulse I, at
+rate 1 / lambda on pulse I's step.  A renormalised (decay-free) RK4
+pulse II needs the state after pulse I and runs after it.  A static
+chain is mirror-symmetric and starts in |0...0>, so static chains run on
+the inversion-even sectors (``ChainHamiltonian.sector``; 20 of 32 states
+at vdW nu = 5, 72 of 128 at nu = 7): each chain's operators are projected
+once per pulse, a Hamiltonian that breaks the mirror raises there, and
+``run_protocol`` maps its samples back to the full basis.  Moving atoms
+break the mirror, so a thermal chunk keeps the full basis and both
+engines take its chains as they are, each pulse's interaction being its
+per-trial function.
 
 The dynamical phase integrates the energy of the branch that holds the
 state (``_branch_energies``).  Each chunk of stored samples runs one
@@ -66,7 +81,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,19 +95,55 @@ from .hamiltonian import ChainHamiltonian, ladder_modes, model_basis
 
 OVERLAP_VALID_MIN = 0.1
 PHASE_SAMPLE_MARGIN = math.pi / 4.0
-# RK4 steps whose -iH diagonals are tabulated together: long enough to
-# amortise the per-call cost, short enough to keep a thermal block of
-# (2 * steps, dim, batch) complex entries small
+# Blanes & Moan's six-stage fourth-order splitting (S6 of J. Comput. Appl.
+# Math. 142, 313 (2002)): a step is exp(a1 h A) exp(b1 h B) exp(a2 h A) ...
+# exp(b1 h B) exp(a1 h A) with the palindromes a = (a1, a2, a3, a4, a3, a2,
+# a1) on the diagonal A and b = (b1, b2, b3, b3, b2, b1) on the drive B
+SPLIT_A = (0.0792036964311957, 0.353172906049774, -0.0420650803577195)
+SPLIT_B = (0.209515106613362, -0.143851773179818)
+# Nodes of a step, as fractions of h: its start, the six drive nodes (the
+# diagonal flow carries the time, so each drive exponential sits where the
+# diagonal factors before it end) and its end
+STEP_NODES = np.r_[0.0, np.cumsum(SPLIT_A + (1.0 - 2.0 * sum(SPLIT_A),) + SPLIT_A[::-1])[:-1], 1.0]
+DRIVE_WEIGHTS = np.array(SPLIT_B + (0.5 - sum(SPLIT_B),) * 2 + SPLIT_B[::-1])
+# Steps per pulse of every final-amplitude run of static chains (gates, tau
+# batches, fit-c, the parity round trip).  Halving study: the gate's three
+# chains, even sectors, decay on, lambda = 1; max |amp - RK4 at tau/32000|,
+# whose own error is about 4e-10 at N = 7 and 1.5e-9 at N = 9 (lambda = 0.5
+# and 2 agree within 10 % from N = 5 on, and within a factor 2 below):
+#
+#   N    RK4 4000 steps   split 125   split 250   split 500   split 1000
+#   3    2.3e-7           3.9e-5      1.8e-9      1.0e-10     3.1e-12
+#   4    2.7e-7           7.4e-5      2.6e-9      1.7e-10     1.8e-11
+#   5    2.5e-6           7.5e-5      5.3e-8      3.2e-9      1.3e-10
+#   6    2.9e-6           1.4e-4      5.3e-8      3.2e-9      1.3e-10
+#   7    1.35e-5          1.4e-4      6.4e-7      3.9e-8      2.1e-9
+#   8    1.5e-5           2.1e-4      6.4e-7      3.9e-8      2.1e-9
+#   9    4.8e-5           2.1e-4      1.5e-6      9.3e-8      4.4e-9
+#   10   5.7e-5           2.8e-4      1.5e-6      9.3e-8      4.4e-9
+#
+# A step makes twice the exponentials of a step of Yoshida's triple jump,
+# whose 1000 steps cost as much as these 500 and err 8-26x more in the
+# amplitudes (5.3e-7 at N = 7) and 65x more in the infidelity of N = 3 at
+# tau = 0.5 us (3.9e-8 against 6e-10)
+STEPS_PER_PULSE = 500
+# Steps whose diagonals (RK4) or diagonal factors and drive phases (split)
+# are tabulated together: long enough to amortise the per-call cost, short
+# enough to keep a thermal block of (2 * steps, dim, batch) complex entries
+# small
 DIAG_BLOCK_STEPS = 16
-# Rows of the largest block-diagonal drive that merges consecutive chain
-# blocks of a direct sum into one product per RK4 stage.  Merging saves a
+# Rows of the largest block-diagonal drive (RK4) or eigenbasis (split) that
+# merges consecutive chain blocks of a direct sum into one product per RK4
+# stage or drive exponential.  Merging saves a
 # call (about 0.6 us) but multiplies the zero blocks (about 0.2 ns per
 # entry), so it pays for small blocks only.  Measured RK4 steps on the even
 # sectors (one BLAS thread, 2.1 GHz Xeon): the vdW gate at N = 7
 # (20 + 36 + 72 rows) takes 19.8 us in three products, 19.3 us as 56 + 72
 # and 22.0 us as one product of 128 rows; at N = 8 (36 + 72 + 136) it takes
 # 35.6 us apart, 36.2 us as 108 + 136; six nu = 5 blocks of 20 rows take
-# 37.9 us apart, 30.1 us in products of 60 and 31.0 us in one of 120
+# 37.9 us apart, 30.1 us in products of 60 and 31.0 us in one of 120.  The
+# split's gate: N = 5 takes 26.6 ms in one product, 32.6 ms apart and
+# 42.1 ms at a limit of 128 rows; N = 7 and 8 move by less than 10 %
 MERGED_DRIVE_ROWS = 64
 # Branch energies: matrix entries of one stacked even-sector eigenproblem
 # (samples per chunk times d_even^2), 256 KB of float64 at 2^15.  With no
@@ -153,29 +204,27 @@ class _SegmentEngine:
     chains driven by the same pulse: the operators of each chain (its
     ``ChainHamiltonian`` or its even-sector copy) plus the pulse scaling.
 
-    The state is the concatenation of one block per chain (``chains`` gives
-    their row ranges); the excitation counts and the interaction diagonal
-    are concatenated, so the diagonal of -iH is one array for the whole
-    state and only the drive products are made block by block.
-    ``v_int_fn``, when given, supplies the interaction diagonal of a
-    (dim, batch) state with moving atoms in place of the static ``v``
-    (then None): called with an array of k absolute protocol times it
-    returns the real (k, dim, batch) diagonals, one column per trial, and
-    the excitation counts are kept as a column to broadcast against the
-    batch.  The engine only steps: the branch energies of its samples are
-    ``_branch_energies`` of a chain.
-    ``scales`` (one per chain block, default 1) multiplies a block's drive,
-    n_r and v (or its per-trial interaction), and so its decay: a protocol
-    of duration tau run on the time grid of duration tau_ref has H scaled
-    by tau / tau_ref.
+    The rows of the state are the concatenation of one block per chain
+    (``chains`` gives their row ranges); the excitation counts and the
+    interaction diagonal are concatenated, so the diagonal of -iH is one
+    array for the whole state and only the drive products are made block
+    by block (``drives`` for RK4, ``eigenbases`` for the split).
+    ``v_int_fn``, when given, supplies the interaction diagonal of a batch
+    of trials with moving atoms in place of the static ``v`` (then None):
+    called with an array of k absolute protocol times it returns the real
+    (k, dim, batch) diagonals, one column per trial.  The engine only
+    steps: the branch energies of its samples are ``_branch_energies`` of a
+    chain.
     ``rate`` is the pulse time that passes per unit of the stepper's time:
-    the engine tabulates its pulse at steps rate * dt and scales every block
-    by rate, so an engine can share the step of another one.  ``reverse``
-    takes the evaluations from the pulse end back to its start: -iH(t) is
-    complex symmetric (a real symmetric drive, the rest diagonal), so each
-    RK4 step of the reversed run is the transpose of the matching step of
-    the forward run, and the reversed run from |x> gives M^T |x> for the
-    forward run's matrix M.
+    the engine tabulates its pulse at steps rate * dt and scales H by rate,
+    so an engine can share the step of another one.  Each entry of
+    ``scales`` is one column group of the split's state, whose H is also
+    times that entry (a protocol of duration tau run on the time grid of
+    duration tau_ref has H scaled by tau / tau_ref); ``self.scales`` holds
+    them times the rate, and RK4 runs one group.  ``reverse`` takes the
+    pulse from its end back to its start: each split factor and each RK4
+    step is complex symmetric, so the reversed run from |x> gives M^T |x>
+    for the forward run's matrix M.
     """
 
     def __init__(
@@ -185,12 +234,11 @@ class _SegmentEngine:
         gamma: float = 0.0,
         v_int_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         t_abs_start: float = 0.0,
-        scales: Optional[Sequence[float]] = None,
+        scales: Sequence[float] = (1.0,),
         rate: float = 1.0,
         reverse: bool = False,
     ):
         self.hamiltonians = tuple(hamiltonians)
-        scales = (1.0,) * len(self.hamiltonians) if scales is None else scales
         self.scales = tuple(rate * s for s in scales)
         self.rate = rate
         self.reverse = reverse
@@ -198,14 +246,9 @@ class _SegmentEngine:
         self.gamma = gamma
         self.v_int_fn = v_int_fn
         self.t_abs_start = t_abs_start
-        self.v = (
-            np.concatenate([s * h.v for h, s in zip(self.hamiltonians, self.scales)]) if v_int_fn is None else None
-        )
-        n_r = np.concatenate([s * h.n_r for h, s in zip(self.hamiltonians, self.scales)])
+        self.v = np.concatenate([h.v for h in self.hamiltonians]) if v_int_fn is None else None
+        n_r = np.concatenate([h.n_r for h in self.hamiltonians])
         self._n_r = n_r if v_int_fn is None else n_r[:, None]
-        # a per-trial interaction takes the block scales row by row
-        scaled = v_int_fn is not None and any(s != 1.0 for s in self.scales)
-        self._v_int_scale = np.repeat(self.scales, [len(h.n_r) for h in self.hamiltonians])[:, None] if scaled else None
         # -iH = -i Omega drive - (Gamma / 2) n_r + i (Delta n_r - v)
         self._decay_rate = -0.5 * gamma * self._n_r if gamma else 0.0
 
@@ -215,25 +258,56 @@ class _SegmentEngine:
         ends = np.cumsum([h.drive.shape[0] for h in self.hamiltonians]).tolist()
         return tuple(slice(a, b) for a, b in zip([0] + ends[:-1], ends))
 
-    @property
-    def drives(self) -> Tuple[Tuple[slice, np.ndarray], ...]:
-        """The real drive products of one RK4 stage, as (row range, matrix).
-
-        Consecutive chain blocks share one block-diagonal matrix, each block
-        times its scale, while their rows fit in ``MERGED_DRIVE_ROWS``; a
-        block alone at scale 1 keeps its own drive.
-        """
+    def _product_groups(self) -> list:
+        """Chain indices per drive product: consecutive chain blocks while
+        their rows fit in ``MERGED_DRIVE_ROWS``."""
         chains = self.chains
-        groups: list = []  # chain indices per product
+        groups: list = []
         for k, chain in enumerate(chains):
             if groups and chain.stop - chains[groups[-1][0]].start <= MERGED_DRIVE_ROWS:
                 groups[-1].append(k)
             else:
                 groups.append([k])
-        scaled = [h.drive if s == 1.0 else s * h.drive for h, s in zip(self.hamiltonians, self.scales)]
+        return groups
+
+    @property
+    def drives(self) -> Tuple[Tuple[slice, np.ndarray], ...]:
+        """The real drive products of one RK4 stage, as (row range, matrix).
+
+        Consecutive chain blocks share one block-diagonal matrix, each block
+        times the scale, while their rows fit in ``MERGED_DRIVE_ROWS``; a
+        block alone at scale 1 keeps its own drive.
+        """
+        (s,) = self.scales
+        chains = self.chains
+        scaled = [h.drive if s == 1.0 else s * h.drive for h in self.hamiltonians]
         return tuple(
             (slice(chains[g[0]].start, chains[g[-1]].stop), scaled[g[0]] if len(g) == 1 else block_diag(*(scaled[k] for k in g)))
-            for g in groups
+            for g in self._product_groups()
+        )
+
+    @cached_property
+    def eigenbases(self) -> Tuple[Tuple[slice, np.ndarray, np.ndarray], ...]:
+        """The real products of one split drive exponential, as (row range,
+        eigenvalues s, eigenvectors W) with drive = W diag(s) W^T: the
+        chains of one ``drives`` product share one block-diagonal W of their
+        own eigenvectors.  Computed once per engine."""
+        chains = self.chains
+        eigs = []
+        for h in self.hamiltonians:
+            s, w = np.linalg.eigh(h.drive)
+            # one Newton-Schulz step restores W^T W = 1 to round-off: the
+            # norm of a decay-free gate then drifts by < 1e-12 over its
+            # 6000 drive exponentials (3.7e-12 with W from eigh alone, PXP
+            # nu = 3..5)
+            eigs.append((s, w @ (1.5 * np.eye(len(s)) - 0.5 * (w.T @ w))))
+        return tuple(
+            (
+                slice(chains[g[0]].start, chains[g[-1]].stop),
+                np.concatenate([eigs[k][0] for k in g]),
+                eigs[g[0]][1] if len(g) == 1 else block_diag(*(eigs[k][1] for k in g)),
+            )
+            for g in self._product_groups()
         )
 
     def tables(self, dt: float, n_steps: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -255,19 +329,56 @@ class _SegmentEngine:
         tabs = t, self.pulse.omega(t), self.pulse.delta(t)
         return tuple(a[::-1] for a in tabs) if self.reverse else tabs
 
+    def _local(self, u: np.ndarray) -> np.ndarray:
+        """Pulse-local times of stepper times u, clamped into the pulse."""
+        return np.clip(self.rate * u, 0.0, self.pulse.tau)
+
+    def nodes(self, dt: float, n_steps: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Stepper times of the split nodes of every step (``STEP_NODES``
+        times dt), (n_steps, nodes), and Omega at its drive nodes (all but
+        the first and the last); a reversed engine lists the same nodes from
+        the last one back."""
+        u = np.arange(n_steps)[:, None] * dt + STEP_NODES * dt
+        if self.reverse:
+            u = u[::-1, ::-1].copy()
+        return u, self.pulse.omega(self._local(u[:, 1:-1]))
+
     def diagonals(self, t_local: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """Diagonals of -iH at an array of tabulated local times and their
-        detunings, stacked on axis 0: (k, dim), or (k, dim, batch) with a
-        per-trial interaction.  Real and imaginary parts are written into
-        one complex buffer."""
+        """Diagonals of -iH at an array of local times and their detunings,
+        stacked on axis 0: (k, dim), or (k, dim, batch) with a per-trial
+        interaction.  Real and imaginary parts are written into one complex
+        buffer."""
         v = self.v if self.v_int_fn is None else self.v_int_fn(self.t_abs_start + t_local)
-        if self._v_int_scale is not None:
-            v = v * self._v_int_scale
         delta_n_r = delta.reshape((-1,) + (1,) * self._n_r.ndim) * self._n_r
         out = np.empty(np.broadcast_shapes(delta_n_r.shape, v.shape), dtype=complex)
         out.real = self._decay_rate
         np.subtract(delta_n_r, v, out=out.imag)
         return out
+
+    def diagonal_factors(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """exp of the diagonal of -iH of a static chain integrated from
+        stepper time lo to hi, for arrays of spans of any shape S in the
+        order of application: (*S, dim, groups, 1), to broadcast over a
+        batch of states.
+
+        Delta is linear in t, so its value at the midpoint times the span
+        is its integral.  A reversed engine runs a span backwards in time,
+        so its factor is the forward one between the same two nodes.
+        """
+        mid = (0.5 * (self._local(lo) + self._local(hi))).ravel()
+        span = (lo - hi if self.reverse else hi - lo).ravel()
+        d = self.diagonals(mid, self.pulse.delta(mid))[:, :, None, None]
+        x = d * (span[:, None] * self.scales)[:, None, :, None]
+        return np.exp(x, out=x).reshape(lo.shape + x.shape[1:])
+
+    def drive_phases(self, omega: np.ndarray, dt: float, s: np.ndarray) -> np.ndarray:
+        """exp(-i theta s) of the split drive exponentials at the Omega
+        values ``omega`` (k, drive nodes) of ``nodes``, with theta = b dt
+        Omega times each scale (b in ``DRIVE_WEIGHTS``) and the drive's
+        eigenvalues s: (k, drive nodes, dim, groups, 1)."""
+        theta = (DRIVE_WEIGHTS * dt * omega)[:, :, None] * self.scales
+        x = -1j * theta[:, :, None, :, None] * s[:, None, None]
+        return np.exp(x, out=x)
 
 
 def _branch_energies(
@@ -334,9 +445,104 @@ def _max_overlap_energies(h: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _real(rows: np.ndarray) -> np.ndarray:
-    """The float64 view (rows, 2 * batch) of a C-contiguous complex state
-    block, one state (rows,) being a batch of one."""
+    """The float64 view (rows, 2 * columns) of a C-contiguous complex state
+    block, one state (rows,) being one column."""
     return rows.view(np.float64).reshape(len(rows), -1)
+
+
+def _run_split(
+    engines: _SegmentEngine | Tuple[_SegmentEngine, ...],
+    psi0: np.ndarray,
+    dt: float,
+    n_steps: int,
+    stride: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The split steps of static chains over one segment; returns the
+    pulse-local times (excluding t=0) and the states of the samples taken
+    every ``stride`` steps and at the segment end, as arrays (n_samples,)
+    and (n_samples, *psi0.shape).
+
+    ``engines`` is one engine or a tuple of engines over the same chains
+    (the same drives), whose column groups are side by side in the state;
+    they share the step dt, the step count and the drive eigenbases, and
+    each has its own node table, diagonal factors and drive phases (the
+    sample times are those of the first).  ``psi0`` is (rows,) or
+    (rows, batch) for one engine with one scale, or (rows, groups, batch)
+    with the column groups of all engines in order.  A step applies, for
+    each of its drive nodes, the diagonal factor that leads to the node
+    (the first one merges the previous step's last), then W^T, the drive
+    phases and W as one real product per entry of
+    ``_SegmentEngine.eigenbases`` on the float64 views.  A sample applies
+    the diagonal factor from the last drive node to the step end, without
+    changing the running state.
+    Raises PropagationError naming the time of the first sample that holds
+    non-finite amplitudes.
+    """
+    engines = engines if isinstance(engines, tuple) else (engines,)
+    bases = engines[0].eigenbases
+    for e in engines[1:]:
+        pairs = zip(e.hamiltonians, engines[0].hamiltonians, strict=True)
+        if not all(np.array_equal(a.drive, b.drive) for a, b in pairs):
+            raise ValueError("the engines of one segment must share their chains' drives")
+    s = np.concatenate([b[1] for b in bases])
+    shape = np.shape(psi0)
+    groups = sum(len(e.scales) for e in engines)
+    psi = np.array(psi0, dtype=complex, order="C").reshape(shape[0], groups, -1)
+    y = np.empty_like(psi)
+    psi_r, y_r = _real(psi), _real(y)
+    # W^T psi into y and W y into psi on the real views, bound once so that
+    # each product is one call with no argument parsing in the loop
+    to_eig = [partial(np.ascontiguousarray(w.T).dot, psi_r[c], y_r[c]) for c, _, w in bases]
+    from_eig = [partial(w.dot, y_r[c], psi_r[c]) for c, _, w in bases]
+
+    tabs = [e.nodes(dt, n_steps) for e in engines]
+    # the diagonal factors of a step lead from the previous node to each drive
+    # node; the tail leads from the last drive node to the step end
+    spans = [(np.column_stack([np.r_[u[0, 0], u[:-1, -2]], u[:, 1:-2]]), u[:, 1:-1]) for u, _ in tabs]
+
+    def factors(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        d = [e.diagonal_factors(a[lo:hi], b[lo:hi]) for e, (a, b) in zip(engines, spans)]
+        p = [e.drive_phases(om[lo:hi], dt, s) for e, (_, om) in zip(engines, tabs)]
+        return (d[0], p[0]) if len(engines) == 1 else (np.concatenate(d, axis=3), np.concatenate(p, axis=3))
+
+    def tails(steps: np.ndarray) -> np.ndarray:
+        d = [e.diagonal_factors(u[steps, -2], u[steps, -1]) for e, (u, _) in zip(engines, tabs)]
+        return d[0] if len(engines) == 1 else np.concatenate(d, axis=2)
+
+    # samples after every stride-th step and after the last one
+    sample_steps = np.minimum(np.arange(stride, n_steps + stride, stride), n_steps) - 1
+    times = (sample_steps * dt + dt) * engines[0].rate
+    # pin the final sample to the exact pulse end so segment boundaries
+    # are found exactly downstream
+    times[-1] = engines[0].pulse.tau
+    samples = np.empty((len(times),) + psi.shape, dtype=complex)
+
+    sample_list = sample_steps.tolist()
+    k = 0
+    for lo in range(0, n_steps, DIAG_BLOCK_STEPS):
+        hi = min(lo + DIAG_BLOCK_STEPS, n_steps)
+        diag, phases = factors(lo, hi)
+        taken = sample_steps[(sample_steps >= lo) & (sample_steps < hi)]
+        tail = iter(tails(taken)) if len(taken) else None
+        for i in range(hi - lo):
+            for j in range(len(DRIVE_WEIGHTS)):
+                # positional out arguments: parsing a keyword costs more
+                # than a short call
+                np.multiply(psi, diag[i, j], psi)
+                for product in to_eig:
+                    product()
+                np.multiply(y, phases[i, j], y)
+                for product in from_eig:
+                    product()
+            if k < len(sample_list) and lo + i == sample_list[k]:
+                np.multiply(psi, next(tail), samples[k])
+                k += 1
+
+    samples = samples.reshape((len(times),) + shape)
+    finite = np.isfinite(samples).reshape(len(samples), -1).all(axis=1)
+    if not finite.all():
+        raise PropagationError(f"non-finite amplitudes at t = {times[np.argmin(finite)]}")
+    return times, samples
 
 
 def _run_segment(
@@ -347,15 +553,17 @@ def _run_segment(
     stride: int,
     renormalize: bool | Tuple[bool, ...],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """RK4 over one segment; returns the pulse-local times (excluding t=0)
-    and the states of the samples taken every ``stride`` steps and at the
-    segment end, as arrays (n_samples,) and (n_samples, *psi0.shape).
+    """RK4 over one segment (trajectories and moving atoms); returns the
+    pulse-local times (excluding t=0) and the states of the samples taken
+    every ``stride`` steps and at the segment end, as arrays (n_samples,)
+    and (n_samples, *psi0.shape).
 
     ``engines`` is one engine or a tuple of engines whose states are
     stacked row-wise, each over one chain or the direct sum of its chains;
     they share the step dt and the step count, and each has its own pulse
     table, drive products and rows of the -iH diagonal (the sample times
-    are those of the first).  ``psi0`` is one state (rows,) or a batch of
+    are those of the first), and each runs one column group (``scales``).
+    ``psi0`` is one state (rows,) or a batch of
     states as columns (rows, batch).  Each pulse is tabulated once for the
     segment, the complex diagonal d of -iH once per block of
     ``DIAG_BLOCK_STEPS`` steps, and each derivative is
@@ -370,6 +578,8 @@ def _run_segment(
     non-finite amplitudes.
     """
     engines = engines if isinstance(engines, tuple) else (engines,)
+    if any(len(e.scales) != 1 for e in engines):
+        raise ValueError("an RK4 engine runs one column group")
     if not isinstance(renormalize, tuple):
         renormalize = (renormalize,) * len(engines)
     ends = np.cumsum([e.chains[-1].stop for e in engines]).tolist()
@@ -415,6 +625,7 @@ def _run_segment(
 
     def diagonals(lo: int, hi: int) -> np.ndarray:
         parts = [e.diagonals(t[lo:hi], dl[lo:hi]) for e, (t, _, dl) in zip(engines, tabs)]
+        parts = [d if e.scales == (1.0,) else e.scales[0] * d for e, d in zip(engines, parts)]
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     # samples after every stride-th step and after the last one
@@ -553,9 +764,12 @@ def _protocol_start(
     reverse: bool = False,
 ) -> Tuple[_SegmentEngine, _SegmentEngine, np.ndarray, int]:
     """The one setup of the two-pulse protocol over the direct sum of
-    ``hamiltonians``: the engines of both pulses, the initial state with
-    each block in its collective ground state, as one state or as
-    ``columns`` equal columns, and the step count of a pulse.
+    ``hamiltonians``: the engines of both pulses, with one column group per
+    entry of ``scales`` (each with its H times that scale: a batch of pulse
+    durations, see ``tau_batch_amplitudes``), the initial state with each
+    block in its collective ground state, as one state (rows,) or as
+    ``columns`` equal columns, and the step count of a pulse at
+    ``cfg.dt``.
 
     Pulse II runs the lambda-rescaled pulse under the flipped interaction on
     the same operator structures, at ``rate`` 1 / lambda so that it shares
@@ -563,9 +777,7 @@ def _protocol_start(
     ``reverse``.  Static chains run on their even sectors; with the
     per-trial interactions ``v_int_fn_steps`` of moving atoms the chains
     keep their full basis and both engines take them as they are (each
-    pulse's interaction is its function).  The chains are repeated once per
-    entry of ``scales``, each copy with its H times that scale (a batch of
-    pulse durations, see ``tau_batch_amplitudes``)."""
+    pulse's interaction is its function)."""
     if any(h.model is Model.PXP_PLUS_CORRECTIONS for h in hamiltonians):
         raise ConfigError("time propagation supports the PXP and full vdW models only")
     lam = cfg.interaction.lambda_ratio
@@ -575,12 +787,8 @@ def _protocol_start(
     if v_int_fn_steps is None:
         flipped = [h.with_interaction(cfg.interaction.flipped()).sector() for h in hamiltonians]
         hamiltonians = [h.sector() for h in hamiltonians]
-    block_scales = [s for s in scales for _ in hamiltonians]
-    seg1 = _SegmentEngine(list(hamiltonians) * len(scales), cfg.pulse, gamma_1, fn1, 0.0, block_scales)
-    seg2 = _SegmentEngine(
-        list(flipped) * len(scales), cfg.pulse.rescaled(lam), gamma_2, fn2, cfg.pulse.tau, block_scales, 1 / lam,
-        reverse,
-    )
+    seg1 = _SegmentEngine(hamiltonians, cfg.pulse, gamma_1, fn1, 0.0, scales)
+    seg2 = _SegmentEngine(flipped, cfg.pulse.rescaled(lam), gamma_2, fn2, cfg.pulse.tau, scales, 1 / lam, reverse)
     # |0...0> (basis state 0, its own mirror image) is the first row of an
     # even sector and of a full basis alike
     rows = seg1.chains[-1].stop
@@ -594,35 +802,49 @@ def final_amplitudes(
     v_int_fn_steps: Optional[Tuple[VIntFn, VIntFn]] = None, columns: Optional[int] = None,
 ) -> np.ndarray:
     """<0...0| M_II M_I |0...0> of each block of the direct sum of
-    ``_protocol_start``, in block order, for the RK4 matrices M_I and M_II
-    of the two pulses on the block's space: one entry per block, or a
-    (blocks, columns) array with ``columns`` and the per-trial
-    interactions ``v_int_fn_steps`` of moving atoms.  The one driver of
-    final amplitudes: gates, pulse-duration batches and thermal chunks.
+    ``_protocol_start``, scale by scale and within a scale in chain order,
+    for the propagators M_I and M_II of the two pulses on the block's
+    space: one entry per block, or a (blocks, columns) array with
+    ``columns`` and the per-trial interactions ``v_int_fn_steps`` of moving
+    atoms.  The one driver of final amplitudes: gates, pulse-duration
+    batches and thermal chunks.
 
-    While pulse II keeps its norm decay, the amplitude is
-    (M_II^T |0...0>)^T (M_I |0...0>), with no complex conjugate: pulse I
-    runs forward and pulse II transposed (``_SegmentEngine`` with
-    ``reverse``) as the blocks of one state in one loop of n steps.  A
-    renormalised pulse II must start from the state after pulse I, so a
-    decay-free pulse II runs after it.
+    The amplitude is (M_II^T |0...0>)^T (M_I |0...0>), with no complex
+    conjugate: pulse I runs forward and pulse II transposed
+    (``_SegmentEngine`` with ``reverse``) in one loop.  Static chains take
+    ``STEPS_PER_PULSE`` split steps per pulse (``cfg.dt`` is not used),
+    with both pulses as the column groups of one state.  Moving atoms take
+    RK4 at ``cfg.dt`` (one scale), with both pulses as the row blocks of
+    one state while pulse II keeps its norm decay; a renormalised
+    (decay-free) RK4 pulse II must start from the state after pulse I, so
+    it runs after it.
     """
-    joint = cfg.include_decay and cfg.decay.gamma_rp > 0.0
-    seg1, seg2, psi, n1 = _protocol_start(hamiltonians, cfg, scales, v_int_fn_steps, columns, reverse=joint)
-    ground = [chain.start for chain in seg1.chains]
-    if not joint:
-        _, (psi1,) = _run_segment(seg1, psi, cfg.dt, n1, n1, seg1.gamma == 0.0)
-        _, (final,) = _run_segment(seg2, psi1, cfg.dt, n1, n1, seg2.gamma == 0.0)
-        return final[ground]
-    _, (final,) = _run_segment((seg1, seg2), np.concatenate([psi, psi]), cfg.dt, n1, n1, (seg1.gamma == 0.0, False))
-    return np.add.reduceat(final[: len(psi)] * final[len(psi) :], ground)
+    if v_int_fn_steps is not None:
+        joint = cfg.include_decay and cfg.decay.gamma_rp > 0.0
+        seg1, seg2, psi, n1 = _protocol_start(hamiltonians, cfg, scales, v_int_fn_steps, columns, reverse=joint)
+        ground = [chain.start for chain in seg1.chains]
+        if not joint:
+            _, (psi1,) = _run_segment(seg1, psi, cfg.dt, n1, n1, seg1.gamma == 0.0)
+            _, (final,) = _run_segment(seg2, psi1, cfg.dt, n1, n1, seg2.gamma == 0.0)
+            return final[ground]
+        _, (final,) = _run_segment((seg1, seg2), np.concatenate([psi, psi]), cfg.dt, n1, n1, (seg1.gamma == 0.0, False))
+        return np.add.reduceat(final[: len(psi)] * final[len(psi) :], ground)
+    seg1, seg2, psi, _ = _protocol_start(hamiltonians, cfg, scales, reverse=True)
+    groups = len(scales)
+    state = np.repeat(psi[:, None, None], 2 * groups, axis=1)
+    dt = cfg.pulse.tau / STEPS_PER_PULSE
+    _, (final,) = _run_split((seg1, seg2), state, dt, STEPS_PER_PULSE, STEPS_PER_PULSE)
+    amps = np.add.reduceat(final[:, :groups, 0] * final[:, groups:, 0], [chain.start for chain in seg1.chains])
+    # (chains, scales) -> one entry per (scale, chain) block
+    return amps.T.ravel()
 
 
 def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> ProtocolRun:
     """Two chirped pulses: step I with interaction B, step II with the
     lambda-rescaled pulse and flipped interaction -lambda B (a no-op for
     the PXP model).  The r -> r' swap between steps is modeled as
-    instantaneous and exact.  Starts from the collective ground state.
+    instantaneous and exact.  Starts from the collective ground state and
+    takes RK4 steps of ``cfg.dt``.
 
     The dynamical phase integrates the energy of the dominantly occupied
     adiabatic branch (the lowest branch during step I and the highest
@@ -670,11 +892,10 @@ def ground_amplitudes(nus: Sequence[int], cfg: ProtocolConfig) -> Dict[int, comp
     each distinct chain size in ``nus``.
 
     The chains share the pulse, the step and the step count, so they are
-    propagated together as one direct-sum state, and only each segment's
-    final state is kept; with the norm decay of pulse II, pulse II runs
-    transposed in the loop of pulse I (``final_amplitudes``).  Each block
-    matches its own ``run_protocol`` to round-off (bitwise for a single
-    decay-free chain).
+    propagated together as one direct-sum state, with pulse II transposed
+    in the loop of pulse I (``final_amplitudes``).  Each block matches the
+    same split steps run on its chain alone, pulse II after pulse I, to
+    round-off.
     """
     return dict(zip(nus, final_amplitudes(_chain_hamiltonians(nus, cfg), cfg).tolist()))
 
@@ -682,14 +903,15 @@ def ground_amplitudes(nus: Sequence[int], cfg: ProtocolConfig) -> Dict[int, comp
 def tau_batch_amplitudes(nus: Sequence[int], cfg: ProtocolConfig, taus: Sequence[float]) -> np.ndarray:
     """``ground_amplitudes`` of the chains ``nus`` at each pulse duration in
     ``taus``, as a (len(taus), len(nus)) array; each duration runs the pulse
-    ``pulse_with_tau(cfg.pulse, tau)`` at the default step tau /
-    ``DT_STEPS_DEFAULT`` (``cfg.dt`` is not used).
+    ``pulse_with_tau(cfg.pulse, tau)`` at the step tau /
+    ``STEPS_PER_PULSE``.
 
     The pulse is a function of t / tau, so a protocol of duration tau is
     the protocol of tau_ref = taus[0] with H scaled by tau / tau_ref, on
-    the step grid of tau_ref.  Every (tau, nu) pair is one block of a
-    single direct-sum state, propagated in one RK4 loop: the same RK4 as
-    one ``ground_amplitudes`` call per duration, up to round-off.
+    the step grid of tau_ref.  Each duration is one column group of a
+    single state over the chains' direct sum, propagated in one loop: the
+    same steps as one ``ground_amplitudes`` call per duration, up to
+    round-off.
     """
     taus = [float(tau) for tau in taus]
     ref = replace(cfg, pulse=pulse_with_tau(cfg.pulse, taus[0]), dt=None)

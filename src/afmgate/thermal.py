@@ -6,8 +6,9 @@ sqrt(k_B T / m)), so every pair distance is linear in time, d0 + dv t, and
 the pairwise interactions are tabulated from it for a block of integrator
 evaluations at a time.  Each chunk of trials, with the frozen-chain
 baseline as one more row of the first chunk, is propagated once by
-``evolution.final_amplitudes``, the two-pulse driver of the gates: the
-active chains of the four input branches (nu = N-2, N-1, N-1, N) are the
+``evolution.final_amplitudes``, the two-pulse driver of the gates, which
+runs moving atoms with RK4 (``_thermal_dt`` sets its step): the active
+chains of the four input branches (nu = N-2, N-1, N-1, N) are the
 blocks of one direct-sum state, each trial is one column, and their
 interaction is one chain-pair incidence of all their states.  With decay
 on, pulse II runs transposed in the loop of pulse I, as in a gate.  The
@@ -33,7 +34,13 @@ from .gate import INPUT_LABELS, active_atoms, fidelity_from_diag, map_tasks
 from .hamiltonian import ChainHamiltonian, pair_incidence, pair_sites
 from .units import M_RB87, thermal_velocity
 
+# RK4 steps per pulse.  Moving atoms keep RK4 (see ``evolution``): the
+# split steps of the gates reach the thermal fingerprints' accuracy only
+# past 3000 steps, where their per-trial exponentials cost twice RK4's run
 DT_STEPS_THERMAL = 1500
+# RK4 is stable while dt |E| <= 2 sqrt(2) for every eigenvalue E of H; a
+# chunk whose Gershgorin bound rho would pass that takes dt = 2.8 / rho
+RK4_STABLE_DT_RHO = 2.8
 # a trial's Philox key holds the seed as one uint64 word
 SEED_LIMIT = 1 << 64
 
@@ -100,10 +107,34 @@ def analytic_dephasing(
     return DephasingEstimate(delta_b2=db2, delta_phi=db2 * tau)
 
 
-def _thermal_dt(cfg: ProtocolConfig) -> float:
-    """Default integrator step for thermal runs (systematic discretization
-    phase errors cancel against the identically discretized baseline)."""
-    return cfg.pulse.tau / DT_STEPS_THERMAL
+def _thermal_dt(cfg: ProtocolConfig, d0: np.ndarray, dv: np.ndarray, n_atoms: int) -> float:
+    """Integrator step for kinematic draws whose atom pairs start at
+    distances ``d0`` that change at rates ``dv`` ((pairs, trials), over
+    ``n_atoms`` atoms; systematic discretization phase errors cancel against
+    the identically discretized baseline): tau / ``DT_STEPS_THERMAL``, or
+    finer where a close pair would put RK4 outside its stability interval.
+
+    Gershgorin bounds the spectral radius of H on the full basis by
+    sum_pairs |C6| / d^6 + (|Delta0| + |Omega0| / 2) N, with each pair at
+    its closest over the protocol (an end, as the distance is linear in t);
+    pulse II in the stepper's time has the same bound.
+    """
+    d = np.minimum(d0, d0 + dv * cfg.tau_total)
+    pulse = cfg.pulse
+    rho = np.max(np.sum(abs(cfg.interaction.c6) / d**6, axis=0)) + (abs(pulse.delta0) + 0.5 * abs(pulse.omega0)) * n_atoms
+    return pulse.tau / max(DT_STEPS_THERMAL, math.ceil(pulse.tau * rho / RK4_STABLE_DT_RHO))
+
+
+def _pair_motion(
+    cfg: ProtocolConfig, offsets: np.ndarray, velocities: np.ndarray, lo: int, hi: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs (i, j) of the run of atoms lo..hi within the interaction
+    range, (pairs, 2), and their distances at t = 0 and rates of change for
+    the draws in the rows of ``offsets`` / ``velocities``, (pairs, trials)."""
+    pairs = lo + np.array(pair_sites(hi + 1 - lo, cfg.interaction.range_cutoff), dtype=int).reshape(-1, 2)
+    ia, ib = pairs.T
+    base = cfg.chain.spacing * np.arange(offsets.shape[1]) + offsets
+    return pairs, (base[:, ib] - base[:, ia]).T, (velocities[:, ib] - velocities[:, ia]).T
 
 
 def _stays_ordered(x0: np.ndarray, velocities: np.ndarray, t_end: float) -> np.ndarray:
@@ -133,8 +164,7 @@ def _batch_branch_amplitudes(
     the interaction diagonal of a block of evaluation times is one product
     of their incidence on the pairs of the atoms the blocks cover (no atom
     outside a block) with the pair strengths; the sign flip of C6 in step
-    II multiplies every pair strength by -lambda.  Decay enters exactly as
-    in ``run_protocol``: with
+    II multiplies every pair strength by -lambda.  With
     ``cfg.include_decay`` the states keep their physical norm decay (and
     pulse II runs transposed in the loop of pulse I), otherwise they are
     normalised.  Raises ConfigError for a model other than full vdW.
@@ -149,12 +179,9 @@ def _batch_branch_amplitudes(
     if not np.all(ok):
         raise SampleRejected(f"atom ordering violated for batch rows {np.flatnonzero(~ok).tolist()}")
 
-    # the pairs of the run of atoms the blocks cover; distances (pairs, trials)
+    # the pairs of the run of atoms the blocks cover
     lo, hi = min(atoms[0] for atoms in atom_sets), max(atoms[-1] for atoms in atom_sets)
-    pairs = lo + np.array(pair_sites(hi + 1 - lo, cfg.interaction.range_cutoff), dtype=int).reshape(-1, 2)
-    ia, ib = pairs.T
-    d0 = (base[:, ib] - base[:, ia]).T
-    dv = (velocities[:, ib] - velocities[:, ia]).T
+    pairs, d0, dv = _pair_motion(cfg, offsets, velocities, lo, hi)
     masks = np.concatenate([h.basis.masks << atoms[0] for atoms, h in zip(atom_sets, hams)])
     inc = pair_incidence(masks, pairs)  # (dim, pairs)
 
@@ -164,7 +191,7 @@ def _batch_branch_amplitudes(
 
     c6 = cfg.interaction.c6
     v_int_fn_steps = (partial(v_int_at, c6), partial(v_int_at, -cfg.interaction.lambda_ratio * c6))
-    run_cfg = replace(cfg, dt=_thermal_dt(cfg))
+    run_cfg = replace(cfg, dt=_thermal_dt(cfg, d0, dv, hi + 1 - lo))
     return final_amplitudes(hams, run_cfg, v_int_fn_steps=v_int_fn_steps, columns=len(offsets)).T
 
 
@@ -179,8 +206,9 @@ class ThermalReport:
     ``fidelity_loss`` is the mean infidelity 1 - F over trials;
     ``thermal_excess_loss`` subtracts the frozen-chain baseline run at the
     identical discretization and isolates the motional contribution (the
-    quantity with the tau^4 scaling).  ``dt`` is the integrator step of
-    the first pulse.
+    quantity with the tau^4 scaling).  ``dt`` is the RK4 step of the first
+    pulse: tau / ``DT_STEPS_THERMAL``, or the finest step a close pair set
+    for a chunk (``_thermal_dt``).
     """
 
     n_atoms: int
@@ -247,7 +275,7 @@ def run_thermal_ensemble(
         trials=len(diags),
         seed=tcfg.seed,
         rejected=rejected,
-        dt=_thermal_dt(cfg),
+        dt=_thermal_dt(cfg, *_pair_motion(cfg, offsets, velocities, 0, n_atoms - 1)[1:], n_atoms),
         delta_phi_samples=dphi,
         delta_phi_rms=float(np.sqrt(np.mean(dphi**2))),
         fidelity_samples=fids,

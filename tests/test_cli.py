@@ -4,14 +4,18 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import afmgate
-from afmgate.cli import EXIT_CONFIG, EXIT_OK, _column_lines, _fmt, _git_describe, main
-from afmgate.config import protocol_from_dict
+from afmgate.cli import EXIT_CONFIG, EXIT_OK, _column_lines, _fmt, _git_describe, _resolved_params, main
+from afmgate.config import Model, load_config, protocol_from_dict
+from afmgate.evolution import STEPS_PER_PULSE
+from afmgate.spectra import scan_spectrum
+from afmgate.thermal import ThermalConfig, sample_kinematics
 
 CONFIG = {
     "chain": {"n_atoms": 5, "spacing_um": 4.0},
@@ -101,6 +105,29 @@ class TestSpectrum:
             blobs.append((out / "spectrum.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("model", ["vdw", "pxp"])
+    def test_streamed_rows_match_the_whole_scan_writer(self, tmp_path, model):
+        # the file is written one grid point at a time; its bytes are those
+        # of every row formatted from whole columns and joined in one string
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--config", cfg_path, "--out", str(out), "--model", model,
+                     "spectrum", "--nu", "4", "--grid", "9"]) == EXIT_OK
+        cfg = replace(load_config(cfg_path), model=Model(model))
+        scan = scan_spectrum(4, cfg.pulse, cfg.model, None if cfg.model is Model.PXP else cfg.interaction, grid_size=9)
+        n_grid, dim = scan.eigenvalues.shape
+        lines = _column_lines(
+            np.repeat(scan.delta_grid, dim),
+            np.tile(np.arange(1, dim + 1), n_grid),
+            scan.eigenvalues.ravel(),
+            [label.value for labels in scan.symmetry for label in labels],
+            scan.eta_low.ravel(),
+            scan.eta_high.ravel(),
+        )
+        header = [f"# {key} = {_fmt(val)}" for key, val in _resolved_params(cfg, nu=4, grid=9).items()]
+        header.append("delta_rad_us,k,energy_rad_us,symmetry,eta_low,eta_high")
+        assert (out / "spectrum.csv").read_text() == "\n".join([*header, *lines]) + "\n"
+
 
 def test_cli_import_loads_no_integrate_or_optimize():
     # both are slow to import and only min_gap needs scipy.optimize
@@ -173,6 +200,20 @@ class TestGateAndSweep:
         assert 0.985 <= report["fidelity"] <= 0.999
         assert report["error_model"]["tau_opt_us"] == pytest.approx(1.18, abs=0.05)
 
+    def test_gate_does_not_read_the_config_step(self, tmp_path):
+        # the gate's amplitudes take STEPS_PER_PULSE steps per pulse, so a
+        # finer dt_us leaves gate.json byte for byte as it is
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps(C_TABLE))
+        blobs = []
+        for name, overrides in (("default", {}), ("fine", {"dt_us": 0.0005})):
+            (tmp_path / name).mkdir()
+            cfg = write_config(tmp_path / name, dict(overrides, chain={"n_atoms": 3, "spacing_um": 4.0}))
+            out = tmp_path / name / "out"
+            assert main(["--config", cfg, "--out", str(out), "gate", "--c-file", str(cfile)]) == EXIT_OK
+            blobs.append((out / "gate.json").read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_sweep_emits_model_and_numeric_columns(self, tmp_path):
         cfg = write_config(tmp_path)
         cfile = tmp_path / "c.json"
@@ -206,7 +247,8 @@ class TestGateAndSweep:
         assert [row[0] for row in rows] == ["3", "3", "4", "4"]
 
     def test_sweep_and_fit_c_headers_record_the_step_count_they_run(self, tmp_path):
-        # both run every duration at tau / 4000, whatever the config's dt_us
+        # both run every duration at tau / STEPS_PER_PULSE, whatever the
+        # config's dt_us
         cfile = tmp_path / "c.json"
         cfile.write_text(json.dumps(C_TABLE))
         sweeps = []
@@ -222,7 +264,7 @@ class TestGateAndSweep:
         assert main(["--config", cfg, "--out", str(out), "fit-c", "--nu-list", "3"]) == EXIT_OK
         for path in (tmp_path / "fine" / "out" / "sweep.csv", out / "fit_c.csv"):
             header = dict(line[2:].split(" = ", 1) for line in path.read_text().splitlines() if line.startswith("# "))
-            assert header["steps_per_pulse"] == "4000" and "dt_us" not in header
+            assert header["steps_per_pulse"] == str(STEPS_PER_PULSE) and "dt_us" not in header
 
     def test_sweep_keeps_the_configured_envelope_width(self, tmp_path):
         data = json.loads(json.dumps(CONFIG))
@@ -284,6 +326,26 @@ class TestThermalCommand:
             if line.startswith("# ")
         )
         assert float(header["dt_us"]) == 0.5 / 1500
+
+    def test_close_pair_runs_at_a_stable_step(self, tmp_path):
+        # seed 3 draws a pair 2.33 um apart in trial 4: its C6 / d^6 puts
+        # RK4 at tau / 1500 past its stability bound, so that run takes a
+        # finer step and writes finite rows
+        tcfg = ThermalConfig(temperature=1e-6, position_sigma=0.5, trials=8, seed=3)
+        gaps = [np.diff(4.0 * np.arange(3) + sample_kinematics(tcfg, 3, k).offsets).min() for k in range(8)]
+        assert min(gaps) < 2.5
+        cfg = write_config(tmp_path, {"chain": {"n_atoms": 3, "spacing_um": 4.0}})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--seed", "3", "thermal", "--temp-uK", "1.0",
+                     "--trials", "8", "--position-sigma-um", "0.5"]) == EXIT_OK
+        header = dict(
+            line[2:].split(" = ", 1)
+            for line in (out / "thermal.csv").read_text().splitlines()
+            if line.startswith("# ")
+        )
+        assert float(header["dt_us"]) < 1.0 / 1500
+        _, rows = read_csv_rows(out / "thermal.csv")
+        assert len(rows) == 9 and np.all(np.isfinite([[float(x) for x in row[1:]] for row in rows]))
 
     def test_same_seed_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, {"include_decay": False})

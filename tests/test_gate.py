@@ -126,17 +126,18 @@ class TestAssembleGate:
 
     def test_chains_propagate_as_one_direct_sum(self, monkeypatch):
         calls = []
-        real = evolution._run_segment
+        real = evolution._run_split
 
         def counting(engine, psi, *args):
             calls.append(psi.shape)
             return real(engine, psi, *args)
 
-        monkeypatch.setattr(evolution, "_run_segment", counting)
+        monkeypatch.setattr(evolution, "_run_split", counting)
         report = assemble_gate(5, reference_config(n_atoms=5, model=Model.PXP))
-        # both pulses of nu = 3, 4 and 5 in one state on their even sectors
+        # nu = 3, 4 and 5 on their even sectors as the rows of one state,
+        # both pulses as its two column groups, in one loop
         dim = sum(sector_isometry(model_basis(Model.PXP, nu)).shape[1] for nu in (3, 4, 5))
-        assert calls == [(dim,), (dim,)]
+        assert calls == [(dim, 2, 1)]
         assert report.per_input["01"] == report.per_input["10"]
 
 

@@ -3,6 +3,7 @@ scaling of the minimal error.  Run with `pytest -m slow`."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from afmgate.config import (
     ChainConfig,
@@ -12,6 +13,8 @@ from afmgate.config import (
     ProtocolConfig,
     PulseProfile,
 )
+from afmgate import evolution
+from afmgate.evolution import ground_amplitudes
 from afmgate.gate import (
     e_min_vs_interaction,
     fit_c_nu,
@@ -19,6 +22,7 @@ from afmgate.gate import (
     optimal_tau,
     sweep_tau,
 )
+from afmgate.hamiltonian import ChainHamiltonian, model_basis
 from afmgate.units import mhz
 
 from conftest import GAMMA, SPACING, reference_config
@@ -89,3 +93,72 @@ def test_e_min_tracks_interaction_scaling(n, fitted_c):
         assert abs(e_numeric - e_model) / e_model < 0.25, (
             f"N={n} B-scale={b_scale} Gamma={gamma}: numeric {e_numeric:.4g} vs model {e_model:.4g}"
         )
+
+
+def plain_rk4_gate_amplitudes(cases, steps):
+    """Ground amplitudes of the three chains of a gate for each
+    (n_atoms, lambda) of ``cases``, decay on, from textbook RK4 with
+    ``steps`` steps per pulse and the pulses one after the other.  Every
+    chain of every case is one block of one sparse state; each block's H is
+    built from its even-sector structures and its own pulse."""
+    blocks = []
+    for case, (n, lam) in enumerate(cases):
+        cfg = reference_config(n_atoms=n, include_decay=True, lambda_ratio=lam)
+        for nu in (n - 2, n - 1, n):
+            ham = ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction)
+            flipped = ham.with_interaction(cfg.interaction.flipped())
+            blocks.append((case, cfg, ham.sector(), flipped.sector()))
+    drive = sparse.block_diag([b[2].drive for b in blocks], format="csr")
+    case_of_row = np.concatenate([[b[0]] * len(b[2].n_r) for b in blocks])
+    n_r = np.concatenate([b[2].n_r for b in blocks])
+    starts = np.cumsum([0] + [len(b[2].n_r) for b in blocks])[:-1]
+    psi = np.zeros(len(n_r), dtype=complex)
+    psi[starts] = 1.0
+    cfgs = [next(b[1] for b in blocks if b[0] == case) for case in range(len(cases))]
+    for pulse_two in (False, True):
+        pulses = [c.pulse.rescaled(c.interaction.lambda_ratio) if pulse_two else c.pulse for c in cfgs]
+        v = np.concatenate([b[3 if pulse_two else 2].v for b in blocks])
+        decay = -0.5 * np.array([c.decay.gamma_rp if pulse_two else c.decay.gamma_r for c in cfgs])[case_of_row] * n_r
+        dt = np.array([p.tau / steps for p in pulses])
+        # Omega and Delta of each case at every half step, and each row's step
+        t = [np.minimum(np.arange(2 * steps + 1) * (0.5 * p.tau / steps), p.tau) for p in pulses]
+        omega = np.array([p.omega(x) for p, x in zip(pulses, t)]).T[:, case_of_row]
+        delta = np.array([p.delta(x) for p, x in zip(pulses, t)]).T[:, case_of_row]
+        h = dt[case_of_row]
+
+        def f(j, y):
+            return -1j * (omega[j] * (drive @ y) + (v - delta[j] * n_r) * y) + decay * y
+
+        for k in range(steps):
+            k1 = f(2 * k, psi)
+            k2 = f(2 * k + 1, psi + 0.5 * h * k1)
+            k3 = f(2 * k + 1, psi + 0.5 * h * k2)
+            k4 = f(2 * k + 2, psi + h * k3)
+            psi = psi + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return psi[starts].reshape(len(cases), 3)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_gate_amplitudes_within_1e6_of_plain_rk4_at_tau_over_32000(lam):
+    cases = [(n, lam) for n in range(3, 8)]
+    ref = plain_rk4_gate_amplitudes(cases, 32000)
+    for (n, _), row in zip(cases, ref):
+        amps = ground_amplitudes([n - 2, n - 1, n], reference_config(n_atoms=n, include_decay=True, lambda_ratio=lam))
+        assert np.abs(np.array(list(amps.values())) - row).max() < 1e-6, n
+
+
+# max |amp - RK4 at tau/32000| of RK4 at tau/4000, over the gate's chains
+RK4_4000_ERRORS = {3: 2.3e-7, 4: 2.7e-7, 5: 2.5e-6, 6: 2.86e-6, 7: 1.35e-5, 8: 1.54e-5, 9: 4.8e-5, 10: 5.7e-5}
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_split_at_steps_per_pulse_beats_rk4_at_tau_over_4000(n, monkeypatch):
+    # fourth order: the error at STEPS_PER_PULSE is 256/255 of its distance
+    # to the run at four times as many steps
+    cfg = reference_config(n_atoms=n, include_decay=True)
+    nus = [n - 2, n - 1, n]
+    coarse = np.array(list(ground_amplitudes(nus, cfg).values()))
+    monkeypatch.setattr(evolution, "STEPS_PER_PULSE", 4 * evolution.STEPS_PER_PULSE)
+    fine = np.array(list(ground_amplitudes(nus, cfg).values()))
+    error = np.abs(coarse - fine).max() * 256 / 255
+    assert error < RK4_4000_ERRORS[n] / 10
