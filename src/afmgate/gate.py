@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -426,6 +425,8 @@ def map_tasks(fn: Callable, tasks: Sequence, jobs: int) -> list:
     worker processes when that is more than one; results keep task order."""
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: a one-worker run starts no pool
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

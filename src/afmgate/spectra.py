@@ -32,6 +32,11 @@ GAP_COARSE_POINTS = 101
 # (grid points per chunk times dim^2), 1 MB of float64: the 101-point grid
 # of a PXP chain up to nu = 7 (dim 34) is one chunk
 GAP_CHUNK_ENTRIES = 1 << 17
+# Golden-section refinement of ``min_gap``: the relative tolerance on the
+# detuning and scipy's iteration cap (the test is met after 45-80 gap
+# evaluations at PXP nu 2..11 and vdW nu 2..8)
+GOLDEN_XTOL = 1e-10
+GOLDEN_MAXITER = 5000
 
 
 class SymmetryLabel(Enum):
@@ -148,9 +153,8 @@ def min_gap(
     interaction: Optional[InteractionConfig] = None,
 ) -> GapReport:
     """Minimum over the sweep of the avoided-crossing gap, a coarse grid of
-    ``GAP_COARSE_POINTS`` detunings plus golden-section refinement."""
-    from scipy.optimize import minimize_scalar  # deferred: only this function needs it
-
+    ``GAP_COARSE_POINTS`` detunings plus golden-section refinement
+    (``_golden``) on the bracket of the coarse minimum."""
     if nu < 1:
         raise ValueError(f"nu must be >= 1, got {nu}")
     ham = ChainHamiltonian(model, model_basis(model, nu), interaction)
@@ -169,11 +173,7 @@ def min_gap(
     gaps = np.concatenate([gaps_at(deltas[lo : lo + chunk]) for lo in range(0, GAP_COARSE_POINTS, chunk)])
     i = int(np.argmin(gaps))
     if 0 < i < GAP_COARSE_POINTS - 1:
-        res = minimize_scalar(
-            lambda delta: float(gaps_at(delta)),
-            bracket=(deltas[i - 1], deltas[i], deltas[i + 1]), method="golden", options={"xtol": 1e-10},
-        )
-        d_min, g_min = float(res.x), float(res.fun)
+        d_min, g_min = _golden(lambda delta: float(gaps_at(delta)), *deltas[i - 1 : i + 2].tolist())
     else:
         d_min, g_min = float(deltas[i]), float(gaps[i])
     if not g_min > 0.0:
@@ -185,6 +185,39 @@ def min_gap(
         kappa=g_min / abs(pulse.omega0),
         partner_index=partner,
     )
+
+
+def _golden(f, xa: float, xb: float, xc: float) -> Tuple[float, float]:
+    """(x, f(x)) at the minimum of ``f`` in the bracket xa < xb < xc, by
+    golden section to the relative tolerance ``GOLDEN_XTOL``.
+
+    A port of the loop of scipy's ``minimize_scalar(method="golden")``,
+    with its constant, its update order, its stopping test and its
+    iteration cap, so it returns bitwise the same point.  Unlike scipy it
+    does not evaluate f at the bracket to check f(xb) < f(xa), f(xc): the
+    loop never reads those values, and the coarse grid's minimum and its
+    neighbours bracket by construction (a tie, which scipy refuses, is
+    searched too)."""
+    g_r = 0.61803399  # scipy's rounding of 2 / (1 + sqrt(5))
+    g_c = 1.0 - g_r
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + g_c * (xc - xb)
+    else:
+        x1, x2 = xb - g_c * (xb - xa), xb
+    f1, f2 = f(x1), f(x2)
+    for _ in range(GOLDEN_MAXITER):
+        if abs(x3 - x0) <= GOLDEN_XTOL * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1 = x1, x2
+            x2 = g_r * x1 + g_c * x3
+            f1, f2 = f2, f(x2)
+        else:
+            x3, x2 = x2, x1
+            x1 = g_r * x2 + g_c * x0
+            f2, f1 = f1, f(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,7 +29,7 @@ import numpy as np
 from .basis import build_full_basis
 from .config import ChainConfig, InteractionConfig, Model, ProtocolConfig
 from .errors import ConfigError, SampleRejected
-from .evolution import final_amplitudes
+from .evolution import RK4_STABLE_DT_RHO, final_amplitudes
 from .gate import INPUT_LABELS, active_atoms, fidelity_from_diag, map_tasks
 from .hamiltonian import ChainHamiltonian, pair_incidence, pair_sites
 from .units import M_RB87, thermal_velocity
@@ -38,9 +38,6 @@ from .units import M_RB87, thermal_velocity
 # split steps of the gates reach the thermal fingerprints' accuracy only
 # past 3000 steps, where their per-trial exponentials cost twice RK4's run
 DT_STEPS_THERMAL = 1500
-# RK4 is stable while dt |E| <= 2 sqrt(2) for every eigenvalue E of H; a
-# chunk whose Gershgorin bound rho would pass that takes dt = 2.8 / rho
-RK4_STABLE_DT_RHO = 2.8
 # a trial's Philox key holds the seed as one uint64 word
 SEED_LIMIT = 1 << 64
 

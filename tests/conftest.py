@@ -53,7 +53,11 @@ def pulse() -> PulseProfile:
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Replace the worker pool by an in-process stand-in on a 4-CPU machine;
-    returns the list of requested pool sizes.  No process is started."""
+    returns the list of requested pool sizes.  No process is started.
+    ``gate.map_tasks`` imports the pool class when it starts one, so the
+    stand-in replaces it in ``concurrent.futures``."""
+    import concurrent.futures
+
     from afmgate import gate
 
     sizes = []
@@ -71,6 +75,6 @@ def pool_sizes(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(gate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(gate.os, "cpu_count", lambda: 4)
     return sizes

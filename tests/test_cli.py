@@ -129,16 +129,53 @@ class TestSpectrum:
         assert (out / "spectrum.csv").read_text() == "\n".join([*header, *lines]) + "\n"
 
 
-def test_cli_import_loads_no_integrate_or_optimize():
-    # both are slow to import and only min_gap needs scipy.optimize
-    code = "import sys, afmgate.cli; print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+def run_python(args, cwd=None):
+    """Run the interpreter on ``args`` with this source tree first on the path."""
     src = str(Path(afmgate.__file__).resolve().parents[1])
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                            env={**os.environ, "PYTHONPATH": src})
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def test_cli_import_loads_no_scipy():
+    # only the RK4 stepper of evolve and thermal needs scipy (level-1 BLAS)
+    result = run_python(["-c", f"import sys, afmgate.cli; print({SCIPY_MODULES})"])
+    assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 
 
+def test_static_chain_commands_load_no_scipy(tmp_path):
+    cfg = write_config(tmp_path, {"chain": {"n_atoms": 3, "spacing_um": 4.0}})
+    code = (
+        "import sys; from afmgate.cli import main; "
+        f"codes = [main(['--config', {cfg!r}, '--out', {str(tmp_path / 'gate')!r}, 'gate']), "
+        f"main(['--config', {cfg!r}, '--out', {str(tmp_path / 'spectrum')!r}, 'spectrum', '--nu', '5'])]; "
+        f"print(codes, {SCIPY_MODULES})"
+    )
+    result = run_python(["-c", code])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == f"[{EXIT_OK}, {EXIT_OK}] []"
+    assert (tmp_path / "gate" / "gate.json").exists() and (tmp_path / "spectrum" / "spectrum.csv").exists()
+
+
+def test_python_m_afmgate_runs_the_cli(tmp_path):
+    result = run_python(["-m", "afmgate", "--help"], cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: afmgate")
+
+
 class TestEvolve:
+    def test_step_past_rk4_stability_refused(self, tmp_path, capsys):
+        # vdW nu = 9 at the coarsest legal step: dt rho = 3.6 on the even
+        # sector, past RK4's 2.8; the amplitudes would grow to 1e66
+        cfg = write_config(tmp_path, {"dt_us": 0.001, "include_decay": True})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "evolve", "--nu", "9"]) == EXIT_CONFIG
+        assert "dt_us" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_phase_column_ends_at_pi_for_nu5(self, tmp_path):
         cfg = write_config(tmp_path, {"include_decay": False})
         out = tmp_path / "out"

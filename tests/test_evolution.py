@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 from afmgate import evolution
 from afmgate.basis import afm_manifold_masks, build_full_basis
 from afmgate.config import DecayConfig, Model, PulseProfile, pulse_with_tau
-from afmgate.errors import PropagationError
+from afmgate.errors import ConfigError, PropagationError
 from afmgate.evolution import (
     DIAG_BLOCK_STEPS,
     STEPS_PER_PULSE,
@@ -21,6 +21,7 @@ from afmgate.evolution import (
     _phases_from_samples,
     _branch_energies,
     _protocol_start,
+    _rk4_stable_dt,
     _run_segment,
     _run_split,
     _SegmentEngine,
@@ -468,6 +469,43 @@ class TestBlockDiagonal:
             assert np.abs(d - scalar).max() < 1e-12
 
 
+class TestRk4StepBound:
+    """``run_protocol`` refuses a step past RK4's stability bound on the
+    chain (``_rk4_stable_dt``) and admits every default step."""
+
+    @staticmethod
+    def stable_dt(nu, cfg):
+        return _rk4_stable_dt(_protocol_start(_chain_hamiltonians([nu], cfg), cfg)[:2])
+
+    @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
+    def test_default_step_admitted_up_to_nu10(self, model):
+        cfg = reference_config(model=model)
+        for nu in range(1, 11):
+            assert cfg.dt <= self.stable_dt(nu, cfg)
+
+    def test_coarsest_legal_step_admitted_at_vdw_nu5(self):
+        cfg = reference_config(model=Model.FULL_VDW, dt=0.001)
+        assert cfg.dt <= self.stable_dt(5, cfg)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_bound_covers_the_spectrum_of_both_pulses(self, lam):
+        # Gershgorin: dt |E| <= 2.8 for every eigenvalue of H along either
+        # pulse, in the stepper's time (pulse II at rate 1 / lambda)
+        cfg = reference_config(model=Model.FULL_VDW, lambda_ratio=lam)
+        seg1, seg2 = _protocol_start(_chain_hamiltonians([6], cfg), cfg)[:2]
+        dt = _rk4_stable_dt((seg1, seg2))
+        for seg in (seg1, seg2):
+            t = np.linspace(0.0, seg.pulse.tau, 41)
+            h = seg.hamiltonians[0].matrix(seg.pulse.omega(t), seg.pulse.delta(t)).real
+            assert dt * seg.rate * np.abs(np.linalg.eigvalsh(h)).max() <= evolution.RK4_STABLE_DT_RHO
+
+    def test_unstable_step_refused_before_propagation(self, monkeypatch):
+        monkeypatch.setattr(evolution, "_run_segment", None)  # never reached
+        cfg = reference_config(model=Model.FULL_VDW, include_decay=True, dt=0.001)
+        with pytest.raises(ConfigError, match=r"dt_us = 0\.001 .* need dt_us <= 0\.000779"):
+            run_protocol(9, cfg)
+
+
 class TestRunProtocol:
     def test_afm_transfer_after_first_pulse(self):
         cfg = reference_config(model=Model.PXP)
@@ -877,6 +915,23 @@ class TestGroundAmplitudes:
                 assert np.array_equal(merged[chain, chain], h.drive)
                 merged[chain, chain] = 0.0
             assert not merged.any()  # nothing off the chain blocks
+
+    @pytest.mark.parametrize("n_atoms", [5, 7])
+    def test_merged_blocks_bitwise_equal_to_scipy_block_diag(self, n_atoms, monkeypatch):
+        from scipy.linalg import block_diag
+
+        cfg = reference_config(model=Model.FULL_VDW)
+        hams = _chain_hamiltonians([n_atoms - 2, n_atoms - 1, n_atoms], cfg)
+        ours = _protocol_start(hams, cfg)[:2]
+        monkeypatch.setattr(evolution, "_block_diag", block_diag)
+        ref = _protocol_start(hams, cfg)[:2]
+        for a, b in zip(ours, ref):
+            assert len(a.drives) < len(a.chains)  # at least one merged product
+            for (ca, ma), (cb, mb) in zip(a.drives, b.drives, strict=True):
+                assert ca == cb and ma.dtype == mb.dtype and ma.tobytes() == mb.tobytes()
+            for (ca, sa, wa), (cb, sb, wb) in zip(a.eigenbases, b.eigenbases, strict=True):
+                assert ca == cb and np.array_equal(sa, sb)
+                assert wa.dtype == wb.dtype and wa.shape == wb.shape and wa.tobytes() == wb.tobytes()
 
     def test_one_chain_engine_keeps_its_own_drive(self):
         seg1, _ = segments(5, reference_config(model=Model.FULL_VDW))

@@ -311,6 +311,13 @@ class TestStackedGapGrid:
         inter = InteractionConfig.from_nn_strength(B_NN, SPACING)
         assert min_gap(nu, pulse, model, inter) == per_point_min_gap(nu, pulse, model, inter)
 
+    # the golden-section port against scipy's minimize_scalar(method="golden")
+    @pytest.mark.parametrize("model,nu", [(Model.PXP, nu) for nu in range(2, 12)]
+                             + [(Model.FULL_VDW, nu) for nu in range(2, 9)])
+    def test_golden_refinement_bitwise_equal_to_scipy(self, pulse, model, nu):
+        inter = InteractionConfig.from_nn_strength(B_NN, SPACING)
+        assert min_gap(nu, pulse, model, inter) == per_point_min_gap(nu, pulse, model, inter)
+
     def test_stacked_matrices_equal_per_point_matrices(self, pulse):
         inter = InteractionConfig.from_nn_strength(B_NN, SPACING)
         deltas = np.linspace(-DELTA0, DELTA0, 7)

@@ -1,5 +1,6 @@
 """Thermal-motion Monte Carlo: kinematics, dephasing, convergence."""
 
+import concurrent.futures
 import math
 from dataclasses import replace
 
@@ -383,12 +384,12 @@ class TestEnsemble:
         # jobs=2 runs them on a real two-worker process pool
         sizes = []
 
-        class RecordingPool(gate.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 sizes.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(gate, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(gate.os, "cpu_count", lambda: 2)
         cfg = reference_config(n_atoms=3, model=Model.FULL_VDW, tau=0.4)
         tcfg = ThermalConfig(temperature=1e-6, trials=70, seed=6)
