@@ -473,6 +473,9 @@ def _check_arg_ranges(args: argparse.Namespace) -> None:
             bad = [v for v in values if v < minimum or (odd and v % 2 == 0)]
             if bad:
                 raise ConfigError(f"{flag} entries must be {'odd and ' if odd else ''}>= {minimum}, got {bad[0]}")
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{flag} entries must be distinct, got {repeated[0]} more than once")
             setattr(args, name, values)
 
 

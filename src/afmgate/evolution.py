@@ -24,8 +24,8 @@ at 4000 (``STEPS_PER_PULSE``).
 
 Trajectories (``run_protocol``, sampled every few steps and read between
 the pulses) and moving atoms (thermal chunks, whose motion breaks the
-mirror and whose per-trial diagonal would need one complex exponential per
-row and trial in every factor) keep fixed-step classical RK4 with
+mirror and whose per-trial interaction would need one complex exponential
+exp(-i x v) per row and trial in every diagonal factor) keep fixed-step classical RK4 with
 midpoint evaluations, ``_run_segment``: one real matrix product per stage
 on the float64 view (rows, 2 * batch) of the state per entry of
 ``_SegmentEngine.drives`` (consecutive chain blocks share one
@@ -45,7 +45,15 @@ round-off.
 
 Both steppers tabulate the pulse once per segment and the diagonal once
 per block of ``DIAG_BLOCK_STEPS`` steps, and look for non-finite
-amplitudes once per segment, over its stored samples.  One setup,
+amplitudes once per segment, over its stored samples.  The split builds
+its tables from per-level phases (``_split_tables``): a diagonal factor
+exp(x (-Gamma/2 + i Delta_mid) n_r) exp(-i x v) over a span x takes one
+exponential per node, column group and distinct n_r, gathered to the rows,
+times a fixed table per engine of exp(-i x v) over the five span lengths
+of a step, and a drive phase exp(-i theta s) one per distinct eigenvalue
+of each chain's drive (``_SegmentEngine.drive_levels``: 21 for the 128
+rows of the vdW N = 7 gate, whose sector drives have half-integer
+eigenvalues).  One setup,
 ``_protocol_start``, builds the two pulse engines, the initial state and
 the step count for both callers: ``run_protocol`` (one chain at the
 config's step, with its sampled trajectory) and ``final_amplitudes``, the
@@ -105,10 +113,12 @@ PHASE_SAMPLE_MARGIN = math.pi / 4.0
 # a1) on the diagonal A and b = (b1, b2, b3, b3, b2, b1) on the drive B
 SPLIT_A = (0.0792036964311957, 0.353172906049774, -0.0420650803577195)
 SPLIT_B = (0.209515106613362, -0.143851773179818)
-# Nodes of a step, as fractions of h: its start, the six drive nodes (the
-# diagonal flow carries the time, so each drive exponential sits where the
-# diagonal factors before it end) and its end
-STEP_NODES = np.r_[0.0, np.cumsum(SPLIT_A + (1.0 - 2.0 * sum(SPLIT_A),) + SPLIT_A[::-1])[:-1], 1.0]
+# The seven diagonal coefficients of a step, and its nodes as fractions of h:
+# its start, the six drive nodes (the diagonal flow carries the time, so
+# each drive exponential sits where the diagonal factors before it end) and
+# its end
+STEP_A = SPLIT_A + (1.0 - 2.0 * sum(SPLIT_A),) + SPLIT_A[::-1]
+STEP_NODES = np.r_[0.0, np.cumsum(STEP_A)[:-1], 1.0]
 DRIVE_WEIGHTS = np.array(SPLIT_B + (0.5 - sum(SPLIT_B),) * 2 + SPLIT_B[::-1])
 # Steps per pulse of every final-amplitude run of static chains (gates, tau
 # batches, fit-c, the parity round trip).  Halving study: the gate's three
@@ -138,8 +148,14 @@ RK4_STABLE_DT_RHO = 2.8
 # Steps whose diagonals (RK4) or diagonal factors and drive phases (split)
 # are tabulated together: long enough to amortise the per-call cost, short
 # enough to keep a thermal block of (2 * steps, dim, batch) complex entries
-# small
+# small, and the split's two tables of (steps, 6, rows, groups) entries,
+# built from per-level phases: the traced peak of ground_amplitudes([6, 7,
+# 8]) is 4.3 MB and that of a 12-duration tau batch at nu = 7 8.7 MB (6.7 and
+# 15.9 MB with one exponential per row, node and column group)
 DIAG_BLOCK_STEPS = 16
+# Consecutive drive eigenvalues this many ulps of the largest |eigenvalue|
+# apart or closer are one level of the split's drive phases
+SAME_LEVEL_ULPS = 16
 # Rows of the largest block-diagonal drive (RK4) or eigenbasis (split) that
 # merges consecutive chain blocks of a direct sum into one product per RK4
 # stage or drive exponential.  Merging saves a
@@ -306,12 +322,8 @@ class _SegmentEngine:
         )
 
     @cached_property
-    def eigenbases(self) -> Tuple[Tuple[slice, np.ndarray, np.ndarray], ...]:
-        """The real products of one split drive exponential, as (row range,
-        eigenvalues s, eigenvectors W) with drive = W diag(s) W^T: the
-        chains of one ``drives`` product share one block-diagonal W of their
-        own eigenvectors.  Computed once per engine."""
-        chains = self.chains
+    def _chain_eigs(self) -> list:
+        """(s, W) of each chain's drive = W diag(s) W^T, s ascending."""
         eigs = []
         for h in self.hamiltonians:
             s, w = np.linalg.eigh(h.drive)
@@ -320,14 +332,33 @@ class _SegmentEngine:
             # 6000 drive exponentials (3.7e-12 with W from eigh alone, PXP
             # nu = 3..5)
             eigs.append((s, w @ (1.5 * np.eye(len(s)) - 0.5 * (w.T @ w))))
+        return eigs
+
+    @cached_property
+    def eigenbases(self) -> Tuple[Tuple[slice, np.ndarray], ...]:
+        """The real products of one split drive exponential, as (row range,
+        eigenvectors W): the chains of one ``drives`` product share one
+        block-diagonal W of their own eigenvectors.  Computed once per
+        engine."""
+        chains, eigs = self.chains, self._chain_eigs
         return tuple(
             (
                 slice(chains[g[0]].start, chains[g[-1]].stop),
-                np.concatenate([eigs[k][0] for k in g]),
                 eigs[g[0]][1] if len(g) == 1 else _block_diag(*(eigs[k][1] for k in g)),
             )
             for g in self._product_groups()
         )
+
+    @cached_property
+    def drive_levels(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The distinct eigenvalues of the drive, chain by chain, and the
+        level of each row of ``eigenbases``: drive = W diag(levels[index])
+        W^T.  Each chain's levels are found from its own eigenvalues alone
+        (``_distinct_levels``), so a chain takes the same values alone and
+        in a direct sum."""
+        levels, index = zip(*(_distinct_levels(s) for s, _ in self._chain_eigs))
+        offsets = np.cumsum([0] + [len(v) for v in levels[:-1]])
+        return np.concatenate(levels), np.concatenate([i + k for i, k in zip(index, offsets)])
 
     def tables(self, dt: float, n_steps: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Local times of every RK4 evaluation of the segment, at pulse
@@ -374,30 +405,49 @@ class _SegmentEngine:
         np.subtract(delta_n_r, v, out=out.imag)
         return out
 
-    def diagonal_factors(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """exp of the diagonal of -iH of a static chain integrated from
-        stepper time lo to hi, for arrays of spans of any shape S in the
-        order of application: (*S, dim, groups, 1), to broadcast over a
-        batch of states.
+    def split_exponents(self, dt: float, n_steps: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The per-level exponents of the split steps of a static chain at
+        step dt, one column per scale: for each step its six diagonal
+        factors (each leading from the previous node to a drive node, the
+        first from the previous step's last drive node) and its tail (from
+        the last drive node to the step end), in the order of application.
 
-        Delta is linear in t, so its value at the midpoint times the span
-        is its integral.  A reversed engine runs a span backwards in time,
-        so its factor is the forward one between the same two nodes.
+        Returns ``rates`` x (-Gamma/2 + i Delta_mid), (n_steps, 7, groups),
+        for the span x of stepper time of each factor (times the scale) and
+        Delta at its midpoint (Delta is linear in t, so the midpoint value
+        times the span is its integral); ``theta`` = b dt Omega of each drive
+        node of ``nodes`` (b in ``DRIVE_WEIGHTS``) times the scale,
+        (n_steps, 6, groups); and ``v_phases`` exp(-i x v) of each span,
+        (7, dim, groups).  A step's spans are (2 a1, a2, a3, a4, a3, a2)
+        and its tail a1 times dt, whatever the step; only the first step of
+        the segment starts with a1 (``v_phases[6]``).  A reversed engine
+        runs a span backwards in time, so its factor is the forward one
+        between the same two nodes: the palindrome a gives it the same
+        spans.
         """
-        mid = (0.5 * (self._local(lo) + self._local(hi))).ravel()
-        span = (lo - hi if self.reverse else hi - lo).ravel()
-        d = self.diagonals(mid, self.pulse.delta(mid))[:, :, None, None]
-        x = d * (span[:, None] * self.scales)[:, None, :, None]
-        return np.exp(x, out=x).reshape(lo.shape + x.shape[1:])
-
-    def drive_phases(self, omega: np.ndarray, dt: float, s: np.ndarray) -> np.ndarray:
-        """exp(-i theta s) of the split drive exponentials at the Omega
-        values ``omega`` (k, drive nodes) of ``nodes``, with theta = b dt
-        Omega times each scale (b in ``DRIVE_WEIGHTS``) and the drive's
-        eigenvalues s: (k, drive nodes, dim, groups, 1)."""
+        u, omega = self.nodes(dt, n_steps)
+        lo = np.column_stack([np.r_[u[0, 0], u[:-1, -2]], u[:, 1:-1]])
+        mid = 0.5 * (self._local(lo) + self._local(u[:, 1:]))
+        a = SPLIT_A[0]
+        span = dt * np.array((2.0 * a,) + STEP_A[1:6] + (a,))
+        x = np.repeat(span[None], n_steps, axis=0)
+        x[0, 0] = dt * a
+        rates = (x * (-0.5 * self.gamma + 1j * self.pulse.delta(mid)))[:, :, None] * self.scales
         theta = (DRIVE_WEIGHTS * dt * omega)[:, :, None] * self.scales
-        x = -1j * theta[:, :, None, :, None] * s[:, None, None]
-        return np.exp(x, out=x)
+        v_phases = np.exp(-1j * span[:, None, None] * np.multiply.outer(self.v, self.scales))
+        return rates, theta, v_phases
+
+
+def _distinct_levels(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the ascending eigenvalues ``s`` and the level
+    of each: consecutive values within ``SAME_LEVEL_ULPS`` ulps of max |s|
+    of each other are one level, which takes the value of its middle
+    member; a value alone keeps its own.  (eigh spreads the half-integer
+    levels of a vdW sector drive by up to 6 ulps between neighbours; the
+    smallest gap between distinct PXP levels to nu = 10 is 0.0016.)"""
+    gap = np.diff(s) > SAME_LEVEL_ULPS * np.spacing(np.abs(s).max())
+    ends = np.r_[np.flatnonzero(gap), len(s) - 1]
+    return s[(np.r_[0, ends[:-1] + 1] + ends) // 2], np.r_[0, np.cumsum(gap)]
 
 
 def _branch_energies(
@@ -469,6 +519,56 @@ def _real(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.float64).reshape(len(rows), -1)
 
 
+def _split_tables(
+    engines: Tuple[_SegmentEngine, ...], dt: float, n_steps: int
+) -> Tuple[Callable[[int, int], Tuple[np.ndarray, np.ndarray]], Callable[[np.ndarray], np.ndarray]]:
+    """The diagonal factors and drive phases of the split steps of
+    ``engines`` (see ``_run_split``), their column groups side by side, one
+    block of steps at a time: ``factors(lo, hi)`` gives those of steps lo
+    to hi - 1, (steps, drive nodes, rows, groups, 1) each, and
+    ``tails(steps)`` the diagonal factors from the last drive node to the
+    end of each step in ``steps`` (within one block), (len(steps), rows,
+    groups, 1).  Both write into buffers allocated once, which the next call
+    overwrites.
+
+    Each table is built from per-level phases (``split_exponents``).  A
+    diagonal factor exp(x (-Gamma/2 + i Delta_mid) n_r - i x v) is
+    exp(x (-Gamma/2 + i Delta_mid) n) for each distinct n_r, gathered to
+    the rows, times exp(-i x v), a fixed table per engine over a step's
+    spans.  A drive phase exp(-i theta s) is one exponential per distinct
+    eigenvalue of the drive (``_SegmentEngine.drive_levels``), gathered to
+    the rows.
+    """
+    n_levels, n_index = np.unique(engines[0]._n_r, return_inverse=True)
+    s_levels, s_index = engines[0].drive_levels
+    per_engine = zip(*(e.split_exponents(dt, n_steps) for e in engines))
+    rates, theta, v_phases = (np.concatenate(t, axis=-1) for t in per_engine)
+    v_phases = v_phases[..., None]
+    block = min(DIAG_BLOCK_STEPS, n_steps)
+    diag = np.empty((block, len(DRIVE_WEIGHTS)) + v_phases.shape[1:], dtype=complex)
+    phases = np.empty_like(diag)
+    tail = np.empty((block,) + v_phases.shape[1:], dtype=complex)
+
+    # np.take writes straight into a C-contiguous out with mode "clip" (the
+    # default "raise" fills a copy first); every index is in range
+    def factors(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        d, p = diag[: hi - lo], phases[: hi - lo]
+        np.take(np.exp(rates[lo:hi, :6, None, :, None] * n_levels[:, None, None]), n_index, 2, d, "clip")
+        first = d[0, 0] * v_phases[6] if lo == 0 else None
+        np.multiply(d, v_phases[:6], d)
+        if first is not None:
+            d[0, 0] = first  # the segment starts with a1, not 2 a1
+        np.take(np.exp(-1j * theta[lo:hi, :, None, :, None] * s_levels[:, None, None]), s_index, 2, p, "clip")
+        return d, p
+
+    def tails(steps: np.ndarray) -> np.ndarray:
+        t = tail[: len(steps)]
+        np.take(np.exp(rates[steps, 6, None, :, None] * n_levels[:, None, None]), n_index, 1, t, "clip")
+        return np.multiply(t, v_phases[6], t)
+
+    return factors, tails
+
+
 def _run_split(
     engines: _SegmentEngine | Tuple[_SegmentEngine, ...],
     psi0: np.ndarray,
@@ -482,10 +582,11 @@ def _run_split(
     and (n_samples, *psi0.shape).
 
     ``engines`` is one engine or a tuple of engines over the same chains
-    (the same drives), whose column groups are side by side in the state;
-    they share the step dt, the step count and the drive eigenbases, and
-    each has its own node table, diagonal factors and drive phases (the
-    sample times are those of the first).  ``psi0`` is (rows,) or
+    (the same drives and excitation numbers), whose column groups are side
+    by side in the state; they share the step dt, the step count and the
+    drive eigenbases, and each has its own node table, diagonal factors and
+    drive phases, written side by side into the tables of
+    ``_split_tables`` (the sample times are those of the first).  ``psi0`` is (rows,) or
     (rows, batch) for one engine with one scale, or (rows, groups, batch)
     with the column groups of all engines in order.  A step applies, for
     each of its drive nodes, the diagonal factor that leads to the node
@@ -498,12 +599,10 @@ def _run_split(
     non-finite amplitudes.
     """
     engines = engines if isinstance(engines, tuple) else (engines,)
-    bases = engines[0].eigenbases
     for e in engines[1:]:
         pairs = zip(e.hamiltonians, engines[0].hamiltonians, strict=True)
-        if not all(np.array_equal(a.drive, b.drive) for a, b in pairs):
-            raise ValueError("the engines of one segment must share their chains' drives")
-    s = np.concatenate([b[1] for b in bases])
+        if not all(np.array_equal(a.drive, b.drive) and np.array_equal(a.n_r, b.n_r) for a, b in pairs):
+            raise ValueError("the engines of one segment must share their chains' drives and excitation numbers")
     shape = np.shape(psi0)
     groups = sum(len(e.scales) for e in engines)
     psi = np.array(psi0, dtype=complex, order="C").reshape(shape[0], groups, -1)
@@ -511,22 +610,10 @@ def _run_split(
     psi_r, y_r = _real(psi), _real(y)
     # W^T psi into y and W y into psi on the real views, bound once so that
     # each product is one call with no argument parsing in the loop
-    to_eig = [partial(np.ascontiguousarray(w.T).dot, psi_r[c], y_r[c]) for c, _, w in bases]
-    from_eig = [partial(w.dot, y_r[c], psi_r[c]) for c, _, w in bases]
-
-    tabs = [e.nodes(dt, n_steps) for e in engines]
-    # the diagonal factors of a step lead from the previous node to each drive
-    # node; the tail leads from the last drive node to the step end
-    spans = [(np.column_stack([np.r_[u[0, 0], u[:-1, -2]], u[:, 1:-2]]), u[:, 1:-1]) for u, _ in tabs]
-
-    def factors(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-        d = [e.diagonal_factors(a[lo:hi], b[lo:hi]) for e, (a, b) in zip(engines, spans)]
-        p = [e.drive_phases(om[lo:hi], dt, s) for e, (_, om) in zip(engines, tabs)]
-        return (d[0], p[0]) if len(engines) == 1 else (np.concatenate(d, axis=3), np.concatenate(p, axis=3))
-
-    def tails(steps: np.ndarray) -> np.ndarray:
-        d = [e.diagonal_factors(u[steps, -2], u[steps, -1]) for e, (u, _) in zip(engines, tabs)]
-        return d[0] if len(engines) == 1 else np.concatenate(d, axis=2)
+    bases = engines[0].eigenbases
+    to_eig = [partial(np.ascontiguousarray(w.T).dot, psi_r[c], y_r[c]) for c, w in bases]
+    from_eig = [partial(w.dot, y_r[c], psi_r[c]) for c, w in bases]
+    factors, tails = _split_tables(engines, dt, n_steps)
 
     # samples after every stride-th step and after the last one
     sample_steps = np.minimum(np.arange(stride, n_steps + stride, stride), n_steps) - 1

@@ -399,8 +399,9 @@ def sweep_tau(
 
     ``n_atoms`` is one chain length, which must agree with the config
     chain, or a list of lengths, each run on the config with its chain
-    set to that length.  Each pulse duration runs at the default step
-    tau / 4000.  The grid is cut into fixed chunks of ``TAU_CHUNK``
+    set to that length.  Each pulse duration runs
+    ``evolution.STEPS_PER_PULSE`` split steps per pulse, whatever the
+    config's ``dt_us``.  The grid is cut into fixed chunks of ``TAU_CHUNK``
     durations, each propagated as one state (``tau_batch_amplitudes``);
     every (length, chunk) pair is one task, and ``jobs`` > 1 runs the tasks
     in worker processes, with the same results in the same order: length

@@ -500,6 +500,8 @@ class TestErrorHandling:
             (["--model", "corrections", "evolve", "--nu", "3"], "time propagation supports the PXP and full vdW"),
             (["--model", "pxp", "thermal"], "thermal motion requires the full van der Waals model"),
             (["--model", "corrections", "thermal"], "thermal motion requires the full van der Waals model"),
+            (["sweep", "--n-list", "3,3"], "--n-list entries must be distinct, got 3 more than once"),
+            (["fit-c", "--nu-list", "3,5,3"], "--nu-list entries must be distinct, got 3 more than once"),
         ],
     )
     def test_bad_input_exits_2_without_output_directory(self, tmp_path, capsys, argv, message):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -25,6 +26,7 @@ from afmgate.evolution import (
     _run_segment,
     _run_split,
     _SegmentEngine,
+    _split_tables,
     MERGED_DRIVE_ROWS,
     _chain_hamiltonians,
     _step_count,
@@ -37,7 +39,7 @@ from afmgate.hamiltonian import AfmMode, ChainHamiltonian, excitation_numbers, m
 from afmgate.spectra import afm_analytic_spectrum
 from afmgate.units import mhz
 
-from conftest import reference_config
+from conftest import reference_config, reference_pulse
 
 
 def wrap_phase(x):
@@ -929,9 +931,10 @@ class TestGroundAmplitudes:
             assert len(a.drives) < len(a.chains)  # at least one merged product
             for (ca, ma), (cb, mb) in zip(a.drives, b.drives, strict=True):
                 assert ca == cb and ma.dtype == mb.dtype and ma.tobytes() == mb.tobytes()
-            for (ca, sa, wa), (cb, sb, wb) in zip(a.eigenbases, b.eigenbases, strict=True):
-                assert ca == cb and np.array_equal(sa, sb)
-                assert wa.dtype == wb.dtype and wa.shape == wb.shape and wa.tobytes() == wb.tobytes()
+            for (ca, wa), (cb, wb) in zip(a.eigenbases, b.eigenbases, strict=True):
+                assert ca == cb and wa.dtype == wb.dtype and wa.shape == wb.shape and wa.tobytes() == wb.tobytes()
+            for la, lb in zip(a.drive_levels, b.drive_levels, strict=True):
+                assert np.array_equal(la, lb)
 
     def test_one_chain_engine_keeps_its_own_drive(self):
         seg1, _ = segments(5, reference_config(model=Model.FULL_VDW))
@@ -1138,6 +1141,128 @@ class TestTauBatch:
         amps = tau_batch_amplitudes([3, 4, 5], cfg, [0.8])
         ref = ground_amplitudes([3, 4, 5], cfg)
         assert amps[0].tolist() == [ref[nu] for nu in (3, 4, 5)]
+
+
+def direct_split_tables(engines, dt, n_steps, steps):
+    """The diagonal factors (len(steps), 6, rows, groups), tails
+    (len(steps), rows, groups) and drive phases (len(steps), 6, rows,
+    groups) of the split steps ``steps`` of ``engines`` as one np.exp per
+    row, node and column group: the full diagonal of -iH (``diagonals``) at
+    each factor's midpoint times its span of ``STEP_A`` times dt (the first
+    factor of a step merges the previous step's tail; the segment's first
+    starts at its first node), and every eigenvalue of the drives from
+    ``eigh``."""
+    a = dt * np.array(evolution.STEP_A)
+    spans = np.tile(np.r_[a[0] + a[6], a[1:6], a[6]], (n_steps, 1))
+    spans[0, 0] = a[0]
+    spans = spans[steps]
+    s = np.concatenate([np.linalg.eigh(h.drive)[0] for h in engines[0].hamiltonians])
+    diags, phases = [], []
+    for e in engines:
+        u, omega = e.nodes(dt, n_steps)
+        local = np.clip(e.rate * u, 0.0, e.pulse.tau)
+        starts = np.column_stack([np.r_[local[0, 0], local[:-1, -2]], local[:, 1:-1]])
+        mid = (0.5 * (starts + local[:, 1:]))[steps]
+        d = e.diagonals(mid.ravel(), e.pulse.delta(mid.ravel())).reshape(mid.shape + (-1,))
+        diags.append(np.exp(d[..., None] * (spans[..., None] * e.scales)[:, :, None, :]))
+        theta = (evolution.DRIVE_WEIGHTS * dt * omega[steps])[..., None] * e.scales
+        phases.append(np.exp(-1j * theta[:, :, None, :] * s[:, None]))
+    diag = np.concatenate(diags, axis=-1)
+    return diag[:, :6], diag[:, 6], np.concatenate(phases, axis=-1)
+
+
+class TestSplitTables:
+    """The split's diagonal factors and drive phases, built from per-level
+    phases, against one np.exp per row, node and column group."""
+
+    def assert_tables_match(self, engines, dt, n_steps):
+        factors, tails = _split_tables(engines, dt, n_steps)
+        for lo in range(0, n_steps, DIAG_BLOCK_STEPS):
+            hi = min(lo + DIAG_BLOCK_STEPS, n_steps)
+            ref_diag, ref_tail, ref_phases = direct_split_tables(engines, dt, n_steps, np.arange(lo, hi))
+            diag, phases = factors(lo, hi)
+            assert diag.shape == ref_diag.shape + (1,) and phases.shape == diag.shape
+            assert np.abs(diag[..., 0] - ref_diag).max() < 1e-14
+            assert np.abs(phases[..., 0] - ref_phases).max() < 1e-14
+            steps = np.arange(lo, hi, 3)
+            assert np.abs(tails(steps)[..., 0] - ref_tail[::3]).max() < 1e-14
+
+    @pytest.mark.parametrize("include_decay", [False, True])
+    @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
+    @pytest.mark.parametrize("n_atoms", [3, 4, 5, 6, 7, 8])
+    def test_gate_tables_match_direct_exponentials(self, n_atoms, model, include_decay):
+        # pulse I forward and pulse II reversed at rate 1 / lambda, each with
+        # three tau-batch scales
+        cfg = reference_config(model=model, include_decay=include_decay, gamma=mhz(0.05), lambda_ratio=1.7)
+        hams = _chain_hamiltonians([n_atoms - 2, n_atoms - 1, n_atoms], cfg)
+        seg1, seg2, _, _ = _protocol_start(hams, cfg, (0.5, 1.0, 2.0), reverse=True)
+        assert not seg1.reverse and seg2.reverse
+        assert STEPS_PER_PULSE % DIAG_BLOCK_STEPS  # the last block is partial
+        self.assert_tables_match((seg1, seg2), cfg.pulse.tau / STEPS_PER_PULSE, STEPS_PER_PULSE)
+
+    def test_random_engine_tables_match_direct_exponentials(self):
+        # non-integer n_r and no repeated eigenvalue: one level per row
+        transposed = TestTransposedPulse()
+        fwd, rev = transposed.static_engine(False, 0.6), transposed.static_engine(True, 0.6)
+        levels, index = fwd.drive_levels
+        assert len(levels) == transposed.DIM and np.array_equal(index, np.arange(transposed.DIM))
+        assert len(np.unique(fwd.hamiltonians[0].n_r)) == transposed.DIM
+        n = 100
+        self.assert_tables_match((fwd, rev), fwd.pulse.tau / (0.6 * n), n)
+
+    @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
+    @pytest.mark.parametrize("n_atoms", [3, 5, 7, 8])
+    def test_chain_levels_bitwise_the_same_alone_and_in_a_direct_sum(self, n_atoms, model):
+        cfg = reference_config(model=model)
+        hams = [h.sector() for h in _chain_hamiltonians([n_atoms - 2, n_atoms - 1, n_atoms], cfg)]
+        direct_sum = _SegmentEngine(hams, cfg.pulse)
+        levels, index = direct_sum.drive_levels
+        for chain, h in zip(direct_sum.chains, hams):
+            alone, alone_index = _SegmentEngine([h], cfg.pulse).drive_levels
+            assert levels[index[chain]].tobytes() == alone[alone_index].tobytes()
+            assert len(np.unique(index[chain])) == len(alone)
+
+    @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
+    @pytest.mark.parametrize("nu", [3, 6, 7, 8, 10])
+    def test_levels_move_only_clustered_eigenvalues(self, model, nu):
+        (h,) = [h.sector() for h in _chain_hamiltonians([nu], reference_config(model=model))]
+        s = np.linalg.eigh(h.drive)[0]
+        levels, index = _SegmentEngine([h], reference_pulse()).drive_levels
+        ulp = np.spacing(np.abs(s).max())
+        assert np.abs(levels[index] - s).max() <= evolution.SAME_LEVEL_ULPS * ulp  # 6 ulps at most
+        alone = np.bincount(index) == 1
+        assert np.array_equal(levels[alone], s[alone[index]])  # never moved
+        if model is Model.FULL_VDW:
+            # the sector drive is a sum of sigma_x / 2: levels -nu/2 .. nu/2
+            assert np.abs(levels - (np.arange(nu + 1) - nu / 2)).max() < 1e-12
+
+    def test_gate_tables_take_few_levels(self):
+        cfg = reference_config(model=Model.FULL_VDW)
+        seg1, _ = _protocol_start(_chain_hamiltonians([5, 6, 7], cfg), cfg)[:2]
+        levels, index = seg1.drive_levels
+        assert len(index) == 128 and len(levels) == 21
+
+    @pytest.mark.parametrize(
+        "run,limit",
+        [
+            # 4.3 MB at DIAG_BLOCK_STEPS = 16 (6.7 MB with one exponential
+            # per row, node and column group)
+            (lambda cfg: ground_amplitudes([6, 7, 8], cfg), 6.7),
+            # 8.7 MB (15.9 MB): two block tables of 24 column groups
+            (lambda cfg: tau_batch_amplitudes([7], cfg, np.linspace(0.5, 3.0, 12)), 15.9),
+        ],
+        ids=["gate", "tau_batch"],
+    )
+    def test_split_tables_stay_small(self, run, limit):
+        cfg = reference_config(n_atoms=8, include_decay=True)
+        run(cfg)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            run(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * 2**20
 
 
 class TestSectorPropagation:
