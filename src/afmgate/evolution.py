@@ -37,15 +37,19 @@ package's only scipy import: a ``zaxpy`` on 20 entries takes about
 0.27 us against 0.75 us for a numpy ufunc, while the gates, sweeps, fits and
 spectra never load scipy.  ``run_protocol`` refuses a config step past
 RK4's stability bound (``RK4_STABLE_DT_RHO`` over a Gershgorin bound of
-H), where the amplitudes would grow without limit.
-Hermitian RK4 runs normalise each chain block of every stored sample
-(removing the RK4 amplitude artifact): the step is linear and
+H), where the amplitudes would grow without limit.  A ``_run_segment``
+steps one engine; ``_rk4_pulses`` runs pulse II after pulse I for both RK4
+callers and normalises each chain block of every stored sample of a
+Hermitian run (removing the RK4 amplitude artifact): pulse I's samples
+iff pulse I is decay-free, pulse II's iff both pulses are, so the norm
+never rises across the pulse boundary.  The step is linear and
 block-diagonal, so this equals renormalising after every step up to
 round-off.
 
 Both steppers tabulate the pulse once per segment and the diagonal once
-per block of ``DIAG_BLOCK_STEPS`` steps, and look for non-finite
-amplitudes once per segment, over its stored samples.  The split builds
+per block of ``DIAG_BLOCK_STEPS`` steps, and share their sample grid
+(``_sample_grid``) and their look for non-finite amplitudes, once per
+segment over its stored samples (``_check_finite``).  The split builds
 its tables from per-level phases (``_split_tables``): a diagonal factor
 exp(x (-Gamma/2 + i Delta_mid) n_r) exp(-i x v) over a span x takes one
 exponential per node, column group and distinct n_r, gathered to the rows,
@@ -66,13 +70,12 @@ serves ``ground_amplitudes``, which propagates the chains of a gate
 grid of the first with its H scaled by tau / tau_ref), and the thermal
 chunks of ``thermal``, whose chains take a per-trial interaction, one
 column per trial.  These need only <0...0| M_II M_I |0...0> for the
-propagators of the pulses.  Every factor of a split step and every RK4
-step of -iH is complex symmetric (a real symmetric drive, the rest
-diagonal), so the transpose of a step is its factors or stages in
-reverse order, and the amplitude is (M_II^T |0...0>)^T (M_I |0...0>):
-pulse II runs from its end back to its start in the loop of pulse I, at
-rate 1 / lambda on pulse I's step.  A renormalised (decay-free) RK4
-pulse II needs the state after pulse I and runs after it.  A static
+propagators of the pulses.  Every factor of a split step of -iH is
+complex symmetric (a real symmetric drive, the rest diagonal), so the
+transpose of a step is its factors in reverse order, and the amplitude is
+(M_II^T |0...0>)^T (M_I |0...0>): the split runs pulse II from its end
+back to its start in the loop of pulse I, at rate 1 / lambda on pulse I's
+step.  RK4 runs pulse II after pulse I (``_rk4_pulses``).  A static
 chain is mirror-symmetric and starts in |0...0>, so static chains run on
 the inversion-even sectors (``ChainHamiltonian.sector``; 20 of 32 states
 at vdW nu = 5, 72 of 128 at nu = 7): each chain's operators are projected
@@ -256,10 +259,10 @@ class _SegmentEngine:
     ``scales`` is one column group of the split's state, whose H is also
     times that entry (a protocol of duration tau run on the time grid of
     duration tau_ref has H scaled by tau / tau_ref); ``self.scales`` holds
-    them times the rate, and RK4 runs one group.  ``reverse`` takes the
-    pulse from its end back to its start: each split factor and each RK4
-    step is complex symmetric, so the reversed run from |x> gives M^T |x>
-    for the forward run's matrix M.
+    them times the rate, and RK4 runs one group.  ``reverse`` (split only)
+    takes the pulse from its end back to its start: each split factor is
+    complex symmetric, so the reversed run from |x> gives M^T |x> for the
+    forward run's matrix M.
     """
 
     def __init__(
@@ -366,8 +369,7 @@ class _SegmentEngine:
         Delta there.
 
         Entry 2s is the start of step s (the end of step s - 1), entry
-        2s + 1 its midpoint; a reversed engine lists the same entries from
-        the last one back.
+        2s + 1 its midpoint.
         """
         dt = dt * self.rate
         t = np.empty(2 * n_steps + 1)
@@ -376,8 +378,7 @@ class _SegmentEngine:
         t[1::2] = starts + 0.5 * dt
         t[2::2] = starts + dt
         np.clip(t, 0.0, self.pulse.tau, out=t)
-        tabs = t, self.pulse.omega(t), self.pulse.delta(t)
-        return tuple(a[::-1] for a in tabs) if self.reverse else tabs
+        return t, self.pulse.omega(t), self.pulse.delta(t)
 
     def _local(self, u: np.ndarray) -> np.ndarray:
         """Pulse-local times of stepper times u, clamped into the pulse."""
@@ -519,6 +520,25 @@ def _real(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.float64).reshape(len(rows), -1)
 
 
+def _sample_grid(engine: _SegmentEngine, dt: float, n_steps: int, stride: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The steps after which a segment stores a sample (every ``stride``-th
+    step and the last one) and their pulse-local times, the last one pinned
+    to the exact pulse end so that segment boundaries are found exactly
+    downstream."""
+    steps = np.minimum(np.arange(stride, n_steps + stride, stride), n_steps) - 1
+    times = (steps * dt + dt) * engine.rate
+    times[-1] = engine.pulse.tau
+    return steps, times
+
+
+def _check_finite(times: np.ndarray, samples: np.ndarray) -> None:
+    """Raise PropagationError naming the time of the first sample that holds
+    non-finite amplitudes."""
+    finite = np.isfinite(samples).reshape(len(samples), -1).all(axis=1)
+    if not finite.all():
+        raise PropagationError(f"non-finite amplitudes at t = {times[np.argmin(finite)]}")
+
+
 def _split_tables(
     engines: Tuple[_SegmentEngine, ...], dt: float, n_steps: int
 ) -> Tuple[Callable[[int, int], Tuple[np.ndarray, np.ndarray]], Callable[[np.ndarray], np.ndarray]]:
@@ -614,13 +634,7 @@ def _run_split(
     to_eig = [partial(np.ascontiguousarray(w.T).dot, psi_r[c], y_r[c]) for c, w in bases]
     from_eig = [partial(w.dot, y_r[c], psi_r[c]) for c, w in bases]
     factors, tails = _split_tables(engines, dt, n_steps)
-
-    # samples after every stride-th step and after the last one
-    sample_steps = np.minimum(np.arange(stride, n_steps + stride, stride), n_steps) - 1
-    times = (sample_steps * dt + dt) * engines[0].rate
-    # pin the final sample to the exact pulse end so segment boundaries
-    # are found exactly downstream
-    times[-1] = engines[0].pulse.tau
+    sample_steps, times = _sample_grid(engines[0], dt, n_steps, stride)
     samples = np.empty((len(times),) + psi.shape, dtype=complex)
 
     sample_list = sample_steps.tolist()
@@ -645,56 +659,45 @@ def _run_split(
                 k += 1
 
     samples = samples.reshape((len(times),) + shape)
-    finite = np.isfinite(samples).reshape(len(samples), -1).all(axis=1)
-    if not finite.all():
-        raise PropagationError(f"non-finite amplitudes at t = {times[np.argmin(finite)]}")
+    _check_finite(times, samples)
     return times, samples
 
 
 def _run_segment(
-    engines: _SegmentEngine | Tuple[_SegmentEngine, ...],
+    engine: _SegmentEngine,
     psi0: np.ndarray,
     dt: float,
     n_steps: int,
     stride: int,
-    renormalize: bool | Tuple[bool, ...],
+    renormalize: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """RK4 over one segment (trajectories and moving atoms); returns the
     pulse-local times (excluding t=0) and the states of the samples taken
     every ``stride`` steps and at the segment end, as arrays (n_samples,)
     and (n_samples, *psi0.shape).
 
-    ``engines`` is one engine or a tuple of engines whose states are
-    stacked row-wise, each over one chain or the direct sum of its chains;
-    they share the step dt and the step count, and each has its own pulse
-    table, drive products and rows of the -iH diagonal (the sample times
-    are those of the first), and each runs one column group (``scales``).
-    ``psi0`` is one state (rows,) or a batch of
-    states as columns (rows, batch).  Each pulse is tabulated once for the
+    ``engine`` runs one column group (``scales``) forward over one chain or
+    the direct sum of its chains.  ``psi0`` is one state (rows,) or a batch
+    of states as columns (rows, batch).  The pulse is tabulated once for the
     segment, the complex diagonal d of -iH once per block of
     ``DIAG_BLOCK_STEPS`` steps, and each derivative is
-    d * y - i Omega * (drive @ y), with one real product per entry of an
+    d * y - i Omega * (drive @ y), with one real product per entry of the
     engine's ``drives`` on the float64 views of y and of a scratch row, and
-    one ``zaxpy`` per engine for its Omega.  ``renormalize`` (one flag, or
-    one per engine) normalises the stored samples, each chain block and
-    within it each column of a batch; the running state is never rescaled
-    (its norm drifts by 1.7e-4 over a 1500-step thermal pulse at N = 5 and
-    9e-4 at N = 7), so the samples do not depend on the stride.  Raises
-    PropagationError naming the time of the first sample that holds
-    non-finite amplitudes.
+    one ``zaxpy`` for Omega.  ``renormalize`` normalises the stored
+    samples, each chain block and within it each column of a batch; the
+    running state is never rescaled (its norm drifts by 1.7e-4 over a
+    1500-step thermal pulse at N = 5 and 9e-4 at N = 7), so the samples do
+    not depend on the stride.  Raises PropagationError naming the time of
+    the first sample that holds non-finite amplitudes.
     """
     # the package's only scipy import, here so that static chains never load
     # scipy (see the module docstring for why the BLAS calls stay)
     from scipy.linalg.blas import zaxpy, zcopy
 
-    engines = engines if isinstance(engines, tuple) else (engines,)
-    if any(len(e.scales) != 1 for e in engines):
+    if len(engine.scales) != 1:
         raise ValueError("an RK4 engine runs one column group")
-    if not isinstance(renormalize, tuple):
-        renormalize = (renormalize,) * len(engines)
-    ends = np.cumsum([e.chains[-1].stop for e in engines]).tolist()
-    offsets = [0] + ends[:-1]
-    tabs = [e.tables(dt, n_steps) for e in engines]
+    (scale,) = engine.scales
+    t_tab, omega, delta = engine.tables(dt, n_steps)
     half = 0.5 * dt
     sixth = dt / 6.0
     third = dt / 3.0
@@ -708,42 +711,23 @@ def _run_segment(
     psi_r, k1_r, k2_r, k3_r, k4_r, y_r, dy_r = rows
     psi[...] = psi0
     size = rows.shape[1]
-    width = size // shape[0]  # flat entries per state row
-
-    drives = [(off, e.drives) for e, off in zip(engines, offsets)]
 
     def products(src: np.ndarray) -> list:
         # drive @ src into dy on the real views, bound once so that each
         # product is one call with no argument parsing and no
         # array-function dispatch in the loop
-        return [
-            partial(m.dot, _real(src[off + c.start : off + c.stop]), _real(dy[off + c.start : off + c.stop]))
-            for off, engine_drives in drives
-            for c, m in engine_drives
-        ]
+        return [partial(m.dot, _real(src[c]), _real(dy[c])) for c, m in engine.drives]
 
     drive_psi, drive_y = products(psi), products(y)
-    # the flat rows of each engine and its -i Omega at every evaluation, as
-    # Python complex: no numpy scalar boxed per BLAS call
-    spans = [(width * a, width * b, (-1j * om).tolist()) for a, b, (_, om, _) in zip(offsets, ends, tabs)]
-
-    def omega_terms(k_r: np.ndarray) -> list:
-        # k += -i Omega (drive @ y), one zaxpy per engine on its flat rows
-        return [(dy_r[a:b], k_r[a:b], b - a, scale) for a, b, scale in spans]
-
-    omega_k1, omega_k2, omega_k3, omega_k4 = (omega_terms(k) for k in (k1_r, k2_r, k3_r, k4_r))
+    # -i Omega at every evaluation, as Python complex: no numpy scalar boxed
+    # per BLAS call
+    omega_i = (-1j * omega).tolist()
 
     def diagonals(lo: int, hi: int) -> np.ndarray:
-        parts = [e.diagonals(t[lo:hi], dl[lo:hi]) for e, (t, _, dl) in zip(engines, tabs)]
-        parts = [d if e.scales == (1.0,) else e.scales[0] * d for e, d in zip(engines, parts)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        d = engine.diagonals(t_tab[lo:hi], delta[lo:hi])
+        return d if scale == 1.0 else scale * d
 
-    # samples after every stride-th step and after the last one
-    sample_steps = np.minimum(np.arange(stride, n_steps + stride, stride), n_steps) - 1
-    times = (sample_steps * dt + dt) * engines[0].rate
-    # pin the final sample to the exact pulse end so segment boundaries
-    # are found exactly downstream
-    times[-1] = engines[0].pulse.tau
+    _, times = _sample_grid(engine, dt, n_steps, stride)
     samples = np.empty((len(times),) + shape, dtype=complex)
 
     d_end = diagonals(0, 1)[0]
@@ -765,29 +749,25 @@ def _run_segment(
         np.multiply(d_start, psi, k1)
         for product in drive_psi:
             product()
-        for dy_e, k_e, n_e, scale in omega_k1:
-            zaxpy(dy_e, k_e, n_e, scale[j])
+        zaxpy(dy_r, k1_r, size, omega_i[j])
         zcopy(psi_r, y_r)
         zaxpy(k1_r, y_r, size, half)
         np.multiply(d_mid, y, k2)
         for product in drive_y:
             product()
-        for dy_e, k_e, n_e, scale in omega_k2:
-            zaxpy(dy_e, k_e, n_e, scale[j + 1])
+        zaxpy(dy_r, k2_r, size, omega_i[j + 1])
         zcopy(psi_r, y_r)
         zaxpy(k2_r, y_r, size, half)
         np.multiply(d_mid, y, k3)
         for product in drive_y:
             product()
-        for dy_e, k_e, n_e, scale in omega_k3:
-            zaxpy(dy_e, k_e, n_e, scale[j + 1])
+        zaxpy(dy_r, k3_r, size, omega_i[j + 1])
         zcopy(psi_r, y_r)
         zaxpy(k3_r, y_r, size, dt)
         np.multiply(d_end, y, k4)
         for product in drive_y:
             product()
-        for dy_e, k_e, n_e, scale in omega_k4:
-            zaxpy(dy_e, k_e, n_e, scale[j + 2])
+        zaxpy(dy_r, k4_r, size, omega_i[j + 2])
         # psi += dt/6 k1 + dt/3 k2 + dt/3 k3 + dt/6 k4
         zaxpy(k1_r, psi_r, size, sixth)
         zaxpy(k2_r, psi_r, size, third)
@@ -805,15 +785,28 @@ def _run_segment(
     # for RK4 has grown the state past 1e154; a non-finite sample stays
     # non-finite
     with np.errstate(divide="ignore", invalid="ignore"):
-        for e, off, norm in zip(engines, offsets, renormalize):
-            for c in e.chains if norm else ():
-                block = samples[:, off + c.start : off + c.stop]
-                block /= np.abs(block).max(axis=1, keepdims=True)
-                block /= np.linalg.norm(block, axis=1, keepdims=True)
-    finite = np.isfinite(samples).reshape(len(samples), -1).all(axis=1)
-    if not finite.all():
-        raise PropagationError(f"non-finite amplitudes at t = {times[np.argmin(finite)]}")
+        for c in engine.chains if renormalize else ():
+            block = samples[:, c]
+            block /= np.abs(block).max(axis=1, keepdims=True)
+            block /= np.linalg.norm(block, axis=1, keepdims=True)
+    _check_finite(times, samples)
     return times, samples
+
+
+def _rk4_pulses(
+    seg1: _SegmentEngine, seg2: _SegmentEngine, psi: np.ndarray, dt: float, n_steps: int, stride: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """RK4 over both pulses, pulse II from pulse I's final sample; returns
+    the times and samples of pulse I and of pulse II (``_run_segment``).
+
+    The one normalisation rule of the two pulses: pulse I's samples are
+    normalised iff pulse I is decay-free, pulse II's iff both pulses are.
+    A decay-free pulse II after a lossy pulse I keeps the norm it starts
+    with, so the norm never rises across the pulse boundary.
+    """
+    t1, s1 = _run_segment(seg1, psi, dt, n_steps, stride, seg1.gamma == 0.0)
+    t2, s2 = _run_segment(seg2, s1[-1], dt, n_steps, stride, seg1.gamma == seg2.gamma == 0.0)
+    return t1, s1, t2, s2
 
 
 def _rk4_stable_dt(engines: Sequence[_SegmentEngine]) -> float:
@@ -897,10 +890,11 @@ def _protocol_start(
     Pulse II runs the lambda-rescaled pulse under the flipped interaction on
     the same operator structures, at ``rate`` 1 / lambda so that it shares
     the step of pulse I, and from its end back to its start with
-    ``reverse``.  Static chains run on their even sectors; with the
-    per-trial interactions ``v_int_fn_steps`` of moving atoms the chains
-    keep their full basis and both engines take them as they are (each
-    pulse's interaction is its function)."""
+    ``reverse``, which only the split of ``final_amplitudes`` asks for (RK4
+    runs pulse II after pulse I, ``_rk4_pulses``).  Static chains run on
+    their even sectors; with the per-trial interactions ``v_int_fn_steps``
+    of moving atoms the chains keep their full basis and both engines take
+    them as they are (each pulse's interaction is its function)."""
     if any(h.model is Model.PXP_PLUS_CORRECTIONS for h in hamiltonians):
         raise ConfigError("time propagation supports the PXP and full vdW models only")
     lam = cfg.interaction.lambda_ratio
@@ -932,26 +926,18 @@ def final_amplitudes(
     atoms.  The one driver of final amplitudes: gates, pulse-duration
     batches and thermal chunks.
 
-    The amplitude is (M_II^T |0...0>)^T (M_I |0...0>), with no complex
-    conjugate: pulse I runs forward and pulse II transposed
-    (``_SegmentEngine`` with ``reverse``) in one loop.  Static chains take
-    ``STEPS_PER_PULSE`` split steps per pulse (``cfg.dt`` is not used),
-    with both pulses as the column groups of one state.  Moving atoms take
-    RK4 at ``cfg.dt`` (one scale), with both pulses as the row blocks of
-    one state while pulse II keeps its norm decay; a renormalised
-    (decay-free) RK4 pulse II must start from the state after pulse I, so
-    it runs after it.
+    Static chains take ``STEPS_PER_PULSE`` split steps per pulse
+    (``cfg.dt`` is not used), with both pulses as the column groups of one
+    state: the amplitude is (M_II^T |0...0>)^T (M_I |0...0>), with no
+    complex conjugate, so pulse I runs forward and pulse II transposed
+    (``_SegmentEngine`` with ``reverse``) in one loop.  Moving atoms take
+    RK4 at ``cfg.dt`` (one scale), pulse II after pulse I
+    (``_rk4_pulses``).
     """
     if v_int_fn_steps is not None:
-        joint = cfg.include_decay and cfg.decay.gamma_rp > 0.0
-        seg1, seg2, psi, n1 = _protocol_start(hamiltonians, cfg, scales, v_int_fn_steps, columns, reverse=joint)
-        ground = [chain.start for chain in seg1.chains]
-        if not joint:
-            _, (psi1,) = _run_segment(seg1, psi, cfg.dt, n1, n1, seg1.gamma == 0.0)
-            _, (final,) = _run_segment(seg2, psi1, cfg.dt, n1, n1, seg2.gamma == 0.0)
-            return final[ground]
-        _, (final,) = _run_segment((seg1, seg2), np.concatenate([psi, psi]), cfg.dt, n1, n1, (seg1.gamma == 0.0, False))
-        return np.add.reduceat(final[: len(psi)] * final[len(psi) :], ground)
+        seg1, seg2, psi, n1 = _protocol_start(hamiltonians, cfg, scales, v_int_fn_steps, columns)
+        *_, s2 = _rk4_pulses(seg1, seg2, psi, cfg.dt, n1, n1)
+        return s2[-1][[chain.start for chain in seg1.chains]]
     seg1, seg2, psi, _ = _protocol_start(hamiltonians, cfg, scales, reverse=True)
     groups = len(scales)
     state = np.repeat(psi[:, None, None], 2 * groups, axis=1)
@@ -983,8 +969,7 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
     if cfg.dt > dt_max:
         raise ConfigError(f"dt_us = {cfg.dt} is past RK4's stability bound at nu = {nu}: need dt_us <= {dt_max!r}")
     stride = _default_stride(h_scale, cfg.dt, n1)
-    t1, s1 = _run_segment(seg1, psi, cfg.dt, n1, stride, seg1.gamma == 0.0)
-    t2, s2 = _run_segment(seg2, s1[-1], cfg.dt, n1, stride, seg2.gamma == 0.0)
+    t1, s1, t2, s2 = _rk4_pulses(seg1, seg2, psi, cfg.dt, n1, stride)
     basis = ham.basis
     sector_arr = np.concatenate([psi[None], s1, s2])
     state_arr = sector_arr @ seg1.hamiltonians[0].u.T

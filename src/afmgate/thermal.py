@@ -10,8 +10,8 @@ baseline as one more row of the first chunk, is propagated once by
 runs moving atoms with RK4 (``_thermal_dt`` sets its step): the active
 chains of the four input branches (nu = N-2, N-1, N-1, N) are the
 blocks of one direct-sum state, each trial is one column, and their
-interaction is one chain-pair incidence of all their states.  With decay
-on, pulse II runs transposed in the loop of pulse I, as in a gate.  The
+interaction is one chain-pair incidence of all their states.  Pulse II
+runs after pulse I, from its final state (``evolution._rk4_pulses``).  The
 residual |11>-branch phase and the fidelity loss against the baseline
 quantify the dephasing caused by imperfect cancellation between the two
 pulses.
@@ -161,10 +161,11 @@ def _batch_branch_amplitudes(
     the interaction diagonal of a block of evaluation times is one product
     of their incidence on the pairs of the atoms the blocks cover (no atom
     outside a block) with the pair strengths; the sign flip of C6 in step
-    II multiplies every pair strength by -lambda.  With
-    ``cfg.include_decay`` the states keep their physical norm decay (and
-    pulse II runs transposed in the loop of pulse I), otherwise they are
-    normalised.  Raises ConfigError for a model other than full vdW.
+    II multiplies every pair strength by -lambda.  Pulse II runs after
+    pulse I; with ``cfg.include_decay`` the states keep the physical norm
+    decay of either pulse, otherwise they are normalised (the rule of
+    ``evolution._rk4_pulses``).  Raises ConfigError for a model other than
+    full vdW.
     """
     if cfg.model is not Model.FULL_VDW:
         raise ConfigError("thermal motion requires the full van der Waals model")
