@@ -9,6 +9,7 @@ and seed (the manifest holds the only timestamp).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -46,7 +47,11 @@ EXIT_RUNTIME = 3
 EXIT_FIT = 4
 
 
+@functools.cache
 def _git_describe() -> str:
+    """The build id of the package's source tree, found once per process:
+    ``git describe`` there, or ``afmgate-<version>`` where git is missing,
+    fails or outlives its timeout."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -54,7 +59,7 @@ def _git_describe() -> str:
         )
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         pass
     return f"afmgate-{__version__}"
 

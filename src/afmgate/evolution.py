@@ -86,12 +86,17 @@ engines take its chains as they are, each pulse's interaction being its
 per-trial function.
 
 The dynamical phase integrates the energy of the branch that holds the
-state (``_branch_energies``).  Each chunk of stored samples runs one
-stacked real ``eigvalsh`` of the Hermitian part of H on the sector, built
-by ``ChainHamiltonian.matrix``, and a residual bound proves which
-eigenvalue holds more than half of each state; only the samples it cannot
-settle (near-degenerate partners, such as the even-nu vdW AFM doublet)
-take eigenvectors.
+state (``_branch_energies``): a residual bound proves which eigenvalue of
+the Hermitian part of H on the sector holds more than half of each state;
+only the samples it cannot settle (near-degenerate partners, such as the
+even-nu vdW AFM doublet) take eigenvectors.  The eigenvalues of both
+pulses come from one table (``_mirrored_eigenvalues``): pulse II retraces
+pulse I, H_II(t') = -lambda G H_I(tau - lambda t') G with
+G = diag((-1)^n_r), so its ascending eigenvalues are -lambda times pulse
+I's at the mirrored time, in reverse order.  The table is one stacked
+real ``eigvalsh`` per chunk of pulse I's H (``_eigenvalue_table``) at the
+sample steps A of a pulse and their mirrors n - A: one pulse of
+eigensolves when the stride divides the step count n.
 """
 
 from __future__ import annotations
@@ -451,41 +456,89 @@ def _distinct_levels(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return s[(np.r_[0, ends[:-1] + 1] + ends) // 2], np.r_[0, np.cumsum(gap)]
 
 
+def _eigenvalue_table(ham: ChainHamiltonian, pulse: PulseProfile, t_local: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of ``ham`` at each local
+    time of ``pulse``, (len(t_local), dim): one stacked real ``eigvalsh``
+    of the matrices of ``ChainHamiltonian.matrix`` per chunk of
+    ``PHASE_CHUNK_ENTRIES`` matrix entries, and no eigenvectors."""
+    t = np.clip(t_local, 0.0, pulse.tau)
+    omega, delta = pulse.omega(t), pulse.delta(t)
+    chunk = max(1, PHASE_CHUNK_ENTRIES // len(ham.n_r) ** 2)
+    w = np.empty((len(t), len(ham.n_r)))
+    for lo in range(0, len(t), chunk):
+        w[lo : lo + chunk] = np.linalg.eigvalsh(ham.matrix(omega[lo : lo + chunk], delta[lo : lo + chunk]))
+    return w
+
+
+def _mirrored_eigenvalues(
+    seg1: _SegmentEngine, lam: float, dt: float, n_steps: int, stride: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ascending eigenvalues of the Hermitian part of H at the stored
+    samples of each pulse of ``run_protocol`` (the pulse start first, then
+    ``_sample_grid``), from one table on pulse I's Hamiltonian.
+
+    Pulse II at local time t' has H_II(t') = -lambda G H_I(tau - lambda t') G
+    with G = diag((-1)^n_r): Omega is even and Delta odd about tau / 2,
+    the flipped interaction is -lambda v, and G flips only the sign of the
+    drive.  G commutes with the inversion, so this holds on the even
+    sector too, and pulse II's ascending eigenvalues are -lambda times
+    pulse I's at the mirrored time, in reverse order.  Both pulses store
+    the samples after the steps A = 0, the strided steps and n, and pulse
+    II's step a mirrors pulse I's step n - a, so the table holds pulse I
+    at the steps A | (n - A) (A itself when the stride divides n), at the
+    times ``_sample_grid`` gives them.
+    """
+    sample_steps, _ = _sample_grid(seg1, dt, n_steps, stride)
+    a = np.r_[0, sample_steps + 1]
+    steps, where = np.unique(np.r_[a, n_steps - a], return_inverse=True)
+    t = (steps - 1) * dt + dt  # exactly 0 at step 0
+    t[-1] = seg1.pulse.tau
+    table = _eigenvalue_table(seg1.hamiltonians[0], seg1.pulse, t)
+    return table[where[: len(a)]], -lam * table[where[len(a) :], ::-1]
+
+
 def _branch_energies(
-    ham: ChainHamiltonian, pulse: PulseProfile, t_local: np.ndarray, states: np.ndarray
+    ham: ChainHamiltonian,
+    pulse: PulseProfile,
+    t_local: np.ndarray,
+    states: np.ndarray,
+    eigenvalues: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Instantaneous eigenvalue of the dominantly occupied branch of the
     Hermitian part of ``ham`` (maximal overlap with the state) for each
     state row at its local time of ``pulse``, in the space of ``ham`` (the
-    even sector of a static chain).
+    even sector of a static PXP or vdW chain).
 
-    Each chunk of samples stacks its matrices with ``ChainHamiltonian.matrix``
-    and runs one stacked ``eigvalsh`` and no eigenvectors.  For the
-    normalised state phi, with Rayleigh quotient r = <phi|H|phi> and
-    residual sigma^2 = ||(H - r) phi||^2, the branch weights p_j obey
-    sum_j p_j (w_j - r)^2 = sigma^2, so 1 - p_k <= sigma^2 / g^2 for the
-    eigenvalue w_k nearest r and the distance g from r to the next-nearest
-    one.  sigma^2 < g^2 / 2 proves p_k > 1/2: w_k is the branch of maximal
-    overlap.  The samples this cannot settle (near-degenerate partners
-    sharing the state) take the eigenvectors through
-    ``_max_overlap_energies``.
+    ``eigenvalues`` holds the ascending eigenvalues of H at each row's
+    time, (rows, dim); ``run_protocol`` reads both pulses' off one table
+    (``_mirrored_eigenvalues``), and without them they come from
+    ``_eigenvalue_table``.  For the normalised state phi, with Rayleigh
+    quotient r = <phi|H|phi> and residual sigma^2 = ||(H - r) phi||^2, the
+    branch weights p_j obey sum_j p_j (w_j - r)^2 = sigma^2, so
+    1 - p_k <= sigma^2 / g^2 for the eigenvalue w_k nearest r and the
+    distance g from r to the next-nearest one.  sigma^2 < g^2 / 2 proves
+    p_k > 1/2: w_k is the branch of maximal overlap.  r and sigma take
+    ``ham`` itself, the drive times Omega plus the diagonal, one chunk of
+    ``PHASE_CHUNK_ENTRIES`` at a time.  The samples this cannot settle
+    (near-degenerate partners sharing the state) take their matrices and
+    the eigenvectors through ``_max_overlap_energies``.
     """
     t = np.clip(t_local, 0.0, pulse.tau)
     omega, delta = pulse.omega(t), pulse.delta(t)
-    diag = np.arange(len(ham.n_r))
-    chunk = max(1, PHASE_CHUNK_ENTRIES // len(diag) ** 2)
+    w_all = _eigenvalue_table(ham, pulse, t) if eigenvalues is None else eigenvalues
+    dim = len(ham.n_r)
+    chunk = max(1, PHASE_CHUNK_ENTRIES // dim**2)
     energies = np.empty(len(t))
     for lo in range(0, len(t), chunk):
         hi = min(lo + chunk, len(t))
-        phi = states[lo:hi]
-        h = ham.matrix(omega[lo:hi], delta[lo:hi])
-        w = np.linalg.eigvalsh(h)
+        phi, w = states[lo:hi], w_all[lo:hi]
         # H acts on the real and imaginary parts apart: one real product
-        # of the (symmetric, zero-diagonal) drive for both, plus H's diagonal
+        # of the (symmetric, zero-diagonal) drive for both, plus H's
+        # diagonal -Delta n_r + v
         x = np.stack([phi.real, phi.imag], axis=1)
-        hx = (x.reshape(-1, len(diag)) @ ham.drive).reshape(x.shape)
+        hx = (x.reshape(-1, dim) @ ham.drive).reshape(x.shape)
         hx *= omega[lo:hi, None, None]
-        hx += h[:, diag, diag][:, None, :] * x
+        hx += (-delta[lo:hi, None] * ham.n_r + ham.v)[:, None, :] * x
         norm2 = np.einsum("ijk,ijk->i", x, x)
         r = np.einsum("ijk,ijk->i", x, hx) / norm2
         hx -= r[:, None, None] * x
@@ -498,7 +551,8 @@ def _branch_energies(
         g = np.min(dist, axis=1)
         unsettled = ~(2.0 * sigma2 < g * g)  # a NaN (zero state) is unsettled
         if unsettled.any():
-            nearest[unsettled] = _max_overlap_energies(h[unsettled], phi[unsettled])
+            o, d = omega[lo:hi][unsettled], delta[lo:hi][unsettled]
+            nearest[unsettled] = _max_overlap_energies(ham.matrix(o, d), phi[unsettled])
         energies[lo:hi] = nearest
     return energies
 
@@ -987,13 +1041,15 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
     if compute_phases:
         # The branch energy jumps at the segment boundary (the detuning
         # resets to -delta0'); the boundary sample is evaluated under both
-        # segments.
+        # segments.  Both pulses read their eigenvalues off one table
         segs, starts = (seg1, seg2), (0.0, tau1)
+        tables = _mirrored_eigenvalues(seg1, lam, cfg.dt, n1, stride)
         phi_dyn = _dynamical_phase(
             time_arr,
             [0, int(np.searchsorted(time_arr, tau1)), len(time_arr) - 1],
             lambda k, lo, hi: _branch_energies(
-                segs[k].hamiltonians[0], segs[k].pulse, time_arr[lo : hi + 1] - starts[k], sector_arr[lo : hi + 1]
+                segs[k].hamiltonians[0], segs[k].pulse, time_arr[lo : hi + 1] - starts[k], sector_arr[lo : hi + 1],
+                tables[k],
             ),
         )
         phases = _phases_from_samples(time_arr, state_arr, phi_dynamical=phi_dyn)

@@ -645,7 +645,16 @@ class TestErrorHandling:
         assert rc == EXIT_RUNTIME
 
 
-def test_git_describe_ignores_the_callers_repository(tmp_path, monkeypatch):
+@pytest.fixture
+def fresh_git_describe():
+    # the build id is cached per process: each test finds its own, and
+    # leaves none behind
+    _git_describe.cache_clear()
+    yield
+    _git_describe.cache_clear()
+
+
+def test_git_describe_ignores_the_callers_repository(tmp_path, monkeypatch, fresh_git_describe):
     # the manifest names the package's source tree, not the caller's cwd
     subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
     monkeypatch.chdir(tmp_path)
@@ -655,6 +664,35 @@ def test_git_describe_ignores_the_callers_repository(tmp_path, monkeypatch):
     )
     expected = package.stdout.strip() if package.returncode == 0 else f"afmgate-{afmgate.__version__}"
     assert _git_describe() == expected
+
+
+def test_main_runs_git_once_per_process(tmp_path, monkeypatch, fresh_git_describe):
+    real_run = subprocess.run
+    calls = []
+
+    def counting_run(argv, *args, **kwargs):
+        calls.append(argv[0])
+        return real_run(argv, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    manifests = []
+    for k in range(2):
+        out = tmp_path / f"out{k}"
+        assert main(["--out", str(out), "basis-dump", "--nu", "3"]) == EXIT_OK
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert calls == ["git"]
+    assert manifests[0]["git_describe"] == manifests[1]["git_describe"]
+
+
+def test_git_timeout_falls_back_to_the_version(tmp_path, monkeypatch, fresh_git_describe):
+    def hung_git(argv, *args, **kwargs):
+        raise subprocess.TimeoutExpired(argv, kwargs.get("timeout"))
+
+    monkeypatch.setattr(subprocess, "run", hung_git)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "basis-dump", "--nu", "3"]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["git_describe"] == f"afmgate-{afmgate.__version__}"
 
 
 def test_column_lines_match_per_value_format():

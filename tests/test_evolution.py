@@ -871,6 +871,106 @@ class TestEvenSectorBranchEnergies:
             ham.sector()
 
 
+def mirror_config(model, lam, sigma):
+    """The reference config at ``lam`` with the pulse width ``sigma`` (None:
+    the default ratio)."""
+    cfg = reference_config(model=model, lambda_ratio=lam)
+    return replace(cfg, pulse=PulseProfile(cfg.pulse.omega0, cfg.pulse.delta0, cfg.pulse.tau, sigma))
+
+
+def count_eigvalsh_rows(monkeypatch):
+    """Matrices passed to ``np.linalg.eigvalsh``, one entry per call."""
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(h):
+        rows.append(len(h))
+        return eigvalsh(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return rows
+
+
+def pulse_steps(run, cfg):
+    """The integer steps after which pulse I stored its samples (0 first)
+    and the step count of a pulse."""
+    times = run.trajectory.times
+    cut = int(np.searchsorted(times, cfg.pulse.tau))
+    return np.rint(times[: cut + 1] / cfg.dt).astype(int), round(cfg.pulse.tau / cfg.dt)
+
+
+class TestMirroredEigenvalues:
+    """Pulse II retraces pulse I: H_II(t') = -lambda G H_I(tau - lambda t') G
+    with G = diag((-1)^n_r), so the phase record reads both pulses'
+    eigenvalues off one table of pulse I's.  lambda = 0.7 and 1.3 are not
+    powers of 2, so their scaling rounds."""
+
+    MIRROR_CASES = [(Model.FULL_VDW, 3), (Model.FULL_VDW, 6), (Model.PXP, 7)]
+
+    @pytest.mark.parametrize("sigma", [None, 0.3])
+    @pytest.mark.parametrize("lam", [0.7, 1.3])
+    def test_pulse_is_even_and_detuning_odd_about_mid_pulse(self, lam, sigma):
+        pulse = mirror_config(Model.FULL_VDW, lam, sigma).pulse.rescaled(lam)
+        t = np.linspace(0.0, pulse.tau, 1001)
+        assert np.abs(pulse.omega(pulse.tau - t) - pulse.omega(t)).max() <= 1e-14 * pulse.omega0
+        assert np.abs(pulse.delta(pulse.tau - t) + pulse.delta(t)).max() <= 1e-14 * pulse.delta0
+
+    @pytest.mark.parametrize("sigma", [None, 0.3])
+    @pytest.mark.parametrize("lam", [0.7, 1.3])
+    @pytest.mark.parametrize("model,nu", MIRROR_CASES)
+    def test_pulse_two_spectra_are_pulse_one_mirrored(self, model, nu, lam, sigma):
+        seg1, seg2 = segments(nu, mirror_config(model, lam, sigma))
+        t2 = np.linspace(0.0, seg2.pulse.tau, 201)
+        direct = evolution._eigenvalue_table(seg2.hamiltonians[0], seg2.pulse, t2)
+        one = evolution._eigenvalue_table(seg1.hamiltonians[0], seg1.pulse, seg1.pulse.tau - lam * t2)
+        assert np.abs(-lam * one[:, ::-1] - direct).max() <= 1e-14 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("sigma", [None, 0.3])
+    @pytest.mark.parametrize("lam", [0.7, 1.3])
+    @pytest.mark.parametrize("model,nu", MIRROR_CASES)
+    def test_table_rows_match_each_pulses_own_eigenvalues(self, model, nu, lam, sigma):
+        cfg = mirror_config(model, lam, sigma)
+        run = run_protocol(nu, cfg, compute_phases=False)
+        times = run.trajectory.times
+        stride = int(np.diff(pulse_steps(run, cfg)[0])[0])
+        rows = evolution._mirrored_eigenvalues(segments(nu, cfg)[0], lam, cfg.dt, round(cfg.pulse.tau / cfg.dt), stride)
+        for (seg, lo, hi, start), table in zip(segment_samples(run, nu, cfg), rows, strict=True):
+            direct = evolution._eigenvalue_table(seg.hamiltonians[0], seg.pulse, times[lo : hi + 1] - start)
+            assert np.abs(table - direct).max() <= 1e-14 * np.abs(direct).max()
+
+    def test_reference_config_solves_one_pulse_of_matrices(self, monkeypatch):
+        cfg = reference_config(model=Model.FULL_VDW)
+        rows = count_eigvalsh_rows(monkeypatch)
+        run = run_protocol(5, cfg)
+        assert len(run.trajectory.times) == 8001
+        assert sum(rows) == 4001
+
+    def test_stride_not_dividing_the_steps_solves_the_union(self, monkeypatch):
+        cfg = reference_config(model=Model.PXP)
+        rows = count_eigvalsh_rows(monkeypatch)
+        run = run_protocol(5, cfg)
+        a, n = pulse_steps(run, cfg)
+        union = np.union1d(a, n - a)
+        assert len(a) < len(union) < 2 * len(a)  # the stride does not divide n
+        assert sum(rows) == len(union)
+
+    @pytest.mark.parametrize("model,nu", [(Model.FULL_VDW, 5), (Model.PXP, 5)])
+    def test_dynamical_phase_matches_per_pulse_eigenvalues(self, model, nu):
+        cfg = reference_config(model=model, lambda_ratio=0.7)
+        run = run_protocol(nu, cfg)
+        traj = run.trajectory
+        samples = segment_samples(run, nu, cfg)
+        direct = _dynamical_phase(
+            traj.times,
+            [samples[0][1], samples[1][1], samples[1][2]],
+            lambda k, lo, hi: _branch_energies(
+                samples[k][0].hamiltonians[0], samples[k][0].pulse, traj.times[lo : hi + 1] - samples[k][3],
+                traj.states[lo : hi + 1] @ samples[k][0].hamiltonians[0].u,
+            ),
+        )
+        assert np.abs(run.phases.phi_dynamical - direct).max() <= 1e-11
+
+
 class TestGroundAmplitudes:
     """A gate's chains propagated as one direct-sum state against one
     ``run_protocol`` per chain."""
