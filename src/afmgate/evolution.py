@@ -1,102 +1,96 @@
 """Time-dependent Schroedinger propagation of the two-pulse protocol.
 
 H(t) = Omega(t) drive + diag(-Delta(t) n_r + v) - i (Gamma / 2) n_r is a
-fixed real symmetric drive times a scalar plus a diagonal.  The final
-amplitudes of static chains (gates, pulse-duration batches) come from a
-fourth-order splitting, ``_run_split``: Blanes & Moan's six-stage S6
-(J. Comput. Appl. Math. 142, 313 (2002)), the palindrome
+fixed real symmetric drive times a scalar plus a diagonal.  Pulse II
+retraces pulse I: Omega is even and Delta odd about tau / 2, the flipped
+interaction is -lambda v, and G = diag((-1)^n_r) flips only the sign of
+the drive, so H_II(t') = -lambda G H_I(tau - lambda t') G for the
+Hermitian parts.  In pulse I's time s = tau - lambda t', pulse II runs
+backwards under G H_I[gamma]^dagger G, H_I[gamma] being pulse I's H at
+decay rate gamma = gamma_rp / lambda: M_II = G M_I[gamma_rp / lambda]^dagger G
+for the pulses' propagators.  G commutes with the inversion, so this holds
+on the even sectors too.
+
+Gates and pulse-duration batches need only <0...0| M_II M_I |0...0> =
+<c'| G |c>, with c = M_I[gamma_r] |0...0> and c' = M_I[gamma_rp / lambda]
+|0...0>: ``final_amplitudes`` runs pulse I alone, with c' as a second
+column group only when the two rates differ.  With equal rates (decay-free,
+or lambda = 1 with gamma_r = gamma_rp) c' = c and the amplitude is
+sum_k |c_k|^2 (-1)^n_r(k): real, and the same at every lambda.  Static
+chains take a fourth-order splitting, ``_run_split``: Blanes & Moan's
+six-stage S6 (J. Comput. Appl. Math. 142, 313 (2002)), the palindrome
 exp(a1 h A) exp(b1 h B) exp(a2 h A) ... exp(b1 h B) exp(a1 h A) of the
 diagonal A and the drive B (``SPLIT_A``, ``SPLIT_B``).  The diagonal flow
 carries the time, so each drive exponential takes Omega where the
 diagonal factors before it end (``STEP_NODES``), and a step's last
 diagonal factor merges with the next step's first: six drive and six
-diagonal exponentials per step.  The diagonal is exponentiated exactly:
-Delta is linear in t, so its midpoint value times the span is its
-integral, and v is constant.  The drive is diagonalised once per chain,
+diagonal exponentials per step.  The diagonal is exponentiated exactly
+(Delta is linear in t, so its midpoint value times the span is its
+integral, and v is constant).  The drive is diagonalised once per chain,
 s, W = eigh(drive), and exp(-i theta drive) = W diag(exp(-i theta s)) W^T
-is two real products on the float64 view of the state.  A decay-free
-step is unitary, so the norm holds to round-off without renormalisation,
-and no step size blows up.  After one pulse the split at 500 steps errs
-8e-6 at vdW nu = 3, about as much as RK4 at 3000 steps; the two
-mirror-image pulses of a static protocol cancel most of that, so the
-final amplitudes at 500 steps per pulse err 300-2000 times less than RK4
-at 4000 (``STEPS_PER_PULSE``).
+is two real products on the float64 view of the state.  A decay-free step
+is unitary, so the norm holds to round-off without renormalisation, and
+no step size blows up.  After one pulse the split at 500 steps errs 8e-6
+at vdW nu = 3; its steps obey the mirror identity to round-off (the nodes
+are a palindrome), so the mirror-image pulses cancel most of that, and
+the final amplitudes at 500 steps per pulse err 300-2000 times less than
+RK4 at 4000 (``STEPS_PER_PULSE``).
 
 Trajectories (``run_protocol``, sampled every few steps and read between
 the pulses) and moving atoms (thermal chunks, whose motion breaks the
 mirror and whose per-trial interaction would need one complex exponential
-exp(-i x v) per row and trial in every diagonal factor) keep fixed-step classical RK4 with
-midpoint evaluations, ``_run_segment``: one real matrix product per stage
-on the float64 view (rows, 2 * batch) of the state per entry of
-``_SegmentEngine.drives`` (consecutive chain blocks share one
-block-diagonal drive while it has at most ``MERGED_DRIVE_ROWS`` rows), and
-level-1 BLAS calls (``zaxpy``, ``zcopy``) for the -i Omega scaling, the
-stage states and the update on the flat rows of one preallocated array.
-``_run_segment`` imports them from ``scipy.linalg.blas`` in its body, the
-package's only scipy import: a ``zaxpy`` on 20 entries takes about
-0.27 us against 0.75 us for a numpy ufunc, while the gates, sweeps, fits and
-spectra never load scipy.  ``run_protocol`` refuses a config step past
-RK4's stability bound (``RK4_STABLE_DT_RHO`` over a Gershgorin bound of
-H), where the amplitudes would grow without limit.  A ``_run_segment``
-steps one engine; ``_rk4_pulses`` runs pulse II after pulse I for both RK4
-callers and normalises each chain block of every stored sample of a
-Hermitian run (removing the RK4 amplitude artifact): pulse I's samples
-iff pulse I is decay-free, pulse II's iff both pulses are, so the norm
-never rises across the pulse boundary.  The step is linear and
-block-diagonal, so this equals renormalising after every step up to
-round-off.
+exp(-i x v) per row and trial in every diagonal factor) run both pulses
+with fixed-step classical RK4 with midpoint evaluations, ``_run_segment``:
+one real matrix product per stage on the float64 view (rows, 2 * batch)
+of the state per entry of ``_SegmentEngine.drives`` (consecutive chain
+blocks share one block-diagonal drive while it has at most
+``MERGED_DRIVE_ROWS`` rows), and level-1 BLAS calls (``zaxpy``,
+``zcopy``) for the -i Omega scaling, the stage states and the update on
+the flat rows of one preallocated array.  ``_run_segment`` imports them
+from ``scipy.linalg.blas`` in its body, the package's only scipy import:
+a ``zaxpy`` on 20 entries takes about 0.27 us against 0.75 us for a numpy
+ufunc, while the gates, sweeps, fits and spectra never load scipy.
+``run_protocol`` refuses a config step past RK4's stability bound
+(``RK4_STABLE_DT_RHO`` over a Gershgorin bound of H).  ``_rk4_pulses``
+runs pulse II after pulse I for both RK4 callers and normalises each chain
+block of every stored sample of a Hermitian run (removing the RK4
+amplitude artifact): pulse I's samples iff pulse I is decay-free, pulse
+II's iff both pulses are, so the norm never rises across the pulse
+boundary.  The step is linear and block-diagonal, so this equals
+renormalising after every step up to round-off.
 
 Both steppers tabulate the pulse once per segment and the diagonal once
 per block of ``DIAG_BLOCK_STEPS`` steps, and share their sample grid
-(``_sample_grid``) and their look for non-finite amplitudes, once per
-segment over its stored samples (``_check_finite``).  The split builds
-its tables from per-level phases (``_split_tables``): a diagonal factor
-exp(x (-Gamma/2 + i Delta_mid) n_r) exp(-i x v) over a span x takes one
-exponential per node, column group and distinct n_r, gathered to the rows,
-times a fixed table per engine of exp(-i x v) over the five span lengths
-of a step, and a drive phase exp(-i theta s) one per distinct eigenvalue
-of each chain's drive (``_SegmentEngine.drive_levels``: 21 for the 128
-rows of the vdW N = 7 gate, whose sector drives have half-integer
-eigenvalues).  One setup,
-``_protocol_start``, builds the two pulse engines, the initial state and
-the step count for both callers: ``run_protocol`` (one chain at the
-config's step, with its sampled trajectory) and ``final_amplitudes``, the
-one place that runs the two pulses for final amplitudes only, with the
-split for static chains and RK4 for moving atoms.  That
-serves ``ground_amplitudes``, which propagates the chains of a gate
-(nu = N-2, N-1, N) as one direct sum at tau / ``STEPS_PER_PULSE``,
-``tau_batch_amplitudes``, which adds one column group per pulse duration
-(the pulse is a function of t / tau, so each duration runs on the step
-grid of the first with its H scaled by tau / tau_ref), and the thermal
-chunks of ``thermal``, whose chains take a per-trial interaction, one
-column per trial.  These need only <0...0| M_II M_I |0...0> for the
-propagators of the pulses.  Every factor of a split step of -iH is
-complex symmetric (a real symmetric drive, the rest diagonal), so the
-transpose of a step is its factors in reverse order, and the amplitude is
-(M_II^T |0...0>)^T (M_I |0...0>): the split runs pulse II from its end
-back to its start in the loop of pulse I, at rate 1 / lambda on pulse I's
-step.  RK4 runs pulse II after pulse I (``_rk4_pulses``).  A static
+(``_sample_grid``) and their look for non-finite amplitudes
+(``_check_finite``).  The split builds its tables from per-level phases
+(``_split_tables``): a diagonal factor exp(x (-Gamma/2 + i Delta_mid) n_r)
+exp(-i x v) over a span x takes one exponential per node, column group and
+distinct n_r, times a fixed table per engine of exp(-i x v) over the five
+span lengths of a step, and a drive phase exp(-i theta s) one per distinct
+eigenvalue of each chain's drive (``_SegmentEngine.drive_levels``: 21 for
+the 128 rows of the vdW N = 7 gate).  ``_pulse_one`` builds pulse I's
+engines and the initial state, and ``_protocol_start`` adds pulse II's
+engine for the RK4 runs.  ``ground_amplitudes`` propagates the chains of
+a gate (nu = N-2, N-1, N) as one direct sum, ``tau_batch_amplitudes`` adds
+one column group per pulse duration (the pulse is a function of t / tau,
+so each duration runs on the step grid of the first with its H scaled by
+tau / tau_ref), and a thermal chunk takes one column per trial.  A static
 chain is mirror-symmetric and starts in |0...0>, so static chains run on
 the inversion-even sectors (``ChainHamiltonian.sector``; 20 of 32 states
-at vdW nu = 5, 72 of 128 at nu = 7): each chain's operators are projected
-once per pulse, a Hamiltonian that breaks the mirror raises there, and
-``run_protocol`` maps its samples back to the full basis.  Moving atoms
-break the mirror, so a thermal chunk keeps the full basis and both
-engines take its chains as they are, each pulse's interaction being its
-per-trial function.
+at vdW nu = 5, 72 of 128 at nu = 7), and ``run_protocol`` maps its
+samples back to the full basis; a thermal chunk keeps the full basis.
 
 The dynamical phase integrates the energy of the branch that holds the
 state (``_branch_energies``): a residual bound proves which eigenvalue of
 the Hermitian part of H on the sector holds more than half of each state;
 only the samples it cannot settle (near-degenerate partners, such as the
-even-nu vdW AFM doublet) take eigenvectors.  The eigenvalues of both
-pulses come from one table (``_mirrored_eigenvalues``): pulse II retraces
-pulse I, H_II(t') = -lambda G H_I(tau - lambda t') G with
-G = diag((-1)^n_r), so its ascending eigenvalues are -lambda times pulse
-I's at the mirrored time, in reverse order.  The table is one stacked
-real ``eigvalsh`` per chunk of pulse I's H (``_eigenvalue_table``) at the
-sample steps A of a pulse and their mirrors n - A: one pulse of
-eigensolves when the stride divides the step count n.
+even-nu vdW AFM doublet) take eigenvectors.  By the mirror identity,
+pulse II's ascending eigenvalues are -lambda times pulse I's at the
+mirrored time, in reverse order, so both pulses read theirs off one table
+(``_mirrored_eigenvalues``): one stacked real ``eigvalsh`` per chunk of
+pulse I's H (``_eigenvalue_table``) at the sample steps A of a pulse and
+their mirrors n - A, one pulse of eigensolves when the stride divides the
+step count n.
 """
 
 from __future__ import annotations
@@ -157,9 +151,10 @@ RK4_STABLE_DT_RHO = 2.8
 # are tabulated together: long enough to amortise the per-call cost, short
 # enough to keep a thermal block of (2 * steps, dim, batch) complex entries
 # small, and the split's two tables of (steps, 6, rows, groups) entries,
-# built from per-level phases: the traced peak of ground_amplitudes([6, 7,
-# 8]) is 4.3 MB and that of a 12-duration tau batch at nu = 7 8.7 MB (6.7 and
-# 15.9 MB with one exponential per row, node and column group)
+# built from per-level phases.  Decay on, lambda = 1, one CPU: at 8, 16
+# and 32 steps ground_amplitudes([6, 7, 8]) peaks at 2.3, 2.7 and 3.6 MB
+# traced and a 12-duration tau batch at nu = 7 at 3.0, 4.6 and 7.5 MB;
+# both run fastest at 16 (2-5 % slower at 8, 5-16 % at 32)
 DIAG_BLOCK_STEPS = 16
 # Consecutive drive eigenvalues this many ulps of the largest |eigenvalue|
 # apart or closer are one level of the split's drive phases
@@ -174,8 +169,9 @@ SAME_LEVEL_ULPS = 16
 # and 22.0 us as one product of 128 rows; at N = 8 (36 + 72 + 136) it takes
 # 35.6 us apart, 36.2 us as 108 + 136; six nu = 5 blocks of 20 rows take
 # 37.9 us apart, 30.1 us in products of 60 and 31.0 us in one of 120.  The
-# split's gate: N = 5 takes 26.6 ms in one product, 32.6 ms apart and
-# 42.1 ms at a limit of 128 rows; N = 7 and 8 move by less than 10 %
+# split's gate (pulse I, decay on): N = 3 10.2 ms, 15.5 ms apart; N = 5
+# 12.9 ms in one product, 17.3 ms apart; N = 7 25.0 ms as 56 + 72,
+# 27.8 ms apart, 27.5 ms as one; N = 8 46.2 ms apart, 50.8 ms as 108 + 136
 MERGED_DRIVE_ROWS = 64
 # Branch energies: matrix entries of one stacked even-sector eigenproblem
 # (samples per chunk times d_even^2), 256 KB of float64 at 2^15.  With no
@@ -264,10 +260,7 @@ class _SegmentEngine:
     ``scales`` is one column group of the split's state, whose H is also
     times that entry (a protocol of duration tau run on the time grid of
     duration tau_ref has H scaled by tau / tau_ref); ``self.scales`` holds
-    them times the rate, and RK4 runs one group.  ``reverse`` (split only)
-    takes the pulse from its end back to its start: each split factor is
-    complex symmetric, so the reversed run from |x> gives M^T |x> for the
-    forward run's matrix M.
+    them times the rate, and RK4 runs one group.
     """
 
     def __init__(
@@ -279,12 +272,10 @@ class _SegmentEngine:
         t_abs_start: float = 0.0,
         scales: Sequence[float] = (1.0,),
         rate: float = 1.0,
-        reverse: bool = False,
     ):
         self.hamiltonians = tuple(hamiltonians)
         self.scales = tuple(rate * s for s in scales)
         self.rate = rate
-        self.reverse = reverse
         self.pulse = pulse
         self.gamma = gamma
         self.v_int_fn = v_int_fn
@@ -392,11 +383,8 @@ class _SegmentEngine:
     def nodes(self, dt: float, n_steps: int) -> Tuple[np.ndarray, np.ndarray]:
         """Stepper times of the split nodes of every step (``STEP_NODES``
         times dt), (n_steps, nodes), and Omega at its drive nodes (all but
-        the first and the last); a reversed engine lists the same nodes from
-        the last one back."""
+        the first and the last)."""
         u = np.arange(n_steps)[:, None] * dt + STEP_NODES * dt
-        if self.reverse:
-            u = u[::-1, ::-1].copy()
         return u, self.pulse.omega(self._local(u[:, 1:-1]))
 
     def diagonals(self, t_local: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -426,10 +414,7 @@ class _SegmentEngine:
         (n_steps, 6, groups); and ``v_phases`` exp(-i x v) of each span,
         (7, dim, groups).  A step's spans are (2 a1, a2, a3, a4, a3, a2)
         and its tail a1 times dt, whatever the step; only the first step of
-        the segment starts with a1 (``v_phases[6]``).  A reversed engine
-        runs a span backwards in time, so its factor is the forward one
-        between the same two nodes: the palindrome a gives it the same
-        spans.
+        the segment starts with a1 (``v_phases[6]``).
         """
         u, omega = self.nodes(dt, n_steps)
         lo = np.column_stack([np.r_[u[0, 0], u[:-1, -2]], u[:, 1:-1]])
@@ -477,16 +462,12 @@ def _mirrored_eigenvalues(
     samples of each pulse of ``run_protocol`` (the pulse start first, then
     ``_sample_grid``), from one table on pulse I's Hamiltonian.
 
-    Pulse II at local time t' has H_II(t') = -lambda G H_I(tau - lambda t') G
-    with G = diag((-1)^n_r): Omega is even and Delta odd about tau / 2,
-    the flipped interaction is -lambda v, and G flips only the sign of the
-    drive.  G commutes with the inversion, so this holds on the even
-    sector too, and pulse II's ascending eigenvalues are -lambda times
-    pulse I's at the mirrored time, in reverse order.  Both pulses store
-    the samples after the steps A = 0, the strided steps and n, and pulse
-    II's step a mirrors pulse I's step n - a, so the table holds pulse I
-    at the steps A | (n - A) (A itself when the stride divides n), at the
-    times ``_sample_grid`` gives them.
+    By the mirror identity (see the module docstring), pulse II's
+    ascending eigenvalues are -lambda times pulse I's at the mirrored time,
+    in reverse order.  Both pulses store the samples after the steps A = 0,
+    the strided steps and n, and pulse II's step a mirrors pulse I's step
+    n - a, so the table holds pulse I at the steps A | (n - A) (A itself
+    when the stride divides n), at the times ``_sample_grid`` gives them.
     """
     sample_steps, _ = _sample_grid(seg1, dt, n_steps, stride)
     a = np.r_[0, sample_steps + 1]
@@ -928,43 +909,52 @@ def _chain_hamiltonians(nus: Sequence[int], cfg: ProtocolConfig) -> list:
     return [ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction) for nu in nus]
 
 
+def _decay_rates(cfg: ProtocolConfig) -> Tuple[float, float]:
+    """The decay rates (gamma_r, gamma_rp) of the two pulses, zero without
+    ``cfg.include_decay``."""
+    return (cfg.decay.gamma_r, cfg.decay.gamma_rp) if cfg.include_decay else (0.0, 0.0)
+
+
+def _pulse_one(
+    hamiltonians: Sequence[ChainHamiltonian], cfg: ProtocolConfig, gammas: Sequence[float],
+    scales: Sequence[float] = (1.0,), v_int_fn: Optional[VIntFn] = None, columns: Optional[int] = None,
+) -> Tuple[Tuple[_SegmentEngine, ...], np.ndarray]:
+    """Pulse I's engines over the direct sum of ``hamiltonians``, one per
+    decay rate in ``gammas``, each with one column group per entry of
+    ``scales`` (each with its H times that scale), and the initial state
+    with each block in its collective ground state, as one state (rows,)
+    or as ``columns`` equal columns.  Static chains run on their even
+    sectors, moving atoms (``v_int_fn``) on their full basis."""
+    if any(h.model is Model.PXP_PLUS_CORRECTIONS for h in hamiltonians):
+        raise ConfigError("time propagation supports the PXP and full vdW models only")
+    if v_int_fn is None:
+        hamiltonians = [h.sector() for h in hamiltonians]
+    engines = tuple(_SegmentEngine(hamiltonians, cfg.pulse, g, v_int_fn, 0.0, scales) for g in gammas)
+    # |0...0> (basis state 0, its own mirror image) is the first row of an
+    # even sector and of a full basis alike
+    rows = engines[0].chains[-1].stop
+    psi = np.zeros(rows if columns is None else (rows, columns), dtype=complex)
+    psi[[chain.start for chain in engines[0].chains]] = 1.0
+    return engines, psi
+
+
 def _protocol_start(
     hamiltonians: Sequence[ChainHamiltonian], cfg: ProtocolConfig, scales: Sequence[float] = (1.0,),
     v_int_fn_steps: Optional[Tuple[VIntFn, VIntFn]] = None, columns: Optional[int] = None,
-    reverse: bool = False,
 ) -> Tuple[_SegmentEngine, _SegmentEngine, np.ndarray, int]:
-    """The one setup of the two-pulse protocol over the direct sum of
-    ``hamiltonians``: the engines of both pulses, with one column group per
-    entry of ``scales`` (each with its H times that scale: a batch of pulse
-    durations, see ``tau_batch_amplitudes``), the initial state with each
-    block in its collective ground state, as one state (rows,) or as
-    ``columns`` equal columns, and the step count of a pulse at
-    ``cfg.dt``.
-
-    Pulse II runs the lambda-rescaled pulse under the flipped interaction on
-    the same operator structures, at ``rate`` 1 / lambda so that it shares
-    the step of pulse I, and from its end back to its start with
-    ``reverse``, which only the split of ``final_amplitudes`` asks for (RK4
-    runs pulse II after pulse I, ``_rk4_pulses``).  Static chains run on
-    their even sectors; with the per-trial interactions ``v_int_fn_steps``
-    of moving atoms the chains keep their full basis and both engines take
-    them as they are (each pulse's interaction is its function)."""
-    if any(h.model is Model.PXP_PLUS_CORRECTIONS for h in hamiltonians):
-        raise ConfigError("time propagation supports the PXP and full vdW models only")
+    """The setup of the two pulses run in sequence (RK4, ``_rk4_pulses``):
+    pulse I's engine and state (``_pulse_one``), pulse II's engine and the
+    step count of a pulse at ``cfg.dt``.  Pulse II runs the lambda-rescaled
+    pulse under the flipped interaction (or its function of
+    ``v_int_fn_steps``) on the same operator structures, at ``rate``
+    1 / lambda so that it shares the step of pulse I."""
     lam = cfg.interaction.lambda_ratio
-    gamma_1, gamma_2 = (cfg.decay.gamma_r, cfg.decay.gamma_rp) if cfg.include_decay else (0.0, 0.0)
+    gamma_1, gamma_2 = _decay_rates(cfg)
     fn1, fn2 = v_int_fn_steps or (None, None)
-    flipped = hamiltonians
+    (seg1,), psi = _pulse_one(hamiltonians, cfg, (gamma_1,), scales, fn1, columns)
     if v_int_fn_steps is None:
-        flipped = [h.with_interaction(cfg.interaction.flipped()).sector() for h in hamiltonians]
-        hamiltonians = [h.sector() for h in hamiltonians]
-    seg1 = _SegmentEngine(hamiltonians, cfg.pulse, gamma_1, fn1, 0.0, scales)
-    seg2 = _SegmentEngine(flipped, cfg.pulse.rescaled(lam), gamma_2, fn2, cfg.pulse.tau, scales, 1 / lam, reverse)
-    # |0...0> (basis state 0, its own mirror image) is the first row of an
-    # even sector and of a full basis alike
-    rows = seg1.chains[-1].stop
-    psi = np.zeros(rows if columns is None else (rows, columns), dtype=complex)
-    psi[[chain.start for chain in seg1.chains]] = 1.0
+        hamiltonians = [h.with_interaction(cfg.interaction.flipped()).sector() for h in hamiltonians]
+    seg2 = _SegmentEngine(hamiltonians, cfg.pulse.rescaled(lam), gamma_2, fn2, cfg.pulse.tau, scales, 1 / lam)
     return seg1, seg2, psi, _step_count(0.0, cfg.pulse.tau, cfg.dt)
 
 
@@ -973,31 +963,35 @@ def final_amplitudes(
     v_int_fn_steps: Optional[Tuple[VIntFn, VIntFn]] = None, columns: Optional[int] = None,
 ) -> np.ndarray:
     """<0...0| M_II M_I |0...0> of each block of the direct sum of
-    ``_protocol_start``, scale by scale and within a scale in chain order,
-    for the propagators M_I and M_II of the two pulses on the block's
-    space: one entry per block, or a (blocks, columns) array with
-    ``columns`` and the per-trial interactions ``v_int_fn_steps`` of moving
-    atoms.  The one driver of final amplitudes: gates, pulse-duration
-    batches and thermal chunks.
+    ``hamiltonians``, scale by scale and within a scale in chain order, for
+    the propagators M_I and M_II of the two pulses on the block's space:
+    one entry per block, or a (blocks, columns) array with ``columns`` and
+    the per-trial interactions ``v_int_fn_steps`` of moving atoms.  The one
+    driver of final amplitudes: gates, pulse-duration batches and thermal
+    chunks.
 
-    Static chains take ``STEPS_PER_PULSE`` split steps per pulse
-    (``cfg.dt`` is not used), with both pulses as the column groups of one
-    state: the amplitude is (M_II^T |0...0>)^T (M_I |0...0>), with no
-    complex conjugate, so pulse I runs forward and pulse II transposed
-    (``_SegmentEngine`` with ``reverse``) in one loop.  Moving atoms take
-    RK4 at ``cfg.dt`` (one scale), pulse II after pulse I
-    (``_rk4_pulses``).
+    Static chains take ``STEPS_PER_PULSE`` split steps of pulse I only
+    (``cfg.dt`` is not used): by the mirror identity (see the module
+    docstring) the amplitude is <c'| G |c>, contracted per chain block,
+    with c = M_I[gamma_r] |0...0> and c' = M_I[gamma_rp / lambda] |0...0>
+    a second column group only when the two rates differ.  Moving atoms
+    break the mirror: they take RK4 at ``cfg.dt`` (one scale), pulse II
+    after pulse I (``_rk4_pulses``).
     """
     if v_int_fn_steps is not None:
         seg1, seg2, psi, n1 = _protocol_start(hamiltonians, cfg, scales, v_int_fn_steps, columns)
         *_, s2 = _rk4_pulses(seg1, seg2, psi, cfg.dt, n1, n1)
         return s2[-1][[chain.start for chain in seg1.chains]]
-    seg1, seg2, psi, _ = _protocol_start(hamiltonians, cfg, scales, reverse=True)
+    gamma_1, gamma_2 = _decay_rates(cfg)
+    rates = dict.fromkeys((gamma_1, gamma_2 / cfg.interaction.lambda_ratio))  # one if they are equal
+    engines, psi = _pulse_one(hamiltonians, cfg, rates, scales)
     groups = len(scales)
-    state = np.repeat(psi[:, None, None], 2 * groups, axis=1)
+    state = np.repeat(psi[:, None, None], len(engines) * groups, axis=1)
     dt = cfg.pulse.tau / STEPS_PER_PULSE
-    _, (final,) = _run_split((seg1, seg2), state, dt, STEPS_PER_PULSE, STEPS_PER_PULSE)
-    amps = np.add.reduceat(final[:, :groups, 0] * final[:, groups:, 0], [chain.start for chain in seg1.chains])
+    _, (final,) = _run_split(engines, state, dt, STEPS_PER_PULSE, STEPS_PER_PULSE)
+    c, c_mirror = final[:, :groups, 0], final[:, -groups:, 0]
+    parity = 1.0 - 2.0 * (engines[0]._n_r % 2)
+    amps = np.add.reduceat(c_mirror.conj() * (parity[:, None] * c), [chain.start for chain in engines[0].chains])
     # (chains, scales) -> one entry per (scale, chain) block
     return amps.T.ravel()
 
@@ -1061,10 +1055,10 @@ def ground_amplitudes(nus: Sequence[int], cfg: ProtocolConfig) -> Dict[int, comp
     each distinct chain size in ``nus``.
 
     The chains share the pulse, the step and the step count, so they are
-    propagated together as one direct-sum state, with pulse II transposed
-    in the loop of pulse I (``final_amplitudes``).  Each block matches the
-    same split steps run on its chain alone, pulse II after pulse I, to
-    round-off.
+    propagated together as one direct-sum state through pulse I alone
+    (``final_amplitudes``); with equal decay rates each amplitude is real
+    and the same at every lambda.  Each block matches the split steps of
+    both pulses run on its chain alone, one after the other, to round-off.
     """
     return dict(zip(nus, final_amplitudes(_chain_hamiltonians(nus, cfg), cfg).tolist()))
 
@@ -1078,7 +1072,8 @@ def tau_batch_amplitudes(nus: Sequence[int], cfg: ProtocolConfig, taus: Sequence
     The pulse is a function of t / tau, so a protocol of duration tau is
     the protocol of tau_ref = taus[0] with H scaled by tau / tau_ref, on
     the step grid of tau_ref.  Each duration is one column group of a
-    single state over the chains' direct sum, propagated in one loop: the
+    single state over the chains' direct sum (two with unequal decay rates,
+    see ``final_amplitudes``), propagated through pulse I in one loop: the
     same steps as one ``ground_amplitudes`` call per duration, up to
     round-off.
     """

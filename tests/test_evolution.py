@@ -22,6 +22,7 @@ from afmgate.evolution import (
     _phases_from_samples,
     _branch_energies,
     _protocol_start,
+    _pulse_one,
     _rk4_stable_dt,
     _run_segment,
     _run_split,
@@ -76,7 +77,10 @@ def split_samples(nu, cfg):
 def sequential_amplitude(nu, cfg):
     """<0...0| M_II M_I |0...0> of one chain with both pulses run one after
     the other, as ``run_protocol`` runs them, at the split step of the final
-    amplitudes (coarser than a config's ``dt`` may be)."""
+    amplitudes (coarser than a config's ``dt`` may be).  ``final_amplitudes``
+    runs pulse I alone (the mirror identity), so the two agree to round-off,
+    which grows with the step count: 3.0e-13 for the PXP N = 3 gate at 500
+    steps per pulse, 1.5e-13, 5.9e-13 and 1.2e-12 at 250, 1000 and 2000."""
     _, final = protocol_final_state(_chain_hamiltonians([nu], cfg), cfg)
     return final[0, 0]
 
@@ -984,15 +988,15 @@ class TestGroundAmplitudes:
         amps = ground_amplitudes(nus, cfg)
         assert list(amps) == nus
         for nu in nus:
-            assert abs(amps[nu] - sequential_amplitude(nu, cfg)) < 1e-13
+            assert abs(amps[nu] - sequential_amplitude(nu, cfg)) < 1e-12
 
     @pytest.mark.parametrize("include_decay", [False, True])
     @pytest.mark.parametrize("model,nu", [(Model.PXP, 5), (Model.FULL_VDW, 4)])
     def test_single_chain_matches_its_split_run(self, model, nu, include_decay):
-        # pulse II runs transposed in the loop of pulse I, with or without
-        # decay, which reorders the round-off
+        # pulse I alone by the mirror identity against pulse II's own split
+        # steps after pulse I: two computations, equal to round-off
         cfg = reference_config(model=model, include_decay=include_decay, gamma=mhz(0.05))
-        assert abs(ground_amplitudes([nu], cfg)[nu] - sequential_amplitude(nu, cfg)) < 1e-13
+        assert abs(ground_amplitudes([nu], cfg)[nu] - sequential_amplitude(nu, cfg)) < 1e-12
 
     @pytest.mark.parametrize("n_atoms", [3, 5, 7])
     def test_final_amplitudes_agree_with_rk4_run_protocol(self, n_atoms):
@@ -1080,86 +1084,113 @@ def decay_config(gamma_r, gamma_rp, **kwargs):
     return replace(cfg, decay=DecayConfig(gamma_r=gamma_r, gamma_rp=gamma_rp))
 
 
-class TestTransposedPulse:
-    """Pulse II run transposed, from its end, in the loop of pulse I (the
-    split of the final amplitudes): the transpose of a split step of -iH
-    (complex symmetric) is its factors in reverse order."""
+def random_engine(rate, gamma):
+    """A one-chain engine on a random real symmetric drive of 6 rows, with
+    non-integer excitation numbers, a static interaction and the decay."""
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(6, 6))
+    ham = SimpleNamespace(drive=a + a.T, n_r=rng.uniform(0.0, 2.0, 6), v=rng.normal(size=6))
+    return _SegmentEngine([ham], PulseProfile(mhz(8.0), mhz(20.0), 0.4), gamma=gamma, rate=rate)
 
-    DIM = 6
 
-    def static_engine(self, reverse, rate):
-        """A one-chain engine on a random real symmetric drive, with the
-        decay and a static interaction."""
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(self.DIM, self.DIM))
-        ham = SimpleNamespace(drive=a + a.T, n_r=rng.uniform(0.0, 2.0, self.DIM), v=rng.normal(size=self.DIM))
-        pulse = PulseProfile(mhz(8.0), mhz(20.0), 0.4)
-        return _SegmentEngine([ham], pulse, gamma=mhz(1.0), rate=rate, reverse=reverse)
+def split_propagator(engine, dt, n_steps):
+    """The matrix of ``n_steps`` split steps of ``engine``: its run on the
+    columns of the identity."""
+    _, (m,) = _run_split(engine, np.eye(engine.chains[-1].stop, dtype=complex), dt, n_steps, n_steps)
+    return m
 
-    @pytest.mark.parametrize("rate", [1.0, 0.6])
-    def test_reversed_split_run_matrix_is_exactly_the_transpose(self, rate):
-        fwd, rev = self.static_engine(False, rate), self.static_engine(True, rate)
+
+class TestMirrorIdentity:
+    """Pulse II retraces pulse I: M_II = G M_I[gamma_rp / lambda]^dagger G
+    with G = diag((-1)^n_r), so ``final_amplitudes`` takes a gate's
+    amplitudes <c'| G |c> from pulse I's split alone, c at gamma_r and c' at
+    gamma_rp / lambda (a second column group only when that rate differs)."""
+
+    @pytest.mark.parametrize("include_decay", [False, True])
+    @pytest.mark.parametrize("lam", [0.7, 1.0, 1.3])
+    @pytest.mark.parametrize("nu", [3, 4, 5, 6])
+    @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
+    def test_pulse_two_split_is_the_mirrored_adjoint_of_pulse_one(self, model, nu, lam, include_decay):
+        cfg = reference_config(model=model, include_decay=include_decay, gamma=mhz(0.05), lambda_ratio=lam)
+        hams = _chain_hamiltonians([nu], cfg)
+        _, seg2, _, _ = _protocol_start(hams, cfg)
+        (mirror,), _ = _pulse_one(hams, cfg, [seg2.gamma / lam])
+        dt = cfg.pulse.tau / STEPS_PER_PULSE
+        m2 = split_propagator(seg2, dt, STEPS_PER_PULSE)
+        m1 = split_propagator(mirror, dt, STEPS_PER_PULSE)
+        g = 1.0 - 2.0 * (mirror.hamiltonians[0].n_r % 2)
+        assert np.abs(m2 - g[:, None] * m1.conj().T * g).max() < 1e-12
+        # the identity tells the adjoint from the transpose, and M_II is far
+        # from the identity matrix
+        assert np.abs(m2 - g[:, None] * m1.T * g).max() > 1e-3
+        assert np.abs(m2 - np.eye(len(g))).max() > 0.1
+
+    @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
+    def test_decay_free_amplitudes_are_real_and_independent_of_lambda(self, model):
+        nus = [3, 4, 5, 6, 7]
+        amps = [ground_amplitudes(nus, reference_config(model=model, lambda_ratio=lam)) for lam in (0.7, 1.0, 1.3)]
+        for a in amps:
+            assert max(abs(a[nu].imag) for nu in nus) < 1e-12
+            assert min(abs(a[nu]) for nu in nus) > 0.5
+            assert max(abs(a[nu] - amps[1][nu]) for nu in nus) < 1e-12
+
+    @pytest.mark.parametrize(
+        "include_decay,lam,rates", [(False, 1.7, [0.0]), (True, 1.0, [1.0]), (True, 1.7, [1.0, 1.0 / 1.7])]
+    )
+    def test_second_column_group_only_for_unequal_rates(self, include_decay, lam, rates, monkeypatch):
+        gamma = mhz(0.05)
+        cfg = reference_config(model=Model.PXP, include_decay=include_decay, gamma=gamma, lambda_ratio=lam)
+        runs = record_runs(monkeypatch)
+        ground_amplitudes([3, 4], cfg)
+        (engines, final), = runs
+        assert [e.gamma for e in engines] == [gamma * r for r in rates]
+        assert all(e.pulse == cfg.pulse and e.rate == 1.0 for e in engines)
+        assert final.shape == (engines[0].chains[-1].stop, len(rates), 1)
+
+    def test_two_engine_run_matches_each_engine_alone(self):
+        # the two decay rates of unequal-rate gates, gamma and gamma / 1.7:
+        # one run holding both column groups gives each engine's run alone,
+        # bit for bit
+        gamma = mhz(1.0)
+        engines = random_engine(0.6, gamma), random_engine(0.6, gamma / 1.7)
         n = 100
-        dt = fwd.pulse.tau / (rate * n)
-        eye = np.eye(self.DIM, dtype=complex)
-        # one state with the forward and the reversed run as its two column
-        # groups (as a gate's pulses), each column of the batch a basis vector
-        _, (final,) = _run_split((fwd, rev), np.stack([eye, eye], axis=1), dt, n, n)
-        m, m_rev = final[:, 0], final[:, 1]
-        assert np.abs(m - np.eye(self.DIM)).max() > 0.1  # not the identity
-        assert np.abs(m_rev - m.T).max() < 1e-13
-        assert np.abs(m_rev - m).max() > 1e-3  # the test has a non-symmetric M to tell apart
-        _, (alone,) = _run_split(fwd, eye, dt, n, n)
-        assert np.array_equal(m, alone)
-
-    def test_reversed_split_nodes_list_the_forward_nodes_backwards(self):
-        fwd, rev = self.static_engine(False, 0.6), self.static_engine(True, 0.6)
-        (u, om), (u_rev, om_rev) = fwd.nodes(0.001, 50), rev.nodes(0.001, 50)
-        assert np.array_equal(u[::-1, ::-1], u_rev) and np.array_equal(om[::-1, ::-1], om_rev)
-        # a step's drive nodes follow the diagonal coefficients a: each sits
-        # where the diagonal factors before it end
-        a = np.diff(u[:, :-1], axis=1) / 0.001
-        assert np.allclose(a, np.r_[evolution.SPLIT_A, 1.0 - 2.0 * sum(evolution.SPLIT_A), evolution.SPLIT_A[:0:-1]])
-        assert u[0, 0] == 0.0 and u[-1, -1] == pytest.approx(50 * 0.001)
+        dt = engines[0].pulse.tau / (0.6 * n)
+        eye = np.eye(6, dtype=complex)
+        _, (both,) = _run_split(engines, np.stack([eye, eye], axis=1), dt, n, n)
+        for k, engine in enumerate(engines):
+            assert np.array_equal(both[:, k], split_propagator(engine, dt, n))
+        assert np.abs(both[:, 0] - both[:, 1]).max() > 1e-3  # the rates tell the groups apart
 
     @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
     @pytest.mark.parametrize("n_atoms", [3, 4, 5, 6, 7, 8])
-    def test_decay_on_gate_matches_per_chain_runs(self, n_atoms, model, monkeypatch):
+    def test_decay_on_gate_matches_per_chain_runs(self, n_atoms, model):
         # lambda = 1 is TestGroundAmplitudes::test_direct_sum_matches_per_chain_runs
-        lam = 1.7
-        cfg = reference_config(n_atoms=n_atoms, model=model, include_decay=True, gamma=mhz(0.05), lambda_ratio=lam)
+        cfg = reference_config(n_atoms=n_atoms, model=model, include_decay=True, gamma=mhz(0.05), lambda_ratio=1.7)
         nus = [n_atoms - 2, n_atoms - 1, n_atoms]
-        runs = record_runs(monkeypatch)
         amps = ground_amplitudes(nus, cfg)
-        (engines, _), = runs
-        assert [e.reverse for e in engines] == [False, True]
-        assert engines[1].rate == 1.0 / lam
         for nu in nus:
-            assert abs(amps[nu] - sequential_amplitude(nu, cfg)) < 1e-13
+            assert abs(amps[nu] - sequential_amplitude(nu, cfg)) < 1e-12
 
+    # the loss bound of each side: at PXP nu = 5 pulse II loses 0.14 and
+    # pulse I, 1.7 times longer, 0.22
+    @pytest.mark.parametrize("gamma_r,gamma_rp,max_loss", [(0.0, mhz(0.05), 0.2), (mhz(0.05), 0.0, 0.25)])
     @pytest.mark.parametrize("model,nu", [(Model.PXP, 5), (Model.FULL_VDW, 4)])
-    def test_decay_free_pulse_one_is_normalised_in_the_joint_run(self, model, nu, monkeypatch):
-        cfg = decay_config(0.0, mhz(0.05), model=model, lambda_ratio=1.7)
+    def test_one_sided_decay_matches_sequential_pulses(self, model, nu, gamma_r, gamma_rp, max_loss, monkeypatch):
+        lam = 1.7
+        cfg = decay_config(gamma_r, gamma_rp, model=model, lambda_ratio=lam)
         runs = record_runs(monkeypatch)
         amps = ground_amplitudes([nu, nu + 1], cfg)
         (engines, final), = runs
-        assert len(engines) == 2
-        # a decay-free split step is unitary: pulse I's column keeps each
-        # block's norm with no renormalisation
+        assert [e.gamma for e in engines] == [gamma_r, gamma_rp / lam]
+        # a decay-free split step is unitary: the decay-free group keeps
+        # each block's norm with no renormalisation
+        lossless = [e.gamma for e in engines].index(0.0)
         for chain in engines[0].chains:
-            assert abs(np.linalg.norm(final[chain, 0]) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(final[chain, lossless]) - 1.0) < 1e-12
         for k in (nu, nu + 1):
-            assert abs(amps[k] - sequential_amplitude(k, cfg)) < 1e-13
-        # pulse II's decay is the only loss
-        assert 0.0 < 1.0 - abs(amps[nu]) < 0.2
-
-    @pytest.mark.parametrize("model,nu", [(Model.PXP, 5), (Model.FULL_VDW, 4)])
-    def test_decay_free_pulse_two_runs_transposed(self, model, nu, monkeypatch):
-        cfg = decay_config(mhz(0.05), 0.0, model=model)
-        runs = record_runs(monkeypatch)
-        amp = ground_amplitudes([nu], cfg)[nu]
-        assert [[e.reverse for e in engines] for engines, _ in runs] == [[False, True]]
-        assert abs(amp - sequential_amplitude(nu, cfg)) < 1e-13
+            assert abs(amps[k] - sequential_amplitude(k, cfg)) < 1e-12
+        # one pulse's decay is the only loss
+        assert 0.0 < 1.0 - abs(amps[nu]) < max_loss
 
     @pytest.mark.parametrize("lam", [1.0, 1.7])
     @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
@@ -1174,7 +1205,7 @@ class TestTransposedPulse:
             assert np.abs(row - ref).max() < 1e-12
 
     @pytest.mark.parametrize("gamma_r,gamma_rp", [(1e6, mhz(0.05)), (0.0, 1e6)])
-    def test_blow_up_in_either_half_raises(self, gamma_r, gamma_rp):
+    def test_blow_up_at_either_rate_raises(self, gamma_r, gamma_rp):
         # a decay rate far beyond what the split's backward substeps
         # (w0 < 0) hold: each grows the excited rows by exp(Gamma/2 * 0.18 h)
         cfg = decay_config(gamma_r, gamma_rp, model=Model.PXP)
@@ -1267,24 +1298,33 @@ class TestSplitTables:
     @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
     @pytest.mark.parametrize("n_atoms", [3, 4, 5, 6, 7, 8])
     def test_gate_tables_match_direct_exponentials(self, n_atoms, model, include_decay):
-        # pulse I forward and pulse II reversed at rate 1 / lambda, each with
-        # three tau-batch scales
-        cfg = reference_config(model=model, include_decay=include_decay, gamma=mhz(0.05), lambda_ratio=1.7)
+        # pulse I at the two decay rates of the mirror identity, gamma_r and
+        # gamma_rp / lambda, each with three tau-batch scales
+        lam = 1.7
+        gamma = mhz(0.05) if include_decay else 0.0
+        cfg = reference_config(model=model, lambda_ratio=lam)
         hams = _chain_hamiltonians([n_atoms - 2, n_atoms - 1, n_atoms], cfg)
-        seg1, seg2, _, _ = _protocol_start(hams, cfg, (0.5, 1.0, 2.0), reverse=True)
-        assert not seg1.reverse and seg2.reverse
+        engines, _ = _pulse_one(hams, cfg, (gamma, gamma / lam), (0.5, 1.0, 2.0))
         assert STEPS_PER_PULSE % DIAG_BLOCK_STEPS  # the last block is partial
-        self.assert_tables_match((seg1, seg2), cfg.pulse.tau / STEPS_PER_PULSE, STEPS_PER_PULSE)
+        self.assert_tables_match(engines, cfg.pulse.tau / STEPS_PER_PULSE, STEPS_PER_PULSE)
 
     def test_random_engine_tables_match_direct_exponentials(self):
         # non-integer n_r and no repeated eigenvalue: one level per row
-        transposed = TestTransposedPulse()
-        fwd, rev = transposed.static_engine(False, 0.6), transposed.static_engine(True, 0.6)
-        levels, index = fwd.drive_levels
-        assert len(levels) == transposed.DIM and np.array_equal(index, np.arange(transposed.DIM))
-        assert len(np.unique(fwd.hamiltonians[0].n_r)) == transposed.DIM
+        engines = random_engine(0.6, mhz(1.0)), random_engine(0.6, mhz(0.4))
+        levels, index = engines[0].drive_levels
+        assert len(levels) == 6 and np.array_equal(index, np.arange(6))
+        assert len(np.unique(engines[0].hamiltonians[0].n_r)) == 6
         n = 100
-        self.assert_tables_match((fwd, rev), fwd.pulse.tau / (0.6 * n), n)
+        self.assert_tables_match(engines, engines[0].pulse.tau / (0.6 * n), n)
+
+    def test_split_nodes_follow_the_diagonal_coefficients(self):
+        u, omega = random_engine(0.6, 0.0).nodes(0.001, 50)
+        # a step's drive nodes follow the diagonal coefficients a: each sits
+        # where the diagonal factors before it end
+        a = np.diff(u[:, :-1], axis=1) / 0.001
+        assert np.allclose(a, np.r_[evolution.SPLIT_A, 1.0 - 2.0 * sum(evolution.SPLIT_A), evolution.SPLIT_A[:0:-1]])
+        assert u[0, 0] == 0.0 and u[-1, -1] == pytest.approx(50 * 0.001)
+        assert omega.shape == (50, 6)
 
     @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
     @pytest.mark.parametrize("n_atoms", [3, 5, 7, 8])
@@ -1321,10 +1361,11 @@ class TestSplitTables:
     @pytest.mark.parametrize(
         "run,limit",
         [
-            # 4.3 MB at DIAG_BLOCK_STEPS = 16 (6.7 MB with one exponential
-            # per row, node and column group)
+            # 2.7 MB at DIAG_BLOCK_STEPS = 16 with pulse I alone (4.3 MB
+            # with pulse II as a second column group, 6.7 MB with one
+            # exponential per row, node and column group)
             (lambda cfg: ground_amplitudes([6, 7, 8], cfg), 6.7),
-            # 8.7 MB (15.9 MB): two block tables of 24 column groups
+            # 4.6 MB (9.2 MB, 15.9 MB): two block tables of 12 column groups
             (lambda cfg: tau_batch_amplitudes([7], cfg, np.linspace(0.5, 3.0, 12)), 15.9),
         ],
         ids=["gate", "tau_batch"],

@@ -135,9 +135,10 @@ class TestAssembleGate:
         monkeypatch.setattr(evolution, "_run_split", counting)
         report = assemble_gate(5, reference_config(n_atoms=5, model=Model.PXP))
         # nu = 3, 4 and 5 on their even sectors as the rows of one state,
-        # both pulses as its two column groups, in one loop
+        # pulse I alone as its one column group (decay-free: pulse II is
+        # its mirror image)
         dim = sum(sector_isometry(model_basis(Model.PXP, nu)).shape[1] for nu in (3, 4, 5))
-        assert calls == [(dim, 2, 1)]
+        assert calls == [(dim, 1, 1)]
         assert report.per_input["01"] == report.per_input["10"]
 
 

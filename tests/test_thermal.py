@@ -387,6 +387,18 @@ class TestEnsemble:
         assert np.array_equal(one.fidelity_samples, two.fidelity_samples)
         assert one.baseline_fidelity == two.baseline_fidelity
 
+    @pytest.mark.parametrize("sigma", [0.05, 0.2, 0.5])
+    def test_frozen_disorder_leaves_no_phase_error(self, sigma):
+        # T = 0: disordered but frozen positions.  Pulse II retraces pulse I
+        # on each trial's static chain, so the dynamical phase cancels
+        # exactly and the |11> branch keeps the ordered chain's phase, while
+        # the disorder does change the fidelity
+        cfg = reference_config(n_atoms=5, model=Model.FULL_VDW)
+        rep = run_thermal_ensemble(5, cfg, ThermalConfig(temperature=0.0, position_sigma=sigma, trials=8, seed=4))
+        assert rep.trials == 8 and rep.rejected == 0
+        assert np.abs(rep.delta_phi_samples).max() < 1e-12
+        assert np.abs(rep.fidelity_samples - rep.baseline_fidelity).max() > 1e-5
+
     def test_report_quantities_well_formed(self):
         cfg = reference_config(n_atoms=3, model=Model.FULL_VDW, tau=0.4)
         rep = run_thermal_ensemble(3, cfg, ThermalConfig(temperature=1e-6, trials=8, seed=2))
