@@ -13,8 +13,9 @@ on the even sectors too.
 
 Gates and pulse-duration batches need only <0...0| M_II M_I |0...0> =
 <c'| G |c>, with c = M_I[gamma_r] |0...0> and c' = M_I[gamma_rp / lambda]
-|0...0>: ``final_amplitudes`` runs pulse I alone, with c' as a second
-column group only when the two rates differ.  With equal rates (decay-free,
+|0...0>: ``final_amplitudes`` runs pulse I alone on one engine whose
+column groups each carry a decay rate and a scale, with c' in groups of
+its own rate only when the two rates differ.  With equal rates (decay-free,
 or lambda = 1 with gamma_r = gamma_rp) c' = c and the amplitude is
 sum_k |c_k|^2 (-1)^n_r(k): real, and the same at every lambda.  Static
 chains take a fourth-order splitting, ``_run_split``: Blanes & Moan's
@@ -65,16 +66,19 @@ per block of ``DIAG_BLOCK_STEPS`` steps, and share their sample grid
 (``_check_finite``).  The split builds its tables from per-level phases
 (``_split_tables``): a diagonal factor exp(x (-Gamma/2 + i Delta_mid) n_r)
 exp(-i x v) over a span x takes one exponential per node, column group and
-distinct n_r, times a fixed table per engine of exp(-i x v) over the five
+distinct n_r, times a fixed table per group of exp(-i x v) over the five
 span lengths of a step, and a drive phase exp(-i theta s) one per distinct
 eigenvalue of each chain's drive (``_SegmentEngine.drive_levels``: 21 for
 the 128 rows of the vdW N = 7 gate).  ``_pulse_one`` builds pulse I's
-engines and the initial state, and ``_protocol_start`` adds pulse II's
-engine for the RK4 runs.  ``ground_amplitudes`` propagates the chains of
-a gate (nu = N-2, N-1, N) as one direct sum, ``tau_batch_amplitudes`` adds
-one column group per pulse duration (the pulse is a function of t / tau,
-so each duration runs on the step grid of the first with its H scaled by
-tau / tau_ref), and a thermal chunk takes one column per trial.  A static
+engine, one column group per decay rate and scale, and the initial state;
+``_protocol_start`` adds pulse II's engine and the step count for both RK4
+callers, ``run_protocol`` and a thermal chunk
+(``thermal._batch_branch_amplitudes``).  ``ground_amplitudes`` propagates
+the chains of a gate (nu = N-2, N-1, N) as one direct sum,
+``tau_batch_amplitudes`` adds one column group per pulse duration (the
+pulse is a function of t / tau, so each duration runs on the step grid of
+the first with its H scaled by tau / tau_ref), and a thermal chunk takes
+one column per trial.  A static
 chain is mirror-symmetric and starts in |0...0>, so static chains run on
 the inversion-even sectors (``ChainHamiltonian.sector``; 20 of 32 states
 at vdW nu = 5, 72 of 128 at nu = 7), and ``run_protocol`` maps its
@@ -180,7 +184,7 @@ MERGED_DRIVE_ROWS = 64
 # calls cost time (the phase record of its first pulse takes 0.18 s at
 # 2^12 against 0.12-0.13 s from 2^14 to 2^17)
 PHASE_CHUNK_ENTRIES = 1 << 15
-# Per-trial interaction diagonals at an array of absolute protocol times
+# Per-trial interaction diagonals at an array of times
 VIntFn = Callable[[np.ndarray], np.ndarray]
 
 
@@ -219,8 +223,7 @@ class PhaseRecord:
         return float(self.phi_dynamical[-1])
 
 
-def _step_count(t0: float, t1: float, dt: float) -> int:
-    span = t1 - t0
+def _step_count(span: float, dt: float) -> int:
     n = round(span / dt)
     if n < 1 or abs(n * dt - span) > 1e-9 * max(span, dt):
         raise ValueError(f"dt = {dt} does not evenly divide the interval {span}")
@@ -250,41 +253,36 @@ class _SegmentEngine:
     by block (``drives`` for RK4, ``eigenbases`` for the split).
     ``v_int_fn``, when given, supplies the interaction diagonal of a batch
     of trials with moving atoms in place of the static ``v`` (then None):
-    called with an array of k absolute protocol times it returns the real
+    called with an array of k local times of the pulse it returns the real
     (k, dim, batch) diagonals, one column per trial.  The engine only
     steps: the branch energies of its samples are ``_branch_energies`` of a
     chain.
     ``rate`` is the pulse time that passes per unit of the stepper's time:
     the engine tabulates its pulse at steps rate * dt and scales H by rate,
     so an engine can share the step of another one.  Each entry of
-    ``scales`` is one column group of the split's state, whose H is also
-    times that entry (a protocol of duration tau run on the time grid of
-    duration tau_ref has H scaled by tau / tau_ref); ``self.scales`` holds
-    them times the rate, and RK4 runs one group.
+    ``groups`` is one column group of the split's state, a pair (decay rate
+    Gamma, scale) whose H has that decay and is times that scale (a protocol
+    of duration tau run on the time grid of duration tau_ref has H scaled
+    by tau / tau_ref); ``self.groups`` holds the scales times the rate, and
+    RK4 runs one group.
     """
 
     def __init__(
         self,
         hamiltonians: Sequence[ChainHamiltonian],
         pulse: PulseProfile,
-        gamma: float = 0.0,
-        v_int_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        t_abs_start: float = 0.0,
-        scales: Sequence[float] = (1.0,),
+        groups: Sequence[Tuple[float, float]] = ((0.0, 1.0),),
+        v_int_fn: Optional[VIntFn] = None,
         rate: float = 1.0,
     ):
         self.hamiltonians = tuple(hamiltonians)
-        self.scales = tuple(rate * s for s in scales)
+        self.groups = tuple((gamma, rate * s) for gamma, s in groups)
         self.rate = rate
         self.pulse = pulse
-        self.gamma = gamma
         self.v_int_fn = v_int_fn
-        self.t_abs_start = t_abs_start
         self.v = np.concatenate([h.v for h in self.hamiltonians]) if v_int_fn is None else None
         n_r = np.concatenate([h.n_r for h in self.hamiltonians])
         self._n_r = n_r if v_int_fn is None else n_r[:, None]
-        # -iH = -i Omega drive - (Gamma / 2) n_r + i (Delta n_r - v)
-        self._decay_rate = -0.5 * gamma * self._n_r if gamma else 0.0
 
     @property
     def chains(self) -> Tuple[slice, ...]:
@@ -312,7 +310,7 @@ class _SegmentEngine:
         times the scale, while their rows fit in ``MERGED_DRIVE_ROWS``; a
         block alone at scale 1 keeps its own drive.
         """
-        (s,) = self.scales
+        ((_, s),) = self.groups
         chains = self.chains
         scaled = [h.drive if s == 1.0 else s * h.drive for h in self.hamiltonians]
         return tuple(
@@ -326,10 +324,17 @@ class _SegmentEngine:
         eigs = []
         for h in self.hamiltonians:
             s, w = np.linalg.eigh(h.drive)
-            # one Newton-Schulz step restores W^T W = 1 to round-off: the
-            # norm of a decay-free gate then drifts by < 1e-12 over its
-            # 6000 drive exponentials (3.7e-12 with W from eigh alone, PXP
-            # nu = 3..5)
+            # one Newton-Schulz step restores W^T W = 1 to round-off.
+            # Signed largest norm drift of pulse I's 3000 drive
+            # exponentials, decay-free, one chain, reference config:
+            #
+            #   Newton-Schulz steps   PXP nu = 3, 5, 7, 9        vdW nu = 3, 5, 7, 9
+            #   0                     +0.8, +9.5, -4.5, +6.4     -4.3, -7.9, +22.8, +1.5
+            #   1                     +1.6, -1.7, -3.1, +1.2     +1.4, -2.0, +2.9, -16.3
+            #   2                     -1.4, -1.0, +3.8, -5.2     -6.2, -2.9, -2.0, -12.2
+            #
+            # in units of 1e-13.  No count keeps every chain below 1e-12;
+            # one step keeps all but vdW nu = 9 within 3.1e-13
             eigs.append((s, w @ (1.5 * np.eye(len(s)) - 0.5 * (w.T @ w))))
         return eigs
 
@@ -388,29 +393,32 @@ class _SegmentEngine:
         return u, self.pulse.omega(self._local(u[:, 1:-1]))
 
     def diagonals(self, t_local: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """Diagonals of -iH at an array of local times and their detunings,
-        stacked on axis 0: (k, dim), or (k, dim, batch) with a per-trial
-        interaction.  Real and imaginary parts are written into one complex
-        buffer."""
-        v = self.v if self.v_int_fn is None else self.v_int_fn(self.t_abs_start + t_local)
+        """Diagonals of -iH of the one column group (RK4) at an array of
+        local times and their detunings, stacked on axis 0: (k, dim), or
+        (k, dim, batch) with a per-trial interaction.  Real and imaginary
+        parts are written into one complex buffer."""
+        ((gamma, _),) = self.groups
+        v = self.v if self.v_int_fn is None else self.v_int_fn(t_local)
         delta_n_r = delta.reshape((-1,) + (1,) * self._n_r.ndim) * self._n_r
         out = np.empty(np.broadcast_shapes(delta_n_r.shape, v.shape), dtype=complex)
-        out.real = self._decay_rate
+        # -iH = -i Omega drive - (Gamma / 2) n_r + i (Delta n_r - v)
+        out.real = -0.5 * gamma * self._n_r if gamma else 0.0
         np.subtract(delta_n_r, v, out=out.imag)
         return out
 
     def split_exponents(self, dt: float, n_steps: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The per-level exponents of the split steps of a static chain at
-        step dt, one column per scale: for each step its six diagonal
+        step dt, one column per group: for each step its six diagonal
         factors (each leading from the previous node to a drive node, the
         first from the previous step's last drive node) and its tail (from
         the last drive node to the step end), in the order of application.
 
         Returns ``rates`` x (-Gamma/2 + i Delta_mid), (n_steps, 7, groups),
-        for the span x of stepper time of each factor (times the scale) and
-        Delta at its midpoint (Delta is linear in t, so the midpoint value
-        times the span is its integral); ``theta`` = b dt Omega of each drive
-        node of ``nodes`` (b in ``DRIVE_WEIGHTS``) times the scale,
+        for the span x of stepper time of each factor (times the group's
+        scale), the group's decay rate Gamma and Delta at its midpoint
+        (Delta is linear in t, so the midpoint value times the span is its
+        integral); ``theta`` = b dt Omega of each drive node of ``nodes``
+        (b in ``DRIVE_WEIGHTS``) times the group's scale,
         (n_steps, 6, groups); and ``v_phases`` exp(-i x v) of each span,
         (7, dim, groups).  A step's spans are (2 a1, a2, a3, a4, a3, a2)
         and its tail a1 times dt, whatever the step; only the first step of
@@ -423,9 +431,10 @@ class _SegmentEngine:
         span = dt * np.array((2.0 * a,) + STEP_A[1:6] + (a,))
         x = np.repeat(span[None], n_steps, axis=0)
         x[0, 0] = dt * a
-        rates = (x * (-0.5 * self.gamma + 1j * self.pulse.delta(mid)))[:, :, None] * self.scales
-        theta = (DRIVE_WEIGHTS * dt * omega)[:, :, None] * self.scales
-        v_phases = np.exp(-1j * span[:, None, None] * np.multiply.outer(self.v, self.scales))
+        gammas, scales = np.array(self.groups).T
+        rates = x[:, :, None] * (-0.5 * gammas + 1j * self.pulse.delta(mid)[:, :, None]) * scales
+        theta = (DRIVE_WEIGHTS * dt * omega)[:, :, None] * scales
+        v_phases = np.exp(-1j * span[:, None, None] * np.multiply.outer(self.v, scales))
         return rates, theta, v_phases
 
 
@@ -483,36 +492,34 @@ def _branch_energies(
     pulse: PulseProfile,
     t_local: np.ndarray,
     states: np.ndarray,
-    eigenvalues: Optional[np.ndarray] = None,
+    eigenvalues: np.ndarray,
 ) -> np.ndarray:
     """Instantaneous eigenvalue of the dominantly occupied branch of the
     Hermitian part of ``ham`` (maximal overlap with the state) for each
     state row at its local time of ``pulse``, in the space of ``ham`` (the
     even sector of a static PXP or vdW chain).
 
-    ``eigenvalues`` holds the ascending eigenvalues of H at each row's
-    time, (rows, dim); ``run_protocol`` reads both pulses' off one table
-    (``_mirrored_eigenvalues``), and without them they come from
-    ``_eigenvalue_table``.  For the normalised state phi, with Rayleigh
-    quotient r = <phi|H|phi> and residual sigma^2 = ||(H - r) phi||^2, the
-    branch weights p_j obey sum_j p_j (w_j - r)^2 = sigma^2, so
-    1 - p_k <= sigma^2 / g^2 for the eigenvalue w_k nearest r and the
-    distance g from r to the next-nearest one.  sigma^2 < g^2 / 2 proves
-    p_k > 1/2: w_k is the branch of maximal overlap.  r and sigma take
+    ``eigenvalues`` holds the ascending eigenvalues of H at each row's time,
+    (rows, dim), from ``_eigenvalue_table``; ``run_protocol`` reads both
+    pulses' off one table (``_mirrored_eigenvalues``).  For the normalised
+    state phi, with Rayleigh quotient r = <phi|H|phi> and residual sigma^2 =
+    ||(H - r) phi||^2, the branch weights p_j obey sum_j p_j (w_j - r)^2 =
+    sigma^2, so 1 - p_k <= sigma^2 / g^2 for the eigenvalue w_k nearest r
+    and the distance g from r to the next-nearest one.  sigma^2 < g^2 / 2
+    proves p_k > 1/2: w_k is the branch of maximal overlap.  r and sigma take
     ``ham`` itself, the drive times Omega plus the diagonal, one chunk of
     ``PHASE_CHUNK_ENTRIES`` at a time.  The samples this cannot settle
-    (near-degenerate partners sharing the state) take their matrices and
-    the eigenvectors through ``_max_overlap_energies``.
+    (near-degenerate partners sharing the state) take their matrices and the
+    eigenvectors through ``_max_overlap_energies``.
     """
     t = np.clip(t_local, 0.0, pulse.tau)
     omega, delta = pulse.omega(t), pulse.delta(t)
-    w_all = _eigenvalue_table(ham, pulse, t) if eigenvalues is None else eigenvalues
     dim = len(ham.n_r)
     chunk = max(1, PHASE_CHUNK_ENTRIES // dim**2)
     energies = np.empty(len(t))
     for lo in range(0, len(t), chunk):
         hi = min(lo + chunk, len(t))
-        phi, w = states[lo:hi], w_all[lo:hi]
+        phi, w = states[lo:hi], eigenvalues[lo:hi]
         # H acts on the real and imaginary parts apart: one real product
         # of the (symmetric, zero-diagonal) drive for both, plus H's
         # diagonal -Delta n_r + v
@@ -575,10 +582,10 @@ def _check_finite(times: np.ndarray, samples: np.ndarray) -> None:
 
 
 def _split_tables(
-    engines: Tuple[_SegmentEngine, ...], dt: float, n_steps: int
+    engine: _SegmentEngine, dt: float, n_steps: int
 ) -> Tuple[Callable[[int, int], Tuple[np.ndarray, np.ndarray]], Callable[[np.ndarray], np.ndarray]]:
     """The diagonal factors and drive phases of the split steps of
-    ``engines`` (see ``_run_split``), their column groups side by side, one
+    ``engine`` (see ``_run_split``), its column groups side by side, one
     block of steps at a time: ``factors(lo, hi)`` gives those of steps lo
     to hi - 1, (steps, drive nodes, rows, groups, 1) each, and
     ``tails(steps)`` the diagonal factors from the last drive node to the
@@ -589,15 +596,14 @@ def _split_tables(
     Each table is built from per-level phases (``split_exponents``).  A
     diagonal factor exp(x (-Gamma/2 + i Delta_mid) n_r - i x v) is
     exp(x (-Gamma/2 + i Delta_mid) n) for each distinct n_r, gathered to
-    the rows, times exp(-i x v), a fixed table per engine over a step's
+    the rows, times exp(-i x v), a fixed table per group over a step's
     spans.  A drive phase exp(-i theta s) is one exponential per distinct
     eigenvalue of the drive (``_SegmentEngine.drive_levels``), gathered to
     the rows.
     """
-    n_levels, n_index = np.unique(engines[0]._n_r, return_inverse=True)
-    s_levels, s_index = engines[0].drive_levels
-    per_engine = zip(*(e.split_exponents(dt, n_steps) for e in engines))
-    rates, theta, v_phases = (np.concatenate(t, axis=-1) for t in per_engine)
+    n_levels, n_index = np.unique(engine._n_r, return_inverse=True)
+    s_levels, s_index = engine.drive_levels
+    rates, theta, v_phases = engine.split_exponents(dt, n_steps)
     v_phases = v_phases[..., None]
     block = min(DIAG_BLOCK_STEPS, n_steps)
     diag = np.empty((block, len(DRIVE_WEIGHTS)) + v_phases.shape[1:], dtype=complex)
@@ -625,7 +631,7 @@ def _split_tables(
 
 
 def _run_split(
-    engines: _SegmentEngine | Tuple[_SegmentEngine, ...],
+    engine: _SegmentEngine,
     psi0: np.ndarray,
     dt: float,
     n_steps: int,
@@ -636,40 +642,30 @@ def _run_split(
     every ``stride`` steps and at the segment end, as arrays (n_samples,)
     and (n_samples, *psi0.shape).
 
-    ``engines`` is one engine or a tuple of engines over the same chains
-    (the same drives and excitation numbers), whose column groups are side
-    by side in the state; they share the step dt, the step count and the
-    drive eigenbases, and each has its own node table, diagonal factors and
-    drive phases, written side by side into the tables of
-    ``_split_tables`` (the sample times are those of the first).  ``psi0`` is (rows,) or
-    (rows, batch) for one engine with one scale, or (rows, groups, batch)
-    with the column groups of all engines in order.  A step applies, for
-    each of its drive nodes, the diagonal factor that leads to the node
-    (the first one merges the previous step's last), then W^T, the drive
-    phases and W as one real product per entry of
-    ``_SegmentEngine.eigenbases`` on the float64 views.  A sample applies
-    the diagonal factor from the last drive node to the step end, without
-    changing the running state.
-    Raises PropagationError naming the time of the first sample that holds
-    non-finite amplitudes.
+    The column groups of ``engine`` (each a decay rate and a scale) are side
+    by side in the state; they share the drive eigenbases, and each has its
+    own diagonal factors and drive phases, written side by side into the
+    tables of ``_split_tables``.  ``psi0`` is (rows,) or (rows, batch) for an
+    engine of one group, or (rows, groups, batch) with the groups in
+    order.  A step applies, for each of its drive nodes, the diagonal factor
+    that leads to the node (the first one merges the previous step's last),
+    then W^T, the drive phases and W as one real product per entry of
+    ``_SegmentEngine.eigenbases`` on the float64 views.  A sample applies the
+    diagonal factor from the last drive node to the step end, without
+    changing the running state.  Raises PropagationError naming the time of
+    the first sample that holds non-finite amplitudes.
     """
-    engines = engines if isinstance(engines, tuple) else (engines,)
-    for e in engines[1:]:
-        pairs = zip(e.hamiltonians, engines[0].hamiltonians, strict=True)
-        if not all(np.array_equal(a.drive, b.drive) and np.array_equal(a.n_r, b.n_r) for a, b in pairs):
-            raise ValueError("the engines of one segment must share their chains' drives and excitation numbers")
     shape = np.shape(psi0)
-    groups = sum(len(e.scales) for e in engines)
-    psi = np.array(psi0, dtype=complex, order="C").reshape(shape[0], groups, -1)
+    psi = np.array(psi0, dtype=complex, order="C").reshape(shape[0], len(engine.groups), -1)
     y = np.empty_like(psi)
     psi_r, y_r = _real(psi), _real(y)
     # W^T psi into y and W y into psi on the real views, bound once so that
     # each product is one call with no argument parsing in the loop
-    bases = engines[0].eigenbases
+    bases = engine.eigenbases
     to_eig = [partial(np.ascontiguousarray(w.T).dot, psi_r[c], y_r[c]) for c, w in bases]
     from_eig = [partial(w.dot, y_r[c], psi_r[c]) for c, w in bases]
-    factors, tails = _split_tables(engines, dt, n_steps)
-    sample_steps, times = _sample_grid(engines[0], dt, n_steps, stride)
+    factors, tails = _split_tables(engine, dt, n_steps)
+    sample_steps, times = _sample_grid(engine, dt, n_steps, stride)
     samples = np.empty((len(times),) + psi.shape, dtype=complex)
 
     sample_list = sample_steps.tolist()
@@ -711,7 +707,7 @@ def _run_segment(
     every ``stride`` steps and at the segment end, as arrays (n_samples,)
     and (n_samples, *psi0.shape).
 
-    ``engine`` runs one column group (``scales``) forward over one chain or
+    ``engine`` runs one column group (``groups``) forward over one chain or
     the direct sum of its chains.  ``psi0`` is one state (rows,) or a batch
     of states as columns (rows, batch).  The pulse is tabulated once for the
     segment, the complex diagonal d of -iH once per block of
@@ -729,9 +725,9 @@ def _run_segment(
     # scipy (see the module docstring for why the BLAS calls stay)
     from scipy.linalg.blas import zaxpy, zcopy
 
-    if len(engine.scales) != 1:
+    if len(engine.groups) != 1:
         raise ValueError("an RK4 engine runs one column group")
-    (scale,) = engine.scales
+    ((_, scale),) = engine.groups
     t_tab, omega, delta = engine.tables(dt, n_steps)
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -839,8 +835,9 @@ def _rk4_pulses(
     A decay-free pulse II after a lossy pulse I keeps the norm it starts
     with, so the norm never rises across the pulse boundary.
     """
-    t1, s1 = _run_segment(seg1, psi, dt, n_steps, stride, seg1.gamma == 0.0)
-    t2, s2 = _run_segment(seg2, s1[-1], dt, n_steps, stride, seg1.gamma == seg2.gamma == 0.0)
+    ((gamma_1, _),), ((gamma_2, _),) = seg1.groups, seg2.groups
+    t1, s1 = _run_segment(seg1, psi, dt, n_steps, stride, gamma_1 == 0.0)
+    t2, s2 = _run_segment(seg2, s1[-1], dt, n_steps, stride, gamma_1 == gamma_2 == 0.0)
     return t1, s1, t2, s2
 
 
@@ -917,81 +914,73 @@ def _decay_rates(cfg: ProtocolConfig) -> Tuple[float, float]:
 
 def _pulse_one(
     hamiltonians: Sequence[ChainHamiltonian], cfg: ProtocolConfig, gammas: Sequence[float],
-    scales: Sequence[float] = (1.0,), v_int_fn: Optional[VIntFn] = None, columns: Optional[int] = None,
-) -> Tuple[Tuple[_SegmentEngine, ...], np.ndarray]:
-    """Pulse I's engines over the direct sum of ``hamiltonians``, one per
-    decay rate in ``gammas``, each with one column group per entry of
-    ``scales`` (each with its H times that scale), and the initial state
-    with each block in its collective ground state, as one state (rows,)
-    or as ``columns`` equal columns.  Static chains run on their even
-    sectors, moving atoms (``v_int_fn``) on their full basis."""
+    scales: Sequence[float] = (1.0,), v_int_fn: Optional[VIntFn] = None,
+) -> Tuple[_SegmentEngine, np.ndarray]:
+    """Pulse I's engine over the direct sum of ``hamiltonians``, with one
+    column group per decay rate in ``gammas`` and, within it, per entry of
+    ``scales`` (its H times that scale), and the initial state (rows,) with
+    each block in its collective ground state.  Static chains run on their
+    even sectors, moving atoms (``v_int_fn``) on their full basis."""
     if any(h.model is Model.PXP_PLUS_CORRECTIONS for h in hamiltonians):
         raise ConfigError("time propagation supports the PXP and full vdW models only")
     if v_int_fn is None:
         hamiltonians = [h.sector() for h in hamiltonians]
-    engines = tuple(_SegmentEngine(hamiltonians, cfg.pulse, g, v_int_fn, 0.0, scales) for g in gammas)
+    engine = _SegmentEngine(hamiltonians, cfg.pulse, [(g, s) for g in gammas for s in scales], v_int_fn)
     # |0...0> (basis state 0, its own mirror image) is the first row of an
     # even sector and of a full basis alike
-    rows = engines[0].chains[-1].stop
-    psi = np.zeros(rows if columns is None else (rows, columns), dtype=complex)
-    psi[[chain.start for chain in engines[0].chains]] = 1.0
-    return engines, psi
+    psi = np.zeros(engine.chains[-1].stop, dtype=complex)
+    psi[[chain.start for chain in engine.chains]] = 1.0
+    return engine, psi
 
 
 def _protocol_start(
-    hamiltonians: Sequence[ChainHamiltonian], cfg: ProtocolConfig, scales: Sequence[float] = (1.0,),
-    v_int_fn_steps: Optional[Tuple[VIntFn, VIntFn]] = None, columns: Optional[int] = None,
+    hamiltonians: Sequence[ChainHamiltonian], cfg: ProtocolConfig,
+    v_int_fn_steps: Optional[Tuple[VIntFn, VIntFn]] = None,
 ) -> Tuple[_SegmentEngine, _SegmentEngine, np.ndarray, int]:
     """The setup of the two pulses run in sequence (RK4, ``_rk4_pulses``):
     pulse I's engine and state (``_pulse_one``), pulse II's engine and the
     step count of a pulse at ``cfg.dt``.  Pulse II runs the lambda-rescaled
-    pulse under the flipped interaction (or its function of
-    ``v_int_fn_steps``) on the same operator structures, at ``rate``
-    1 / lambda so that it shares the step of pulse I."""
-    lam = cfg.interaction.lambda_ratio
+    pulse under the flipped interaction on the same operator structures, at
+    ``rate`` 1 / lambda so that it shares the step of pulse I.  Moving atoms
+    give each pulse its per-trial interactions at absolute protocol times
+    (``v_int_fn_steps``); pulse II's local time t is the protocol time
+    tau + t."""
+    lam, tau = cfg.interaction.lambda_ratio, cfg.pulse.tau
     gamma_1, gamma_2 = _decay_rates(cfg)
     fn1, fn2 = v_int_fn_steps or (None, None)
-    (seg1,), psi = _pulse_one(hamiltonians, cfg, (gamma_1,), scales, fn1, columns)
-    if v_int_fn_steps is None:
+    seg1, psi = _pulse_one(hamiltonians, cfg, (gamma_1,), v_int_fn=fn1)
+    if fn2 is None:
         hamiltonians = [h.with_interaction(cfg.interaction.flipped()).sector() for h in hamiltonians]
-    seg2 = _SegmentEngine(hamiltonians, cfg.pulse.rescaled(lam), gamma_2, fn2, cfg.pulse.tau, scales, 1 / lam)
-    return seg1, seg2, psi, _step_count(0.0, cfg.pulse.tau, cfg.dt)
+    seg2_fn = None if fn2 is None else lambda t: fn2(tau + t)
+    seg2 = _SegmentEngine(hamiltonians, cfg.pulse.rescaled(lam), [(gamma_2, 1.0)], seg2_fn, 1 / lam)
+    return seg1, seg2, psi, _step_count(tau, cfg.dt)
 
 
 def final_amplitudes(
-    hamiltonians: Sequence[ChainHamiltonian], cfg: ProtocolConfig, scales: Sequence[float] = (1.0,),
-    v_int_fn_steps: Optional[Tuple[VIntFn, VIntFn]] = None, columns: Optional[int] = None,
+    hamiltonians: Sequence[ChainHamiltonian], cfg: ProtocolConfig, scales: Sequence[float] = (1.0,)
 ) -> np.ndarray:
-    """<0...0| M_II M_I |0...0> of each block of the direct sum of
-    ``hamiltonians``, scale by scale and within a scale in chain order, for
-    the propagators M_I and M_II of the two pulses on the block's space:
-    one entry per block, or a (blocks, columns) array with ``columns`` and
-    the per-trial interactions ``v_int_fn_steps`` of moving atoms.  The one
-    driver of final amplitudes: gates, pulse-duration batches and thermal
-    chunks.
+    """<0...0| M_II M_I |0...0> of each block of the direct sum of the
+    static chains ``hamiltonians``, scale by scale and within a scale in
+    chain order, for the propagators M_I and M_II of the two pulses on the
+    block's space.  The one driver of the final amplitudes of gates and
+    pulse-duration batches.
 
-    Static chains take ``STEPS_PER_PULSE`` split steps of pulse I only
-    (``cfg.dt`` is not used): by the mirror identity (see the module
-    docstring) the amplitude is <c'| G |c>, contracted per chain block,
-    with c = M_I[gamma_r] |0...0> and c' = M_I[gamma_rp / lambda] |0...0>
-    a second column group only when the two rates differ.  Moving atoms
-    break the mirror: they take RK4 at ``cfg.dt`` (one scale), pulse II
-    after pulse I (``_rk4_pulses``).
+    It takes ``STEPS_PER_PULSE`` split steps of pulse I only (``cfg.dt`` is
+    not used): by the mirror identity (see the module docstring) the
+    amplitude is <c'| G |c>, contracted per chain block, with
+    c = M_I[gamma_r] |0...0> and c' = M_I[gamma_rp / lambda] |0...0> in
+    column groups of its own rate only when the two rates differ.
     """
-    if v_int_fn_steps is not None:
-        seg1, seg2, psi, n1 = _protocol_start(hamiltonians, cfg, scales, v_int_fn_steps, columns)
-        *_, s2 = _rk4_pulses(seg1, seg2, psi, cfg.dt, n1, n1)
-        return s2[-1][[chain.start for chain in seg1.chains]]
     gamma_1, gamma_2 = _decay_rates(cfg)
     rates = dict.fromkeys((gamma_1, gamma_2 / cfg.interaction.lambda_ratio))  # one if they are equal
-    engines, psi = _pulse_one(hamiltonians, cfg, rates, scales)
+    engine, psi = _pulse_one(hamiltonians, cfg, rates, scales)
     groups = len(scales)
-    state = np.repeat(psi[:, None, None], len(engines) * groups, axis=1)
+    state = np.repeat(psi[:, None, None], len(engine.groups), axis=1)
     dt = cfg.pulse.tau / STEPS_PER_PULSE
-    _, (final,) = _run_split(engines, state, dt, STEPS_PER_PULSE, STEPS_PER_PULSE)
+    _, (final,) = _run_split(engine, state, dt, STEPS_PER_PULSE, STEPS_PER_PULSE)
     c, c_mirror = final[:, :groups, 0], final[:, -groups:, 0]
-    parity = 1.0 - 2.0 * (engines[0]._n_r % 2)
-    amps = np.add.reduceat(c_mirror.conj() * (parity[:, None] * c), [chain.start for chain in engines[0].chains])
+    parity = 1.0 - 2.0 * (engine._n_r % 2)
+    amps = np.add.reduceat(c_mirror.conj() * (parity[:, None] * c), [chain.start for chain in engine.chains])
     # (chains, scales) -> one entry per (scale, chain) block
     return amps.T.ravel()
 

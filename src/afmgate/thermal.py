@@ -5,13 +5,14 @@ Atoms move ballistically along the chain axis during the protocol
 sqrt(k_B T / m)), so every pair distance is linear in time, d0 + dv t, and
 the pairwise interactions are tabulated from it for a block of integrator
 evaluations at a time.  Each chunk of trials, with the frozen-chain
-baseline as one more row of the first chunk, is propagated once by
-``evolution.final_amplitudes``, the two-pulse driver of the gates, which
-runs moving atoms with RK4 (``_thermal_dt`` sets its step): the active
-chains of the four input branches (nu = N-2, N-1, N-1, N) are the
+baseline as one more row of the first chunk, is propagated once by RK4
+(``_thermal_dt`` sets its step), the stepper of ``evolution.run_protocol``:
+moving atoms break the mirror identity that lets the gates run pulse I
+alone, so pulse II runs after pulse I, from its final state
+(``evolution._protocol_start`` and ``evolution._rk4_pulses``).  The
+active chains of the four input branches (nu = N-2, N-1, N-1, N) are the
 blocks of one direct-sum state, each trial is one column, and their
-interaction is one chain-pair incidence of all their states.  Pulse II
-runs after pulse I, from its final state (``evolution._rk4_pulses``).  The
+interaction is one chain-pair incidence of all their states.  The
 residual |11>-branch phase and the fidelity loss against the baseline
 quantify the dephasing caused by imperfect cancellation between the two
 pulses.
@@ -29,7 +30,7 @@ import numpy as np
 from .basis import build_full_basis
 from .config import ChainConfig, InteractionConfig, Model, ProtocolConfig
 from .errors import ConfigError, SampleRejected
-from .evolution import RK4_STABLE_DT_RHO, final_amplitudes
+from .evolution import RK4_STABLE_DT_RHO, _protocol_start, _rk4_pulses
 from .gate import INPUT_LABELS, active_atoms, fidelity_from_diag, map_tasks
 from .hamiltonian import ChainHamiltonian, pair_incidence, pair_sites
 from .units import M_RB87, thermal_velocity
@@ -152,20 +153,20 @@ def _batch_branch_amplitudes(
     (trials, len(labels)) array for the kinematic samples in the rows of
     ``offsets`` / ``velocities``.
 
-    The active chain of each label is one block of a single direct-sum
-    state (full basis: moving atoms break the mirror) and each trial one
-    column, propagated by ``evolution.final_amplitudes``, so one call
-    serves every (label, trial) pair.  Positions evolve over absolute
-    protocol time, so each pair distance is d0 + dv t.  A block is a run of
-    the chain, so its states are its masks shifted to its first atom, and
-    the interaction diagonal of a block of evaluation times is one product
-    of their incidence on the pairs of the atoms the blocks cover (no atom
-    outside a block) with the pair strengths; the sign flip of C6 in step
-    II multiplies every pair strength by -lambda.  Pulse II runs after
-    pulse I; with ``cfg.include_decay`` the states keep the physical norm
-    decay of either pulse, otherwise they are normalised (the rule of
-    ``evolution._rk4_pulses``).  Raises ConfigError for a model other than
-    full vdW.
+    The active chain of each label is one block of a single direct-sum state
+    (full basis: moving atoms break the mirror) and each trial one column,
+    propagated by RK4 through both pulses in sequence
+    (``evolution._rk4_pulses``), so one run serves every (label, trial)
+    pair.  Positions evolve over absolute protocol time, so each pair
+    distance is d0 + dv t.  A block is a run of the chain, so its states are
+    its masks shifted to its first atom, and the interaction diagonal of a
+    block of evaluation times is one product of their incidence on the pairs
+    of the atoms the blocks cover (no atom outside a block) with the pair
+    strengths; the sign flip of C6 in step II multiplies every pair strength
+    by -lambda.  Pulse II runs after pulse I; with ``cfg.include_decay`` the
+    states keep the physical norm decay of either pulse, otherwise they are
+    normalised (the rule of ``evolution._rk4_pulses``).  Raises ConfigError
+    for a model other than full vdW.
     """
     if cfg.model is not Model.FULL_VDW:
         raise ConfigError("thermal motion requires the full van der Waals model")
@@ -190,7 +191,9 @@ def _batch_branch_amplitudes(
     c6 = cfg.interaction.c6
     v_int_fn_steps = (partial(v_int_at, c6), partial(v_int_at, -cfg.interaction.lambda_ratio * c6))
     run_cfg = replace(cfg, dt=_thermal_dt(cfg, d0, dv, hi + 1 - lo))
-    return final_amplitudes(hams, run_cfg, v_int_fn_steps=v_int_fn_steps, columns=len(offsets)).T
+    seg1, seg2, psi, n = _protocol_start(hams, run_cfg, v_int_fn_steps)
+    *_, s2 = _rk4_pulses(seg1, seg2, np.repeat(psi[:, None], len(offsets), axis=1), run_cfg.dt, n, n)
+    return s2[-1][[chain.start for chain in seg1.chains]].T
 
 
 def _wrap_phase(x: float) -> float:

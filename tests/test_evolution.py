@@ -56,11 +56,14 @@ def segments(nu, cfg):
 def protocol_final_state(hams, cfg, scales=(1.0,)):
     """Pulse I's engine of ``_protocol_start`` and the state (rows, scales)
     after both pulses, run one after the other at the split step of the
-    final amplitudes."""
-    seg1, seg2, psi, _ = _protocol_start(hams, cfg, scales)
+    final amplitudes, each pulse's engine with one column group per
+    scale."""
+    seg1, seg2, psi, _ = _protocol_start(hams, cfg)
     psi = np.repeat(psi[:, None, None], len(scales), axis=1)
     for seg in (seg1, seg2):
-        _, (psi,) = _run_split(seg, psi, cfg.pulse.tau / STEPS_PER_PULSE, STEPS_PER_PULSE, STEPS_PER_PULSE)
+        ((gamma, _),) = seg.groups
+        scaled = _SegmentEngine(seg.hamiltonians, seg.pulse, [(gamma, s) for s in scales], rate=seg.rate)
+        _, (psi,) = _run_split(scaled, psi, cfg.pulse.tau / STEPS_PER_PULSE, STEPS_PER_PULSE, STEPS_PER_PULSE)
     return seg1, psi[:, :, 0]
 
 
@@ -94,11 +97,8 @@ def full_segments(nu, cfg):
     lam = cfg.interaction.lambda_ratio
     pulse_2 = cfg.pulse.rescaled(lam)
     return (
-        _SegmentEngine([ham], cfg.pulse, gamma_1),
-        _SegmentEngine(
-            [ham.with_interaction(cfg.interaction.flipped())], pulse_2, gamma_2, t_abs_start=cfg.pulse.tau,
-            rate=1.0 / lam,
-        ),
+        _SegmentEngine([ham], cfg.pulse, [(gamma_1, 1.0)]),
+        _SegmentEngine([ham.with_interaction(cfg.interaction.flipped())], pulse_2, [(gamma_2, 1.0)], rate=1.0 / lam),
     )
 
 
@@ -113,10 +113,11 @@ def full_space_h(seg):
     -i (Gamma / 2) n_r; t is clamped into the pulse window."""
     ham = full_hamiltonian(seg.hamiltonians[0])
     pulse = seg.pulse
+    ((gamma, _),) = seg.groups
 
     def h_of_t(t):
         t = min(max(t, 0.0), pulse.tau)
-        return ham.matrix(pulse.omega(t), pulse.delta(t)) - 0.5j * seg.gamma * np.diag(ham.n_r)
+        return ham.matrix(pulse.omega(t), pulse.delta(t)) - 0.5j * gamma * np.diag(ham.n_r)
 
     return h_of_t
 
@@ -144,7 +145,7 @@ class ConstantEngine(_SegmentEngine):
     def __init__(self, drive, diag, omega=1.0, tau=1.0):
         self.drive = np.asarray(drive, dtype=float)
         self.hamiltonians = (SimpleNamespace(drive=self.drive),)
-        self.scales = (1.0,)
+        self.groups = ((0.0, 1.0),)
         self.rate = 1.0
         self.diag = np.asarray(diag, dtype=complex)
         self.omega = omega
@@ -177,7 +178,7 @@ class PoisonedEngine(ConstantEngine):
 
 
 def run_constant(engine, psi0, dt, stride=1, renormalize=True):
-    n = _step_count(0.0, engine.pulse.tau, dt)
+    n = _step_count(engine.pulse.tau, dt)
     times, states = _run_segment(engine, np.asarray(psi0, dtype=complex), dt, n, stride, renormalize)
     return np.array(times), np.array(states)
 
@@ -209,7 +210,7 @@ class TestPropagate:
 
     def test_uneven_step_rejected(self):
         with pytest.raises(ValueError):
-            _step_count(0.0, 1.0, 0.3)
+            _step_count(1.0, 0.3)
 
     def test_numerical_blowup_reported(self):
         engine = ConstantEngine([[0.0, 1e8], [1e8, 0.0]], [0.0, 0.0], tau=10.0)
@@ -263,7 +264,7 @@ class TestFusedStepper:
         cfg = reference_config(model=Model.FULL_VDW, include_decay=True, gamma=mhz(0.05))
         seg1, _ = segments(3, cfg)
         sector = seg1.hamiltonians[0]
-        n = _step_count(0.0, cfg.pulse.tau, cfg.dt)
+        n = _step_count(cfg.pulse.tau, cfg.dt)
         _, (fused,) = _run_segment(seg1, sector_ground(sector), cfg.dt, n, n, renormalize=False)
         plain = plain_rk4(full_space_h(seg1), full_ground(seg1.hamiltonians[0].basis), cfg.dt, n, renormalize=False)
         assert np.linalg.norm(plain) < 1.0
@@ -274,7 +275,7 @@ class TestFusedStepper:
         cfg = reference_config(model=Model.FULL_VDW)
         seg1, _ = segments(nu, cfg)
         sector = seg1.hamiltonians[0]
-        n = _step_count(0.0, cfg.pulse.tau, cfg.dt)
+        n = _step_count(cfg.pulse.tau, cfg.dt)
         _, (fused,) = _run_segment(seg1, sector_ground(sector), cfg.dt, n, n, renormalize=True)
         plain = plain_rk4(full_space_h(seg1), full_ground(seg1.hamiltonians[0].basis), cfg.dt, n, renormalize=True)
         assert abs(np.linalg.norm(fused) - 1.0) < 1e-14
@@ -291,6 +292,7 @@ class TestFusedStepper:
             return v0[None, :, None] * (1.0 + rates[None, None, :] * t_abs[:, None, None])
 
         _, seg2 = _protocol_start([ham], cfg, v_int_fn_steps=(v_int_at, v_int_at))[:2]
+        ((gamma, _),) = seg2.groups
         dt = seg2.pulse.tau / 1000
         psi0 = np.zeros((basis.dim, 3), dtype=complex)
         psi0[0, :] = 1.0
@@ -299,10 +301,11 @@ class TestFusedStepper:
         for col in range(3):
 
             def h_col(t):
+                # pulse II's local time t is the protocol time tau + t
                 t = min(max(t, 0.0), seg2.pulse.tau)
-                v_col = v_int_at(np.array([seg2.t_abs_start + t]))[0, :, col]
+                v_col = v_int_at(np.array([cfg.pulse.tau + t]))[0, :, col]
                 return ham.matrix(seg2.pulse.omega(t), seg2.pulse.delta(t)) + np.diag(
-                    v_col - ham.v - 0.5j * seg2.gamma * ham.n_r
+                    v_col - ham.v - 0.5j * gamma * ham.n_r
                 )
 
             plain = plain_rk4(h_col, psi0[:, col], dt, 1000, renormalize)
@@ -455,7 +458,10 @@ class TestBlockDiagonal:
         def v_at(t_abs):  # scalar time -> (dim, 3)
             return v0[:, None] * (1.0 + rates[None, :] * t_abs)
 
+        seen = []
+
         def v_int_at(t_abs):  # array of times -> (times, dim, 3)
+            seen.append(t_abs)
             return np.stack([v_at(t) for t in t_abs])
 
         _, seg2 = _protocol_start([ham], cfg, v_int_fn_steps=(v_int_at, v_int_at))[:2]
@@ -466,11 +472,13 @@ class TestBlockDiagonal:
         _run_segment(seg2, psi0, dt, self.N_STEPS, self.N_STEPS, not include_decay)
         t_tab, _, dl = seg2.tables(dt, self.N_STEPS)
         check_block_coverage(calls, t_tab, self.N_STEPS)
+        # pulse II's function sees the protocol time tau + t of its local t
+        assert np.array_equal(np.concatenate(seen), cfg.pulse.tau + t_tab)
 
         n_r = excitation_numbers(basis)[:, None]
         decay = -0.5j * cfg.decay.gamma_rp * n_r if include_decay else 0.0
         for t, delta, d in zip(t_tab, dl, np.concatenate([c[2] for c in calls])):
-            scalar = delta * (1j * n_r) - 1j * v_at(seg2.t_abs_start + t) - 1j * decay
+            scalar = delta * (1j * n_r) - 1j * v_at(cfg.pulse.tau + t) - 1j * decay
             assert d.shape == (basis.dim, 3)
             assert np.abs(d - scalar).max() < 1e-12
 
@@ -585,9 +593,13 @@ class TestRunProtocol:
         run = run_protocol(4, reference_config(model=Model.FULL_VDW), compute_phases=False)
         assert np.abs(run.trajectory.norms - 1.0).max() < 1e-8
 
-    @pytest.mark.parametrize("nu", [3, 5, 7])
-    def test_decay_free_split_drifts_below_1e12_without_renormalisation(self, nu):
-        norms = np.linalg.norm(split_samples(nu, reference_config(model=Model.FULL_VDW)), axis=1)
+    # per-step max |norm - 1| over both pulses: vdW nu = 3..7 and PXP
+    # nu = 3, 5, 7, 9 (6.1e-13, 8.3e-13, 6.7e-13, 2.6e-13)
+    @pytest.mark.parametrize(
+        "model,nu", [(Model.FULL_VDW, nu) for nu in (3, 5, 7)] + [(Model.PXP, nu) for nu in (3, 5, 7, 9)]
+    )
+    def test_decay_free_split_drifts_below_1e12_without_renormalisation(self, model, nu):
+        norms = np.linalg.norm(split_samples(nu, reference_config(model=model)), axis=1)
         assert np.abs(norms - 1.0).max() < 1e-12
 
     @pytest.mark.parametrize("nu", [3, 5])
@@ -710,6 +722,12 @@ class TestPhases:
         assert rec.final_total() == pytest.approx(run.phases.final_total(), abs=1e-9)
 
 
+def branch_energies(ham, pulse, t_local, states):
+    """``_branch_energies`` with the eigenvalues of ``_eigenvalue_table`` at
+    the same times."""
+    return _branch_energies(ham, pulse, t_local, states, evolution._eigenvalue_table(ham, pulse, t_local))
+
+
 def full_space_branch_energies(seg, t_local, *states):
     """The full-space formula the even-sector path replaced: eigh of the
     whole real H and, for each state, the eigenvalue of maximal overlap."""
@@ -801,7 +819,7 @@ class TestEvenSectorBranchEnergies:
         for (seg, lo, hi, start), ref in zip(segment_samples(run, nu, cfg), reference, strict=True):
             idx = np.arange(lo, hi + 1, every)
             states = traj.states[idx] @ seg.hamiltonians[0].u
-            energies = _branch_energies(seg.hamiltonians[0], seg.pulse, traj.times[idx] - start, states)
+            energies = branch_energies(seg.hamiltonians[0], seg.pulse, traj.times[idx] - start, states)
             assert np.abs(energies - ref).max() <= 1e-12 * np.abs(ref).max()
         if every == 1:
             cuts = [0, segment_samples(run, nu, cfg)[1][1], len(traj.times) - 1]
@@ -815,10 +833,10 @@ class TestEvenSectorBranchEnergies:
         seg, lo, hi, start = segment_samples(run, 5, cfg)[0]
         idx = np.arange(lo, hi + 1, 13)
         states = traj.states[idx] @ seg.hamiltonians[0].u
-        whole = _branch_energies(seg.hamiltonians[0], seg.pulse, traj.times[idx] - start, states)
+        whole = branch_energies(seg.hamiltonians[0], seg.pulse, traj.times[idx] - start, states)
         monkeypatch.setattr(evolution, "PHASE_CHUNK_ENTRIES", 3 * 20**2)  # 3 samples per chunk
         assert len(idx) % 3 != 0
-        chunked = _branch_energies(seg.hamiltonians[0], seg.pulse, traj.times[idx] - start, states)
+        chunked = branch_energies(seg.hamiltonians[0], seg.pulse, traj.times[idx] - start, states)
         assert np.array_equal(chunked, whole)
 
     def test_equal_mix_of_two_branches_falls_back_to_dense(self, monkeypatch):
@@ -830,7 +848,7 @@ class TestEvenSectorBranchEnergies:
         dense = evolution._max_overlap_energies(h[None], mix[None])[0]
         rows = record_fallback(monkeypatch)
         states = np.array([np.exp(0.3j) * v[:, 2], mix])
-        energies = _branch_energies(seg.hamiltonians[0], seg.pulse, np.array([t, t]), states)
+        energies = branch_energies(seg.hamiltonians[0], seg.pulse, np.array([t, t]), states)
         assert rows == [1]  # the eigenvector is settled by the bound, the mix is not
         assert energies[0] == pytest.approx(w[2], rel=1e-12)
         assert energies[1] == dense
@@ -845,7 +863,7 @@ class TestEvenSectorBranchEnergies:
         for seg, lo, hi, start in segment_samples(run, 4, cfg):
             t = traj.times[lo : hi + 1] - start
             states = traj.states[lo : hi + 1] @ seg.hamiltonians[0].u
-            energies = _branch_energies(seg.hamiltonians[0], seg.pulse, t, states)
+            energies = branch_energies(seg.hamiltonians[0], seg.pulse, t, states)
             tc = np.clip(t, 0.0, seg.pulse.tau)
             h = np.array([seg.hamiltonians[0].matrix(o, d) for o, d in zip(seg.pulse.omega(tc), seg.pulse.delta(tc))])
             dense = dense_energies(h, states)
@@ -967,7 +985,7 @@ class TestMirroredEigenvalues:
         direct = _dynamical_phase(
             traj.times,
             [samples[0][1], samples[1][1], samples[1][2]],
-            lambda k, lo, hi: _branch_energies(
+            lambda k, lo, hi: branch_energies(
                 samples[k][0].hamiltonians[0], samples[k][0].pulse, traj.times[lo : hi + 1] - samples[k][3],
                 traj.states[lo : hi + 1] @ samples[k][0].hamiltonians[0].u,
             ),
@@ -1065,14 +1083,13 @@ class TestGroundAmplitudes:
 
 
 def record_runs(monkeypatch):
-    """Record (engines, final state) of every ``_run_split`` call, with a
-    single engine as a tuple of one."""
+    """Record (engine, final state) of every ``_run_split`` call."""
     runs = []
     real = evolution._run_split
 
-    def recording(engines, psi0, dt, n_steps, stride):
-        times, samples = real(engines, psi0, dt, n_steps, stride)
-        runs.append((engines if isinstance(engines, tuple) else (engines,), samples[-1]))
+    def recording(engine, psi0, dt, n_steps, stride):
+        times, samples = real(engine, psi0, dt, n_steps, stride)
+        runs.append((engine, samples[-1]))
         return times, samples
 
     monkeypatch.setattr(evolution, "_run_split", recording)
@@ -1084,13 +1101,14 @@ def decay_config(gamma_r, gamma_rp, **kwargs):
     return replace(cfg, decay=DecayConfig(gamma_r=gamma_r, gamma_rp=gamma_rp))
 
 
-def random_engine(rate, gamma):
+def random_engine(rate, *gammas):
     """A one-chain engine on a random real symmetric drive of 6 rows, with
-    non-integer excitation numbers, a static interaction and the decay."""
+    non-integer excitation numbers, a static interaction and one column
+    group per decay rate in ``gammas``."""
     rng = np.random.default_rng(11)
     a = rng.normal(size=(6, 6))
     ham = SimpleNamespace(drive=a + a.T, n_r=rng.uniform(0.0, 2.0, 6), v=rng.normal(size=6))
-    return _SegmentEngine([ham], PulseProfile(mhz(8.0), mhz(20.0), 0.4), gamma=gamma, rate=rate)
+    return _SegmentEngine([ham], PulseProfile(mhz(8.0), mhz(20.0), 0.4), [(g, 1.0) for g in gammas], rate=rate)
 
 
 def split_propagator(engine, dt, n_steps):
@@ -1114,7 +1132,8 @@ class TestMirrorIdentity:
         cfg = reference_config(model=model, include_decay=include_decay, gamma=mhz(0.05), lambda_ratio=lam)
         hams = _chain_hamiltonians([nu], cfg)
         _, seg2, _, _ = _protocol_start(hams, cfg)
-        (mirror,), _ = _pulse_one(hams, cfg, [seg2.gamma / lam])
+        ((gamma_2, _),) = seg2.groups
+        mirror, _ = _pulse_one(hams, cfg, [gamma_2 / lam])
         dt = cfg.pulse.tau / STEPS_PER_PULSE
         m2 = split_propagator(seg2, dt, STEPS_PER_PULSE)
         m1 = split_propagator(mirror, dt, STEPS_PER_PULSE)
@@ -1142,23 +1161,23 @@ class TestMirrorIdentity:
         cfg = reference_config(model=Model.PXP, include_decay=include_decay, gamma=gamma, lambda_ratio=lam)
         runs = record_runs(monkeypatch)
         ground_amplitudes([3, 4], cfg)
-        (engines, final), = runs
-        assert [e.gamma for e in engines] == [gamma * r for r in rates]
-        assert all(e.pulse == cfg.pulse and e.rate == 1.0 for e in engines)
-        assert final.shape == (engines[0].chains[-1].stop, len(rates), 1)
+        (engine, final), = runs
+        assert engine.groups == tuple((gamma * r, 1.0) for r in rates)
+        assert engine.pulse == cfg.pulse and engine.rate == 1.0
+        assert final.shape == (engine.chains[-1].stop, len(rates), 1)
 
-    def test_two_engine_run_matches_each_engine_alone(self):
+    def test_two_rate_groups_of_one_engine_equal_each_rate_alone(self):
         # the two decay rates of unequal-rate gates, gamma and gamma / 1.7:
-        # one run holding both column groups gives each engine's run alone,
+        # one run holding both column groups gives each rate's run alone,
         # bit for bit
         gamma = mhz(1.0)
-        engines = random_engine(0.6, gamma), random_engine(0.6, gamma / 1.7)
+        both_rates = random_engine(0.6, gamma, gamma / 1.7)
         n = 100
-        dt = engines[0].pulse.tau / (0.6 * n)
+        dt = both_rates.pulse.tau / (0.6 * n)
         eye = np.eye(6, dtype=complex)
-        _, (both,) = _run_split(engines, np.stack([eye, eye], axis=1), dt, n, n)
-        for k, engine in enumerate(engines):
-            assert np.array_equal(both[:, k], split_propagator(engine, dt, n))
+        _, (both,) = _run_split(both_rates, np.stack([eye, eye], axis=1), dt, n, n)
+        for k, g in enumerate((gamma, gamma / 1.7)):
+            assert np.array_equal(both[:, k], split_propagator(random_engine(0.6, g), dt, n))
         assert np.abs(both[:, 0] - both[:, 1]).max() > 1e-3  # the rates tell the groups apart
 
     @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
@@ -1180,12 +1199,12 @@ class TestMirrorIdentity:
         cfg = decay_config(gamma_r, gamma_rp, model=model, lambda_ratio=lam)
         runs = record_runs(monkeypatch)
         amps = ground_amplitudes([nu, nu + 1], cfg)
-        (engines, final), = runs
-        assert [e.gamma for e in engines] == [gamma_r, gamma_rp / lam]
+        (engine, final), = runs
+        assert engine.groups == ((gamma_r, 1.0), (gamma_rp / lam, 1.0))
         # a decay-free split step is unitary: the decay-free group keeps
         # each block's norm with no renormalisation
-        lossless = [e.gamma for e in engines].index(0.0)
-        for chain in engines[0].chains:
+        lossless = [g for g, _ in engine.groups].index(0.0)
+        for chain in engine.chains:
             assert abs(np.linalg.norm(final[chain, lossless]) - 1.0) < 1e-12
         for k in (nu, nu + 1):
             assert abs(amps[k] - sequential_amplitude(k, cfg)) < 1e-12
@@ -1250,43 +1269,45 @@ class TestTauBatch:
         assert amps[0].tolist() == [ref[nu] for nu in (3, 4, 5)]
 
 
-def direct_split_tables(engines, dt, n_steps, steps):
+def direct_split_tables(engine, dt, n_steps, steps):
     """The diagonal factors (len(steps), 6, rows, groups), tails
     (len(steps), rows, groups) and drive phases (len(steps), 6, rows,
-    groups) of the split steps ``steps`` of ``engines`` as one np.exp per
-    row, node and column group: the full diagonal of -iH (``diagonals``) at
-    each factor's midpoint times its span of ``STEP_A`` times dt (the first
-    factor of a step merges the previous step's tail; the segment's first
-    starts at its first node), and every eigenvalue of the drives from
-    ``eigh``."""
+    groups) of the split steps ``steps`` of ``engine`` as one np.exp per
+    row, node and column group: the full diagonal of -iH,
+    (-Gamma/2 + i Delta) n_r - i v with each group's decay rate Gamma, at
+    each factor's midpoint times its span of ``STEP_A`` times dt and the
+    group's scale (the first factor of a step merges the previous step's
+    tail; the segment's first starts at its first node), and every
+    eigenvalue of the drives from ``eigh``."""
     a = dt * np.array(evolution.STEP_A)
     spans = np.tile(np.r_[a[0] + a[6], a[1:6], a[6]], (n_steps, 1))
     spans[0, 0] = a[0]
     spans = spans[steps]
-    s = np.concatenate([np.linalg.eigh(h.drive)[0] for h in engines[0].hamiltonians])
+    s = np.concatenate([np.linalg.eigh(h.drive)[0] for h in engine.hamiltonians])
+    n_r = np.concatenate([h.n_r for h in engine.hamiltonians])
+    u, omega = engine.nodes(dt, n_steps)
+    local = np.clip(engine.rate * u, 0.0, engine.pulse.tau)
+    starts = np.column_stack([np.r_[local[0, 0], local[:-1, -2]], local[:, 1:-1]])
+    delta = engine.pulse.delta((0.5 * (starts + local[:, 1:]))[steps])
     diags, phases = [], []
-    for e in engines:
-        u, omega = e.nodes(dt, n_steps)
-        local = np.clip(e.rate * u, 0.0, e.pulse.tau)
-        starts = np.column_stack([np.r_[local[0, 0], local[:-1, -2]], local[:, 1:-1]])
-        mid = (0.5 * (starts + local[:, 1:]))[steps]
-        d = e.diagonals(mid.ravel(), e.pulse.delta(mid.ravel())).reshape(mid.shape + (-1,))
-        diags.append(np.exp(d[..., None] * (spans[..., None] * e.scales)[:, :, None, :]))
-        theta = (evolution.DRIVE_WEIGHTS * dt * omega[steps])[..., None] * e.scales
-        phases.append(np.exp(-1j * theta[:, :, None, :] * s[:, None]))
-    diag = np.concatenate(diags, axis=-1)
-    return diag[:, :6], diag[:, 6], np.concatenate(phases, axis=-1)
+    for gamma, scale in engine.groups:
+        d = (1j * delta[..., None] - 0.5 * gamma) * n_r - 1j * engine.v
+        diags.append(np.exp(d * (scale * spans)[..., None]))
+        theta = scale * evolution.DRIVE_WEIGHTS * dt * omega[steps]
+        phases.append(np.exp(-1j * theta[..., None] * s))
+    diag = np.stack(diags, axis=-1)
+    return diag[:, :6], diag[:, 6], np.stack(phases, axis=-1)
 
 
 class TestSplitTables:
     """The split's diagonal factors and drive phases, built from per-level
     phases, against one np.exp per row, node and column group."""
 
-    def assert_tables_match(self, engines, dt, n_steps):
-        factors, tails = _split_tables(engines, dt, n_steps)
+    def assert_tables_match(self, engine, dt, n_steps):
+        factors, tails = _split_tables(engine, dt, n_steps)
         for lo in range(0, n_steps, DIAG_BLOCK_STEPS):
             hi = min(lo + DIAG_BLOCK_STEPS, n_steps)
-            ref_diag, ref_tail, ref_phases = direct_split_tables(engines, dt, n_steps, np.arange(lo, hi))
+            ref_diag, ref_tail, ref_phases = direct_split_tables(engine, dt, n_steps, np.arange(lo, hi))
             diag, phases = factors(lo, hi)
             assert diag.shape == ref_diag.shape + (1,) and phases.shape == diag.shape
             assert np.abs(diag[..., 0] - ref_diag).max() < 1e-14
@@ -1304,18 +1325,19 @@ class TestSplitTables:
         gamma = mhz(0.05) if include_decay else 0.0
         cfg = reference_config(model=model, lambda_ratio=lam)
         hams = _chain_hamiltonians([n_atoms - 2, n_atoms - 1, n_atoms], cfg)
-        engines, _ = _pulse_one(hams, cfg, (gamma, gamma / lam), (0.5, 1.0, 2.0))
+        engine, _ = _pulse_one(hams, cfg, (gamma, gamma / lam), (0.5, 1.0, 2.0))
+        assert engine.groups == tuple((g, s) for g in (gamma, gamma / lam) for s in (0.5, 1.0, 2.0))
         assert STEPS_PER_PULSE % DIAG_BLOCK_STEPS  # the last block is partial
-        self.assert_tables_match(engines, cfg.pulse.tau / STEPS_PER_PULSE, STEPS_PER_PULSE)
+        self.assert_tables_match(engine, cfg.pulse.tau / STEPS_PER_PULSE, STEPS_PER_PULSE)
 
     def test_random_engine_tables_match_direct_exponentials(self):
         # non-integer n_r and no repeated eigenvalue: one level per row
-        engines = random_engine(0.6, mhz(1.0)), random_engine(0.6, mhz(0.4))
-        levels, index = engines[0].drive_levels
+        engine = random_engine(0.6, mhz(1.0), mhz(0.4))
+        levels, index = engine.drive_levels
         assert len(levels) == 6 and np.array_equal(index, np.arange(6))
-        assert len(np.unique(engines[0].hamiltonians[0].n_r)) == 6
+        assert len(np.unique(engine.hamiltonians[0].n_r)) == 6
         n = 100
-        self.assert_tables_match(engines, engines[0].pulse.tau / (0.6 * n), n)
+        self.assert_tables_match(engine, engine.pulse.tau / (0.6 * n), n)
 
     def test_split_nodes_follow_the_diagonal_coefficients(self):
         u, omega = random_engine(0.6, 0.0).nodes(0.001, 50)
@@ -1395,7 +1417,7 @@ class TestSectorPropagation:
         cfg = reference_config(model=model, include_decay=include_decay, gamma=mhz(0.05), lambda_ratio=lam)
         run = run_protocol(nu, cfg, compute_phases=False)
         seg1, seg2 = full_segments(nu, cfg)
-        n = _step_count(0.0, cfg.pulse.tau, cfg.dt)
+        n = _step_count(cfg.pulse.tau, cfg.dt)
         pulse = cfg.pulse
         h_scale = nu * (abs(pulse.delta0) + abs(pulse.omega0)) * max(1.0, lam) + np.abs(seg1.hamiltonians[0].v).max()
         stride = _default_stride(h_scale, cfg.dt, n)

@@ -292,8 +292,9 @@ class TestBatchedEnsemble:
 
 
 class TestDriverPath:
-    """Thermal chunks through ``evolution.final_amplitudes``, which runs
-    pulse II after pulse I on the same chains and moving atoms."""
+    """Thermal chunks through ``evolution._protocol_start`` and
+    ``evolution._rk4_pulses``, which run pulse II after pulse I on the same
+    chains and moving atoms."""
 
     def chunk(self, n_atoms, cfg, monkeypatch):
         """The amplitudes of one chunk of three moving-atom trials, checked
