@@ -9,7 +9,10 @@ Hermitian parts.  In pulse I's time s = tau - lambda t', pulse II runs
 backwards under G H_I[gamma]^dagger G, H_I[gamma] being pulse I's H at
 decay rate gamma = gamma_rp / lambda: M_II = G M_I[gamma_rp / lambda]^dagger G
 for the pulses' propagators.  G commutes with the inversion, so this holds
-on the even sectors too.
+on the even sectors too.  Per unit of u = lambda t', pulse II's generator
+H_II(u / lambda) / lambda is pulse I's Omega(u) and Delta(u) under the
+negated interaction -v at decay rate gamma_rp / lambda: every engine runs
+on pulse I's clock, with pulse I's pulse and step.
 
 Gates and pulse-duration batches need only <0...0| M_II M_I |0...0> =
 <c'| G |c>, with c = M_I[gamma_r] |0...0> and c' = M_I[gamma_rp / lambda]
@@ -52,13 +55,14 @@ from ``scipy.linalg.blas`` in its body, the package's only scipy import:
 a ``zaxpy`` on 20 entries takes about 0.27 us against 0.75 us for a numpy
 ufunc, while the gates, sweeps, fits and spectra never load scipy.
 ``run_protocol`` refuses a config step past RK4's stability bound
-(``RK4_STABLE_DT_RHO`` over a Gershgorin bound of H).  ``_rk4_pulses``
-runs pulse II after pulse I for both RK4 callers and normalises each chain
-block of every stored sample of a Hermitian run (removing the RK4
-amplitude artifact): pulse I's samples iff pulse I is decay-free, pulse
-II's iff both pulses are, so the norm never rises across the pulse
-boundary.  The step is linear and block-diagonal, so this equals
-renormalising after every step up to round-off.
+(``RK4_STABLE_DT_RHO`` over a Gershgorin bound of H, pulse I's bounding
+both pulses on one clock).  ``_rk4_pulses`` runs pulse II after pulse I
+for both RK4 callers and normalises each chain block of every stored
+sample of a Hermitian run (removing the RK4 amplitude artifact): pulse
+I's samples iff pulse I is decay-free, pulse II's iff both pulses are, so
+the norm never rises across the pulse boundary.  The step is linear and
+block-diagonal, so this equals renormalising after every step up to
+round-off.
 
 Both steppers tabulate the pulse once per segment and the diagonal once
 per block of ``DIAG_BLOCK_STEPS`` steps, and share their sample grid
@@ -71,30 +75,32 @@ span lengths of a step, and a drive phase exp(-i theta s) one per distinct
 eigenvalue of each chain's drive (``_SegmentEngine.drive_levels``: 21 for
 the 128 rows of the vdW N = 7 gate).  ``_pulse_one`` builds pulse I's
 engine, one column group per decay rate and scale, and the initial state;
-``_protocol_start`` adds pulse II's engine and the step count for both RK4
+``_protocol_start`` adds pulse II's engine on pulse I's clock (the negated
+interaction of static chains, or the negated per-trial interaction at
+tau + u / lambda of moving atoms) and the step count for both RK4
 callers, ``run_protocol`` and a thermal chunk
 (``thermal._batch_branch_amplitudes``).  ``ground_amplitudes`` propagates
 the chains of a gate (nu = N-2, N-1, N) as one direct sum,
 ``tau_batch_amplitudes`` adds one column group per pulse duration (the
 pulse is a function of t / tau, so each duration runs on the step grid of
 the first with its H scaled by tau / tau_ref), and a thermal chunk takes
-one column per trial.  A static
-chain is mirror-symmetric and starts in |0...0>, so static chains run on
-the inversion-even sectors (``ChainHamiltonian.sector``; 20 of 32 states
-at vdW nu = 5, 72 of 128 at nu = 7), and ``run_protocol`` maps its
-samples back to the full basis; a thermal chunk keeps the full basis.
+one column per trial.  A static chain is mirror-symmetric and starts in
+|0...0>, so static chains run on the inversion-even sectors
+(``ChainHamiltonian.sector``; 20 of 32 states at vdW nu = 5, 72 of 128 at
+nu = 7), and ``run_protocol`` maps its samples back to the full basis; a
+thermal chunk keeps the full basis.
 
 The dynamical phase integrates the energy of the branch that holds the
 state (``_branch_energies``): a residual bound proves which eigenvalue of
 the Hermitian part of H on the sector holds more than half of each state;
 only the samples it cannot settle (near-degenerate partners, such as the
 even-nu vdW AFM doublet) take eigenvectors.  By the mirror identity,
-pulse II's ascending eigenvalues are -lambda times pulse I's at the
-mirrored time, in reverse order, so both pulses read theirs off one table
-(``_mirrored_eigenvalues``): one stacked real ``eigvalsh`` per chunk of
-pulse I's H (``_eigenvalue_table``) at the sample steps A of a pulse and
-their mirrors n - A, one pulse of eigensolves when the stride divides the
-step count n.
+pulse II's branch energy of psi after step a is -lambda times pulse I's of
+G psi after step n - a, so the phase record takes one Hamiltonian, pulse
+I's, and one table of its eigenvalues (``_mirrored_eigenvalues``): one
+stacked real ``eigvalsh`` per chunk of pulse I's H (``_eigenvalue_table``)
+at the sample steps A of a pulse and their mirrors n - A, one pulse of
+eigensolves when the stride divides the step count n.
 """
 
 from __future__ import annotations
@@ -223,10 +229,12 @@ class PhaseRecord:
         return float(self.phi_dynamical[-1])
 
 
-def _step_count(span: float, dt: float) -> int:
-    n = round(span / dt)
-    if n < 1 or abs(n * dt - span) > 1e-9 * max(span, dt):
-        raise ValueError(f"dt = {dt} does not evenly divide the interval {span}")
+def _step_count(tau: float, dt: float) -> int:
+    """The steps of ``dt`` in a pulse of duration ``tau``; raises ConfigError
+    unless dt evenly divides tau."""
+    n = round(tau / dt)
+    if n < 1 or abs(n * dt - tau) > 1e-9 * max(tau, dt):
+        raise ConfigError(f"dt_us = {dt} does not evenly divide tau_us = {tau}")
     return n
 
 
@@ -256,15 +264,12 @@ class _SegmentEngine:
     called with an array of k local times of the pulse it returns the real
     (k, dim, batch) diagonals, one column per trial.  The engine only
     steps: the branch energies of its samples are ``_branch_energies`` of a
-    chain.
-    ``rate`` is the pulse time that passes per unit of the stepper's time:
-    the engine tabulates its pulse at steps rate * dt and scales H by rate,
-    so an engine can share the step of another one.  Each entry of
-    ``groups`` is one column group of the split's state, a pair (decay rate
-    Gamma, scale) whose H has that decay and is times that scale (a protocol
-    of duration tau run on the time grid of duration tau_ref has H scaled
-    by tau / tau_ref); ``self.groups`` holds the scales times the rate, and
-    RK4 runs one group.
+    chain.  Each entry of ``groups`` is one column group of the split's
+    state, a pair (decay rate Gamma, scale) whose H has that decay and is
+    times that scale (a protocol of duration tau run on the time grid of
+    duration tau_ref has H scaled by tau / tau_ref); RK4 runs one group.
+    Both pulses' engines run on pulse I's clock, ``pulse`` being pulse I's
+    (see ``_protocol_start``).
     """
 
     def __init__(
@@ -273,11 +278,9 @@ class _SegmentEngine:
         pulse: PulseProfile,
         groups: Sequence[Tuple[float, float]] = ((0.0, 1.0),),
         v_int_fn: Optional[VIntFn] = None,
-        rate: float = 1.0,
     ):
         self.hamiltonians = tuple(hamiltonians)
-        self.groups = tuple((gamma, rate * s) for gamma, s in groups)
-        self.rate = rate
+        self.groups = tuple(groups)
         self.pulse = pulse
         self.v_int_fn = v_int_fn
         self.v = np.concatenate([h.v for h in self.hamiltonians]) if v_int_fn is None else None
@@ -365,14 +368,12 @@ class _SegmentEngine:
         return np.concatenate(levels), np.concatenate([i + k for i, k in zip(index, offsets)])
 
     def tables(self, dt: float, n_steps: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Local times of every RK4 evaluation of the segment, at pulse
-        steps rate * dt and clamped into the pulse window, with Omega and
-        Delta there.
+        """Local times of every RK4 evaluation of the segment, clamped into
+        the pulse window, with Omega and Delta there.
 
         Entry 2s is the start of step s (the end of step s - 1), entry
         2s + 1 its midpoint.
         """
-        dt = dt * self.rate
         t = np.empty(2 * n_steps + 1)
         t[0] = 0.0
         starts = np.arange(n_steps) * dt
@@ -382,11 +383,11 @@ class _SegmentEngine:
         return t, self.pulse.omega(t), self.pulse.delta(t)
 
     def _local(self, u: np.ndarray) -> np.ndarray:
-        """Pulse-local times of stepper times u, clamped into the pulse."""
-        return np.clip(self.rate * u, 0.0, self.pulse.tau)
+        """Local times u clamped into the pulse window."""
+        return np.clip(u, 0.0, self.pulse.tau)
 
     def nodes(self, dt: float, n_steps: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Stepper times of the split nodes of every step (``STEP_NODES``
+        """Local times of the split nodes of every step (``STEP_NODES``
         times dt), (n_steps, nodes), and Omega at its drive nodes (all but
         the first and the last)."""
         u = np.arange(n_steps)[:, None] * dt + STEP_NODES * dt
@@ -414,7 +415,7 @@ class _SegmentEngine:
         the last drive node to the step end), in the order of application.
 
         Returns ``rates`` x (-Gamma/2 + i Delta_mid), (n_steps, 7, groups),
-        for the span x of stepper time of each factor (times the group's
+        for the span x of local time of each factor (times the group's
         scale), the group's decay rate Gamma and Delta at its midpoint
         (Delta is linear in t, so the midpoint value times the span is its
         integral); ``theta`` = b dt Omega of each drive node of ``nodes``
@@ -465,18 +466,20 @@ def _eigenvalue_table(ham: ChainHamiltonian, pulse: PulseProfile, t_local: np.nd
 
 
 def _mirrored_eigenvalues(
-    seg1: _SegmentEngine, lam: float, dt: float, n_steps: int, stride: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The ascending eigenvalues of the Hermitian part of H at the stored
-    samples of each pulse of ``run_protocol`` (the pulse start first, then
-    ``_sample_grid``), from one table on pulse I's Hamiltonian.
+    seg1: _SegmentEngine, dt: float, n_steps: int, stride: int
+) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    """The times and ascending eigenvalues of the Hermitian part of pulse
+    I's H at which ``run_protocol`` finds the branch energies of each
+    pulse's stored samples (the pulse start first, then ``_sample_grid``),
+    from one table: for pulse I at the samples' own steps, for pulse II at
+    their mirrors.
 
-    By the mirror identity (see the module docstring), pulse II's
-    ascending eigenvalues are -lambda times pulse I's at the mirrored time,
-    in reverse order.  Both pulses store the samples after the steps A = 0,
-    the strided steps and n, and pulse II's step a mirrors pulse I's step
-    n - a, so the table holds pulse I at the steps A | (n - A) (A itself
-    when the stride divides n), at the times ``_sample_grid`` gives them.
+    By the mirror identity (see the module docstring), pulse II's branch
+    energy of a state psi after step a is -lambda times pulse I's of G psi
+    after step n - a.  Both pulses store the samples after the steps A = 0,
+    the strided steps and n, so the table holds pulse I at the steps
+    A | (n - A) (A itself when the stride divides n), at the times
+    ``_sample_grid`` gives them.
     """
     sample_steps, _ = _sample_grid(seg1, dt, n_steps, stride)
     a = np.r_[0, sample_steps + 1]
@@ -484,7 +487,8 @@ def _mirrored_eigenvalues(
     t = (steps - 1) * dt + dt  # exactly 0 at step 0
     t[-1] = seg1.pulse.tau
     table = _eigenvalue_table(seg1.hamiltonians[0], seg1.pulse, t)
-    return table[where[: len(a)]], -lam * table[where[len(a) :], ::-1]
+    one, two = where[: len(a)], where[len(a) :]
+    return (t[one], table[one]), (t[two], table[two])
 
 
 def _branch_energies(
@@ -501,7 +505,7 @@ def _branch_energies(
 
     ``eigenvalues`` holds the ascending eigenvalues of H at each row's time,
     (rows, dim), from ``_eigenvalue_table``; ``run_protocol`` reads both
-    pulses' off one table (``_mirrored_eigenvalues``).  For the normalised
+    pulses' off one table of pulse I's (``_mirrored_eigenvalues``).  For the normalised
     state phi, with Rayleigh quotient r = <phi|H|phi> and residual sigma^2 =
     ||(H - r) phi||^2, the branch weights p_j obey sum_j p_j (w_j - r)^2 =
     sigma^2, so 1 - p_k <= sigma^2 / g^2 for the eigenvalue w_k nearest r
@@ -568,7 +572,7 @@ def _sample_grid(engine: _SegmentEngine, dt: float, n_steps: int, stride: int) -
     to the exact pulse end so that segment boundaries are found exactly
     downstream."""
     steps = np.minimum(np.arange(stride, n_steps + stride, stride), n_steps) - 1
-    times = (steps * dt + dt) * engine.rate
+    times = steps * dt + dt
     times[-1] = engine.pulse.tau
     return steps, times
 
@@ -841,15 +845,16 @@ def _rk4_pulses(
     return t1, s1, t2, s2
 
 
-def _rk4_stable_dt(engines: Sequence[_SegmentEngine]) -> float:
+def _rk4_stable_dt(engine: _SegmentEngine) -> float:
     """The largest RK4 step that is stable on every static chain of
-    ``engines``: ``RK4_STABLE_DT_RHO`` over rho, the Gershgorin bound of |E|
-    over each pulse, the largest row sum of |Omega0| |drive| + |Delta0| n_r
-    + |v| times the engine's rate (the stepper's time)."""
+    ``engine``: ``RK4_STABLE_DT_RHO`` over rho, the Gershgorin bound of |E|
+    over the pulse, the largest row sum of |Omega0| |drive| + |Delta0| n_r
+    + |v|.  Pulse II on pulse I's clock negates v only, so pulse I's engine
+    bounds both pulses."""
+    pulse = engine.pulse
     rho = max(
-        e.rate * float(np.max(abs(e.pulse.omega0) * np.abs(h.drive).sum(axis=1) + abs(e.pulse.delta0) * h.n_r + np.abs(h.v)))
-        for e in engines
-        for h in e.hamiltonians
+        float(np.max(abs(pulse.omega0) * np.abs(h.drive).sum(axis=1) + abs(pulse.delta0) * h.n_r + np.abs(h.v)))
+        for h in engine.hamiltonians
     )
     return RK4_STABLE_DT_RHO / rho if rho > 0.0 else math.inf
 
@@ -934,26 +939,34 @@ def _pulse_one(
 
 
 def _protocol_start(
-    hamiltonians: Sequence[ChainHamiltonian], cfg: ProtocolConfig,
-    v_int_fn_steps: Optional[Tuple[VIntFn, VIntFn]] = None,
+    hamiltonians: Sequence[ChainHamiltonian], cfg: ProtocolConfig, v_int_fn: Optional[VIntFn] = None
 ) -> Tuple[_SegmentEngine, _SegmentEngine, np.ndarray, int]:
     """The setup of the two pulses run in sequence (RK4, ``_rk4_pulses``):
     pulse I's engine and state (``_pulse_one``), pulse II's engine and the
-    step count of a pulse at ``cfg.dt``.  Pulse II runs the lambda-rescaled
-    pulse under the flipped interaction on the same operator structures, at
-    ``rate`` 1 / lambda so that it shares the step of pulse I.  Moving atoms
-    give each pulse its per-trial interactions at absolute protocol times
-    (``v_int_fn_steps``); pulse II's local time t is the protocol time
-    tau + t."""
+    step count of a pulse at ``cfg.dt``.
+
+    Pulse II runs on pulse I's clock u = lambda t', t' its own time: the
+    lambda-rescaled pulse under the flipped interaction -lambda B at decay
+    rate gamma_rp is, per unit of u, pulse I's Omega(u) and Delta(u) under
+    the negated interaction -B at decay rate gamma_rp / lambda.  So both
+    engines take ``cfg.pulse`` and the step ``cfg.dt``; a sample of pulse II
+    at u is the physical state at t' = u / lambda.  Moving atoms pass their
+    per-trial interaction at absolute protocol times (``v_int_fn``), which
+    pulse II negates at tau + u / lambda."""
     lam, tau = cfg.interaction.lambda_ratio, cfg.pulse.tau
     gamma_1, gamma_2 = _decay_rates(cfg)
-    fn1, fn2 = v_int_fn_steps or (None, None)
-    seg1, psi = _pulse_one(hamiltonians, cfg, (gamma_1,), v_int_fn=fn1)
-    if fn2 is None:
-        hamiltonians = [h.with_interaction(cfg.interaction.flipped()).sector() for h in hamiltonians]
-    seg2_fn = None if fn2 is None else lambda t: fn2(tau + t)
-    seg2 = _SegmentEngine(hamiltonians, cfg.pulse.rescaled(lam), [(gamma_2, 1.0)], seg2_fn, 1 / lam)
+    seg1, psi = _pulse_one(hamiltonians, cfg, (gamma_1,), v_int_fn=v_int_fn)
+    if v_int_fn is None:
+        negated = replace(cfg.interaction, c6=-cfg.interaction.c6)
+        hamiltonians = [h.with_interaction(negated).sector() for h in hamiltonians]
+    seg2_fn = None if v_int_fn is None else lambda u: -v_int_fn(tau + u / lam)
+    seg2 = _SegmentEngine(hamiltonians, cfg.pulse, [(gamma_2 / lam, 1.0)], seg2_fn)
     return seg1, seg2, psi, _step_count(tau, cfg.dt)
+
+
+def _mirror_signs(n_r: np.ndarray) -> np.ndarray:
+    """The diagonal (-1)^n_r of G."""
+    return 1.0 - 2.0 * (n_r % 2)
 
 
 def final_amplitudes(
@@ -979,8 +992,8 @@ def final_amplitudes(
     dt = cfg.pulse.tau / STEPS_PER_PULSE
     _, (final,) = _run_split(engine, state, dt, STEPS_PER_PULSE, STEPS_PER_PULSE)
     c, c_mirror = final[:, :groups, 0], final[:, -groups:, 0]
-    parity = 1.0 - 2.0 * (engine._n_r % 2)
-    amps = np.add.reduceat(c_mirror.conj() * (parity[:, None] * c), [chain.start for chain in engine.chains])
+    signs = _mirror_signs(engine._n_r)[:, None]
+    amps = np.add.reduceat(c_mirror.conj() * (signs * c), [chain.start for chain in engine.chains])
     # (chains, scales) -> one entry per (scale, chain) block
     return amps.T.ravel()
 
@@ -988,29 +1001,33 @@ def final_amplitudes(
 def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> ProtocolRun:
     """Two chirped pulses: step I with interaction B, step II with the
     lambda-rescaled pulse and flipped interaction -lambda B (a no-op for
-    the PXP model).  The r -> r' swap between steps is modeled as
-    instantaneous and exact.  Starts from the collective ground state and
-    takes RK4 steps of ``cfg.dt``, and raises ConfigError before it
-    propagates when that step is past RK4's stability bound on the chain
+    the PXP model), run on pulse I's clock (``_protocol_start``).  The
+    r -> r' swap between steps is modeled as instantaneous and exact.
+    Starts from the collective ground state and takes RK4 steps of
+    ``cfg.dt`` per pulse, and raises ConfigError before it propagates when
+    that step is past RK4's stability bound on the chain
     (``_rk4_stable_dt``).
 
     The dynamical phase integrates the energy of the dominantly occupied
     adiabatic branch (the lowest branch during step I and the highest
-    during step II when the transfer works as designed).
+    during step II when the transfer works as designed).  Pulse II's is
+    -lambda times pulse I's branch energy of G psi at the mirrored step, so
+    G is applied to pulse II's sector samples in place, once the trajectory
+    holds its states.
     """
     (ham,) = hams = _chain_hamiltonians([nu], cfg)
     lam = cfg.interaction.lambda_ratio
     h_scale = float(nu * (abs(cfg.pulse.delta0) + abs(cfg.pulse.omega0)) * max(1.0, lam) + np.abs(ham.v).max())
     seg1, seg2, psi, n1 = _protocol_start(hams, cfg)
-    dt_max = _rk4_stable_dt((seg1, seg2))
+    dt_max = _rk4_stable_dt(seg1)
     if cfg.dt > dt_max:
         raise ConfigError(f"dt_us = {cfg.dt} is past RK4's stability bound at nu = {nu}: need dt_us <= {dt_max!r}")
     stride = _default_stride(h_scale, cfg.dt, n1)
     t1, s1, t2, s2 = _rk4_pulses(seg1, seg2, psi, cfg.dt, n1, stride)
-    basis = ham.basis
+    basis, sector = ham.basis, seg1.hamiltonians[0]
     sector_arr = np.concatenate([psi[None], s1, s2])
-    state_arr = sector_arr @ seg1.hamiltonians[0].u.T
-    time_arr = np.concatenate([[0.0], t1, cfg.pulse.tau + t2])
+    state_arr = sector_arr @ sector.u.T
+    time_arr = np.concatenate([[0.0], t1, cfg.pulse.tau + t2 / lam])
     norms = np.linalg.norm(state_arr, axis=1)
 
     populations = {}
@@ -1019,22 +1036,17 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
 
     traj = Trajectory(basis=basis, times=time_arr, states=state_arr, norms=norms, populations=populations)
 
-    tau1 = cfg.pulse.tau
     phases = None
     if compute_phases:
         # The branch energy jumps at the segment boundary (the detuning
         # resets to -delta0'); the boundary sample is evaluated under both
-        # segments.  Both pulses read their eigenvalues off one table
-        segs, starts = (seg1, seg2), (0.0, tau1)
-        tables = _mirrored_eigenvalues(seg1, lam, cfg.dt, n1, stride)
-        phi_dyn = _dynamical_phase(
-            time_arr,
-            [0, int(np.searchsorted(time_arr, tau1)), len(time_arr) - 1],
-            lambda k, lo, hi: _branch_energies(
-                segs[k].hamiltonians[0], segs[k].pulse, time_arr[lo : hi + 1] - starts[k], sector_arr[lo : hi + 1],
-                tables[k],
-            ),
-        )
+        # segments, pulse II's on G psi after pulse I's on psi
+        (t_one, w_one), (t_two, w_two) = _mirrored_eigenvalues(seg1, cfg.dt, n1, stride)
+        cut = len(t1)
+        e_one = _branch_energies(sector, cfg.pulse, t_one, sector_arr[: cut + 1], w_one)
+        sector_arr[cut:] *= _mirror_signs(sector.n_r)
+        e_two = -lam * _branch_energies(sector, cfg.pulse, t_two, sector_arr[cut:], w_two)
+        phi_dyn = _dynamical_phase(time_arr, (e_one, e_two))
         phases = _phases_from_samples(time_arr, state_arr, phi_dynamical=phi_dyn)
     return ProtocolRun(trajectory=traj, phases=phases)
 
@@ -1072,24 +1084,22 @@ def tau_batch_amplitudes(nus: Sequence[int], cfg: ProtocolConfig, taus: Sequence
     return final_amplitudes(_chain_hamiltonians(nus, ref), ref, scales).reshape(len(taus), len(nus))
 
 
-def _dynamical_phase(
-    times: np.ndarray, cuts: Sequence[int], energy: Callable[[int, int, int], np.ndarray]
-) -> np.ndarray:
+def _dynamical_phase(times: np.ndarray, energies: Sequence[np.ndarray]) -> np.ndarray:
     """Action integral of the dominantly occupied branch energy along the
-    samples, accumulated per segment between the sample indices ``cuts``
-    (first 0, last the final sample) where H jumps.
+    samples, accumulated per segment of a run whose H jumps between them.
 
-    ``energy(k, lo, hi)`` returns the branch energies of samples lo..hi
-    (inclusive) under the Hamiltonian of segment k.  Each segment evaluates
-    its own first sample, so a jump is integrated with both-sided boundary
-    values.
+    ``energies[k]`` holds the branch energies of segment k's samples under
+    its own Hamiltonian; a segment's first sample is the previous one's
+    last, so a jump is integrated with both-sided boundary values.
     """
     phi = np.zeros(len(times))
-    for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-        e = energy(k, lo, hi)
+    lo = 0
+    for e in energies:
+        hi = lo + len(e) - 1
         # the trapezoid rule as scipy.integrate.cumulative_trapezoid forms it
         steps = np.diff(times[lo : hi + 1]) * (e[1:] + e[:-1]) / 2.0
         phi[lo : hi + 1] = phi[lo] + np.concatenate([[0.0], np.cumsum(steps)])
+        lo = hi
     return phi
 
 

@@ -9,7 +9,9 @@ baseline as one more row of the first chunk, is propagated once by RK4
 (``_thermal_dt`` sets its step), the stepper of ``evolution.run_protocol``:
 moving atoms break the mirror identity that lets the gates run pulse I
 alone, so pulse II runs after pulse I, from its final state
-(``evolution._protocol_start`` and ``evolution._rk4_pulses``).  The
+(``evolution._protocol_start`` and ``evolution._rk4_pulses``).  The chunk
+passes one per-trial interaction function of absolute protocol time;
+``evolution._protocol_start`` alone builds pulse II's from it.  The
 active chains of the four input branches (nu = N-2, N-1, N-1, N) are the
 blocks of one direct-sum state, each trial is one column, and their
 interaction is one chain-pair incidence of all their states.  The
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -115,7 +116,7 @@ def _thermal_dt(cfg: ProtocolConfig, d0: np.ndarray, dv: np.ndarray, n_atoms: in
     Gershgorin bounds the spectral radius of H on the full basis by
     sum_pairs |C6| / d^6 + (|Delta0| + |Omega0| / 2) N, with each pair at
     its closest over the protocol (an end, as the distance is linear in t);
-    pulse II in the stepper's time has the same bound.
+    pulse II on pulse I's clock has the same bound.
     """
     d = np.minimum(d0, d0 + dv * cfg.tau_total)
     pulse = cfg.pulse
@@ -162,11 +163,12 @@ def _batch_branch_amplitudes(
     its masks shifted to its first atom, and the interaction diagonal of a
     block of evaluation times is one product of their incidence on the pairs
     of the atoms the blocks cover (no atom outside a block) with the pair
-    strengths; the sign flip of C6 in step II multiplies every pair strength
-    by -lambda.  Pulse II runs after pulse I; with ``cfg.include_decay`` the
-    states keep the physical norm decay of either pulse, otherwise they are
-    normalised (the rule of ``evolution._rk4_pulses``).  Raises ConfigError
-    for a model other than full vdW.
+    strengths C6 / d^6; ``evolution._protocol_start`` builds pulse II's
+    interaction from this one function.  Pulse II runs after pulse I; with
+    ``cfg.include_decay`` the states keep the physical norm decay of either
+    pulse, otherwise they are normalised (the rule of
+    ``evolution._rk4_pulses``).  Raises ConfigError for a model other than
+    full vdW.
     """
     if cfg.model is not Model.FULL_VDW:
         raise ConfigError("thermal motion requires the full van der Waals model")
@@ -184,14 +186,14 @@ def _batch_branch_amplitudes(
     masks = np.concatenate([h.basis.masks << atoms[0] for atoms, h in zip(atom_sets, hams)])
     inc = pair_incidence(masks, pairs)  # (dim, pairs)
 
-    def v_int_at(c6: float, t_abs: np.ndarray) -> np.ndarray:
+    c6 = cfg.interaction.c6
+
+    def v_int_at(t_abs: np.ndarray) -> np.ndarray:
         d = d0 + dv * t_abs[:, None, None]  # (times, pairs, trials)
         return inc @ (c6 / d**6)  # (times, dim, trials)
 
-    c6 = cfg.interaction.c6
-    v_int_fn_steps = (partial(v_int_at, c6), partial(v_int_at, -cfg.interaction.lambda_ratio * c6))
     run_cfg = replace(cfg, dt=_thermal_dt(cfg, d0, dv, hi + 1 - lo))
-    seg1, seg2, psi, n = _protocol_start(hams, run_cfg, v_int_fn_steps)
+    seg1, seg2, psi, n = _protocol_start(hams, run_cfg, v_int_at)
     *_, s2 = _rk4_pulses(seg1, seg2, np.repeat(psi[:, None], len(offsets), axis=1), run_cfg.dt, n, n)
     return s2[-1][[chain.start for chain in seg1.chains]].T
 

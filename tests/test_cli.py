@@ -604,6 +604,29 @@ class TestErrorHandling:
         data["interaction"]["range_cutoff"] = None  # null: no cutoff
         assert protocol_from_dict(data).interaction.range_cutoff is None
 
+    def test_step_not_dividing_tau_exits_2_before_propagation(self, tmp_path, capsys, monkeypatch):
+        from afmgate import evolution
+
+        monkeypatch.setattr(evolution, "_run_segment", None)  # never reached
+        cfg = write_config(tmp_path, {"dt_us": 0.00033})  # 3030.3 steps per pulse
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "evolve", "--nu", "3"]) == EXIT_CONFIG
+        assert "config error: dt_us = 0.00033 does not evenly divide tau_us = 1.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gate"],
+            ["sweep", "--n-list", "3", "--tau-points", "2"],
+            ["fit-c", "--nu-list", "3"],
+            ["thermal", "--trials", "2"],
+        ],
+    )
+    def test_commands_ignoring_the_step_run_with_an_uneven_one(self, tmp_path, argv):
+        cfg = write_config(tmp_path, {"dt_us": 0.00033})
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), *argv]) == EXIT_OK
+
     def test_failed_run_keeps_an_existing_output_directory(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

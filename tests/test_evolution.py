@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -47,10 +48,27 @@ def wrap_phase(x):
     return (x + math.pi) % (2 * math.pi) - math.pi
 
 
+def physical_pulse_two(hams, cfg, v_int_fn=None):
+    """Pulse II as the physics defines it, the oracle of the engine on pulse
+    I's clock: the lambda-rescaled pulse at decay rate gamma_rp under the
+    flipped interaction -lambda C6, on the even sectors of static chains;
+    moving atoms keep their full bases and take pulse II's own per-trial
+    interaction at absolute protocol times (``v_int_fn``, built from
+    -lambda C6) at tau + t'.  It runs at the step dt / lambda."""
+    lam, tau = cfg.interaction.lambda_ratio, cfg.pulse.tau
+    gamma_2 = cfg.decay.gamma_rp if cfg.include_decay else 0.0
+    if v_int_fn is None:
+        hams = [h.with_interaction(cfg.interaction.flipped()).sector() for h in hams]
+    fn = None if v_int_fn is None else lambda t: v_int_fn(tau + t)
+    return _SegmentEngine(hams, cfg.pulse.rescaled(lam), [(gamma_2, 1.0)], fn)
+
+
 def segments(nu, cfg):
-    """The two segment engines of a protocol on the even sector of the
-    model's own basis."""
-    return _protocol_start([ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction)], cfg)[:2]
+    """Pulse I's engine of a protocol on the even sector of the model's own
+    basis (``_protocol_start``) and the physical pulse II
+    (``physical_pulse_two``)."""
+    hams = [ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction)]
+    return _protocol_start(hams, cfg)[0], physical_pulse_two(hams, cfg)
 
 
 def protocol_final_state(hams, cfg, scales=(1.0,)):
@@ -62,7 +80,7 @@ def protocol_final_state(hams, cfg, scales=(1.0,)):
     psi = np.repeat(psi[:, None, None], len(scales), axis=1)
     for seg in (seg1, seg2):
         ((gamma, _),) = seg.groups
-        scaled = _SegmentEngine(seg.hamiltonians, seg.pulse, [(gamma, s) for s in scales], rate=seg.rate)
+        scaled = _SegmentEngine(seg.hamiltonians, seg.pulse, [(gamma, s) for s in scales])
         _, (psi,) = _run_split(scaled, psi, cfg.pulse.tau / STEPS_PER_PULSE, STEPS_PER_PULSE, STEPS_PER_PULSE)
     return seg1, psi[:, :, 0]
 
@@ -88,17 +106,22 @@ def sequential_amplitude(nu, cfg):
     return final[0, 0]
 
 
+def negated(interaction):
+    """The interaction of pulse II on pulse I's clock: C6 -> -C6."""
+    return replace(interaction, c6=-interaction.c6)
+
+
 def full_segments(nu, cfg):
     """The two segment engines of a protocol on the model's full basis: the
-    path the even-sector propagation replaced.  Pulse II runs at rate
-    1 / lambda on the step of pulse I."""
+    path the even-sector propagation replaced.  Pulse II runs on pulse I's
+    clock: pulse I's pulse under the negated interaction at decay rate
+    gamma_rp / lambda."""
     ham = ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction)
     gamma_1, gamma_2 = (cfg.decay.gamma_r, cfg.decay.gamma_rp) if cfg.include_decay else (0.0, 0.0)
     lam = cfg.interaction.lambda_ratio
-    pulse_2 = cfg.pulse.rescaled(lam)
     return (
         _SegmentEngine([ham], cfg.pulse, [(gamma_1, 1.0)]),
-        _SegmentEngine([ham.with_interaction(cfg.interaction.flipped())], pulse_2, [(gamma_2, 1.0)], rate=1.0 / lam),
+        _SegmentEngine([ham.with_interaction(negated(cfg.interaction))], cfg.pulse, [(gamma_2 / lam, 1.0)]),
     )
 
 
@@ -146,7 +169,6 @@ class ConstantEngine(_SegmentEngine):
         self.drive = np.asarray(drive, dtype=float)
         self.hamiltonians = (SimpleNamespace(drive=self.drive),)
         self.groups = ((0.0, 1.0),)
-        self.rate = 1.0
         self.diag = np.asarray(diag, dtype=complex)
         self.omega = omega
         self.pulse = SimpleNamespace(tau=tau)
@@ -291,21 +313,24 @@ class TestFusedStepper:
         def v_int_at(t_abs):  # (times, dim, 3): one drifting interaction per column
             return v0[None, :, None] * (1.0 + rates[None, None, :] * t_abs[:, None, None])
 
-        _, seg2 = _protocol_start([ham], cfg, v_int_fn_steps=(v_int_at, v_int_at))[:2]
+        _, seg2 = _protocol_start([ham], cfg, v_int_at)[:2]
         ((gamma, _),) = seg2.groups
         dt = seg2.pulse.tau / 1000
         psi0 = np.zeros((basis.dim, 3), dtype=complex)
         psi0[0, :] = 1.0
         renormalize = not include_decay
         _, (fused,) = _run_segment(seg2, psi0, dt, 1000, 1000, renormalize)
+        lam = cfg.interaction.lambda_ratio
         for col in range(3):
 
-            def h_col(t):
-                # pulse II's local time t is the protocol time tau + t
-                t = min(max(t, 0.0), seg2.pulse.tau)
-                v_col = v_int_at(np.array([cfg.pulse.tau + t]))[0, :, col]
-                return ham.matrix(seg2.pulse.omega(t), seg2.pulse.delta(t)) + np.diag(
-                    v_col - ham.v - 0.5j * gamma * ham.n_r
+            def h_col(u):
+                # pulse II at time u of pulse I's clock: pulse I's pulse
+                # under the negated interaction at the protocol time
+                # tau + u / lambda
+                u = min(max(u, 0.0), seg2.pulse.tau)
+                v_col = v_int_at(np.array([cfg.pulse.tau + u / lam]))[0, :, col]
+                return ham.matrix(seg2.pulse.omega(u), seg2.pulse.delta(u)) + np.diag(
+                    -v_col - ham.v - 0.5j * gamma * ham.n_r
                 )
 
             plain = plain_rk4(h_col, psi0[:, col], dt, 1000, renormalize)
@@ -324,7 +349,7 @@ class TestFusedStepper:
         def v_int_at(t_abs):  # (times, dim, 3)
             return v0[None, :, None] * (1.0 + rates[None, None, :] * t_abs[:, None, None])
 
-        seg, _ = _protocol_start(hams, cfg, v_int_fn_steps=(v_int_at, v_int_at))[:2]
+        seg, _ = _protocol_start(hams, cfg, v_int_at)[:2]
         dt = cfg.pulse.tau / 1000
         psi0 = np.zeros((seg.chains[-1].stop, 3), dtype=complex)
         psi0[[c.start for c in seg.chains], :] = 1.0
@@ -356,7 +381,7 @@ class TestFusedStepper:
         def v_int_at(t_abs):  # (times, dim, 3): one drifting interaction per column
             return v0[None, :, None] * (1.0 + rates[None, None, :] * t_abs[:, None, None])
 
-        batch_seg, _ = _protocol_start([ham], cfg, v_int_fn_steps=(v_int_at, v_int_at))[:2]
+        batch_seg, _ = _protocol_start([ham], cfg, v_int_at)[:2]
         single_seg = _SegmentEngine([ham], cfg.pulse)
         rng = np.random.default_rng(5)
         wide = rng.normal(size=(ham.basis.dim, 6)) + 1j * rng.normal(size=(ham.basis.dim, 6))
@@ -442,15 +467,16 @@ class TestBlockDiagonal:
         check_block_coverage(calls, t_tab, self.N_STEPS)
 
         n_r = excitation_numbers(basis)
-        v = vdw_diagonal(basis, cfg.interaction.flipped())
+        v = vdw_diagonal(basis, negated(cfg.interaction))  # pulse II on pulse I's clock
         if include_decay:
-            v = v - 0.5j * cfg.decay.gamma_rp * n_r
+            v = v - 0.5j * (cfg.decay.gamma_rp / cfg.interaction.lambda_ratio) * n_r
         for delta, d in zip(dl, np.concatenate([c[2] for c in calls])):
             assert np.array_equal(d, delta * (1j * n_r) + -1j * v)
 
+    @pytest.mark.parametrize("lam", [1.0, 1.7])
     @pytest.mark.parametrize("include_decay", [False, True])
-    def test_per_column_blocks_match_scalar_formula(self, include_decay, monkeypatch):
-        cfg = reference_config(model=Model.FULL_VDW, include_decay=include_decay, gamma=mhz(0.05))
+    def test_per_column_blocks_match_scalar_formula(self, include_decay, lam, monkeypatch):
+        cfg = reference_config(model=Model.FULL_VDW, include_decay=include_decay, gamma=mhz(0.05), lambda_ratio=lam)
         ham = ChainHamiltonian(Model.FULL_VDW, build_full_basis(3), cfg.interaction)
         basis, v0 = ham.basis, ham.v
         rates = np.array([0.0, 0.3, -0.2])
@@ -464,7 +490,7 @@ class TestBlockDiagonal:
             seen.append(t_abs)
             return np.stack([v_at(t) for t in t_abs])
 
-        _, seg2 = _protocol_start([ham], cfg, v_int_fn_steps=(v_int_at, v_int_at))[:2]
+        _, seg2 = _protocol_start([ham], cfg, v_int_at)[:2]
         dt = seg2.pulse.tau / self.N_STEPS
         calls = record_diagonals(seg2, monkeypatch)
         psi0 = np.zeros((basis.dim, 3), dtype=complex)
@@ -472,13 +498,15 @@ class TestBlockDiagonal:
         _run_segment(seg2, psi0, dt, self.N_STEPS, self.N_STEPS, not include_decay)
         t_tab, _, dl = seg2.tables(dt, self.N_STEPS)
         check_block_coverage(calls, t_tab, self.N_STEPS)
-        # pulse II's function sees the protocol time tau + t of its local t
-        assert np.array_equal(np.concatenate(seen), cfg.pulse.tau + t_tab)
+        # pulse II's engine runs on pulse I's clock u: the function sees the
+        # protocol time tau + u / lambda
+        assert np.array_equal(np.concatenate(seen), cfg.pulse.tau + t_tab / lam)
 
         n_r = excitation_numbers(basis)[:, None]
-        decay = -0.5j * cfg.decay.gamma_rp * n_r if include_decay else 0.0
+        decay = -0.5j * (cfg.decay.gamma_rp / lam) * n_r if include_decay else 0.0
         for t, delta, d in zip(t_tab, dl, np.concatenate([c[2] for c in calls])):
-            scalar = delta * (1j * n_r) - 1j * v_at(cfg.pulse.tau + t) - 1j * decay
+            # the negated interaction: -i (-v) = +i v
+            scalar = delta * (1j * n_r) + 1j * v_at(cfg.pulse.tau + t / lam) - 1j * decay
             assert d.shape == (basis.dim, 3)
             assert np.abs(d - scalar).max() < 1e-12
 
@@ -489,7 +517,7 @@ class TestRk4StepBound:
 
     @staticmethod
     def stable_dt(nu, cfg):
-        return _rk4_stable_dt(_protocol_start(_chain_hamiltonians([nu], cfg), cfg)[:2])
+        return _rk4_stable_dt(_protocol_start(_chain_hamiltonians([nu], cfg), cfg)[0])
 
     @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
     def test_default_step_admitted_up_to_nu10(self, model):
@@ -503,15 +531,16 @@ class TestRk4StepBound:
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_bound_covers_the_spectrum_of_both_pulses(self, lam):
-        # Gershgorin: dt |E| <= 2.8 for every eigenvalue of H along either
-        # pulse, in the stepper's time (pulse II at rate 1 / lambda)
+        # Gershgorin: dt |E| <= 2.8 for every eigenvalue of H along pulse I,
+        # and (dt / lambda) |E| <= 2.8 along the physical pulse II, which
+        # runs at the step dt / lambda
         cfg = reference_config(model=Model.FULL_VDW, lambda_ratio=lam)
-        seg1, seg2 = _protocol_start(_chain_hamiltonians([6], cfg), cfg)[:2]
-        dt = _rk4_stable_dt((seg1, seg2))
-        for seg in (seg1, seg2):
+        seg1, seg2 = segments(6, cfg)
+        dt = _rk4_stable_dt(seg1)
+        for seg, step in ((seg1, dt), (seg2, dt / lam)):
             t = np.linspace(0.0, seg.pulse.tau, 41)
             h = seg.hamiltonians[0].matrix(seg.pulse.omega(t), seg.pulse.delta(t)).real
-            assert dt * seg.rate * np.abs(np.linalg.eigvalsh(h)).max() <= evolution.RK4_STABLE_DT_RHO
+            assert step * np.abs(np.linalg.eigvalsh(h)).max() <= evolution.RK4_STABLE_DT_RHO
 
     def test_unstable_step_refused_before_propagation(self, monkeypatch):
         monkeypatch.setattr(evolution, "_run_segment", None)  # never reached
@@ -637,10 +666,10 @@ def phase_decomposition(traj, h_of_t, boundaries=()):
         w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
         return float(w[int(np.argmax(np.abs(v.conj().T @ traj.states[i])))])
 
-    def energy(k, lo, hi):
-        return np.array([energy_at(k, i) for i in range(lo, hi + 1)])
-
-    phi_dyn = _dynamical_phase(traj.times, cuts, energy)
+    energies = [
+        np.array([energy_at(k, i) for i in range(lo, hi + 1)]) for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))
+    ]
+    phi_dyn = _dynamical_phase(traj.times, energies)
     return _phases_from_samples(traj.times, traj.states, phi_dynamical=phi_dyn)
 
 
@@ -702,13 +731,14 @@ class TestPhases:
         times = np.cumsum(rng.uniform(0.5, 1.5, 40))
         cuts = [0, 17, 39]
         energies = [rng.normal(size=18) * 1e3, rng.normal(size=23) * 1e3]
-        phi = _dynamical_phase(times, cuts, lambda k, lo, hi: energies[k])
+        phi = _dynamical_phase(times, energies)
         ref = np.zeros(len(times))
         for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
             ref[lo : hi + 1] = ref[lo] + cumulative_trapezoid(energies[k], times[lo : hi + 1], initial=0.0)
         assert np.array_equal(phi, ref)
 
     def test_phase_decomposition_matches_protocol_record(self):
+        # pulse II's full-space H from the physical pulse and interaction
         cfg = reference_config(model=Model.PXP)
         run = run_protocol(3, cfg)
         h1, h2 = (full_space_h(seg) for seg in segments(3, cfg))
@@ -751,8 +781,8 @@ def record_fallback(monkeypatch):
 
 def segment_samples(run, nu, cfg):
     """(segment engine, first and last sample index, segment start time) of
-    both pulses of ``run_protocol(nu, cfg)``; the boundary sample belongs to
-    both."""
+    both pulses of ``run_protocol(nu, cfg)``, pulse II's the physical one
+    (``segments``); the boundary sample belongs to both."""
     times = run.trajectory.times
     tau = cfg.pulse.tau
     cut = int(np.searchsorted(times, tau))
@@ -822,8 +852,7 @@ class TestEvenSectorBranchEnergies:
             energies = branch_energies(seg.hamiltonians[0], seg.pulse, traj.times[idx] - start, states)
             assert np.abs(energies - ref).max() <= 1e-12 * np.abs(ref).max()
         if every == 1:
-            cuts = [0, segment_samples(run, nu, cfg)[1][1], len(traj.times) - 1]
-            phi = _dynamical_phase(traj.times, cuts, lambda k, lo, hi: reference[k])
+            phi = _dynamical_phase(traj.times, reference)
             assert np.abs(run.phases.phi_dynamical - phi).max() <= 1e-11
 
     def test_energies_independent_of_chunk_size(self, monkeypatch):
@@ -951,14 +980,23 @@ class TestMirroredEigenvalues:
     @pytest.mark.parametrize("lam", [0.7, 1.3])
     @pytest.mark.parametrize("model,nu", MIRROR_CASES)
     def test_table_rows_match_each_pulses_own_eigenvalues(self, model, nu, lam, sigma):
+        # pulse I's rows at its samples' own times; pulse II's, at the
+        # mirrored times, are its physical eigenvalues as -lambda times the
+        # reversed rows
         cfg = mirror_config(model, lam, sigma)
         run = run_protocol(nu, cfg, compute_phases=False)
         times = run.trajectory.times
         stride = int(np.diff(pulse_steps(run, cfg)[0])[0])
-        rows = evolution._mirrored_eigenvalues(segments(nu, cfg)[0], lam, cfg.dt, round(cfg.pulse.tau / cfg.dt), stride)
-        for (seg, lo, hi, start), table in zip(segment_samples(run, nu, cfg), rows, strict=True):
-            direct = evolution._eigenvalue_table(seg.hamiltonians[0], seg.pulse, times[lo : hi + 1] - start)
-            assert np.abs(table - direct).max() <= 1e-14 * np.abs(direct).max()
+        rows = evolution._mirrored_eigenvalues(segments(nu, cfg)[0], cfg.dt, round(cfg.pulse.tau / cfg.dt), stride)
+        (seg1, lo1, hi1, _), (seg2, lo2, hi2, start) = segment_samples(run, nu, cfg)
+        (t_one, w_one), (t_two, w_two) = rows
+        assert np.array_equal(t_one, times[lo1 : hi1 + 1])
+        direct = evolution._eigenvalue_table(seg1.hamiltonians[0], seg1.pulse, t_one)
+        assert np.abs(w_one - direct).max() <= 1e-14 * np.abs(direct).max()
+        local = times[lo2 : hi2 + 1] - start
+        assert np.abs(t_two - (cfg.pulse.tau - lam * local)).max() <= 1e-14
+        direct = evolution._eigenvalue_table(seg2.hamiltonians[0], seg2.pulse, local)
+        assert np.abs(-lam * w_two[:, ::-1] - direct).max() <= 1e-14 * np.abs(direct).max()
 
     def test_reference_config_solves_one_pulse_of_matrices(self, monkeypatch):
         cfg = reference_config(model=Model.FULL_VDW)
@@ -984,11 +1022,13 @@ class TestMirroredEigenvalues:
         samples = segment_samples(run, nu, cfg)
         direct = _dynamical_phase(
             traj.times,
-            [samples[0][1], samples[1][1], samples[1][2]],
-            lambda k, lo, hi: branch_energies(
-                samples[k][0].hamiltonians[0], samples[k][0].pulse, traj.times[lo : hi + 1] - samples[k][3],
-                traj.states[lo : hi + 1] @ samples[k][0].hamiltonians[0].u,
-            ),
+            [
+                branch_energies(
+                    seg.hamiltonians[0], seg.pulse, traj.times[lo : hi + 1] - start,
+                    traj.states[lo : hi + 1] @ seg.hamiltonians[0].u,
+                )
+                for seg, lo, hi, start in samples
+            ],
         )
         assert np.abs(run.phases.phi_dynamical - direct).max() <= 1e-11
 
@@ -1101,14 +1141,14 @@ def decay_config(gamma_r, gamma_rp, **kwargs):
     return replace(cfg, decay=DecayConfig(gamma_r=gamma_r, gamma_rp=gamma_rp))
 
 
-def random_engine(rate, *gammas):
+def random_engine(*gammas):
     """A one-chain engine on a random real symmetric drive of 6 rows, with
     non-integer excitation numbers, a static interaction and one column
     group per decay rate in ``gammas``."""
     rng = np.random.default_rng(11)
     a = rng.normal(size=(6, 6))
     ham = SimpleNamespace(drive=a + a.T, n_r=rng.uniform(0.0, 2.0, 6), v=rng.normal(size=6))
-    return _SegmentEngine([ham], PulseProfile(mhz(8.0), mhz(20.0), 0.4), [(g, 1.0) for g in gammas], rate=rate)
+    return _SegmentEngine([ham], PulseProfile(mhz(8.0), mhz(20.0), 0.4), [(g, 1.0) for g in gammas])
 
 
 def split_propagator(engine, dt, n_steps):
@@ -1132,8 +1172,7 @@ class TestMirrorIdentity:
         cfg = reference_config(model=model, include_decay=include_decay, gamma=mhz(0.05), lambda_ratio=lam)
         hams = _chain_hamiltonians([nu], cfg)
         _, seg2, _, _ = _protocol_start(hams, cfg)
-        ((gamma_2, _),) = seg2.groups
-        mirror, _ = _pulse_one(hams, cfg, [gamma_2 / lam])
+        mirror, _ = _pulse_one(hams, cfg, [cfg.decay.gamma_rp / lam if include_decay else 0.0])
         dt = cfg.pulse.tau / STEPS_PER_PULSE
         m2 = split_propagator(seg2, dt, STEPS_PER_PULSE)
         m1 = split_propagator(mirror, dt, STEPS_PER_PULSE)
@@ -1163,7 +1202,7 @@ class TestMirrorIdentity:
         ground_amplitudes([3, 4], cfg)
         (engine, final), = runs
         assert engine.groups == tuple((gamma * r, 1.0) for r in rates)
-        assert engine.pulse == cfg.pulse and engine.rate == 1.0
+        assert engine.pulse == cfg.pulse
         assert final.shape == (engine.chains[-1].stop, len(rates), 1)
 
     def test_two_rate_groups_of_one_engine_equal_each_rate_alone(self):
@@ -1171,13 +1210,13 @@ class TestMirrorIdentity:
         # one run holding both column groups gives each rate's run alone,
         # bit for bit
         gamma = mhz(1.0)
-        both_rates = random_engine(0.6, gamma, gamma / 1.7)
+        both_rates = random_engine(gamma, gamma / 1.7)
         n = 100
-        dt = both_rates.pulse.tau / (0.6 * n)
+        dt = both_rates.pulse.tau / n
         eye = np.eye(6, dtype=complex)
         _, (both,) = _run_split(both_rates, np.stack([eye, eye], axis=1), dt, n, n)
         for k, g in enumerate((gamma, gamma / 1.7)):
-            assert np.array_equal(both[:, k], split_propagator(random_engine(0.6, g), dt, n))
+            assert np.array_equal(both[:, k], split_propagator(random_engine(g), dt, n))
         assert np.abs(both[:, 0] - both[:, 1]).max() > 1e-3  # the rates tell the groups apart
 
     @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
@@ -1286,7 +1325,7 @@ def direct_split_tables(engine, dt, n_steps, steps):
     s = np.concatenate([np.linalg.eigh(h.drive)[0] for h in engine.hamiltonians])
     n_r = np.concatenate([h.n_r for h in engine.hamiltonians])
     u, omega = engine.nodes(dt, n_steps)
-    local = np.clip(engine.rate * u, 0.0, engine.pulse.tau)
+    local = np.clip(u, 0.0, engine.pulse.tau)
     starts = np.column_stack([np.r_[local[0, 0], local[:-1, -2]], local[:, 1:-1]])
     delta = engine.pulse.delta((0.5 * (starts + local[:, 1:]))[steps])
     diags, phases = [], []
@@ -1332,15 +1371,15 @@ class TestSplitTables:
 
     def test_random_engine_tables_match_direct_exponentials(self):
         # non-integer n_r and no repeated eigenvalue: one level per row
-        engine = random_engine(0.6, mhz(1.0), mhz(0.4))
+        engine = random_engine(mhz(1.0), mhz(0.4))
         levels, index = engine.drive_levels
         assert len(levels) == 6 and np.array_equal(index, np.arange(6))
         assert len(np.unique(engine.hamiltonians[0].n_r)) == 6
         n = 100
-        self.assert_tables_match(engine, engine.pulse.tau / (0.6 * n), n)
+        self.assert_tables_match(engine, engine.pulse.tau / n, n)
 
     def test_split_nodes_follow_the_diagonal_coefficients(self):
-        u, omega = random_engine(0.6, 0.0).nodes(0.001, 50)
+        u, omega = random_engine(0.0).nodes(0.001, 50)
         # a step's drive nodes follow the diagonal coefficients a: each sits
         # where the diagonal factors before it end
         a = np.diff(u[:, :-1], axis=1) / 0.001
@@ -1404,6 +1443,59 @@ class TestSplitTables:
         assert peak < limit * 2**20
 
 
+class TestPulseTwoClock:
+    """Pulse II's RK4 engine of ``_protocol_start`` runs on pulse I's clock
+    at the step dt; the physical pulse II (``physical_pulse_two``) runs at
+    dt / lambda.  Both start from pulse I's final state and must agree
+    within 1e-13, bit for bit at lambda = 1."""
+
+    @staticmethod
+    def assert_same(lam, seg1, seg2, physical, psi, dt, n, stride):
+        _, (start,) = _run_segment(seg1, psi, dt, n, n, False)
+        t_clock, clock = _run_segment(seg2, start, dt, n, stride, False)
+        t_phys, phys = _run_segment(physical, start, dt / lam, n, stride, False)
+        assert len(clock) > 4 and np.abs(clock[-1] - start).max() > 0.1  # pulse II moves the state
+        if lam == 1.0:
+            assert t_clock.tobytes() == t_phys.tobytes() and clock.tobytes() == phys.tobytes()
+        else:
+            assert np.abs(t_clock / lam - t_phys).max() <= 1e-15
+            assert np.abs(clock - phys).max() < 1e-13
+
+    @pytest.mark.parametrize("include_decay", [False, True])
+    @pytest.mark.parametrize("lam", [0.7, 1.0, 1.3, 1.7])
+    @pytest.mark.parametrize("nu", [3, 4, 5, 6])
+    @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
+    def test_static_chain_matches_the_physical_pulse(self, model, nu, lam, include_decay):
+        # the coarsest legal step, within RK4's bound up to nu = 6
+        cfg = reference_config(model=model, include_decay=include_decay, gamma=mhz(0.05), lambda_ratio=lam, dt=0.001)
+        hams = _chain_hamiltonians([nu], cfg)
+        seg1, seg2, psi, n = _protocol_start(hams, cfg)
+        assert cfg.dt <= _rk4_stable_dt(seg1)
+        self.assert_same(lam, seg1, seg2, physical_pulse_two(hams, cfg), psi, cfg.dt, n, 200)
+
+    @pytest.mark.parametrize("include_decay", [False, True])
+    @pytest.mark.parametrize("lam", [1.0, 1.7])
+    def test_moving_atoms_match_the_physical_pulse(self, lam, include_decay):
+        # three trials of four moving atoms; pulse II's physical interaction
+        # is its own per-trial function of -lambda C6 at tau + t'
+        cfg = reference_config(model=Model.FULL_VDW, include_decay=include_decay, gamma=mhz(0.05), lambda_ratio=lam)
+        ham = ChainHamiltonian(Model.FULL_VDW, build_full_basis(4), cfg.interaction)
+        rng = np.random.default_rng(7)
+        x0 = cfg.chain.spacing * np.arange(4) + rng.normal(0.0, 0.02, (3, 4))
+        v = rng.normal(0.0, 0.1, (3, 4))
+        i, j = np.array(ham.pairs).T
+        d0, dv = (x0[:, j] - x0[:, i]).T, (v[:, j] - v[:, i]).T  # (pairs, trials)
+
+        def v_int_at(c6, t_abs):
+            return ham.incidence @ (c6 / (d0 + dv * t_abs[:, None, None]) ** 6)
+
+        c6 = cfg.interaction.c6
+        seg1, seg2, psi, n = _protocol_start([ham], cfg, partial(v_int_at, c6))
+        physical = physical_pulse_two([ham], cfg, partial(v_int_at, -lam * c6))
+        psi = np.repeat(psi[:, None], 3, axis=1)
+        self.assert_same(lam, seg1, seg2, physical, psi, cfg.dt, n, 500)
+
+
 class TestSectorPropagation:
     """Static chains propagated on the even sector against the same
     ``_run_segment`` on full-space engines, the path the sector replaced."""
@@ -1423,7 +1515,7 @@ class TestSectorPropagation:
         stride = _default_stride(h_scale, cfg.dt, n)
         t1, s1 = _run_segment(seg1, full_ground(seg1.hamiltonians[0].basis), cfg.dt, n, stride, not include_decay)
         t2, s2 = _run_segment(seg2, s1[-1], cfg.dt, n, stride, not include_decay)
-        assert np.array_equal(run.trajectory.times, np.concatenate([[0.0], t1, pulse.tau + t2]))
+        assert np.array_equal(run.trajectory.times, np.concatenate([[0.0], t1, pulse.tau + t2 / lam]))
         assert np.abs(run.trajectory.states[-1] - s2[-1]).max() < 1e-13
 
     @pytest.mark.parametrize("kind", ["1-D", "strided 1-D", "column batch", "Fortran batch", "strided batch"])

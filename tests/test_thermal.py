@@ -254,8 +254,8 @@ class TestBatchedEnsemble:
         assert calls == [([3, 4, 4, 5], 17)] * 2
 
     def test_both_pulses_share_the_chains_and_keep_no_static_interaction(self, monkeypatch):
-        # each pulse's interaction is its per-trial function: no flipped copy
-        # of a chain, and no static diagonal in either engine
+        # pulse II negates the chunk's one per-trial function: no flipped
+        # copy of a chain, and no static diagonal in either engine
         cfg = reference_config(n_atoms=5, model=Model.FULL_VDW, tau=0.4)
         engines = []
         real = evolution._run_segment
