@@ -1017,7 +1017,9 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
     """
     (ham,) = hams = _chain_hamiltonians([nu], cfg)
     lam = cfg.interaction.lambda_ratio
-    h_scale = float(nu * (abs(cfg.pulse.delta0) + abs(cfg.pulse.omega0)) * max(1.0, lam) + np.abs(ham.v).max())
+    # pulse I's energy scale sets the stride of both pulses: on pulse I's
+    # clock pulse II's samples take pulse I's phase step for every lambda
+    h_scale = float(nu * (abs(cfg.pulse.delta0) + abs(cfg.pulse.omega0)) + np.abs(ham.v).max())
     seg1, seg2, psi, n1 = _protocol_start(hams, cfg)
     dt_max = _rk4_stable_dt(seg1)
     if cfg.dt > dt_max:

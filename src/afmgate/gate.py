@@ -175,7 +175,8 @@ def leakage_error(n_atoms: int, c_table: Mapping[int, float], pulse: PulseProfil
 
 
 def kappa_c_table(nus: Sequence[int], pulse: PulseProfile) -> Dict[int, float]:
-    """Gap-derived constants c_nu = pi kappa_nu^2 / 4 from PXP spectrum scans."""
+    """Gap-derived constants c_nu = pi kappa_nu^2 / 4 from the PXP chain's
+    minimal avoided-crossing gaps (``spectra.min_gap``)."""
     return {nu: math.pi * min_gap(nu, pulse).kappa ** 2 / 4.0 for nu in nus}
 
 

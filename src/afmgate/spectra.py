@@ -9,6 +9,10 @@ level's inversion label is the sector it is solved in, and dH/dt couples no
 two levels of different sectors, so each row of eta needs only the followed
 branch's own sector.  No eigenvectors are kept: a scan's memory is
 O(grid * dim).
+
+``min_gap`` solves the same two sectors for the avoided-crossing gap of
+the Landau-Zener constants: a stacked coarse grid, then Brent's method on
+the bracket of its minimum.  Neither imports scipy.
 """
 
 from __future__ import annotations
@@ -32,11 +36,14 @@ GAP_COARSE_POINTS = 101
 # (grid points per chunk times dim^2), 1 MB of float64: the 101-point grid
 # of a PXP chain up to nu = 7 (dim 34) is one chunk
 GAP_CHUNK_ENTRIES = 1 << 17
-# Golden-section refinement of ``min_gap``: the relative tolerance on the
-# detuning and scipy's iteration cap (the test is met after 45-80 gap
-# evaluations at PXP nu 2..11 and vdW nu 2..8)
-GOLDEN_XTOL = 1e-10
-GOLDEN_MAXITER = 5000
+# Brent refinement of ``min_gap`` (scipy's ``Brent`` constants): the
+# relative and absolute tolerances on the detuning, the golden-section
+# fraction and the iteration cap (the test is met after 14-42 gap
+# evaluations at PXP nu 2..11, vdW nu 2..8 and corrections nu 2..8)
+BRENT_XTOL = 1e-10
+BRENT_MINTOL = 1e-11
+BRENT_CG = 0.3819660
+BRENT_MAXITER = 500
 
 
 class SymmetryLabel(Enum):
@@ -153,8 +160,10 @@ def min_gap(
     interaction: Optional[InteractionConfig] = None,
 ) -> GapReport:
     """Minimum over the sweep of the avoided-crossing gap, a coarse grid of
-    ``GAP_COARSE_POINTS`` detunings plus golden-section refinement
-    (``_golden``) on the bracket of the coarse minimum."""
+    ``GAP_COARSE_POINTS`` detunings plus Brent refinement (``_brent``) on
+    the bracket of the coarse minimum.  Each gap solves the even and odd
+    sectors apart and merges their levels by a sort; the partner is the
+    full-spectrum index ``wrong_parity_partner(nu)``."""
     if nu < 1:
         raise ValueError(f"nu must be >= 1, got {nu}")
     ham = ChainHamiltonian(model, model_basis(model, nu), interaction)
@@ -162,18 +171,21 @@ def min_gap(
     if partner > ham.basis.dim:
         raise ValueError(f"basis of dim {ham.basis.dim} has no branch {partner}")
     k0 = partner - 1
+    # the odd sector of a single atom is empty
+    sectors = [sector for sector in (ham.sector(), ham.sector(odd=True)) if len(sector.n_r)]
 
     def gaps_at(delta):
-        # a float, or an array of detunings solved as one stacked eigvalsh
-        w = np.linalg.eigvalsh(ham.matrix(pulse.omega(pulse.time_at_delta(delta)), delta))
+        # a float, or an array of detunings solved as one stacked eigvalsh per sector
+        omega = pulse.omega(pulse.time_at_delta(delta))
+        w = np.sort(np.concatenate([np.linalg.eigvalsh(s.matrix(omega, delta)) for s in sectors], axis=-1), axis=-1)
         return w[..., k0] - w[..., 0]
 
     deltas = np.linspace(-abs(pulse.delta0), abs(pulse.delta0), GAP_COARSE_POINTS)
-    chunk = max(1, GAP_CHUNK_ENTRIES // ham.basis.dim**2)
+    chunk = max(1, GAP_CHUNK_ENTRIES // len(sectors[0].n_r) ** 2)
     gaps = np.concatenate([gaps_at(deltas[lo : lo + chunk]) for lo in range(0, GAP_COARSE_POINTS, chunk)])
     i = int(np.argmin(gaps))
     if 0 < i < GAP_COARSE_POINTS - 1:
-        d_min, g_min = _golden(lambda delta: float(gaps_at(delta)), *deltas[i - 1 : i + 2].tolist())
+        d_min, g_min = _brent(lambda delta: float(gaps_at(delta)), *deltas[i - 1 : i + 2].tolist(), float(gaps[i]))
     else:
         d_min, g_min = float(deltas[i]), float(gaps[i])
     if not g_min > 0.0:
@@ -187,37 +199,73 @@ def min_gap(
     )
 
 
-def _golden(f, xa: float, xb: float, xc: float) -> Tuple[float, float]:
-    """(x, f(x)) at the minimum of ``f`` in the bracket xa < xb < xc, by
-    golden section to the relative tolerance ``GOLDEN_XTOL``.
+def _brent(f, xa: float, xb: float, xc: float, fb: float) -> Tuple[float, float]:
+    """(x, f(x)) at the minimum of ``f`` in the bracket xa < xb < xc, given
+    fb = f(xb), by Brent's safeguarded parabolic search (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5) to the
+    tolerance ``BRENT_XTOL`` |x| + ``BRENT_MINTOL``.
 
-    A port of the loop of scipy's ``minimize_scalar(method="golden")``,
-    with its constant, its update order, its stopping test and its
-    iteration cap, so it returns bitwise the same point.  Unlike scipy it
-    does not evaluate f at the bracket to check f(xb) < f(xa), f(xc): the
-    loop never reads those values, and the coarse grid's minimum and its
+    A port of the loop of scipy's ``Brent.optimize``
+    (``minimize_scalar(method="brent")``), with its constants, its update
+    order, its stopping test and its iteration cap, so it returns bitwise
+    the same point.  Unlike scipy it takes f(xb) from the caller and does
+    not evaluate f at xa and xc to check f(xb) < f(xa), f(xc): the loop
+    never reads those values, and the coarse grid's minimum and its
     neighbours bracket by construction (a tie, which scipy refuses, is
     searched too)."""
-    g_r = 0.61803399  # scipy's rounding of 2 / (1 + sqrt(5))
-    g_c = 1.0 - g_r
-    x0, x3 = xa, xc
-    if abs(xc - xb) > abs(xb - xa):
-        x1, x2 = xb, xb + g_c * (xc - xb)
-    else:
-        x1, x2 = xb - g_c * (xb - xa), xb
-    f1, f2 = f(x1), f(x2)
-    for _ in range(GOLDEN_MAXITER):
-        if abs(x3 - x0) <= GOLDEN_XTOL * (abs(x1) + abs(x2)):
+    x = w = v = xb
+    fx = fw = fv = fb
+    a, b = xa, xc
+    deltax = rat = 0.0
+    for _ in range(BRENT_MAXITER):
+        tol1 = BRENT_XTOL * abs(x) + BRENT_MINTOL
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if abs(x - xmid) < tol2 - 0.5 * (b - a):
             break
-        if f2 < f1:
-            x0, x1 = x1, x2
-            x2 = g_r * x1 + g_c * x3
-            f1, f2 = f2, f(x2)
+        if abs(deltax) <= tol1:
+            deltax = a - x if x >= xmid else b - x  # golden-section step
+            rat = BRENT_CG * deltax
         else:
-            x3, x2 = x2, x1
-            x1 = g_r * x2 + g_c * x0
-            f2, f1 = f1, f(x1)
-    return (x1, f1) if f1 < f2 else (x2, f2)
+            # parabola through (v, fv), (w, fw), (x, fx): its step is p / q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            dx_temp, deltax = deltax, rat
+            if q * (a - x) < p < q * (b - x) and abs(p) < abs(0.5 * q * dx_temp):
+                rat = p / q
+                u = x + rat
+                if (u - a) < tol2 or (b - u) < tol2:
+                    rat = tol1 if xmid - x >= 0 else -tol1
+            else:
+                deltax = a - x if x >= xmid else b - x
+                rat = BRENT_CG * deltax
+        if abs(rat) < tol1:  # move by at least tol1
+            u = x + tol1 if rat >= 0 else x - tol1
+        else:
+            u = x + rat
+        fu = f(u)
+        if fu > fx:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        else:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x = w, x, u
+            fv, fw, fx = fw, fx, fu
+    return x, fx
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,6 +30,7 @@ from afmgate.evolution import (
     _SegmentEngine,
     _split_tables,
     MERGED_DRIVE_ROWS,
+    PHASE_SAMPLE_MARGIN,
     _chain_hamiltonians,
     _step_count,
     ground_amplitudes,
@@ -1495,6 +1496,25 @@ class TestPulseTwoClock:
         psi = np.repeat(psi[:, None], 3, axis=1)
         self.assert_same(lam, seg1, seg2, physical, psi, cfg.dt, n, 500)
 
+    @pytest.mark.parametrize("nu", [5, 7])
+    def test_sample_stride_does_not_depend_on_lambda(self, nu):
+        # on pulse I's clock pulse II's samples span pulse I's steps, and its
+        # branch energy -lambda E over a physical step dt / lambda takes
+        # pulse I's phase step: the stride and the per-sample phase
+        # increments of lambda = 1.7 are those of lambda = 1
+        cfgs = {lam: reference_config(model=Model.PXP, lambda_ratio=lam) for lam in (1.0, 1.7)}
+        runs = {lam: run_protocol(nu, cfg) for lam, cfg in cfgs.items()}
+        steps, steps_lam = (pulse_steps(runs[lam], cfgs[lam])[0] for lam in (1.0, 1.7))
+        assert steps[1] > 1
+        assert np.array_equal(steps_lam, steps)
+        assert len(runs[1.7].trajectory.times) == len(runs[1.0].trajectory.times)
+        phases, ref = runs[1.7].phases, runs[1.0].phases
+        assert np.abs(np.diff(phases.phi_dynamical)).max() < PHASE_SAMPLE_MARGIN
+        assert abs(phases.final_dynamical()) < 1e-9
+        # the AFM state's parity, pi times its excitation number (nu + 1) / 2
+        assert abs(wrap_phase(float(phases.phi_geometric[-1]) - math.pi * ((nu + 1) // 2))) < 1e-9
+        assert abs(wrap_phase(phases.final_total() - ref.final_total())) < 1e-9
+
 
 class TestSectorPropagation:
     """Static chains propagated on the even sector against the same
@@ -1511,7 +1531,7 @@ class TestSectorPropagation:
         seg1, seg2 = full_segments(nu, cfg)
         n = _step_count(cfg.pulse.tau, cfg.dt)
         pulse = cfg.pulse
-        h_scale = nu * (abs(pulse.delta0) + abs(pulse.omega0)) * max(1.0, lam) + np.abs(seg1.hamiltonians[0].v).max()
+        h_scale = nu * (abs(pulse.delta0) + abs(pulse.omega0)) + np.abs(seg1.hamiltonians[0].v).max()
         stride = _default_stride(h_scale, cfg.dt, n)
         t1, s1 = _run_segment(seg1, full_ground(seg1.hamiltonians[0].basis), cfg.dt, n, stride, not include_decay)
         t2, s2 = _run_segment(seg2, s1[-1], cfg.dt, n, stride, not include_decay)

@@ -10,12 +10,16 @@ from afmgate.basis import apply_inversion, build_blockade_basis, sector_isometry
 from afmgate.config import InteractionConfig, Model, PulseProfile
 from afmgate.hamiltonian import AfmMode, ChainHamiltonian, build_afm_effective, model_basis
 from afmgate.spectra import (
+    BRENT_MAXITER,
+    BRENT_XTOL,
+    GAP_COARSE_POINTS,
     GapReport,
     SymmetryLabel,
     afm_analytic_spectrum,
     min_gap,
     scan_spectrum,
     wrong_parity_partner,
+    _brent,
 )
 from conftest import B_NN, DELTA0, OMEGA0, SPACING
 
@@ -274,23 +278,21 @@ class TestMinGap:
         assert 0.0 < p < 1.0
 
 
-def per_point_min_gap(nu, pulse, model, interaction, coarse_points=101):
-    """``min_gap`` with one ``eigvalsh`` per coarse grid point: the path the
-    stacked coarse grid replaced."""
+def _scipy_min_gap(nu, pulse, partner, levels_at, method, coarse_points=101):
+    """The gap between the lowest level and the partner from ``levels_at``
+    at each coarse grid point, then scipy's ``minimize_scalar`` by
+    ``method`` on the bracket of the coarse minimum."""
     from scipy.optimize import minimize_scalar
 
-    ham = ChainHamiltonian(model, model_basis(model, nu), interaction)
-    partner = wrong_parity_partner(nu)
-
     def gap_at(delta):
-        w = np.linalg.eigvalsh(ham.matrix(pulse.omega(pulse.time_at_delta(delta)), delta))
+        w = levels_at(pulse.omega(pulse.time_at_delta(delta)), delta)
         return float(w[partner - 1] - w[0])
 
     deltas = np.linspace(-abs(pulse.delta0), abs(pulse.delta0), coarse_points)
     gaps = np.array([gap_at(d) for d in deltas])
     i = int(np.argmin(gaps))
     if 0 < i < coarse_points - 1:
-        res = minimize_scalar(gap_at, bracket=(deltas[i - 1], deltas[i], deltas[i + 1]), method="golden",
+        res = minimize_scalar(gap_at, bracket=(deltas[i - 1], deltas[i], deltas[i + 1]), method=method,
                               options={"xtol": 1e-10})
         d_min, g_min = float(res.x), float(res.fun)
     else:
@@ -298,11 +300,41 @@ def per_point_min_gap(nu, pulse, model, interaction, coarse_points=101):
     return GapReport(nu=nu, delta_at_min=d_min, gap=g_min, kappa=g_min / abs(pulse.omega0), partner_index=partner)
 
 
-class TestStackedGapGrid:
-    """``min_gap`` solves its coarse grid as stacked eigenproblems, in
-    chunks of ``GAP_CHUNK_ENTRIES`` matrix entries."""
+def per_point_min_gap(nu, pulse, model, interaction):
+    """``min_gap`` with per-point sector solves at each coarse grid point and
+    scipy's ``minimize_scalar(method="brent")`` on the coarse bracket."""
+    ham = ChainHamiltonian(model, model_basis(model, nu), interaction)
+    sectors = [s for s in (ham.sector(), ham.sector(odd=True)) if len(s.n_r)]
 
-    # vdW nu = 7 (dim 128) takes 8 grid points per chunk
+    def levels_at(omega, delta):
+        return np.sort(np.concatenate([np.linalg.eigvalsh(s.matrix(omega, delta)) for s in sectors]))
+
+    return _scipy_min_gap(nu, pulse, wrong_parity_partner(nu), levels_at, "brent")
+
+
+def full_basis_golden_min_gap(nu, pulse, model, interaction):
+    """The full-basis golden-section path that the sector solves and Brent's
+    method replaced: one full ``eigvalsh`` per gap and scipy's
+    ``minimize_scalar(method="golden")`` on the coarse bracket."""
+    ham = ChainHamiltonian(model, model_basis(model, nu), interaction)
+
+    def levels_at(omega, delta):
+        return np.linalg.eigvalsh(ham.matrix(omega, delta))
+
+    return _scipy_min_gap(nu, pulse, wrong_parity_partner(nu), levels_at, "golden")
+
+
+# PXP nu = 1..11, vdW nu = 1..8 and corrections nu = 2..8
+GAP_CASES = ([(Model.PXP, nu) for nu in range(1, 12)] + [(Model.FULL_VDW, nu) for nu in range(1, 9)]
+             + [(Model.PXP_PLUS_CORRECTIONS, nu) for nu in range(2, 9)])
+
+
+class TestStackedGapGrid:
+    """``min_gap`` solves its coarse grid as stacked eigenproblems per
+    sector, in chunks of ``GAP_CHUNK_ENTRIES`` matrix entries, and refines
+    by Brent's method."""
+
+    # vdW nu = 7 (even sector of dim 72) takes 25 grid points per chunk
     CASES = ([(Model.PXP, nu) for nu in (1, 3, 4, 6, 7)] + [(Model.FULL_VDW, nu) for nu in (3, 4, 5, 7)]
              + [(Model.PXP_PLUS_CORRECTIONS, nu) for nu in (3, 5, 6)])
 
@@ -311,10 +343,10 @@ class TestStackedGapGrid:
         inter = InteractionConfig.from_nn_strength(B_NN, SPACING)
         assert min_gap(nu, pulse, model, inter) == per_point_min_gap(nu, pulse, model, inter)
 
-    # the golden-section port against scipy's minimize_scalar(method="golden")
+    # the Brent port against scipy's minimize_scalar(method="brent")
     @pytest.mark.parametrize("model,nu", [(Model.PXP, nu) for nu in range(2, 12)]
                              + [(Model.FULL_VDW, nu) for nu in range(2, 9)])
-    def test_golden_refinement_bitwise_equal_to_scipy(self, pulse, model, nu):
+    def test_brent_refinement_bitwise_equal_to_scipy(self, pulse, model, nu):
         inter = InteractionConfig.from_nn_strength(B_NN, SPACING)
         assert min_gap(nu, pulse, model, inter) == per_point_min_gap(nu, pulse, model, inter)
 
@@ -328,6 +360,78 @@ class TestStackedGapGrid:
             assert stack.shape == (7, ham.basis.dim, ham.basis.dim)
             for h, om, de in zip(stack, omegas, deltas):
                 assert np.array_equal(h, ham.matrix(float(om), float(de)))
+
+
+class TestSectorBrentGap:
+    """``min_gap`` on the inversion sectors with Brent refinement, against
+    the full-basis golden-section path it replaced."""
+
+    @pytest.mark.parametrize("model,nu", GAP_CASES)
+    def test_matches_full_basis_golden_path(self, pulse, model, nu):
+        # the gap is flat to round-off at its minimum: the detuning moves by
+        # up to 2.6e-6 rad/us, and PXP nu = 10's partner switches sector there
+        inter = InteractionConfig.from_nn_strength(B_NN, SPACING)
+        report = min_gap(nu, pulse, model, inter)
+        ref = full_basis_golden_min_gap(nu, pulse, model, inter)
+        assert abs(report.gap - ref.gap) <= 1e-11 * ref.gap
+        assert abs(report.delta_at_min - ref.delta_at_min) <= 1e-5
+        assert report.partner_index == ref.partner_index
+
+    @pytest.mark.parametrize("model,nu", GAP_CASES)
+    def test_gap_solves_per_call_at_most_45(self, pulse, model, nu, monkeypatch):
+        # a gap solve is one eigvalsh of a single matrix per nonempty sector;
+        # golden section took 45-84 of them, Brent takes 14-42
+        real = np.linalg.eigvalsh
+        shapes = []
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        min_gap(nu, pulse, model, InteractionConfig.from_nn_strength(B_NN, SPACING))
+        sectors = 1 if nu == 1 else 2
+        single = sum(len(shape) == 2 for shape in shapes)
+        assert single % sectors == 0
+        assert single // sectors <= 45
+        # the coarse grid is solved in stacks only
+        assert sum(shape[0] for shape in shapes if len(shape) == 3) == sectors * GAP_COARSE_POINTS
+
+    @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
+    def test_single_atom_skips_the_empty_odd_sector(self, pulse, model, monkeypatch):
+        inter = InteractionConfig.from_nn_strength(B_NN, SPACING)
+        ham = ChainHamiltonian(model, model_basis(model, 1), inter)
+        assert len(ham.sector(odd=True).n_r) == 0
+        real = np.linalg.eigvalsh
+        dims = []
+
+        def recording(a, *args, **kwargs):
+            dims.append(np.shape(a)[-1])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        report = min_gap(1, pulse, model, inter)
+        assert set(dims) == {2}
+        monkeypatch.undo()
+        assert report == per_point_min_gap(1, pulse, model, inter)
+        assert report.gap == pytest.approx(OMEGA0, rel=1e-12)
+
+    def test_coarse_minimum_tied_with_neighbour_is_refined(self):
+        # f(xb) = f(xc) at the bracket (-1, 0, 1), which scipy's
+        # minimize_scalar refuses; the port runs the loop of scipy's Brent
+        # from the same bracket
+        from scipy.optimize._optimize import Brent
+
+        def f(x):
+            return (x - 0.5) ** 2
+
+        assert f(0.0) == f(1.0) < f(-1.0)
+        x, fx = _brent(f, -1.0, 0.0, 1.0, f(0.0))
+        assert abs(x - 0.5) < 1e-9 and fx == f(x)
+        scipy_brent = Brent(f, tol=BRENT_XTOL, maxiter=BRENT_MAXITER)
+        scipy_brent.get_bracket_info = lambda: (-1.0, 0.0, 1.0, f(-1.0), f(0.0), f(1.0), 3)
+        scipy_brent.optimize()
+        assert (x, fx) == scipy_brent.get_result(full_output=True)[:2]
 
 
 class TestAfmAnalyticSpectrum:
