@@ -114,17 +114,17 @@ def inversion_permutation(basis: Basis) -> np.ndarray:
     return basis.index(rev)
 
 
-def sector_isometry(basis: Basis, odd: bool = False) -> np.ndarray:
+def sector_isometry(perm: np.ndarray, odd: bool = False) -> np.ndarray:
     """Real (dim, d) matrix U whose orthonormal columns span the
-    inversion-even (odd) sector: e_s for a mirror-symmetric mask s (even
-    sector only), and (e_s +- e_Is) / sqrt(2) for each mirror pair s < Is,
-    in ascending order of the lower index."""
-    perm = inversion_permutation(basis)
-    idx = np.arange(basis.dim)
+    inversion-even (odd) sector of a basis with inversion permutation
+    ``perm`` (``inversion_permutation``): e_s for a mirror-symmetric mask s
+    (even sector only), and (e_s +- e_Is) / sqrt(2) for each mirror pair
+    s < Is, in ascending order of the lower index."""
+    idx = np.arange(len(perm))
     reps = np.flatnonzero(idx < perm if odd else idx <= perm)
     paired = perm[reps] != reps
     cols = np.arange(len(reps))
-    u = np.zeros((basis.dim, len(reps)))
+    u = np.zeros((len(perm), len(reps)))
     u[reps, cols] = np.where(paired, math.sqrt(0.5), 1.0)
     u[perm[reps[paired]], cols[paired]] = -math.sqrt(0.5) if odd else math.sqrt(0.5)
     return u

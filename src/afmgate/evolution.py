@@ -75,9 +75,10 @@ span lengths of a step, and a drive phase exp(-i theta s) one per distinct
 eigenvalue of each chain's drive (``_SegmentEngine.drive_levels``: 21 for
 the 128 rows of the vdW N = 7 gate).  ``_pulse_one`` builds pulse I's
 engine, one column group per decay rate and scale, and the initial state;
-``_protocol_start`` adds pulse II's engine on pulse I's clock (the negated
-interaction of static chains, or the negated per-trial interaction at
-tau + u / lambda of moving atoms) and the step count for both RK4
+``_protocol_start`` adds pulse II's engine on pulse I's clock and on pulse
+I's own chains, whose one interaction input is -v (the negated static
+diagonal of pulse I's sector chains, or the negated per-trial interaction
+at tau + u / lambda of moving atoms), and the step count for both RK4
 callers, ``run_protocol`` and a thermal chunk
 (``thermal._batch_branch_amplitudes``).  ``ground_amplitudes`` propagates
 the chains of a gate (nu = N-2, N-1, N) as one direct sum,
@@ -108,7 +109,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -259,15 +260,18 @@ class _SegmentEngine:
     interaction diagonal are concatenated, so the diagonal of -iH is one
     array for the whole state and only the drive products are made block
     by block (``drives`` for RK4, ``eigenbases`` for the split).
-    ``v_int_fn``, when given, supplies the interaction diagonal of a batch
-    of trials with moving atoms in place of the static ``v`` (then None):
-    called with an array of k local times of the pulse it returns the real
-    (k, dim, batch) diagonals, one column per trial.  The engine only
-    steps: the branch energies of its samples are ``_branch_energies`` of a
-    chain.  Each entry of ``groups`` is one column group of the split's
-    state, a pair (decay rate Gamma, scale) whose H has that decay and is
-    times that scale (a protocol of duration tau run on the time grid of
-    duration tau_ref has H scaled by tau / tau_ref); RK4 runs one group.
+
+    ``v`` is the one interaction input: by default the chains' static
+    diagonals ``h.v`` concatenated, or a given static array over the rows
+    (pulse II's -v on pulse I's clock), or, for a batch of trials with
+    moving atoms, a function that takes an array of k local times of the
+    pulse and returns the real (k, dim, batch) diagonals, one column per
+    trial (``diagonals`` calls it).  The engine only steps: the branch
+    energies of its samples are ``_branch_energies`` of a chain.  Each
+    entry of ``groups`` is one column group of the split's state, a pair
+    (decay rate Gamma, scale) whose H has that decay and is times that
+    scale (a protocol of duration tau run on the time grid of duration
+    tau_ref has H scaled by tau / tau_ref); RK4 runs one group at scale 1.
     Both pulses' engines run on pulse I's clock, ``pulse`` being pulse I's
     (see ``_protocol_start``).
     """
@@ -277,15 +281,14 @@ class _SegmentEngine:
         hamiltonians: Sequence[ChainHamiltonian],
         pulse: PulseProfile,
         groups: Sequence[Tuple[float, float]] = ((0.0, 1.0),),
-        v_int_fn: Optional[VIntFn] = None,
+        v: Union[None, np.ndarray, VIntFn] = None,
     ):
         self.hamiltonians = tuple(hamiltonians)
         self.groups = tuple(groups)
         self.pulse = pulse
-        self.v_int_fn = v_int_fn
-        self.v = np.concatenate([h.v for h in self.hamiltonians]) if v_int_fn is None else None
+        self.v = np.concatenate([h.v for h in self.hamiltonians]) if v is None else v
         n_r = np.concatenate([h.n_r for h in self.hamiltonians])
-        self._n_r = n_r if v_int_fn is None else n_r[:, None]
+        self._n_r = n_r[:, None] if callable(v) else n_r
 
     @property
     def chains(self) -> Tuple[slice, ...]:
@@ -309,15 +312,13 @@ class _SegmentEngine:
     def drives(self) -> Tuple[Tuple[slice, np.ndarray], ...]:
         """The real drive products of one RK4 stage, as (row range, matrix).
 
-        Consecutive chain blocks share one block-diagonal matrix, each block
-        times the scale, while their rows fit in ``MERGED_DRIVE_ROWS``; a
-        block alone at scale 1 keeps its own drive.
+        Consecutive chain blocks share one block-diagonal matrix while their
+        rows fit in ``MERGED_DRIVE_ROWS``; a block alone keeps its own drive.
         """
-        ((_, s),) = self.groups
         chains = self.chains
-        scaled = [h.drive if s == 1.0 else s * h.drive for h in self.hamiltonians]
+        drives = [h.drive for h in self.hamiltonians]
         return tuple(
-            (slice(chains[g[0]].start, chains[g[-1]].stop), scaled[g[0]] if len(g) == 1 else _block_diag(*(scaled[k] for k in g)))
+            (slice(chains[g[0]].start, chains[g[-1]].stop), drives[g[0]] if len(g) == 1 else _block_diag(*(drives[k] for k in g)))
             for g in self._product_groups()
         )
 
@@ -396,10 +397,11 @@ class _SegmentEngine:
     def diagonals(self, t_local: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """Diagonals of -iH of the one column group (RK4) at an array of
         local times and their detunings, stacked on axis 0: (k, dim), or
-        (k, dim, batch) with a per-trial interaction.  Real and imaginary
-        parts are written into one complex buffer."""
+        (k, dim, batch) with a per-trial interaction (``v`` called at
+        ``t_local``).  Real and imaginary parts are written into one complex
+        buffer."""
         ((gamma, _),) = self.groups
-        v = self.v if self.v_int_fn is None else self.v_int_fn(t_local)
+        v = self.v(t_local) if callable(self.v) else self.v
         delta_n_r = delta.reshape((-1,) + (1,) * self._n_r.ndim) * self._n_r
         out = np.empty(np.broadcast_shapes(delta_n_r.shape, v.shape), dtype=complex)
         # -iH = -i Omega drive - (Gamma / 2) n_r + i (Delta n_r - v)
@@ -711,14 +713,14 @@ def _run_segment(
     every ``stride`` steps and at the segment end, as arrays (n_samples,)
     and (n_samples, *psi0.shape).
 
-    ``engine`` runs one column group (``groups``) forward over one chain or
-    the direct sum of its chains.  ``psi0`` is one state (rows,) or a batch
-    of states as columns (rows, batch).  The pulse is tabulated once for the
-    segment, the complex diagonal d of -iH once per block of
-    ``DIAG_BLOCK_STEPS`` steps, and each derivative is
-    d * y - i Omega * (drive @ y), with one real product per entry of the
-    engine's ``drives`` on the float64 views of y and of a scratch row, and
-    one ``zaxpy`` for Omega.  ``renormalize`` normalises the stored
+    ``engine`` runs one column group (``groups``) at scale 1 forward over
+    one chain or the direct sum of its chains; any other groups raise
+    ValueError.  ``psi0`` is one state (rows,) or a batch of states as
+    columns (rows, batch).  The pulse is tabulated once for the segment,
+    the complex diagonal d of -iH once per block of ``DIAG_BLOCK_STEPS``
+    steps, and each derivative is d * y - i Omega * (drive @ y), with one
+    real product per entry of the engine's ``drives`` on the float64 views
+    of y and of a scratch row, and one ``zaxpy`` for Omega.  ``renormalize`` normalises the stored
     samples, each chain block and within it each column of a batch; the
     running state is never rescaled (its norm drifts by 1.7e-4 over a
     1500-step thermal pulse at N = 5 and 9e-4 at N = 7), so the samples do
@@ -729,9 +731,8 @@ def _run_segment(
     # scipy (see the module docstring for why the BLAS calls stay)
     from scipy.linalg.blas import zaxpy, zcopy
 
-    if len(engine.groups) != 1:
-        raise ValueError("an RK4 engine runs one column group")
-    ((_, scale),) = engine.groups
+    if [scale for _, scale in engine.groups] != [1.0]:
+        raise ValueError(f"an RK4 engine runs one column group at scale 1, got {list(engine.groups)}")
     t_tab, omega, delta = engine.tables(dt, n_steps)
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -758,14 +759,10 @@ def _run_segment(
     # per BLAS call
     omega_i = (-1j * omega).tolist()
 
-    def diagonals(lo: int, hi: int) -> np.ndarray:
-        d = engine.diagonals(t_tab[lo:hi], delta[lo:hi])
-        return d if scale == 1.0 else scale * d
-
     _, times = _sample_grid(engine, dt, n_steps, stride)
     samples = np.empty((len(times),) + shape, dtype=complex)
 
-    d_end = diagonals(0, 1)[0]
+    d_end = engine.diagonals(t_tab[:1], delta[:1])[0]
     s = 0
     for step in range(n_steps):
         j = 2 * step
@@ -773,7 +770,7 @@ def _run_segment(
         if i == 0:
             # midpoints and ends of the next block of steps (the last block
             # may be shorter)
-            block = diagonals(j + 1, j + 1 + block_len)
+            block = engine.diagonals(t_tab[j + 1 : j + 1 + block_len], delta[j + 1 : j + 1 + block_len])
         d_start = d_end
         d_mid = block[i]
         d_end = block[i + 1]
@@ -925,7 +922,8 @@ def _pulse_one(
     column group per decay rate in ``gammas`` and, within it, per entry of
     ``scales`` (its H times that scale), and the initial state (rows,) with
     each block in its collective ground state.  Static chains run on their
-    even sectors, moving atoms (``v_int_fn``) on their full basis."""
+    even sectors, moving atoms (``v_int_fn``, the engine's interaction
+    input ``v``) on their full basis."""
     if any(h.model is Model.PXP_PLUS_CORRECTIONS for h in hamiltonians):
         raise ConfigError("time propagation supports the PXP and full vdW models only")
     if v_int_fn is None:
@@ -950,17 +948,17 @@ def _protocol_start(
     rate gamma_rp is, per unit of u, pulse I's Omega(u) and Delta(u) under
     the negated interaction -B at decay rate gamma_rp / lambda.  So both
     engines take ``cfg.pulse`` and the step ``cfg.dt``; a sample of pulse II
-    at u is the physical state at t' = u / lambda.  Moving atoms pass their
-    per-trial interaction at absolute protocol times (``v_int_fn``), which
-    pulse II negates at tau + u / lambda."""
+    at u is the physical state at t' = u / lambda.  Pulse II's engine holds
+    pulse I's own chains (one sector per static chain) and differs from
+    pulse I's only in its decay rate and in its interaction input: -v of
+    pulse I's engine for static chains, or, for moving atoms, which pass
+    their per-trial interaction at absolute protocol times
+    (``v_int_fn``), that function negated at tau + u / lambda."""
     lam, tau = cfg.interaction.lambda_ratio, cfg.pulse.tau
     gamma_1, gamma_2 = _decay_rates(cfg)
     seg1, psi = _pulse_one(hamiltonians, cfg, (gamma_1,), v_int_fn=v_int_fn)
-    if v_int_fn is None:
-        negated = replace(cfg.interaction, c6=-cfg.interaction.c6)
-        hamiltonians = [h.with_interaction(negated).sector() for h in hamiltonians]
-    seg2_fn = None if v_int_fn is None else lambda u: -v_int_fn(tau + u / lam)
-    seg2 = _SegmentEngine(hamiltonians, cfg.pulse, [(gamma_2 / lam, 1.0)], seg2_fn)
+    v2 = -seg1.v if v_int_fn is None else lambda u: -v_int_fn(tau + u / lam)
+    seg2 = _SegmentEngine(seg1.hamiltonians, cfg.pulse, [(gamma_2 / lam, 1.0)], v2)
     return seg1, seg2, psi, _step_count(tau, cfg.dt)
 
 

@@ -131,15 +131,18 @@ class ChainHamiltonian:
     times scalar pulse profiles.
 
     PXP and vdW: omega * drive + diag(-delta * n_r + v), with the static
-    interaction diagonal v (zero for PXP; ``incidence @ pair strengths``
-    for vdW, whose ``pairs`` and ``incidence`` also serve moving atoms).
-    Corrections: v is the next-nearest-neighbour term B2 Q_i Q_{i+2}, and
-    H gains -S_B(omega, delta) M1 - S_2B(omega, delta) M2, the second-order
-    level shifts of ground atoms and the -S_B excitation hop.  These shifts
-    use the instantaneous detuning and are singular at Delta = B, 2B.
+    interaction diagonal v (zero for PXP; for vdW the pair incidence of the
+    basis times the pair strengths).  Corrections: v is the
+    next-nearest-neighbour term B2 Q_i Q_{i+2}, and H gains
+    -S_B(omega, delta) M1 - S_2B(omega, delta) M2, the second-order level
+    shifts of ground atoms and the -S_B excitation hop.  These shifts use
+    the instantaneous detuning and are singular at Delta = B, 2B.
 
-    A ``sector`` copy holds its structures on the columns of the isometry
-    ``u`` (None on the full basis); its ``basis`` stays the chain's.
+    A chain is fixed at construction.  It holds ``model``, ``basis``,
+    ``interaction``, the structures ``drive``, ``n_r`` and ``v``, ``m1`` and
+    the diagonal ``m2`` (None outside the corrections model) and the
+    isometry ``u`` (None on the full basis).  A ``sector`` copy holds its
+    structures on the columns of ``u``; its ``basis`` stays the chain's.
     """
 
     def __init__(self, model: Model, basis: Basis, interaction: Optional[InteractionConfig] = None):
@@ -150,34 +153,18 @@ class ChainHamiltonian:
             raise ValueError(f"model {model.value} needs an InteractionConfig")
         self.model = model
         self.basis = basis
+        self.interaction = interaction
         self.drive = drive_matrix(basis)
         self.n_r = excitation_numbers(basis)
-        self.pairs = self.incidence = self.m1 = self.m2 = self._nnn_counts = self.u = None
+        self.m1 = self.m2 = self.u = None
         if model is Model.FULL_VDW:
-            self.pairs = pair_sites(basis.nu, interaction.range_cutoff)
-            self.incidence = pair_incidence(basis.masks, self.pairs)
+            pairs = pair_sites(basis.nu, interaction.range_cutoff)
+            self.v = pair_incidence(basis.masks, pairs) @ np.array([interaction.pair_strength(i, j) for i, j in pairs])
         elif model is Model.PXP_PLUS_CORRECTIONS:
-            self.m1, self.m2, self._nnn_counts = _shift_structures(basis)
-        self._set_interaction(interaction)
-
-    def _set_interaction(self, interaction: Optional[InteractionConfig]) -> None:
-        self.interaction = interaction
-        if self.model is Model.FULL_VDW:
-            self.v = self.incidence @ np.array([interaction.pair_strength(i, j) for i, j in self.pairs])
-        elif self.model is Model.PXP_PLUS_CORRECTIONS:
-            self.v = interaction.b_nnn * self._nnn_counts
+            self.m1, self.m2, nnn_counts = _shift_structures(basis)
+            self.v = interaction.b_nnn * nnn_counts
         else:
-            self.v = np.zeros(self.basis.dim)
-
-    def with_interaction(self, interaction: InteractionConfig) -> "ChainHamiltonian":
-        """The same model and structures of a full-basis chain under another
-        interaction (the flipped one of the second pulse) with the same range
-        cutoff."""
-        if self.pairs is not None and interaction.range_cutoff != self.interaction.range_cutoff:
-            raise ValueError("the pair structure was built for another range cutoff")
-        out = copy.copy(self)
-        out._set_interaction(interaction)
-        return out
+            self.v = np.zeros(basis.dim)
 
     def matrix(self, omega, delta) -> np.ndarray:
         """Dense real symmetric H at Rabi frequency omega and detuning
@@ -208,10 +195,10 @@ class ChainHamiltonian:
 
     def sector(self, odd: bool = False) -> "ChainHamiltonian":
         """This H on the inversion-even (odd) sector of a full-basis chain
-        (``basis.sector_isometry`` U): U^T drive U and U^T M1 U, n_r and the
-        M2 diagonal at each column's lower orbit index, and the
-        mirror-averaged v.  Raises ValueError if H does not commute with the
-        inversion."""
+        (``basis.sector_isometry`` U of the chain's one inversion
+        permutation): U^T drive U and U^T M1 U, n_r and the M2 diagonal at
+        each column's lower orbit index, and the mirror-averaged v.  Raises
+        ValueError if H does not commute with the inversion."""
         perm = inversion_permutation(self.basis)
         mirrored = np.ix_(perm, perm)
         tol = SYMMETRY_V_RTOL * np.abs(self.v).max()
@@ -225,7 +212,7 @@ class ChainHamiltonian:
             )
         ):
             raise ValueError("the Hamiltonian does not commute with the spatial inversion")
-        u = sector_isometry(self.basis, odd)
+        u = sector_isometry(perm, odd)
         reps = u.argmax(axis=0)  # lower index of each column's mirror orbit
         out = copy.copy(self)
         out.u, out.drive, out.n_r = u, u.T @ self.drive @ u, self.n_r[reps]

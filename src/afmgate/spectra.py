@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis import Basis, afm_manifold_masks
 from .config import InteractionConfig, Model, PulseProfile
-from .errors import RegimeError
+from .errors import ConfigError, RegimeError
 from .hamiltonian import AfmManifoldModel, AfmMode, ChainHamiltonian, ladder_modes, model_basis
 
 DEGENERACY_RTOL = 1e-9  # in units of Omega0, for flagging undefined eta
@@ -163,9 +163,15 @@ def min_gap(
     ``GAP_COARSE_POINTS`` detunings plus Brent refinement (``_brent``) on
     the bracket of the coarse minimum.  Each gap solves the even and odd
     sectors apart and merges their levels by a sort; the partner is the
-    full-spectrum index ``wrong_parity_partner(nu)``."""
+    full-spectrum index ``wrong_parity_partner(nu)``.  Raises ConfigError
+    for a pulse without a chirp (the detuning grid is the sweep of Delta0)
+    or without a drive (kappa is the gap over |Omega0|)."""
     if nu < 1:
         raise ValueError(f"nu must be >= 1, got {nu}")
+    if pulse.delta0 == 0.0:
+        raise ConfigError("the avoided-crossing gap needs a chirped pulse: delta0 (pulse.delta0_mhz) is 0")
+    if pulse.omega0 == 0.0:
+        raise ConfigError("the avoided-crossing gap needs a driven pulse: omega0 (pulse.omega0_mhz) is 0")
     ham = ChainHamiltonian(model, model_basis(model, nu), interaction)
     partner = wrong_parity_partner(nu)
     if partner > ham.basis.dim:

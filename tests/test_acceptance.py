@@ -97,7 +97,7 @@ def test_c02_spectrum_mirror_symmetry():
         inter_m = InteractionConfig.from_nn_strength(-b, SPACING)
         vdw = ChainHamiltonian(Model.FULL_VDW, build_full_basis(nu), inter)
         w1 = np.linalg.eigvalsh(vdw.matrix(om, de))
-        w2 = np.linalg.eigvalsh(vdw.with_interaction(inter_m).matrix(om, -de))
+        w2 = np.linalg.eigvalsh(ChainHamiltonian(vdw.model, vdw.basis, inter_m).matrix(om, -de))
         worst_vdw = max(worst_vdw, float(np.abs(w1 + w2[::-1]).max()))
         pxp = ChainHamiltonian(Model.PXP, build_blockade_basis(nu))
         p1 = np.linalg.eigvalsh(pxp.matrix(om, de))

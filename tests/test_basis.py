@@ -138,12 +138,12 @@ class TestInversionSector:
         [(build_full_basis(5), 20), (build_blockade_basis(7), 21), (build_full_basis(7), 72)],
     )
     def test_even_sector_dimension(self, basis, d_even):
-        assert sector_isometry(basis).shape == (basis.dim, d_even)
+        assert sector_isometry(inversion_permutation(basis)).shape == (basis.dim, d_even)
 
     def test_even_isometry_spans_the_even_sector(self):
         for basis in BASES:
-            u = sector_isometry(basis)
             perm = inversion_permutation(basis)
+            u = sector_isometry(perm)
             n_fixed = int(np.sum(perm == np.arange(basis.dim)))
             assert u.shape[1] == n_fixed + (basis.dim - n_fixed) // 2
             assert np.abs(u.T @ u - np.eye(u.shape[1])).max() < 1e-15
@@ -152,11 +152,11 @@ class TestInversionSector:
 
     def test_odd_isometry_completes_the_even_sector(self):
         for basis in BASES:
-            u_odd = sector_isometry(basis, odd=True)
             perm = inversion_permutation(basis)
+            u_odd = sector_isometry(perm, odd=True)
             assert np.array_equal(u_odd[perm], -u_odd)  # every column is mirror-odd
             assert set(np.unique(u_odd)) <= {0.0, math.sqrt(0.5), -math.sqrt(0.5)}
-            u = np.hstack([sector_isometry(basis), u_odd])
+            u = np.hstack([sector_isometry(perm), u_odd])
             assert np.abs(u.T @ u - np.eye(basis.dim)).max() < 1e-15
 
 

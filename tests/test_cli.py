@@ -453,6 +453,24 @@ class TestErrorHandling:
         cfg = write_config(tmp_path, {"model": "bogus"})
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "evolve"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["gate", "sweep"])
+    @pytest.mark.parametrize("field,name", [("delta0_mhz", "delta0"), ("omega0_mhz", "omega0")])
+    def test_gap_without_chirp_or_drive_exits_2(self, tmp_path, capsys, command, field, name):
+        # the gap-derived Landau-Zener constants need a chirp (the gap grid
+        # is the sweep of Delta0) and a drive (kappa is the gap over |Omega0|)
+        cfg = write_config(tmp_path, {"pulse": dict(CONFIG["pulse"], **{field: 0.0})})
+        c_file = tmp_path / "c.json"
+        c_file.write_text(json.dumps(C_TABLE))  # the odd constants: sweep fits none
+        argv = {
+            "gate": ["gate"],
+            "sweep": ["sweep", "--n-list", "5", "--tau-min", "0.5", "--tau-max", "1", "--tau-points", "3",
+                      "--c-file", str(c_file)],
+        }[command]
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), *argv]) == EXIT_CONFIG
+        assert f"{name} (pulse.{field}) is 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jobs_below_one_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"include_decay": False})
         out = tmp_path / "out"

@@ -38,7 +38,7 @@ from afmgate.evolution import (
     run_protocol,
     tau_batch_amplitudes,
 )
-from afmgate.hamiltonian import AfmMode, ChainHamiltonian, excitation_numbers, model_basis
+from afmgate.hamiltonian import AfmMode, ChainHamiltonian, excitation_numbers, model_basis, pair_incidence, pair_sites
 from afmgate.spectra import afm_analytic_spectrum
 from afmgate.units import mhz
 
@@ -59,7 +59,7 @@ def physical_pulse_two(hams, cfg, v_int_fn=None):
     lam, tau = cfg.interaction.lambda_ratio, cfg.pulse.tau
     gamma_2 = cfg.decay.gamma_rp if cfg.include_decay else 0.0
     if v_int_fn is None:
-        hams = [h.with_interaction(cfg.interaction.flipped()).sector() for h in hams]
+        hams = [ChainHamiltonian(h.model, h.basis, cfg.interaction.flipped()).sector() for h in hams]
     fn = None if v_int_fn is None else lambda t: v_int_fn(tau + t)
     return _SegmentEngine(hams, cfg.pulse.rescaled(lam), [(gamma_2, 1.0)], fn)
 
@@ -81,7 +81,7 @@ def protocol_final_state(hams, cfg, scales=(1.0,)):
     psi = np.repeat(psi[:, None, None], len(scales), axis=1)
     for seg in (seg1, seg2):
         ((gamma, _),) = seg.groups
-        scaled = _SegmentEngine(seg.hamiltonians, seg.pulse, [(gamma, s) for s in scales])
+        scaled = _SegmentEngine(seg.hamiltonians, seg.pulse, [(gamma, s) for s in scales], seg.v)
         _, (psi,) = _run_split(scaled, psi, cfg.pulse.tau / STEPS_PER_PULSE, STEPS_PER_PULSE, STEPS_PER_PULSE)
     return seg1, psi[:, :, 0]
 
@@ -122,7 +122,7 @@ def full_segments(nu, cfg):
     lam = cfg.interaction.lambda_ratio
     return (
         _SegmentEngine([ham], cfg.pulse, [(gamma_1, 1.0)]),
-        _SegmentEngine([ham.with_interaction(negated(cfg.interaction))], cfg.pulse, [(gamma_2 / lam, 1.0)]),
+        _SegmentEngine([ChainHamiltonian(ham.model, ham.basis, negated(cfg.interaction))], cfg.pulse, [(gamma_2 / lam, 1.0)]),
     )
 
 
@@ -1444,6 +1444,44 @@ class TestSplitTables:
         assert peak < limit * 2**20
 
 
+class TestPulseTwoInteraction:
+    """Pulse II's engine of a static chain is pulse I's chains under the
+    interaction input -v: one sector per chain, and RK4 engines of one
+    column group at scale 1."""
+
+    def test_run_protocol_builds_one_sector_per_chain(self, monkeypatch):
+        calls = []
+        real = ChainHamiltonian.sector
+
+        def counting(self, odd=False):
+            calls.append(odd)
+            return real(self, odd)
+
+        monkeypatch.setattr(ChainHamiltonian, "sector", counting)
+        run_protocol(5, reference_config(model=Model.FULL_VDW))
+        assert calls == [False]
+
+    @pytest.mark.parametrize("lam", [0.7, 1.0, 1.7])
+    @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
+    def test_pulse_two_negates_the_sector_diagonal(self, model, lam):
+        # -v of pulse I's sector is the even-sector v of the chain under the
+        # negated interaction C6 -> -C6, which pulse II took before
+        cfg = reference_config(model=model, lambda_ratio=lam)
+        for nu in range(1, 9):
+            (ham,) = hams = _chain_hamiltonians([nu], cfg)
+            seg1, seg2, _, _ = _protocol_start(hams, cfg)
+            assert seg2.v.tobytes() == (-seg1.v).tobytes()
+            assert all(a is b for a, b in zip(seg1.hamiltonians, seg2.hamiltonians, strict=True))
+            assert np.array_equal(seg2.v, ChainHamiltonian(model, ham.basis, negated(cfg.interaction)).sector().v)
+
+    @pytest.mark.parametrize("groups", [[(0.0, 2.0)], [(0.0, 1.0), (0.1, 1.0)]])
+    def test_rk4_refuses_other_column_groups(self, groups):
+        cfg = reference_config(model=Model.PXP)
+        sector = _chain_hamiltonians([3], cfg)[0].sector()
+        with pytest.raises(ValueError, match="one column group at scale 1"):
+            _run_segment(_SegmentEngine([sector], cfg.pulse, groups), sector_ground(sector), cfg.dt, 10, 10, True)
+
+
 class TestPulseTwoClock:
     """Pulse II's RK4 engine of ``_protocol_start`` runs on pulse I's clock
     at the step dt; the physical pulse II (``physical_pulse_two``) runs at
@@ -1484,11 +1522,13 @@ class TestPulseTwoClock:
         rng = np.random.default_rng(7)
         x0 = cfg.chain.spacing * np.arange(4) + rng.normal(0.0, 0.02, (3, 4))
         v = rng.normal(0.0, 0.1, (3, 4))
-        i, j = np.array(ham.pairs).T
+        pairs = pair_sites(4, cfg.interaction.range_cutoff)
+        incidence = pair_incidence(ham.basis.masks, pairs)
+        i, j = np.array(pairs).T
         d0, dv = (x0[:, j] - x0[:, i]).T, (v[:, j] - v[:, i]).T  # (pairs, trials)
 
         def v_int_at(c6, t_abs):
-            return ham.incidence @ (c6 / (d0 + dv * t_abs[:, None, None]) ** 6)
+            return incidence @ (c6 / (d0 + dv * t_abs[:, None, None]) ** 6)
 
         c6 = cfg.interaction.c6
         seg1, seg2, psi, n = _protocol_start([ham], cfg, partial(v_int_at, c6))
@@ -1555,7 +1595,7 @@ class TestSectorPropagation:
         def v_int_at(t_abs):  # (times, dim, 3): the static interaction per column
             return np.broadcast_to(ham.v[:, None], (len(t_abs), ham.basis.dim, 3))
 
-        engine = _SegmentEngine([ham], cfg.pulse, v_int_fn=v_int_at if psi0.ndim == 2 else None)
+        engine = _SegmentEngine([ham], cfg.pulse, v=v_int_at if psi0.ndim == 2 else None)
         views = []
         real = evolution._real
 

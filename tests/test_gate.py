@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from afmgate.basis import sector_isometry
+from afmgate.basis import inversion_permutation, sector_isometry
 from afmgate.config import Model, mean_rydberg_number
 from afmgate.errors import ConfigError, FitQualityError, RegimeError
 from afmgate import evolution, gate
@@ -137,7 +137,7 @@ class TestAssembleGate:
         # nu = 3, 4 and 5 on their even sectors as the rows of one state,
         # pulse I alone as its one column group (decay-free: pulse II is
         # its mirror image)
-        dim = sum(sector_isometry(model_basis(Model.PXP, nu)).shape[1] for nu in (3, 4, 5))
+        dim = sum(sector_isometry(inversion_permutation(model_basis(Model.PXP, nu))).shape[1] for nu in (3, 4, 5))
         assert calls == [(dim, 1, 1)]
         assert report.per_input["01"] == report.per_input["10"]
 

@@ -106,7 +106,7 @@ def plain_rk4_gate_amplitudes(cases, steps):
         cfg = reference_config(n_atoms=n, include_decay=True, lambda_ratio=lam)
         for nu in (n - 2, n - 1, n):
             ham = ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction)
-            flipped = ham.with_interaction(cfg.interaction.flipped())
+            flipped = ChainHamiltonian(ham.model, ham.basis, cfg.interaction.flipped())
             blocks.append((case, cfg, ham.sector(), flipped.sector()))
     drive = sparse.block_diag([b[2].drive for b in blocks], format="csr")
     case_of_row = np.concatenate([[b[0]] * len(b[2].n_r) for b in blocks])

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from afmgate.basis import apply_inversion, build_blockade_basis, sector_isometry
+from afmgate.basis import apply_inversion, build_blockade_basis, inversion_permutation, sector_isometry
 from afmgate.config import InteractionConfig, Model, PulseProfile
+from afmgate.errors import ConfigError
 from afmgate.hamiltonian import AfmMode, ChainHamiltonian, build_afm_effective, model_basis
 from afmgate.spectra import (
     BRENT_MAXITER,
@@ -62,7 +63,7 @@ class TestEigSorted:
 
 def in_sector_span(vec, basis, odd):
     """True if the state lies in the span of the even (odd) isometry."""
-    u = sector_isometry(basis, odd)
+    u = sector_isometry(inversion_permutation(basis), odd)
     return np.abs(u @ (u.T @ vec) - vec).max() < 1e-15
 
 
@@ -269,6 +270,12 @@ class TestMinGap:
     def test_missing_interaction_rejected(self, pulse, model):
         with pytest.raises(ValueError):
             min_gap(3, pulse, model)
+
+    @pytest.mark.parametrize("omega0,delta0,name", [(OMEGA0, 0.0, "delta0"), (0.0, DELTA0, "omega0")])
+    def test_pulse_without_chirp_or_drive_rejected(self, omega0, delta0, name):
+        # the grid is the sweep of Delta0 and kappa the gap over |Omega0|
+        with pytest.raises(ConfigError, match=name):
+            min_gap(3, PulseProfile(omega0, delta0, 1.0))
 
     def test_boundary_softened_power_law(self, pulse):
         # kappa_nu ~ nu^-p with 0 < p < 1 for the accessible odd sizes

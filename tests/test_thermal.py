@@ -12,7 +12,6 @@ from afmgate.config import DecayConfig, Model
 from afmgate.errors import SampleRejected
 from afmgate.evolution import ground_amplitudes, run_protocol
 from afmgate.gate import INPUT_LABELS, active_atoms, fidelity_from_diag
-from afmgate.hamiltonian import ChainHamiltonian
 from afmgate.thermal import (
     ThermalConfig,
     _batch_branch_amplitudes,
@@ -254,26 +253,32 @@ class TestBatchedEnsemble:
         assert calls == [([3, 4, 4, 5], 17)] * 2
 
     def test_both_pulses_share_the_chains_and_keep_no_static_interaction(self, monkeypatch):
-        # pulse II negates the chunk's one per-trial function: no flipped
-        # copy of a chain, and no static diagonal in either engine
-        cfg = reference_config(n_atoms=5, model=Model.FULL_VDW, tau=0.4)
-        engines = []
-        real = evolution._run_segment
+        # pulse II negates the chunk's one per-trial function on pulse I's
+        # own chains: both engines' interaction input is that function, and
+        # neither holds a static diagonal
+        cfg = reference_config(n_atoms=5, model=Model.FULL_VDW, tau=0.4, lambda_ratio=1.7)
+        engines, functions = [], []
+        real_run, real_start = evolution._run_segment, thermal._protocol_start
 
         def recording(engine, *args):
             engines.append(engine)
-            return real(engine, *args)
+            return real_run(engine, *args)
 
-        def refuse(self, interaction):
-            raise AssertionError("a thermal chunk copied a chain under another interaction")
+        def starting(hams, run_cfg, v_int_fn):
+            functions.append(v_int_fn)
+            return real_start(hams, run_cfg, v_int_fn)
 
         monkeypatch.setattr(evolution, "_run_segment", recording)
-        monkeypatch.setattr(ChainHamiltonian, "with_interaction", refuse)
-        _batch_branch_amplitudes(5, cfg, zero_rows(2, 5), zero_rows(2, 5), INPUT_LABELS)
+        monkeypatch.setattr(thermal, "_protocol_start", starting)
+        velocities = np.random.default_rng(2).normal(0.0, 0.05, (2, 5))
+        _batch_branch_amplitudes(5, cfg, zero_rows(2, 5), velocities, INPUT_LABELS)
         seg1, seg2 = engines
+        (fn,) = functions
         assert len(seg1.hamiltonians) == 4
         assert all(a is b for a, b in zip(seg1.hamiltonians, seg2.hamiltonians, strict=True))
-        assert seg1.v is None and seg2.v is None
+        assert seg1.v is fn
+        u = np.linspace(0.0, cfg.pulse.tau, 5)
+        assert np.array_equal(seg2.v(u), -fn(cfg.pulse.tau + u / 1.7))
 
     @pytest.mark.parametrize("n_atoms", [5, 6])
     def test_direct_sum_chunk_matches_one_call_per_label(self, n_atoms):
