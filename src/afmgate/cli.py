@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .gate import (
     transfer_error,
 )
 from .hamiltonian import ChainHamiltonian, model_basis
-from .spectra import scan_spectrum
+from .spectra import check_gap_pulse, scan_spectrum
 from .thermal import SEED_LIMIT, ThermalConfig, run_thermal_ensemble
 from .units import mhz, to_mhz
 
@@ -45,6 +45,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_FIT = 4
+# Rows of a long CSV (``evolve``) formatted and written together: the
+# strings of a whole 8001-row vdW trajectory would be held at once
+CSV_CHUNK_ROWS = 1024
 
 
 @functools.cache
@@ -105,6 +108,13 @@ def _column_lines(*columns) -> List[str]:
     strings as it is."""
     text = [col if isinstance(col, list) else list(map(repr, col.tolist())) for col in columns]
     return [",".join(row) for row in zip(*text)]
+
+
+def _column_chunks(*columns) -> Iterator[str]:
+    """``_column_lines`` of whole columns, formatted and joined
+    ``CSV_CHUNK_ROWS`` rows at a time: each item is one block of rows."""
+    for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        yield "\n".join(_column_lines(*(col[lo : lo + CSV_CHUNK_ROWS] for col in columns)))
 
 
 def _resolved_params(cfg: ProtocolConfig, **extra) -> Dict[str, object]:
@@ -184,7 +194,7 @@ def cmd_evolve(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> 
         values.append(pops["afm_excited"])
     columns += ["phi_total", "phi_dynamical", "phi_geometric", "phi_valid"]
     values += [phases.phi_total, phases.phi_dynamical, phases.phi_geometric, phases.valid.astype(int)]
-    _write_lines(out_dir / "evolve.csv", _resolved_params(cfg, nu=nu), columns, _column_lines(*values))
+    _write_lines(out_dir / "evolve.csv", _resolved_params(cfg, nu=nu), columns, _column_chunks(*values))
 
 
 def cmd_gate(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> None:
@@ -242,9 +252,12 @@ def _load_c_file(path: Optional[str]) -> Optional[Dict[int, float]]:
 def _c_table_for(n_list: Sequence[int], cfg: ProtocolConfig,
                  fitted: Optional[Dict[int, float]]) -> Dict[int, float]:
     """Fitted constants for odd chain sizes (fitting on demand), gap-derived
-    values elsewhere."""
+    values elsewhere.  A pulse without a chirp or a drive is refused
+    (``check_gap_pulse``) before anything is fitted or solved."""
     needed = sorted({nu for n in n_list for nu in (n - 2, n - 1, n)})
     table: Dict[int, float] = dict(fitted or {})
+    if any(nu not in table for nu in needed):
+        check_gap_pulse(cfg.pulse)
     odd_missing = [nu for nu in needed if nu % 2 == 1 and nu >= 3 and nu not in table]
     for nu in odd_missing:
         table[nu] = fit_c_nu(nu, cfg).c

@@ -48,12 +48,21 @@ with fixed-step classical RK4 with midpoint evaluations, ``_run_segment``:
 one real matrix product per stage on the float64 view (rows, 2 * batch)
 of the state per entry of ``_SegmentEngine.drives`` (consecutive chain
 blocks share one block-diagonal drive while it has at most
-``MERGED_DRIVE_ROWS`` rows), and level-1 BLAS calls (``zaxpy``,
-``zcopy``) for the -i Omega scaling, the stage states and the update on
-the flat rows of one preallocated array.  ``_run_segment`` imports them
-from ``scipy.linalg.blas`` in its body, the package's only scipy import:
-a ``zaxpy`` on 20 entries takes about 0.27 us against 0.75 us for a numpy
-ufunc, while the gates, sweeps, fits and spectra never load scipy.
+``MERGED_DRIVE_ROWS`` rows).  The state's shape picks the rest of a step.
+One state (``run_protocol``) steps by numpy row combinations
+(``_rk4_rows``): the step start, each stage's d * u and its drive product
+are rows of one array, so a stage input is one ``np.dot`` of three
+coefficients with three rows and the step end one of 11 with all rows, 13
+calls per step.  A batch of trial columns (a thermal chunk) takes level-1
+BLAS calls (``zaxpy``, ``zcopy``) for the -i Omega scaling, the stage
+states and the update on the flat rows of one preallocated array
+(``_rk4_columns``), imported from ``scipy.linalg.blas`` in its body, the
+package's only scipy import: on a 64-column batch of the vdW nu = 5 basis
+the row combinations take 1.21 times as long.  One CPU, one BLAS thread:
+the row body steps vdW nu = 3..9 at 0.86-1.02 of the BLAS body's time, and
+without the import a cold ``evolve --nu 5`` (vdW) takes 0.43 s and peaks
+at 46 MB of resident memory, against 0.65 s and 72.5 MB; only ``thermal``
+loads scipy.
 ``run_protocol`` refuses a config step past RK4's stability bound
 (``RK4_STABLE_DT_RHO`` over a Gershgorin bound of H, pulse I's bounding
 both pulses on one clock).  ``_rk4_pulses`` runs pulse II after pulse I
@@ -109,7 +118,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -187,7 +196,8 @@ MERGED_DRIVE_ROWS = 64
 # Branch energies: matrix entries of one stacked even-sector eigenproblem
 # (samples per chunk times d_even^2), 256 KB of float64 at 2^15.  With no
 # eigenvectors the peak RSS of a vdW nu = 5 evolve does not move with it
-# (73.7 MB at 2^12 and 2^15, 73.9 MB at 2^17); below 2^14 the per-chunk
+# (73.7 MB at 2^12 and 2^15, 73.9 MB at 2^17, measured while evolve still
+# loaded scipy); below 2^14 the per-chunk
 # calls cost time (the phase record of its first pulse takes 0.18 s at
 # 2^12 against 0.12-0.13 s from 2^14 to 2^17)
 PHASE_CHUNK_ENTRIES = 1 << 15
@@ -700,44 +710,113 @@ def _run_split(
     return times, samples
 
 
-def _run_segment(
-    engine: _SegmentEngine,
-    psi0: np.ndarray,
-    dt: float,
-    n_steps: int,
-    stride: int,
-    renormalize: bool,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """RK4 over one segment (trajectories and moving atoms); returns the
-    pulse-local times (excluding t=0) and the states of the samples taken
-    every ``stride`` steps and at the segment end, as arrays (n_samples,)
-    and (n_samples, *psi0.shape).
+def _stage_diagonals(engine: _SegmentEngine, t_tab: np.ndarray, delta: np.ndarray, n_steps: int) -> Iterator:
+    """The diagonals of -iH of each RK4 step at its start, midpoint and end,
+    (d_start, d_mid, d_end), from one ``engine.diagonals`` call for the
+    segment start and one per block of ``DIAG_BLOCK_STEPS`` steps (the last
+    block may be shorter)."""
+    block_len = 2 * DIAG_BLOCK_STEPS
+    d_end = engine.diagonals(t_tab[:1], delta[:1])[0]
+    for j in range(0, 2 * n_steps, 2):
+        i = j % block_len
+        if i == 0:
+            block = engine.diagonals(t_tab[j + 1 : j + 1 + block_len], delta[j + 1 : j + 1 + block_len])
+        d_start, d_end = d_end, block[i + 1]
+        yield d_start, block[i], d_end
 
-    ``engine`` runs one column group (``groups``) at scale 1 forward over
-    one chain or the direct sum of its chains; any other groups raise
-    ValueError.  ``psi0`` is one state (rows,) or a batch of states as
-    columns (rows, batch).  The pulse is tabulated once for the segment,
-    the complex diagonal d of -iH once per block of ``DIAG_BLOCK_STEPS``
-    steps, and each derivative is d * y - i Omega * (drive @ y), with one
-    real product per entry of the engine's ``drives`` on the float64 views
-    of y and of a scratch row, and one ``zaxpy`` for Omega.  ``renormalize`` normalises the stored
-    samples, each chain block and within it each column of a batch; the
-    running state is never rescaled (its norm drifts by 1.7e-4 over a
-    1500-step thermal pulse at N = 5 and 9e-4 at N = 7), so the samples do
-    not depend on the stride.  Raises PropagationError naming the time of
-    the first sample that holds non-finite amplitudes.
+
+def _rk4_rows(
+    engine: _SegmentEngine, psi0: np.ndarray, dt: float, alpha: np.ndarray, diagonals: Iterator,
+    stride: int, samples: np.ndarray,
+) -> None:
+    """The RK4 steps of one state (rows,) with numpy calls only, storing the
+    end of every ``stride``-th step and of the last one into ``samples``.
+
+    Classical RK4 in its k-form: stage s takes its input u_s (u_1 = P, the
+    step start), e_s = d_s * u_s and K u_s (the drive products), and
+    k_s = e_s + alpha_s K u_s with alpha = -i Omega at the stage's
+    evaluation; u_{s+1} = P + c_s k_s for c = (dt/2, dt/2, dt), and the
+    step ends at P + sum_s w_s k_s, w = dt (1, 2, 2, 1) / 6.  The rows
+    [P, e1, Ku1, P, e2, Ku2, P, e3, Ku3, e4, Ku4] of one complex array make
+    each stage input one ``np.dot`` of a row (1, c_s, c_s alpha_s) of the
+    segment's coefficient table with a window of three rows, and the step
+    end one ``np.dot`` of 11 coefficients with all rows into u, copied to
+    the three rows of P: 13 calls per step.
     """
-    # the package's only scipy import, here so that static chains never load
-    # scipy (see the module docstring for why the BLAS calls stay)
+    n_steps = len(alpha) // 2
+    half, sixth, third = 0.5 * dt, dt / 6.0, dt / 3.0
+    # alpha at each step's start, midpoint and end
+    a_start, a_mid, a_end = alpha[:-1:2], alpha[1::2], alpha[2::2]
+    # per step: the coefficients of the three stage inputs, each over its
+    # window of rows, then the 11 of the step end over all rows
+    coef = np.stack(
+        [np.broadcast_to(x, n_steps) for x in (
+            1.0, half, half * a_start,
+            1.0, half, half * a_mid,
+            1.0, dt, dt * a_mid,
+            1.0, sixth, sixth * a_start, 0.0, third, third * a_mid, 0.0, third, third * a_mid, sixth, sixth * a_end,
+        )],
+        axis=1,
+        dtype=complex,
+    )
+    rows = np.empty((11, len(psi0)), dtype=complex)
+    u = np.empty_like(rows[0])
+    starts = rows[0:9:3]  # the three rows of P
+    u[...] = psi0
+    starts[...] = u
+    e1, e2, e3, e4 = rows[1], rows[4], rows[7], rows[9]
+    w1, w2, w3 = rows[0:3], rows[3:6], rows[6:9]
+    # drive @ u into the rows Ku_1 .. Ku_4 on the real views, bound once so
+    # that each product is one call with no argument parsing and no
+    # array-function dispatch in the loop
+    u_r = _real(u)
+    k1, k2, k3, k4 = ([partial(m.dot, u_r[c], _real(rows[r, c])) for c, m in engine.drives] for r in (2, 5, 8, 10))
+    dot, multiply = np.dot, np.multiply
+    s = 0
+    tables = zip(diagonals, coef[:, 0:3], coef[:, 3:6], coef[:, 6:9], coef[:, 9:])
+    for step, ((d_start, d_mid, d_end), c1, c2, c3, w) in enumerate(tables):
+        # the ufuncs and np.dot take positional out arguments, since parsing
+        # a keyword costs more than a short call
+        multiply(d_start, u, e1)
+        for product in k1:
+            product()
+        dot(c1, w1, u)
+        multiply(d_mid, u, e2)
+        for product in k2:
+            product()
+        dot(c2, w2, u)
+        multiply(d_mid, u, e3)
+        for product in k3:
+            product()
+        dot(c3, w3, u)
+        multiply(d_end, u, e4)
+        for product in k4:
+            product()
+        dot(w, rows, u)
+        starts[...] = u
+        if (step + 1) % stride == 0 or step == n_steps - 1:
+            samples[s] = u
+            s += 1
+
+
+def _rk4_columns(
+    engine: _SegmentEngine, psi0: np.ndarray, dt: float, alpha: np.ndarray, diagonals: Iterator,
+    stride: int, samples: np.ndarray,
+) -> None:
+    """The RK4 steps of a batch of states as columns (rows, batch), as
+    ``_rk4_rows`` stores them: each derivative is d * y + alpha (drive @ y),
+    with one real product per entry of the engine's ``drives`` on the
+    float64 views of y and of a scratch row, and level-1 BLAS calls
+    (``zaxpy``, ``zcopy``) for the alpha scaling, the stage states and the
+    update on the flat rows of one preallocated array."""
+    # the package's only scipy import, here so that no other path loads
+    # scipy (see the module docstring for why a batch keeps the BLAS calls)
     from scipy.linalg.blas import zaxpy, zcopy
 
-    if [scale for _, scale in engine.groups] != [1.0]:
-        raise ValueError(f"an RK4 engine runs one column group at scale 1, got {list(engine.groups)}")
-    t_tab, omega, delta = engine.tables(dt, n_steps)
+    n_steps = len(alpha) // 2
     half = 0.5 * dt
     sixth = dt / 6.0
     third = dt / 3.0
-    block_len = 2 * DIAG_BLOCK_STEPS
     shape = np.shape(psi0)
     # psi, k1..k4, y and dy are the rows of one C-contiguous array; the
     # BLAS wrappers get those flat rows, which alias the shaped views (a
@@ -755,51 +834,38 @@ def _run_segment(
         return [partial(m.dot, _real(src[c]), _real(dy[c])) for c, m in engine.drives]
 
     drive_psi, drive_y = products(psi), products(y)
-    # -i Omega at every evaluation, as Python complex: no numpy scalar boxed
-    # per BLAS call
-    omega_i = (-1j * omega).tolist()
-
-    _, times = _sample_grid(engine, dt, n_steps, stride)
-    samples = np.empty((len(times),) + shape, dtype=complex)
-
-    d_end = engine.diagonals(t_tab[:1], delta[:1])[0]
+    # alpha at every evaluation as Python complex: no numpy scalar boxed per
+    # BLAS call
+    alpha = alpha.tolist()
     s = 0
-    for step in range(n_steps):
+    for step, (d_start, d_mid, d_end) in enumerate(diagonals):
         j = 2 * step
-        i = j % block_len
-        if i == 0:
-            # midpoints and ends of the next block of steps (the last block
-            # may be shorter)
-            block = engine.diagonals(t_tab[j + 1 : j + 1 + block_len], delta[j + 1 : j + 1 + block_len])
-        d_start = d_end
-        d_mid = block[i]
-        d_end = block[i + 1]
-        # k = d * y - i Omega (drive @ y) for y = psi, psi + dt/2 k1,
+        # k = d * y + alpha (drive @ y) for y = psi, psi + dt/2 k1,
         # psi + dt/2 k2 and psi + dt k3; the BLAS calls and ufuncs take
         # positional arguments (out is the third of np.multiply), since
         # parsing a keyword costs more than a short call
         np.multiply(d_start, psi, k1)
         for product in drive_psi:
             product()
-        zaxpy(dy_r, k1_r, size, omega_i[j])
+        zaxpy(dy_r, k1_r, size, alpha[j])
         zcopy(psi_r, y_r)
         zaxpy(k1_r, y_r, size, half)
         np.multiply(d_mid, y, k2)
         for product in drive_y:
             product()
-        zaxpy(dy_r, k2_r, size, omega_i[j + 1])
+        zaxpy(dy_r, k2_r, size, alpha[j + 1])
         zcopy(psi_r, y_r)
         zaxpy(k2_r, y_r, size, half)
         np.multiply(d_mid, y, k3)
         for product in drive_y:
             product()
-        zaxpy(dy_r, k3_r, size, omega_i[j + 1])
+        zaxpy(dy_r, k3_r, size, alpha[j + 1])
         zcopy(psi_r, y_r)
         zaxpy(k3_r, y_r, size, dt)
         np.multiply(d_end, y, k4)
         for product in drive_y:
             product()
-        zaxpy(dy_r, k4_r, size, omega_i[j + 2])
+        zaxpy(dy_r, k4_r, size, alpha[j + 2])
         # psi += dt/6 k1 + dt/3 k2 + dt/3 k3 + dt/6 k4
         zaxpy(k1_r, psi_r, size, sixth)
         zaxpy(k2_r, psi_r, size, third)
@@ -808,6 +874,43 @@ def _run_segment(
         if (step + 1) % stride == 0 or step == n_steps - 1:
             samples[s] = psi
             s += 1
+
+
+def _run_segment(
+    engine: _SegmentEngine,
+    psi0: np.ndarray,
+    dt: float,
+    n_steps: int,
+    stride: int,
+    renormalize: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """RK4 over one segment (trajectories and moving atoms); returns the
+    pulse-local times (excluding t=0) and the states of the samples taken
+    every ``stride`` steps and at the segment end, as arrays (n_samples,)
+    and (n_samples, *psi0.shape).
+
+    ``engine`` runs one column group (``groups``) at scale 1 forward over
+    one chain or the direct sum of its chains; any other groups raise
+    ValueError.  The pulse is tabulated once for the segment and the
+    complex diagonal d of -iH once per block of ``DIAG_BLOCK_STEPS`` steps
+    (``_stage_diagonals``); each derivative is d * y - i Omega (drive @ y).
+    The state's shape picks the body: one state (rows,) steps by numpy row
+    combinations (``_rk4_rows``), a batch of states as columns (rows,
+    batch) by level-1 BLAS calls (``_rk4_columns``).  ``renormalize``
+    normalises the stored samples, each chain block and within it each
+    column of a batch; the running state is never rescaled (its norm
+    drifts by 1.7e-4 over a 1500-step thermal pulse at N = 5 and 9e-4 at
+    N = 7), so the samples do not depend on the stride.  Raises
+    PropagationError naming the time of the first sample that holds
+    non-finite amplitudes.
+    """
+    if [scale for _, scale in engine.groups] != [1.0]:
+        raise ValueError(f"an RK4 engine runs one column group at scale 1, got {list(engine.groups)}")
+    t_tab, omega, delta = engine.tables(dt, n_steps)
+    _, times = _sample_grid(engine, dt, n_steps, stride)
+    samples = np.empty((len(times),) + np.shape(psi0), dtype=complex)
+    body = _rk4_rows if np.ndim(psi0) == 1 else _rk4_columns
+    body(engine, psi0, dt, -1j * omega, _stage_diagonals(engine, t_tab, delta, n_steps), stride, samples)
 
     # RK4 on psi' = -iH psi is linear and block-diagonal over the chain
     # blocks and the columns, so scaling a block's column commutes with

@@ -86,6 +86,9 @@ def scan_spectrum(
     by a stable ascending sort (even first at an exact tie)."""
     if grid_size < 3:
         raise ValueError(f"grid size must be >= 3, got {grid_size}")
+    if pulse.delta0 == 0.0:
+        raise ConfigError("the spectrum scan needs a chirped pulse (eta is in units of tau / |Delta0|): "
+                          "delta0 (pulse.delta0_mhz) is 0")
     ham = ChainHamiltonian(model, model_basis(model, nu), interaction)
     sectors = (ham.sector(), ham.sector(odd=True))
     offsets = (0, len(sectors[0].n_r))
@@ -153,6 +156,16 @@ def wrong_parity_partner(nu: int) -> int:
     return 2 if nu % 2 == 1 else nu // 2 + 2
 
 
+def check_gap_pulse(pulse: PulseProfile) -> None:
+    """Raise ConfigError for a pulse without a chirp (the detuning grid of
+    the gap is the sweep of Delta0) or without a drive (kappa is the gap
+    over |Omega0|), naming the config field."""
+    if pulse.delta0 == 0.0:
+        raise ConfigError("the avoided-crossing gap needs a chirped pulse: delta0 (pulse.delta0_mhz) is 0")
+    if pulse.omega0 == 0.0:
+        raise ConfigError("the avoided-crossing gap needs a driven pulse: omega0 (pulse.omega0_mhz) is 0")
+
+
 def min_gap(
     nu: int,
     pulse: PulseProfile,
@@ -164,14 +177,10 @@ def min_gap(
     the bracket of the coarse minimum.  Each gap solves the even and odd
     sectors apart and merges their levels by a sort; the partner is the
     full-spectrum index ``wrong_parity_partner(nu)``.  Raises ConfigError
-    for a pulse without a chirp (the detuning grid is the sweep of Delta0)
-    or without a drive (kappa is the gap over |Omega0|)."""
+    for a pulse without a chirp or a drive (``check_gap_pulse``)."""
     if nu < 1:
         raise ValueError(f"nu must be >= 1, got {nu}")
-    if pulse.delta0 == 0.0:
-        raise ConfigError("the avoided-crossing gap needs a chirped pulse: delta0 (pulse.delta0_mhz) is 0")
-    if pulse.omega0 == 0.0:
-        raise ConfigError("the avoided-crossing gap needs a driven pulse: omega0 (pulse.omega0_mhz) is 0")
+    check_gap_pulse(pulse)
     ham = ChainHamiltonian(model, model_basis(model, nu), interaction)
     partner = wrong_parity_partner(nu)
     if partner > ham.basis.dim:

@@ -11,9 +11,19 @@ import numpy as np
 import pytest
 
 import afmgate
-from afmgate.cli import EXIT_CONFIG, EXIT_OK, _column_lines, _fmt, _git_describe, _resolved_params, main
+from afmgate.cli import (
+    CSV_CHUNK_ROWS,
+    EXIT_CONFIG,
+    EXIT_OK,
+    _column_lines,
+    _fmt,
+    _git_describe,
+    _resolved_params,
+    _write_csv,
+    main,
+)
 from afmgate.config import Model, load_config, protocol_from_dict
-from afmgate.evolution import STEPS_PER_PULSE
+from afmgate.evolution import STEPS_PER_PULSE, run_protocol
 from afmgate.spectra import scan_spectrum
 from afmgate.thermal import ThermalConfig, sample_kinematics
 
@@ -140,7 +150,7 @@ SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('
 
 
 def test_cli_import_loads_no_scipy():
-    # only the RK4 stepper of evolve and thermal needs scipy (level-1 BLAS)
+    # only thermal's column-batched RK4 stepper needs scipy (level-1 BLAS)
     result = run_python(["-c", f"import sys, afmgate.cli; print({SCIPY_MODULES})"])
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
@@ -151,13 +161,15 @@ def test_static_chain_commands_load_no_scipy(tmp_path):
     code = (
         "import sys; from afmgate.cli import main; "
         f"codes = [main(['--config', {cfg!r}, '--out', {str(tmp_path / 'gate')!r}, 'gate']), "
-        f"main(['--config', {cfg!r}, '--out', {str(tmp_path / 'spectrum')!r}, 'spectrum', '--nu', '5'])]; "
+        f"main(['--config', {cfg!r}, '--out', {str(tmp_path / 'spectrum')!r}, 'spectrum', '--nu', '5']), "
+        f"main(['--config', {cfg!r}, '--out', {str(tmp_path / 'evolve')!r}, 'evolve', '--nu', '5'])]; "
         f"print(codes, {SCIPY_MODULES})"
     )
     result = run_python(["-c", code])
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == f"[{EXIT_OK}, {EXIT_OK}] []"
+    assert result.stdout.strip() == f"[{EXIT_OK}, {EXIT_OK}, {EXIT_OK}] []"
     assert (tmp_path / "gate" / "gate.json").exists() and (tmp_path / "spectrum" / "spectrum.csv").exists()
+    assert (tmp_path / "evolve" / "evolve.csv").exists()
 
 
 def test_python_m_afmgate_runs_the_cli(tmp_path):
@@ -213,6 +225,34 @@ class TestEvolve:
             blobs.append((out / "evolve.csv").read_bytes())
         assert sum(fallback_rows) > 0
         assert blobs[0] == blobs[1]
+
+    def test_chunked_lines_equal_the_per_value_rows(self, tmp_path, monkeypatch):
+        # vdW nu = 4 (even: a p_afm_excited column) stores 4001 samples,
+        # past the first chunk boundaries; the file's bytes are those of
+        # every row written value by value with ``_fmt``
+        from afmgate import cli
+
+        runs = []
+
+        def recording(nu, cfg):
+            runs.append(run_protocol(nu, cfg))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_protocol", recording)
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--config", cfg_path, "--out", str(out), "evolve", "--nu", "4"]) == EXIT_OK
+        (run,) = runs
+        traj, phases = run.trajectory, run.phases
+        pops = traj.populations
+        assert len(traj.times) > 3 * CSV_CHUNK_ROWS
+        columns = ("t_us", "norm", "p_ground", "p_afm", "p_afm_excited",
+                   "phi_total", "phi_dynamical", "phi_geometric", "phi_valid")
+        values = [traj.times, traj.norms, pops["ground"], pops["afm"], pops["afm_excited"],
+                  phases.phi_total, phases.phi_dynamical, phases.phi_geometric, phases.valid.astype(int)]
+        expected = tmp_path / "expected.csv"
+        _write_csv(expected, _resolved_params(load_config(cfg_path), nu=4), columns, zip(*values))
+        assert (out / "evolve.csv").read_bytes() == expected.read_bytes()
 
     def test_decay_makes_norm_non_increasing(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -469,6 +509,32 @@ class TestErrorHandling:
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), *argv]) == EXIT_CONFIG
         assert f"{name} (pulse.{field}) is 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,name", [("delta0_mhz", "delta0"), ("omega0_mhz", "omega0")])
+    def test_sweep_fitting_constants_refuses_zero_field_before_fitting(self, tmp_path, capsys, monkeypatch, field,
+                                                                       name):
+        # without --c-file the sweep fits the odd constants; the gap's
+        # check on the pulse comes first
+        from afmgate import cli
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_c_nu ran before the pulse check")
+
+        monkeypatch.setattr(cli, "fit_c_nu", no_fit)
+        cfg = write_config(tmp_path, {"pulse": dict(CONFIG["pulse"], **{field: 0.0})})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "sweep", "--n-list", "5", "--tau-points", "3"]) == EXIT_CONFIG
+        assert f"the avoided-crossing gap needs a {'chirped' if name == 'delta0' else 'driven'} pulse: " \
+            f"{name} (pulse.{field}) is 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spectrum_without_chirp_exits_2(self, tmp_path, capsys):
+        # eta is in units of tau / |Delta0|: no NaN or inf is written
+        cfg = write_config(tmp_path, {"pulse": dict(CONFIG["pulse"], delta0_mhz=0.0)})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "spectrum", "--nu", "3", "--grid", "5"]) == EXIT_CONFIG
+        assert "delta0 (pulse.delta0_mhz) is 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_jobs_below_one_exits_2(self, tmp_path, capsys):

@@ -1606,10 +1606,50 @@ class TestSectorPropagation:
 
         monkeypatch.setattr(evolution, "_real", recording)
         _run_segment(engine, psi0, cfg.dt, 20, 20, renormalize=True)
-        assert len(views) == 4  # psi and y as sources, dy as destination, bound once per segment
+        # bound once per segment: one state takes u as source and its four
+        # K u rows as destinations (``_rk4_rows``), a batch psi and y as
+        # sources and dy as destination (``_rk4_columns``)
+        assert len(views) == (5 if psi0.ndim == 1 else 4)
         for rows, out in views:
             assert np.shares_memory(out, rows)
             assert out.dtype == np.float64 and out.shape == (len(rows), 2 * (rows.size // len(rows)))
+
+
+class TestRowAndColumnBodies:
+    """One state steps by numpy row combinations (``_rk4_rows``), a batch by
+    level-1 BLAS calls (``_rk4_columns``): the same engine run both ways."""
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    @pytest.mark.parametrize("include_decay", [False, True])
+    def test_one_state_matches_a_one_column_batch(self, include_decay, renormalize, monkeypatch):
+        cfg = reference_config(model=Model.FULL_VDW, include_decay=include_decay, gamma=mhz(0.05))
+        seg1, _, psi, n = _protocol_start(_chain_hamiltonians([5], cfg), cfg)
+        assert n == 4000
+        rows = len(psi)
+        # the same static diagonal as one column of per-trial interactions
+        column = _SegmentEngine(
+            seg1.hamiltonians, seg1.pulse, seg1.groups, lambda t: np.broadcast_to(seg1.v[:, None], (len(t), rows, 1))
+        )
+        bodies = []
+
+        def spy(name):
+            body = getattr(evolution, name)
+
+            def recording(*args):
+                bodies.append(name)
+                return body(*args)
+
+            monkeypatch.setattr(evolution, name, recording)
+
+        spy("_rk4_rows")
+        spy("_rk4_columns")
+        t_row, row = _run_segment(seg1, psi, cfg.dt, n, 250, renormalize)
+        t_col, col = _run_segment(column, psi[:, None], cfg.dt, n, 250, renormalize)
+        assert bodies == ["_rk4_rows", "_rk4_columns"]
+        assert np.array_equal(t_row, t_col) and row.shape == (16, rows) and col.shape == (16, rows, 1)
+        assert np.abs(row - col[:, :, 0]).max() < 1e-12
+        if include_decay and not renormalize:
+            assert np.linalg.norm(row[-1]) < 1.0 - 1e-6
 
 
 class TestParityRoundtrip:
