@@ -7,7 +7,9 @@ its size is the Fibonacci number F_{nu+2}.  A basis is only its ascending
 int64 mask array, and every structure on it is built with one lookup
 (``lookup``: searchsorted, then compare) and one popcount (``bit_counts``).
 So the blockade rule lives only here: a flip couples two states exactly
-when both masks are in the basis.
+when both masks are in the basis.  The spatial inversion acts on a basis
+as one index permutation (``inversion_permutation``), whose orbits give
+the isometries of the inversion-even and -odd sectors.
 """
 
 from __future__ import annotations
@@ -21,15 +23,6 @@ import numpy as np
 from .errors import ConfigError
 
 NU_MAX = 24  # enumeration guard; dense-matrix builders impose their own limits
-
-
-def apply_inversion(mask: int, nu: int) -> int:
-    """Spatial inversion: reverse the bit order over ``nu`` atoms."""
-    out = 0
-    for i in range(nu):
-        if mask >> i & 1:
-            out |= 1 << (nu - 1 - i)
-    return out
 
 
 def bitstring(mask: int, nu: int) -> str:
@@ -103,9 +96,8 @@ def flip_pairs(masks: np.ndarray, pattern: int) -> Tuple[np.ndarray, np.ndarray]
 
 def inversion_permutation(basis: Basis) -> np.ndarray:
     """Index of the mirror image of every basis state: ``perm[k]`` is the
-    index of ``apply_inversion(basis.masks[k], nu)``.  An involution.
-
-    The bit reversal runs over all masks at once.
+    index of ``basis.masks[k]`` with its ``nu`` bits in reverse order.  An
+    involution.  The bit reversal runs over all masks at once.
     """
     s = basis.masks
     rev = np.zeros_like(s)

@@ -462,6 +462,8 @@ _ARG_RANGES = (
 # pulse durations, which must be > 0 (refused here, before a sweep fits
 # any constant)
 _DURATION_FLAGS = {"--tau-min", "--tau-max", "--tau-us"}
+# flags that must be nonzero (the transfer error divides by the Rabi frequency)
+_NONZERO_FLAGS = {"--omega-sd-mhz"}
 # (command, comma-separated integer list argument, flag, smallest legal
 # entry, whether entries must be odd); parsed into a list of ints
 _LIST_ARGS = (
@@ -480,6 +482,8 @@ def _check_arg_ranges(args: argparse.Namespace) -> None:
             raise ConfigError(f"{flag} must be >= {minimum}, got {value}")
         if value is not None and flag in _DURATION_FLAGS and not value > 0.0:
             raise ConfigError(f"{flag} must be > 0, got {value}")
+        if value is not None and flag in _NONZERO_FLAGS and value == 0.0:
+            raise ConfigError(f"{flag} must be nonzero, got {value}")
     if args.command == "thermal" and not 0 <= args.seed < SEED_LIMIT:
         raise ConfigError(f"--seed must be in [0, 2^64) for thermal, got {args.seed}")
     for command, name, flag, minimum, odd in _LIST_ARGS:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -51,11 +51,6 @@ class ChainConfig:
             raise ConfigError(f"need at least 3 atoms (two qubits + bus), got {self.n_atoms}")
         if not 0.0 < self.spacing < math.inf:
             raise ConfigError(f"lattice spacing must be finite and > 0, got {self.spacing}")
-
-    @property
-    def qubit_separation(self) -> float:
-        """Distance between the two end (qubit) atoms, (n_atoms - 1) * spacing."""
-        return (self.n_atoms - 1) * self.spacing
 
 
 @dataclass(frozen=True)
@@ -113,10 +108,6 @@ class InteractionConfig:
         if self.range_cutoff is not None and d > self.range_cutoff:
             return 0.0
         return self.b_nn / d**6
-
-    def flipped(self) -> "InteractionConfig":
-        """Second-step interaction C6' = -lambda * C6."""
-        return replace(self, c6=-self.lambda_ratio * self.c6)
 
 
 @dataclass(frozen=True)
@@ -194,13 +185,6 @@ class PulseProfile:
         float or an array of detunings (then an array of times)."""
         t = (delta / self.delta0 + 1.0) * self.tau / 2.0
         return np.clip(t, 0.0, self.tau)
-
-    def rescaled(self, lam: float) -> "PulseProfile":
-        """Second-step pulse for B' = -lambda B: amplitudes scaled up by
-        lambda, duration (and width) down by lambda."""
-        if not 0.0 < lam < math.inf:
-            raise ConfigError(f"lambda must be finite and > 0, got {lam}")
-        return PulseProfile(lam * self.omega0, lam * self.delta0, self.tau / lam, self.sigma / lam)
 
 
 def pulse_with_tau(pulse: PulseProfile, tau: float) -> PulseProfile:

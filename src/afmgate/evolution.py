@@ -233,12 +233,6 @@ class PhaseRecord:
     phi_geometric: np.ndarray
     valid: np.ndarray
 
-    def final_total(self) -> float:
-        return float(self.phi_total[-1])
-
-    def final_dynamical(self) -> float:
-        return float(self.phi_dynamical[-1])
-
 
 def _step_count(tau: float, dt: float) -> int:
     """The steps of ``dt`` in a pulse of duration ``tau``; raises ConfigError
@@ -998,9 +992,6 @@ class ProtocolRun:
 
     trajectory: Trajectory
     phases: Optional[PhaseRecord]
-
-    def ground_amplitude(self) -> complex:
-        return complex(self.trajectory.states[-1][self.trajectory.basis.index(0)])
 
 
 def _chain_hamiltonians(nus: Sequence[int], cfg: ProtocolConfig) -> list:

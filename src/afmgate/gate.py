@@ -21,7 +21,7 @@ import numpy as np
 from .config import ProtocolConfig, PulseProfile, mean_rydberg_number, pulse_with_tau
 from .errors import ConfigError, FitQualityError, RegimeError
 from .evolution import ground_amplitudes, tau_batch_amplitudes
-from .spectra import min_gap
+from .spectra import check_gap_pulse, min_gap
 
 INPUT_LABELS = ("00", "01", "10", "11")
 CZ_DIAG = np.array([1.0, 1.0, 1.0, -1.0])
@@ -133,13 +133,6 @@ def decay_error(n_atoms: int, gamma_mean: float, tau_total: float) -> float:
     return 1.0 - math.exp(-0.5 * nu_bar * gamma_mean * tau_total)
 
 
-def lz_probability(gap: float, delta0: float, tau: float) -> float:
-    """Landau-Zener crossing probability exp[-2 pi (gap/2)^2 / (2 delta0/tau)]."""
-    if gap <= 0.0 or delta0 <= 0.0 or tau <= 0.0:
-        raise ValueError("gap, delta0 and tau must be > 0")
-    return math.exp(-2.0 * math.pi * (gap / 2.0) ** 2 / (2.0 * delta0 / tau))
-
-
 def leakage_mu_nu(n_atoms: int) -> Tuple[int, int]:
     """Degeneracy prefactor and dominant chain size: (1, N) for odd N,
     (2, N-1) for even N."""
@@ -201,10 +194,13 @@ def fit_c_nu(
 
     E_leak(tau) = 1 - |<G_nu|Psi(tau_tot)>|^2 from decay-free protocol runs.
     Grid points outside the leakage window ``FIT_E_BOUNDS`` (noise floor below,
-    breakdown of the single-crossing picture above) are discarded.
+    breakdown of the single-crossing picture above) are discarded.  The
+    abscissa needs a chirp and a drive: a pulse without either is refused
+    (``spectra.check_gap_pulse``) before any duration is propagated.
     """
     if nu % 2 != 1:
         raise ValueError(f"c_nu is fitted for odd chain sizes, got nu = {nu}")
+    check_gap_pulse(cfg.pulse)
     base = replace(cfg, include_decay=False)
     if taus is None:
         taus = np.geomspace(0.25, 3.2, 12)

@@ -11,8 +11,9 @@ on the unconstrained basis, and the PXP model plus next-nearest-neighbour
 and second-order (Schrieffer-Wolff) corrections.  The structures are bit
 operations on the basis' mask array: a flip or hop couples two states
 exactly when both masks are in the basis, so the blockade rule lives only
-in the basis.  The tridiagonal effective Hamiltonians of the even-nu AFM
-manifold are built separately, PXP as the vdW ladder without level shifts.
+in the basis.  ``ladder_modes`` gives the sine modes of the uniform
+defect-hopping ladder of the even-nu AFM manifold, from which
+``evolution`` builds its AFM-like projectors.
 
 Index conventions are 0-based with open boundaries: projectors P outside
 the chain count as 1 and Rydberg projectors Q outside as 0.
@@ -22,8 +23,6 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -222,75 +221,6 @@ class ChainHamiltonian:
         return out
 
 
-class AfmMode(Enum):
-    """Which effective AFM-manifold Hamiltonian to build."""
-
-    PXP = "pxp"
-    VDW_DEGENERATE = "vdw_degenerate"
-    VDW_SPLIT = "vdw_split"
-
-
-class AfmRegime(Enum):
-    DEGENERATE = "degenerate"
-    SPLIT = "split"
-
-
-@dataclass(frozen=True)
-class AfmManifoldModel:
-    """Perturbative parameters of the even-nu AFM manifold at fixed drive.
-
-    S is the level shift of a Rydberg atom from its coupling back to the
-    chain, S_B / S_2B the shifts of incompletely blockaded ground atoms,
-    J = S + S_B the defect hopping amplitude, and e_ordered / e_defect the
-    second-order energies of the ordered and one-defect configurations.
-    """
-
-    nu: int
-    s: float
-    s_b: float
-    s_2b: float
-    j_hop: float
-    e_ordered: float
-    e_defect: float
-    regime: AfmRegime
-
-    @classmethod
-    def evaluate(
-        cls, nu: int, omega: float, delta: float, interaction: Optional[InteractionConfig] = None
-    ) -> "AfmManifoldModel":
-        """The parameters under a vdW interaction; None is the PXP model, a
-        perfect blockade with S_B = S_2B = B2 = 0, whose ladder is uniform:
-        e_ordered = e_defect = -nu_r (delta + S) and J = S."""
-        if nu % 2 != 0:
-            raise ValueError(f"the AFM manifold is defined for even nu, got {nu}")
-        if delta == 0.0:
-            raise RegimeError("level shift S diverges at delta = 0")
-        nu_r = nu // 2
-        s = omega**2 / (4.0 * delta)
-        base = -nu_r * (delta + s)
-        if interaction is None:
-            return cls(nu, s, 0.0, 0.0, s, base, base, AfmRegime.DEGENERATE)
-        s_b, s_2b = level_shifts(omega, delta, interaction.b_nn)
-        b2 = interaction.b_nnn
-        e_ordered = base + (nu_r - 1) * (b2 - s_2b) - s_b
-        e_defect = base + (nu_r - 2) * (b2 - s_2b) - 2.0 * s_b
-        j_hop = s + s_b
-        split = e_ordered - e_defect
-        regime = AfmRegime.DEGENERATE if abs(j_hop) >= abs(split) else AfmRegime.SPLIT
-        return cls(nu, s, s_b, s_2b, j_hop, e_ordered, e_defect, regime)
-
-    @classmethod
-    def of_mode(
-        cls, nu: int, omega: float, delta: float, interaction: Optional[InteractionConfig], mode: AfmMode
-    ) -> "AfmManifoldModel":
-        """``evaluate`` for an ``AfmMode``: PXP ignores the interaction, the
-        vdW modes need one."""
-        model = cls.evaluate(nu, omega, delta, None if mode is AfmMode.PXP else interaction)
-        if interaction is None and mode is not AfmMode.PXP:
-            raise ValueError("vdW AFM modes need an InteractionConfig")
-        return model
-
-
 def ladder_modes(m: int) -> np.ndarray:
     """Eigenvectors of the uniform m-site tridiagonal ladder: row k - 1 is
     sqrt(2 / (m + 1)) sin(k j pi / (m + 1)) over j = 1..m."""
@@ -299,32 +229,3 @@ def ladder_modes(m: int) -> np.ndarray:
          for k in range(1, m + 1)]
     )
 
-
-def build_afm_effective(
-    nu: int,
-    omega: float,
-    delta: float,
-    interaction: Optional[InteractionConfig],
-    mode: AfmMode,
-) -> np.ndarray:
-    """Tridiagonal defect-hopping Hamiltonian over the AFM configurations.
-
-    PXP and VDW_DEGENERATE: the nu/2 + 1 configurations, ordered/defect
-    diagonal energies and hopping -J (PXP: uniform diagonal
-    -nu_r (delta + S), hopping -S).  VDW_SPLIT: the bulk-defect subspace
-    only (nu/2 - 1 configurations, the ordered pair decouples), uniform
-    diagonal, hopping -J.
-    """
-    model = AfmManifoldModel.of_mode(nu, omega, delta, interaction, mode)
-    nu_r = nu // 2
-    if mode is AfmMode.VDW_SPLIT:
-        if nu_r < 2:
-            raise ValueError(f"no bulk-defect subspace for nu = {nu}")
-        diag = np.full(nu_r - 1, model.e_defect)
-    else:
-        diag = np.full(nu_r + 1, model.e_defect)
-        diag[0] = diag[-1] = model.e_ordered
-    h = np.diag(diag)
-    for j in range(h.shape[0] - 1):
-        h[j, j + 1] = h[j + 1, j] = -model.j_hop
-    return h.astype(complex)

@@ -1,4 +1,4 @@
-"""Adiabatic spectrum scans and analytic AFM-manifold spectra.
+"""Adiabatic spectrum scans and avoided-crossing gaps.
 
 A scan sweeps the detuning over the pulse window (the drive amplitude
 follows the pulse envelope), records the sorted eigenvalues and evaluates
@@ -24,10 +24,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .basis import Basis, afm_manifold_masks
+from .basis import Basis
 from .config import InteractionConfig, Model, PulseProfile
 from .errors import ConfigError, RegimeError
-from .hamiltonian import AfmManifoldModel, AfmMode, ChainHamiltonian, ladder_modes, model_basis
+from .hamiltonian import ChainHamiltonian, model_basis
 
 DEGENERACY_RTOL = 1e-9  # in units of Omega0, for flagging undefined eta
 # Detunings of the coarse grid of ``min_gap``
@@ -159,7 +159,8 @@ def wrong_parity_partner(nu: int) -> int:
 def check_gap_pulse(pulse: PulseProfile) -> None:
     """Raise ConfigError for a pulse without a chirp (the detuning grid of
     the gap is the sweep of Delta0) or without a drive (kappa is the gap
-    over |Omega0|), naming the config field."""
+    over |Omega0|), naming the config field.  The fitted constants of
+    ``gate.fit_c_nu`` need both too: their abscissa is Omega0^2 tau / |Delta0|."""
     if pulse.delta0 == 0.0:
         raise ConfigError("the avoided-crossing gap needs a chirped pulse: delta0 (pulse.delta0_mhz) is 0")
     if pulse.omega0 == 0.0:
@@ -282,56 +283,3 @@ def _brent(f, xa: float, xb: float, xc: float, fb: float) -> Tuple[float, float]
             fv, fw, fx = fw, fx, fu
     return x, fx
 
-
-@dataclass(frozen=True, eq=False)
-class AfmSpectrum:
-    """Closed-form AFM-manifold eigensystem.
-
-    ``vectors[k]`` holds the coefficients of eigenstate k over the
-    configurations listed in ``masks`` (energy ``energies[k]``).
-    """
-
-    nu: int
-    mode: AfmMode
-    energies: np.ndarray
-    vectors: np.ndarray
-    masks: Tuple[int, ...]
-
-
-def afm_analytic_spectrum(
-    nu: int,
-    omega: float,
-    delta: float,
-    interaction: Optional[InteractionConfig],
-    mode: AfmMode,
-) -> AfmSpectrum:
-    """Sine-wave eigenstates and cosine-band energies of the AFM manifold.
-
-    PXP mode diagonalizes the uniform defect-hopping ladder exactly.  The
-    degenerate vdW mode uses the same band with hopping J (valid when J
-    dominates the ordered/defect splitting).  The split mode returns the
-    bulk-defect band plus the two decoupled ordered combinations
-    (|a_1> +- |a_last>)/sqrt(2) at the ordered energy.
-    """
-    model = AfmManifoldModel.of_mode(nu, omega, delta, interaction, mode)
-    nu_r = nu // 2
-    m = nu_r + 1
-    masks = afm_manifold_masks(nu)
-
-    if mode is not AfmMode.VDW_SPLIT:
-        ks = np.arange(1, m + 1)
-        energies = model.e_defect - 2.0 * model.j_hop * np.cos(ks * math.pi / (m + 1))
-        return AfmSpectrum(nu, mode, energies, ladder_modes(m), masks)
-
-    # split regime: bulk band over a_2 ... a_{nu/2} plus the ordered pair
-    n_bulk = nu_r - 1
-    energies = np.empty(m)
-    vectors = np.zeros((m, m))
-    for k in range(1, n_bulk + 1):
-        energies[k - 1] = model.e_defect - 2.0 * model.j_hop * math.cos(k * math.pi / nu_r)
-    vectors[:n_bulk, 1:nu_r] = ladder_modes(n_bulk)
-    for sign, row in ((1.0, n_bulk), (-1.0, n_bulk + 1)):
-        energies[row] = model.e_ordered
-        vectors[row, 0] = 1.0 / math.sqrt(2.0)
-        vectors[row, -1] = sign / math.sqrt(2.0)
-    return AfmSpectrum(nu, AfmMode.VDW_SPLIT, energies, vectors, masks)

@@ -48,12 +48,11 @@ SEED_LIMIT = 1 << 64
 class ThermalConfig:
     """Monte Carlo ensemble parameters.
 
-    ``temperature`` in kelvin, ``mass`` in kg, ``position_sigma`` the
+    ``temperature`` in kelvin of Rb-87 atoms, ``position_sigma`` the
     initial per-atom position spread in um (0 = perfectly ordered traps).
     """
 
     temperature: float
-    mass: float = M_RB87
     position_sigma: float = 0.0
     trials: int = 500
     seed: int = 0
@@ -69,7 +68,7 @@ class ThermalConfig:
     @property
     def v_th(self) -> float:
         """1D thermal velocity sqrt(k_B T / m) in um/us."""
-        return thermal_velocity(self.temperature, self.mass)
+        return thermal_velocity(self.temperature, M_RB87)
 
 
 @dataclass(frozen=True)

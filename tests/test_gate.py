@@ -25,7 +25,6 @@ from afmgate.gate import (
     kappa_c_table,
     leakage_error,
     leakage_mu_nu,
-    lz_probability,
     map_tasks,
     optimal_tau,
     pulse_with_tau,
@@ -37,6 +36,7 @@ from afmgate.hamiltonian import model_basis
 from afmgate.units import mhz
 
 from conftest import GAMMA, reference_config, reference_pulse
+from oracles import lz_probability
 
 
 class TestActiveAtoms:

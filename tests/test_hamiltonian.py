@@ -6,15 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from afmgate.basis import apply_inversion, build_blockade_basis, build_full_basis
+from afmgate.basis import build_blockade_basis, build_full_basis
 from afmgate.config import InteractionConfig, Model
 from afmgate.errors import RegimeError
 from afmgate.hamiltonian import (
-    AfmManifoldModel,
-    AfmMode,
-    AfmRegime,
     ChainHamiltonian,
-    build_afm_effective,
     drive_matrix,
     excitation_numbers,
     level_shifts,
@@ -25,6 +21,7 @@ from afmgate.hamiltonian import (
 from afmgate.units import mhz
 
 from conftest import SPACING
+from oracles import AfmManifoldModel, AfmMode, AfmRegime, apply_inversion, build_afm_effective
 
 
 def interaction(b=mhz(45), cutoff=None, spacing=SPACING):

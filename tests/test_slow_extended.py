@@ -26,6 +26,7 @@ from afmgate.hamiltonian import ChainHamiltonian, model_basis
 from afmgate.units import mhz
 
 from conftest import GAMMA, SPACING, reference_config
+from oracles import flipped_interaction, rescaled_pulse
 
 pytestmark = pytest.mark.slow
 
@@ -106,7 +107,7 @@ def plain_rk4_gate_amplitudes(cases, steps):
         cfg = reference_config(n_atoms=n, include_decay=True, lambda_ratio=lam)
         for nu in (n - 2, n - 1, n):
             ham = ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), cfg.interaction)
-            flipped = ChainHamiltonian(ham.model, ham.basis, cfg.interaction.flipped())
+            flipped = ChainHamiltonian(ham.model, ham.basis, flipped_interaction(cfg.interaction))
             blocks.append((case, cfg, ham.sector(), flipped.sector()))
     drive = sparse.block_diag([b[2].drive for b in blocks], format="csr")
     case_of_row = np.concatenate([[b[0]] * len(b[2].n_r) for b in blocks])
@@ -116,7 +117,7 @@ def plain_rk4_gate_amplitudes(cases, steps):
     psi[starts] = 1.0
     cfgs = [next(b[1] for b in blocks if b[0] == case) for case in range(len(cases))]
     for pulse_two in (False, True):
-        pulses = [c.pulse.rescaled(c.interaction.lambda_ratio) if pulse_two else c.pulse for c in cfgs]
+        pulses = [rescaled_pulse(c.pulse, c.interaction.lambda_ratio) if pulse_two else c.pulse for c in cfgs]
         v = np.concatenate([b[3 if pulse_two else 2].v for b in blocks])
         decay = -0.5 * np.array([c.decay.gamma_rp if pulse_two else c.decay.gamma_r for c in cfgs])[case_of_row] * n_r
         dt = np.array([p.tau / steps for p in pulses])

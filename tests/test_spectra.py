@@ -6,23 +6,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from afmgate.basis import apply_inversion, build_blockade_basis, inversion_permutation, sector_isometry
+from afmgate.basis import build_blockade_basis, inversion_permutation, sector_isometry
 from afmgate.config import InteractionConfig, Model, PulseProfile
 from afmgate.errors import ConfigError
-from afmgate.hamiltonian import AfmMode, ChainHamiltonian, build_afm_effective, model_basis
+from afmgate.hamiltonian import ChainHamiltonian, model_basis
 from afmgate.spectra import (
     BRENT_MAXITER,
     BRENT_XTOL,
     GAP_COARSE_POINTS,
     GapReport,
     SymmetryLabel,
-    afm_analytic_spectrum,
     min_gap,
     scan_spectrum,
     wrong_parity_partner,
     _brent,
 )
 from conftest import B_NN, DELTA0, OMEGA0, SPACING
+from oracles import AfmManifoldModel, AfmMode, afm_analytic_spectrum, apply_inversion, build_afm_effective
 
 INTERACTING_MODELS = (Model.FULL_VDW, Model.PXP_PLUS_CORRECTIONS)
 
@@ -479,7 +479,6 @@ class TestAfmAnalyticSpectrum:
     def test_degenerate_band_matches_uniform_ladder(self):
         # Eq.-level check: the degenerate-regime band diagonalizes the
         # uniform-diagonal hopping ladder built from the same shifts
-        from afmgate.hamiltonian import AfmManifoldModel
 
         nu, om, de = 6, 1.0, 10.0
         inter = InteractionConfig.from_nn_strength(3 * de, 1.0)

@@ -23,6 +23,7 @@ from afmgate.thermal import (
 from afmgate.units import mhz, thermal_velocity
 
 from conftest import reference_config
+from oracles import ground_amplitude
 
 
 class TestKinematics:
@@ -113,10 +114,10 @@ class TestThermalTrials:
         )
         static = np.array(
             [
-                run_protocol(
+                ground_amplitude(run_protocol(
                     len(active_atoms(5, label)), replace(cfg, dt=cfg.pulse.tau / 1500),
                     compute_phases=False,
-                ).ground_amplitude()
+                ))
                 for label in INPUT_LABELS
             ]
         )
