@@ -117,8 +117,12 @@ def _column_chunks(*columns) -> Iterator[str]:
         yield "\n".join(_column_lines(*(col[lo : lo + CSV_CHUNK_ROWS] for col in columns)))
 
 
-def _resolved_params(cfg: ProtocolConfig, **extra) -> Dict[str, object]:
-    params: Dict[str, object] = {
+def _resolved_params(cfg: ProtocolConfig, step: Dict[str, object], **extra) -> Dict[str, object]:
+    """The config's resolved parameters and then ``extra``, with ``step``,
+    the step the command took, in place of the config's ``dt_us``:
+    ``dt_us`` (``evolve``, ``thermal``), ``steps_per_pulse`` (``sweep``,
+    ``fit-c``) or nothing (``spectrum``, which propagates nothing)."""
+    return {
         "n_atoms": cfg.chain.n_atoms,
         "spacing_um": cfg.chain.spacing,
         "b_mhz": to_mhz(cfg.interaction.b_nn),
@@ -131,21 +135,10 @@ def _resolved_params(cfg: ProtocolConfig, **extra) -> Dict[str, object]:
         "gamma_r_mhz": to_mhz(cfg.decay.gamma_r),
         "gamma_rp_mhz": to_mhz(cfg.decay.gamma_rp),
         "model": cfg.model.value,
-        "dt_us": cfg.dt,
+        **step,
         "include_decay": cfg.include_decay,
+        **extra,
     }
-    params.update(extra)
-    return params
-
-
-def _per_pulse_step_params(cfg: ProtocolConfig, **extra) -> Dict[str, object]:
-    """``_resolved_params`` of a command that runs each pulse duration at
-    tau / ``STEPS_PER_PULSE`` (``sweep``, ``fit-c``): that step count
-    stands in place of the config's ``dt_us``, which these runs ignore."""
-    return dict(
-        ("steps_per_pulse", STEPS_PER_PULSE) if key == "dt_us" else (key, value)
-        for key, value in _resolved_params(cfg, **extra).items()
-    )
 
 
 def cmd_spectrum(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> None:
@@ -161,7 +154,7 @@ def cmd_spectrum(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -
         rows = [(i, j, h[i, j].real, h[i, j].imag) for i, j in zip(*np.nonzero(h))]
         _write_csv(
             out_dir / "hamiltonian.csv",
-            _resolved_params(cfg, nu=nu, t_us=t_mid),
+            _resolved_params(cfg, {}, nu=nu, t_us=t_mid),
             ("row", "col", "re", "im"),
             rows,
         )
@@ -176,7 +169,7 @@ def cmd_spectrum(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -
     )
     _write_lines(
         out_dir / "spectrum.csv",
-        _resolved_params(cfg, nu=nu, grid=args.grid),
+        _resolved_params(cfg, {}, nu=nu, grid=args.grid),
         ("delta_rad_us", "k", "energy_rad_us", "symmetry", "eta_low", "eta_high"),
         lines,
     )
@@ -194,7 +187,8 @@ def cmd_evolve(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> 
         values.append(pops["afm_excited"])
     columns += ["phi_total", "phi_dynamical", "phi_geometric", "phi_valid"]
     values += [phases.phi_total, phases.phi_dynamical, phases.phi_geometric, phases.valid.astype(int)]
-    _write_lines(out_dir / "evolve.csv", _resolved_params(cfg, nu=nu), columns, _column_chunks(*values))
+    _write_lines(out_dir / "evolve.csv", _resolved_params(cfg, {"dt_us": cfg.dt}, nu=nu), columns,
+                 _column_chunks(*values))
 
 
 def cmd_gate(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> None:
@@ -268,7 +262,7 @@ def _c_table_for(n_list: Sequence[int], cfg: ProtocolConfig,
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> None:
-    n_list = args.n_list  # parsed by _check_arg_ranges
+    n_list = args.n_list
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_points)
     c_table = _c_table_for(n_list, cfg, _load_c_file(args.c_file))
     points = sweep_tau(n_list, cfg, taus, c_table, jobs=args.jobs)
@@ -285,8 +279,8 @@ def cmd_sweep(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> N
         }
     _write_csv(
         out_dir / "sweep.csv",
-        _per_pulse_step_params(cfg, n_list=",".join(map(str, n_list)),
-                               c_table=json.dumps({str(k): v for k, v in sorted(c_table.items())})),
+        _resolved_params(cfg, {"steps_per_pulse": STEPS_PER_PULSE}, n_list=",".join(map(str, n_list)),
+                         c_table=json.dumps({str(k): v for k, v in sorted(c_table.items())})),
         ("n_atoms", "tau_us", "e_numeric", "e_decay", "e_leakage", "e_model", "fidelity"),
         rows,
     )
@@ -294,8 +288,10 @@ def cmd_sweep(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> N
 
 
 def cmd_thermal(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> None:
+    if not 0 <= args.seed < SEED_LIMIT:
+        raise ConfigError(f"--seed must be in [0, 2^64) for thermal, got {args.seed}")
     if args.tau_us is not None:
-        cfg = replace(cfg, pulse=pulse_with_tau(cfg.pulse, args.tau_us), dt=None)
+        cfg = replace(cfg, pulse=pulse_with_tau(cfg.pulse, args.tau_us))
     cfg = replace(cfg, include_decay=False)
     tcfg = ThermalConfig(
         temperature=args.temp_uk * 1e-6,
@@ -311,7 +307,7 @@ def cmd_thermal(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) ->
     rows.append(("summary", report.delta_phi_rms, float(np.mean(report.fidelity_samples))))
     _write_csv(
         out_dir / "thermal.csv",
-        _resolved_params(cfg, dt_us=report.dt, temp_uK=args.temp_uk, trials=report.trials, seed=tcfg.seed),
+        _resolved_params(cfg, {"dt_us": report.dt}, temp_uK=args.temp_uk, trials=report.trials, seed=tcfg.seed),
         ("trial", "delta_phi_rad", "fidelity"),
         rows,
     )
@@ -330,7 +326,7 @@ def cmd_thermal(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) ->
 
 
 def cmd_fit_c(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> None:
-    nus = args.nu_list  # parsed by _check_arg_ranges
+    nus = args.nu_list
     result: Dict[str, Dict[str, float]] = {}
     rows = []
     for nu in nus:
@@ -341,7 +337,7 @@ def cmd_fit_c(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> N
     (out_dir / "fit_c.json").write_text(json.dumps(result, indent=2) + "\n")
     _write_csv(
         out_dir / "fit_c.csv",
-        _per_pulse_step_params(cfg, nu_list=",".join(map(str, nus))),
+        _resolved_params(cfg, {"steps_per_pulse": STEPS_PER_PULSE}, nu_list=",".join(map(str, nus))),
         ("nu", "tau_us", "e_leakage"),
         rows,
     )
@@ -376,146 +372,129 @@ def cmd_transfer_error(args: argparse.Namespace, cfg: Optional[ProtocolConfig], 
     print(json.dumps(summary, indent=2))
 
 
+class _Checked(argparse.Action):
+    """Stores a flag's value once it meets the flag's rule (``_flag``)."""
+
+    def __init__(self, option_strings, dest, kind, rule=None, odd=False, **kwargs):
+        super().__init__(option_strings, dest, type=None if kind is list else kind, **kwargs)
+        self.kind, self.rule, self.odd = kind, rule, odd
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        flag, rule = self.option_strings[0], self.rule
+        if self.kind is list:
+            value = _int_list(flag, value, rule, self.odd)
+        elif self.kind is float and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
+        elif rule == "> 0" and not value > 0.0:
+            raise ConfigError(f"{flag} must be > 0, got {value}")
+        elif rule == "nonzero" and value == 0.0:
+            raise ConfigError(f"{flag} must be nonzero, got {value}")
+        elif isinstance(rule, (int, float)) and not value >= rule:
+            raise ConfigError(f"{flag} must be >= {rule}, got {value}")
+        setattr(namespace, self.dest, value)
+
+
+def _int_list(flag: str, text: str, minimum: int, odd: bool) -> List[int]:
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated integers, got {text!r}") from None
+    bad = [v for v in values if v < minimum or (odd and v % 2 == 0)]
+    if bad:
+        raise ConfigError(f"{flag} entries must be {'odd and ' if odd else ''}>= {minimum}, got {bad[0]}")
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{flag} entries must be distinct, got {repeated[0]} more than once")
+    return values
+
+
+def _flag(parser: argparse.ArgumentParser, flag: str, kind: type = str, rule=None, **kwargs) -> None:
+    """Declare ``flag``, taking one value of ``kind``: str, int, float or
+    list (comma-separated integers, parsed into a list of ints).  A value
+    given is checked as it is parsed, before anything is read or written,
+    and refused with a ConfigError: a float must be finite, and ``rule`` is
+    a minimum, "> 0" or "nonzero"; a list's entries must be distinct and
+    each >= ``rule``, and odd with ``odd=True``.  Defaults are not checked."""
+    parser.add_argument(flag, action=_Checked, kind=kind, rule=rule, **kwargs)
+
+
+def _command(sub, name: str, handler, reads_config: bool, help: str) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name``, run by ``handler`` with the
+    config (``--config``, required) if it ``reads_config``, else with None."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(handler=handler, reads_config=reads_config)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="afmgate",
         description="Rydberg-antiferromagnet-mediated CZ gate: spectra, dynamics, fidelity",
     )
-    parser.add_argument("--config", type=str, default=None, help="JSON protocol config")
-    parser.add_argument("--out", type=str, default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (>= 1; capped at the CPU count and the task count)")
-    parser.add_argument("--model", choices=[m.value for m in Model], default=None,
-                        help="override the config model")
+    _flag(parser, "--config", default=None, help="JSON protocol config")
+    _flag(parser, "--out", default="out", help="output directory")
+    _flag(parser, "--seed", int, default=0)
+    _flag(parser, "--jobs", int, 1, default=1,
+          help="worker processes (>= 1; capped at the CPU count and the task count)")
+    _flag(parser, "--model", choices=[m.value for m in Model], default=None, help="override the config model")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="eigenvalues, symmetry labels and eta vs detuning")
-    p.add_argument("--nu", type=int, default=None, help="active atoms (default: chain size)")
-    p.add_argument("--grid", type=int, default=201)
+    p = _command(sub, "spectrum", cmd_spectrum, True, "eigenvalues, symmetry labels and eta vs detuning")
+    _flag(p, "--nu", int, 1, default=None, help="active atoms (default: chain size)")
+    _flag(p, "--grid", int, 3, default=201)
     p.add_argument("--dump-hamiltonian", action="store_true",
                    help="also dump the mid-sweep matrix entries (debug)")
 
-    p = sub.add_parser("evolve", help="two-pulse dynamics: populations and phases")
-    p.add_argument("--nu", type=int, default=None)
+    p = _command(sub, "evolve", cmd_evolve, True, "two-pulse dynamics: populations and phases")
+    _flag(p, "--nu", int, 1, default=None)
 
-    p = sub.add_parser("gate", help="assemble the gate and its error model")
-    p.add_argument("--c-file", type=str, default=None, help="JSON of fitted c_nu constants")
+    p = _command(sub, "gate", cmd_gate, True, "assemble the gate and its error model")
+    _flag(p, "--c-file", default=None, help="JSON of fitted c_nu constants")
 
-    p = sub.add_parser("sweep", help="error vs pulse duration for a list of chain sizes")
-    p.add_argument("--n-list", type=str, default="3,4,5,6")
-    p.add_argument("--tau-min", type=float, default=0.5)
-    p.add_argument("--tau-max", type=float, default=3.0)
-    p.add_argument("--tau-points", type=int, default=11)
-    p.add_argument("--c-file", type=str, default=None)
+    # pulse durations must be > 0, refused before a sweep fits any constant
+    p = _command(sub, "sweep", cmd_sweep, True, "error vs pulse duration for a list of chain sizes")
+    _flag(p, "--n-list", list, 3, default=[3, 4, 5, 6])
+    _flag(p, "--tau-min", float, "> 0", default=0.5)
+    _flag(p, "--tau-max", float, "> 0", default=3.0)
+    _flag(p, "--tau-points", int, 1, default=11)
+    _flag(p, "--c-file", default=None)
 
-    p = sub.add_parser("thermal", help="thermal-motion Monte Carlo")
-    p.add_argument("--temp-uK", dest="temp_uk", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--tau-us", type=float, default=None)
-    p.add_argument("--position-sigma-um", type=float, default=0.0)
+    p = _command(sub, "thermal", cmd_thermal, True, "thermal-motion Monte Carlo")
+    _flag(p, "--temp-uK", float, 0.0, dest="temp_uk", default=1.0)
+    _flag(p, "--trials", int, 1, default=500)
+    _flag(p, "--tau-us", float, "> 0", default=None)
+    _flag(p, "--position-sigma-um", float, 0.0, default=0.0)
 
-    p = sub.add_parser("fit-c", help="fit Landau-Zener constants for odd chain sizes")
-    p.add_argument("--nu-list", type=str, default="3,5,7")
+    p = _command(sub, "fit-c", cmd_fit_c, True, "fit Landau-Zener constants for odd chain sizes")
+    _flag(p, "--nu-list", list, 3, odd=True, default=[3, 5, 7])
 
-    p = sub.add_parser("basis-dump", help="list basis states")
-    p.add_argument("--nu", type=int, required=True)
+    p = _command(sub, "basis-dump", cmd_basis_dump, False, "list basis states")
+    _flag(p, "--nu", int, 1, required=True)
     p.add_argument("--full", action="store_true", help="unconstrained basis")
 
-    p = sub.add_parser("transfer-error", help="closed-form r -> r' transfer error")
-    p.add_argument("--b-mhz", type=float, required=True)
-    p.add_argument("--b-prime-mhz", type=float, required=True)
-    p.add_argument("--omega-sd-mhz", type=float, required=True)
+    # the transfer error divides by the Rabi frequency
+    p = _command(sub, "transfer-error", cmd_transfer_error, False, "closed-form r -> r' transfer error")
+    _flag(p, "--b-mhz", float, required=True)
+    _flag(p, "--b-prime-mhz", float, required=True)
+    _flag(p, "--omega-sd-mhz", float, "nonzero", required=True)
     return parser
 
 
-_HANDLERS = {
-    "spectrum": cmd_spectrum,
-    "evolve": cmd_evolve,
-    "gate": cmd_gate,
-    "sweep": cmd_sweep,
-    "thermal": cmd_thermal,
-    "fit-c": cmd_fit_c,
-    "basis-dump": cmd_basis_dump,
-    "transfer-error": cmd_transfer_error,
-}
-
-_NEEDS_CONFIG = {"spectrum", "evolve", "gate", "sweep", "thermal", "fit-c"}
-
-# (commands or None for every command, argument, flag, smallest legal value
-# or None); every float flag is listed, since it must also be finite
-_ARG_RANGES = (
-    (None, "jobs", "--jobs", 1),
-    (("spectrum", "evolve", "basis-dump"), "nu", "--nu", 1),
-    (("spectrum",), "grid", "--grid", 3),
-    (("sweep",), "tau_points", "--tau-points", 1),
-    (("sweep",), "tau_min", "--tau-min", None),
-    (("sweep",), "tau_max", "--tau-max", None),
-    (("thermal",), "trials", "--trials", 1),
-    (("thermal",), "temp_uk", "--temp-uK", 0.0),
-    (("thermal",), "position_sigma_um", "--position-sigma-um", 0.0),
-    (("thermal",), "tau_us", "--tau-us", None),
-    (("transfer-error",), "b_mhz", "--b-mhz", None),
-    (("transfer-error",), "b_prime_mhz", "--b-prime-mhz", None),
-    (("transfer-error",), "omega_sd_mhz", "--omega-sd-mhz", None),
-)
-# pulse durations, which must be > 0 (refused here, before a sweep fits
-# any constant)
-_DURATION_FLAGS = {"--tau-min", "--tau-max", "--tau-us"}
-# flags that must be nonzero (the transfer error divides by the Rabi frequency)
-_NONZERO_FLAGS = {"--omega-sd-mhz"}
-# (command, comma-separated integer list argument, flag, smallest legal
-# entry, whether entries must be odd); parsed into a list of ints
-_LIST_ARGS = (
-    ("sweep", "n_list", "--n-list", 3, False),
-    ("fit-c", "nu_list", "--nu-list", 3, True),
-)
-
-
-def _check_arg_ranges(args: argparse.Namespace) -> None:
-    """Parse the integer lists and reject out-of-range flags before anything is written."""
-    for commands, name, flag, minimum in _ARG_RANGES:
-        value = getattr(args, name) if commands is None or args.command in commands else None
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{flag} must be finite, got {value}")
-        if value is not None and minimum is not None and not value >= minimum:
-            raise ConfigError(f"{flag} must be >= {minimum}, got {value}")
-        if value is not None and flag in _DURATION_FLAGS and not value > 0.0:
-            raise ConfigError(f"{flag} must be > 0, got {value}")
-        if value is not None and flag in _NONZERO_FLAGS and value == 0.0:
-            raise ConfigError(f"{flag} must be nonzero, got {value}")
-    if args.command == "thermal" and not 0 <= args.seed < SEED_LIMIT:
-        raise ConfigError(f"--seed must be in [0, 2^64) for thermal, got {args.seed}")
-    for command, name, flag, minimum, odd in _LIST_ARGS:
-        if args.command == command:
-            try:
-                values = [int(x) for x in getattr(args, name).split(",")]
-            except ValueError:
-                raise ConfigError(f"{flag} must be comma-separated integers, got {getattr(args, name)!r}") from None
-            bad = [v for v in values if v < minimum or (odd and v % 2 == 0)]
-            if bad:
-                raise ConfigError(f"{flag} entries must be {'odd and ' if odd else ''}>= {minimum}, got {bad[0]}")
-            repeated = sorted({v for v in values if values.count(v) > 1})
-            if repeated:
-                raise ConfigError(f"{flag} entries must be distinct, got {repeated[0]} more than once")
-            setattr(args, name, values)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    out_dir = Path(args.out)
-    fresh = not out_dir.exists()
+    fresh = False
     try:
-        _check_arg_ranges(args)
+        args = build_parser().parse_args(argv)  # a bad flag value raises ConfigError here
+        out_dir = Path(args.out)
+        fresh = not out_dir.exists()
         cfg = None
-        if args.command in _NEEDS_CONFIG:
+        if args.reads_config:
             if args.config is None:
                 raise ConfigError(f"command '{args.command}' requires --config")
             cfg = load_config(args.config)
             if args.model is not None:  # the one place a command's model is set
                 cfg = replace(cfg, model=Model(args.model))
         out_dir.mkdir(parents=True, exist_ok=True)
-        _HANDLERS[args.command](args, cfg, out_dir)
+        args.handler(args, cfg, out_dir)
         _write_manifest(args, out_dir)
         return EXIT_OK
     except ConfigError as exc:

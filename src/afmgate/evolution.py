@@ -63,7 +63,8 @@ the row body steps vdW nu = 3..9 at 0.86-1.02 of the BLAS body's time, and
 without the import a cold ``evolve --nu 5`` (vdW) takes 0.43 s and peaks
 at 46 MB of resident memory, against 0.65 s and 72.5 MB; only ``thermal``
 loads scipy.
-``run_protocol`` refuses a config step past RK4's stability bound
+``run_protocol`` refuses a config step coarser than tau /
+``config.DT_STEPS_MIN`` or past RK4's stability bound
 (``RK4_STABLE_DT_RHO`` over a Gershgorin bound of H, pulse I's bounding
 both pulses on one clock).  ``_rk4_pulses`` runs pulse II after pulse I
 for both RK4 callers and normalises each chain block of every stored
@@ -123,7 +124,7 @@ from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .basis import Basis, afm_manifold_masks, ordered_afm_masks
-from .config import Model, ProtocolConfig, PulseProfile, pulse_with_tau
+from .config import DT_STEPS_MIN, Model, ProtocolConfig, PulseProfile, pulse_with_tau
 from .errors import ConfigError, PropagationError
 from .hamiltonian import ChainHamiltonian, ladder_modes, model_basis
 
@@ -1097,7 +1098,8 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
     r -> r' swap between steps is modeled as instantaneous and exact.
     Starts from the collective ground state and takes RK4 steps of
     ``cfg.dt`` per pulse, and raises ConfigError before it propagates when
-    that step is past RK4's stability bound on the chain
+    that step does not evenly divide tau, is coarser than tau /
+    ``DT_STEPS_MIN`` or is past RK4's stability bound on the chain
     (``_rk4_stable_dt``).
 
     The dynamical phase integrates the energy of the dominantly occupied
@@ -1113,6 +1115,9 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
     # clock pulse II's samples take pulse I's phase step for every lambda
     h_scale = float(nu * (abs(cfg.pulse.delta0) + abs(cfg.pulse.omega0)) + np.abs(ham.v).max())
     seg1, seg2, psi, n1 = _protocol_start(hams, cfg)
+    if n1 < DT_STEPS_MIN:
+        raise ConfigError(f"dt_us = {cfg.dt} is too coarse: need dt_us <= tau_us / {DT_STEPS_MIN} = "
+                          f"{cfg.pulse.tau / DT_STEPS_MIN!r}")
     dt_max = _rk4_stable_dt(seg1)
     if cfg.dt > dt_max:
         raise ConfigError(f"dt_us = {cfg.dt} is past RK4's stability bound at nu = {nu}: need dt_us <= {dt_max!r}")
@@ -1173,7 +1178,7 @@ def tau_batch_amplitudes(nus: Sequence[int], cfg: ProtocolConfig, taus: Sequence
     round-off.
     """
     taus = [float(tau) for tau in taus]
-    ref = replace(cfg, pulse=pulse_with_tau(cfg.pulse, taus[0]), dt=None)
+    ref = replace(cfg, pulse=pulse_with_tau(cfg.pulse, taus[0]))
     scales = [t / taus[0] for t in taus]
     return final_amplitudes(_chain_hamiltonians(nus, ref), ref, scales).reshape(len(taus), len(nus))
 

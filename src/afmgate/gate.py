@@ -368,7 +368,7 @@ def _sweep_chunk(args) -> list:
     points = []
     for tau, amps in zip(taus, tau_batch_amplitudes(nus, cfg, taus)):
         report = _gate_report(n_atoms, dict(zip(nus, amps)))
-        run_cfg = replace(cfg, pulse=pulse_with_tau(cfg.pulse, tau), dt=None)
+        run_cfg = replace(cfg, pulse=pulse_with_tau(cfg.pulse, tau))
         gamma = run_cfg.decay.mean_rate(tau, run_cfg.interaction.lambda_ratio)
         e_dec = decay_error(n_atoms, gamma, run_cfg.tau_total)
         e_leak = leakage_error(n_atoms, c_table, run_cfg.pulse).full

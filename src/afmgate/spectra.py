@@ -157,14 +157,15 @@ def wrong_parity_partner(nu: int) -> int:
 
 
 def check_gap_pulse(pulse: PulseProfile) -> None:
-    """Raise ConfigError for a pulse without a chirp (the detuning grid of
-    the gap is the sweep of Delta0) or without a drive (kappa is the gap
-    over |Omega0|), naming the config field.  The fitted constants of
-    ``gate.fit_c_nu`` need both too: their abscissa is Omega0^2 tau / |Delta0|."""
+    """Raise ConfigError, naming the config field, for a pulse without a
+    chirp or a drive: the Landau-Zener constants need both.  A gap-derived
+    constant solves the gap on the sweep of Delta0 and takes kappa as the
+    gap over |Omega0|; a fitted one (``gate.fit_c_nu``) has the abscissa
+    Omega0^2 tau / |Delta0|."""
     if pulse.delta0 == 0.0:
-        raise ConfigError("the avoided-crossing gap needs a chirped pulse: delta0 (pulse.delta0_mhz) is 0")
+        raise ConfigError("the Landau-Zener constants need a chirped pulse: delta0 (pulse.delta0_mhz) is 0")
     if pulse.omega0 == 0.0:
-        raise ConfigError("the avoided-crossing gap needs a driven pulse: omega0 (pulse.omega0_mhz) is 0")
+        raise ConfigError("the Landau-Zener constants need a driven pulse: omega0 (pulse.omega0_mhz) is 0")
 
 
 def min_gap(

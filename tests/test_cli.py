@@ -1,5 +1,6 @@
 """CLI: artifacts, determinism, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from afmgate.cli import (
     _git_describe,
     _resolved_params,
     _write_csv,
+    build_parser,
     main,
 )
 from afmgate.config import Model, load_config, protocol_from_dict
@@ -134,9 +136,21 @@ class TestSpectrum:
             scan.eta_low.ravel(),
             scan.eta_high.ravel(),
         )
-        header = [f"# {key} = {_fmt(val)}" for key, val in _resolved_params(cfg, nu=4, grid=9).items()]
+        header = [f"# {key} = {_fmt(val)}" for key, val in _resolved_params(cfg, {}, nu=4, grid=9).items()]
         header.append("delta_rad_us,k,energy_rad_us,symmetry,eta_low,eta_high")
         assert (out / "spectrum.csv").read_text() == "\n".join([*header, *lines]) + "\n"
+
+
+SUBPARSERS = next(
+    a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+# (command, flag) of every flag of a subcommand that takes a float
+FLOAT_FLAGS = [
+    (command, action.option_strings[0])
+    for command, parser in SUBPARSERS.items()
+    for action in parser._actions
+    if action.type is float
+]
 
 
 def run_python(args, cwd=None):
@@ -251,7 +265,8 @@ class TestEvolve:
         values = [traj.times, traj.norms, pops["ground"], pops["afm"], pops["afm_excited"],
                   phases.phi_total, phases.phi_dynamical, phases.phi_geometric, phases.valid.astype(int)]
         expected = tmp_path / "expected.csv"
-        _write_csv(expected, _resolved_params(load_config(cfg_path), nu=4), columns, zip(*values))
+        cfg = load_config(cfg_path)
+        _write_csv(expected, _resolved_params(cfg, {"dt_us": cfg.dt}, nu=4), columns, zip(*values))
         assert (out / "evolve.csv").read_bytes() == expected.read_bytes()
 
     def test_decay_makes_norm_non_increasing(self, tmp_path):
@@ -279,17 +294,18 @@ class TestGateAndSweep:
 
     def test_gate_does_not_read_the_config_step(self, tmp_path):
         # the gate's amplitudes take STEPS_PER_PULSE steps per pulse, so a
-        # finer dt_us leaves gate.json byte for byte as it is
+        # finer dt_us, or one coarser than evolve takes, leaves gate.json
+        # byte for byte as it is
         cfile = tmp_path / "c.json"
         cfile.write_text(json.dumps(C_TABLE))
         blobs = []
-        for name, overrides in (("default", {}), ("fine", {"dt_us": 0.0005})):
+        for name, overrides in (("default", {}), ("fine", {"dt_us": 0.0005}), ("coarse", {"dt_us": 0.002})):
             (tmp_path / name).mkdir()
             cfg = write_config(tmp_path / name, dict(overrides, chain={"n_atoms": 3, "spacing_um": 4.0}))
             out = tmp_path / name / "out"
             assert main(["--config", cfg, "--out", str(out), "gate", "--c-file", str(cfile)]) == EXIT_OK
             blobs.append((out / "gate.json").read_bytes())
-        assert blobs[0] == blobs[1]
+        assert blobs[0] == blobs[1] == blobs[2]
 
     def test_sweep_emits_model_and_numeric_columns(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -525,7 +541,7 @@ class TestErrorHandling:
         cfg = write_config(tmp_path, {"pulse": dict(CONFIG["pulse"], **{field: 0.0})})
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "sweep", "--n-list", "5", "--tau-points", "3"]) == EXIT_CONFIG
-        assert f"the avoided-crossing gap needs a {'chirped' if name == 'delta0' else 'driven'} pulse: " \
+        assert f"the Landau-Zener constants need a {'chirped' if name == 'delta0' else 'driven'} pulse: " \
             f"{name} (pulse.{field}) is 0" in capsys.readouterr().err
         assert not out.exists()
 
@@ -614,20 +630,13 @@ class TestErrorHandling:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "argv,message",
-        [
-            (["sweep", "--tau-min", "nan"], "--tau-min must be finite, got nan"),
-            (["sweep", "--tau-min", "inf", "--tau-max", "inf"], "--tau-min must be finite, got inf"),
-            (["sweep", "--tau-max=-inf"], "--tau-max must be finite, got -inf"),
-            (["thermal", "--tau-us", "nan"], "--tau-us must be finite, got nan"),
-            (["thermal", "--temp-uK", "inf"], "--temp-uK must be finite, got inf"),
-            (["thermal", "--position-sigma-um", "nan"], "--position-sigma-um must be finite, got nan"),
-            (["transfer-error", "--b-mhz", "nan", "--b-prime-mhz", "-45", "--omega-sd-mhz", "50"],
-             "--b-mhz must be finite, got nan"),
-        ],
-    )
-    def test_non_finite_flag_exits_2(self, tmp_path, capsys, argv, message):
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command,flag", FLOAT_FLAGS)
+    def test_non_finite_flag_exits_2(self, tmp_path, capsys, command, flag, value):
+        # every other required flag of the command takes a legal 1
+        required = [f for a in SUBPARSERS[command]._actions if a.required for f in (a.option_strings[0], "1")]
+        argv = [command, *required, f"{flag}={value}"]
+        message = f"{flag} must be finite, got {value}"
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), *argv]) == EXIT_CONFIG
@@ -717,6 +726,7 @@ class TestErrorHandling:
         assert "config error: dt_us = 0.00033 does not evenly divide tau_us = 1.0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dt_us", [0.00033, 0.002])  # uneven, and coarser than tau / 1000
     @pytest.mark.parametrize(
         "argv",
         [
@@ -724,10 +734,11 @@ class TestErrorHandling:
             ["sweep", "--n-list", "3", "--tau-points", "2"],
             ["fit-c", "--nu-list", "3"],
             ["thermal", "--trials", "2"],
+            ["spectrum", "--nu", "3", "--grid", "5"],
         ],
     )
-    def test_commands_ignoring_the_step_run_with_an_uneven_one(self, tmp_path, argv):
-        cfg = write_config(tmp_path, {"dt_us": 0.00033})
+    def test_commands_ignoring_the_step_run_with_an_uneven_one(self, tmp_path, argv, dt_us):
+        cfg = write_config(tmp_path, {"dt_us": dt_us})
         assert main(["--config", cfg, "--out", str(tmp_path / "out"), *argv]) == EXIT_OK
 
     def test_failed_run_keeps_an_existing_output_directory(self, tmp_path):

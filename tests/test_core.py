@@ -1,5 +1,6 @@
 """Units, configuration records and the chirped-pulse waveform."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from afmgate import evolution
+from afmgate.cli import EXIT_CONFIG, main
 from afmgate.config import (
     ChainConfig,
     DecayConfig,
@@ -19,7 +22,7 @@ from afmgate.config import (
 from afmgate.errors import ConfigError
 from afmgate.units import mhz, to_mhz
 
-from conftest import OMEGA0, DELTA0, reference_config
+from conftest import B_NN, DELTA0, OMEGA0, SPACING, TAU, reference_config
 from oracles import flipped_interaction, rescaled_pulse
 
 
@@ -154,9 +157,22 @@ class TestProtocolConfig:
         cfg = reference_config()
         assert cfg.dt == pytest.approx(1.0 / 4000, rel=1e-12)
 
-    def test_coarse_dt_rejected(self):
-        with pytest.raises(ConfigError):
-            reference_config(dt=1.0 / 500)
+    def test_coarse_dt_rejected(self, tmp_path, capsys, monkeypatch):
+        # the config takes any finite step > 0; evolve, the one command
+        # that reads it, refuses one coarser than tau / DT_STEPS_MIN
+        assert reference_config(dt=1.0 / 500).dt == 1.0 / 500
+        monkeypatch.setattr(evolution, "_run_segment", None)  # never reached
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "chain": {"n_atoms": 5, "spacing_um": SPACING},
+            "interaction": {"b_mhz": to_mhz(B_NN)},
+            "pulse": {"omega0_mhz": to_mhz(OMEGA0), "delta0_mhz": to_mhz(DELTA0), "tau_us": TAU},
+            "dt_us": TAU / 500,
+        }))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "evolve", "--nu", "3"]) == EXIT_CONFIG
+        assert "config error: dt_us = 0.002 is too coarse" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_total_duration_includes_rescaled_second_pulse(self):
         cfg = reference_config(lambda_ratio=2.0)

@@ -99,7 +99,7 @@ def split_samples(nu, cfg):
 def sequential_amplitude(nu, cfg):
     """<0...0| M_II M_I |0...0> of one chain with both pulses run one after
     the other, as ``run_protocol`` runs them, at the split step of the final
-    amplitudes (coarser than a config's ``dt`` may be).  ``final_amplitudes``
+    amplitudes (coarser than the step ``evolve`` takes).  ``final_amplitudes``
     runs pulse I alone (the mirror identity), so the two agree to round-off,
     which grows with the step count: 3.0e-13 for the PXP N = 3 gate at 500
     steps per pulse, 1.5e-13, 5.9e-13 and 1.2e-12 at 250, 1000 and 2000."""
@@ -1259,7 +1259,7 @@ class TestMirrorIdentity:
         taus = [0.6, 1.3, 2.1]
         amps = tau_batch_amplitudes(nus, cfg, taus)
         for tau, row in zip(taus, amps):
-            run_cfg = replace(cfg, pulse=pulse_with_tau(cfg.pulse, tau), dt=None)
+            run_cfg = replace(cfg, pulse=pulse_with_tau(cfg.pulse, tau))
             ref = [sequential_amplitude(nu, run_cfg) for nu in nus]
             assert np.abs(row - ref).max() < 1e-12
 
@@ -1288,7 +1288,7 @@ class TestTauBatch:
         amps = tau_batch_amplitudes(nus, cfg, self.TAUS)
         assert amps.shape == (len(self.TAUS), len(nus))
         for tau, row in zip(self.TAUS, amps):
-            ref = ground_amplitudes(nus, replace(cfg, pulse=pulse_with_tau(cfg.pulse, tau), dt=None))
+            ref = ground_amplitudes(nus, replace(cfg, pulse=pulse_with_tau(cfg.pulse, tau)))
             assert np.abs(row - [ref[nu] for nu in nus]).max() < 1e-12
 
     def test_hermitian_blocks_each_keep_unit_norm(self):

@@ -274,7 +274,7 @@ class TestFitCnu:
         fit = fit_c_nu(3, cfg)
         taus, leakages = [], []
         for tau in np.geomspace(0.25, 3.2, 12):
-            run_cfg = replace(cfg, pulse=pulse_with_tau(cfg.pulse, tau), dt=None)
+            run_cfg = replace(cfg, pulse=pulse_with_tau(cfg.pulse, tau))
             e_leak = 1.0 - abs(evolution.ground_amplitudes([3], run_cfg)[3]) ** 2
             if FIT_E_BOUNDS[0] < e_leak < FIT_E_BOUNDS[1]:
                 taus.append(tau)
@@ -298,7 +298,7 @@ class TestSweepTau:
         points = sweep_tau(3, cfg, taus, self.C_TABLE)
         assert [p.tau for p in points] == taus
         for p in points:
-            report = assemble_gate(3, replace(cfg, pulse=pulse_with_tau(cfg.pulse, p.tau), dt=None))
+            report = assemble_gate(3, replace(cfg, pulse=pulse_with_tau(cfg.pulse, p.tau)))
             assert abs(p.fidelity - report.fidelity) < 1e-12
             assert p.e_numeric == 1.0 - p.fidelity
 
