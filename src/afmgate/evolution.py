@@ -98,8 +98,13 @@ the first with its H scaled by tau / tau_ref), and a thermal chunk takes
 one column per trial.  A static chain is mirror-symmetric and starts in
 |0...0>, so static chains run on the inversion-even sectors
 (``ChainHamiltonian.sector``; 20 of 32 states at vdW nu = 5, 72 of 128 at
-nu = 7), and ``run_protocol`` maps its samples back to the full basis; a
-thermal chunk keeps the full basis.
+nu = 7); a thermal chunk keeps the full basis.  Both RK4 callers hold one
+sample array (``_rk4_pulses``): the start state, pulse I's samples, then
+pulse II's, which start from pulse I's last row.  ``run_protocol`` keeps it
+on the sector (``Trajectory.samples``) and takes the norms and populations
+from full-basis rows a chunk at a time; ``Trajectory.states`` is built on
+first access.  Its traced peak at vdW nu = 5 is 4.7 MB, 13.6 MB when it
+held both pulses' samples, their concatenation and the full basis.
 
 The dynamical phase integrates the energy of the branch that holds the
 state (``_branch_energies``): a residual bound proves which eigenvalue of
@@ -111,7 +116,8 @@ G psi after step n - a, so the phase record takes one Hamiltonian, pulse
 I's, and one table of its eigenvalues (``_mirrored_eigenvalues``): one
 stacked real ``eigvalsh`` per chunk of pulse I's H (``_eigenvalue_table``)
 at the sample steps A of a pulse and their mirrors n - A, one pulse of
-eigensolves when the stride divides the step count n.
+eigensolves when the stride divides the step count n.  Each chunk of
+samples gathers its rows of the table, and pulse II's chunks take G there.
 """
 
 from __future__ import annotations
@@ -194,13 +200,13 @@ SAME_LEVEL_ULPS = 16
 # 12.9 ms in one product, 17.3 ms apart; N = 7 25.0 ms as 56 + 72,
 # 27.8 ms apart, 27.5 ms as one; N = 8 46.2 ms apart, 50.8 ms as 108 + 136
 MERGED_DRIVE_ROWS = 64
-# Branch energies: matrix entries of one stacked even-sector eigenproblem
-# (samples per chunk times d_even^2), 256 KB of float64 at 2^15.  With no
-# eigenvectors the peak RSS of a vdW nu = 5 evolve does not move with it
-# (73.7 MB at 2^12 and 2^15, 73.9 MB at 2^17, measured while evolve still
-# loaded scipy); below 2^14 the per-chunk
-# calls cost time (the phase record of its first pulse takes 0.18 s at
-# 2^12 against 0.12-0.13 s from 2^14 to 2^17)
+# Entries of one chunk of a trajectory's bookkeeping: of a stacked
+# even-sector eigenproblem of the branch energies (samples times d_even^2,
+# 256 KB of float64 at 2^15) and of the full-basis rows of the norms and
+# populations (samples times dim).  A vdW nu = 5 evolve (decay on,
+# tools/peak_memory.py) peaks at 4.8 MB traced from 2^12 to 2^15 and at
+# 7.2 MB at 2^17; its phase record takes 0.19 s at 2^12, 0.16 s at 2^14
+# and 0.13 s at 2^15 and 2^17 (best of 5, one CPU)
 PHASE_CHUNK_ENTRIES = 1 << 15
 # Per-trial interaction diagonals at an array of times
 VIntFn = Callable[[np.ndarray], np.ndarray]
@@ -208,13 +214,22 @@ VIntFn = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled state history of one propagation."""
+    """Sampled state history of one propagation: the amplitudes on the
+    inversion-even sector, ``samples`` (n_samples, d_even), and the sector
+    isometry ``u`` (dim, d_even) of ``basis``."""
 
     basis: Basis
     times: np.ndarray
-    states: np.ndarray  # (n_samples, dim)
+    samples: np.ndarray
+    u: np.ndarray
     norms: np.ndarray
     populations: Dict[str, np.ndarray] = field(default_factory=dict)
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """The samples on the full basis, (n_samples, dim), built on first
+        access."""
+        return self.samples @ self.u.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,12 +489,13 @@ def _eigenvalue_table(ham: ChainHamiltonian, pulse: PulseProfile, t_local: np.nd
 
 def _mirrored_eigenvalues(
     seg1: _SegmentEngine, dt: float, n_steps: int, stride: int
-) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    """The times and ascending eigenvalues of the Hermitian part of pulse
-    I's H at which ``run_protocol`` finds the branch energies of each
-    pulse's stored samples (the pulse start first, then ``_sample_grid``),
-    from one table: for pulse I at the samples' own steps, for pulse II at
-    their mirrors.
+) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+    """One table of the ascending eigenvalues of the Hermitian part of
+    pulse I's H, from which ``run_protocol`` finds the branch energies of
+    each pulse's stored samples (the pulse start first, then
+    ``_sample_grid``): the times of its rows, the table, and the table row
+    of each sample of pulse I (at the sample's own step) and of pulse II
+    (at its mirror).
 
     By the mirror identity (see the module docstring), pulse II's branch
     energy of a state psi after step a is -lambda times pulse I's of G psi
@@ -493,9 +509,7 @@ def _mirrored_eigenvalues(
     steps, where = np.unique(np.r_[a, n_steps - a], return_inverse=True)
     t = (steps - 1) * dt + dt  # exactly 0 at step 0
     t[-1] = seg1.pulse.tau
-    table = _eigenvalue_table(seg1.hamiltonians[0], seg1.pulse, t)
-    one, two = where[: len(a)], where[len(a) :]
-    return (t[one], table[one]), (t[two], table[two])
+    return t, _eigenvalue_table(seg1.hamiltonians[0], seg1.pulse, t), (where[: len(a)], where[len(a) :])
 
 
 def _branch_energies(
@@ -503,15 +517,18 @@ def _branch_energies(
     pulse: PulseProfile,
     t_local: np.ndarray,
     states: np.ndarray,
-    eigenvalues: np.ndarray,
+    table: np.ndarray,
+    table_rows: np.ndarray,
+    signs: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Instantaneous eigenvalue of the dominantly occupied branch of the
     Hermitian part of ``ham`` (maximal overlap with the state) for each
     state row at its local time of ``pulse``, in the space of ``ham`` (the
-    even sector of a static PXP or vdW chain).
+    even sector of a static PXP or vdW chain); with ``signs``, of each
+    state row times ``signs`` (pulse II's G psi), chunk by chunk.
 
-    ``eigenvalues`` holds the ascending eigenvalues of H at each row's time,
-    (rows, dim), from ``_eigenvalue_table``; ``run_protocol`` reads both
+    ``table[table_rows[i]]`` holds the ascending eigenvalues of H at row
+    i's time, from ``_eigenvalue_table``; ``run_protocol`` reads both
     pulses' off one table of pulse I's (``_mirrored_eigenvalues``).  For the normalised
     state phi, with Rayleigh quotient r = <phi|H|phi> and residual sigma^2 =
     ||(H - r) phi||^2, the branch weights p_j obey sum_j p_j (w_j - r)^2 =
@@ -530,7 +547,9 @@ def _branch_energies(
     energies = np.empty(len(t))
     for lo in range(0, len(t), chunk):
         hi = min(lo + chunk, len(t))
-        phi, w = states[lo:hi], eigenvalues[lo:hi]
+        phi, w = states[lo:hi], table[table_rows[lo:hi]]
+        if signs is not None:
+            phi = phi * signs
         # H acts on the real and imaginary parts apart: one real product
         # of the (symmetric, zero-diagonal) drive for both, plus H's
         # diagonal -Delta n_r + v
@@ -873,16 +892,16 @@ def _rk4_columns(
 
 def _run_segment(
     engine: _SegmentEngine,
-    psi0: np.ndarray,
+    states: np.ndarray,
     dt: float,
     n_steps: int,
     stride: int,
     renormalize: bool,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """RK4 over one segment (trajectories and moving atoms); returns the
-    pulse-local times (excluding t=0) and the states of the samples taken
-    every ``stride`` steps and at the segment end, as arrays (n_samples,)
-    and (n_samples, *psi0.shape).
+) -> np.ndarray:
+    """RK4 over one segment (trajectories and moving atoms) from the state
+    ``states[0]``; writes the samples taken every ``stride`` steps and at
+    the segment end into ``states[1:]``, (n_samples, *states[0].shape), and
+    returns their pulse-local times (excluding t=0).
 
     ``engine`` runs one column group (``groups``) at scale 1 forward over
     one chain or the direct sum of its chains; any other groups raise
@@ -903,9 +922,9 @@ def _run_segment(
         raise ValueError(f"an RK4 engine runs one column group at scale 1, got {list(engine.groups)}")
     t_tab, omega, delta = engine.tables(dt, n_steps)
     _, times = _sample_grid(engine, dt, n_steps, stride)
-    samples = np.empty((len(times),) + np.shape(psi0), dtype=complex)
-    body = _rk4_rows if np.ndim(psi0) == 1 else _rk4_columns
-    body(engine, psi0, dt, -1j * omega, _stage_diagonals(engine, t_tab, delta, n_steps), stride, samples)
+    samples = states[1:]
+    body = _rk4_rows if samples.ndim == 2 else _rk4_columns
+    body(engine, states[0], dt, -1j * omega, _stage_diagonals(engine, t_tab, delta, n_steps), stride, samples)
 
     # RK4 on psi' = -iH psi is linear and block-diagonal over the chain
     # blocks and the columns, so scaling a block's column commutes with
@@ -920,14 +939,16 @@ def _run_segment(
             block /= np.abs(block).max(axis=1, keepdims=True)
             block /= np.linalg.norm(block, axis=1, keepdims=True)
     _check_finite(times, samples)
-    return times, samples
+    return times
 
 
 def _rk4_pulses(
     seg1: _SegmentEngine, seg2: _SegmentEngine, psi: np.ndarray, dt: float, n_steps: int, stride: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """RK4 over both pulses, pulse II from pulse I's final sample; returns
-    the times and samples of pulse I and of pulse II (``_run_segment``).
+    the times of pulse I's and of pulse II's m samples (``_run_segment``)
+    and one array (1 + 2m, *psi.shape) of the states: ``psi``, then pulse
+    I's samples, then pulse II's.
 
     The one normalisation rule of the two pulses: pulse I's samples are
     normalised iff pulse I is decay-free, pulse II's iff both pulses are.
@@ -935,9 +956,12 @@ def _rk4_pulses(
     with, so the norm never rises across the pulse boundary.
     """
     ((gamma_1, _),), ((gamma_2, _),) = seg1.groups, seg2.groups
-    t1, s1 = _run_segment(seg1, psi, dt, n_steps, stride, gamma_1 == 0.0)
-    t2, s2 = _run_segment(seg2, s1[-1], dt, n_steps, stride, gamma_1 == gamma_2 == 0.0)
-    return t1, s1, t2, s2
+    m = -(-n_steps // stride)
+    states = np.empty((1 + 2 * m,) + psi.shape, dtype=complex)
+    states[0] = psi
+    t1 = _run_segment(seg1, states[: m + 1], dt, n_steps, stride, gamma_1 == 0.0)
+    t2 = _run_segment(seg2, states[m:], dt, n_steps, stride, gamma_1 == gamma_2 == 0.0)
+    return t1, t2, states
 
 
 def _rk4_stable_dt(engine: _SegmentEngine) -> float:
@@ -1105,9 +1129,8 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
     The dynamical phase integrates the energy of the dominantly occupied
     adiabatic branch (the lowest branch during step I and the highest
     during step II when the transfer works as designed).  Pulse II's is
-    -lambda times pulse I's branch energy of G psi at the mirrored step, so
-    G is applied to pulse II's sector samples in place, once the trajectory
-    holds its states.
+    -lambda times pulse I's branch energy of G psi at the mirrored step
+    (``_branch_energies`` applies G chunk by chunk).
     """
     (ham,) = hams = _chain_hamiltonians([nu], cfg)
     lam = cfg.interaction.lambda_ratio
@@ -1122,31 +1145,36 @@ def run_protocol(nu: int, cfg: ProtocolConfig, compute_phases: bool = True) -> P
     if cfg.dt > dt_max:
         raise ConfigError(f"dt_us = {cfg.dt} is past RK4's stability bound at nu = {nu}: need dt_us <= {dt_max!r}")
     stride = _default_stride(h_scale, cfg.dt, n1)
-    t1, s1, t2, s2 = _rk4_pulses(seg1, seg2, psi, cfg.dt, n1, stride)
+    t1, t2, samples = _rk4_pulses(seg1, seg2, psi, cfg.dt, n1, stride)
     basis, sector = ham.basis, seg1.hamiltonians[0]
-    sector_arr = np.concatenate([psi[None], s1, s2])
-    state_arr = sector_arr @ sector.u.T
     time_arr = np.concatenate([[0.0], t1, cfg.pulse.tau + t2 / lam])
-    norms = np.linalg.norm(state_arr, axis=1)
+    # the norms and populations take full-basis rows, a chunk at a time
+    projectors = _afm_projectors(basis, cfg.model)
+    norms = np.empty(len(samples))
+    populations = {name: np.empty(len(samples)) for name in projectors}
+    chunk = max(1, PHASE_CHUNK_ENTRIES // basis.dim)
+    for lo in range(0, len(samples), chunk):
+        rows = samples[lo : lo + chunk] @ sector.u.T
+        norms[lo : lo + chunk] = np.linalg.norm(rows, axis=1)
+        for name, vec in projectors.items():
+            populations[name][lo : lo + chunk] = np.abs(rows @ vec.conj()) ** 2
 
-    populations = {}
-    for name, vec in _afm_projectors(basis, cfg.model).items():
-        populations[name] = np.abs(state_arr @ vec.conj()) ** 2
-
-    traj = Trajectory(basis=basis, times=time_arr, states=state_arr, norms=norms, populations=populations)
+    traj = Trajectory(basis=basis, times=time_arr, samples=samples, u=sector.u, norms=norms, populations=populations)
 
     phases = None
     if compute_phases:
         # The branch energy jumps at the segment boundary (the detuning
         # resets to -delta0'); the boundary sample is evaluated under both
         # segments, pulse II's on G psi after pulse I's on psi
-        (t_one, w_one), (t_two, w_two) = _mirrored_eigenvalues(seg1, cfg.dt, n1, stride)
+        t, table, (one, two) = _mirrored_eigenvalues(seg1, cfg.dt, n1, stride)
         cut = len(t1)
-        e_one = _branch_energies(sector, cfg.pulse, t_one, sector_arr[: cut + 1], w_one)
-        sector_arr[cut:] *= _mirror_signs(sector.n_r)
-        e_two = -lam * _branch_energies(sector, cfg.pulse, t_two, sector_arr[cut:], w_two)
+        e_one = _branch_energies(sector, cfg.pulse, t[one], samples[: cut + 1], table, one)
+        e_two = -lam * _branch_energies(
+            sector, cfg.pulse, t[two], samples[cut:], table, two, _mirror_signs(sector.n_r)
+        )
         phi_dyn = _dynamical_phase(time_arr, (e_one, e_two))
-        phases = _phases_from_samples(time_arr, state_arr, phi_dynamical=phi_dyn)
+        # <Psi(0)|Psi(t)> is the amplitude on |0...0>, the first sector row
+        phases = _phase_record(time_arr, samples[:, 0], phi_dynamical=phi_dyn)
     return ProtocolRun(trajectory=traj, phases=phases)
 
 
@@ -1202,16 +1230,11 @@ def _dynamical_phase(times: np.ndarray, energies: Sequence[np.ndarray]) -> np.nd
     return phi
 
 
-def _phases_from_samples(
-    times: np.ndarray,
-    states: np.ndarray,
-    phi_dynamical: np.ndarray,
-) -> PhaseRecord:
-    """Total phase unwrapped over the valid samples only (the first one is
-    the initial state): an invalid sample's overlap is round-off, so its angle
-    is taken within pi of the total phase of the last valid sample before it."""
-    psi0 = states[0]
-    overlaps = states @ psi0.conj()
+def _phase_record(times: np.ndarray, overlaps: np.ndarray, phi_dynamical: np.ndarray) -> PhaseRecord:
+    """The phases of samples with the overlaps <Psi(0)|Psi(t)>: the total
+    phase is unwrapped over the valid samples only; an invalid sample's
+    overlap is round-off, so its angle is taken within pi of the total phase
+    of the last valid sample before it."""
     valid = np.abs(overlaps) > OVERLAP_VALID_MIN
     angle = np.angle(overlaps)
     phi_total = np.zeros_like(angle)

@@ -193,8 +193,9 @@ def _batch_branch_amplitudes(
 
     run_cfg = replace(cfg, dt=_thermal_dt(cfg, d0, dv, hi + 1 - lo))
     seg1, seg2, psi, n = _protocol_start(hams, run_cfg, v_int_at)
-    *_, s2 = _rk4_pulses(seg1, seg2, np.repeat(psi[:, None], len(offsets), axis=1), run_cfg.dt, n, n)
-    return s2[-1][[chain.start for chain in seg1.chains]].T
+    batch = np.broadcast_to(psi[:, None], (len(psi), len(offsets)))
+    *_, states = _rk4_pulses(seg1, seg2, batch, run_cfg.dt, n, n)
+    return states[-1][[chain.start for chain in seg1.chains]].T
 
 
 def _wrap_phase(x: float) -> float:

@@ -54,3 +54,19 @@ def test_one_vdw_chain_builds_each_traced_structure_once(monkeypatch):
     basis = hamiltonian.model_basis(Model.FULL_VDW, 5)
     hamiltonian.ChainHamiltonian(Model.FULL_VDW, basis, InteractionConfig.from_nn_strength(1.0, 4.0))
     assert calls == {"drive_matrix": 1, "pair_incidence": 1}
+
+
+def test_run_protocol_result_has_what_the_tracer_reads():
+    """The tracer reads the full-basis width of a ``run_protocol`` result's
+    states, its sample times and its phases' valid flags."""
+    from afmgate.evolution import run_protocol
+    from afmgate.hamiltonian import model_basis
+
+    from conftest import reference_config
+
+    cfg = reference_config()
+    run = run_protocol(3, cfg)
+    traj = run.trajectory
+    assert traj.states.shape[1] == model_basis(cfg.model, 3).dim == traj.basis.dim
+    assert traj.states.shape[0] == len(traj.times) == len(run.phases.valid)
+    assert traj.times[0] == 0.0 and traj.times[-1] == cfg.tau_total

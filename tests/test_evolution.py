@@ -20,7 +20,7 @@ from afmgate.evolution import (
     STEPS_PER_PULSE,
     _default_stride,
     _dynamical_phase,
-    _phases_from_samples,
+    _phase_record,
     _branch_energies,
     _protocol_start,
     _pulse_one,
@@ -200,10 +200,17 @@ class PoisonedEngine(ConstantEngine):
         return d
 
 
+def run_segment(engine, psi0, dt, n, stride, renormalize):
+    """``_run_segment`` from ``psi0`` into a fresh array: the sample times
+    and the samples."""
+    states = np.empty((1 + -(-n // stride),) + np.shape(psi0), dtype=complex)
+    states[0] = psi0
+    return _run_segment(engine, states, dt, n, stride, renormalize), states[1:]
+
+
 def run_constant(engine, psi0, dt, stride=1, renormalize=True):
     n = _step_count(engine.pulse.tau, dt)
-    times, states = _run_segment(engine, np.asarray(psi0, dtype=complex), dt, n, stride, renormalize)
-    return np.array(times), np.array(states)
+    return run_segment(engine, psi0, dt, n, stride, renormalize)
 
 
 class TestPropagate:
@@ -288,7 +295,7 @@ class TestFusedStepper:
         seg1, _ = segments(3, cfg)
         sector = seg1.hamiltonians[0]
         n = _step_count(cfg.pulse.tau, cfg.dt)
-        _, (fused,) = _run_segment(seg1, sector_ground(sector), cfg.dt, n, n, renormalize=False)
+        _, (fused,) = run_segment(seg1, sector_ground(sector), cfg.dt, n, n, renormalize=False)
         plain = plain_rk4(full_space_h(seg1), full_ground(seg1.hamiltonians[0].basis), cfg.dt, n, renormalize=False)
         assert np.linalg.norm(plain) < 1.0
         assert np.abs(sector.u @ fused - plain).max() < 1e-12
@@ -299,7 +306,7 @@ class TestFusedStepper:
         seg1, _ = segments(nu, cfg)
         sector = seg1.hamiltonians[0]
         n = _step_count(cfg.pulse.tau, cfg.dt)
-        _, (fused,) = _run_segment(seg1, sector_ground(sector), cfg.dt, n, n, renormalize=True)
+        _, (fused,) = run_segment(seg1, sector_ground(sector), cfg.dt, n, n, renormalize=True)
         plain = plain_rk4(full_space_h(seg1), full_ground(seg1.hamiltonians[0].basis), cfg.dt, n, renormalize=True)
         assert abs(np.linalg.norm(fused) - 1.0) < 1e-14
         assert np.abs(sector.u @ fused - plain).max() < 1e-12
@@ -320,7 +327,7 @@ class TestFusedStepper:
         psi0 = np.zeros((basis.dim, 3), dtype=complex)
         psi0[0, :] = 1.0
         renormalize = not include_decay
-        _, (fused,) = _run_segment(seg2, psi0, dt, 1000, 1000, renormalize)
+        _, (fused,) = run_segment(seg2, psi0, dt, 1000, 1000, renormalize)
         lam = cfg.interaction.lambda_ratio
         for col in range(3):
 
@@ -354,7 +361,7 @@ class TestFusedStepper:
         dt = cfg.pulse.tau / 1000
         psi0 = np.zeros((seg.chains[-1].stop, 3), dtype=complex)
         psi0[[c.start for c in seg.chains], :] = 1.0
-        _, samples = _run_segment(seg, psi0, dt, 1000, 150, renormalize=True)
+        _, samples = run_segment(seg, psi0, dt, 1000, 150, renormalize=True)
         steps = [150, 300, 450, 600, 750, 900, 1000]
         assert len(samples) == len(steps)
         for c, ham in zip(seg.chains, hams):
@@ -374,6 +381,8 @@ class TestFusedStepper:
 
     @pytest.mark.parametrize("renormalize", [False, True])
     def test_non_contiguous_initial_state_gives_same_states(self, renormalize):
+        # the start row and the sample rows of a Fortran-ordered or strided
+        # array of states take the same samples as a C-contiguous one
         cfg = reference_config(model=Model.FULL_VDW)
         ham = ChainHamiltonian(Model.FULL_VDW, build_full_basis(3), cfg.interaction)
         v0 = ham.v
@@ -387,24 +396,25 @@ class TestFusedStepper:
         rng = np.random.default_rng(5)
         wide = rng.normal(size=(ham.basis.dim, 6)) + 1j * rng.normal(size=(ham.basis.dim, 6))
         wide /= np.linalg.norm(wide, axis=0)
-        batch = np.ascontiguousarray(wide[:, ::2])
-        _, ref_batch = _run_segment(batch_seg, batch, cfg.dt, 200, 50, renormalize)
-        _, ref_single = _run_segment(single_seg, wide[:, 0].copy(), cfg.dt, 200, 50, renormalize)
-        for psi0 in (np.asfortranarray(batch), wide[:, ::2]):
-            assert not psi0.flags.c_contiguous
-            _, states = _run_segment(batch_seg, psi0, cfg.dt, 200, 50, renormalize)
-            assert np.array_equal(states, ref_batch)
-        _, states = _run_segment(single_seg, wide[:, 0], cfg.dt, 200, 50, renormalize)  # strided column
-        assert np.array_equal(states, ref_single)
+        _, ref_batch = run_segment(batch_seg, wide[:, ::2], cfg.dt, 200, 50, renormalize)
+        _, ref_single = run_segment(single_seg, wide[:, 0], cfg.dt, 200, 50, renormalize)
+        # the start state and four samples
+        fortran = np.empty((5, ham.basis.dim, 3), dtype=complex, order="F")
+        strided = np.empty((5, ham.basis.dim, 6), dtype=complex)
+        for states, ref in ((fortran, ref_batch), (strided[:, :, ::2], ref_batch), (strided[:, :, 0], ref_single)):
+            assert not states[0].flags.c_contiguous
+            states[0] = wide[:, ::2] if states.ndim == 3 else wide[:, 0]
+            _run_segment(batch_seg if states.ndim == 3 else single_seg, states, cfg.dt, 200, 50, renormalize)
+            assert np.array_equal(states[1:], ref)
 
     def test_samples_are_distinct_rows_at_their_steps(self):
         cfg = reference_config(model=Model.FULL_VDW, include_decay=True, gamma=mhz(0.05))
         seg1, _ = segments(3, cfg)
         psi0 = sector_ground(seg1.hamiltonians[0])
-        times, every = _run_segment(seg1, psi0, cfg.dt, 45, 1, renormalize=False)
+        times, every = run_segment(seg1, psi0, cfg.dt, 45, 1, renormalize=False)
         assert every.shape == (45, len(psi0)) and times.shape == (45,)
         assert len({row.tobytes() for row in every}) == 45
-        times7, strided = _run_segment(seg1, psi0, cfg.dt, 45, 7, renormalize=False)
+        times7, strided = run_segment(seg1, psi0, cfg.dt, 45, 7, renormalize=False)
         # steps 7, 14, ..., 42 and the last one
         assert np.array_equal(strided, every[[6, 13, 20, 27, 34, 41, 44]])
         assert np.array_equal(times7[:-1], times[[6, 13, 20, 27, 34, 41]])
@@ -463,7 +473,7 @@ class TestBlockDiagonal:
         calls = record_diagonals(seg2, monkeypatch)
         psi0 = np.zeros(basis.dim, dtype=complex)
         psi0[0] = 1.0
-        _run_segment(seg2, psi0, dt, self.N_STEPS, self.N_STEPS, not include_decay)
+        run_segment(seg2, psi0, dt, self.N_STEPS, self.N_STEPS, not include_decay)
         t_tab, _, dl = seg2.tables(dt, self.N_STEPS)
         check_block_coverage(calls, t_tab, self.N_STEPS)
 
@@ -496,7 +506,7 @@ class TestBlockDiagonal:
         calls = record_diagonals(seg2, monkeypatch)
         psi0 = np.zeros((basis.dim, 3), dtype=complex)
         psi0[0, :] = 1.0
-        _run_segment(seg2, psi0, dt, self.N_STEPS, self.N_STEPS, not include_decay)
+        run_segment(seg2, psi0, dt, self.N_STEPS, self.N_STEPS, not include_decay)
         t_tab, _, dl = seg2.tables(dt, self.N_STEPS)
         check_block_coverage(calls, t_tab, self.N_STEPS)
         # pulse II's engine runs on pulse I's clock u: the function sees the
@@ -671,7 +681,7 @@ def phase_decomposition(traj, h_of_t, boundaries=()):
         np.array([energy_at(k, i) for i in range(lo, hi + 1)]) for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))
     ]
     phi_dyn = _dynamical_phase(traj.times, energies)
-    return _phases_from_samples(traj.times, traj.states, phi_dynamical=phi_dyn)
+    return _phase_record(traj.times, traj.states @ traj.states[0].conj(), phi_dynamical=phi_dyn)
 
 
 class TestPhases:
@@ -705,9 +715,8 @@ class TestPhases:
         angles = np.array([0.0, 0.1, 2.0, -2.18, 0.15, 0.2, 0.3])
         magnitudes = np.array([1.0, 1.0, 1e-12, 1e-12, 1e-12, 1.0, 1.0])
         overlaps = magnitudes * np.exp(1j * angles)
-        states = np.stack([overlaps, np.sqrt(1.0 - magnitudes**2)], axis=1)
         assert np.unwrap(angles)[-1] == pytest.approx(0.3 + 2.0 * math.pi)  # through every sample
-        rec = _phases_from_samples(np.arange(7.0), states, phi_dynamical=np.zeros(7))
+        rec = _phase_record(np.arange(7.0), overlaps, phi_dynamical=np.zeros(7))
         assert rec.valid.tolist() == [True, True, False, False, False, True, True]
         assert np.abs(rec.phi_total[rec.valid] - [0.0, 0.1, 0.2, 0.3]).max() < 1e-15
         # invalid samples: their own angle, within pi of the last valid total
@@ -720,8 +729,7 @@ class TestPhases:
         # invalid one after it, at angle -3, is placed at 4 pi - 3
         angles = np.array([0.0, 2.0, -2.5, 0.2, -3.0])
         magnitudes = np.array([1.0, 1.0, 1.0, 1.0, 1e-9])
-        states = (magnitudes * np.exp(1j * angles))[:, None]
-        rec = _phases_from_samples(np.arange(5.0), states, phi_dynamical=np.zeros(5))
+        rec = _phase_record(np.arange(5.0), magnitudes * np.exp(1j * angles), phi_dynamical=np.zeros(5))
         assert rec.phi_total[3] == pytest.approx(0.2 + 2.0 * math.pi, abs=1e-14)
         assert rec.phi_total[4] == pytest.approx(4.0 * math.pi - 3.0, abs=1e-14)
 
@@ -753,10 +761,61 @@ class TestPhases:
         assert rec.phi_total[-1] == pytest.approx(run.phases.phi_total[-1], abs=1e-9)
 
 
+class TestOneSampleArray:
+    """``run_protocol`` holds each sample once, on the even sector: the
+    phase record reads the samples without changing them, and the norms
+    and populations take full-basis rows a chunk at a time."""
+
+    @pytest.mark.parametrize("lam", [1.0, 1.7])
+    @pytest.mark.parametrize("include_decay", [False, True])
+    @pytest.mark.parametrize("model,nu", [(Model.FULL_VDW, 4), (Model.FULL_VDW, 5), (Model.PXP, 7)])
+    def test_phases_leave_the_trajectory_alone(self, model, nu, include_decay, lam):
+        cfg = reference_config(model=model, include_decay=include_decay, gamma=mhz(0.05), lambda_ratio=lam)
+        run = run_protocol(nu, cfg, compute_phases=True)
+        traj, bare = run.trajectory, run_protocol(nu, cfg, compute_phases=False).trajectory
+        assert traj.states.tobytes() == bare.states.tobytes()
+        assert traj.norms.tobytes() == bare.norms.tobytes()
+        assert traj.populations.keys() == bare.populations.keys()
+        for name, p in traj.populations.items():
+            assert p.tobytes() == bare.populations[name].tobytes()
+        # the overlaps read off the sector's first column are the full-basis
+        # products <Psi(0)|Psi(t)>
+        overlaps = traj.states @ traj.states[0].conj()
+        assert _phase_record(traj.times, overlaps, run.phases.phi_dynamical).phi_total.tobytes() == (
+            run.phases.phi_total.tobytes()
+        )
+
+    @pytest.mark.parametrize("entries", [evolution.PHASE_CHUNK_ENTRIES, 7 * 32])
+    def test_chunked_norms_and_populations_equal_whole_array_products(self, entries, monkeypatch):
+        # 7 rows of 32 per chunk do not divide the 8001 samples
+        monkeypatch.setattr(evolution, "PHASE_CHUNK_ENTRIES", entries)
+        cfg = reference_config(model=Model.FULL_VDW, include_decay=True, gamma=mhz(0.05))
+        traj = run_protocol(5, cfg, compute_phases=False).trajectory
+        assert traj.states.shape == (8001, 32) and traj.samples.shape == (8001, 20)
+        assert traj.norms.tobytes() == np.linalg.norm(traj.states, axis=1).tobytes()
+        ground = np.zeros(32, dtype=complex)
+        ground[0] = 1.0
+        assert traj.populations["ground"].tobytes() == (np.abs(traj.states @ ground) ** 2).tobytes()
+
+    def test_peak_memory_below_two_sample_arrays(self):
+        cfg = reference_config()
+        run_protocol(5, cfg)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            run = run_protocol(5, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        samples = run.trajectory.samples
+        assert samples.shape == (8001, 20) and samples.dtype == complex
+        assert peak < 2 * samples.nbytes
+
+
 def branch_energies(ham, pulse, t_local, states):
     """``_branch_energies`` with the eigenvalues of ``_eigenvalue_table`` at
     the same times."""
-    return _branch_energies(ham, pulse, t_local, states, evolution._eigenvalue_table(ham, pulse, t_local))
+    table = evolution._eigenvalue_table(ham, pulse, t_local)
+    return _branch_energies(ham, pulse, t_local, states, table, np.arange(len(t_local)))
 
 
 def full_space_branch_energies(seg, t_local, *states):
@@ -988,9 +1047,11 @@ class TestMirroredEigenvalues:
         run = run_protocol(nu, cfg, compute_phases=False)
         times = run.trajectory.times
         stride = int(np.diff(pulse_steps(run, cfg)[0])[0])
-        rows = evolution._mirrored_eigenvalues(segments(nu, cfg)[0], cfg.dt, round(cfg.pulse.tau / cfg.dt), stride)
+        t, table, (one, two) = evolution._mirrored_eigenvalues(
+            segments(nu, cfg)[0], cfg.dt, round(cfg.pulse.tau / cfg.dt), stride
+        )
         (seg1, lo1, hi1, _), (seg2, lo2, hi2, start) = segment_samples(run, nu, cfg)
-        (t_one, w_one), (t_two, w_two) = rows
+        (t_one, w_one), (t_two, w_two) = (t[one], table[one]), (t[two], table[two])
         assert np.array_equal(t_one, times[lo1 : hi1 + 1])
         direct = evolution._eigenvalue_table(seg1.hamiltonians[0], seg1.pulse, t_one)
         assert np.abs(w_one - direct).max() <= 1e-14 * np.abs(direct).max()
@@ -1479,7 +1540,7 @@ class TestPulseTwoInteraction:
         cfg = reference_config(model=Model.PXP)
         sector = _chain_hamiltonians([3], cfg)[0].sector()
         with pytest.raises(ValueError, match="one column group at scale 1"):
-            _run_segment(_SegmentEngine([sector], cfg.pulse, groups), sector_ground(sector), cfg.dt, 10, 10, True)
+            run_segment(_SegmentEngine([sector], cfg.pulse, groups), sector_ground(sector), cfg.dt, 10, 10, True)
 
 
 class TestPulseTwoClock:
@@ -1490,9 +1551,9 @@ class TestPulseTwoClock:
 
     @staticmethod
     def assert_same(lam, seg1, seg2, physical, psi, dt, n, stride):
-        _, (start,) = _run_segment(seg1, psi, dt, n, n, False)
-        t_clock, clock = _run_segment(seg2, start, dt, n, stride, False)
-        t_phys, phys = _run_segment(physical, start, dt / lam, n, stride, False)
+        _, (start,) = run_segment(seg1, psi, dt, n, n, False)
+        t_clock, clock = run_segment(seg2, start, dt, n, stride, False)
+        t_phys, phys = run_segment(physical, start, dt / lam, n, stride, False)
         assert len(clock) > 4 and np.abs(clock[-1] - start).max() > 0.1  # pulse II moves the state
         if lam == 1.0:
             assert t_clock.tobytes() == t_phys.tobytes() and clock.tobytes() == phys.tobytes()
@@ -1573,8 +1634,8 @@ class TestSectorPropagation:
         pulse = cfg.pulse
         h_scale = nu * (abs(pulse.delta0) + abs(pulse.omega0)) + np.abs(seg1.hamiltonians[0].v).max()
         stride = _default_stride(h_scale, cfg.dt, n)
-        t1, s1 = _run_segment(seg1, full_ground(seg1.hamiltonians[0].basis), cfg.dt, n, stride, not include_decay)
-        t2, s2 = _run_segment(seg2, s1[-1], cfg.dt, n, stride, not include_decay)
+        t1, s1 = run_segment(seg1, full_ground(seg1.hamiltonians[0].basis), cfg.dt, n, stride, not include_decay)
+        t2, s2 = run_segment(seg2, s1[-1], cfg.dt, n, stride, not include_decay)
         assert np.array_equal(run.trajectory.times, np.concatenate([[0.0], t1, pulse.tau + t2 / lam]))
         assert np.abs(run.trajectory.states[-1] - s2[-1]).max() < 1e-13
 
@@ -1583,19 +1644,20 @@ class TestSectorPropagation:
         cfg = reference_config(model=Model.FULL_VDW)
         ham = ChainHamiltonian(Model.FULL_VDW, build_full_basis(3), cfg.interaction)
         rng = np.random.default_rng(3)
-        wide = rng.normal(size=(ham.basis.dim, 6)) + 1j * rng.normal(size=(ham.basis.dim, 6))
-        psi0 = {
-            "1-D": wide[:, 0].copy(),
-            "strided 1-D": wide[:, 0],
-            "column batch": np.ascontiguousarray(wide[:, :3]),
-            "Fortran batch": np.asfortranarray(wide[:, :3]),
-            "strided batch": wide[:, ::2],
+        # the start state and one sample, each row laid out as ``kind``
+        wide = rng.normal(size=(2, ham.basis.dim, 6)) + 1j * rng.normal(size=(2, ham.basis.dim, 6))
+        states = {
+            "1-D": wide[:, :, 0].copy(),
+            "strided 1-D": wide[:, :, 0],
+            "column batch": np.ascontiguousarray(wide[:, :, :3]),
+            "Fortran batch": np.asfortranarray(wide[:, :, :3]),
+            "strided batch": wide[:, :, ::2],
         }[kind]
 
         def v_int_at(t_abs):  # (times, dim, 3): the static interaction per column
             return np.broadcast_to(ham.v[:, None], (len(t_abs), ham.basis.dim, 3))
 
-        engine = _SegmentEngine([ham], cfg.pulse, v=v_int_at if psi0.ndim == 2 else None)
+        engine = _SegmentEngine([ham], cfg.pulse, v=v_int_at if states.ndim == 3 else None)
         views = []
         real = evolution._real
 
@@ -1605,11 +1667,11 @@ class TestSectorPropagation:
             return out
 
         monkeypatch.setattr(evolution, "_real", recording)
-        _run_segment(engine, psi0, cfg.dt, 20, 20, renormalize=True)
+        _run_segment(engine, states, cfg.dt, 20, 20, renormalize=True)
         # bound once per segment: one state takes u as source and its four
         # K u rows as destinations (``_rk4_rows``), a batch psi and y as
         # sources and dy as destination (``_rk4_columns``)
-        assert len(views) == (5 if psi0.ndim == 1 else 4)
+        assert len(views) == (5 if states.ndim == 2 else 4)
         for rows, out in views:
             assert np.shares_memory(out, rows)
             assert out.dtype == np.float64 and out.shape == (len(rows), 2 * (rows.size // len(rows)))
@@ -1643,8 +1705,8 @@ class TestRowAndColumnBodies:
 
         spy("_rk4_rows")
         spy("_rk4_columns")
-        t_row, row = _run_segment(seg1, psi, cfg.dt, n, 250, renormalize)
-        t_col, col = _run_segment(column, psi[:, None], cfg.dt, n, 250, renormalize)
+        t_row, row = run_segment(seg1, psi, cfg.dt, n, 250, renormalize)
+        t_col, col = run_segment(column, psi[:, None], cfg.dt, n, 250, renormalize)
         assert bodies == ["_rk4_rows", "_rk4_columns"]
         assert np.array_equal(t_row, t_col) and row.shape == (16, rows) and col.shape == (16, rows, 1)
         assert np.abs(row - col[:, :, 0]).max() < 1e-12

@@ -241,9 +241,9 @@ class TestBatchedEnsemble:
         calls = []
         real = evolution._run_segment
 
-        def counting(engine, psi, *args):
-            calls.append(([h.basis.nu for h in engine.hamiltonians], psi.shape[1]))
-            return real(engine, psi, *args)
+        def counting(engine, states, *args):
+            calls.append(([h.basis.nu for h in engine.hamiltonians], states.shape[-1]))
+            return real(engine, states, *args)
 
         monkeypatch.setattr(evolution, "_run_segment", counting)
         rep = run_thermal_ensemble(5, cfg, ThermalConfig(temperature=1e-6, trials=16, seed=1))
@@ -304,24 +304,25 @@ class TestDriverPath:
 
     def chunk(self, n_atoms, cfg, monkeypatch):
         """The amplitudes of one chunk of three moving-atom trials, checked
-        against the two ``_run_segment`` calls the chunk made."""
+        against the two ``_run_segment`` calls the chunk made, which share
+        one array of states."""
         tcfg = ThermalConfig(temperature=4e-6, position_sigma=0.02, trials=3, seed=8)
         offsets, velocities = thermal_draws(tcfg, n_atoms)
         runs = []
         real = evolution._run_segment
 
-        def recording(engine, psi, *args):
-            times, samples = real(engine, psi, *args)
-            runs.append((engine, psi, samples))
-            return times, samples
+        def recording(engine, states, *args):
+            runs.append((engine, states))
+            return real(engine, states, *args)
 
         monkeypatch.setattr(evolution, "_run_segment", recording)
         amps = _batch_branch_amplitudes(n_atoms, cfg, offsets, velocities, INPUT_LABELS)
-        (seg1, _, s1), (_, psi2, s2) = runs
+        (seg1, s1), (_, s2) = runs
         assert amps.shape == (3, 4)
-        # pulse II starts from pulse I's final state, and the amplitudes are
-        # the ground rows of pulse II's final state
-        assert np.array_equal(psi2, s1[-1])
+        # pulse II starts from pulse I's final state, the same row of one
+        # array, and the amplitudes are the ground rows of pulse II's final
+        # state
+        assert np.shares_memory(s1, s2) and np.array_equal(s2[0], s1[-1])
         assert np.array_equal(amps, s2[-1][[chain.start for chain in seg1.chains]].T)
         return amps
 
