@@ -1,9 +1,12 @@
 """Command-line front end: config in, plot-ready CSV/JSON artifacts out.
 
 Every run writes a manifest recording the command, config, seed and build
-identity next to its outputs.  CSV files carry a commented header block
-with all resolved parameters and are byte-identical for identical inputs
-and seed (the manifest holds the only timestamp).
+identity next to its outputs.  Every CSV file is written by one writer,
+``_write_table``: a commented header block with all resolved parameters,
+the column names, and then the rows of the whole columns a command hands
+over, formatted and written ``CSV_CHUNK_ROWS`` rows at a time, so no file
+is formatted whole first.  CSV files are byte-identical for identical
+inputs and seed (the manifest holds the only timestamp).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -45,8 +48,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_FIT = 4
-# Rows of a long CSV (``evolve``) formatted and written together: the
-# strings of a whole 8001-row vdW trajectory would be held at once
+# Rows of a CSV formatted and written together (``_write_table``): the
+# strings of a whole file, such as an 8001-row vdW trajectory, would be
+# held at once
 CSV_CHUNK_ROWS = 1024
 
 
@@ -85,36 +89,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_lines(path: Path, header_params: Dict[str, object], columns: Sequence[str],
-                 lines: Iterable[str]) -> None:
-    """The commented header, the column names and then each item of
-    ``lines`` (one or more CSV rows) as it comes, each ending in a newline."""
+def _table_rows(columns) -> str:
+    """The CSV rows of whole columns, each ending in a newline: a numeric
+    array is written as the repr of its Python values (as ``_fmt`` writes
+    each value), a list of strings as it is.  A function of its own so that
+    the per-column strings are freed before the rows are written."""
+    text =[col if isinstance(col, list) else list(map(repr, col.tolist())) for col in columns]
+    return "".join(",".join(row) + "\n" for row in zip(*text))
+
+
+def _write_table(path: Path, header_params: Dict[str, object], names: Sequence[str], *columns) -> None:
+    """The commented header, the column ``names`` and then the rows of
+    whole ``columns`` (``_table_rows``), formatted and written
+    ``CSV_CHUNK_ROWS`` rows at a time."""
     with path.open("w") as fh:
         for key, val in header_params.items():
             fh.write(f"# {key} = {_fmt(val)}\n")
-        fh.write(",".join(columns) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
-
-
-def _write_csv(path: Path, header_params: Dict[str, object], columns: Sequence[str],
-               rows: Iterable[Sequence[object]]) -> None:
-    _write_lines(path, header_params, columns, (",".join(_fmt(v) for v in row) for row in rows))
-
-
-def _column_lines(*columns) -> List[str]:
-    """CSV rows from whole columns: a numeric array is written as the repr
-    of its Python values (as ``_fmt`` writes each value), a list of
-    strings as it is."""
-    text = [col if isinstance(col, list) else list(map(repr, col.tolist())) for col in columns]
-    return [",".join(row) for row in zip(*text)]
-
-
-def _column_chunks(*columns) -> Iterator[str]:
-    """``_column_lines`` of whole columns, formatted and joined
-    ``CSV_CHUNK_ROWS`` rows at a time: each item is one block of rows."""
-    for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        yield "\n".join(_column_lines(*(col[lo : lo + CSV_CHUNK_ROWS] for col in columns)))
+        fh.write(",".join(names) + "\n")
+        for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            fh.write(_table_rows(col[lo : lo + CSV_CHUNK_ROWS] for col in columns))
 
 
 def _resolved_params(cfg: ProtocolConfig, step: Dict[str, object], **extra) -> Dict[str, object]:
@@ -151,27 +144,21 @@ def cmd_spectrum(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -
         h = ChainHamiltonian(cfg.model, model_basis(cfg.model, nu), interaction).matrix(
             cfg.pulse.omega(t_mid), cfg.pulse.delta(t_mid)
         )
-        rows = [(i, j, h[i, j].real, h[i, j].imag) for i, j in zip(*np.nonzero(h))]
-        _write_csv(
-            out_dir / "hamiltonian.csv",
-            _resolved_params(cfg, {}, nu=nu, t_us=t_mid),
-            ("row", "col", "re", "im"),
-            rows,
-        )
-    dim = scan.eigenvalues.shape[1]
-    # one block of rows per grid point, written as it is formatted
-    lines = (
-        "\n".join(_column_lines(np.full(dim, delta), np.arange(1, dim + 1), energies,
-                                [label.value for label in labels], eta_low, eta_high))
-        for delta, energies, labels, eta_low, eta_high in zip(
-            scan.delta_grid, scan.eigenvalues, scan.symmetry, scan.eta_low, scan.eta_high
-        )
-    )
-    _write_lines(
+        rows, cols = np.nonzero(h)
+        entries = h[rows, cols]
+        _write_table(out_dir / "hamiltonian.csv", _resolved_params(cfg, {}, nu=nu, t_us=t_mid),
+                     ("row", "col", "re", "im"), rows, cols, entries.real, entries.imag)
+    n_grid, dim = scan.eigenvalues.shape
+    _write_table(
         out_dir / "spectrum.csv",
         _resolved_params(cfg, {}, nu=nu, grid=args.grid),
         ("delta_rad_us", "k", "energy_rad_us", "symmetry", "eta_low", "eta_high"),
-        lines,
+        np.repeat(scan.delta_grid, dim),
+        np.tile(np.arange(1, dim + 1), n_grid),
+        scan.eigenvalues.ravel(),
+        [label.value for labels in scan.symmetry for label in labels],
+        scan.eta_low.ravel(),
+        scan.eta_high.ravel(),
     )
 
 
@@ -187,8 +174,7 @@ def cmd_evolve(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> 
         values.append(pops["afm_excited"])
     columns += ["phi_total", "phi_dynamical", "phi_geometric", "phi_valid"]
     values += [phases.phi_total, phases.phi_dynamical, phases.phi_geometric, phases.valid.astype(int)]
-    _write_lines(out_dir / "evolve.csv", _resolved_params(cfg, {"dt_us": cfg.dt}, nu=nu), columns,
-                 _column_chunks(*values))
+    _write_table(out_dir / "evolve.csv", _resolved_params(cfg, {"dt_us": cfg.dt}, nu=nu), columns, *values)
 
 
 def cmd_gate(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> None:
@@ -266,7 +252,6 @@ def cmd_sweep(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> N
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_points)
     c_table = _c_table_for(n_list, cfg, _load_c_file(args.c_file))
     points = sweep_tau(n_list, cfg, taus, c_table, jobs=args.jobs)
-    rows = [(p.n_atoms, p.tau, p.e_numeric, p.e_decay, p.e_leakage, p.e_model, p.fidelity) for p in points]
     summary: Dict[str, Dict[str, float]] = {}
     for n in n_list:
         best = min((p for p in points if p.n_atoms == n), key=lambda p: p.e_numeric)
@@ -277,12 +262,13 @@ def cmd_sweep(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> N
             "tau_opt_model_us": model.tau_opt,
             "e_min_model": model.e_min,
         }
-    _write_csv(
+    _write_table(
         out_dir / "sweep.csv",
         _resolved_params(cfg, {"steps_per_pulse": STEPS_PER_PULSE}, n_list=",".join(map(str, n_list)),
                          c_table=json.dumps({str(k): v for k, v in sorted(c_table.items())})),
         ("n_atoms", "tau_us", "e_numeric", "e_decay", "e_leakage", "e_model", "fidelity"),
-        rows,
+        np.array([p.n_atoms for p in points]),
+        *np.array([(p.tau, p.e_numeric, p.e_decay, p.e_leakage, p.e_model, p.fidelity) for p in points]).T,
     )
     (out_dir / "sweep_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
@@ -300,16 +286,13 @@ def cmd_thermal(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) ->
         seed=args.seed,
     )
     report = run_thermal_ensemble(cfg.chain.n_atoms, cfg, tcfg, jobs=args.jobs)
-    rows = [
-        (i, report.delta_phi_samples[i], report.fidelity_samples[i])
-        for i in range(report.trials)
-    ]
-    rows.append(("summary", report.delta_phi_rms, float(np.mean(report.fidelity_samples))))
-    _write_csv(
+    _write_table(
         out_dir / "thermal.csv",
         _resolved_params(cfg, {"dt_us": report.dt}, temp_uK=args.temp_uk, trials=report.trials, seed=tcfg.seed),
         ("trial", "delta_phi_rad", "fidelity"),
-        rows,
+        [*map(str, range(report.trials)), "summary"],
+        np.append(report.delta_phi_samples, report.delta_phi_rms),
+        np.append(report.fidelity_samples, np.mean(report.fidelity_samples)),
     )
     summary = {
         "n_atoms": report.n_atoms,
@@ -327,33 +310,27 @@ def cmd_thermal(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) ->
 
 def cmd_fit_c(args: argparse.Namespace, cfg: ProtocolConfig, out_dir: Path) -> None:
     nus = args.nu_list
-    result: Dict[str, Dict[str, float]] = {}
-    rows = []
-    for nu in nus:
-        fit = fit_c_nu(nu, cfg)
-        result[str(nu)] = {"c": fit.c, "intercept": fit.intercept, "r_squared": fit.r_squared}
-        for tau, e in zip(fit.taus, fit.leakages):
-            rows.append((nu, tau, e))
+    fits = [fit_c_nu(nu, cfg) for nu in nus]
+    result = {str(fit.nu): {"c": fit.c, "intercept": fit.intercept, "r_squared": fit.r_squared} for fit in fits}
     (out_dir / "fit_c.json").write_text(json.dumps(result, indent=2) + "\n")
-    _write_csv(
+    _write_table(
         out_dir / "fit_c.csv",
         _resolved_params(cfg, {"steps_per_pulse": STEPS_PER_PULSE}, nu_list=",".join(map(str, nus))),
         ("nu", "tau_us", "e_leakage"),
-        rows,
+        np.concatenate([np.full(len(fit.taus), fit.nu) for fit in fits]),
+        np.concatenate([fit.taus for fit in fits]),
+        np.concatenate([fit.leakages for fit in fits]),
     )
 
 
 def cmd_basis_dump(args: argparse.Namespace, cfg: Optional[ProtocolConfig], out_dir: Path) -> None:
     basis = build_full_basis(args.nu) if args.full else build_blockade_basis(args.nu)
     n_r = bit_counts(basis.masks, args.nu)
-    lines = _column_lines(
-        np.arange(basis.dim), [bitstring(s, args.nu) for s in basis.masks.tolist()], n_r, 1 - 2 * (n_r & 1)
-    )
-    _write_lines(
+    _write_table(
         out_dir / "basis.csv",
         {"nu": args.nu, "constrained": not args.full, "size": basis.dim},
         ("index", "bitstring", "n_rydberg", "parity"),
-        lines,
+        np.arange(basis.dim), [bitstring(s, args.nu) for s in basis.masks.tolist()], n_r, 1 - 2 * (n_r & 1),
     )
 
 

@@ -11,7 +11,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
 
@@ -241,12 +240,13 @@ class ProtocolConfig:
         return self.pulse.tau * (1.0 + 1.0 / self.interaction.lambda_ratio)
 
 
-def mean_rydberg_number(n_atoms: int) -> Fraction:
+def mean_rydberg_number(n_atoms: int) -> float:
     """Mean Rydberg excitation number N/2 - 1/4, averaged over the four
-    qubit inputs (active chains of N-2, N-1, N-1 and N atoms)."""
+    qubit inputs (active chains of N-2, N-1, N-1 and N atoms); a multiple
+    of 1/4, so exact in binary."""
     if n_atoms < 3:
         raise ValueError(f"need at least 3 atoms, got {n_atoms}")
-    return Fraction(n_atoms, 2) - Fraction(1, 4)
+    return n_atoms / 2 - 0.25
 
 
 def _section(data: dict, name: str) -> dict:

@@ -129,7 +129,7 @@ def decay_error(n_atoms: int, gamma_mean: float, tau_total: float) -> float:
     """Input-averaged decay error 1 - exp(-nu_bar Gamma tau_tot / 2)."""
     if gamma_mean < 0.0 or tau_total < 0.0:
         raise ValueError("decay rate and duration must be >= 0")
-    nu_bar = float(mean_rydberg_number(n_atoms))
+    nu_bar = mean_rydberg_number(n_atoms)
     return 1.0 - math.exp(-0.5 * nu_bar * gamma_mean * tau_total)
 
 
@@ -240,7 +240,7 @@ def optimal_tau(
     if gamma_mean <= 0.0:
         raise RegimeError("no finite optimum without decay (tau_opt -> infinity)")
     mu, _ = leakage_mu_nu(n_atoms)
-    nu_bar = float(mean_rydberg_number(n_atoms))
+    nu_bar = mean_rydberg_number(n_atoms)
     om2 = pulse.omega0**2
     d0 = abs(pulse.delta0)
     arg = mu * c_dominant * om2 / (nu_bar * gamma_mean * d0)
@@ -262,7 +262,7 @@ def e_min_vs_interaction(
     if gamma_mean <= 0.0 or b_nn == 0.0:
         raise ValueError("gamma_mean must be > 0 and B nonzero")
     mu, _ = leakage_mu_nu(n_atoms)
-    nu_bar = float(mean_rydberg_number(n_atoms))
+    nu_bar = mean_rydberg_number(n_atoms)
     b = abs(b_nn)
     arg = mu * c_dominant * lambda1**2 * b / (nu_bar * lambda2 * gamma_mean)
     if arg <= 1.0:
@@ -333,7 +333,7 @@ def build_error_model(
         n_atoms=n_atoms,
         c_nu=c_table,
         mu=leak.mu,
-        nu_bar=float(mean_rydberg_number(n_atoms)),
+        nu_bar=mean_rydberg_number(n_atoms),
         e_decay=decay_error(n_atoms, gamma, cfg.tau_total),
         e_leakage=leak.full,
         e_leakage_dominant=leak.dominant,

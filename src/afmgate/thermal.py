@@ -172,7 +172,10 @@ def _batch_branch_amplitudes(
     if cfg.model is not Model.FULL_VDW:
         raise ConfigError("thermal motion requires the full van der Waals model")
     atom_sets = [np.array(active_atoms(n_atoms, label)) for label in labels]
-    hams = [ChainHamiltonian(cfg.model, build_full_basis(len(atoms)), cfg.interaction) for atoms in atom_sets]
+    # one chain per size: the two N-1 blocks share theirs
+    by_size = {nu: ChainHamiltonian(cfg.model, build_full_basis(nu), cfg.interaction)
+               for nu in {len(atoms) for atoms in atom_sets}}
+    hams = [by_size[len(atoms)] for atoms in atom_sets]
 
     base = cfg.chain.spacing * np.arange(n_atoms)[None, :] + offsets  # (trials, n_atoms)
     ok = np.all([_stays_ordered(base[:, atoms], velocities[:, atoms], cfg.tau_total) for atoms in atom_sets], axis=0)

@@ -6,28 +6,33 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import afmgate
+from afmgate import cli
+from afmgate.basis import bitstring, build_blockade_basis, build_full_basis
 from afmgate.cli import (
     CSV_CHUNK_ROWS,
     EXIT_CONFIG,
     EXIT_OK,
-    _column_lines,
+    _c_table_for,
     _fmt,
     _git_describe,
     _resolved_params,
-    _write_csv,
+    _write_table,
     build_parser,
     main,
 )
 from afmgate.config import Model, load_config, protocol_from_dict
 from afmgate.evolution import STEPS_PER_PULSE, run_protocol
+from afmgate.gate import fit_c_nu, sweep_tau
+from afmgate.hamiltonian import ChainHamiltonian, model_basis
 from afmgate.spectra import scan_spectrum
-from afmgate.thermal import ThermalConfig, sample_kinematics
+from afmgate.thermal import ThermalConfig, run_thermal_ensemble, sample_kinematics
 
 CONFIG = {
     "chain": {"n_atoms": 5, "spacing_um": 4.0},
@@ -116,29 +121,6 @@ class TestSpectrum:
                          "spectrum", "--nu", "3", "--grid", "21"]) == EXIT_OK
             blobs.append((out / "spectrum.csv").read_bytes())
         assert blobs[0] == blobs[1]
-
-    @pytest.mark.parametrize("model", ["vdw", "pxp"])
-    def test_streamed_rows_match_the_whole_scan_writer(self, tmp_path, model):
-        # the file is written one grid point at a time; its bytes are those
-        # of every row formatted from whole columns and joined in one string
-        cfg_path = write_config(tmp_path)
-        out = tmp_path / "out"
-        assert main(["--config", cfg_path, "--out", str(out), "--model", model,
-                     "spectrum", "--nu", "4", "--grid", "9"]) == EXIT_OK
-        cfg = replace(load_config(cfg_path), model=Model(model))
-        scan = scan_spectrum(4, cfg.pulse, cfg.model, None if cfg.model is Model.PXP else cfg.interaction, grid_size=9)
-        n_grid, dim = scan.eigenvalues.shape
-        lines = _column_lines(
-            np.repeat(scan.delta_grid, dim),
-            np.tile(np.arange(1, dim + 1), n_grid),
-            scan.eigenvalues.ravel(),
-            [label.value for labels in scan.symmetry for label in labels],
-            scan.eta_low.ravel(),
-            scan.eta_high.ravel(),
-        )
-        header = [f"# {key} = {_fmt(val)}" for key, val in _resolved_params(cfg, {}, nu=4, grid=9).items()]
-        header.append("delta_rad_us,k,energy_rad_us,symmetry,eta_low,eta_high")
-        assert (out / "spectrum.csv").read_text() == "\n".join([*header, *lines]) + "\n"
 
 
 SUBPARSERS = next(
@@ -239,35 +221,6 @@ class TestEvolve:
             blobs.append((out / "evolve.csv").read_bytes())
         assert sum(fallback_rows) > 0
         assert blobs[0] == blobs[1]
-
-    def test_chunked_lines_equal_the_per_value_rows(self, tmp_path, monkeypatch):
-        # vdW nu = 4 (even: a p_afm_excited column) stores 4001 samples,
-        # past the first chunk boundaries; the file's bytes are those of
-        # every row written value by value with ``_fmt``
-        from afmgate import cli
-
-        runs = []
-
-        def recording(nu, cfg):
-            runs.append(run_protocol(nu, cfg))
-            return runs[-1]
-
-        monkeypatch.setattr(cli, "run_protocol", recording)
-        cfg_path = write_config(tmp_path)
-        out = tmp_path / "out"
-        assert main(["--config", cfg_path, "--out", str(out), "evolve", "--nu", "4"]) == EXIT_OK
-        (run,) = runs
-        traj, phases = run.trajectory, run.phases
-        pops = traj.populations
-        assert len(traj.times) > 3 * CSV_CHUNK_ROWS
-        columns = ("t_us", "norm", "p_ground", "p_afm", "p_afm_excited",
-                   "phi_total", "phi_dynamical", "phi_geometric", "phi_valid")
-        values = [traj.times, traj.norms, pops["ground"], pops["afm"], pops["afm_excited"],
-                  phases.phi_total, phases.phi_dynamical, phases.phi_geometric, phases.valid.astype(int)]
-        expected = tmp_path / "expected.csv"
-        cfg = load_config(cfg_path)
-        _write_csv(expected, _resolved_params(cfg, {"dt_us": cfg.dt}, nu=4), columns, zip(*values))
-        assert (out / "evolve.csv").read_bytes() == expected.read_bytes()
 
     def test_decay_makes_norm_non_increasing(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -832,11 +785,109 @@ def test_git_timeout_falls_back_to_the_version(tmp_path, monkeypatch, fresh_git_
     assert manifest["git_describe"] == f"afmgate-{afmgate.__version__}"
 
 
-def test_column_lines_match_per_value_format():
-    # the per-row loop that cmd_evolve and cmd_spectrum used to run
+def test_write_table_matches_per_value_format(tmp_path, monkeypatch):
+    # special floats, ints, strings and flags across chunk boundaries, each
+    # value written as ``_fmt`` writes it
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)
     floats = np.array([0.0, -0.0, 5e-324, 1.0 / 3.0, -2.5e17, 6.283185307179586, np.nan, -np.inf])
     ints = np.arange(-3, len(floats) - 3)
     flags = (floats > 0).astype(int)
     labels = ["S", "A", "M", "S", "A", "S", "M", "A"]
-    expect = [",".join(_fmt(v) for v in row) for row in zip(floats, ints, labels, floats[::-1], flags)]
-    assert _column_lines(floats, ints, labels, floats[::-1], flags) == expect
+    path = tmp_path / "table.csv"
+    _write_table(path, {"x": 0.1, "n": 3, "flag": True}, ("a", "b", "c", "d", "e"),
+                 floats, ints, labels, floats[::-1], flags)
+    rows = [",".join(_fmt(v) for v in row) for row in zip(floats, ints, labels, floats[::-1], flags)]
+    assert path.read_text() == "\n".join(["# x = 0.1", "# n = 3", "# flag = True", "a,b,c,d,e", *rows]) + "\n"
+
+
+def _spectrum_tables(model, cfg):
+    cfg = replace(cfg, model=model)
+    interaction = None if model is Model.PXP else cfg.interaction
+    scan = scan_spectrum(4, cfg.pulse, model, interaction, grid_size=129)
+    t_mid = cfg.pulse.tau / 2.0
+    h = ChainHamiltonian(model, model_basis(model, 4), interaction).matrix(cfg.pulse.omega(t_mid), cfg.pulse.delta(t_mid))
+    spectrum = [
+        (delta, k + 1, energy, label.value, low, high)
+        for delta, energies, labels, eta_low, eta_high in zip(
+            scan.delta_grid, scan.eigenvalues, scan.symmetry, scan.eta_low, scan.eta_high
+        )
+        for k, (energy, label, low, high) in enumerate(zip(energies, labels, eta_low, eta_high))
+    ]
+    assert len(spectrum) > CSV_CHUNK_ROWS
+    return [
+        ("hamiltonian.csv", _resolved_params(cfg, {}, nu=4, t_us=t_mid), ("row", "col", "re", "im"),
+         [(i, j, h[i, j].real, h[i, j].imag) for i, j in zip(*np.nonzero(h))]),
+        ("spectrum.csv", _resolved_params(cfg, {}, nu=4, grid=129),
+         ("delta_rad_us", "k", "energy_rad_us", "symmetry", "eta_low", "eta_high"), spectrum),
+    ]
+
+
+def _evolve_tables(cfg):
+    # vdW nu = 4 (even: a p_afm_excited column) stores 4001 samples
+    run = run_protocol(4, cfg)
+    traj, phases = run.trajectory, run.phases
+    pops = traj.populations
+    assert len(traj.times) > 3 * CSV_CHUNK_ROWS
+    columns = ("t_us", "norm", "p_ground", "p_afm", "p_afm_excited",
+               "phi_total", "phi_dynamical", "phi_geometric", "phi_valid")
+    values = [traj.times, traj.norms, pops["ground"], pops["afm"], pops["afm_excited"],
+              phases.phi_total, phases.phi_dynamical, phases.phi_geometric, phases.valid.astype(int)]
+    return [("evolve.csv", _resolved_params(cfg, {"dt_us": cfg.dt}, nu=4), columns, zip(*values))]
+
+
+def _sweep_tables(cfg):
+    c_table = _c_table_for([3, 4], cfg, {int(k): v for k, v in C_TABLE.items()})
+    points = sweep_tau([3, 4], cfg, np.linspace(0.5, 3.0, 3), c_table)
+    params = _resolved_params(cfg, {"steps_per_pulse": STEPS_PER_PULSE}, n_list="3,4",
+                              c_table=json.dumps({str(k): v for k, v in sorted(c_table.items())}))
+    return [("sweep.csv", params, ("n_atoms", "tau_us", "e_numeric", "e_decay", "e_leakage", "e_model", "fidelity"),
+             [(p.n_atoms, p.tau, p.e_numeric, p.e_decay, p.e_leakage, p.e_model, p.fidelity) for p in points])]
+
+
+def _thermal_tables(cfg):
+    cfg = replace(cfg, include_decay=False)
+    report = run_thermal_ensemble(5, cfg, ThermalConfig(temperature=1e-6, trials=3, seed=5))
+    rows = [(i, report.delta_phi_samples[i], report.fidelity_samples[i]) for i in range(report.trials)]
+    rows.append(("summary", report.delta_phi_rms, float(np.mean(report.fidelity_samples))))
+    params = _resolved_params(cfg, {"dt_us": report.dt}, temp_uK=1.0, trials=report.trials, seed=5)
+    return [("thermal.csv", params, ("trial", "delta_phi_rad", "fidelity"), rows)]
+
+
+def _fit_c_tables(cfg):
+    rows = [(fit.nu, tau, e) for fit in (fit_c_nu(3, cfg), fit_c_nu(5, cfg)) for tau, e in zip(fit.taus, fit.leakages)]
+    params = _resolved_params(cfg, {"steps_per_pulse": STEPS_PER_PULSE}, nu_list="3,5")
+    return [("fit_c.csv", params, ("nu", "tau_us", "e_leakage"), rows)]
+
+
+def _basis_tables(full, cfg):
+    basis = build_full_basis(4) if full else build_blockade_basis(4)
+    n_r = [bin(s).count("1") for s in basis.masks.tolist()]
+    rows = [(i, bitstring(s, 4), n, (-1) ** n) for i, (s, n) in enumerate(zip(basis.masks.tolist(), n_r))]
+    return [("basis.csv", {"nu": 4, "constrained": not full, "size": basis.dim},
+             ("index", "bitstring", "n_rydberg", "parity"), rows)]
+
+
+@pytest.mark.parametrize("argv,tables", [
+    (["spectrum", "--nu", "4", "--grid", "129", "--dump-hamiltonian"], partial(_spectrum_tables, Model.FULL_VDW)),
+    (["--model", "pxp", "spectrum", "--nu", "4", "--grid", "129", "--dump-hamiltonian"],
+     partial(_spectrum_tables, Model.PXP)),
+    (["evolve", "--nu", "4"], _evolve_tables),
+    (["sweep", "--n-list", "3,4", "--tau-points", "3", "--c-file", "{c_file}"], _sweep_tables),
+    (["--seed", "5", "thermal", "--temp-uK", "1", "--trials", "3"], _thermal_tables),
+    (["fit-c", "--nu-list", "3,5"], _fit_c_tables),
+    (["basis-dump", "--nu", "4"], partial(_basis_tables, False)),
+    (["basis-dump", "--nu", "4", "--full"], partial(_basis_tables, True)),
+], ids=["spectrum-vdw", "spectrum-pxp", "evolve", "sweep", "thermal", "fit-c", "basis-dump", "basis-dump-full"])
+def test_every_csv_equals_its_rows_written_value_by_value(tmp_path, argv, tables):
+    # the one table writer formats whole columns; each file's bytes are
+    # its header and rows written value by value with ``_fmt``
+    cfg_path = write_config(tmp_path)
+    c_file = tmp_path / "c.json"
+    c_file.write_text(json.dumps(C_TABLE))
+    out = tmp_path / "out"
+    assert main(["--config", cfg_path, "--out", str(out), *(a.format(c_file=c_file) for a in argv)]) == EXIT_OK
+    for name, params, columns, rows in tables(load_config(cfg_path)):
+        lines = [f"# {key} = {_fmt(val)}" for key, val in params.items()]
+        lines.append(",".join(columns))
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        assert (out / name).read_bytes() == ("\n".join(lines) + "\n").encode()
